@@ -13,7 +13,6 @@ from .chart_algebra import (
     ChartSpec,
     Poly,
     VField,
-    poly_derive,
     vf_apply,
     vf_bracket,
     vf_pushforward,
@@ -48,7 +47,6 @@ from .groupoid import (
     add_over_face,
     compose,
     cup,
-    embed_classical,
     face,
     homotopy,
     is_trivial_homotopy,
@@ -72,7 +70,6 @@ from .weil import (
     WeilMorphism,
     kfield_to_weil,
     weil_cup,
-    weil_mul,
     weil_to_kfield,
 )
 

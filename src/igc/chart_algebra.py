@@ -344,11 +344,6 @@ def _check_same_dim(u, v):
         raise ChartMismatchError("values live on charts of different dimension")
 
 
-def poly_derive(f: Poly, i: int) -> Poly:
-    """Partial derivative df/dx_i in canonical form."""
-    return f.derive(i)
-
-
 def vf_apply(v: VField, f: Poly) -> Poly:
     """Action of the derivation v on f: sum_i coeffs[i] * df/dx_i."""
     if v.dim != f.dim:

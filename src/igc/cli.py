@@ -197,10 +197,14 @@ def _run_check(args: list[str], session: Session) -> CommandOutcome:
             max_degree = _int_arg(next(it, ""))
         elif flag == "--seed":
             seed = _int_arg(next(it, ""))
-        elif flag == "--only":
-            only = next(it, None)
-        elif flag == "--invert":
-            invert = next(it, None)
+        elif flag in ("--only", "--invert"):
+            name = next(it, None)
+            if name is None:
+                raise UsageError(f"check flag {flag} needs a check name")
+            if flag == "--only":
+                only = name
+            else:
+                invert = name
         else:
             raise UsageError(f"unknown check flag {flag!r}")
     try:

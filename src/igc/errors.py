@@ -68,4 +68,5 @@ class NotClosedError(DomainError):
 
 
 class NotFlagReducibleError(DomainError):
-    """No permutation moves the support of a field into the flag chain."""
+    """The support of a homotopy-trivial field is not a chain under inclusion,
+    so no relabeling moves it into the flag chain {0} < {0,1} < ...."""

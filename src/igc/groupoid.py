@@ -7,7 +7,8 @@ module implements faces, additions over a shared face, strong differences,
 cup and composition products, the two symmetric-group actions (free-bracket
 flavored and classical-bracket flavored), the homotopy maps obtained as
 their strong difference, the trivial-homotopy test, and the reduction of
-homotopy-trivial fields to decomposable polyvectors.
+homotopy-trivial fields to decomposable polyvectors, read directly off a
+support that is a chain under inclusion.
 
 Subsets are ordered subset-lexicographically: compare the increasingly
 sorted index sequences lexicographically.  The swap action on a field, for
@@ -22,7 +23,7 @@ flavors equal outside components containing {i, j}.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, permutations
+from itertools import combinations
 from typing import Callable, Mapping, Sequence
 
 from .chart_algebra import ChartSpec, VField
@@ -345,21 +346,6 @@ def act_transposition(nu: KField, i: int, j: int, flavor: str = "free") -> KFiel
     return _act_by_permutation(nu, Transposition(i, j).apply, flavor)
 
 
-def _perm_to_word(perm: Sequence[int]) -> list[int]:
-    """Adjacent-swap word whose act() application relabels components by perm."""
-    lst = list(perm)
-    swaps: list[int] = []
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(lst) - 1):
-            if lst[i] > lst[i + 1]:
-                lst[i], lst[i + 1] = lst[i + 1], lst[i]
-                swaps.append(i)
-                changed = True
-    return swaps[::-1]
-
-
 def homotopy(nu: KField, i: int, j: int) -> KField:
     """Strong difference of the free- and classical-flavored (i j) swaps.
 
@@ -410,7 +396,12 @@ def _bracket_witness(nu: KField, i: int, j: int) -> tuple:
 
 def trivial_by_disjoint_pairs(nu: KField) -> tuple[bool, tuple | None]:
     """Characterization for classical fields: every disjoint supported pair
-    must consist of equal components (or one of them be zero)."""
+    must consist of parallel components, that is, have wedge zero.
+
+    For degree-1 a, b the free bracket minus the classical bracket is
+    sum_{i<j} (a_i b_j - a_j b_i) F[d_i, d_j], whose coefficients are those
+    of a ^ b; returns (True, None) or (False, (phi, psi)).
+    """
     if not nu.is_classical():
         raise DomainError("the disjoint-pair test applies to classical fields")
     support = sorted(nu.components, key=_subset_key)
@@ -419,21 +410,10 @@ def trivial_by_disjoint_pairs(nu: KField) -> tuple[bool, tuple | None]:
             phi, psi = support[a], support[b]
             if phi & psi:
                 continue
-            if nu.components[phi] != nu.components[psi]:
+            left = Polyvector.from_vfield(nu.component_vfield(phi))
+            if not wedge(left, Polyvector.from_vfield(nu.component_vfield(psi))).is_zero():
                 return False, (phi, psi)
     return True, None
-
-
-def embed_classical(nu: KField) -> KField:
-    """Inclusion of a classical field into the free-coefficient world.
-
-    Components are already stored as degree-1 elements, so this validates the
-    flavor and returns the field; the left inverse is componentwise
-    projection to classical fields.
-    """
-    if not nu.is_classical():
-        raise DomainError("embed_classical expects a classical field")
-    return nu
 
 
 def lie_derivative_thin(beta: VField, alpha: VField) -> VField:
@@ -454,16 +434,17 @@ def lie_derivative_thin(beta: VField, alpha: VField) -> VField:
 def reduce_to_polyvector(nu: KField) -> Polyvector:
     """Cohomology class of a homotopy-trivial field as a decomposable polyvector.
 
-    Projects components to classical fields, rejects fields with non-trivial
-    homotopies (NotClosedError), hunts through the symmetric group for a
-    relabeling whose support sits inside the flag chain {0} < {0,1} < ...,
-    drops zero and repeated chain entries, and wedges what remains.
+    Projects components to classical fields and rejects fields with
+    non-trivial homotopies (NotClosedError).  The class exists when some
+    relabeling moves the support into the flag chain {0} < {0,1} < ..., that
+    is, when the support is totally ordered by inclusion; otherwise
+    NotFlagReducibleError.  The components are wedged in size order after
+    dropping consecutive repeated entries.
     """
     chart = nu.chart
-    k = nu.arity
     classical = KField(
         chart,
-        k,
+        nu.arity,
         {
             phi: FreeLRElem.from_vfield(chart, project_to_lie(elem))
             for phi, elem in nu.components.items()
@@ -472,21 +453,21 @@ def reduce_to_polyvector(nu: KField) -> Polyvector:
     ok, witness = is_trivial_homotopy(classical)
     if not ok:
         raise NotClosedError(witness)
-    flags = [frozenset(range(m + 1)) for m in range(k)]
-    flag_set = set(flags)
-    for perm in permutations(range(k)):
-        cand = act(_perm_to_word(perm), classical, "lie")
-        if cand.support() <= flag_set:
-            chain = [cand.component_vfield(flags[m]) for m in range(k)]
-            chain = [v for v in chain if not v.is_zero()]
-            deduped: list[VField] = []
-            for v in chain:
-                if not deduped or deduped[-1] != v:
-                    deduped.append(v)
-            if not deduped:
-                return Polyvector.zero(chart.dim)
-            out = Polyvector.from_vfield(deduped[0])
-            for v in deduped[1:]:
-                out = wedge(out, Polyvector.from_vfield(v))
-            return out
-    raise NotFlagReducibleError("no relabeling moves the support into the flag chain")
+    # A chain support has no disjoint pair, so each swap of the action is a
+    # pure relabeling onto another chain.  A bracket correction only lands on
+    # the union of two disjoint supported sets, and a disjoint pair of least
+    # total size is never corrected, so a non-chain support stays non-chain
+    # under every word.  Reading the chain in size order is thus what a search
+    # over all relabelings would find.
+    support = sorted(classical.components, key=len)
+    if any(not small < big for small, big in zip(support, support[1:])):
+        raise NotFlagReducibleError("no relabeling moves the support into the flag chain")
+    out = Polyvector.zero(chart.dim)
+    previous = None
+    for phi in support:
+        v = classical.component_vfield(phi)
+        if v == previous:
+            continue
+        out = Polyvector.from_vfield(v) if previous is None else wedge(out, Polyvector.from_vfield(v))
+        previous = v
+    return out

@@ -152,8 +152,11 @@ class _Parser:
                 den_tok = self.current
                 if den_tok.kind != "int":
                     self._error("expected an integer denominator")
+                den = int(den_tok.text)
+                if den == 0:
+                    self._error("division by zero")
                 self._advance()
-                return Poly.const(dim, Fraction(num, int(den_tok.text)))
+                return Poly.const(dim, Fraction(num, den))
             return Poly.const(dim, num)
         if tok.kind == "op" and tok.text == "(":
             self._advance()
@@ -251,21 +254,24 @@ class _Parser:
         comps = {}
         while self.current.text == ";":
             self._advance()
-            indices = [self._subset_index()]
+            indices = [self._subset_index([])]
             while self.current.text == ",":
                 self._advance()
-                indices.append(self._subset_index())
+                indices.append(self._subset_index(indices))
             self._expect(":")
             comps[frozenset(indices)] = as_elem(self.sum(), chart)
         self._expect("}")
         return KField(chart, k, comps)
 
-    def _subset_index(self) -> int:
+    def _subset_index(self, seen: list[int]) -> int:
         tok = self.current
         if tok.kind != "int":
             self._error("expected a slot index")
+        index = int(tok.text)
+        if index in seen:
+            self._error(f"repeated slot index {index}")
         self._advance()
-        return int(tok.text)
+        return index
 
 
 # value coercion ------------------------------------------------------------

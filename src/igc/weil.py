@@ -32,13 +32,9 @@ from .errors import (
     NotMultiplicativeError,
 )
 from .free_lr import project_to_lie
-from .groupoid import KField
+from .groupoid import KField, _subset_key
 
 Subset = frozenset[int]
-
-
-def _subset_key(s: Subset) -> tuple[int, ...]:
-    return tuple(sorted(s))
 
 
 class WeilElem:
@@ -195,11 +191,6 @@ class WeilElem:
             ",".join(map(str, sorted(phi))): str(p)
             for phi, p in sorted(self.parts.items(), key=lambda t: (len(t[0]), _subset_key(t[0])))
         }
-
-
-def weil_mul(a: WeilElem, b: WeilElem) -> WeilElem:
-    """Product in W_k: convolution over disjoint subsets (e_i^2 = 0)."""
-    return a * b
 
 
 def _set_partitions(items: tuple[int, ...]):
@@ -363,16 +354,17 @@ def weil_to_kfield(w: WeilMorphism, chart: ChartSpec | None = None) -> KField:
     """Recover the subset-indexed decomposition of a morphism.
 
     Components are extracted by induction on subset size, peeling composite
-    terms off the stored parts.  The morphism is then probed for
-    multiplicativity on low-degree monomial pairs; a failing pair is raised
-    as a NotMultiplicativeError witness.
+    terms off the stored parts.  A morphism stored by coordinate images is
+    multiplicative by construction and has its empty parts checked when
+    built; a raw callable is first probed for multiplicativity on low-degree
+    monomial pairs, and a failing pair is raised as a NotMultiplicativeError
+    witness.
     """
     k, dim = w.arity, w.dim
     chart = chart or ChartSpec(dim, max_degree=max(2, k))
     coord_parts = [w.image(Poly.var(dim, i)) for i in range(dim)]
-    for i, elem in enumerate(coord_parts):
-        if elem.part(frozenset()) != Poly.var(dim, i):
-            raise NotMultiplicativeError(Poly.const(dim, 1), Poly.var(dim, i))
+    if w.raw is not None:
+        _probe_multiplicative(w, coord_parts)
     fields: dict[Subset, VField] = {}
     for size in range(1, k + 1):
         for phi_t in combinations(range(k), size):
@@ -394,13 +386,16 @@ def weil_to_kfield(w: WeilMorphism, chart: ChartSpec | None = None) -> KField:
             field = VField(coeffs)
             if not field.is_zero():
                 fields[phi] = field
-    _probe_multiplicative(w)
     return KField.from_vfields(chart, k, fields)
 
 
-def _probe_multiplicative(w: WeilMorphism):
-    """Check image(f*g) = image(f)*image(g) on monomials up to order arity+1."""
+def _probe_multiplicative(w: WeilMorphism, coord_parts: Sequence[WeilElem]):
+    """Check that the empty part of image(x_i) is x_i, as unitality needs,
+    and image(f*g) = image(f)*image(g) on monomials up to order arity+1."""
     dim, k = w.dim, w.arity
+    for i, elem in enumerate(coord_parts):
+        if elem.part(frozenset()) != Poly.var(dim, i):
+            raise NotMultiplicativeError(Poly.const(dim, 1), Poly.var(dim, i))
     monos = [Poly.var(dim, i) for i in range(dim)]
     quadratic = [monos[i] * monos[j] for i in range(dim) for j in range(i, dim)]
     probes = monos + quadratic

@@ -9,6 +9,8 @@ lines.  The criteria reuse the deterministic check functions behind
 import subprocess
 import sys
 
+import pytest
+
 from igc.checks import (
     CHECK_NAMES,
     check_action_relations,
@@ -24,6 +26,7 @@ from igc.checks import (
     check_weil_dictionary,
     check_weil_multiplicativity,
     check_weil_negative_control,
+    run_suite,
 )
 
 SEED = 0
@@ -97,6 +100,20 @@ def test_criterion_9_cohomology():
 def test_criterion_10_s_invariance():
     reports = [_require(check_s_invariance(SEED, MAX_DEGREE))]
     _announce(10, "cup and compose equivariance", reports)
+
+
+# seeds at which these checks once failed on sound fields; replayed one check
+# at a time as `igc check --seed S --only NAME` would
+FOUND_SEEDS = [
+    *(("trivial-homotopy-agreement", s) for s in (4, 18, 41, 53, 84, 96, 52750, 83657, 79971144)),
+    ("cohomology-reduction", 19),
+]
+
+
+@pytest.mark.parametrize("name, seed", FOUND_SEEDS)
+def test_found_seeds_replay(name, seed):
+    (report,) = run_suite(seed, MAX_DEGREE, only=name)
+    _require(report)
 
 
 def _cli(*args):

@@ -11,7 +11,6 @@ from igc import (
     DomainError,
     Poly,
     VField,
-    poly_derive,
     vf_apply,
     vf_bracket,
     vf_pushforward,
@@ -46,14 +45,14 @@ def fd_derivative(f: Poly, point, i: int) -> Fraction:
 def test_poly_derive_power_rule():
     # d/dx0 (x0^2 x1) = 2 x0 x1
     f = Poly(2, {(2, 1): 1})
-    assert poly_derive(f, 0) == Poly(2, {(1, 1): 2})
+    assert f.derive(0) == Poly(2, {(1, 1): 2})
 
 
 def test_poly_derive_constant_and_independent():
     one = Poly.const(3, 1)
     for i in range(3):
-        assert poly_derive(one, i).is_zero()
-    assert poly_derive(Poly.var(2, 1), 0).is_zero()
+        assert one.derive(i).is_zero()
+    assert Poly.var(2, 1).derive(0).is_zero()
 
 
 def test_poly_derive_matches_finite_differences():
@@ -62,14 +61,14 @@ def test_poly_derive_matches_finite_differences():
     for _ in range(25):
         f = random_poly(rng, 2, degree=3, terms=4)
         for i in range(2):
-            df = poly_derive(f, i)
+            df = f.derive(i)
             for pt in points:
                 assert df.evaluate(pt) == fd_derivative(f, pt, i)
 
 
 def test_poly_derive_index_range():
     with pytest.raises(DomainError):
-        poly_derive(Poly.var(2, 0), 2)
+        Poly.var(2, 0).derive(2)
 
 
 def test_poly_leibniz():
@@ -78,7 +77,7 @@ def test_poly_leibniz():
         f = random_poly(rng, 2)
         g = random_poly(rng, 2)
         for i in range(2):
-            assert poly_derive(f * g, i) == f * poly_derive(g, i) + g * poly_derive(f, i)
+            assert (f * g).derive(i) == f * g.derive(i) + g * f.derive(i)
 
 
 def test_poly_ring_laws():

@@ -99,6 +99,25 @@ def test_print_parse_roundtrip_random():
         assert as_kfield(parse_expression(str(field), s), s.chart) == field
 
 
+def test_parse_zero_denominator_is_a_parse_error():
+    with pytest.raises(ParseError, match="division by zero") as err:
+        parse_expression("1/0*d0", session())
+    assert (err.value.line, err.value.column) == (1, 3)
+    r = run(["--dim", "2", "bracket", "free", "1/0*d0", "d1"])
+    assert r.returncode == 1 and r.stdout == ""
+    assert r.stderr == "igc: parse error: division by zero (line 1, column 3)\n"
+
+
+def test_parse_kfield_literal_rejects_repeated_slot():
+    s = session()
+    with pytest.raises(ParseError, match="repeated slot index 0"):
+        parse_expression("K{arity=2; 0,0: d0}", s)
+    with pytest.raises(ParseError, match="repeated slot index 1"):
+        parse_expression("K{arity=3; 1,2,1: d0}", s)
+    r = run(["--dim", "2", "reduce", "K{arity=2; 0,0: d0}"])
+    assert r.returncode == 1 and "repeated slot index 0" in r.stderr
+
+
 # run_command ------------------------------------------------------------------
 
 
@@ -134,6 +153,17 @@ def test_run_command_usage_errors():
         run_command(["frobnicate"], session())
     with pytest.raises(UsageError):
         run_command(["act", "zero", "lie", "d0"], session())
+
+
+def test_run_command_check_flag_needs_a_name():
+    for flag in ("--only", "--invert"):
+        with pytest.raises(UsageError, match=f"{flag} needs a check name"):
+            run_command(["check", flag], session())
+        with pytest.raises(UsageError, match=f"{flag} needs a check name"):
+            run_command(["check", "--seed", "3", flag], session())
+        r = run(["--dim", "2", "check", flag])
+        assert r.returncode == 1 and r.stdout == ""
+        assert r.stderr == f"igc: check flag {flag} needs a check name\n"
 
 
 # subprocess-level: exact bytes and exit codes ----------------------------------

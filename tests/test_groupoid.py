@@ -1,5 +1,6 @@
 """Subset-indexed fields: faces, products, actions, homotopies, reduction."""
 
+from itertools import combinations, permutations
 from random import Random
 
 import pytest
@@ -21,7 +22,6 @@ from igc import (
     add_over_face,
     compose,
     cup,
-    embed_classical,
     face,
     free_bracket,
     homotopy,
@@ -35,6 +35,7 @@ from igc import (
     wedge,
 )
 from igc.oracle import oracle_bracket, random_kfield, random_vfield
+from igc.parsing import Session, parse_expression
 
 CHART = ChartSpec(2, 6)
 X0 = Poly.var(2, 0)
@@ -196,13 +197,24 @@ def test_act_free_flavor_k2():
     assert out.component({0, 1}) == free_bracket(d0, x0d1)
 
 
+def relabeling_word(perm) -> list[int]:
+    """Adjacent-swap word whose act() application relabels components by perm."""
+    lst = list(perm)
+    swaps: list[int] = []
+    changed = True
+    while changed:
+        changed = False
+        for i in range(len(lst) - 1):
+            if lst[i] > lst[i + 1]:
+                lst[i], lst[i + 1] = lst[i + 1], lst[i]
+                swaps.append(i)
+                changed = True
+    return swaps[::-1]
+
+
 def test_act_word_is_componentwise_relabeling_on_commuting_fields():
     # constant multiples of one direction commute, so any word acts by pure
     # relabeling new[phi] = old[perm(phi)]
-    from itertools import combinations, permutations
-
-    from igc.groupoid import _perm_to_word
-
     k = 3
     consts = {}
     counter = 1
@@ -212,7 +224,7 @@ def test_act_word_is_componentwise_relabeling_on_commuting_fields():
             counter += 1
     nu = KField.from_vfields(CHART, k, consts)
     for perm in permutations(range(k)):
-        out = act(_perm_to_word(perm), nu, "lie")
+        out = act(relabeling_word(perm), nu, "lie")
         for phi in consts:
             assert out.component_vfield(phi) == consts[frozenset(perm[x] for x in phi)]
 
@@ -303,18 +315,29 @@ def test_trivial_characterizations_agree():
     for idx in range(20):
         nu = random_kfield(rng, chart, 2 + idx % 3, degree=1, terms=1, density=0.7)
         assert is_trivial_homotopy(nu)[0] == trivial_by_disjoint_pairs(nu)[0]
+    # disjoint components that are unequal but parallel still give a trivial
+    # homotopy: the free and classical brackets differ by their wedge
+    session = Session(chart)
+    parallel = parse_expression("K{arity=2; 0: 9/2*d0; 0,1: -2/3*x1*d0 - x1*d1; 1: -2/3*d0}", session)
+    assert is_trivial_homotopy(parallel) == (True, None)
+    assert trivial_by_disjoint_pairs(parallel) == (True, None)
+    skew = parse_expression("K{arity=2; 0: 9/2*d0; 1: x0*d1}", session)
+    assert not is_trivial_homotopy(skew)[0]
+    assert trivial_by_disjoint_pairs(skew) == (False, (frozenset({0}), frozenset({1})))
 
 
-# embedding and reduction --------------------------------------------------------------
+# classical fields and reduction --------------------------------------------------------
 
 
-def test_embed_classical():
+def test_classical_flavor():
     rng = Random(69)
     nu = random_kfield(rng, CHART, 2)
-    assert embed_classical(nu) == nu
+    assert nu.is_classical() and nu.flavor == "classical"
     free_comp = free_bracket(FreeLRElem.generator(CHART, 0), FreeLRElem.generator(CHART, 1))
+    free_field = KField(CHART, 1, {frozenset({0}): free_comp})
+    assert free_field.flavor == "free"
     with pytest.raises(DomainError):
-        embed_classical(KField(CHART, 1, {frozenset({0}): free_comp}))
+        free_field.component_vfield({0})
     assert not is_trivial_homotopy(compose(one_field(D0V), one_field(VField([Poly.zero(2), X0]))))[0]
 
 
@@ -326,6 +349,10 @@ def test_reduce_examples():
     assert reduce_to_polyvector(one_field(alpha)) == Polyvector.from_vfield(alpha)
     assert reduce_to_polyvector(cup(one_field(alpha), one_field(alpha))) == Polyvector.from_vfield(alpha)
     assert reduce_to_polyvector(KField.zero(CHART, 2)).is_zero()
+    # a zero chain entry drops out rather than zeroing the wedge
+    zero = KField.zero(CHART, 1)
+    got = reduce_to_polyvector(cup(cup(one_field(alpha), zero), one_field(beta)))
+    assert got == wedge(Polyvector.from_vfield(alpha), Polyvector.from_vfield(beta))
 
 
 def test_reduce_not_closed():
@@ -339,6 +366,111 @@ def test_reduce_not_flag_reducible():
     nu = KField.from_vfields(CHART, 2, {frozenset({0}): alpha, frozenset({1}): alpha})
     with pytest.raises(NotFlagReducibleError):
         reduce_to_polyvector(nu)
+    # the all-equal field is homotopy-trivial, and no support reaches the
+    # flag chain at k=6 either
+    k = 6
+    equal = {frozenset(c): alpha for size in range(1, k + 1) for c in combinations(range(k), size)}
+    nu = KField.from_vfields(ChartSpec(2, 8), k, equal)
+    assert is_trivial_homotopy(nu)[0]
+    with pytest.raises(NotFlagReducibleError, match="no relabeling moves the support into the flag chain"):
+        reduce_to_polyvector(nu)
+
+
+def reference_reduce(nu: KField) -> Polyvector:
+    """The k! relabeling search that reduce_to_polyvector replaced."""
+    chart = nu.chart
+    k = nu.arity
+    classical = KField(
+        chart,
+        k,
+        {
+            phi: FreeLRElem.from_vfield(chart, project_to_lie(elem))
+            for phi, elem in nu.components.items()
+        },
+    )
+    ok, witness = is_trivial_homotopy(classical)
+    if not ok:
+        raise NotClosedError(witness)
+    flags = [frozenset(range(m + 1)) for m in range(k)]
+    flag_set = set(flags)
+    for perm in permutations(range(k)):
+        cand = act(relabeling_word(perm), classical, "lie")
+        if cand.support() <= flag_set:
+            chain = [cand.component_vfield(flags[m]) for m in range(k)]
+            chain = [v for v in chain if not v.is_zero()]
+            deduped: list[VField] = []
+            for v in chain:
+                if not deduped or deduped[-1] != v:
+                    deduped.append(v)
+            if not deduped:
+                return Polyvector.zero(chart.dim)
+            out = Polyvector.from_vfield(deduped[0])
+            for v in deduped[1:]:
+                out = wedge(out, Polyvector.from_vfield(v))
+            return out
+    raise NotFlagReducibleError("no relabeling moves the support into the flag chain")
+
+
+def reduce_outcome(reduce, nu):
+    try:
+        return reduce(nu)
+    except (NotClosedError, NotFlagReducibleError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def assert_reduce_matches_search(nu) -> str:
+    got = reduce_outcome(reduce_to_polyvector, nu)
+    assert got == reduce_outcome(reference_reduce, nu), str(nu)
+    return got[0] if isinstance(got, tuple) else "class"
+
+
+def test_reduce_matches_relabeling_search_on_every_small_support():
+    rng = Random(72)
+    chart = ChartSpec(2, 8)
+    seen = {}
+    for k in (1, 2, 3):
+        subsets = [frozenset(c) for size in range(1, k + 1) for c in combinations(range(k), size)]
+        for mask in range(1, 1 << len(subsets)):
+            support = [phi for b, phi in enumerate(subsets) if mask >> b & 1]
+            # constant multiples of d0 are pairwise parallel, so every such
+            # field is homotopy-trivial; repeated constants exercise the
+            # collapse of equal neighbours
+            parallel = {phi: D0V * rng.choice((1, 2, -3)) for phi in support}
+            generic = {phi: random_vfield(rng, 2, degree=1, terms=1) for phi in support}
+            for comps in (parallel, generic):
+                kind = assert_reduce_matches_search(KField.from_vfields(chart, k, comps))
+                seen[kind] = seen.get(kind, 0) + 1
+    assert set(seen) == {"class", "NotClosedError", "NotFlagReducibleError"}
+
+
+def _chain(vfields, chart):
+    out = one_field(vfields[0], chart)
+    for v in vfields[1:]:
+        out = cup(out, one_field(v, chart))
+    return out
+
+
+def test_reduce_matches_relabeling_search_at_arity_4_and_5():
+    rng = Random(73)
+    chart = ChartSpec(2, 8)
+    for k, rounds in ((4, 3), (5, 1)):
+        for _ in range(rounds):
+            a, b, c = (random_vfield(rng, 2, degree=1, terms=1) for _ in range(3))
+            word = [rng.randrange(k - 1) for _ in range(2 * k)]
+            generic = [random_vfield(rng, 2, degree=1, terms=1) for _ in range(k)]
+            degenerate = ([a, VField.zero(2), a, b, b, c] * 2)[:k]
+            assert assert_reduce_matches_search(act(word, _chain(generic, chart), "lie")) == "class"
+            assert assert_reduce_matches_search(act(word, _chain(degenerate, chart), "lie")) == "class"
+            # {0} and {1} parallel, every other set holding both: trivial, no chain
+            trivial = {frozenset({0}): D0V * 2, frozenset({1}): D0V * -3}
+            for size in range(2, k + 1):
+                for rest in combinations(range(2, k), size - 2):
+                    trivial[frozenset({0, 1, *rest})] = random_vfield(rng, 2, degree=1, terms=1)
+            nu = act(word, KField.from_vfields(chart, k, trivial), "lie")
+            assert assert_reduce_matches_search(nu) == "NotFlagReducibleError"
+        alpha = random_vfield(rng, 2, degree=1, terms=1)
+        equal = {frozenset(c): alpha for size in range(1, k + 1) for c in combinations(range(k), size)}
+        assert assert_reduce_matches_search(KField.from_vfields(chart, k, equal)) == "NotFlagReducibleError"
 
 
 def test_lie_derivative_thin():

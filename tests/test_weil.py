@@ -21,7 +21,6 @@ from igc import (
     kfield_to_weil,
     vf_apply,
     weil_cup,
-    weil_mul,
     weil_to_kfield,
 )
 from igc.oracle import random_kfield, random_poly, random_vfield
@@ -37,7 +36,7 @@ def one_field(v: VField, chart=CHART) -> KField:
 
 def test_weil_mul_examples():
     e0 = WeilElem.generator(2, 2, 0)
-    assert weil_mul(e0, e0).is_zero()
+    assert (e0 * e0).is_zero()
     a = WeilElem(2, 2, {frozenset(): ONE, frozenset({0}): X1})
     b = WeilElem(2, 2, {frozenset(): ONE, frozenset({1}): X0})
     want = WeilElem(
@@ -45,17 +44,17 @@ def test_weil_mul_examples():
         2,
         {frozenset(): ONE, frozenset({0}): X1, frozenset({1}): X0, frozenset({0, 1}): X0 * X1},
     )
-    assert weil_mul(a, b) == want
+    assert a * b == want
     rng = Random(30)
     for _ in range(10):
         u = WeilElem(2, 2, {frozenset(s): random_poly(rng, 2) for s in [(), (0,), (1,), (0, 1)]})
         v = WeilElem(2, 2, {frozenset(s): random_poly(rng, 2) for s in [(), (0,), (1,)]})
-        assert weil_mul(u, v) == weil_mul(v, u)
+        assert u * v == v * u
 
 
 def test_weil_mul_arity_mismatch():
     with pytest.raises(ArityMismatchError):
-        weil_mul(WeilElem.unit(1, 2), WeilElem.unit(2, 2))
+        WeilElem.unit(1, 2) * WeilElem.unit(2, 2)
 
 
 def test_kfield_to_weil_one_jet():
@@ -165,6 +164,17 @@ def test_non_multiplicative_witness():
         weil_to_kfield(WeilMorphism.from_callable(1, 2, bad))
     f, g = err.value.witness
     assert not (f * g).is_zero()
+
+
+def test_raw_morphism_empty_part_must_be_identity():
+    # swapping the coordinates is multiplicative, but its empty part is not
+    # the identity, so it is not a point of the iterated tangent bundle
+    def swapped(f):
+        return WeilElem.scalar(1, Poly(2, {(b, a): c for (a, b), c in f.terms.items()}))
+
+    with pytest.raises(NotMultiplicativeError) as err:
+        weil_to_kfield(WeilMorphism.from_callable(1, 2, swapped))
+    assert err.value.witness == (ONE, X0)
 
 
 def test_face_compatibility():
