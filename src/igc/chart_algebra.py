@@ -8,12 +8,20 @@ operations are pure, so everything is safe to share between threads.
 
 The canonical term order used for printing is graded lexicographic on
 exponent vectors, largest first.
+
+Validation happens at the public boundary.  The public constructors (here
+`Poly(...)`, and `FreeLRElem(...)`, `WeilElem(...)`, `Polyvector(...)` and
+`LyndonWord(...)` in their modules) check and normalize whatever they are
+given.  Results that a class computes itself from canonical operands, the
+sums, products and derivatives, are canonical by construction and are
+wrapped by the private `_make` without a second check.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 from typing import Iterable, Mapping, Sequence
 
 from .errors import ChartMismatchError, DomainError
@@ -45,28 +53,36 @@ class Poly:
             raise DomainError(f"polynomial dimension must be >= 1, got {dim}")
         clean: dict[Exponent, Fraction] = {}
         for exps, coeff in (terms or {}).items():
-            exps = tuple(int(e) for e in exps)
-            if len(exps) != dim or any(e < 0 for e in exps):
+            exps = tuple(exps)
+            if len(exps) != dim or any(not isinstance(e, int) or e < 0 for e in exps):
                 raise DomainError(f"bad exponent tuple {exps} for dimension {dim}")
-            c = Fraction(coeff)
-            if c != 0:
-                clean[exps] = clean.get(exps, Fraction(0)) + c
-                if clean[exps] == 0:
-                    del clean[exps]
+            if not isinstance(coeff, (int, Fraction)):
+                raise DomainError(f"coefficient {coeff!r} is not an integer or a Fraction")
+            if coeff:
+                clean[exps] = Fraction(coeff)
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "terms", clean)
         object.__setattr__(self, "_hash", None)
+
+    @classmethod
+    def _make(cls, dim: int, terms: dict[Exponent, Fraction]) -> "Poly":
+        """Wrap a canonical dict: int exponent tuples of length dim, nonzero Fractions."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "terms", terms)
+        object.__setattr__(self, "_hash", None)
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
 
     @classmethod
     def zero(cls, dim: int) -> "Poly":
-        return cls(dim, {})
+        return cls._make(dim, {})
 
     @classmethod
     def const(cls, dim: int, value) -> "Poly":
-        return cls(dim, {(0,) * dim: Fraction(value)})
+        return cls(dim, {(0,) * dim: value})
 
     @classmethod
     def var(cls, dim: int, i: int) -> "Poly":
@@ -77,6 +93,9 @@ class Poly:
 
     def is_zero(self) -> bool:
         return not self.terms
+
+    def __bool__(self):
+        return bool(self.terms)
 
     def as_constant(self) -> Fraction | None:
         """The value of a constant polynomial, else None."""
@@ -107,13 +126,11 @@ class Poly:
     def derive(self, i: int) -> "Poly":
         if not 0 <= i < self.dim:
             raise DomainError(f"derivation index {i} out of range for dimension {self.dim}")
-        out: dict[Exponent, Fraction] = {}
-        for exps, c in self.terms.items():
-            e = exps[i]
-            if e:
-                lowered = exps[:i] + (e - 1,) + exps[i + 1 :]
-                out[lowered] = out.get(lowered, Fraction(0)) + c * e
-        return Poly(self.dim, out)
+        # lowering exponent i is injective on the terms it keeps
+        return Poly._make(
+            self.dim,
+            {exps[:i] + (exps[i] - 1,) + exps[i + 1 :]: c * exps[i] for exps, c in self.terms.items() if exps[i]},
+        )
 
     def _lift(self, other) -> "Poly | None":
         if isinstance(other, Poly):
@@ -128,19 +145,12 @@ class Poly:
         o = self._lift(other)
         if o is None:
             return NotImplemented
-        out = dict(self.terms)
-        for exps, c in o.terms.items():
-            s = out.get(exps, Fraction(0)) + c
-            if s:
-                out[exps] = s
-            else:
-                out.pop(exps, None)
-        return Poly(self.dim, out)
+        return Poly._make(self.dim, _accumulate(dict(self.terms), o.terms.items()))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly(self.dim, {e: -c for e, c in self.terms.items()})
+        return Poly._make(self.dim, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         o = self._lift(other)
@@ -158,16 +168,12 @@ class Poly:
         o = self._lift(other)
         if o is None:
             return NotImplemented
-        out: dict[Exponent, Fraction] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in o.terms.items():
-                exps = tuple(a + b for a, b in zip(e1, e2))
-                s = out.get(exps, Fraction(0)) + c1 * c2
-                if s:
-                    out[exps] = s
-                else:
-                    del out[exps]
-        return Poly(self.dim, out)
+        pairs = (
+            (tuple(map(add, e1, e2)), c1 * c2)
+            for e1, c1 in self.terms.items()
+            for e2, c2 in o.terms.items()
+        )
+        return Poly._make(self.dim, _accumulate({}, pairs))
 
     __rmul__ = __mul__
 
@@ -238,6 +244,25 @@ class Poly:
 
     def __repr__(self):
         return f"Poly({self})"
+
+
+def _accumulate(acc: dict, pairs: Iterable[tuple]) -> dict:
+    """Add the values of pairs, each nonzero, into acc under their keys; return acc.
+
+    A missing key starts at the value itself and a key whose sum vanishes is
+    dropped, so a dict of nonzero values stays one of nonzero values.
+    """
+    for key, value in pairs:
+        old = acc.get(key)
+        if old is None:
+            acc[key] = value
+        else:
+            value = old + value
+            if value:
+                acc[key] = value
+            else:
+                del acc[key]
+    return acc
 
 
 def render_combination(pairs: Iterable[tuple[Poly, str]]) -> str:

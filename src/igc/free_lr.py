@@ -30,7 +30,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from . import lyndon
-from .chart_algebra import ChartSpec, Poly, VField, render_combination
+from .chart_algebra import ChartSpec, Poly, VField, _accumulate, render_combination
 from .errors import ChartMismatchError, DegreeOverflowError, DomainError
 
 Word = tuple[int, ...]
@@ -46,6 +46,13 @@ class LyndonWord:
         if not lyndon.is_lyndon(letters):
             raise DomainError(f"{letters} is not a Lyndon word")
         object.__setattr__(self, "letters", letters)
+
+    @classmethod
+    def _make(cls, letters: Word) -> "LyndonWord":
+        """Wrap a tuple of ints that is already a Lyndon word."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "letters", letters)
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("LyndonWord is immutable")
@@ -101,12 +108,20 @@ class FreeLRElem:
         object.__setattr__(self, "chart", chart)
         object.__setattr__(self, "terms", clean)
 
+    @classmethod
+    def _make(cls, chart: ChartSpec, terms: dict[LyndonWord, Poly]) -> "FreeLRElem":
+        """Wrap a canonical dict: Lyndon words within the chart, nonzero Polys on it."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "chart", chart)
+        object.__setattr__(self, "terms", terms)
+        return self
+
     def __setattr__(self, name, value):
         raise AttributeError("FreeLRElem is immutable")
 
     @classmethod
     def zero(cls, chart: ChartSpec) -> "FreeLRElem":
-        return cls(chart)
+        return cls._make(chart, {})
 
     @classmethod
     def generator(cls, chart: ChartSpec, i: int) -> "FreeLRElem":
@@ -132,14 +147,7 @@ class FreeLRElem:
         if not isinstance(other, FreeLRElem):
             return NotImplemented
         _check_chart(self, other)
-        out = dict(self.terms)
-        for w, p in other.terms.items():
-            s = out.get(w, Poly.zero(self.chart.dim)) + p
-            if s.is_zero():
-                out.pop(w, None)
-            else:
-                out[w] = s
-        return FreeLRElem(self.chart, out)
+        return FreeLRElem._make(self.chart, _accumulate(dict(self.terms), other.terms.items()))
 
     def __sub__(self, other):
         if not isinstance(other, FreeLRElem):
@@ -147,11 +155,13 @@ class FreeLRElem:
         return self + (-other)
 
     def __neg__(self):
-        return FreeLRElem(self.chart, {w: -p for w, p in self.terms.items()})
+        return FreeLRElem._make(self.chart, {w: -p for w, p in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, Poly)):
-            return FreeLRElem(self.chart, {w: p * other for w, p in self.terms.items()})
+            terms = {w: p * other for w, p in self.terms.items()}
+            # Q[x0..x{n-1}] has no zero divisors: a product vanishes only for other == 0
+            return FreeLRElem._make(self.chart, terms if other else {})
         return NotImplemented
 
     __rmul__ = __mul__
@@ -231,11 +241,8 @@ def project_to_lie(u: FreeLRElem) -> VField:
     Coordinate generators commute, so all words of length >= 2 evaluate to
     zero and the projection keeps exactly the degree-1 part.
     """
-    coeffs = [Poly.zero(u.chart.dim) for _ in range(u.chart.dim)]
-    for w, p in u.terms.items():
-        if len(w) == 1:
-            coeffs[w.letters[0]] = coeffs[w.letters[0]] + p
-    return VField(coeffs)
+    zero = Poly.zero(u.chart.dim)
+    return VField([u.terms.get(LyndonWord._make((i,)), zero) for i in range(u.chart.dim)])
 
 
 def free_bracket(u: FreeLRElem, v: FreeLRElem, spec: RelativeSpec | None = None) -> FreeLRElem:
@@ -253,17 +260,7 @@ def free_bracket(u: FreeLRElem, v: FreeLRElem, spec: RelativeSpec | None = None)
     u = _drop_vertical(u, vertical)
     v = _drop_vertical(v, vertical)
 
-    acc: dict[Word, Poly] = {}
-
-    def add(word: Word, p: Poly):
-        if p.is_zero():
-            return
-        s = acc.get(word, Poly.zero(chart.dim)) + p
-        if s.is_zero():
-            acc.pop(word, None)
-        else:
-            acc[word] = s
-
+    pairs: list[tuple[Word, Poly]] = []
     for w1, f in u.terms.items():
         for w2, g in v.terms.items():
             letters1, letters2 = w1.letters, w2.letters
@@ -271,18 +268,23 @@ def free_bracket(u: FreeLRElem, v: FreeLRElem, spec: RelativeSpec | None = None)
             # containing a vertical letter is zero, so skip those wholesale
             if not (set(letters1) | set(letters2)) & vertical:
                 fg = f * g
-                if not fg.is_zero():
-                    for word, c in lyndon.monomial_bracket(letters1, letters2).items():
-                        if len(word) > chart.max_degree:
-                            raise DegreeOverflowError(len(word), chart.max_degree)
-                        add(word, fg * c)
+                for word, c in lyndon.monomial_bracket(letters1, letters2).items():
+                    if len(word) > chart.max_degree:
+                        raise DegreeOverflowError(len(word), chart.max_degree)
+                    pairs.append((word, fg * c))
             # Leibniz corrections through the anchor
             if len(letters1) == 1:
-                add(letters2, f * g.derive(letters1[0]))
+                p = f * g.derive(letters1[0])
+                if p:
+                    pairs.append((letters2, p))
             if len(letters2) == 1:
-                add(letters1, -(g * f.derive(letters2[0])))
+                p = g * f.derive(letters2[0])
+                if p:
+                    pairs.append((letters1, -p))
 
-    return FreeLRElem(chart, {LyndonWord(w): p for w, p in acc.items()})
+    # monomial_bracket returns Lyndon coordinates, so every word is Lyndon
+    acc = _accumulate({}, pairs)
+    return FreeLRElem._make(chart, {LyndonWord._make(w): p for w, p in acc.items()})
 
 
 def lie_bracket_ext(u: FreeLRElem, v: FreeLRElem) -> FreeLRElem:
@@ -293,11 +295,11 @@ def lie_bracket_ext(u: FreeLRElem, v: FreeLRElem) -> FreeLRElem:
     first argument against a degree-1 second is lowered by antisymmetry.
     """
     _check_chart(u, v)
-    out = FreeLRElem.zero(u.chart)
+    acc: dict[LyndonWord, Poly] = {}
     for w1, f in u.terms.items():
         for w2, g in v.terms.items():
-            out = out + _lie_term(u.chart, f, w1.letters, g, w2.letters)
-    return out
+            _accumulate(acc, _lie_term(u.chart, f, w1.letters, g, w2.letters).terms.items())
+    return FreeLRElem._make(u.chart, acc)
 
 
 def _lie_term(chart: ChartSpec, f: Poly, w1: Word, g: Poly, w2: Word) -> FreeLRElem:
@@ -317,15 +319,8 @@ def _lie_term(chart: ChartSpec, f: Poly, w1: Word, g: Poly, w2: Word) -> FreeLRE
         return part
     if len(w1) == 1:
         # classical coordinate bracket of f*d_i and g*d_j
-        i, j = w1[0], w2[0]
-        out: dict[LyndonWord, Poly] = {}
-        p = f * g.derive(i)
-        if not p.is_zero():
-            out[LyndonWord(w2)] = p
-        q = g * f.derive(j)
-        wi = LyndonWord(w1)
-        out[wi] = out.get(wi, Poly.zero(chart.dim)) - q
-        return FreeLRElem(chart, out)
+        pairs = [(w2, f * g.derive(w1[0])), (w1, -(g * f.derive(w2[0])))]
+        return FreeLRElem._make(chart, _accumulate({}, [(LyndonWord._make(w), p) for w, p in pairs if p]))
     return -_lie_term(chart, g, w2, f, w1)
 
 

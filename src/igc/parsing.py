@@ -254,12 +254,17 @@ class _Parser:
         comps = {}
         while self.current.text == ";":
             self._advance()
+            start = self.current
             indices = [self._subset_index([])]
             while self.current.text == ",":
                 self._advance()
                 indices.append(self._subset_index(indices))
+            subset = frozenset(indices)
+            if subset in comps:
+                names = ",".join(map(str, sorted(subset)))
+                raise ParseError(f"repeated index set {names}", start.line, start.column)
             self._expect(":")
-            comps[frozenset(indices)] = as_elem(self.sum(), chart)
+            comps[subset] = as_elem(self.sum(), chart)
         self._expect("}")
         return KField(chart, k, comps)
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Mapping
 
-from .chart_algebra import Poly, VField, render_combination, vf_bracket
+from .chart_algebra import Poly, VField, _accumulate, render_combination, vf_bracket
 from .errors import ChartMismatchError, DomainError
 
 IndexTuple = tuple[int, ...]
@@ -44,7 +44,7 @@ class Polyvector:
     __slots__ = ("dim", "terms")
 
     def __init__(self, dim: int, terms: Mapping[IndexTuple, Poly] | None = None):
-        clean: dict[IndexTuple, Poly] = {}
+        pairs = []
         for idx, p in (terms or {}).items():
             if p.dim != dim:
                 raise ChartMismatchError("coefficient lives on a different chart")
@@ -56,13 +56,10 @@ class Polyvector:
                 raise DomainError("polyvector monomials have grade >= 1")
             if any(i < 0 or i >= dim for i in key):
                 raise DomainError(f"field index in {key} out of range")
-            s = clean.get(key, Poly.zero(dim)) + p * sign
-            if s.is_zero():
-                clean.pop(key, None)
-            else:
-                clean[key] = s
+            if p:
+                pairs.append((key, p if sign == 1 else -p))
         object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "terms", clean)
+        object.__setattr__(self, "terms", _accumulate({}, pairs))
 
     def __setattr__(self, name, value):
         raise AttributeError("Polyvector is immutable")
@@ -89,14 +86,7 @@ class Polyvector:
             return NotImplemented
         if self.dim != other.dim:
             raise ChartMismatchError("polyvectors live on different charts")
-        out = dict(self.terms)
-        for idx, p in other.terms.items():
-            s = out.get(idx, Poly.zero(self.dim)) + p
-            if s.is_zero():
-                out.pop(idx, None)
-            else:
-                out[idx] = s
-        return Polyvector(self.dim, out)
+        return Polyvector(self.dim, _accumulate(dict(self.terms), other.terms.items()))
 
     def __sub__(self, other):
         if not isinstance(other, Polyvector):
@@ -143,20 +133,14 @@ def wedge(p: Polyvector, q: Polyvector) -> Polyvector:
     """Alternating A-multilinear product; adds -1 in cohomological degree."""
     if p.dim != q.dim:
         raise ChartMismatchError("polyvectors live on different charts")
-    out = Polyvector.zero(p.dim)
-    acc: dict[IndexTuple, Poly] = {}
+    pairs = []
     for i1, c1 in p.terms.items():
         for i2, c2 in q.terms.items():
             norm = _sort_with_sign(i1 + i2)
-            if norm is None:
-                continue
-            key, sign = norm
-            s = acc.get(key, Poly.zero(p.dim)) + c1 * c2 * sign
-            if s.is_zero():
-                acc.pop(key, None)
-            else:
-                acc[key] = s
-    return Polyvector(p.dim, acc)
+            if norm is not None:
+                key, sign = norm
+                pairs.append((key, c1 * c2 if sign == 1 else -(c1 * c2)))
+    return Polyvector(p.dim, _accumulate({}, pairs))
 
 
 def _monomial_factors(dim: int, idx: IndexTuple, coeff: Poly) -> list[VField]:

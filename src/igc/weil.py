@@ -24,7 +24,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Callable, Mapping, Sequence
 
-from .chart_algebra import ChartSpec, Poly, VField, vf_apply
+from .chart_algebra import ChartSpec, Poly, VField, _accumulate, vf_apply
 from .errors import (
     ArityMismatchError,
     ChartMismatchError,
@@ -58,6 +58,15 @@ class WeilElem:
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "parts", clean)
 
+    @classmethod
+    def _make(cls, arity: int, dim: int, parts: dict[Subset, Poly]) -> "WeilElem":
+        """Wrap a canonical dict: frozensets within the arity, nonzero Polys on the chart."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "arity", arity)
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "parts", parts)
+        return self
+
     def __setattr__(self, name, value):
         raise AttributeError("WeilElem is immutable")
 
@@ -87,14 +96,7 @@ class WeilElem:
         if not isinstance(other, WeilElem):
             return NotImplemented
         self._check(other)
-        out = dict(self.parts)
-        for phi, p in other.parts.items():
-            s = out.get(phi, Poly.zero(self.dim)) + p
-            if s.is_zero():
-                out.pop(phi, None)
-            else:
-                out[phi] = s
-        return WeilElem(self.arity, self.dim, out)
+        return WeilElem._make(self.arity, self.dim, _accumulate(dict(self.parts), other.parts.items()))
 
     def __sub__(self, other):
         if not isinstance(other, WeilElem):
@@ -102,7 +104,7 @@ class WeilElem:
         return self + (-other)
 
     def __neg__(self):
-        return WeilElem(self.arity, self.dim, {phi: -p for phi, p in self.parts.items()})
+        return WeilElem._make(self.arity, self.dim, {phi: -p for phi, p in self.parts.items()})
 
     def _check(self, other):
         if self.arity != other.arity:
@@ -112,22 +114,19 @@ class WeilElem:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, Poly)):
-            return WeilElem(self.arity, self.dim, {phi: p * other for phi, p in self.parts.items()})
+            parts = {phi: p * other for phi, p in self.parts.items()}
+            # Q[x0..x{n-1}] has no zero divisors: a product vanishes only for other == 0
+            return WeilElem._make(self.arity, self.dim, parts if other else {})
         if not isinstance(other, WeilElem):
             return NotImplemented
         self._check(other)
-        out: dict[Subset, Poly] = {}
-        for phi, p in self.parts.items():
-            for psi, q in other.parts.items():
-                if phi & psi:
-                    continue
-                key = phi | psi
-                s = out.get(key, Poly.zero(self.dim)) + p * q
-                if s.is_zero():
-                    out.pop(key, None)
-                else:
-                    out[key] = s
-        return WeilElem(self.arity, self.dim, out)
+        pairs = (
+            (phi | psi, p * q)
+            for phi, p in self.parts.items()
+            for psi, q in other.parts.items()
+            if not phi & psi
+        )
+        return WeilElem._make(self.arity, self.dim, _accumulate({}, pairs))
 
     __rmul__ = __mul__
 
@@ -369,21 +368,11 @@ def weil_to_kfield(w: WeilMorphism, chart: ChartSpec | None = None) -> KField:
     for size in range(1, k + 1):
         for phi_t in combinations(range(k), size):
             phi = frozenset(phi_t)
-            coeffs = []
-            for i in range(dim):
-                val = coord_parts[i].part(phi)
-                composite = Poly.zero(dim)
-                for blocks in _set_partitions(phi_t):
-                    if len(blocks) < 2:
-                        continue
-                    if any(b not in fields for b in blocks):
-                        continue
-                    part_val = Poly.var(dim, i)
-                    for b in sorted(blocks, key=_subset_key):
-                        part_val = vf_apply(fields[b], part_val)
-                    composite = composite + part_val
-                coeffs.append(val - composite)
-            field = VField(coeffs)
+            # phi has no field yet, so this is the sum over its partitions
+            # into two or more blocks: the composite terms to peel off
+            field = VField(
+                [coord_parts[i].part(phi) - subset_operator_apply(fields, phi, Poly.var(dim, i)) for i in range(dim)]
+            )
             if not field.is_zero():
                 fields[phi] = field
     return KField.from_vfields(chart, k, fields)

@@ -1,0 +1,87 @@
+"""Every internal result is canonical, so the unchecked private constructors are safe.
+
+Sums, products, derivatives and brackets wrap their dicts without a second
+validation pass.  These properties check, over random operands with many
+colliding and cancelling terms, that each such result is exactly what the
+validating public constructor would have built from the same data.
+"""
+
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from igc import ChartSpec, FreeLRElem, LyndonWord, Poly, RelativeSpec, WeilElem, free_bracket, lie_bracket_ext
+from igc.lyndon import is_lyndon
+
+DIM = 2
+CHART = ChartSpec(DIM, 4)
+ARITY = 3
+WORDS = [(0,), (1,), (0, 1)]
+SUBSETS = [frozenset(s) for s in [(), (0,), (1,), (2,), (0, 1), (0, 2), (1, 2), (0, 1, 2)]]
+
+# few monomials and small coefficients, so that sums and products collide and cancel
+coeffs = st.builds(Fraction, st.integers(-2, 2), st.integers(1, 2))
+exponents = st.tuples(*[st.integers(0, 2)] * DIM)
+polys = st.dictionaries(exponents, coeffs, max_size=4).map(lambda t: Poly(DIM, t))
+scalars = st.one_of(st.integers(-2, 2), coeffs, polys)
+elems = st.dictionaries(st.sampled_from(WORDS), polys, max_size=3).map(lambda t: FreeLRElem(CHART, t))
+weils = st.dictionaries(st.sampled_from(SUBSETS), polys, max_size=4).map(lambda t: WeilElem(ARITY, DIM, t))
+specs = st.sets(st.integers(0, DIM - 1)).map(lambda v: RelativeSpec(CHART, frozenset(v)))
+
+
+def assert_canonical_poly(p: Poly):
+    assert p.dim == DIM
+    for exps, c in p.terms.items():
+        assert type(exps) is tuple and len(exps) == DIM
+        assert all(type(e) is int and e >= 0 for e in exps)
+        assert type(c) is Fraction and c != 0
+    assert Poly(p.dim, p.terms) == p
+
+
+def assert_canonical_elem(u: FreeLRElem):
+    assert u.chart == CHART
+    for w, p in u.terms.items():
+        assert type(w) is LyndonWord and type(w.letters) is tuple
+        assert all(type(a) is int and 0 <= a < DIM for a in w.letters)
+        assert is_lyndon(w.letters) and len(w) <= CHART.max_degree
+        assert not p.is_zero()
+        assert_canonical_poly(p)
+    assert FreeLRElem(u.chart, u.terms) == u
+
+
+def assert_canonical_weil(a: WeilElem):
+    assert (a.arity, a.dim) == (ARITY, DIM)
+    for phi, p in a.parts.items():
+        assert type(phi) is frozenset and all(0 <= i < ARITY for i in phi)
+        assert not p.is_zero()
+        assert_canonical_poly(p)
+    assert WeilElem(a.arity, a.dim, a.parts) == a
+
+
+@settings(max_examples=300, deadline=None)
+@given(polys, polys, scalars, st.integers(0, DIM - 1))
+def test_poly_results_are_canonical(f, g, c, i):
+    for result in (f + g, f - g, -f, f * g, f * f, f * c, c * f, f + c, c - f, f.derive(i), (f * g).derive(i)):
+        assert_canonical_poly(result)
+    assert_canonical_poly(f - f)
+    assert (f - f).terms == {}
+
+
+@settings(max_examples=200, deadline=None)
+@given(elems, elems, scalars, specs)
+def test_free_lr_results_are_canonical(u, v, c, spec):
+    for result in (u + v, u - v, -u, u * c, c * u, u - u):
+        assert_canonical_elem(result)
+    assert_canonical_elem(free_bracket(u, v))
+    assert_canonical_elem(free_bracket(u, u))
+    assert_canonical_elem(free_bracket(u, v, spec))
+    assert_canonical_elem(lie_bracket_ext(u, v))
+    assert_canonical_elem(lie_bracket_ext(u, u))
+
+
+@settings(max_examples=200, deadline=None)
+@given(weils, weils, scalars)
+def test_weil_results_are_canonical(a, b, c):
+    for result in (a + b, a - b, -a, a * b, b * a, a * a, a * c, c * a, a - a):
+        assert_canonical_weil(result)

@@ -98,6 +98,29 @@ def test_poly_canonical_equality_and_str():
     assert str(Poly(2, {(1, 0): -1, (0, 0): Fraction(1, 2)})) == "-x0 + 1/2"
 
 
+def test_poly_rejects_non_integer_exponents():
+    for exps in [(1.7, 0), (1.0, 0), (Fraction(1), 0), ("1", 0)]:
+        with pytest.raises(DomainError, match="bad exponent tuple"):
+            Poly(2, {exps: 1})
+    with pytest.raises(DomainError, match="bad exponent tuple"):
+        Poly(2, {(-1, 0): 1})
+    with pytest.raises(DomainError, match="bad exponent tuple"):
+        Poly(2, {(1,): 1})
+
+
+def test_poly_rejects_float_coefficients():
+    for coeff in [0.1, 2.0, 0.0]:
+        with pytest.raises(DomainError, match="not an integer or a Fraction"):
+            Poly(2, {(1, 0): coeff})
+    with pytest.raises(DomainError, match="not an integer or a Fraction"):
+        Poly.const(2, 0.5)
+    assert Poly(2, {(1, 0): 3, (0, 1): Fraction(-1, 2)}).terms == {
+        (1, 0): Fraction(3),
+        (0, 1): Fraction(-1, 2),
+    }
+    assert all(type(c) is Fraction for c in Poly(2, {(1, 0): 3}).terms.values())
+
+
 def test_vf_apply_examples():
     d0 = VField.basis(2, 0)
     assert vf_apply(d0, Poly(2, {(2, 0): 1})) == Poly(2, {(1, 0): 2})

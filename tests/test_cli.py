@@ -118,6 +118,18 @@ def test_parse_kfield_literal_rejects_repeated_slot():
     assert r.returncode == 1 and "repeated slot index 0" in r.stderr
 
 
+def test_parse_kfield_literal_rejects_repeated_index_set():
+    s = session()
+    with pytest.raises(ParseError, match="repeated index set 0") as err:
+        parse_expression("K{arity=1; 0: d0; 0: d1}", s)
+    assert (err.value.line, err.value.column) == (1, 19)
+    with pytest.raises(ParseError, match="repeated index set 0,1"):
+        parse_expression("K{arity=2; 0,1: d0; 1: d1; 1,0: x0*d1}", s)
+    r = run(["--dim", "2", "cup", "K{arity=1; 0: d0; 0: d1}", "d0"])
+    assert r.returncode == 1 and r.stdout == ""
+    assert r.stderr == "igc: parse error: repeated index set 0 (line 1, column 19)\n"
+
+
 # run_command ------------------------------------------------------------------
 
 
