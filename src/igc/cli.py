@@ -28,30 +28,21 @@ import shlex
 import sys
 from dataclasses import dataclass
 
-from .chart_algebra import ChartSpec, Poly
+from .chart_algebra import ChartSpec
 from .checks import run_suite
 from .errors import DomainError
-from .free_lr import FreeLRElem, free_bracket, lie_bracket_ext
-from .groupoid import (
-    KField,
-    act,
-    compose,
-    cup,
-    face,
-    homotopy,
-    is_trivial_homotopy,
-    reduce_to_polyvector,
-    strong_diff,
-)
+from .free_lr import free_bracket, lie_bracket_ext
+from .groupoid import act, is_trivial_homotopy, reduce_to_polyvector
 from .parsing import (
+    OPERATIONS,
     ParseError,
     Session,
+    apply_operation,
     as_elem,
     as_kfield,
-    as_pv,
+    bindable,
     parse_expression,
 )
-from .polyvector import Polyvector, schouten, wedge
 
 
 class UsageError(Exception):
@@ -65,20 +56,8 @@ class CommandOutcome:
     code: int = 0
 
 
-def _value_json(value):
-    if isinstance(value, (FreeLRElem, KField, Polyvector)):
-        return value.to_json()
-    if isinstance(value, Poly):
-        return str(value)
-    return value
-
-
 def _subset_str(phi) -> str:
     return "{" + ",".join(map(str, sorted(phi))) + "}"
-
-
-def _parse(session: Session, src: str):
-    return parse_expression(src, session)
 
 
 def _need(argv, n, usage):
@@ -100,58 +79,20 @@ def run_command(argv: list[str], session: Session) -> CommandOutcome:
     cmd, args = argv[0], argv[1:]
     chart = session.chart
 
-    if cmd == "bracket":
-        _need(argv, 4, "bracket (free|lie) E1 E2")
-        flavor = args[0]
-        if flavor not in ("free", "lie"):
-            raise UsageError("bracket flavor must be 'free' or 'lie'")
-        u = as_elem(_parse(session, args[1]), chart)
-        v = as_elem(_parse(session, args[2]), chart)
-        result = free_bracket(u, v) if flavor == "free" else lie_bracket_ext(u, v)
-        return CommandOutcome(str(result), _value_json(result))
+    if cmd == "check":
+        return _run_check(args, session)
 
-    if cmd == "act":
-        _need(argv, 4, "act PERM (free|lie) E")
-        try:
-            word = [int(t) for t in args[0].split(",") if t != ""]
-        except ValueError:
-            raise UsageError(f"bad swap word {args[0]!r}; use comma-separated indices") from None
-        if args[1] not in ("free", "lie"):
-            raise UsageError("act flavor must be 'free' or 'lie'")
-        nu = as_kfield(_parse(session, args[2]), chart)
-        result = act(word, nu, args[1])
-        return CommandOutcome(str(result), _value_json(result))
-
-    if cmd in ("cup", "compose"):
-        _need(argv, 3, f"{cmd} E1 E2")
-        mu = as_kfield(_parse(session, args[0]), chart)
-        nu = as_kfield(_parse(session, args[1]), chart)
-        result = cup(mu, nu) if cmd == "cup" else compose(mu, nu)
-        return CommandOutcome(str(result), _value_json(result))
-
-    if cmd == "sdiff":
-        _need(argv, 5, "sdiff E1 E2 I J")
-        mu = as_kfield(_parse(session, args[0]), chart)
-        nu = as_kfield(_parse(session, args[1]), chart)
-        result = strong_diff(mu, nu, (_int_arg(args[2]), _int_arg(args[3])))
-        return CommandOutcome(str(result), _value_json(result))
-
-    if cmd == "face":
-        _need(argv, 3, "face E I")
-        nu = as_kfield(_parse(session, args[0]), chart)
-        result = face(nu, _int_arg(args[1]))
-        return CommandOutcome(str(result), _value_json(result))
-
-    if cmd == "homotopy":
-        _need(argv, 4, "homotopy E I J")
-        nu = as_kfield(_parse(session, args[0]), chart)
-        result = homotopy(nu, _int_arg(args[1]), _int_arg(args[2]))
-        return CommandOutcome(str(result), _value_json(result))
+    if cmd == "let":
+        if len(args) < 3 or args[1] != "=":
+            raise UsageError("usage: let NAME = EXPR")
+        if not bindable(args[0]):
+            raise UsageError(f"bad binding name {args[0]!r}")
+        session.bindings[args[0]] = parse_expression(" ".join(args[2:]), session)
+        return CommandOutcome("", None)
 
     if cmd == "trivial?":
         _need(argv, 2, "trivial? E")
-        nu = as_kfield(_parse(session, args[0]), chart)
-        ok, witness = is_trivial_homotopy(nu)
+        ok, witness = is_trivial_homotopy(as_kfield(parse_expression(args[0], session), chart))
         if ok:
             return CommandOutcome("true", {"trivial": True, "witness": None})
         i, j, phi, psi = witness
@@ -159,32 +100,33 @@ def run_command(argv: list[str], session: Session) -> CommandOutcome:
         payload = {"trivial": False, "witness": [i, j, sorted(phi), sorted(psi)]}
         return CommandOutcome(text, payload)
 
-    if cmd == "reduce":
+    if cmd == "bracket":
+        _need(argv, 4, "bracket (free|lie) E1 E2")
+        flavor = args[0]
+        if flavor not in ("free", "lie"):
+            raise UsageError("bracket flavor must be 'free' or 'lie'")
+        u = as_elem(parse_expression(args[1], session), chart)
+        v = as_elem(parse_expression(args[2], session), chart)
+        result = free_bracket(u, v) if flavor == "free" else lie_bracket_ext(u, v)
+    elif cmd == "act":
+        _need(argv, 4, "act PERM (free|lie) E")
+        try:
+            word = [int(t) for t in args[0].split(",") if t != ""]
+        except ValueError:
+            raise UsageError(f"bad swap word {args[0]!r}; use comma-separated indices") from None
+        if args[1] not in ("free", "lie"):
+            raise UsageError("act flavor must be 'free' or 'lie'")
+        result = act(word, as_kfield(parse_expression(args[2], session), chart), args[1])
+    elif cmd == "reduce":
         _need(argv, 2, "reduce E")
-        nu = as_kfield(_parse(session, args[0]), chart)
-        result = reduce_to_polyvector(nu)
-        return CommandOutcome(str(result), _value_json(result))
-
-    if cmd in ("wedge", "schouten"):
-        _need(argv, 3, f"{cmd} P Q")
-        p = as_pv(_parse(session, args[0]), chart)
-        q = as_pv(_parse(session, args[1]), chart)
-        result = wedge(p, q) if cmd == "wedge" else schouten(p, q)
-        return CommandOutcome(str(result), _value_json(result))
-
-    if cmd == "let":
-        if len(args) < 3 or args[1] != "=":
-            raise UsageError("usage: let NAME = EXPR")
-        name = args[0]
-        if not name.isidentifier():
-            raise UsageError(f"bad binding name {name!r}")
-        session.bindings[name] = _parse(session, " ".join(args[2:]))
-        return CommandOutcome("", None)
-
-    if cmd == "check":
-        return _run_check(args, session)
-
-    raise UsageError(f"unknown command {cmd!r}")
+        result = reduce_to_polyvector(as_kfield(parse_expression(args[0], session), chart))
+    elif cmd in OPERATIONS:
+        signature = OPERATIONS[cmd][1]
+        _need(argv, 1 + len(signature.split()), f"{cmd} {signature}")
+        result = apply_operation(cmd, args, chart, lambda src: parse_expression(src, session), _int_arg)
+    else:
+        raise UsageError(f"unknown command {cmd!r}")
+    return CommandOutcome(str(result), result.to_json())
 
 
 def _run_check(args: list[str], session: Session) -> CommandOutcome:
@@ -282,15 +224,21 @@ def main(argv: list[str] | None = None) -> int:
             print("igc: give either --script or an inline command, not both", file=sys.stderr)
             return 1
         try:
-            lines = open(opts.script).read().splitlines()
-        except OSError as exc:
+            with open(opts.script, encoding="utf-8") as f:
+                lines = f.read().splitlines()
+        except (OSError, UnicodeDecodeError) as exc:
             print(f"igc: cannot read script: {exc}", file=sys.stderr)
             return 1
         for number, line in enumerate(lines, 1):
             stripped = line.split("#", 1)[0].strip()
             if not stripped:
                 continue
-            code = run_one(shlex.split(stripped))
+            try:
+                tokens = shlex.split(stripped)
+            except ValueError as exc:
+                print(f"igc: script line {number}: {exc}", file=sys.stderr)
+                return 1
+            code = run_one(tokens)
             if code != 0:
                 print(f"igc: script line {number} failed", file=sys.stderr)
                 return code

@@ -38,7 +38,8 @@ class Session:
     seed: int = 0
 
 
-_TOKEN_RE = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z0-9_]*)|([-+*^/()\[\]{},;:=]))")
+_IDENT = r"[A-Za-z_][A-Za-z0-9_]*"
+_TOKEN_RE = re.compile(r"\s*(?:(\d+)|(" + _IDENT + r")|([-+*^/()\[\]{},;:=]))")
 
 
 @dataclass
@@ -80,6 +81,12 @@ _VAR_RE = re.compile(r"^x(\d+)$")
 _GEN_RE = re.compile(r"^d(\d+)$")
 
 
+def bindable(name: str) -> bool:
+    """Whether an expression reads name from the session's bindings: an
+    identifier that is not a coordinate x<i> or a generator d<i>."""
+    return bool(re.fullmatch(_IDENT, name)) and not (_VAR_RE.match(name) or _GEN_RE.match(name))
+
+
 class _Parser:
     def __init__(self, src: str, session: Session):
         self.tokens = _tokenize(src)
@@ -118,7 +125,7 @@ class _Parser:
         while self.current.kind == "op" and self.current.text in "+-":
             op = self._advance().text
             rhs = self.product()
-            value = _add(value, rhs) if op == "+" else _add(value, _neg(rhs))
+            value = _add(value, rhs if op == "+" else _neg(rhs), self.session.chart)
         return value
 
     def product(self):
@@ -138,7 +145,7 @@ class _Parser:
         value = self.atom()
         while self.current.kind == "op" and self.current.text == "^":
             self._advance()
-            value = _pow(value, self.atom())
+            value = _pow(value, self.atom(), self.session.chart)
         return value
 
     def atom(self):
@@ -205,38 +212,12 @@ class _Parser:
             self._advance()
             args.append(self.sum())
         self._expect(")")
-        chart = self.session.chart
-
-        def arity(n):
-            if len(args) != n:
-                raise ParseError(f"{name} expects {n} arguments, got {len(args)}", tok.line, tok.column)
-
-        if name == "cup":
-            arity(2)
-            return cup(as_kfield(args[0], chart), as_kfield(args[1], chart))
-        if name == "compose":
-            arity(2)
-            return compose(as_kfield(args[0], chart), as_kfield(args[1], chart))
-        if name == "face":
-            arity(2)
-            return face(as_kfield(args[0], chart), as_int(args[1]))
-        if name == "sdiff":
-            arity(4)
-            return strong_diff(
-                as_kfield(args[0], chart),
-                as_kfield(args[1], chart),
-                (as_int(args[2]), as_int(args[3])),
-            )
-        if name == "homotopy":
-            arity(3)
-            return homotopy(as_kfield(args[0], chart), as_int(args[1]), as_int(args[2]))
-        if name == "wedge":
-            arity(2)
-            return wedge(as_pv(args[0], chart), as_pv(args[1], chart))
-        if name == "schouten":
-            arity(2)
-            return schouten(as_pv(args[0], chart), as_pv(args[1], chart))
-        raise ParseError(f"unknown function {name!r}", tok.line, tok.column)
+        if name not in OPERATIONS:
+            raise ParseError(f"unknown function {name!r}", tok.line, tok.column)
+        arity = len(OPERATIONS[name][1].split())
+        if len(args) != arity:
+            raise ParseError(f"{name} expects {arity} arguments, got {len(args)}", tok.line, tok.column)
+        return apply_operation(name, args, self.session.chart, lambda value: value, as_int)
 
     def kfield_literal(self):
         chart = self.session.chart
@@ -282,12 +263,6 @@ class _Parser:
 # value coercion ------------------------------------------------------------
 
 
-def as_poly(v) -> Poly:
-    if isinstance(v, Poly):
-        return v
-    raise DomainError(f"expected a polynomial, got {type(v).__name__}")
-
-
 def as_int(v) -> int:
     if isinstance(v, Poly):
         c = v.as_constant()
@@ -325,6 +300,42 @@ def as_pv(v, chart: ChartSpec) -> Polyvector:
     raise DomainError(f"expected a polyvector, got {v!r}")
 
 
+# operations shared with the command line ------------------------------------
+
+# name -> (function, argument signature); in a signature E is a k-field, P and
+# Q are polyvectors and I and J are slot indices.  Each function looks its
+# operation up when called, so a wrapper installed on the module function (a
+# profiler, or perfbench's tracer) sees the calls made through this table.
+OPERATIONS = {
+    "cup": (lambda mu, nu: cup(mu, nu), "E1 E2"),
+    "compose": (lambda mu, nu: compose(mu, nu), "E1 E2"),
+    "sdiff": (lambda mu, nu, i, j: strong_diff(mu, nu, (i, j)), "E1 E2 I J"),
+    "face": (lambda nu, i: face(nu, i), "E I"),
+    "homotopy": (lambda nu, i, j: homotopy(nu, i, j), "E I J"),
+    "wedge": (lambda p, q: wedge(p, q), "P Q"),
+    "schouten": (lambda p, q: schouten(p, q), "P Q"),
+}
+
+
+def apply_operation(name: str, args: list, chart: ChartSpec, read, index):
+    """Call the operation `name` on as many args as its signature names.
+
+    Each front end brings its own argument coercion: `read` turns an argument
+    into a value, which is then taken as a k-field or polyvector, and `index`
+    turns one into a slot index.
+    """
+    function, signature = OPERATIONS[name]
+    values = []
+    for kind, arg in zip(signature.split(), args):
+        if kind in ("I", "J"):
+            values.append(index(arg))
+        elif kind.startswith("E"):
+            values.append(as_kfield(read(arg), chart))
+        else:
+            values.append(as_pv(read(arg), chart))
+    return function(*values)
+
+
 # type-dispatched operators ---------------------------------------------------
 
 
@@ -334,17 +345,14 @@ def _neg(v):
     return -v
 
 
-def _add(a, b):
+def _add(a, b, chart: ChartSpec):
     if isinstance(a, KField) or isinstance(b, KField):
         raise DomainError("k-fields have no global addition; additions are face-wise")
     if isinstance(a, Poly) and isinstance(b, Poly):
         return a + b
     if isinstance(a, Polyvector) or isinstance(b, Polyvector):
-        dim = a.dim if isinstance(a, Polyvector) else b.dim
-        chart = ChartSpec(dim)
         return as_pv(a, chart) + as_pv(b, chart)
     if isinstance(a, FreeLRElem) or isinstance(b, FreeLRElem):
-        chart = a.chart if isinstance(a, FreeLRElem) else b.chart
         return as_elem(a, chart) + as_elem(b, chart)
     raise DomainError(f"cannot add {type(a).__name__} and {type(b).__name__}")
 
@@ -359,16 +367,12 @@ def _mul(a, b):
     raise DomainError(f"cannot multiply {type(a).__name__} and {type(b).__name__}")
 
 
-def _pow(a, b):
+def _pow(a, b, chart: ChartSpec):
     if isinstance(a, Poly) and isinstance(b, Poly):
         c = b.as_constant()
         if c is None or c.denominator != 1 or c < 0:
             raise DomainError("polynomial exponent must be a nonnegative integer")
         return a ** int(c)
-    dim = a.dim if isinstance(a, Polyvector) else getattr(getattr(a, "chart", None), "dim", None)
-    if dim is None:
-        dim = b.dim if isinstance(b, Polyvector) else b.chart.dim
-    chart = ChartSpec(dim)
     return wedge(as_pv(a, chart), as_pv(b, chart))
 
 

@@ -1,15 +1,17 @@
 """Expression parsing, printing roundtrips, and the command front end."""
 
 import json
+import shlex
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 from random import Random
 
 import pytest
 
 from igc import ChartSpec, FreeLRElem, KField, Poly, Polyvector, VField, cup
-from igc.cli import UsageError, run_command
+from igc.cli import UsageError, main, run_command
 from igc.parsing import ParseError, Session, as_kfield, parse_expression
 from igc.oracle import random_vfield
 
@@ -167,6 +169,44 @@ def test_run_command_usage_errors():
         run_command(["act", "zero", "lie", "d0"], session())
 
 
+# The seven operations that are both commands and expression calls: name,
+# argument signature, arguments.
+SHARED_OPERATIONS = [
+    ("cup", "E1 E2", ["d0", "x0*d1"]),
+    ("compose", "E1 E2", ["d0", "x0*d1"]),
+    ("sdiff", "E1 E2 I J", ["K{arity=2; 0: d0; 0,1: x0*d1}", "K{arity=2; 0: d0; 0,1: d1}", "0", "1"]),
+    ("face", "E I", ["K{arity=2; 0: d0; 1: x1*d1; 0,1: d1}", "1"]),
+    ("homotopy", "E I J", ["compose(d0, x0*d1)", "0", "1"]),
+    ("wedge", "P Q", ["x0*d0", "d1"]),
+    ("schouten", "P Q", ["x0*d0", "d0 ^ d1"]),
+]
+
+
+@pytest.mark.parametrize("name, signature, args", SHARED_OPERATIONS, ids=[op[0] for op in SHARED_OPERATIONS])
+def test_command_and_expression_call_agree(name, signature, args, capsys):
+    out = run_command([name, *args], session())
+    value = parse_expression(f"{name}({', '.join(args)})", session())
+    assert out.code == 0 and out.text == str(value)
+    assert json.dumps(out.payload) == json.dumps(value.to_json())
+
+    with pytest.raises(UsageError) as err:
+        run_command([name, *args[:-1]], session())
+    assert str(err.value) == f"usage: {name} {signature}"
+    with pytest.raises(ParseError) as err:
+        parse_expression(f"{name}({', '.join(args[:-1])})", session())
+    assert str(err.value) == f"{name} expects {len(args)} arguments, got {len(args) - 1} (line 1, column 1)"
+
+    # an index is a command-line integer or an expression that evaluates to one
+    if signature.endswith(("I", "J")):
+        bad = len(signature.split()) - 1
+        cli_args = args[:bad] + ["x"]
+        assert main(["--dim", "2", name, *cli_args]) == 1
+        assert capsys.readouterr().err == "igc: expected an integer, got 'x'\n"
+        expr_args = args[:bad] + ["1/2"]
+        assert main(["--dim", "2", "reduce", f"{name}({', '.join(expr_args)})"]) == 2
+        assert capsys.readouterr().err == "igc: error: expected an integer argument\n"
+
+
 def test_run_command_check_flag_needs_a_name():
     for flag in ("--only", "--invert"):
         with pytest.raises(UsageError, match=f"{flag} needs a check name"):
@@ -232,9 +272,50 @@ def test_cli_script(tmp_path):
     bad.write_text('bracket lie "d0" "x9*d1"\n')
     r = run(["--dim", "2", "--script", str(bad)])
     assert r.returncode == 1 and "line 1" in r.stderr
+    unbalanced = tmp_path / "unbalanced.igc"
+    unbalanced.write_text('let a = x0*d1\nbracket lie "d0 d1\n')
+    r = run(["--dim", "2", "--script", str(unbalanced)])
+    assert r.returncode == 1 and r.stdout == ""
+    assert r.stderr == "igc: script line 2: No closing quotation\n"
+
+
+def test_cli_script_not_utf8(tmp_path):
+    script = tmp_path / "latin1.igc"
+    script.write_bytes("let caf\u00e9 = d0\n".encode("latin-1"))
+    r = run(["--dim", "2", "--script", str(script)])
+    assert r.returncode == 1 and r.stdout == ""
+    assert r.stderr.startswith("igc: cannot read script: 'utf-8' codec can't decode")
+
+
+def test_let_rejects_names_the_parser_never_reads(capsys):
+    for name in ("x0", "x7", "d1", "d12", "caf\u00e9", "2a"):
+        with pytest.raises(UsageError, match=f"bad binding name {name!r}"):
+            run_command(["let", name, "=", "d1"], session())
+        assert main(["--dim", "2", "let", name, "=", "d1"]) == 1
+        assert capsys.readouterr().err == f"igc: bad binding name {name!r}\n"
+    s = session()
+    for name in ("x", "d", "x0a", "dx1", "F", "K", "cup"):
+        run_command(["let", name, "=", "x0*d1"], s)
+        assert run_command(["bracket", "free", "d0", name], s).text == "x0*F[d0,d1] + d1"
 
 
 def test_cli_identical_output_across_runs():
     args = ["--dim", "2", "--seed", "3", "check", "--only", "parse-roundtrip"]
     r1, r2 = run(args), run(args)
     assert r1.stdout == r2.stdout and r1.returncode == r2.returncode == 0
+
+
+def test_readme_command_line_examples():
+    """Every `igc ... # -> OUT` line of README's "Command line" block."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    examples = []
+    for line in block.splitlines():
+        command, sep, want = line.partition("# -> ")
+        if sep:
+            examples.append((shlex.split(command), want))
+    assert len(examples) == 6
+    for argv, want in examples:
+        assert argv[0] == "igc"
+        r = run(argv[1:])
+        assert (r.returncode, r.stdout) == (0, want + "\n"), argv
