@@ -41,6 +41,11 @@ from .polyvector import Polyvector, wedge
 
 Subset = frozenset[int]
 
+# Largest arity the swap action takes on: one application visits all 2^k
+# index sets and their splittings, and `trivial?` runs k(k-1)/2 of them, so
+# the cost grows faster than 2^k; every arity in the checks is at most 6.
+MAX_ACTION_ARITY = 8
+
 
 @dataclass(frozen=True)
 class Transposition:
@@ -281,6 +286,8 @@ def _all_subsets(k: int):
 def _act_by_permutation(nu: KField, sigma: Callable[[int], int], flavor: str) -> KField:
     """One application of the swap-action formula for an involutive sigma."""
     k = nu.arity
+    if k > MAX_ACTION_ARITY:
+        raise DomainError(f"arity {k} exceeds the swap-action budget of {MAX_ACTION_ARITY}")
     bracket = _bracket_for(flavor)
     comps: dict[Subset, FreeLRElem] = {}
     for phi in _all_subsets(k):
@@ -379,17 +386,20 @@ def is_trivial_homotopy(nu: KField) -> tuple[bool, tuple | None]:
     return True, None
 
 
-def _bracket_witness(nu: KField, i: int, j: int) -> tuple:
+def _disjoint_pairs(nu: KField):
+    """Disjoint pairs (phi, psi) of supported index sets, phi before psi in subset-lex order."""
     support = sorted(nu.components, key=_subset_key)
-    for a in range(len(support)):
-        for b in range(a + 1, len(support)):
-            phi, psi = support[a], support[b]
-            if phi & psi:
-                continue
-            if free_bracket(nu.components[phi], nu.components[psi]) != lie_bracket_ext(
-                nu.components[phi], nu.components[psi]
-            ):
-                return (i, j, phi, psi)
+    for a, phi in enumerate(support):
+        for psi in support[a + 1 :]:
+            if not phi & psi:
+                yield phi, psi
+
+
+def _bracket_witness(nu: KField, i: int, j: int) -> tuple:
+    for phi, psi in _disjoint_pairs(nu):
+        a, b = nu.components[phi], nu.components[psi]
+        if free_bracket(a, b) != lie_bracket_ext(a, b):
+            return (i, j, phi, psi)
     diff = frozenset(range(nu.arity))
     return (i, j, diff, diff)
 
@@ -404,15 +414,10 @@ def trivial_by_disjoint_pairs(nu: KField) -> tuple[bool, tuple | None]:
     """
     if not nu.is_classical():
         raise DomainError("the disjoint-pair test applies to classical fields")
-    support = sorted(nu.components, key=_subset_key)
-    for a in range(len(support)):
-        for b in range(a + 1, len(support)):
-            phi, psi = support[a], support[b]
-            if phi & psi:
-                continue
-            left = Polyvector.from_vfield(nu.component_vfield(phi))
-            if not wedge(left, Polyvector.from_vfield(nu.component_vfield(psi))).is_zero():
-                return False, (phi, psi)
+    for phi, psi in _disjoint_pairs(nu):
+        left = Polyvector.from_vfield(nu.component_vfield(phi))
+        if not wedge(left, Polyvector.from_vfield(nu.component_vfield(psi))).is_zero():
+            return False, (phi, psi)
     return True, None
 
 

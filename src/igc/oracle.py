@@ -44,6 +44,15 @@ class CheckReport:
     def record(self, inputs, expected, got):
         self.failures.append((inputs, expected, got))
 
+    def compare(self, inputs, expected, got):
+        """Count one case; record it with both values as text when got != expected.
+
+        A passing case is not rendered: str of a large value is costly.
+        """
+        self.cases += 1
+        if got != expected:
+            self.record(inputs, str(expected), str(got))
+
     def to_json(self):
         return {
             "name": self.name,

@@ -16,7 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Mapping
 
-from .chart_algebra import Poly, VField, _accumulate, render_combination, vf_bracket
+from .chart_algebra import Poly, VField, _accumulate, render_combination
 from .errors import ChartMismatchError, DomainError
 
 IndexTuple = tuple[int, ...]
@@ -77,9 +77,6 @@ class Polyvector:
 
     def grades(self) -> set[int]:
         return {len(idx) for idx in self.terms}
-
-    def grade_slice(self, k: int) -> "Polyvector":
-        return Polyvector(self.dim, {i: p for i, p in self.terms.items() if len(i) == k})
 
     def __add__(self, other):
         if not isinstance(other, Polyvector):
@@ -143,43 +140,35 @@ def wedge(p: Polyvector, q: Polyvector) -> Polyvector:
     return Polyvector(p.dim, _accumulate({}, pairs))
 
 
-def _monomial_factors(dim: int, idx: IndexTuple, coeff: Poly) -> list[VField]:
-    """Factor list with the coefficient absorbed into the first field."""
-    fields = [VField.basis(dim, i) for i in idx]
-    fields[0] = fields[0] * coeff
-    return fields
-
-
 def schouten(p: Polyvector, q: Polyvector) -> Polyvector:
     """Schouten bracket, grade p+q-1, cohomological degree 0.
 
-    On decomposable monomials a1^...^ap and b1^...^bq it is
-    sum_{r,s} (-1)^{r+s} [a_r, b_s] ^ (a without a_r) ^ (b without b_s),
-    with honest vector-field factors, so coefficient functions are handled
-    by the bracket itself.
+    On monomials f d_I and g d_J, with I = (i_0 < ... < i_{a-1}) and
+    J = (j_0 < ... < j_{b-1}), it is the coordinate formula
+
+        sum_r (-1)^(r+a-1) f (dg/dx_{i_r}) d_{I - i_r} ^ d_J
+      - sum_s (-1)^s g (df/dx_{j_s}) d_I ^ d_{J - j_s},
+
+    extended bilinearly.
     """
     if p.dim != q.dim:
         raise ChartMismatchError("polyvectors live on different charts")
-    dim = p.dim
-    total = Polyvector.zero(dim)
-    for i1, c1 in p.terms.items():
-        fa = _monomial_factors(dim, i1, c1)
-        for i2, c2 in q.terms.items():
-            fb = _monomial_factors(dim, i2, c2)
-            for r, ar in enumerate(fa):
-                for s, bs in enumerate(fb):
-                    br = vf_bracket(ar, bs)
-                    if br.is_zero():
-                        continue
-                    term = Polyvector.from_vfield(br)
-                    for rest in fa[:r] + fa[r + 1 :] + fb[:s] + fb[s + 1 :]:
-                        term = wedge(term, Polyvector.from_vfield(rest))
-                        if term.is_zero():
-                            break
-                    if (r + s) % 2:
-                        term = -term
-                    total = total + term
-    return total
+    pairs = []
+    for i1, f in p.terms.items():
+        for i2, g in q.terms.items():
+            # (sign, u, v, i, idx) stands for sign * u * (dv/dx_i) d_idx
+            a = len(i1)
+            terms = [((-1) ** (r + a - 1), f, g, i, i1[:r] + i1[r + 1 :] + i2) for r, i in enumerate(i1)]
+            terms += [(-((-1) ** s), g, f, j, i1 + i2[:s] + i2[s + 1 :]) for s, j in enumerate(i2)]
+            for sign, u, v, i, idx in terms:
+                norm = _sort_with_sign(idx)
+                if norm is None:
+                    continue
+                coeff = u * v.derive(i)
+                if coeff:
+                    key, perm_sign = norm
+                    pairs.append((key, coeff if sign * perm_sign == 1 else -coeff))
+    return Polyvector(p.dim, _accumulate({}, pairs))
 
 
 def degree(p: Polyvector) -> int:

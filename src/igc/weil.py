@@ -170,9 +170,6 @@ class WeilElem:
             {frozenset(x + offset for x in phi): p for phi, p in self.parts.items()},
         )
 
-    def lift(self, new_arity: int) -> "WeilElem":
-        return self.shift(0, new_arity)
-
     def __str__(self):
         if not self.parts:
             return "0"
@@ -418,7 +415,7 @@ def weil_cup(x: WeilMorphism, fact: CupFactorization, derivations: Sequence[VFie
     images = []
     for i in range(x.dim):
         xi = Poly.var(x.dim, i)
-        img = x.image(xi).lift(total)
+        img = x.image(xi).shift(0, total)
         for j, beta in enumerate(derivations):
             img = img + multipliers[j] * vf_apply(beta, xi)
         images.append(img)

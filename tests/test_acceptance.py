@@ -116,6 +116,46 @@ def test_found_seeds_replay(name, seed):
     _require(report)
 
 
+# every check's case count; a change to a check's sampling or to how its
+# cases are counted shows here
+CHECK_CASES = {
+    "weil-multiplicativity": 200,
+    "weil-negative-control": 4,
+    "weil-dictionary": 120,
+    "action-relations": 200,
+    "action-swap-k2": 50,
+    "strong-difference-bracket": 100,
+    "free-lie-rinehart": 105,
+    "lie-extension": 90,
+    "relative-cases": 74,
+    "homotopy": 63,
+    "trivial-homotopy-agreement": 100,
+    "cohomology-reduction": 230,
+    "s-invariance": 125,
+    "parse-roundtrip": 40,
+}
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+def test_check_case_counts(seed):
+    assert list(CHECK_CASES) == CHECK_NAMES
+    reports = run_suite(seed, MAX_DEGREE)
+    assert {r.name: r.cases for r in reports} == CHECK_CASES
+
+
+def test_check_failures_carry_compared_values(monkeypatch):
+    import igc.checks
+    from igc import ChartSpec, Session, parse_expression
+
+    bracket = igc.checks.lie_bracket_ext
+    monkeypatch.setattr(igc.checks, "lie_bracket_ext", lambda u, v: -bracket(u, v))
+    report = check_lie_extension(SEED, MAX_DEGREE)
+    assert not report.passed and report.cases == CHECK_CASES["lie-extension"]
+    session = Session(ChartSpec(2, MAX_DEGREE))
+    for inputs, expected, got in report.failures:
+        assert parse_expression(expected, session) != parse_expression(got, session), inputs
+
+
 def _cli(*args):
     return subprocess.run(
         [sys.executable, "-m", "igc", *args], capture_output=True, text=True

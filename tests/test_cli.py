@@ -250,6 +250,20 @@ def test_cli_exit_codes():
     assert run(["bracket", "lie", "d0", "d1"]).returncode == 1  # missing --dim
 
 
+@pytest.mark.parametrize("command", ["reduce", "trivial?"])
+def test_cli_arity_budget(command):
+    from igc.groupoid import MAX_ACTION_ARITY
+
+    r = subprocess.run(
+        [sys.executable, "-m", "igc", "--dim", "2", command, "K{arity=40; 0: d0}"],
+        capture_output=True, text=True, timeout=10,
+    )
+    assert r.returncode == 2 and r.stdout == ""
+    assert r.stderr == f"igc: error: arity 40 exceeds the swap-action budget of {MAX_ACTION_ARITY}\n"
+    r = run(["--dim", "2", command, f"K{{arity={MAX_ACTION_ARITY}; 0: d0}}"])
+    assert r.returncode == 0, r.stderr
+
+
 def test_cli_dimension_flag():
     r = run(["--dim", "3", "bracket", "lie", "d0", "x2*d1"])
     assert r.returncode == 0 and r.stdout == "0\n"
