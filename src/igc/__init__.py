@@ -41,7 +41,6 @@ from .free_lr import (
 )
 from .groupoid import (
     KField,
-    Transposition,
     act,
     act_transposition,
     add_over_face,

@@ -13,8 +13,11 @@ Validation happens at the public boundary.  The public constructors (here
 `Poly(...)`, and `FreeLRElem(...)`, `WeilElem(...)`, `Polyvector(...)` and
 `LyndonWord(...)` in their modules) check and normalize whatever they are
 given.  Results that a class computes itself from canonical operands, the
-sums, products and derivatives, are canonical by construction and are
-wrapped by the private `_make` without a second check.
+sums, products, derivatives, brackets and wedges, are canonical by
+construction and are wrapped by the private `_make` without a second check.
+The three free A-modules (`FreeLRElem`, `WeilElem`, `Polyvector`) share
+their module operations through `_Module`; each keeps its own constructors,
+mismatch errors, products and printing.
 """
 
 from __future__ import annotations
@@ -263,6 +266,53 @@ def _accumulate(acc: dict, pairs: Iterable[tuple]) -> dict:
             else:
                 del acc[key]
     return acc
+
+
+class _Module:
+    """Element of a free A-module: `terms` maps basis labels to nonzero Polys.
+
+    A subclass names the module it lives in by `_space()` (what two elements
+    must share to be added or equal), raises its own mismatch error in
+    `_check` and wraps a canonical dict of the same module with `_like`.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __add__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        self._check(other)
+        return self._like(_accumulate(dict(self.terms), other.terms.items()))
+
+    def __sub__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self + (-other)
+
+    def __neg__(self):
+        return self._like({b: -p for b, p in self.terms.items()})
+
+    def __mul__(self, other):
+        if isinstance(other, (int, Fraction, Poly)):
+            # Q[x0..x{n-1}] has no zero divisors: a product vanishes only for other == 0
+            return self._like({b: p * other for b, p in self.terms.items()} if other else {})
+        return NotImplemented
+
+    __rmul__ = __mul__
+
+    def __eq__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self._space() == other._space() and self.terms == other.terms
+
+    def __hash__(self):
+        return hash((self._space(), frozenset(self.terms.items())))
 
 
 def render_combination(pairs: Iterable[tuple[Poly, str]]) -> str:

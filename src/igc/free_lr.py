@@ -26,52 +26,42 @@ would contain a longer surviving word raises DegreeOverflowError.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Mapping, Sequence
 
 from . import lyndon
-from .chart_algebra import ChartSpec, Poly, VField, _accumulate, render_combination
+from .chart_algebra import ChartSpec, Poly, VField, _accumulate, _Module, render_combination
 from .errors import ChartMismatchError, DegreeOverflowError, DomainError
 
 Word = tuple[int, ...]
 
 
-class LyndonWord:
-    """An aperiodic word minimal among its rotations; basis label for monomials."""
+class LyndonWord(tuple):
+    """An aperiodic word minimal among its rotations; basis label for monomials.
 
-    __slots__ = ("letters",)
+    The word is its tuple of letters, so it equals, hashes and orders like
+    that tuple.
+    """
 
-    def __init__(self, letters: Sequence[int]):
+    __slots__ = ()
+
+    def __new__(cls, letters: Sequence[int]):
         letters = tuple(int(a) for a in letters)
         if not lyndon.is_lyndon(letters):
             raise DomainError(f"{letters} is not a Lyndon word")
-        object.__setattr__(self, "letters", letters)
+        return tuple.__new__(cls, letters)
 
     @classmethod
     def _make(cls, letters: Word) -> "LyndonWord":
         """Wrap a tuple of ints that is already a Lyndon word."""
-        self = object.__new__(cls)
-        object.__setattr__(self, "letters", letters)
-        return self
+        return tuple.__new__(cls, letters)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("LyndonWord is immutable")
-
-    def __len__(self):
-        return len(self.letters)
-
-    def __eq__(self, other):
-        return isinstance(other, LyndonWord) and self.letters == other.letters
-
-    def __hash__(self):
-        return hash(self.letters)
-
-    def __lt__(self, other):
-        # display order: short words first, then lexicographic
-        return (len(self.letters), self.letters) < (len(other.letters), other.letters)
+    @property
+    def letters(self) -> Word:
+        """The letters as a plain tuple."""
+        return tuple(self)
 
     def __repr__(self):
-        return f"LyndonWord{self.letters}"
+        return f"LyndonWord{tuple.__repr__(self)}"
 
 
 @dataclass(frozen=True)
@@ -87,7 +77,7 @@ class RelativeSpec:
             raise DomainError("vertical index out of range for the chart")
 
 
-class FreeLRElem:
+class FreeLRElem(_Module):
     """A-combination of Lyndon bracket monomials: sum f_w * b(w)."""
 
     __slots__ = ("chart", "terms")
@@ -101,8 +91,8 @@ class FreeLRElem:
                 raise ChartMismatchError("coefficient lives on a different chart")
             if len(w) > chart.max_degree:
                 raise DegreeOverflowError(len(w), chart.max_degree)
-            if any(a >= chart.dim for a in w.letters):
-                raise DomainError(f"generator index in {w.letters} out of range")
+            if any(a >= chart.dim for a in w):
+                raise DomainError(f"generator index in {tuple(w)} out of range")
             if not p.is_zero():
                 clean[w] = p
         object.__setattr__(self, "chart", chart)
@@ -116,8 +106,15 @@ class FreeLRElem:
         object.__setattr__(self, "terms", terms)
         return self
 
-    def __setattr__(self, name, value):
-        raise AttributeError("FreeLRElem is immutable")
+    def _like(self, terms: dict[LyndonWord, Poly]) -> "FreeLRElem":
+        return FreeLRElem._make(self.chart, terms)
+
+    def _space(self):
+        return self.chart
+
+    def _check(self, other: "FreeLRElem"):
+        if self.chart != other.chart:
+            raise ChartMismatchError("elements live on different charts")
 
     @classmethod
     def zero(cls, chart: ChartSpec) -> "FreeLRElem":
@@ -133,46 +130,12 @@ class FreeLRElem:
             raise ChartMismatchError("field lives on a different chart")
         return cls(chart, {LyndonWord((i,)): v.coeffs[i] for i in range(v.dim)})
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def is_classical(self) -> bool:
         """True when only length-1 words occur, i.e. the element is a vector field."""
         return all(len(w) == 1 for w in self.terms)
 
     def max_length(self) -> int:
         return max((len(w) for w in self.terms), default=0)
-
-    def __add__(self, other):
-        if not isinstance(other, FreeLRElem):
-            return NotImplemented
-        _check_chart(self, other)
-        return FreeLRElem._make(self.chart, _accumulate(dict(self.terms), other.terms.items()))
-
-    def __sub__(self, other):
-        if not isinstance(other, FreeLRElem):
-            return NotImplemented
-        return self + (-other)
-
-    def __neg__(self):
-        return FreeLRElem._make(self.chart, {w: -p for w, p in self.terms.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction, Poly)):
-            terms = {w: p * other for w, p in self.terms.items()}
-            # Q[x0..x{n-1}] has no zero divisors: a product vanishes only for other == 0
-            return FreeLRElem._make(self.chart, terms if other else {})
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        if not isinstance(other, FreeLRElem):
-            return NotImplemented
-        return self.chart == other.chart and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.chart, tuple(sorted(self.terms.items(), key=lambda t: t[0].letters))))
 
     @staticmethod
     def _word_str(word: Word) -> str:
@@ -183,20 +146,15 @@ class FreeLRElem:
 
     def __str__(self):
         # long monomials first, then lexicographic, matching F[..] nesting depth
-        order = sorted(self.terms, key=lambda w: (-len(w), w.letters))
-        return render_combination((self.terms[w], self._word_str(w.letters)) for w in order)
+        order = sorted(self.terms, key=lambda w: (-len(w), w))
+        return render_combination((self.terms[w], self._word_str(w)) for w in order)
 
     def __repr__(self):
         return f"FreeLRElem({self})"
 
     def to_json(self):
-        order = sorted(self.terms, key=lambda w: (len(w), w.letters))
-        return [{"word": list(w.letters), "coeff": str(self.terms[w])} for w in order]
-
-
-def _check_chart(u: FreeLRElem, v: FreeLRElem):
-    if u.chart != v.chart:
-        raise ChartMismatchError("elements live on different charts")
+        order = sorted(self.terms, key=lambda w: (len(w), w))
+        return [{"word": list(w), "coeff": str(self.terms[w])} for w in order]
 
 
 def lyndon_basis(n: int, d: int) -> list[LyndonWord]:
@@ -213,11 +171,11 @@ def _drop_vertical(elem: FreeLRElem, vertical: frozenset[int]) -> FreeLRElem:
     kept = {
         w: p
         for w, p in elem.terms.items()
-        if len(w) == 1 or not (set(w.letters) & vertical)
+        if len(w) == 1 or not (set(w) & vertical)
     }
     if len(kept) == len(elem.terms):
         return elem
-    return FreeLRElem(elem.chart, kept)
+    return elem._like(kept)
 
 
 def anchor_apply(u: FreeLRElem, f: Poly) -> Poly:
@@ -231,7 +189,7 @@ def anchor_apply(u: FreeLRElem, f: Poly) -> Poly:
     out = Poly.zero(f.dim)
     for w, p in u.terms.items():
         if len(w) == 1:
-            out = out + p * f.derive(w.letters[0])
+            out = out + p * f.derive(w[0])
     return out
 
 
@@ -242,7 +200,7 @@ def project_to_lie(u: FreeLRElem) -> VField:
     zero and the projection keeps exactly the degree-1 part.
     """
     zero = Poly.zero(u.chart.dim)
-    return VField([u.terms.get(LyndonWord._make((i,)), zero) for i in range(u.chart.dim)])
+    return VField([u.terms.get((i,), zero) for i in range(u.chart.dim)])
 
 
 def free_bracket(u: FreeLRElem, v: FreeLRElem, spec: RelativeSpec | None = None) -> FreeLRElem:
@@ -252,7 +210,7 @@ def free_bracket(u: FreeLRElem, v: FreeLRElem, spec: RelativeSpec | None = None)
     with the bare monomial bracket rewritten into the Lyndon basis, then
     reduces vertical monomials when a RelativeSpec is given.
     """
-    _check_chart(u, v)
+    u._check(v)
     chart = u.chart
     vertical = spec.vertical if spec else frozenset()
     if spec and spec.chart != chart:
@@ -263,24 +221,23 @@ def free_bracket(u: FreeLRElem, v: FreeLRElem, spec: RelativeSpec | None = None)
     pairs: list[tuple[Word, Poly]] = []
     for w1, f in u.terms.items():
         for w2, g in v.terms.items():
-            letters1, letters2 = w1.letters, w2.letters
             # bare monomial bracket; in the relative algebra any long word
             # containing a vertical letter is zero, so skip those wholesale
-            if not (set(letters1) | set(letters2)) & vertical:
+            if not (set(w1) | set(w2)) & vertical:
                 fg = f * g
-                for word, c in lyndon.monomial_bracket(letters1, letters2).items():
+                for word, c in lyndon.monomial_bracket(w1, w2).items():
                     if len(word) > chart.max_degree:
                         raise DegreeOverflowError(len(word), chart.max_degree)
                     pairs.append((word, fg * c))
             # Leibniz corrections through the anchor
-            if len(letters1) == 1:
-                p = f * g.derive(letters1[0])
+            if len(w1) == 1:
+                p = f * g.derive(w1[0])
                 if p:
-                    pairs.append((letters2, p))
-            if len(letters2) == 1:
-                p = g * f.derive(letters2[0])
+                    pairs.append((w2, p))
+            if len(w2) == 1:
+                p = g * f.derive(w2[0])
                 if p:
-                    pairs.append((letters1, -p))
+                    pairs.append((w1, -p))
 
     # monomial_bracket returns Lyndon coordinates, so every word is Lyndon
     acc = _accumulate({}, pairs)
@@ -294,11 +251,11 @@ def lie_bracket_ext(u: FreeLRElem, v: FreeLRElem) -> FreeLRElem:
     free monomial F[y,z] the first argument acts as a derivation; a long
     first argument against a degree-1 second is lowered by antisymmetry.
     """
-    _check_chart(u, v)
+    u._check(v)
     acc: dict[LyndonWord, Poly] = {}
     for w1, f in u.terms.items():
         for w2, g in v.terms.items():
-            _accumulate(acc, _lie_term(u.chart, f, w1.letters, g, w2.letters).terms.items())
+            _accumulate(acc, _lie_term(u.chart, f, w1, g, w2).terms.items())
     return FreeLRElem._make(u.chart, acc)
 
 

@@ -22,7 +22,6 @@ flavors equal outside components containing {i, j}.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable, Mapping, Sequence
 
@@ -45,25 +44,6 @@ Subset = frozenset[int]
 # index sets and their splittings, and `trivial?` runs k(k-1)/2 of them, so
 # the cost grows faster than 2^k; every arity in the checks is at most 6.
 MAX_ACTION_ARITY = 8
-
-
-@dataclass(frozen=True)
-class Transposition:
-    """The swap of two slot indices i < j."""
-
-    i: int
-    j: int
-
-    def __post_init__(self):
-        if not 0 <= self.i < self.j:
-            raise DomainError(f"need 0 <= i < j, got ({self.i}, {self.j})")
-
-    def apply(self, x: int) -> int:
-        if x == self.i:
-            return self.j
-        if x == self.j:
-            return self.i
-        return x
 
 
 def _subset_key(s: Subset) -> tuple[int, ...]:
@@ -283,22 +263,23 @@ def _all_subsets(k: int):
         yield from (frozenset(c) for c in combinations(range(k), size))
 
 
-def _act_by_permutation(nu: KField, sigma: Callable[[int], int], flavor: str) -> KField:
-    """One application of the swap-action formula for an involutive sigma."""
+def _act_by_transposition(nu: KField, i: int, j: int, flavor: str) -> KField:
+    """One application of the swap-action formula for the transposition (i j)."""
     k = nu.arity
     if k > MAX_ACTION_ARITY:
         raise DomainError(f"arity {k} exceeds the swap-action budget of {MAX_ACTION_ARITY}")
     bracket = _bracket_for(flavor)
+    swap = {i: j, j: i}
     comps: dict[Subset, FreeLRElem] = {}
     for phi in _all_subsets(k):
-        image = frozenset(sigma(x) for x in phi)
+        image = frozenset(swap.get(x, x) for x in phi)
         if image != phi:
             elem = nu.component(image)
         else:
             elem = nu.component(phi)
             for part1, part2 in _oriented_decompositions(phi):
-                if _subset_key(frozenset(sigma(x) for x in part1)) > _subset_key(
-                    frozenset(sigma(x) for x in part2)
+                if _subset_key(frozenset(swap.get(x, x) for x in part1)) > _subset_key(
+                    frozenset(swap.get(x, x) for x in part2)
                 ):
                     a, b = nu.components.get(part1), nu.components.get(part2)
                     if a is not None and b is not None:
@@ -336,8 +317,7 @@ def act(word: Sequence[int], nu: KField, flavor: str = "free") -> KField:
     for i in word:
         if not isinstance(i, int) or not 0 <= i < k - 1:
             raise DomainError(f"malformed word: generator index {i!r} at arity {k}")
-        swap = Transposition(i, i + 1)
-        out = _act_by_permutation(out, swap.apply, flavor)
+        out = _act_by_transposition(out, i, i + 1, flavor)
     return out
 
 
@@ -350,7 +330,7 @@ def act_transposition(nu: KField, i: int, j: int, flavor: str = "free") -> KFiel
     k = nu.arity
     if not 0 <= i < j < k:
         raise DomainError(f"need 0 <= i < j < arity, got ({i}, {j}) at arity {k}")
-    return _act_by_permutation(nu, Transposition(i, j).apply, flavor)
+    return _act_by_transposition(nu, i, j, flavor)
 
 
 def homotopy(nu: KField, i: int, j: int) -> KField:

@@ -88,9 +88,15 @@ def bindable(name: str) -> bool:
 
 
 class _Parser:
+    # Deepest nesting of parentheses, F[..] brackets, call arguments and K
+    # literal components: each level costs several Python frames, so without
+    # a budget deep input would end in a RecursionError.
+    MAX_NESTING = 100
+
     def __init__(self, src: str, session: Session):
         self.tokens = _tokenize(src)
         self.pos = 0
+        self.depth = 0
         self.session = session
 
     @property
@@ -121,11 +127,16 @@ class _Parser:
         return value
 
     def sum(self):
+        # every nested subexpression is parsed by a call of sum
+        self.depth += 1
+        if self.depth > self.MAX_NESTING:
+            self._error(f"expression nests deeper than the parser budget of {self.MAX_NESTING} levels")
         value = self.product()
         while self.current.kind == "op" and self.current.text in "+-":
             op = self._advance().text
             rhs = self.product()
             value = _add(value, rhs if op == "+" else _neg(rhs), self.session.chart)
+        self.depth -= 1
         return value
 
     def product(self):
@@ -136,10 +147,14 @@ class _Parser:
         return value
 
     def unary(self):
-        if self.current.kind == "op" and self.current.text == "-":
+        signs = 0
+        while self.current.kind == "op" and self.current.text == "-":
             self._advance()
-            return _neg(self.unary())
-        return self.power()
+            signs += 1
+        value = self.power()
+        for _ in range(signs):
+            value = _neg(value)
+        return value
 
     def power(self):
         value = self.atom()

@@ -13,10 +13,9 @@ the shifted degree is bookkeeping only, exposed through `degree`.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Mapping
 
-from .chart_algebra import Poly, VField, _accumulate, render_combination
+from .chart_algebra import Poly, VField, _accumulate, _Module, render_combination
 from .errors import ChartMismatchError, DomainError
 
 IndexTuple = tuple[int, ...]
@@ -38,7 +37,7 @@ def _sort_with_sign(indices: tuple[int, ...]) -> tuple[IndexTuple, int] | None:
     return tuple(idx), sign
 
 
-class Polyvector:
+class Polyvector(_Module):
     """Sum of wedge monomials coeff * d_{i1} ^ ... ^ d_{ik}, grades k >= 1."""
 
     __slots__ = ("dim", "terms")
@@ -61,52 +60,34 @@ class Polyvector:
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "terms", _accumulate({}, pairs))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Polyvector is immutable")
+    @classmethod
+    def _make(cls, dim: int, terms: dict[IndexTuple, Poly]) -> "Polyvector":
+        """Wrap a canonical dict: increasing nonempty index tuples within dim, nonzero Polys."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "terms", terms)
+        return self
+
+    def _like(self, terms: dict[IndexTuple, Poly]) -> "Polyvector":
+        return Polyvector._make(self.dim, terms)
+
+    def _space(self):
+        return self.dim
+
+    def _check(self, other: "Polyvector"):
+        if self.dim != other.dim:
+            raise ChartMismatchError("polyvectors live on different charts")
 
     @classmethod
     def zero(cls, dim: int) -> "Polyvector":
-        return cls(dim, {})
+        return cls._make(dim, {})
 
     @classmethod
     def from_vfield(cls, v: VField) -> "Polyvector":
         return cls(v.dim, {(i,): v.coeffs[i] for i in range(v.dim)})
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def grades(self) -> set[int]:
         return {len(idx) for idx in self.terms}
-
-    def __add__(self, other):
-        if not isinstance(other, Polyvector):
-            return NotImplemented
-        if self.dim != other.dim:
-            raise ChartMismatchError("polyvectors live on different charts")
-        return Polyvector(self.dim, _accumulate(dict(self.terms), other.terms.items()))
-
-    def __sub__(self, other):
-        if not isinstance(other, Polyvector):
-            return NotImplemented
-        return self + (-other)
-
-    def __neg__(self):
-        return Polyvector(self.dim, {i: -p for i, p in self.terms.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction, Poly)):
-            return Polyvector(self.dim, {i: p * other for i, p in self.terms.items()})
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        if not isinstance(other, Polyvector):
-            return NotImplemented
-        return self.dim == other.dim and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.dim, tuple(sorted(self.terms.items()))))
 
     def __str__(self):
         order = sorted(self.terms, key=lambda i: (len(i), i))
@@ -128,8 +109,7 @@ class Polyvector:
 
 def wedge(p: Polyvector, q: Polyvector) -> Polyvector:
     """Alternating A-multilinear product; adds -1 in cohomological degree."""
-    if p.dim != q.dim:
-        raise ChartMismatchError("polyvectors live on different charts")
+    p._check(q)
     pairs = []
     for i1, c1 in p.terms.items():
         for i2, c2 in q.terms.items():
@@ -137,7 +117,7 @@ def wedge(p: Polyvector, q: Polyvector) -> Polyvector:
             if norm is not None:
                 key, sign = norm
                 pairs.append((key, c1 * c2 if sign == 1 else -(c1 * c2)))
-    return Polyvector(p.dim, _accumulate({}, pairs))
+    return Polyvector._make(p.dim, _accumulate({}, pairs))
 
 
 def schouten(p: Polyvector, q: Polyvector) -> Polyvector:
@@ -151,8 +131,7 @@ def schouten(p: Polyvector, q: Polyvector) -> Polyvector:
 
     extended bilinearly.
     """
-    if p.dim != q.dim:
-        raise ChartMismatchError("polyvectors live on different charts")
+    p._check(q)
     pairs = []
     for i1, f in p.terms.items():
         for i2, g in q.terms.items():
@@ -168,7 +147,7 @@ def schouten(p: Polyvector, q: Polyvector) -> Polyvector:
                 if coeff:
                     key, perm_sign = norm
                     pairs.append((key, coeff if sign * perm_sign == 1 else -coeff))
-    return Polyvector(p.dim, _accumulate({}, pairs))
+    return Polyvector._make(p.dim, _accumulate({}, pairs))
 
 
 def degree(p: Polyvector) -> int:

@@ -20,11 +20,10 @@ full first-block monomial e_0...e_{k-1}.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import combinations
 from typing import Callable, Mapping, Sequence
 
-from .chart_algebra import ChartSpec, Poly, VField, _accumulate, vf_apply
+from .chart_algebra import ChartSpec, Poly, VField, _accumulate, _Module, vf_apply
 from .errors import (
     ArityMismatchError,
     ChartMismatchError,
@@ -37,16 +36,16 @@ from .groupoid import KField, _subset_key
 Subset = frozenset[int]
 
 
-class WeilElem:
+class WeilElem(_Module):
     """Element of W_k over the chart ring: map from subsets to Poly parts."""
 
-    __slots__ = ("arity", "dim", "parts")
+    __slots__ = ("arity", "dim", "terms")
 
-    def __init__(self, arity: int, dim: int, parts: Mapping[Subset, Poly] | None = None):
+    def __init__(self, arity: int, dim: int, terms: Mapping[Subset, Poly] | None = None):
         if arity < 0:
             raise DomainError("arity must be >= 0")
         clean: dict[Subset, Poly] = {}
-        for phi, p in (parts or {}).items():
+        for phi, p in (terms or {}).items():
             phi = frozenset(phi)
             if any(i < 0 or i >= arity for i in phi):
                 raise DomainError(f"generator index in {sorted(phi)} out of range for arity {arity}")
@@ -56,19 +55,28 @@ class WeilElem:
                 clean[phi] = p
         object.__setattr__(self, "arity", arity)
         object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "parts", clean)
+        object.__setattr__(self, "terms", clean)
 
     @classmethod
-    def _make(cls, arity: int, dim: int, parts: dict[Subset, Poly]) -> "WeilElem":
+    def _make(cls, arity: int, dim: int, terms: dict[Subset, Poly]) -> "WeilElem":
         """Wrap a canonical dict: frozensets within the arity, nonzero Polys on the chart."""
         self = object.__new__(cls)
         object.__setattr__(self, "arity", arity)
         object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "parts", parts)
+        object.__setattr__(self, "terms", terms)
         return self
 
-    def __setattr__(self, name, value):
-        raise AttributeError("WeilElem is immutable")
+    def _like(self, terms: dict[Subset, Poly]) -> "WeilElem":
+        return WeilElem._make(self.arity, self.dim, terms)
+
+    def _space(self):
+        return self.arity, self.dim
+
+    def _check(self, other: "WeilElem"):
+        if self.arity != other.arity:
+            raise ArityMismatchError(f"arities differ: {self.arity} vs {other.arity}")
+        if self.dim != other.dim:
+            raise ChartMismatchError("elements live on different charts")
 
     @classmethod
     def zero(cls, arity: int, dim: int) -> "WeilElem":
@@ -87,43 +95,16 @@ class WeilElem:
         return cls(arity, p.dim, {frozenset(): p})
 
     def part(self, phi) -> Poly:
-        return self.parts.get(frozenset(phi), Poly.zero(self.dim))
-
-    def is_zero(self) -> bool:
-        return not self.parts
-
-    def __add__(self, other):
-        if not isinstance(other, WeilElem):
-            return NotImplemented
-        self._check(other)
-        return WeilElem._make(self.arity, self.dim, _accumulate(dict(self.parts), other.parts.items()))
-
-    def __sub__(self, other):
-        if not isinstance(other, WeilElem):
-            return NotImplemented
-        return self + (-other)
-
-    def __neg__(self):
-        return WeilElem._make(self.arity, self.dim, {phi: -p for phi, p in self.parts.items()})
-
-    def _check(self, other):
-        if self.arity != other.arity:
-            raise ArityMismatchError(f"arities differ: {self.arity} vs {other.arity}")
-        if self.dim != other.dim:
-            raise ChartMismatchError("elements live on different charts")
+        return self.terms.get(frozenset(phi), Poly.zero(self.dim))
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, Poly)):
-            parts = {phi: p * other for phi, p in self.parts.items()}
-            # Q[x0..x{n-1}] has no zero divisors: a product vanishes only for other == 0
-            return WeilElem._make(self.arity, self.dim, parts if other else {})
         if not isinstance(other, WeilElem):
-            return NotImplemented
+            return super().__mul__(other)
         self._check(other)
         pairs = (
             (phi | psi, p * q)
-            for phi, p in self.parts.items()
-            for psi, q in other.parts.items()
+            for phi, p in self.terms.items()
+            for psi, q in other.terms.items()
             if not phi & psi
         )
         return WeilElem._make(self.arity, self.dim, _accumulate({}, pairs))
@@ -138,14 +119,6 @@ class WeilElem:
             result = result * self
         return result
 
-    def __eq__(self, other):
-        if not isinstance(other, WeilElem):
-            return NotImplemented
-        return self.arity == other.arity and self.dim == other.dim and self.parts == other.parts
-
-    def __hash__(self):
-        return hash((self.arity, self.dim, tuple(sorted(self.parts.items(), key=lambda t: _subset_key(t[0])))))
-
     def set_generator_zero(self, i: int) -> "WeilElem":
         """Quotient by e_i = 0: drop subsets containing i and reindex the rest."""
         if not 0 <= i < self.arity:
@@ -157,7 +130,7 @@ class WeilElem:
             self.dim,
             {
                 frozenset(reindex[x] for x in phi): p
-                for phi, p in self.parts.items()
+                for phi, p in self.terms.items()
                 if i not in phi
             },
         )
@@ -167,16 +140,16 @@ class WeilElem:
         return WeilElem(
             new_arity,
             self.dim,
-            {frozenset(x + offset for x in phi): p for phi, p in self.parts.items()},
+            {frozenset(x + offset for x in phi): p for phi, p in self.terms.items()},
         )
 
     def __str__(self):
-        if not self.parts:
+        if not self.terms:
             return "0"
         chunks = []
-        for phi in sorted(self.parts, key=lambda s: (len(s), _subset_key(s))):
+        for phi in sorted(self.terms, key=lambda s: (len(s), _subset_key(s))):
             mono = "".join(f"e{i}" for i in sorted(phi)) or "1"
-            chunks.append(f"({self.parts[phi]})*{mono}" if phi else f"({self.parts[phi]})")
+            chunks.append(f"({self.terms[phi]})*{mono}" if phi else f"({self.terms[phi]})")
         return " + ".join(chunks)
 
     def __repr__(self):
@@ -185,7 +158,7 @@ class WeilElem:
     def to_json(self):
         return {
             ",".join(map(str, sorted(phi))): str(p)
-            for phi, p in sorted(self.parts.items(), key=lambda t: (len(t[0]), _subset_key(t[0])))
+            for phi, p in sorted(self.terms.items(), key=lambda t: (len(t[0]), _subset_key(t[0])))
         }
 
 

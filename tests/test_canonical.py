@@ -8,10 +8,25 @@ validating public constructor would have built from the same data.
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from igc import ChartSpec, FreeLRElem, LyndonWord, Poly, RelativeSpec, WeilElem, free_bracket, lie_bracket_ext
+from igc import (
+    ArityMismatchError,
+    ChartMismatchError,
+    ChartSpec,
+    FreeLRElem,
+    LyndonWord,
+    Poly,
+    Polyvector,
+    RelativeSpec,
+    WeilElem,
+    free_bracket,
+    lie_bracket_ext,
+    schouten,
+    wedge,
+)
 from igc.lyndon import is_lyndon
 
 DIM = 2
@@ -19,6 +34,8 @@ CHART = ChartSpec(DIM, 4)
 ARITY = 3
 WORDS = [(0,), (1,), (0, 1)]
 SUBSETS = [frozenset(s) for s in [(), (0,), (1,), (2,), (0, 1), (0, 2), (1, 2), (0, 1, 2)]]
+# (1, 0) and (0, 1) name the same monomial up to sign, so they collide too
+INDEX_TUPLES = [(0,), (1,), (0, 1), (1, 0)]
 
 # few monomials and small coefficients, so that sums and products collide and cancel
 coeffs = st.builds(Fraction, st.integers(-2, 2), st.integers(1, 2))
@@ -27,6 +44,7 @@ polys = st.dictionaries(exponents, coeffs, max_size=4).map(lambda t: Poly(DIM, t
 scalars = st.one_of(st.integers(-2, 2), coeffs, polys)
 elems = st.dictionaries(st.sampled_from(WORDS), polys, max_size=3).map(lambda t: FreeLRElem(CHART, t))
 weils = st.dictionaries(st.sampled_from(SUBSETS), polys, max_size=4).map(lambda t: WeilElem(ARITY, DIM, t))
+pvs = st.dictionaries(st.sampled_from(INDEX_TUPLES), polys, max_size=4).map(lambda t: Polyvector(DIM, t))
 specs = st.sets(st.integers(0, DIM - 1)).map(lambda v: RelativeSpec(CHART, frozenset(v)))
 
 
@@ -48,15 +66,28 @@ def assert_canonical_elem(u: FreeLRElem):
         assert not p.is_zero()
         assert_canonical_poly(p)
     assert FreeLRElem(u.chart, u.terms) == u
+    assert hash(FreeLRElem(u.chart, u.terms)) == hash(u)
 
 
 def assert_canonical_weil(a: WeilElem):
     assert (a.arity, a.dim) == (ARITY, DIM)
-    for phi, p in a.parts.items():
+    for phi, p in a.terms.items():
         assert type(phi) is frozenset and all(0 <= i < ARITY for i in phi)
         assert not p.is_zero()
         assert_canonical_poly(p)
-    assert WeilElem(a.arity, a.dim, a.parts) == a
+    assert WeilElem(a.arity, a.dim, a.terms) == a
+    assert hash(WeilElem(a.arity, a.dim, a.terms)) == hash(a)
+
+
+def assert_canonical_pv(p: Polyvector):
+    assert p.dim == DIM
+    for idx, c in p.terms.items():
+        assert type(idx) is tuple and idx and all(type(i) is int for i in idx)
+        assert list(idx) == sorted(set(idx)) and all(0 <= i < DIM for i in idx)
+        assert not c.is_zero()
+        assert_canonical_poly(c)
+    assert Polyvector(p.dim, p.terms) == p
+    assert hash(Polyvector(p.dim, p.terms)) == hash(p)
 
 
 @settings(max_examples=300, deadline=None)
@@ -73,6 +104,8 @@ def test_poly_results_are_canonical(f, g, c, i):
 def test_free_lr_results_are_canonical(u, v, c, spec):
     for result in (u + v, u - v, -u, u * c, c * u, u - u):
         assert_canonical_elem(result)
+    # the sum's terms arrive in another order, but equal values hash equal
+    assert u + v == v + u and hash(u + v) == hash(v + u)
     assert_canonical_elem(free_bracket(u, v))
     assert_canonical_elem(free_bracket(u, u))
     assert_canonical_elem(free_bracket(u, v, spec))
@@ -85,3 +118,35 @@ def test_free_lr_results_are_canonical(u, v, c, spec):
 def test_weil_results_are_canonical(a, b, c):
     for result in (a + b, a - b, -a, a * b, b * a, a * a, a * c, c * a, a - a):
         assert_canonical_weil(result)
+    assert a + b == b + a and hash(a + b) == hash(b + a)
+
+
+@settings(max_examples=200, deadline=None)
+@given(pvs, pvs, scalars)
+def test_polyvector_results_are_canonical(p, q, c):
+    for result in (p + q, p - q, -p, p * c, c * p, p - p, wedge(p, q), wedge(p, p), schouten(p, q), schouten(p, p)):
+        assert_canonical_pv(result)
+    assert p + q == q + p and hash(p + q) == hash(q + p)
+
+
+def test_mixed_modules_neither_add_nor_compare_equal():
+    one = Poly.const(DIM, 1)
+    u = FreeLRElem.generator(CHART, 0)
+    for chart in (ChartSpec(3, 4), ChartSpec(DIM, 5)):
+        with pytest.raises(ChartMismatchError):
+            u + FreeLRElem.generator(chart, 0)
+    assert FreeLRElem.zero(CHART) != FreeLRElem.zero(ChartSpec(DIM, 5))
+    a = WeilElem.unit(ARITY, DIM)
+    with pytest.raises(ArityMismatchError):
+        a + WeilElem.unit(ARITY + 1, DIM)
+    with pytest.raises(ChartMismatchError):
+        a - WeilElem.unit(ARITY, DIM + 1)
+    assert WeilElem.zero(ARITY, DIM) != WeilElem.zero(ARITY + 1, DIM)
+    p = Polyvector(DIM, {(0,): one})
+    with pytest.raises(ChartMismatchError):
+        p + Polyvector(DIM + 1, {(0,): Poly.const(DIM + 1, 1)})
+    assert Polyvector.zero(DIM) != Polyvector.zero(DIM + 1)
+    # elements of different modules neither add nor compare equal
+    with pytest.raises(TypeError):
+        u + p
+    assert u != p and p != FreeLRElem(CHART, {(0,): one})

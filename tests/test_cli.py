@@ -132,6 +132,25 @@ def test_parse_kfield_literal_rejects_repeated_index_set():
     assert r.stderr == "igc: parse error: repeated index set 0 (line 1, column 19)\n"
 
 
+def test_deep_nesting_hits_the_parser_budget():
+    from igc.parsing import _Parser
+
+    message = f"expression nests deeper than the parser budget of {_Parser.MAX_NESTING} levels"
+    for expr in ("(" * 400 + "d0" + ")" * 400, "F[d0," * 170 + "d1" + "]" * 170, "cup(" * 150 + "d0" + ")" * 150):
+        r = run(["--dim", "2", "bracket", "lie", expr, "d0"])
+        assert r.returncode == 1 and r.stdout == ""
+        assert r.stderr.startswith(f"igc: parse error: {message} (line 1, column ")
+    # below the budget the value is read as before
+    depth = _Parser.MAX_NESTING - 1
+    assert parse_expression("(" * depth + "d0" + ")" * depth, session()) == parse_expression("d0", session())
+
+
+def test_unary_minus_chains():
+    for expr, want in (("--d0", "d0"), ("-(-(d0))", "d0"), ("-" * 990 + "d0", "d0"), ("-" * 991 + "x0*d1", "-x0*d1")):
+        r = run(["--dim", "2", "reduce", expr])
+        assert (r.returncode, r.stdout, r.stderr) == (0, want + "\n", "")
+
+
 # run_command ------------------------------------------------------------------
 
 

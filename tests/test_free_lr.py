@@ -74,6 +74,15 @@ def test_lyndon_word_validation():
         LyndonWord(())
 
 
+def test_lyndon_word_is_its_letter_tuple():
+    w = LyndonWord((0, 1))
+    assert w == (0, 1) and hash(w) == hash((0, 1))
+    assert type(w.letters) is tuple and w.letters == (0, 1)
+    assert FreeLRElem(CHART, {w: X0}).terms[(0, 1)] == X0
+    with pytest.raises(AttributeError):
+        w.letters = (1,)
+
+
 def test_standard_bracketing_is_triangular():
     # expansion of b(w) starts at w itself with coefficient 1
     for n, d in ((2, 3), (2, 4), (3, 3)):
