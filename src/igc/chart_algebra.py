@@ -1,10 +1,13 @@
 """Exact arithmetic on one global coordinate chart R^n.
 
-`Poly` is a sparse multivariate polynomial over Q: a dict from exponent
-tuples to nonzero `Fraction` coefficients, so structural equality is
-mathematical equality.  `VField` is a derivation sum_i a_i*d_i with `Poly`
-coefficients.  All values are immutable after construction and all
-operations are pure, so everything is safe to share between threads.
+`Poly` is a sparse multivariate polynomial over Q, stored fraction-free: a
+dict from exponent tuples to nonzero int numerators over one positive common
+denominator, reduced so that no prime divides the denominator and every
+numerator.  The form is unique, so structural equality is mathematical
+equality, and arithmetic works on ints with one gcd per result.  `VField` is
+a derivation sum_i a_i*d_i with `Poly` coefficients.  All values are
+immutable after construction and all operations are pure, so everything is
+safe to share between threads.
 
 The canonical term order used for printing is graded lexicographic on
 exponent vectors, largest first.
@@ -14,7 +17,8 @@ Validation happens at the public boundary.  The public constructors (here
 `LyndonWord(...)` in their modules) check and normalize whatever they are
 given.  Results that a class computes itself from canonical operands, the
 sums, products, derivatives, brackets and wedges, are canonical by
-construction and are wrapped by the private `_make` without a second check.
+construction and are wrapped by the private `_make` (for `Poly`, `_poly`
+and `_reduced`, which cancels the one common factor) without a second check.
 The three free A-modules (`FreeLRElem`, `WeilElem`, `Polyvector`) share
 their module operations through `_Module`; each keeps its own constructors,
 mismatch errors, products and printing.
@@ -22,10 +26,12 @@ mismatch errors, products and printing.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from operator import add
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from .errors import ChartMismatchError, DomainError
 
@@ -47,9 +53,17 @@ class ChartSpec:
 
 
 class Poly:
-    """Polynomial in Q[x0..x{n-1}], stored as {exponent tuple: Fraction}."""
+    """Polynomial in Q[x0..x{n-1}], stored fraction-free as num/den.
 
-    __slots__ = ("dim", "terms", "_hash")
+    `num` maps exponent tuples to nonzero ints and `den` is a positive int
+    sharing no factor with all of them, so each value has one representation.
+    `terms` is the read-only {exponent tuple: Fraction} view of the same data.
+    """
+
+    __slots__ = ("dim", "num", "den")
+
+    # most term products one multiplication inside `**` may form
+    MAX_POW_PRODUCTS = 100_000
 
     def __init__(self, dim: int, terms: Mapping[Exponent, Fraction | int] | None = None):
         if dim < 1:
@@ -63,76 +77,75 @@ class Poly:
                 raise DomainError(f"coefficient {coeff!r} is not an integer or a Fraction")
             if coeff:
                 clean[exps] = Fraction(coeff)
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "terms", clean)
-        object.__setattr__(self, "_hash", None)
-
-    @classmethod
-    def _make(cls, dim: int, terms: dict[Exponent, Fraction]) -> "Poly":
-        """Wrap a canonical dict: int exponent tuples of length dim, nonzero Fractions."""
-        self = object.__new__(cls)
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "terms", terms)
-        object.__setattr__(self, "_hash", None)
-        return self
+        # over the lcm of the reduced denominators no prime divides every numerator
+        den = lcm(*(c.denominator for c in clean.values()))
+        _set_dim(self, dim)
+        _set_num(self, {e: c.numerator * (den // c.denominator) for e, c in clean.items()})
+        _set_den(self, den)
 
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
 
+    @property
+    def terms(self) -> Mapping[Exponent, Fraction]:
+        return _Terms(self.num, self.den)
+
     @classmethod
     def zero(cls, dim: int) -> "Poly":
-        return cls._make(dim, {})
+        return _poly(dim, {}, 1)
 
     @classmethod
     def const(cls, dim: int, value) -> "Poly":
+        if (type(value) is int or type(value) is Fraction) and dim >= 1:
+            return _poly(dim, {(0,) * dim: value.numerator} if value else {}, value.denominator)
         return cls(dim, {(0,) * dim: value})
 
     @classmethod
     def var(cls, dim: int, i: int) -> "Poly":
         if not 0 <= i < dim:
             raise DomainError(f"variable index {i} out of range for dimension {dim}")
-        exps = tuple(1 if j == i else 0 for j in range(dim))
-        return cls(dim, {exps: Fraction(1)})
+        return _poly(dim, {tuple(1 if j == i else 0 for j in range(dim)): 1}, 1)
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.num
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self.num)
 
     def as_constant(self) -> Fraction | None:
         """The value of a constant polynomial, else None."""
-        if not self.terms:
+        if not self.num:
             return Fraction(0)
-        if len(self.terms) == 1:
-            ((exps, c),) = self.terms.items()
-            if all(e == 0 for e in exps):
-                return c
+        if len(self.num) == 1:
+            ((exps, c),) = self.num.items()
+            if not any(exps):
+                return Fraction(c, self.den)
         return None
 
     def total_degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=0)
+        return max((sum(e) for e in self.num), default=0)
 
     def evaluate(self, point: Sequence[Fraction | int]) -> Fraction:
         if len(point) != self.dim:
             raise ChartMismatchError("evaluation point has wrong dimension")
         pt = [Fraction(p) for p in point]
         total = Fraction(0)
-        for exps, c in self.terms.items():
-            val = c
+        for exps, c in self.num.items():
+            val = Fraction(c)
             for x, e in zip(pt, exps):
                 if e:
                     val *= x**e
             total += val
-        return total
+        return total / self.den
 
     def derive(self, i: int) -> "Poly":
         if not 0 <= i < self.dim:
             raise DomainError(f"derivation index {i} out of range for dimension {self.dim}")
         # lowering exponent i is injective on the terms it keeps
-        return Poly._make(
+        return _reduced(
             self.dim,
-            {exps[:i] + (exps[i] - 1,) + exps[i + 1 :]: c * exps[i] for exps, c in self.terms.items() if exps[i]},
+            {exps[:i] + (exps[i] - 1,) + exps[i + 1 :]: c * exps[i] for exps, c in self.num.items() if exps[i]},
+            self.den,
         )
 
     def _lift(self, other) -> "Poly | None":
@@ -148,12 +161,22 @@ class Poly:
         o = self._lift(other)
         if o is None:
             return NotImplemented
-        return Poly._make(self.dim, _accumulate(dict(self.terms), o.terms.items()))
+        if not o.num:
+            return self
+        if not self.num:
+            return o
+        a, b = self.den, o.den
+        if a == b:
+            return _reduced(self.dim, _accumulate(dict(self.num), o.num.items()), a)
+        g = gcd(a, b)
+        sa, sb = b // g, a // g
+        acc = {e: c * sa for e, c in self.num.items()}
+        return _reduced(self.dim, _accumulate(acc, [(e, c * sb) for e, c in o.num.items()]), a * sa)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly._make(self.dim, {e: -c for e, c in self.terms.items()})
+        return _poly(self.dim, {e: -c for e, c in self.num.items()}, self.den)
 
     def __sub__(self, other):
         o = self._lift(other)
@@ -168,15 +191,29 @@ class Poly:
         return o + (-self)
 
     def __mul__(self, other):
+        if type(other) is int or type(other) is Fraction:
+            # a scalar scales the numerators and the denominator, with no lift
+            if not other or not self.num:
+                return _poly(self.dim, {}, 1)
+            n, d = other.numerator, other.denominator
+            if d == 1 and (n == 1 or n == -1):
+                return self if n == 1 else -self
+            return _reduced(self.dim, {e: c * n for e, c in self.num.items()}, self.den * d)
         o = self._lift(other)
         if o is None:
             return NotImplemented
-        pairs = (
-            (tuple(map(add, e1, e2)), c1 * c2)
-            for e1, c1 in self.terms.items()
-            for e2, c2 in o.terms.items()
-        )
-        return Poly._make(self.dim, _accumulate({}, pairs))
+        p, q = self.num, o.num
+        if not p or not q:
+            return _poly(self.dim, {}, 1)
+        if len(q) == 1:
+            p, q = q, p
+        if len(p) == 1:
+            # a monomial shifts the exponents of the other factor injectively
+            ((e1, c1),) = p.items()
+            num = {tuple(map(add, e1, e2)): c1 * c2 for e2, c2 in q.items()}
+        else:
+            num = _accumulate({}, ((tuple(map(add, e1, e2)), c1 * c2) for e1, c1 in p.items() for e2, c2 in q.items()))
+        return _reduced(self.dim, num, self.den * o.den)
 
     __rmul__ = __mul__
 
@@ -187,24 +224,28 @@ class Poly:
         base = self
         while n:
             if n & 1:
-                result = result * base
-            base = base * base
+                result = result._budgeted_mul(base)
             n >>= 1
+            if n:
+                base = base._budgeted_mul(base)
         return result
+
+    def _budgeted_mul(self, other: "Poly") -> "Poly":
+        if len(self.num) * len(other.num) > self.MAX_POW_PRODUCTS:
+            raise DomainError(
+                f"polynomial power exceeds the budget of {self.MAX_POW_PRODUCTS} term products per multiplication"
+            )
+        return self * other
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             other = Poly.const(self.dim, other)
         if not isinstance(other, Poly):
             return NotImplemented
-        return self.dim == other.dim and self.terms == other.terms
+        return self.dim == other.dim and self.den == other.den and self.num == other.num
 
     def __hash__(self):
-        h = object.__getattribute__(self, "_hash")
-        if h is None:
-            h = hash((self.dim, tuple(sorted(self.terms.items()))))
-            object.__setattr__(self, "_hash", h)
-        return h
+        return hash((self.dim, self.den, frozenset(self.num.items())))
 
     def sorted_terms(self) -> list[tuple[Exponent, Fraction]]:
         """Terms in canonical order: graded lex, largest first."""
@@ -232,7 +273,7 @@ class Poly:
         return f"{coeff}*{mono}"
 
     def __str__(self):
-        if not self.terms:
+        if not self.num:
             return "0"
         chunks = []
         for exps, c in self.sorted_terms():
@@ -247,6 +288,50 @@ class Poly:
 
     def __repr__(self):
         return f"Poly({self})"
+
+
+_set_dim = Poly.dim.__set__
+_set_num = Poly.num.__set__
+_set_den = Poly.den.__set__
+_new = object.__new__
+
+
+def _poly(dim: int, num: dict[Exponent, int], den: int) -> Poly:
+    """Wrap canonical data: nonzero int numerators, den > 0 sharing no factor with all of them."""
+    p = _new(Poly)
+    _set_dim(p, dim)
+    _set_num(p, num)
+    _set_den(p, den)
+    return p
+
+
+def _reduced(dim: int, num: dict[Exponent, int], den: int) -> Poly:
+    """Wrap nonzero int numerators over den > 0, cancelling their common factor."""
+    if den != 1:
+        g = gcd(den, *num.values())
+        if g != 1:
+            num = {e: c // g for e, c in num.items()}
+            den //= g
+    return _poly(dim, num, den)
+
+
+class _Terms(Mapping):
+    """Read-only {exponent tuple: Fraction} view of a Poly's numerators over its denominator."""
+
+    __slots__ = ("_num", "_den")
+
+    def __init__(self, num: dict[Exponent, int], den: int):
+        self._num = num
+        self._den = den
+
+    def __getitem__(self, exps: Exponent) -> Fraction:
+        return Fraction(self._num[exps], self._den)
+
+    def __iter__(self):
+        return iter(self._num)
+
+    def __len__(self):
+        return len(self._num)
 
 
 def _accumulate(acc: dict, pairs: Iterable[tuple]) -> dict:
@@ -330,10 +415,10 @@ def render_combination(pairs: Iterable[tuple[Poly, str]]) -> str:
             chunks.append((False, atom))
         elif c == -1:
             chunks.append((True, atom))
-        elif len(coeff.terms) == 1:
-            ((exps, val),) = coeff.terms.items()
-            body = Poly._term_str(exps, abs(val))
-            chunks.append((val < 0, f"{body}*{atom}"))
+        elif len(coeff.num) == 1:
+            ((exps, n),) = coeff.num.items()
+            body = Poly._term_str(exps, Fraction(abs(n), coeff.den))
+            chunks.append((n < 0, f"{body}*{atom}"))
         else:
             chunks.append((False, f"({coeff})*{atom}"))
     if not chunks:
@@ -451,13 +536,14 @@ def vf_pushforward(v: VField, target_dim: int, embedding: Sequence[int]) -> VFie
         raise DomainError("embedding must be strictly increasing")
 
     def relabel(p: Poly) -> Poly:
-        out: dict[Exponent, Fraction] = {}
-        for exps, c in p.terms.items():
+        # an injective renaming of exponents keeps the numerators canonical
+        out: dict[Exponent, int] = {}
+        for exps, c in p.num.items():
             new = [0] * target_dim
             for i, e in enumerate(exps):
                 new[emb[i]] = e
             out[tuple(new)] = c
-        return Poly(target_dim, out)
+        return _poly(target_dim, out, p.den)
 
     coeffs = [Poly.zero(target_dim)] * target_dim
     for i, a in enumerate(v.coeffs):

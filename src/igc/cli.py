@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Usage:  igc --dim N [--max-degree D] [--seed S] [--format text|json]
-            [--script FILE] <command> [args...]
+            [--script FILE] [--profile] <command> [args...]
 
 Commands:
   bracket (free|lie) E1 E2      bracket of two field elements
@@ -18,16 +18,22 @@ Commands:
 
 Exit codes: 0 ok, 1 usage or parse error, 2 violated precondition,
 3 check failures.
+
+`--profile` runs the command under cProfile and prints the functions with the
+most own time, then the sizes of the Lyndon caches, to stderr.
 """
 
 from __future__ import annotations
 
 import argparse
+import cProfile
 import json
+import pstats
 import shlex
 import sys
 from dataclasses import dataclass
 
+from . import lyndon
 from .chart_algebra import ChartSpec
 from .checks import run_suite
 from .errors import DomainError
@@ -184,6 +190,8 @@ def _build_parser() -> _ArgumentParser:
     parser.add_argument("--seed", type=int, default=0, help="seed for check sampling")
     parser.add_argument("--format", choices=("text", "json"), default="text")
     parser.add_argument("--script", help="run commands from a file, one per line")
+    parser.add_argument("--profile", action="store_true",
+                        help="print the hot functions and the Lyndon cache sizes to stderr")
     parser.add_argument("command", nargs=argparse.REMAINDER, help="command and arguments")
     return parser
 
@@ -197,6 +205,21 @@ def _emit(outcome: CommandOutcome, fmt: str):
 
 def main(argv: list[str] | None = None) -> int:
     opts = _build_parser().parse_args(argv)
+    if not opts.profile:
+        return _run(opts)
+    profiler = cProfile.Profile()
+    try:
+        return profiler.runcall(_run, opts)
+    finally:
+        pstats.Stats(profiler, stream=sys.stderr).sort_stats("tottime").print_stats(20)
+        print(
+            f"lyndon caches: _EXPANSION_CACHE {len(lyndon._EXPANSION_CACHE)} entries, "
+            f"_BRACKET_CACHE {len(lyndon._BRACKET_CACHE)} entries",
+            file=sys.stderr,
+        )
+
+
+def _run(opts: argparse.Namespace) -> int:
     try:
         chart = ChartSpec(opts.dim, opts.max_degree)
     except DomainError as exc:

@@ -39,7 +39,8 @@ class Session:
 
 
 _IDENT = r"[A-Za-z_][A-Za-z0-9_]*"
-_TOKEN_RE = re.compile(r"\s*(?:(\d+)|(" + _IDENT + r")|([-+*^/()\[\]{},;:=]))")
+_TOKEN_RE = re.compile(r"(\d+)|(" + _IDENT + r")|([-+*^/()\[\]{},;:=])")
+_SPACE_RE = re.compile(r"\s*")
 
 
 @dataclass
@@ -53,28 +54,25 @@ class _Token:
 def _tokenize(src: str) -> list[_Token]:
     tokens = []
     line = 1
-    line_start = 0
+    line_start = 0  # offset of the first character of the current line
     pos = 0
-    while pos < len(src):
-        nl = src.count("\n", line_start, pos)
+    while True:
+        end = _SPACE_RE.match(src, pos).end()
+        newlines = src.count("\n", pos, end)
+        if newlines:
+            line += newlines
+            line_start = src.rfind("\n", pos, end) + 1
+        pos = end
+        column = pos - line_start + 1
+        if pos == len(src):
+            tokens.append(_Token("eof", "", line, column))
+            return tokens
         m = _TOKEN_RE.match(src, pos)
         if not m:
-            if src[pos:].strip():
-                col = pos - src.rfind("\n", 0, pos)
-                raise ParseError(f"unexpected character {src[pos:].strip()[0]!r}", line + nl, col)
-            break
-        start = m.start(m.lastindex)
-        line_no = 1 + src.count("\n", 0, start)
-        col = start - src.rfind("\n", 0, start)
-        if m.group(1):
-            tokens.append(_Token("int", m.group(1), line_no, col))
-        elif m.group(2):
-            tokens.append(_Token("ident", m.group(2), line_no, col))
-        else:
-            tokens.append(_Token("op", m.group(3), line_no, col))
+            raise ParseError(f"unexpected character {src[pos]!r}", line, column)
+        kind = ("int", "ident", "op")[m.lastindex - 1]
+        tokens.append(_Token(kind, m.group(), line, column))
         pos = m.end()
-    tokens.append(_Token("eof", "", 1 + src.count("\n"), len(src) - src.rfind("\n", 0, len(src))))
-    return tokens
 
 
 _VAR_RE = re.compile(r"^x(\d+)$")

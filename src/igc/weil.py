@@ -20,6 +20,7 @@ full first-block monomial e_0...e_{k-1}.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import combinations
 from typing import Callable, Mapping, Sequence
 
@@ -239,8 +240,8 @@ class WeilMorphism:
         if self.raw is not None:
             return self.raw(f)
         out = WeilElem.zero(self.arity, self.dim)
-        for exps, c in f.terms.items():
-            term = WeilElem.scalar(self.arity, Poly.const(self.dim, c))
+        for exps, c in f.num.items():
+            term = WeilElem.scalar(self.arity, Poly.const(self.dim, Fraction(c, f.den)))
             for i, e in enumerate(exps):
                 if e:
                     term = term * self.coord_images[i] ** e

@@ -1,12 +1,14 @@
 """Every internal result is canonical, so the unchecked private constructors are safe.
 
 Sums, products, derivatives and brackets wrap their dicts without a second
-validation pass.  These properties check, over random operands with many
-colliding and cancelling terms, that each such result is exactly what the
-validating public constructor would have built from the same data.
+validation pass; a `Poly` result only cancels the common factor of its int
+numerators and denominator.  These properties check, over random operands
+with many colliding and cancelling terms, that each such result is exactly
+what the validating public constructor would have built from the same data.
 """
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +18,7 @@ from igc import (
     ArityMismatchError,
     ChartMismatchError,
     ChartSpec,
+    DomainError,
     FreeLRElem,
     LyndonWord,
     Poly,
@@ -50,11 +53,16 @@ specs = st.sets(st.integers(0, DIM - 1)).map(lambda v: RelativeSpec(CHART, froze
 
 def assert_canonical_poly(p: Poly):
     assert p.dim == DIM
-    for exps, c in p.terms.items():
+    # int numerators over one positive denominator, with no common factor left
+    assert type(p.den) is int and p.den > 0
+    for exps, c in p.num.items():
         assert type(exps) is tuple and len(exps) == DIM
         assert all(type(e) is int and e >= 0 for e in exps)
-        assert type(c) is Fraction and c != 0
-    assert Poly(p.dim, p.terms) == p
+        assert type(c) is int and c != 0
+    assert gcd(p.den, *p.num.values()) == 1
+    assert all(type(c) is Fraction and c != 0 for c in p.terms.values())
+    rebuilt = Poly(p.dim, p.terms)
+    assert rebuilt == p and hash(rebuilt) == hash(p)
 
 
 def assert_canonical_elem(u: FreeLRElem):
@@ -93,10 +101,25 @@ def assert_canonical_pv(p: Polyvector):
 @settings(max_examples=300, deadline=None)
 @given(polys, polys, scalars, st.integers(0, DIM - 1))
 def test_poly_results_are_canonical(f, g, c, i):
-    for result in (f + g, f - g, -f, f * g, f * f, f * c, c * f, f + c, c - f, f.derive(i), (f * g).derive(i)):
+    for result in (f + g, f - g, -f, f * g, f * f, f * c, c * f, f + c, c - f, f.derive(i), (f * g).derive(i), f**3):
         assert_canonical_poly(result)
     assert_canonical_poly(f - f)
     assert (f - f).terms == {}
+    assert f + g == g + f and hash(f + g) == hash(g + f)
+
+
+def test_poly_stores_integer_numerators_over_one_denominator():
+    p = Poly(DIM, {(1, 0): Fraction(1, 2), (0, 1): Fraction(-2, 3), (0, 0): 0})
+    assert (p.num, p.den) == ({(1, 0): 3, (0, 1): -4}, 6)
+    assert dict(p.terms) == {(1, 0): Fraction(1, 2), (0, 1): Fraction(-2, 3)}
+    # the common factor of a result is cancelled: 2 * (x0/2 + 1/2) = x0 + 1
+    q = Poly(DIM, {(1, 0): Fraction(1, 2), (0, 0): Fraction(1, 2)}) * 2
+    assert (q.num, q.den) == ({(1, 0): 1, (0, 0): 1}, 1)
+    assert (Poly.zero(DIM).num, Poly.zero(DIM).den) == ({}, 1)
+    assert Poly.const(DIM, Fraction(4, 6)).den == 3
+    # the trusted constant keeps the public dimension check
+    with pytest.raises(DomainError, match="dimension must be >= 1"):
+        Poly.const(0, 1)
 
 
 @settings(max_examples=200, deadline=None)

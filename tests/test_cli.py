@@ -87,6 +87,14 @@ def test_parse_errors_carry_position():
         parse_expression("x5", s)
 
 
+def test_parse_error_points_at_the_offending_character():
+    s = session()
+    for src, where in (("x0 +\n  $", (2, 3)), ("x0 + $", (1, 6))):
+        with pytest.raises(ParseError, match=r"unexpected character '\$'") as err:
+            parse_expression(src, s)
+        assert (err.value.line, err.value.column) == where
+
+
 def test_print_parse_roundtrip_random():
     rng = Random(100)
     s = session()
@@ -281,6 +289,29 @@ def test_cli_arity_budget(command):
     assert r.stderr == f"igc: error: arity 40 exceeds the swap-action budget of {MAX_ACTION_ARITY}\n"
     r = run(["--dim", "2", command, f"K{{arity={MAX_ACTION_ARITY}; 0: d0}}"])
     assert r.returncode == 0, r.stderr
+
+
+def test_cli_power_budget():
+    message = f"polynomial power exceeds the budget of {Poly.MAX_POW_PRODUCTS} term products per multiplication"
+    r = subprocess.run(
+        [sys.executable, "-m", "igc", "--dim", "2", "bracket", "lie", "(x0+x1+1)^1000*d0", "d1"],
+        capture_output=True, text=True, timeout=10,
+    )
+    assert (r.returncode, r.stdout, r.stderr) == (2, "", f"igc: error: {message}\n")
+    # one-term powers and small bases stay far below the budget
+    r = run(["--dim", "2", "bracket", "lie", "d1", "x0^1000*x1*d0"])
+    assert (r.returncode, r.stdout) == (0, "x0^1000*d0\n")
+    ninth = parse_expression("(x0+x1+1)^9", session())
+    assert len(ninth.terms) == 55 and ninth.terms[(1, 8)] == 9 and ninth.terms[(3, 3)] == 1680
+
+
+def test_cli_profile_flag():
+    args = ["--dim", "2", "--seed", "3", "check", "--only", "parse-roundtrip"]
+    plain, profiled = run(args), run(["--profile", *args])
+    assert profiled.returncode == plain.returncode == 0
+    assert profiled.stdout == plain.stdout and plain.stderr == ""
+    assert "chart_algebra.py" in profiled.stderr
+    assert "lyndon caches: _EXPANSION_CACHE " in profiled.stderr
 
 
 def test_cli_dimension_flag():
