@@ -1,13 +1,15 @@
 """Exact arithmetic on one global coordinate chart R^n.
 
 `Poly` is a sparse multivariate polynomial over Q, stored fraction-free: a
-dict from exponent tuples to nonzero int numerators over one positive common
-denominator, reduced so that no prime divides the denominator and every
-numerator.  The form is unique, so structural equality is mathematical
-equality, and arithmetic works on ints with one gcd per result.  `VField` is
-a derivation sum_i a_i*d_i with `Poly` coefficients.  All values are
-immutable after construction and all operations are pure, so everything is
-safe to share between threads.
+dict from packed monomial keys to nonzero int numerators over one positive
+common denominator, reduced so that no prime divides the denominator and
+every numerator.  A key holds the whole exponent vector in one int, the
+exponent of x_i in bits 64*i to 64*i+63, so a monomial product is one int
+addition and d/dx_i one shift-and-mask and one subtraction.  The form is
+unique, so structural equality is mathematical equality, and arithmetic works
+on ints with one gcd per result.  `VField` is a derivation sum_i a_i*d_i with
+`Poly` coefficients.  All values are immutable after construction and all
+operations are pure, so everything is safe to share between threads.
 
 The canonical term order used for printing is graded lexicographic on
 exponent vectors, largest first.
@@ -26,11 +28,13 @@ mismatch errors, products and printing.
 
 from __future__ import annotations
 
+import struct
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache, reduce
 from math import gcd, lcm
-from operator import add
+from operator import or_
 from typing import Iterable, Sequence
 
 from .errors import ChartMismatchError, DomainError
@@ -55,20 +59,27 @@ class ChartSpec:
 class Poly:
     """Polynomial in Q[x0..x{n-1}], stored fraction-free as num/den.
 
-    `num` maps exponent tuples to nonzero ints and `den` is a positive int
-    sharing no factor with all of them, so each value has one representation.
-    `terms` is the read-only {exponent tuple: Fraction} view of the same data.
+    `num` maps packed monomial keys to nonzero ints and `den` is a positive
+    int sharing no factor with all of them, so each value has one
+    representation.  `terms` is the read-only {exponent tuple: Fraction} view
+    of the same data.
     """
 
     __slots__ = ("dim", "num", "den")
 
     # most term products one multiplication inside `**` may form
     MAX_POW_PRODUCTS = 100_000
+    # largest exponent a 64-bit key field holds; a product that sets the
+    # field's top bit is refused, so no carry reaches the next variable
+    MAX_EXPONENT = 2**63 - 1
+    # most decimal digits of a printed numerator or denominator: Python's
+    # default limit on int-to-str conversion, so every accepted value prints
+    MAX_DIGITS = 4300
 
     def __init__(self, dim: int, terms: Mapping[Exponent, Fraction | int] | None = None):
         if dim < 1:
             raise DomainError(f"polynomial dimension must be >= 1, got {dim}")
-        clean: dict[Exponent, Fraction] = {}
+        clean: dict[Exponent, int | Fraction] = {}
         for exps, coeff in (terms or {}).items():
             exps = tuple(exps)
             if len(exps) != dim or any(not isinstance(e, int) or e < 0 for e in exps):
@@ -76,11 +87,15 @@ class Poly:
             if not isinstance(coeff, (int, Fraction)):
                 raise DomainError(f"coefficient {coeff!r} is not an integer or a Fraction")
             if coeff:
-                clean[exps] = Fraction(coeff)
+                clean[exps] = coeff
         # over the lcm of the reduced denominators no prime divides every numerator
         den = lcm(*(c.denominator for c in clean.values()))
+        try:
+            num = {_pack(e): c.numerator * (den // c.denominator) for e, c in clean.items()}
+        except struct.error:
+            raise DomainError(_EXPONENT_OVERFLOW) from None
         _set_dim(self, dim)
-        _set_num(self, {e: c.numerator * (den // c.denominator) for e, c in clean.items()})
+        _set_num(self, num)
         _set_den(self, den)
 
     def __setattr__(self, name, value):
@@ -88,23 +103,25 @@ class Poly:
 
     @property
     def terms(self) -> Mapping[Exponent, Fraction]:
-        return _Terms(self.num, self.den)
+        return _Terms(self)
 
     @classmethod
     def zero(cls, dim: int) -> "Poly":
+        if dim < 1:
+            raise DomainError(f"polynomial dimension must be >= 1, got {dim}")
         return _poly(dim, {}, 1)
 
     @classmethod
     def const(cls, dim: int, value) -> "Poly":
         if (type(value) is int or type(value) is Fraction) and dim >= 1:
-            return _poly(dim, {(0,) * dim: value.numerator} if value else {}, value.denominator)
+            return _poly(dim, {0: value.numerator} if value else {}, value.denominator)
         return cls(dim, {(0,) * dim: value})
 
     @classmethod
     def var(cls, dim: int, i: int) -> "Poly":
         if not 0 <= i < dim:
             raise DomainError(f"variable index {i} out of range for dimension {dim}")
-        return _poly(dim, {tuple(1 if j == i else 0 for j in range(dim)): 1}, 1)
+        return _poly(dim, {1 << (64 * i): 1}, 1)
 
     def is_zero(self) -> bool:
         return not self.num
@@ -117,22 +134,22 @@ class Poly:
         if not self.num:
             return Fraction(0)
         if len(self.num) == 1:
-            ((exps, c),) = self.num.items()
-            if not any(exps):
+            ((key, c),) = self.num.items()
+            if not key:
                 return Fraction(c, self.den)
         return None
 
     def total_degree(self) -> int:
-        return max((sum(e) for e in self.num), default=0)
+        return max((sum(_unpack(k, self.dim)) for k in self.num), default=0)
 
     def evaluate(self, point: Sequence[Fraction | int]) -> Fraction:
         if len(point) != self.dim:
             raise ChartMismatchError("evaluation point has wrong dimension")
         pt = [Fraction(p) for p in point]
         total = Fraction(0)
-        for exps, c in self.num.items():
+        for key, c in self.num.items():
             val = Fraction(c)
-            for x, e in zip(pt, exps):
+            for x, e in zip(pt, _unpack(key, self.dim)):
                 if e:
                     val *= x**e
             total += val
@@ -141,12 +158,11 @@ class Poly:
     def derive(self, i: int) -> "Poly":
         if not 0 <= i < self.dim:
             raise DomainError(f"derivation index {i} out of range for dimension {self.dim}")
-        # lowering exponent i is injective on the terms it keeps
-        return _reduced(
-            self.dim,
-            {exps[:i] + (exps[i] - 1,) + exps[i + 1 :]: c * exps[i] for exps, c in self.num.items() if exps[i]},
-            self.den,
-        )
+        # lowering exponent i is one subtraction, injective on the terms it keeps
+        shift = 64 * i
+        one = 1 << shift
+        num = {k - one: c * e for k, c in self.num.items() if (e := (k >> shift) & _FIELD_MASK)}
+        return _reduced(self.dim, num, self.den)
 
     def _lift(self, other) -> "Poly | None":
         if isinstance(other, Poly):
@@ -207,12 +223,12 @@ class Poly:
             return _poly(self.dim, {}, 1)
         if len(q) == 1:
             p, q = q, p
-        if len(p) == 1:
-            # a monomial shifts the exponents of the other factor injectively
-            ((e1, c1),) = p.items()
-            num = {tuple(map(add, e1, e2)): c1 * c2 for e2, c2 in q.items()}
-        else:
-            num = _accumulate({}, ((tuple(map(add, e1, e2)), c1 * c2) for e1, c1 in p.items() for e2, c2 in q.items()))
+        if len(p) > 1:
+            return _product_poly(self.dim, _mul_into({}, p.items(), q.items()), self.den * o.den)
+        # a monomial shifts the exponents of the other factor injectively
+        ((e1, c1),) = p.items()
+        num = {e1 + e2: c1 * c2 for e2, c2 in q.items()}
+        _check_exponents(self.dim, num)
         return _reduced(self.dim, num, self.den * o.den)
 
     __rmul__ = __mul__
@@ -223,12 +239,22 @@ class Poly:
         result = Poly.const(self.dim, 1)
         base = self
         while n:
+            base._check_power_growth(n)
             if n & 1:
                 result = result._budgeted_mul(base)
             n >>= 1
             if n:
                 base = base._budgeted_mul(base)
         return result
+
+    def _check_power_growth(self, n: int):
+        # an int c gives c**n at least (bit_length(c) - 1)*n bits, and the
+        # denominator of a power is that power of the denominator
+        bits = max((self.den, *map(abs, self.num.values()))).bit_length() - 1
+        if bits * n >= _DIGIT_BOUND_BITS:
+            raise DomainError(
+                f"polynomial power exceeds the coefficient budget of Poly.MAX_DIGITS = {self.MAX_DIGITS} digits"
+            )
 
     def _budgeted_mul(self, other: "Poly") -> "Poly":
         if len(self.num) * len(other.num) > self.MAX_POW_PRODUCTS:
@@ -249,7 +275,9 @@ class Poly:
 
     def sorted_terms(self) -> list[tuple[Exponent, Fraction]]:
         """Terms in canonical order: graded lex, largest first."""
-        return sorted(self.terms.items(), key=lambda t: (sum(t[0]), t[0]), reverse=True)
+        dim, den = self.dim, self.den
+        terms = [(_unpack(k, dim), Fraction(c, den)) for k, c in self.num.items()]
+        return sorted(terms, key=lambda t: (sum(t[0]), t[0]), reverse=True)
 
     @staticmethod
     def _monomial_str(exps: Exponent) -> str:
@@ -263,6 +291,9 @@ class Poly:
 
     @staticmethod
     def _term_str(exps: Exponent, coeff: Fraction) -> str:
+        # every coefficient is printed here, in text and in JSON
+        if not -_DIGIT_BOUND < coeff.numerator < _DIGIT_BOUND or coeff.denominator >= _DIGIT_BOUND:
+            raise DomainError(f"coefficient has more digits than the budget of Poly.MAX_DIGITS = {Poly.MAX_DIGITS}")
         mono = Poly._monomial_str(exps)
         if not mono:
             return str(coeff)
@@ -295,8 +326,67 @@ _set_num = Poly.num.__set__
 _set_den = Poly.den.__set__
 _new = object.__new__
 
+_FIELD_MASK = (1 << 64) - 1
+_EXPONENT_OVERFLOW = f"monomial exponent exceeds the budget of Poly.MAX_EXPONENT = {Poly.MAX_EXPONENT}"
+# the least int with more than MAX_DIGITS digits; every int of at least
+# 2**_DIGIT_BOUND_BITS is past it too
+_DIGIT_BOUND = 10**Poly.MAX_DIGITS
+_DIGIT_BOUND_BITS = _DIGIT_BOUND.bit_length()
 
-def _poly(dim: int, num: dict[Exponent, int], den: int) -> Poly:
+
+@cache
+def _layout(dim: int) -> struct.Struct:
+    """dim 64-bit fields, x0 first, read little-endian like the key's bits.
+
+    The fields are signed, so packing an exponent past MAX_EXPONENT raises
+    struct.error, and the top bit of a stored field is never set.
+    """
+    return struct.Struct(f"<{dim}q")
+
+
+def _pack(exps: Sequence[int]) -> int:
+    """The key of a nonnegative exponent vector; struct.error past MAX_EXPONENT."""
+    return int.from_bytes(_layout(len(exps)).pack(*exps), "little")
+
+
+def _unpack(key: int, dim: int) -> Exponent:
+    """The exponent tuple of a key."""
+    return _layout(dim).unpack(key.to_bytes(8 * dim, "little"))
+
+
+@cache
+def _top_bits(dim: int) -> int:
+    """The top bit of each of dim fields."""
+    return int.from_bytes(b"\0\0\0\0\0\0\0\x80" * dim, "little")
+
+
+def _check_exponents(dim: int, keys: Iterable[int]):
+    """Refuse keys of a product that carried an exponent past MAX_EXPONENT.
+
+    Each factor's exponents are at most MAX_EXPONENT, so a field of the sum
+    overflows into its own top bit and never into the next field.
+    """
+    if reduce(or_, keys, 0) & _top_bits(dim):
+        raise DomainError(_EXPONENT_OVERFLOW)
+
+
+def _mul_into(acc: dict[int, int], p: Iterable[tuple[int, int]], q: Iterable[tuple[int, int]]) -> dict[int, int]:
+    """Add the product of two numerator item lists or views into acc; zero sums stay."""
+    get = acc.get
+    for k1, c1 in p:
+        for k2, c2 in q:
+            k = k1 + k2
+            acc[k] = get(k, 0) + c1 * c2
+    return acc
+
+
+def _product_poly(dim: int, acc: dict[int, int], den: int) -> Poly:
+    """The Poly of a product accumulator over den: exponents checked, zero sums dropped."""
+    _check_exponents(dim, acc)
+    return _reduced(dim, {k: c for k, c in acc.items() if c}, den)
+
+
+def _poly(dim: int, num: dict[int, int], den: int) -> Poly:
     """Wrap canonical data: nonzero int numerators, den > 0 sharing no factor with all of them."""
     p = _new(Poly)
     _set_dim(p, dim)
@@ -305,7 +395,7 @@ def _poly(dim: int, num: dict[Exponent, int], den: int) -> Poly:
     return p
 
 
-def _reduced(dim: int, num: dict[Exponent, int], den: int) -> Poly:
+def _reduced(dim: int, num: dict[int, int], den: int) -> Poly:
     """Wrap nonzero int numerators over den > 0, cancelling their common factor."""
     if den != 1:
         g = gcd(den, *num.values())
@@ -318,20 +408,23 @@ def _reduced(dim: int, num: dict[Exponent, int], den: int) -> Poly:
 class _Terms(Mapping):
     """Read-only {exponent tuple: Fraction} view of a Poly's numerators over its denominator."""
 
-    __slots__ = ("_num", "_den")
+    __slots__ = ("_poly",)
 
-    def __init__(self, num: dict[Exponent, int], den: int):
-        self._num = num
-        self._den = den
+    def __init__(self, poly: Poly):
+        self._poly = poly
 
     def __getitem__(self, exps: Exponent) -> Fraction:
-        return Fraction(self._num[exps], self._den)
+        p = self._poly
+        if len(exps) != p.dim or not all(0 <= e <= Poly.MAX_EXPONENT for e in exps):
+            raise KeyError(exps)
+        return Fraction(p.num[_pack(exps)], p.den)
 
     def __iter__(self):
-        return iter(self._num)
+        dim = self._poly.dim
+        return (_unpack(k, dim) for k in self._poly.num)
 
     def __len__(self):
-        return len(self._num)
+        return len(self._poly.num)
 
 
 def _accumulate(acc: dict, pairs: Iterable[tuple]) -> dict:
@@ -416,8 +509,8 @@ def render_combination(pairs: Iterable[tuple[Poly, str]]) -> str:
         elif c == -1:
             chunks.append((True, atom))
         elif len(coeff.num) == 1:
-            ((exps, n),) = coeff.num.items()
-            body = Poly._term_str(exps, Fraction(abs(n), coeff.den))
+            ((key, n),) = coeff.num.items()
+            body = Poly._term_str(_unpack(key, coeff.dim), Fraction(abs(n), coeff.den))
             chunks.append((n < 0, f"{body}*{atom}"))
         else:
             chunks.append((False, f"({coeff})*{atom}"))
@@ -518,7 +611,75 @@ def vf_apply(v: VField, f: Poly) -> Poly:
 def vf_bracket(u: VField, v: VField) -> VField:
     """Lie bracket of vector fields: [u,v]^i = u(v^i) - v(u^i)."""
     _check_same_dim(u, v)
-    return VField([vf_apply(u, v.coeffs[i]) - vf_apply(v, u.coeffs[i]) for i in range(u.dim)])
+    coords, _ = _degree1_bracket(u.dim, dict(enumerate(u.coeffs)), dict(enumerate(v.coeffs)), False)
+    zero = Poly.zero(u.dim)
+    return VField([coords.get(j, zero) for j in range(u.dim)])
+
+
+def _degree1_bracket(
+    dim: int, f: Mapping[int, Poly], g: Mapping[int, Poly], free: bool
+) -> tuple[dict[int, Poly], dict[tuple[int, int], Poly]]:
+    """Bracket of sum_i f[i]*d_i and sum_j g[j]*d_j, worked on numerators.
+
+    The coordinate part puts sum_i (f_i*d_i(g_j) - g_i*d_i(f_j)) on d_j,
+    returned by j.  With free, the free bracket's F[d_i,d_j] for i < j gets
+    f_i*g_j - f_j*g_i, returned by (i, j).  Only nonzero values are returned,
+    and zero coefficients of f and g may be left out.  Each side is brought
+    over the lcm of its denominators, so every output is one accumulated
+    numerator dict over their product, reduced once.
+    """
+    fn, fd = _numerators(f)
+    gn, gd = _numerators(g)
+    den = fd * gd
+    accs: dict[int | tuple[int, int], dict[int, int]] = {}
+    _derivation_into(accs, fn, gn, 1)
+    _derivation_into(accs, gn, fn, -1)
+    coords = _nonzero_polys(dim, accs, den)
+    pairs = {}
+    if free:
+        accs = {}
+        for i, p in fn:
+            for j, q in gn:
+                if i < j:
+                    _mul_into(accs.setdefault((i, j), {}), p, q)
+                elif i > j:
+                    _mul_into(accs.setdefault((j, i), {}), [(k, -c) for k, c in p], q)
+        pairs = _nonzero_polys(dim, accs, den)
+    return coords, pairs
+
+
+def _numerators(ps: Mapping[int, Poly]) -> tuple[list[tuple[int, list[tuple[int, int]]]], int]:
+    """(index, numerator items) of the nonzero ps over the lcm of their denominators."""
+    ps = [(i, p) for i, p in ps.items() if p.num]
+    den = lcm(*[p.den for _, p in ps])
+    return [
+        (i, list(p.num.items()) if p.den == den else [(k, c * (den // p.den)) for k, c in p.num.items()]) for i, p in ps
+    ], den
+
+
+def _derivation_into(accs: dict, f: list, g: list, sign: int):
+    """Add sign * sum_i f_i*d_i(g_j) into accs[j]; f and g list (index, numerator items)."""
+    for i, fi in f:
+        shift = 64 * i
+        one = 1 << shift
+        for j, gj in g:
+            acc = accs.setdefault(j, {})
+            get = acc.get
+            for kg, cg in gj:
+                e = (kg >> shift) & _FIELD_MASK
+                if e:
+                    # the term cg*x^kg of g_j differentiates to cg*e*x^(kg - one)
+                    kg -= one
+                    cg *= sign * e
+                    for kf, cf in fi:
+                        k = kf + kg
+                        acc[k] = get(k, 0) + cf * cg
+
+
+def _nonzero_polys(dim: int, accs: dict, den: int) -> dict:
+    """The nonzero Polys of product accumulators over den, by the same keys."""
+    polys = ((key, _product_poly(dim, acc, den)) for key, acc in accs.items() if acc)
+    return {key: p for key, p in polys if p.num}
 
 
 def vf_pushforward(v: VField, target_dim: int, embedding: Sequence[int]) -> VField:
@@ -537,12 +698,12 @@ def vf_pushforward(v: VField, target_dim: int, embedding: Sequence[int]) -> VFie
 
     def relabel(p: Poly) -> Poly:
         # an injective renaming of exponents keeps the numerators canonical
-        out: dict[Exponent, int] = {}
-        for exps, c in p.num.items():
+        out: dict[int, int] = {}
+        for key, c in p.num.items():
             new = [0] * target_dim
-            for i, e in enumerate(exps):
+            for i, e in enumerate(_unpack(key, p.dim)):
                 new[emb[i]] = e
-            out[tuple(new)] = c
+            out[_pack(new)] = c
         return _poly(target_dim, out, p.den)
 
     coeffs = [Poly.zero(target_dim)] * target_dim

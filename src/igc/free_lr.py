@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 from . import lyndon
-from .chart_algebra import ChartSpec, Poly, VField, _accumulate, _Module, render_combination
+from .chart_algebra import ChartSpec, Poly, VField, _accumulate, _degree1_bracket, _Module, render_combination
 from .errors import ChartMismatchError, DegreeOverflowError, DomainError
 
 Word = tuple[int, ...]
@@ -208,13 +208,28 @@ def free_bracket(u: FreeLRElem, v: FreeLRElem, spec: RelativeSpec | None = None)
 
     Expands  [f*b(w), g*b(w')] = f*g*[b(w),b(w')] + f*w(g)*b(w') - g*w'(f)*b(w)
     with the bare monomial bracket rewritten into the Lyndon basis, then
-    reduces vertical monomials when a RelativeSpec is given.
+    reduces vertical monomials when a RelativeSpec is given.  Two degree-1
+    elements with no vertical set go to the numerator kernel
+    `_degree1_bracket` instead, which gives the same value.
     """
     u._check(v)
     chart = u.chart
     vertical = spec.vertical if spec else frozenset()
     if spec and spec.chart != chart:
         raise ChartMismatchError("relative spec is for a different chart")
+    f, g = _classical_coeffs(u), _classical_coeffs(v)
+    if vertical or f is None or g is None:
+        return _free_bracket_terms(u, v, vertical)
+    # some d_i of u and d_j of v with i != j bracket to the word (i, j)
+    one_letter = len(u.terms) == 1 and u.terms.keys() == v.terms.keys()
+    if chart.max_degree < 2 and u.terms and v.terms and not one_letter:
+        raise DegreeOverflowError(2, chart.max_degree)
+    return _degree1_elem(chart, *_degree1_bracket(chart.dim, f, g, True))
+
+
+def _free_bracket_terms(u: FreeLRElem, v: FreeLRElem, vertical: frozenset[int]) -> FreeLRElem:
+    """free_bracket expanded term by term, for any words and vertical set."""
+    chart = u.chart
     u = _drop_vertical(u, vertical)
     v = _drop_vertical(v, vertical)
 
@@ -223,7 +238,7 @@ def free_bracket(u: FreeLRElem, v: FreeLRElem, spec: RelativeSpec | None = None)
         for w2, g in v.terms.items():
             # bare monomial bracket; in the relative algebra any long word
             # containing a vertical letter is zero, so skip those wholesale
-            if not (set(w1) | set(w2)) & vertical:
+            if not (vertical and (set(w1) | set(w2)) & vertical):
                 fg = f * g
                 for word, c in lyndon.monomial_bracket(w1, w2).items():
                     if len(word) > chart.max_degree:
@@ -250,8 +265,17 @@ def lie_bracket_ext(u: FreeLRElem, v: FreeLRElem) -> FreeLRElem:
     Degree-1 against degree-1 is the classical coordinate bracket; against a
     free monomial F[y,z] the first argument acts as a derivation; a long
     first argument against a degree-1 second is lowered by antisymmetry.
+    Two degree-1 elements go to the numerator kernel `_degree1_bracket`.
     """
     u._check(v)
+    f, g = _classical_coeffs(u), _classical_coeffs(v)
+    if f is None or g is None:
+        return _lie_bracket_terms(u, v)
+    return _degree1_elem(u.chart, *_degree1_bracket(u.chart.dim, f, g, False))
+
+
+def _lie_bracket_terms(u: FreeLRElem, v: FreeLRElem) -> FreeLRElem:
+    """lie_bracket_ext expanded term by term, for any words."""
     acc: dict[LyndonWord, Poly] = {}
     for w1, f in u.terms.items():
         for w2, g in v.terms.items():
@@ -264,21 +288,41 @@ def _lie_term(chart: ChartSpec, f: Poly, w1: Word, g: Poly, w2: Word) -> FreeLRE
         # [x, g*m] = g*[x,m] + x(g)*m  with m = F[b(a), b(b)] expanded as a
         # derivation of the free bracket
         a, b = lyndon.standard_factorization(w2)
+        # both standard factors of a Lyndon word are Lyndon words
         one = Poly.const(chart.dim, 1)
-        elem_a = FreeLRElem(chart, {LyndonWord(a): one})
-        elem_b = FreeLRElem(chart, {LyndonWord(b): one})
+        elem_a = FreeLRElem._make(chart, {LyndonWord._make(a): one})
+        elem_b = FreeLRElem._make(chart, {LyndonWord._make(b): one})
         inner_a = _lie_term(chart, f, w1, one, a)
         inner_b = _lie_term(chart, f, w1, one, b)
         part = free_bracket(inner_a, elem_b) + free_bracket(elem_a, inner_b)
         part = part * g
         if len(w1) == 1:
-            part = part + FreeLRElem(chart, {LyndonWord(w2): f * g.derive(w1[0])})
+            p = f * g.derive(w1[0])
+            if p:
+                part = part + FreeLRElem._make(chart, {LyndonWord._make(w2): p})
         return part
     if len(w1) == 1:
         # classical coordinate bracket of f*d_i and g*d_j
         pairs = [(w2, f * g.derive(w1[0])), (w1, -(g * f.derive(w2[0])))]
         return FreeLRElem._make(chart, _accumulate({}, [(LyndonWord._make(w), p) for w, p in pairs if p]))
     return -_lie_term(chart, g, w2, f, w1)
+
+
+def _classical_coeffs(u: FreeLRElem) -> dict[int, Poly] | None:
+    """The coefficient of each d_i in u by i, or None when u has a longer word."""
+    coeffs = {}
+    for w, p in u.terms.items():
+        if len(w) != 1:
+            return None
+        coeffs[w[0]] = p
+    return coeffs
+
+
+def _degree1_elem(chart: ChartSpec, coords: dict[int, Poly], pairs: dict[tuple[int, int], Poly]) -> FreeLRElem:
+    """Wrap the outputs of `_degree1_bracket` as a FreeLRElem."""
+    terms = {LyndonWord._make((j,)): p for j, p in coords.items()}
+    terms.update((LyndonWord._make(w), p) for w, p in pairs.items())
+    return FreeLRElem._make(chart, terms)
 
 
 def vertical_reduce(expr, spec: RelativeSpec) -> FreeLRElem:

@@ -71,6 +71,13 @@ def _tokenize(src: str) -> list[_Token]:
         if not m:
             raise ParseError(f"unexpected character {src[pos]!r}", line, column)
         kind = ("int", "ident", "op")[m.lastindex - 1]
+        if kind == "int" and len(m.group()) > Poly.MAX_DIGITS:
+            # int() refuses such a literal, and no value built from it would print
+            raise ParseError(
+                f"integer literal of {len(m.group())} digits exceeds the budget of Poly.MAX_DIGITS = {Poly.MAX_DIGITS}",
+                line,
+                column,
+            )
         tokens.append(_Token(kind, m.group(), line, column))
         pos = m.end()
 

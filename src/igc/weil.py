@@ -24,7 +24,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Callable, Mapping, Sequence
 
-from .chart_algebra import ChartSpec, Poly, VField, _accumulate, _Module, vf_apply
+from .chart_algebra import ChartSpec, Poly, VField, _accumulate, _Module, _unpack, vf_apply
 from .errors import (
     ArityMismatchError,
     ChartMismatchError,
@@ -240,9 +240,9 @@ class WeilMorphism:
         if self.raw is not None:
             return self.raw(f)
         out = WeilElem.zero(self.arity, self.dim)
-        for exps, c in f.num.items():
+        for key, c in f.num.items():
             term = WeilElem.scalar(self.arity, Poly.const(self.dim, Fraction(c, f.den)))
-            for i, e in enumerate(exps):
+            for i, e in enumerate(_unpack(key, self.dim)):
                 if e:
                     term = term * self.coord_images[i] ** e
             out = out + term

@@ -121,6 +121,58 @@ def test_poly_rejects_float_coefficients():
     assert all(type(c) is Fraction for c in Poly(2, {(1, 0): 3}).terms.values())
 
 
+def test_poly_zero_checks_dimension():
+    for dim in (0, -3):
+        with pytest.raises(DomainError, match="dimension must be >= 1"):
+            Poly.zero(dim)
+    assert Poly.zero(1).is_zero()
+
+
+def test_exponent_budget():
+    top = Poly.MAX_EXPONENT
+    assert top == 2**63 - 1
+    message = f"exceeds the budget of Poly.MAX_EXPONENT = {top}"
+    half = Poly(2, {(2**62, 0): 1})
+    # the largest exponent is kept, and the next variable's field is untouched
+    assert half * Poly(2, {(2**62 - 1, 5): 1}) == Poly(2, {(top, 5): 1})
+    assert Poly(2, {(0, top): 3}).derive(1) == Poly(2, {(0, top - 1): 3 * top})
+    # a product past the budget raises instead of carrying into the next field
+    over = [
+        (half, half),
+        (Poly(2, {(top, 0): 1}), Poly.var(2, 0)),
+        (Poly(2, {(0, top): 1, (1, 0): 1}), Poly(2, {(0, 1): 1, (0, 0): 1})),
+    ]
+    for f, g in over:
+        with pytest.raises(DomainError, match=message):
+            f * g
+    with pytest.raises(DomainError, match=message):
+        Poly(2, {(top + 1, 0): 1})
+    with pytest.raises(DomainError, match=message):
+        Poly.var(2, 1) ** (top + 1)
+    # the degree-1 bracket kernel checks its products too
+    f, g = Poly(2, {(2**62, 0): 1}), Poly(2, {(2**62 + 1, 0): 1})
+    with pytest.raises(DomainError, match=message):
+        vf_bracket(VField([f, Poly.zero(2)]), VField([Poly.zero(2), g]))
+    assert str(Poly.var(2, 0) ** 4294967296) == "x0^4294967296"
+    assert (Poly.var(2, 1) ** top).terms == {(0, top): 1}
+
+
+def test_coefficient_budget():
+    two = Poly.const(2, 2)
+    # 2^14284 has 4300 digits, the most a printed coefficient may have
+    assert str(two**14284) == str(2**14284) and len(str(2**14284)) == Poly.MAX_DIGITS
+    third = Poly.const(2, Fraction(1, 3))
+    for base, n in [(two, 14285), (two, 10**8), (third, 10**8), (two * Poly.var(2, 0), 10**30)]:
+        with pytest.raises(DomainError, match="coefficient budget of Poly.MAX_DIGITS"):
+            base**n
+    # a value built past the budget by products is refused where it is printed
+    big = two**14000 * two**14000
+    for value in (big, big * Poly.var(2, 1), Poly.var(2, 0) * Fraction(1, 10**4300)):
+        with pytest.raises(DomainError, match="more digits than the budget of Poly.MAX_DIGITS"):
+            str(value)
+    assert str(Poly.const(2, 10**4300 - 1)) == "9" * 4300
+
+
 def test_vf_apply_examples():
     d0 = VField.basis(2, 0)
     assert vf_apply(d0, Poly(2, {(2, 0): 1})) == Poly(2, {(1, 0): 2})

@@ -305,6 +305,37 @@ def test_cli_power_budget():
     assert len(ninth.terms) == 55 and ninth.terms[(1, 8)] == 9 and ninth.terms[(3, 3)] == 1680
 
 
+def test_cli_coefficient_budget():
+    power = (
+        f"igc: error: polynomial power exceeds the coefficient budget of Poly.MAX_DIGITS = {Poly.MAX_DIGITS} digits\n"
+    )
+    printed = f"igc: error: coefficient has more digits than the budget of Poly.MAX_DIGITS = {Poly.MAX_DIGITS}\n"
+    literal = (
+        f"igc: parse error: integer literal of 5000 digits exceeds the budget of Poly.MAX_DIGITS = {Poly.MAX_DIGITS}"
+        " (line 1, column 1)\n"
+    )
+    chain = "(2^4000*2^4000*2^4000*2^4000)*d0"
+    cases = [
+        (["reduce", "2^20000*d0"], 2, power),
+        (["reduce", "2^100000000*d0"], 2, power),
+        (["reduce", "7" * 5000 + "*d0"], 1, literal),
+        (["reduce", chain], 2, printed),
+        (["--format", "json", "reduce", chain], 2, printed),
+        (["bracket", "free", "x0^9223372036854775807*d0", "x0*d1"], 2,
+         f"igc: error: monomial exponent exceeds the budget of Poly.MAX_EXPONENT = {Poly.MAX_EXPONENT}\n"),
+    ]
+    for args, code, stderr in cases:
+        r = subprocess.run(
+            [sys.executable, "-m", "igc", "--dim", "2", *args], capture_output=True, text=True, timeout=10
+        )
+        assert (r.returncode, r.stdout, r.stderr) == (code, "", stderr), args
+    # at the budget the value still prints, and so does a large exponent
+    r = run(["--dim", "2", "reduce", "2^14284*d0"])
+    assert (r.returncode, r.stdout) == (0, f"{2**14284}*d0\n")
+    r = run(["--dim", "2", "reduce", "x0^4294967296*d0"])
+    assert (r.returncode, r.stdout) == (0, "x0^4294967296*d0\n")
+
+
 def test_cli_profile_flag():
     args = ["--dim", "2", "--seed", "3", "check", "--only", "parse-roundtrip"]
     plain, profiled = run(args), run(["--profile", *args])

@@ -2,26 +2,38 @@
 
 Every command line ends in a result or in one of the three error types the
 CLI maps to exit 1 or 2, and every printed value reparses to the value the
-command returned (compared through its JSON form).  The grammar keeps inputs
-small: single-digit integers, at most one caret, k-fields of arity at most 4
-and a bounded number of tokens, so no input reaches the open size budgets.
+command returned (compared through its JSON form).  Integer literals run from
+one digit to past the digit budget and `^` exponents up to 2^64, so inputs
+reach the coefficient, exponent and term budgets; the grammar keeps at most
+one caret, k-fields of arity at most 4 and a bounded number of tokens.
 """
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from igc import ChartSpec, DomainError
+from igc import ChartSpec, DomainError, Poly
 from igc.cli import UsageError, run_command
 from igc.parsing import ParseError, Session, as_elem, as_kfield, as_pv, parse_expression
 
 CHART = ChartSpec(2, 4)
 DIGITS = st.integers(0, 9).map(str)
 INDICES = st.integers(0, 4).map(str)
+# mostly short integers, now and then one with up to a few digits past the
+# digit budget
+INTEGERS = st.one_of(
+    DIGITS,
+    st.integers(10, 10**30).map(str),
+    st.integers(Poly.MAX_DIGITS - 3, Poly.MAX_DIGITS + 3).map(lambda n: "7" * n),
+)
+# exponents up to 2^64, the largest key field and just past it among them
+EXPONENTS = st.one_of(
+    DIGITS, st.integers(10, 2**64).map(str), st.sampled_from([str(2**63 - 1), str(2**63), str(2**64)])
+)
 
 # polynomials, and fields with polynomial coefficients, built with +, -, *,
 # unary minus, parentheses and free brackets
 polys = st.recursive(
-    st.one_of(DIGITS, st.sampled_from(["x0", "x1", "1/2", "3/4"])),
+    st.one_of(INTEGERS, st.sampled_from(["x0", "x1", "1/2", "3/4"]), st.tuples(INTEGERS, INTEGERS).map("/".join)),
     lambda inner: st.one_of(
         st.tuples(inner, st.sampled_from([" + ", " - ", "*"]), inner).map("".join),
         inner.map(lambda e: f"-({e})"),
@@ -38,14 +50,15 @@ fields = st.recursive(
     ),
     max_leaves=4,
 )
-# now and then a polynomial where a field belongs, and the one caret: a digit
-# power of a polynomial or a wedge of two fields
+# now and then a polynomial where a field belongs, and the one caret: a power
+# of a polynomial or a wedge of two fields
 values = st.one_of(
     fields,
     fields,
     fields,
     polys,
-    st.tuples(polys, DIGITS).map("({0[0]})^{0[1]}".format),
+    st.tuples(polys, EXPONENTS).map("({0[0]})^{0[1]}".format),
+    st.tuples(polys, EXPONENTS).map("({0[0]})^{0[1]}*d0".format),
     st.tuples(fields, fields).map("({0[0]}) ^ ({0[1]})".format),
 )
 

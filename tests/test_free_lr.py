@@ -1,9 +1,12 @@
 """Lyndon machinery and the two brackets of the free Lie-Rinehart layer."""
 
+from fractions import Fraction
 from itertools import product
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from igc import (
     ChartSpec,
@@ -20,8 +23,10 @@ from igc import (
     lyndon_basis,
     project_to_lie,
     vertical_reduce,
+    vf_apply,
     vf_bracket,
 )
+from igc.free_lr import _free_bracket_terms, _lie_bracket_terms
 from igc.lyndon import standard_factorization, tensor_expansion
 from igc.oracle import oracle_bracket, random_poly, random_vfield
 
@@ -147,6 +152,42 @@ def test_free_bracket_degree_overflow_is_loud():
     with pytest.raises(DegreeOverflowError) as err:
         free_bracket(u, v)
     assert err.value.length == 4 and err.value.limit == 3
+
+
+# the degree-1 kernel against the term-by-term expansion ----------------------
+
+
+@st.composite
+def degree1_pairs(draw):
+    """A chart of dimension 1-4 and two degree-1 elements with multi-term coefficients."""
+    dim = draw(st.integers(1, 4))
+    chart = ChartSpec(dim, draw(st.sampled_from([1, 2, 4])))
+    exps = st.tuples(*[st.integers(0, 2)] * dim)
+    coeffs = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+    polys = st.dictionaries(exps, coeffs, max_size=3).map(lambda t: Poly(dim, t))
+    letters = st.dictionaries(st.integers(0, dim - 1).map(lambda i: (i,)), polys, max_size=dim)
+    return chart, FreeLRElem(chart, draw(letters)), FreeLRElem(chart, draw(letters))
+
+
+def _outcome(bracket, *args):
+    try:
+        return bracket(*args)
+    except DegreeOverflowError as err:
+        return ("overflow", err.length, err.limit)
+
+
+@settings(max_examples=300, deadline=None)
+@given(degree1_pairs())
+def test_degree1_kernel_matches_term_by_term(pair):
+    chart, u, v = pair
+    assert _outcome(free_bracket, u, v) == _outcome(_free_bracket_terms, u, v, frozenset())
+    assert _outcome(free_bracket, u, v, RelativeSpec(chart)) == _outcome(free_bracket, u, v)
+    assert lie_bracket_ext(u, v) == _lie_bracket_terms(u, v)
+    a, b = project_to_lie(u), project_to_lie(v)
+    assert vf_bracket(a, b) == VField([vf_apply(a, b.coeffs[i]) - vf_apply(b, a.coeffs[i]) for i in range(chart.dim)])
+    # the free bracket overflows at max_degree 1 exactly when two distinct letters meet
+    distinct = any(i != j for (i,) in u.terms for (j,) in v.terms)
+    assert (_outcome(free_bracket, u, v) == ("overflow", 2, 1)) == (chart.max_degree == 1 and distinct)
 
 
 # extended classical bracket --------------------------------------------------
