@@ -49,9 +49,15 @@ class ChartSpec:
     dim: int
     max_degree: int = 4
 
+    # largest chart dimension: printing unpacks a dim-long exponent tuple for
+    # every term, so the cost of each value grows with it
+    MAX_DIM = 1000
+
     def __post_init__(self):
         if not isinstance(self.dim, int) or self.dim < 1:
             raise DomainError(f"chart dimension must be a positive integer, got {self.dim}")
+        if self.dim > self.MAX_DIM:
+            raise DomainError(f"chart dimension {self.dim} exceeds the budget of ChartSpec.MAX_DIM = {self.MAX_DIM}")
         if not isinstance(self.max_degree, int) or self.max_degree < 1:
             raise DomainError(f"max_degree must be a positive integer, got {self.max_degree}")
 
@@ -67,7 +73,8 @@ class Poly:
 
     __slots__ = ("dim", "num", "den")
 
-    # most term products one multiplication inside `**` may form
+    # most term products one multiplication inside `**`, or one `*` of the
+    # expression language, may form
     MAX_POW_PRODUCTS = 100_000
     # largest exponent a 64-bit key field holds; a product that sets the
     # field's top bit is refused, so no carry reaches the next variable
@@ -256,10 +263,10 @@ class Poly:
                 f"polynomial power exceeds the coefficient budget of Poly.MAX_DIGITS = {self.MAX_DIGITS} digits"
             )
 
-    def _budgeted_mul(self, other: "Poly") -> "Poly":
+    def _budgeted_mul(self, other: "Poly", what: str = "power") -> "Poly":
         if len(self.num) * len(other.num) > self.MAX_POW_PRODUCTS:
             raise DomainError(
-                f"polynomial power exceeds the budget of {self.MAX_POW_PRODUCTS} term products per multiplication"
+                f"polynomial {what} exceeds the budget of {self.MAX_POW_PRODUCTS} term products per multiplication"
             )
         return self * other
 
@@ -273,49 +280,12 @@ class Poly:
     def __hash__(self):
         return hash((self.dim, self.den, frozenset(self.num.items())))
 
-    def sorted_terms(self) -> list[tuple[Exponent, Fraction]]:
-        """Terms in canonical order: graded lex, largest first."""
-        dim, den = self.dim, self.den
-        terms = [(_unpack(k, dim), Fraction(c, den)) for k, c in self.num.items()]
-        return sorted(terms, key=lambda t: (sum(t[0]), t[0]), reverse=True)
-
-    @staticmethod
-    def _monomial_str(exps: Exponent) -> str:
-        parts = []
-        for i, e in enumerate(exps):
-            if e == 1:
-                parts.append(f"x{i}")
-            elif e > 1:
-                parts.append(f"x{i}^{e}")
-        return "*".join(parts)
-
-    @staticmethod
-    def _term_str(exps: Exponent, coeff: Fraction) -> str:
-        # every coefficient is printed here, in text and in JSON
-        if not -_DIGIT_BOUND < coeff.numerator < _DIGIT_BOUND or coeff.denominator >= _DIGIT_BOUND:
-            raise DomainError(f"coefficient has more digits than the budget of Poly.MAX_DIGITS = {Poly.MAX_DIGITS}")
-        mono = Poly._monomial_str(exps)
-        if not mono:
-            return str(coeff)
-        if coeff == 1:
-            return mono
-        if coeff == -1:
-            return "-" + mono
-        return f"{coeff}*{mono}"
-
     def __str__(self):
-        if not self.num:
-            return "0"
-        chunks = []
-        for exps, c in self.sorted_terms():
-            chunks.append(self._term_str(exps, c))
-        out = chunks[0]
-        for ch in chunks[1:]:
-            if ch.startswith("-"):
-                out += " - " + ch[1:]
-            else:
-                out += " + " + ch
-        return out
+        dim, den = self.dim, self.den
+        # canonical order: graded lex on exponent tuples, largest first
+        terms = [(_unpack(k, dim), c) for k, c in self.num.items()]
+        terms.sort(key=lambda t: (sum(t[0]), t[0]), reverse=True)
+        return _signed_sum([_term(exps, c, den) for exps, c in terms])
 
     def __repr__(self):
         return f"Poly({self})"
@@ -403,6 +373,35 @@ def _reduced(dim: int, num: dict[int, int], den: int) -> Poly:
             num = {e: c // g for e, c in num.items()}
             den //= g
     return _poly(dim, num, den)
+
+
+def _term(exps: Exponent, n: int, den: int) -> tuple[bool, str]:
+    """Whether the term (n/den)*x^exps is negative, and its text without the sign.
+
+    Every coefficient is printed here, in text and in JSON: reduced with one
+    gcd, then held to MAX_DIGITS; a coefficient of 1 is left out.
+    """
+    if den != 1:
+        g = gcd(n, den)
+        n //= g
+        den //= g
+    negative = n < 0
+    n = abs(n)
+    if n >= _DIGIT_BOUND or den >= _DIGIT_BOUND:
+        raise DomainError(f"coefficient has more digits than the budget of Poly.MAX_DIGITS = {Poly.MAX_DIGITS}")
+    coeff = str(n) if den == 1 else f"{n}/{den}"
+    mono = "*".join(f"x{i}" if e == 1 else f"x{i}^{e}" for i, e in enumerate(exps) if e)
+    if not mono:
+        return negative, coeff
+    return negative, mono if coeff == "1" else f"{coeff}*{mono}"
+
+
+def _signed_sum(chunks: list[tuple[bool, str]]) -> str:
+    """Join (negative, text) chunks with folded signs; '0' when there are none."""
+    if not chunks:
+        return "0"
+    out = "".join((" - " if negative else " + ") + text for negative, text in chunks)
+    return out[3:] if out[1] == "+" else "-" + out[3:]
 
 
 class _Terms(Mapping):
@@ -499,28 +498,15 @@ def render_combination(pairs: Iterable[tuple[Poly, str]]) -> str:
     A one-term coefficient is printed inline (`2*x0*d1`), a multi-term one is
     parenthesized (`(x0 + 1)*d1`), so every output reparses to the same value.
     """
-    chunks: list[tuple[bool, str]] = []
+    chunks = []
     for coeff, atom in pairs:
-        if coeff.is_zero():
-            continue
-        c = coeff.as_constant()
-        if c == 1:
-            chunks.append((False, atom))
-        elif c == -1:
-            chunks.append((True, atom))
-        elif len(coeff.num) == 1:
+        if len(coeff.num) == 1:
             ((key, n),) = coeff.num.items()
-            body = Poly._term_str(_unpack(key, coeff.dim), Fraction(abs(n), coeff.den))
-            chunks.append((n < 0, f"{body}*{atom}"))
-        else:
+            negative, body = _term(_unpack(key, coeff.dim), n, coeff.den)
+            chunks.append((negative, atom if body == "1" else f"{body}*{atom}"))
+        elif coeff.num:
             chunks.append((False, f"({coeff})*{atom}"))
-    if not chunks:
-        return "0"
-    neg, body = chunks[0]
-    out = ("-" if neg else "") + body
-    for neg, body in chunks[1:]:
-        out += (" - " if neg else " + ") + body
-    return out
+    return _signed_sum(chunks)
 
 
 class VField:

@@ -26,16 +26,13 @@ most own time, then the sizes of the Lyndon caches, to stderr.
 from __future__ import annotations
 
 import argparse
-import cProfile
 import json
-import pstats
 import shlex
 import sys
 from dataclasses import dataclass
 
 from . import lyndon
 from .chart_algebra import ChartSpec
-from .checks import run_suite
 from .errors import DomainError
 from .free_lr import free_bracket, lie_bracket_ext
 from .groupoid import act, is_trivial_homotopy, reduce_to_polyvector
@@ -136,6 +133,9 @@ def run_command(argv: list[str], session: Session) -> CommandOutcome:
 
 
 def _run_check(args: list[str], session: Session) -> CommandOutcome:
+    # imported here, so that no other command loads the check suite
+    from .checks import run_suite
+
     seed = session.seed
     max_degree = session.chart.max_degree
     only = invert = None
@@ -207,6 +207,9 @@ def main(argv: list[str] | None = None) -> int:
     opts = _build_parser().parse_args(argv)
     if not opts.profile:
         return _run(opts)
+    import cProfile
+    import pstats
+
     profiler = cProfile.Profile()
     try:
         return profiler.runcall(_run, opts)

@@ -39,47 +39,35 @@ class Session:
 
 
 _IDENT = r"[A-Za-z_][A-Za-z0-9_]*"
-_TOKEN_RE = re.compile(r"(\d+)|(" + _IDENT + r")|([-+*^/()\[\]{},;:=])")
-_SPACE_RE = re.compile(r"\s*")
+# one match per token after its leading whitespace; group 4 is any other
+# character, so only trailing whitespace is left unmatched
+_TOKEN_RE = re.compile(r"\s*(?:(\d+)|(" + _IDENT + r")|([-+*^/()\[\]{},;:=])|(\S))")
+_KINDS = (None, "int", "ident", "op")
 
 
-@dataclass
-class _Token:
-    kind: str  # int | ident | op | eof
-    text: str
-    line: int
-    column: int
-
-
-def _tokenize(src: str) -> list[_Token]:
+def _tokenize(src: str) -> list[tuple[str, str, int]]:
+    """(kind, text, offset) of each token, then ("eof", "", len(src))."""
     tokens = []
-    line = 1
-    line_start = 0  # offset of the first character of the current line
-    pos = 0
-    while True:
-        end = _SPACE_RE.match(src, pos).end()
-        newlines = src.count("\n", pos, end)
-        if newlines:
-            line += newlines
-            line_start = src.rfind("\n", pos, end) + 1
-        pos = end
-        column = pos - line_start + 1
-        if pos == len(src):
-            tokens.append(_Token("eof", "", line, column))
-            return tokens
-        m = _TOKEN_RE.match(src, pos)
-        if not m:
-            raise ParseError(f"unexpected character {src[pos]!r}", line, column)
-        kind = ("int", "ident", "op")[m.lastindex - 1]
-        if kind == "int" and len(m.group()) > Poly.MAX_DIGITS:
+    for m in _TOKEN_RE.finditer(src):
+        group = m.lastindex
+        text = m[group]
+        start = m.start(group)
+        if group == 4:
+            raise ParseError(f"unexpected character {text!r}", *_position(src, start))
+        if group == 1 and len(text) > Poly.MAX_DIGITS:
             # int() refuses such a literal, and no value built from it would print
             raise ParseError(
-                f"integer literal of {len(m.group())} digits exceeds the budget of Poly.MAX_DIGITS = {Poly.MAX_DIGITS}",
-                line,
-                column,
+                f"integer literal of {len(text)} digits exceeds the budget of Poly.MAX_DIGITS = {Poly.MAX_DIGITS}",
+                *_position(src, start),
             )
-        tokens.append(_Token(kind, m.group(), line, column))
-        pos = m.end()
+        tokens.append((_KINDS[group], text, start))
+    tokens.append(("eof", "", len(src)))
+    return tokens
+
+
+def _position(src: str, offset: int) -> tuple[int, int]:
+    """Line and column of offset in src, both from 1; only \\n ends a line."""
+    return src.count("\n", 0, offset) + 1, offset - src.rfind("\n", 0, offset)
 
 
 _VAR_RE = re.compile(r"^x(\d+)$")
@@ -99,36 +87,37 @@ class _Parser:
     MAX_NESTING = 100
 
     def __init__(self, src: str, session: Session):
+        self.src = src
         self.tokens = _tokenize(src)
         self.pos = 0
+        # kind and text of the current token, tokens[pos]
+        self.kind, self.text, _ = self.tokens[0]
         self.depth = 0
         self.session = session
 
-    @property
-    def current(self) -> _Token:
-        return self.tokens[self.pos]
-
-    def _advance(self) -> _Token:
-        tok = self.tokens[self.pos]
+    def _advance(self) -> str:
+        """Move past the current token and return its text."""
+        text = self.text
         self.pos += 1
-        return tok
+        self.kind, self.text, _ = self.tokens[self.pos]
+        return text
 
-    def _expect(self, text: str) -> _Token:
-        tok = self.current
-        if tok.kind == "eof" or tok.text != text:
-            raise ParseError(f"expected {text!r}, found {tok.text or 'end of input'!r}", tok.line, tok.column)
-        return self._advance()
+    def _expect(self, text: str):
+        if self.text != text:
+            self._error(f"expected {text!r}, found {self.text or 'end of input'!r}")
+        self._advance()
 
-    def _error(self, message: str):
-        tok = self.current
-        raise ParseError(message, tok.line, tok.column)
+    def _error(self, message: str, at: int | None = None):
+        """Raise a ParseError at token index at, by default the current token."""
+        offset = self.tokens[self.pos if at is None else at][2]
+        raise ParseError(message, *_position(self.src, offset))
 
     # grammar ---------------------------------------------------------------
 
     def parse(self):
         value = self.sum()
-        if self.current.kind != "eof":
-            self._error(f"unexpected trailing input {self.current.text!r}")
+        if self.kind != "eof":
+            self._error(f"unexpected trailing input {self.text!r}")
         return value
 
     def sum(self):
@@ -137,8 +126,8 @@ class _Parser:
         if self.depth > self.MAX_NESTING:
             self._error(f"expression nests deeper than the parser budget of {self.MAX_NESTING} levels")
         value = self.product()
-        while self.current.kind == "op" and self.current.text in "+-":
-            op = self._advance().text
+        while self.text == "+" or self.text == "-":
+            op = self._advance()
             rhs = self.product()
             value = _add(value, rhs if op == "+" else _neg(rhs), self.session.chart)
         self.depth -= 1
@@ -146,14 +135,14 @@ class _Parser:
 
     def product(self):
         value = self.unary()
-        while self.current.kind == "op" and self.current.text == "*":
+        while self.text == "*":
             self._advance()
             value = _mul(value, self.unary())
         return value
 
     def unary(self):
         signs = 0
-        while self.current.kind == "op" and self.current.text == "-":
+        while self.text == "-":
             self._advance()
             signs += 1
         value = self.power()
@@ -163,117 +152,110 @@ class _Parser:
 
     def power(self):
         value = self.atom()
-        while self.current.kind == "op" and self.current.text == "^":
+        while self.text == "^":
             self._advance()
             value = _pow(value, self.atom(), self.session.chart)
         return value
 
     def atom(self):
-        tok = self.current
         dim = self.session.chart.dim
-        if tok.kind == "int":
-            self._advance()
-            num = int(tok.text)
-            if self.current.kind == "op" and self.current.text == "/":
+        if self.kind == "int":
+            num = int(self._advance())
+            if self.text == "/":
                 self._advance()
-                den_tok = self.current
-                if den_tok.kind != "int":
+                if self.kind != "int":
                     self._error("expected an integer denominator")
-                den = int(den_tok.text)
+                den = int(self.text)
                 if den == 0:
                     self._error("division by zero")
                 self._advance()
                 return Poly.const(dim, Fraction(num, den))
             return Poly.const(dim, num)
-        if tok.kind == "op" and tok.text == "(":
+        if self.text == "(":
             self._advance()
             value = self.sum()
             self._expect(")")
             return value
-        if tok.kind == "ident":
+        if self.kind == "ident":
             return self.ident_atom()
-        self._error(f"unexpected token {tok.text or 'end of input'!r}")
+        self._error(f"unexpected token {self.text or 'end of input'!r}")
 
     def ident_atom(self):
-        tok = self._advance()
-        name = tok.text
+        at = self.pos
+        name = self._advance()
         dim = self.session.chart.dim
-        if name == "F" and self.current.text == "[":
+        if name == "F" and self.text == "[":
             self._advance()
             lhs = as_elem(self.sum(), self.session.chart)
             self._expect(",")
             rhs = as_elem(self.sum(), self.session.chart)
             self._expect("]")
             return free_bracket(lhs, rhs)
-        if name == "K" and self.current.text == "{":
+        if name == "K" and self.text == "{":
             return self.kfield_literal()
         m = _VAR_RE.match(name)
         if m:
             i = int(m.group(1))
             if i >= dim:
-                raise ParseError(f"coordinate x{i} out of range for dimension {dim}", tok.line, tok.column)
+                self._error(f"coordinate x{i} out of range for dimension {dim}", at)
             return Poly.var(dim, i)
         m = _GEN_RE.match(name)
         if m:
             i = int(m.group(1))
             if i >= dim:
-                raise ParseError(f"generator d{i} out of range for dimension {dim}", tok.line, tok.column)
+                self._error(f"generator d{i} out of range for dimension {dim}", at)
             return FreeLRElem.generator(self.session.chart, i)
-        if self.current.kind == "op" and self.current.text == "(":
-            return self.call(name, tok)
+        if self.text == "(":
+            return self.call(name, at)
         if name in self.session.bindings:
             return self.session.bindings[name]
-        raise ParseError(f"unknown identifier {name!r}", tok.line, tok.column)
+        self._error(f"unknown identifier {name!r}", at)
 
-    def call(self, name: str, tok: _Token):
+    def call(self, name: str, at: int):
         self._expect("(")
         args = [self.sum()]
-        while self.current.text == ",":
+        while self.text == ",":
             self._advance()
             args.append(self.sum())
         self._expect(")")
         if name not in OPERATIONS:
-            raise ParseError(f"unknown function {name!r}", tok.line, tok.column)
+            self._error(f"unknown function {name!r}", at)
         arity = len(OPERATIONS[name][1].split())
         if len(args) != arity:
-            raise ParseError(f"{name} expects {arity} arguments, got {len(args)}", tok.line, tok.column)
+            self._error(f"{name} expects {arity} arguments, got {len(args)}", at)
         return apply_operation(name, args, self.session.chart, lambda value: value, as_int)
 
     def kfield_literal(self):
         chart = self.session.chart
         self._expect("{")
-        ident = self.current
-        if ident.kind != "ident" or ident.text != "arity":
+        if self.text != "arity":
             self._error("K literal starts with arity=<k>")
         self._advance()
         self._expect("=")
-        k_tok = self.current
-        if k_tok.kind != "int":
+        if self.kind != "int":
             self._error("arity must be an integer")
-        self._advance()
-        k = int(k_tok.text)
+        k = int(self._advance())
         comps = {}
-        while self.current.text == ";":
+        while self.text == ";":
             self._advance()
-            start = self.current
+            start = self.pos
             indices = [self._subset_index([])]
-            while self.current.text == ",":
+            while self.text == ",":
                 self._advance()
                 indices.append(self._subset_index(indices))
             subset = frozenset(indices)
             if subset in comps:
                 names = ",".join(map(str, sorted(subset)))
-                raise ParseError(f"repeated index set {names}", start.line, start.column)
+                self._error(f"repeated index set {names}", start)
             self._expect(":")
             comps[subset] = as_elem(self.sum(), chart)
         self._expect("}")
         return KField(chart, k, comps)
 
     def _subset_index(self, seen: list[int]) -> int:
-        tok = self.current
-        if tok.kind != "int":
+        if self.kind != "int":
             self._error("expected a slot index")
-        index = int(tok.text)
+        index = int(self.text)
         if index in seen:
             self._error(f"repeated slot index {index}")
         self._advance()
@@ -379,7 +361,7 @@ def _add(a, b, chart: ChartSpec):
 
 def _mul(a, b):
     if isinstance(a, Poly) and isinstance(b, Poly):
-        return a * b
+        return a._budgeted_mul(b, "product")
     if isinstance(a, Poly) and isinstance(b, (FreeLRElem, Polyvector)):
         return b * a
     if isinstance(b, Poly) and isinstance(a, (FreeLRElem, Polyvector)):

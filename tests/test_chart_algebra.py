@@ -4,6 +4,8 @@ from fractions import Fraction
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from igc import (
     ChartMismatchError,
@@ -15,6 +17,7 @@ from igc import (
     vf_bracket,
     vf_pushforward,
 )
+from igc.chart_algebra import render_combination
 from igc.oracle import random_poly, random_vfield
 
 
@@ -241,6 +244,93 @@ def test_vf_pushforward_rejects_bad_embeddings():
         vf_pushforward(v, 3, [2, 0])
 
 
+# The printing of the Fraction-per-term renderer that Poly.__str__ and
+# render_combination replaced, kept as the reference for their output.
+
+
+def fraction_term_str(exps, coeff: Fraction) -> str:
+    parts = []
+    for i, e in enumerate(exps):
+        if e == 1:
+            parts.append(f"x{i}")
+        elif e > 1:
+            parts.append(f"x{i}^{e}")
+    mono = "*".join(parts)
+    if not mono:
+        return str(coeff)
+    if coeff == 1:
+        return mono
+    if coeff == -1:
+        return "-" + mono
+    return f"{coeff}*{mono}"
+
+
+def fraction_str(p: Poly) -> str:
+    terms = sorted(p.terms.items(), key=lambda t: (sum(t[0]), t[0]), reverse=True)
+    chunks = [fraction_term_str(exps, c) for exps, c in terms]
+    if not chunks:
+        return "0"
+    out = chunks[0]
+    for ch in chunks[1:]:
+        out += " - " + ch[1:] if ch.startswith("-") else " + " + ch
+    return out
+
+
+def fraction_render(pairs) -> str:
+    chunks = []
+    for coeff, atom in pairs:
+        c = coeff.as_constant()
+        if c == 0:
+            continue
+        if c == 1 or c == -1:
+            chunks.append((c < 0, atom))
+        elif len(coeff.terms) == 1:
+            ((exps, f),) = coeff.terms.items()
+            chunks.append((f < 0, f"{fraction_term_str(exps, abs(f))}*{atom}"))
+        else:
+            chunks.append((False, f"({fraction_str(coeff)})*{atom}"))
+    if not chunks:
+        return "0"
+    out = ("-" if chunks[0][0] else "") + chunks[0][1]
+    for neg, body in chunks[1:]:
+        out += (" - " if neg else " + ") + body
+    return out
+
+
+@st.composite
+def printed_polys(draw, dim):
+    big = st.integers(-(10**40), 10**40)
+    coeffs = st.one_of(
+        st.integers(-3, 3), big, st.builds(Fraction, st.integers(-12, 12), st.integers(1, 12)),
+        st.builds(Fraction, big, st.integers(1, 10**30)),
+    )
+    exponents = st.tuples(*[st.sampled_from([0, 0, 1, 2, 7, 2**40])] * dim)
+    return Poly(dim, draw(st.dictionaries(exponents, coeffs, max_size=6)))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.integers(1, 3).flatmap(lambda dim: st.lists(printed_polys(dim), min_size=1, max_size=4)))
+def test_printing_matches_fraction_rendering(polys):
+    for p in polys:
+        assert str(p) == fraction_str(p)
+    pairs = [(p, f"d{i}") for i, p in enumerate(polys)]
+    assert render_combination(pairs) == fraction_render(pairs)
+
+
+def test_printing_applies_the_digit_budget_after_reduction():
+    half = 5 * 10**4299  # 4300 digits
+    p = Poly(2, {(1, 0): half, (0, 1): Fraction(1, 2)})
+    # stored as a 4301-digit numerator over 2, printed reduced
+    assert p.den == 2 and max(p.num.values()) == 10**Poly.MAX_DIGITS
+    assert str(p) == f"{half}*x0 + 1/2*x1"
+    assert render_combination([(p, "d0")]) == f"({half}*x0 + 1/2*x1)*d0"
+    over = Poly(2, {(1, 0): 10**4300, (0, 1): Fraction(1, 2)})
+    with pytest.raises(DomainError, match="more digits than the budget of Poly.MAX_DIGITS"):
+        str(over)
+    with pytest.raises(DomainError, match="more digits than the budget of Poly.MAX_DIGITS"):
+        render_combination([(Poly.const(2, Fraction(1, 10**4300)), "d0")])
+
+
 def test_chart_mismatch():
     with pytest.raises(ChartMismatchError):
         Poly.var(2, 0) + Poly.var(3, 0)
@@ -251,5 +341,8 @@ def test_chart_mismatch():
 def test_chart_spec_validation():
     with pytest.raises(DomainError):
         ChartSpec(0)
+    assert ChartSpec(ChartSpec.MAX_DIM).dim == ChartSpec.MAX_DIM
+    with pytest.raises(DomainError, match=f"exceeds the budget of ChartSpec.MAX_DIM = {ChartSpec.MAX_DIM}"):
+        ChartSpec(ChartSpec.MAX_DIM + 1)
     with pytest.raises(DomainError):
         ChartSpec(2, 0)

@@ -1,6 +1,7 @@
 """Expression parsing, printing roundtrips, and the command front end."""
 
 import json
+import re
 import shlex
 import subprocess
 import sys
@@ -10,7 +11,7 @@ from random import Random
 
 import pytest
 
-from igc import ChartSpec, FreeLRElem, KField, Poly, Polyvector, VField, cup
+from igc import ChartSpec, DomainError, FreeLRElem, KField, Poly, Polyvector, VField, cup
 from igc.cli import UsageError, main, run_command
 from igc.parsing import ParseError, Session, as_kfield, parse_expression
 from igc.oracle import random_vfield
@@ -107,6 +108,73 @@ def test_print_parse_roundtrip_random():
             KField.from_vfields(s.chart, 1, {frozenset({0}): random_vfield(rng, 2)}),
         )
         assert as_kfield(parse_expression(str(field), s), s.chart) == field
+
+
+# The tokenizer that tracked lines as it scanned, before the one-scan
+# tokenizer that works out line and column from an offset only for an error;
+# kept as the reference for every token and every message.
+
+_REF_TOKEN_RE = re.compile(r"(\d+)|([A-Za-z_][A-Za-z0-9_]*)|([-+*^/()\[\]{},;:=])")
+_REF_SPACE_RE = re.compile(r"\s*")
+
+
+def reference_tokenize(src: str) -> list[tuple[str, str, int, int]]:
+    tokens = []
+    line = 1
+    line_start = 0
+    pos = 0
+    while True:
+        end = _REF_SPACE_RE.match(src, pos).end()
+        newlines = src.count("\n", pos, end)
+        if newlines:
+            line += newlines
+            line_start = src.rfind("\n", pos, end) + 1
+        pos = end
+        column = pos - line_start + 1
+        if pos == len(src):
+            tokens.append(("eof", "", line, column))
+            return tokens
+        m = _REF_TOKEN_RE.match(src, pos)
+        if not m:
+            raise ParseError(f"unexpected character {src[pos]!r}", line, column)
+        kind = ("int", "ident", "op")[m.lastindex - 1]
+        if kind == "int" and len(m.group()) > Poly.MAX_DIGITS:
+            raise ParseError(
+                f"integer literal of {len(m.group())} digits exceeds the budget of Poly.MAX_DIGITS = {Poly.MAX_DIGITS}",
+                line,
+                column,
+            )
+        tokens.append((kind, m.group(), line, column))
+        pos = m.end()
+
+
+def test_tokenizer_matches_the_line_tracking_reference():
+    from igc.parsing import _position, _tokenize
+
+    def outcome(tokenize, src):
+        try:
+            return tokenize(src)
+        except ParseError as exc:
+            return str(exc), exc.line, exc.column
+
+    def tokenize(src):
+        return [(kind, text, *_position(src, offset)) for kind, text, offset in _tokenize(src)]
+
+    # whitespace, ASCII and Unicode, weighted so that strings often end in it
+    spaces = ["\n", "\r", "\t", "\x0b", "\x0c", "\xa0", " ", "\u2028", "\u3000", "\x1c"] * 3
+    other = ["é", "λ", "ß", "Ω", "٣", "$", "#", ".", "'"]
+    words = ["x0", "d12", "F", "K", "arity", "_a9", "7", "0042", "3/4"]
+    alphabet = spaces + other + words + list("-+*^/()[]{},;:=") + list("xd019_aZ")
+    rng = Random(9)
+    sources = ["", " ", "\n", "7" * Poly.MAX_DIGITS, "x0 +\n " + "7" * (Poly.MAX_DIGITS + 1)]
+    sources += ["".join(rng.choices(alphabet, k=rng.randint(1, 14))) for _ in range(50_000)]
+    errors = 0
+    for src in sources:
+        want = outcome(reference_tokenize, src)
+        assert outcome(tokenize, src) == want, repr(src)
+        errors += isinstance(want, tuple)
+    # both outcomes occur often: the strings reach the error paths and the eof token
+    assert 10_000 < errors < 40_000
 
 
 def test_parse_zero_denominator_is_a_parse_error():
@@ -303,6 +371,46 @@ def test_cli_power_budget():
     assert (r.returncode, r.stdout) == (0, "x0^1000*d0\n")
     ninth = parse_expression("(x0+x1+1)^9", session())
     assert len(ninth.terms) == 55 and ninth.terms[(1, 8)] == 9 and ninth.terms[(3, 3)] == 1680
+
+
+def test_cli_product_budget(tmp_path):
+    # (x0+x1+x2+1)^28 has 4,495 terms, so r*r would form about 20M term
+    # products; q*q, 680 terms times 680, is already past the budget
+    script = tmp_path / "chain.igc"
+    script.write_text("let p = (x0+x1+x2+1)^7\nlet q = p*p\nlet r = q*q\nreduce r*r*d0\n")
+    r = subprocess.run(
+        [sys.executable, "-m", "igc", "--dim", "3", "--script", str(script)],
+        capture_output=True, text=True, timeout=10,
+    )
+    message = f"polynomial product exceeds the budget of {Poly.MAX_POW_PRODUCTS} term products per multiplication"
+    assert (r.returncode, r.stdout) == (2, "")
+    assert r.stderr == f"igc: error: {message}\nigc: script line 3 failed\n"
+    # p*p forms 14,400 products and is read as before
+    s = session(3)
+    assert len(parse_expression("(x0+x1+x2+1)^7*(x0+x1+x2+1)^7", s).num) == 680
+    with pytest.raises(DomainError, match=message):
+        parse_expression("(x0+x1+x2+1)^14*(x0+x1+x2+1)^14", s)
+
+
+def test_cli_dimension_budget():
+    r = subprocess.run(
+        [sys.executable, "-m", "igc", "--dim", "100000000", "bracket", "lie", "d0", "x0*d1"],
+        capture_output=True, text=True, timeout=10,
+    )
+    assert (r.returncode, r.stdout) == (1, "")
+    assert r.stderr == f"igc: error: chart dimension 100000000 exceeds the budget of ChartSpec.MAX_DIM = {ChartSpec.MAX_DIM}\n"
+    r = run(["--dim", str(ChartSpec.MAX_DIM), "bracket", "lie", "d0", "x0*d1"])
+    assert (r.returncode, r.stdout) == (0, "d1\n")
+
+
+def test_one_shot_command_leaves_check_suite_and_profiler_unloaded():
+    code = (
+        "import sys; from igc.cli import main; "
+        "code = main(['--dim', '2', 'bracket', 'lie', 'd0', 'x0*d1']); "
+        "print(code, sorted(m for m in ('igc.checks', 'cProfile', 'pstats') if m in sys.modules))"
+    )
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=30)
+    assert (r.stdout, r.stderr) == ("d1\n0 []\n", "")
 
 
 def test_cli_coefficient_budget():
