@@ -8,8 +8,9 @@ exponent of x_i in bits 64*i to 64*i+63, so a monomial product is one int
 addition and d/dx_i one shift-and-mask and one subtraction.  The form is
 unique, so structural equality is mathematical equality, and arithmetic works
 on ints with one gcd per result.  `VField` is a derivation sum_i a_i*d_i with
-`Poly` coefficients.  All values are immutable after construction and all
-operations are pure, so everything is safe to share between threads.
+`Poly` coefficients, stored by its nonzero ones.  All values are immutable
+after construction and all operations are pure, so everything is safe to
+share between threads.
 
 The canonical term order used for printing is graded lexicographic on
 exponent vectors, largest first.
@@ -21,9 +22,9 @@ given.  Results that a class computes itself from canonical operands, the
 sums, products, derivatives, brackets and wedges, are canonical by
 construction and are wrapped by the private `_make` (for `Poly`, `_poly`
 and `_reduced`, which cancels the one common factor) without a second check.
-The three free A-modules (`FreeLRElem`, `WeilElem`, `Polyvector`) share
-their module operations through `_Module`; each keeps its own constructors,
-mismatch errors, products and printing.
+The four free A-modules (`VField`, `FreeLRElem`, `WeilElem`, `Polyvector`)
+share their module operations through `_Module`; each keeps its own
+constructors, mismatch errors, products and printing.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from fractions import Fraction
 from functools import cache, reduce
 from math import gcd, lcm
 from operator import or_
-from typing import Iterable, Sequence
+from typing import Collection, Iterable, Sequence
 
 from .errors import ChartMismatchError, DomainError
 
@@ -73,8 +74,8 @@ class Poly:
 
     __slots__ = ("dim", "num", "den")
 
-    # most term products one multiplication inside `**`, or one `*` of the
-    # expression language, may form
+    # most term products one multiplication of two polynomials may form, in
+    # `*` and `**` and inside brackets, wedges and Schouten brackets
     MAX_POW_PRODUCTS = 100_000
     # largest exponent a 64-bit key field holds; a product that sets the
     # field's top bit is refused, so no carry reaches the next variable
@@ -233,6 +234,7 @@ class Poly:
         if len(p) > 1:
             return _product_poly(self.dim, _mul_into({}, p.items(), q.items()), self.den * o.den)
         # a monomial shifts the exponents of the other factor injectively
+        _check_products(len(q))
         ((e1, c1),) = p.items()
         num = {e1 + e2: c1 * c2 for e2, c2 in q.items()}
         _check_exponents(self.dim, num)
@@ -263,10 +265,10 @@ class Poly:
                 f"polynomial power exceeds the coefficient budget of Poly.MAX_DIGITS = {self.MAX_DIGITS} digits"
             )
 
-    def _budgeted_mul(self, other: "Poly", what: str = "power") -> "Poly":
+    def _budgeted_mul(self, other: "Poly") -> "Poly":
         if len(self.num) * len(other.num) > self.MAX_POW_PRODUCTS:
             raise DomainError(
-                f"polynomial {what} exceeds the budget of {self.MAX_POW_PRODUCTS} term products per multiplication"
+                f"polynomial power exceeds the budget of {self.MAX_POW_PRODUCTS} term products per multiplication"
             )
         return self * other
 
@@ -340,8 +342,17 @@ def _check_exponents(dim: int, keys: Iterable[int]):
         raise DomainError(_EXPONENT_OVERFLOW)
 
 
-def _mul_into(acc: dict[int, int], p: Iterable[tuple[int, int]], q: Iterable[tuple[int, int]]) -> dict[int, int]:
+def _check_products(count: int):
+    """Refuse a multiplication of count term products past MAX_POW_PRODUCTS."""
+    if count > Poly.MAX_POW_PRODUCTS:
+        raise DomainError(
+            f"polynomial product exceeds the budget of {Poly.MAX_POW_PRODUCTS} term products per multiplication"
+        )
+
+
+def _mul_into(acc: dict[int, int], p: Collection[tuple[int, int]], q: Collection[tuple[int, int]]) -> dict[int, int]:
     """Add the product of two numerator item lists or views into acc; zero sums stay."""
+    _check_products(len(p) * len(q))
     get = acc.get
     for k1, c1 in p:
         for k2, c2 in q:
@@ -509,10 +520,14 @@ def render_combination(pairs: Iterable[tuple[Poly, str]]) -> str:
     return _signed_sum(chunks)
 
 
-class VField:
-    """Vector field sum_i coeffs[i]*d_i on R^n; a derivation of the chart ring."""
+class VField(_Module):
+    """Vector field sum_i a_i*d_i on R^n; a derivation of the chart ring.
 
-    __slots__ = ("dim", "coeffs")
+    `terms` maps an index i to its nonzero coefficient a_i, and `coeffs` is
+    the dense tuple (a_0, ..., a_{n-1}).
+    """
+
+    __slots__ = ("dim", "terms")
 
     def __init__(self, coeffs: Sequence[Poly]):
         coeffs = tuple(coeffs)
@@ -522,10 +537,30 @@ class VField:
         if len(coeffs) != dim or any(c.dim != dim for c in coeffs):
             raise ChartMismatchError("vector field needs exactly dim coefficients on one chart")
         object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "terms", {i: c for i, c in enumerate(coeffs) if c})
 
-    def __setattr__(self, name, value):
-        raise AttributeError("VField is immutable")
+    @classmethod
+    def _make(cls, dim: int, terms: dict[int, Poly]) -> "VField":
+        """Wrap a canonical dict: indices below dim, nonzero Polys on the chart."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "terms", terms)
+        return self
+
+    def _like(self, terms: dict[int, Poly]) -> "VField":
+        return VField._make(self.dim, terms)
+
+    def _space(self):
+        return self.dim
+
+    def _check(self, other: "VField"):
+        if self.dim != other.dim:
+            raise ChartMismatchError("values live on charts of different dimension")
+
+    @property
+    def coeffs(self) -> tuple[Poly, ...]:
+        zero = Poly.zero(self.dim)
+        return tuple(self.terms.get(i, zero) for i in range(self.dim))
 
     @classmethod
     def zero(cls, dim: int) -> "VField":
@@ -535,71 +570,30 @@ class VField:
     def basis(cls, dim: int, i: int) -> "VField":
         if not 0 <= i < dim:
             raise DomainError(f"basis index {i} out of range for dimension {dim}")
-        return cls([Poly.const(dim, 1) if j == i else Poly.zero(dim) for j in range(dim)])
-
-    def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.coeffs)
-
-    def __add__(self, other):
-        if not isinstance(other, VField):
-            return NotImplemented
-        _check_same_dim(self, other)
-        return VField([a + b for a, b in zip(self.coeffs, other.coeffs)])
-
-    def __sub__(self, other):
-        if not isinstance(other, VField):
-            return NotImplemented
-        _check_same_dim(self, other)
-        return VField([a - b for a, b in zip(self.coeffs, other.coeffs)])
-
-    def __neg__(self):
-        return VField([-c for c in self.coeffs])
-
-    def __mul__(self, other):
-        # scalar or Poly multiple
-        if isinstance(other, (int, Fraction, Poly)):
-            return VField([c * other for c in self.coeffs])
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        if not isinstance(other, VField):
-            return NotImplemented
-        return self.dim == other.dim and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash((self.dim, self.coeffs))
+        return cls._make(dim, {i: Poly.const(dim, 1)})
 
     def __str__(self):
-        return render_combination((self.coeffs[i], f"d{i}") for i in range(self.dim))
+        return render_combination((self.terms[i], f"d{i}") for i in sorted(self.terms))
 
     def __repr__(self):
         return f"VField({self})"
 
 
-def _check_same_dim(u, v):
-    if u.dim != v.dim:
-        raise ChartMismatchError("values live on charts of different dimension")
-
-
 def vf_apply(v: VField, f: Poly) -> Poly:
-    """Action of the derivation v on f: sum_i coeffs[i] * df/dx_i."""
+    """Action of the derivation v on f: sum_i a_i * df/dx_i."""
     if v.dim != f.dim:
         raise ChartMismatchError("field and polynomial live on different charts")
     out = Poly.zero(f.dim)
-    for i, a in enumerate(v.coeffs):
-        if not a.is_zero():
-            out = out + a * f.derive(i)
+    for i, a in v.terms.items():
+        out = out + a * f.derive(i)
     return out
 
 
 def vf_bracket(u: VField, v: VField) -> VField:
     """Lie bracket of vector fields: [u,v]^i = u(v^i) - v(u^i)."""
-    _check_same_dim(u, v)
-    coords, _ = _degree1_bracket(u.dim, dict(enumerate(u.coeffs)), dict(enumerate(v.coeffs)), False)
-    zero = Poly.zero(u.dim)
-    return VField([coords.get(j, zero) for j in range(u.dim)])
+    u._check(v)
+    coords, _ = _degree1_bracket(u.dim, u.terms, v.terms, False)
+    return VField._make(u.dim, coords)
 
 
 def _degree1_bracket(
@@ -649,6 +643,9 @@ def _derivation_into(accs: dict, f: list, g: list, sign: int):
         shift = 64 * i
         one = 1 << shift
         for j, gj in g:
+            if len(fi) * len(gj) > Poly.MAX_POW_PRODUCTS:
+                # only the terms of g_j holding x_i form products
+                _check_products(len(fi) * sum(1 for kg, _ in gj if (kg >> shift) & _FIELD_MASK))
             acc = accs.setdefault(j, {})
             get = acc.get
             for kg, cg in gj:
@@ -692,7 +689,4 @@ def vf_pushforward(v: VField, target_dim: int, embedding: Sequence[int]) -> VFie
             out[_pack(new)] = c
         return _poly(target_dim, out, p.den)
 
-    coeffs = [Poly.zero(target_dim)] * target_dim
-    for i, a in enumerate(v.coeffs):
-        coeffs[emb[i]] = relabel(a)
-    return VField(coeffs)
+    return VField._make(target_dim, {emb[i]: relabel(a) for i, a in v.terms.items()})

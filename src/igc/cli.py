@@ -114,7 +114,7 @@ def run_command(argv: list[str], session: Session) -> CommandOutcome:
     elif cmd == "act":
         _need(argv, 4, "act PERM (free|lie) E")
         try:
-            word = [int(t) for t in args[0].split(",") if t != ""]
+            word = [int(t) for t in args[0].split(",")] if args[0] else []
         except ValueError:
             raise UsageError(f"bad swap word {args[0]!r}; use comma-separated indices") from None
         if args[1] not in ("free", "lie"):

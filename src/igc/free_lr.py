@@ -128,7 +128,7 @@ class FreeLRElem(_Module):
     def from_vfield(cls, chart: ChartSpec, v: VField) -> "FreeLRElem":
         if v.dim != chart.dim:
             raise ChartMismatchError("field lives on a different chart")
-        return cls(chart, {LyndonWord((i,)): v.coeffs[i] for i in range(v.dim)})
+        return cls._make(chart, {LyndonWord._make((i,)): p for i, p in v.terms.items()})
 
     def is_classical(self) -> bool:
         """True when only length-1 words occur, i.e. the element is a vector field."""
@@ -199,8 +199,7 @@ def project_to_lie(u: FreeLRElem) -> VField:
     Coordinate generators commute, so all words of length >= 2 evaluate to
     zero and the projection keeps exactly the degree-1 part.
     """
-    zero = Poly.zero(u.chart.dim)
-    return VField([u.terms.get((i,), zero) for i in range(u.chart.dim)])
+    return VField._make(u.chart.dim, {w[0]: p for w, p in u.terms.items() if len(w) == 1})
 
 
 def free_bracket(u: FreeLRElem, v: FreeLRElem, spec: RelativeSpec | None = None) -> FreeLRElem:

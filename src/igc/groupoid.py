@@ -55,9 +55,16 @@ class KField:
 
     __slots__ = ("chart", "arity", "components")
 
+    # largest arity: `cup` builds the index set of the first k slots, and the
+    # operations that walk all index sets cost 2^k, so a literal's arity is
+    # held to a size whose index sets are cheap to form
+    MAX_ARITY = 1000
+
     def __init__(self, chart: ChartSpec, arity: int, components: Mapping[Subset, FreeLRElem] | None = None):
         if arity < 1:
             raise DomainError(f"arity must be >= 1, got {arity}")
+        if arity > self.MAX_ARITY:
+            raise DomainError(f"arity {arity} exceeds the budget of KField.MAX_ARITY = {self.MAX_ARITY}")
         clean: dict[Subset, FreeLRElem] = {}
         for phi, elem in (components or {}).items():
             phi = frozenset(phi)
@@ -155,14 +162,13 @@ def face(nu: KField, i: int) -> KField:
         raise DomainError(f"face index {i} out of range for arity {k}")
     if k == 1:
         raise DomainError("a 1-field has no faces")
-    remaining = [x for x in range(k) if x != i]
-    reindex = {old: new for new, old in enumerate(remaining)}
-    comps = {
-        frozenset(reindex[x] for x in phi): elem
-        for phi, elem in nu.components.items()
-        if i not in phi
-    }
+    comps = {_drop_slot(phi, i): elem for phi, elem in nu.components.items() if i not in phi}
     return KField(nu.chart, k - 1, comps)
+
+
+def _drop_slot(phi: Subset, i: int) -> Subset:
+    """Relabel an index set avoiding i onto the slots left when slot i is deleted."""
+    return frozenset(x - (x > i) for x in phi)
 
 
 def add_over_face(mu: KField, nu: KField, psi) -> KField:
@@ -190,9 +196,10 @@ def add_over_face(mu: KField, nu: KField, psi) -> KField:
 def strong_diff(mu: KField, nu: KField, pair: tuple[int, int]) -> KField:
     """Strong difference of two fields agreeing outside components with both i and j.
 
-    The result has arity k-1 over the face deleting j: components avoiding i
-    are copied, and a component containing i picks up the difference of the
-    (component + {j}) entries.
+    The result has arity k-1 over the face deleting j: components avoiding
+    both i and j are copied, and a component containing i picks up the
+    difference of the (component + {j}) entries.  Both sums run over the
+    supports alone.
     """
     _check_compatible(mu, nu)
     k = mu.arity
@@ -202,19 +209,14 @@ def strong_diff(mu: KField, nu: KField, pair: tuple[int, int]) -> KField:
     for phi in sorted(set(mu.components) | set(nu.components), key=_subset_key):
         if not (i in phi and j in phi) and mu.component(phi) != nu.component(phi):
             raise FacePreconditionError(phi)
-    remaining = [x for x in range(k) if x != j]
-    reindex = {old: new for new, old in enumerate(remaining)}
-    comps: dict[Subset, FreeLRElem] = {}
-    for size in range(1, k):
-        for chi in combinations(remaining, size):
-            chi_set = frozenset(chi)
-            if i in chi_set:
-                elem = mu.component(chi_set | {j}) - nu.component(chi_set | {j})
-            else:
-                elem = mu.component(chi_set)
-            if not elem.is_zero():
-                comps[frozenset(reindex[x] for x in chi_set)] = elem
-    return KField(mu.chart, k - 1, comps)
+    comps = {phi: elem for phi, elem in mu.components.items() if i not in phi and j not in phi}
+    comps.update((phi - {j}, elem) for phi, elem in mu.components.items() if i in phi and j in phi)
+    zero = FreeLRElem.zero(mu.chart)
+    for phi, elem in nu.components.items():
+        if i in phi and j in phi:
+            comps[phi - {j}] = comps.get(phi - {j}, zero) - elem
+    # KField drops the differences that vanish
+    return KField(mu.chart, k - 1, {_drop_slot(chi, j): elem for chi, elem in comps.items()})
 
 
 def cup(mu: KField, nu: KField) -> KField:

@@ -113,11 +113,12 @@ def random_kfield(
 def oracle_bracket(u: VField, v: VField) -> VField:
     """Coordinate-formula bracket [u,v]^i = u(v^i) - v(u^i), written out raw."""
     n = u.dim
+    a, b = u.coeffs, v.coeffs
     coeffs = []
     for i in range(n):
         acc = Poly.zero(n)
         for j in range(n):
-            acc = acc + u.coeffs[j] * v.coeffs[i].derive(j) - v.coeffs[j] * u.coeffs[i].derive(j)
+            acc = acc + a[j] * b[i].derive(j) - b[j] * a[i].derive(j)
         coeffs.append(acc)
     return VField(coeffs)
 

@@ -361,7 +361,7 @@ def _add(a, b, chart: ChartSpec):
 
 def _mul(a, b):
     if isinstance(a, Poly) and isinstance(b, Poly):
-        return a._budgeted_mul(b, "product")
+        return a * b
     if isinstance(a, Poly) and isinstance(b, (FreeLRElem, Polyvector)):
         return b * a
     if isinstance(b, Poly) and isinstance(a, (FreeLRElem, Polyvector)):

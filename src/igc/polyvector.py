@@ -84,7 +84,7 @@ class Polyvector(_Module):
 
     @classmethod
     def from_vfield(cls, v: VField) -> "Polyvector":
-        return cls(v.dim, {(i,): v.coeffs[i] for i in range(v.dim)})
+        return cls._make(v.dim, {(i,): p for i, p in v.terms.items()})
 
     def grades(self) -> set[int]:
         return {len(idx) for idx in self.terms}

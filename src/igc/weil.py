@@ -32,7 +32,7 @@ from .errors import (
     NotMultiplicativeError,
 )
 from .free_lr import project_to_lie
-from .groupoid import KField, _subset_key
+from .groupoid import KField, _drop_slot, _subset_key
 
 Subset = frozenset[int]
 
@@ -124,17 +124,8 @@ class WeilElem(_Module):
         """Quotient by e_i = 0: drop subsets containing i and reindex the rest."""
         if not 0 <= i < self.arity:
             raise DomainError(f"generator index {i} out of range")
-        remaining = [x for x in range(self.arity) if x != i]
-        reindex = {old: new for new, old in enumerate(remaining)}
-        return WeilElem(
-            self.arity - 1,
-            self.dim,
-            {
-                frozenset(reindex[x] for x in phi): p
-                for phi, p in self.terms.items()
-                if i not in phi
-            },
-        )
+        terms = {_drop_slot(phi, i): p for phi, p in self.terms.items() if i not in phi}
+        return WeilElem._make(self.arity - 1, self.dim, terms)
 
     def shift(self, offset: int, new_arity: int) -> "WeilElem":
         """Reindex every generator i to i + offset inside a larger algebra."""
@@ -163,35 +154,23 @@ class WeilElem(_Module):
         }
 
 
-def _set_partitions(items: tuple[int, ...]):
-    """All partitions of items into nonempty blocks (as tuples of frozensets)."""
-    if not items:
-        yield ()
-        return
-    first, rest = items[0], items[1:]
-    for sub in _set_partitions(rest):
-        for idx in range(len(sub)):
-            yield sub[:idx] + (sub[idx] | {first},) + sub[idx + 1 :]
-        yield sub + (frozenset({first}),)
-
-
 def subset_operator_apply(fields: Mapping[Subset, VField], phi: Subset, f: Poly) -> Poly:
     """Order-|phi| part of the morphism attached to a classical field.
 
-    Sums over partitions of phi; each partition contributes the composite of
-    its block fields applied smallest block first (blocks compared
-    subset-lexicographically).
+    Sums over partitions of phi into supported blocks; each partition
+    contributes the composite of its block fields applied smallest block
+    first (blocks compared subset-lexicographically).  Disjoint blocks
+    compare by their least index, so the block holding min(phi) acts first
+    and the rest of phi is partitioned after it.
     """
+    first = min(phi)
     total = Poly.zero(f.dim)
-    for blocks in _set_partitions(tuple(sorted(phi))):
-        if any(b not in fields for b in blocks):
-            continue
-        value = f
-        for b in sorted(blocks, key=_subset_key):
-            value = vf_apply(fields[b], value)
-            if value.is_zero():
-                break
-        total = total + value
+    for block, v in fields.items():
+        if first in block and block <= phi:
+            value = vf_apply(v, f)
+            if value and block != phi:
+                value = subset_operator_apply(fields, phi - block, value)
+            total = total + value
     return total
 
 

@@ -24,10 +24,13 @@ from igc import (
     Poly,
     Polyvector,
     RelativeSpec,
+    VField,
     WeilElem,
     free_bracket,
     lie_bracket_ext,
+    project_to_lie,
     schouten,
+    vf_bracket,
     wedge,
 )
 from igc.lyndon import is_lyndon
@@ -48,6 +51,7 @@ scalars = st.one_of(st.integers(-2, 2), coeffs, polys)
 elems = st.dictionaries(st.sampled_from(WORDS), polys, max_size=3).map(lambda t: FreeLRElem(CHART, t))
 weils = st.dictionaries(st.sampled_from(SUBSETS), polys, max_size=4).map(lambda t: WeilElem(ARITY, DIM, t))
 pvs = st.dictionaries(st.sampled_from(INDEX_TUPLES), polys, max_size=4).map(lambda t: Polyvector(DIM, t))
+vfields = st.lists(polys, min_size=DIM, max_size=DIM).map(VField)
 specs = st.sets(st.integers(0, DIM - 1)).map(lambda v: RelativeSpec(CHART, frozenset(v)))
 
 
@@ -63,6 +67,17 @@ def assert_canonical_poly(p: Poly):
     assert all(type(c) is Fraction and c != 0 for c in p.terms.values())
     rebuilt = Poly(p.dim, p.terms)
     assert rebuilt == p and hash(rebuilt) == hash(p)
+
+
+def assert_canonical_vfield(v: VField):
+    assert v.dim == DIM
+    for i, p in v.terms.items():
+        assert type(i) is int and 0 <= i < DIM
+        assert not p.is_zero()
+        assert_canonical_poly(p)
+    assert len(v.coeffs) == DIM and all(v.coeffs[i] == v.terms.get(i, 0) for i in range(DIM))
+    assert VField(v.coeffs) == v and hash(VField(v.coeffs)) == hash(v)
+    assert str(VField(v.coeffs)) == str(v)
 
 
 def assert_canonical_elem(u: FreeLRElem):
@@ -137,6 +152,17 @@ def test_free_lr_results_are_canonical(u, v, c, spec):
 
 
 @settings(max_examples=200, deadline=None)
+@given(vfields, vfields, scalars, elems)
+def test_vfield_results_are_canonical(u, v, c, e):
+    for result in (u + v, u - v, -u, u * c, c * u, u - u, vf_bracket(u, v), vf_bracket(u, u), project_to_lie(e)):
+        assert_canonical_vfield(result)
+    assert u + v == v + u and hash(u + v) == hash(v + u)
+    assert project_to_lie(FreeLRElem.from_vfield(CHART, u)) == u
+    # a sum stores d1 before d0 and still prints in index order
+    assert str(VField.basis(DIM, 1) + VField.basis(DIM, 0)) == "d0 + d1"
+
+
+@settings(max_examples=200, deadline=None)
 @given(weils, weils, scalars)
 def test_weil_results_are_canonical(a, b, c):
     for result in (a + b, a - b, -a, a * b, b * a, a * a, a * c, c * a, a - a):
@@ -169,7 +195,16 @@ def test_mixed_modules_neither_add_nor_compare_equal():
     with pytest.raises(ChartMismatchError):
         p + Polyvector(DIM + 1, {(0,): Poly.const(DIM + 1, 1)})
     assert Polyvector.zero(DIM) != Polyvector.zero(DIM + 1)
+    x = VField.basis(DIM, 0)
+    with pytest.raises(ChartMismatchError):
+        x + VField.basis(DIM + 1, 0)
+    assert VField.zero(DIM) != VField.zero(DIM + 1)
+    with pytest.raises(AttributeError):
+        x.dim = DIM + 1
     # elements of different modules neither add nor compare equal
     with pytest.raises(TypeError):
         u + p
+    with pytest.raises(TypeError):
+        x + u
     assert u != p and p != FreeLRElem(CHART, {(0,): one})
+    assert x != u and u != x and x != p and p != x

@@ -176,6 +176,18 @@ def test_coefficient_budget():
     assert str(Poly.const(2, 10**4300 - 1)) == "9" * 4300
 
 
+def test_bracket_product_budget_counts_the_products_it_forms():
+    x0, x1, x2 = (Poly.var(3, i) for i in range(3))
+    zero = Poly.zero(3)
+    # 351 terms each; q has no x1 and p no x0
+    q, p = (x0 + x2 + 1) ** 25, (x1 + x2 + 1) ** 25
+    # q*d0(q) would form 351 * 325 term products
+    with pytest.raises(DomainError, match="polynomial product exceeds the budget of 100000 term products"):
+        vf_bracket(VField([q, zero, zero]), VField([zero, q, zero]))
+    # d0(p) and d1(q) vanish, so no product is formed
+    assert vf_bracket(VField([q, zero, zero]), VField([zero, p, zero])).is_zero()
+
+
 def test_vf_apply_examples():
     d0 = VField.basis(2, 0)
     assert vf_apply(d0, Poly(2, {(2, 0): 1})) == Poly(2, {(1, 0): 2})

@@ -390,6 +390,80 @@ def test_cli_product_budget(tmp_path):
     assert len(parse_expression("(x0+x1+x2+1)^7*(x0+x1+x2+1)^7", s).num) == 680
     with pytest.raises(DomainError, match=message):
         parse_expression("(x0+x1+x2+1)^14*(x0+x1+x2+1)^14", s)
+    # a one-term factor counts its products too
+    big = Poly(1, {(e,): 1 for e in range(Poly.MAX_POW_PRODUCTS + 1)})
+    with pytest.raises(DomainError, match=message):
+        Poly.var(1, 0) * big
+
+
+# c has 5,440 terms, and each line that builds it stays within every budget
+LARGE_COEFFICIENT = """\
+let q = (x0+x1+x2+1)^7*(x0+x1+x2+1)^7
+let a = q + x0^100*q
+let b = a + x1^300*a
+let c = b + x2^500*b
+"""
+
+
+@pytest.mark.parametrize("command", ["bracket lie", "bracket free", "wedge", "schouten"])
+def test_cli_bracket_product_budget(command, tmp_path):
+    # each of these multiplies c by c or by a derivative of c, about 29.6M term products
+    script = tmp_path / "large.igc"
+    script.write_text(LARGE_COEFFICIENT + f'{command} "c*d0" "c*d1"\n')
+    r = subprocess.run(
+        [sys.executable, "-m", "igc", "--dim", "3", "--script", str(script)],
+        capture_output=True, text=True, timeout=10,
+    )
+    message = f"polynomial product exceeds the budget of {Poly.MAX_POW_PRODUCTS} term products per multiplication"
+    assert (r.returncode, r.stdout) == (2, "")
+    assert r.stderr == f"igc: error: {message}\nigc: script line 5 failed\n"
+    # against a one-term coefficient the same commands stay far below the budget
+    script.write_text(LARGE_COEFFICIENT + f'{command} "x0*d0" "c*d1"\n')
+    r = subprocess.run(
+        [sys.executable, "-m", "igc", "--dim", "3", "--script", str(script)],
+        capture_output=True, text=True, timeout=10,
+    )
+    assert r.returncode == 0 and r.stderr == ""
+
+
+def test_cli_kfield_arity_budget():
+    message = f"exceeds the budget of KField.MAX_ARITY = {KField.MAX_ARITY}"
+    r = subprocess.run(
+        [sys.executable, "-m", "igc", "--dim", "2", "cup", "K{arity=100000000; 0: d0}", "d1"],
+        capture_output=True, text=True, timeout=10,
+    )
+    assert (r.returncode, r.stdout) == (2, "")
+    assert r.stderr == f"igc: error: arity 100000000 {message}\n"
+    half = f"K{{arity={KField.MAX_ARITY // 2 + 1}; 0: d0}}"
+    for command in ("cup", "compose"):
+        r = run(["--dim", "2", command, half, half])
+        assert (r.returncode, r.stdout) == (2, "")
+        assert r.stderr == f"igc: error: arity {2 * (KField.MAX_ARITY // 2 + 1)} {message}\n"
+    r = run(["--dim", "2", "face", f"K{{arity={KField.MAX_ARITY}; 0: d0}}", str(KField.MAX_ARITY - 1)])
+    assert (r.returncode, r.stdout) == (0, f"K{{arity={KField.MAX_ARITY - 1}; 0: d0}}\n")
+
+
+def test_cli_sdiff_follows_the_supports():
+    # the index sets of a 40-field are never walked: both sums run over the supports
+    for mu, nu, want in (
+        ("K{arity=40; 0: d0}", "K{arity=40; 0: d0}", "K{arity=39}"),
+        ("K{arity=40; 0: d0; 2: d1; 0,1: x0*d1}", "K{arity=40; 0: d0; 2: d1; 0,1: d1}", "K{arity=39; 0: (x0 - 1)*d1; 1: d1}"),
+    ):
+        r = subprocess.run(
+            [sys.executable, "-m", "igc", "--dim", "2", "sdiff", mu, nu, "0", "1"],
+            capture_output=True, text=True, timeout=10,
+        )
+        assert (r.returncode, r.stdout, r.stderr) == (0, want + "\n", "")
+
+
+def test_cli_act_word_rejects_empty_entries():
+    for word in ("0,,0", ",0,", ",", "0,"):
+        r = run(["--dim", "2", "act", word, "free", "K{arity=2; 0: d0}"])
+        assert (r.returncode, r.stdout) == (1, "")
+        assert r.stderr == f"igc: bad swap word {word!r}; use comma-separated indices\n"
+    # the empty word is the identity
+    r = run(["--dim", "2", "act", "", "free", "K{arity=2; 0: d0}"])
+    assert (r.returncode, r.stdout) == (0, "K{arity=2; 0: d0}\n")
 
 
 def test_cli_dimension_budget():

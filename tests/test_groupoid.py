@@ -127,6 +127,60 @@ def test_strong_diff_general_pair():
     assert out.component_vfield({0}) == delta
 
 
+def reference_strong_diff(mu: KField, nu: KField, pair: tuple[int, int]) -> KField:
+    """The strong difference taken over every index set of the face deleting j."""
+    k = mu.arity
+    i, j = pair
+    for phi in sorted(set(mu.components) | set(nu.components), key=sorted):
+        if not (i in phi and j in phi) and mu.component(phi) != nu.component(phi):
+            raise FacePreconditionError(phi)
+    remaining = [x for x in range(k) if x != j]
+    reindex = {old: new for new, old in enumerate(remaining)}
+    comps = {}
+    for size in range(1, k):
+        for chi in map(frozenset, combinations(remaining, size)):
+            if i in chi:
+                elem = mu.component(chi | {j}) - nu.component(chi | {j})
+            else:
+                elem = mu.component(chi)
+            if not elem.is_zero():
+                comps[frozenset(reindex[x] for x in chi)] = elem
+    return KField(mu.chart, k - 1, comps)
+
+
+def test_strong_diff_matches_the_all_index_set_reference():
+    rng = Random(59)
+    elem = lambda: FreeLRElem.from_vfield(CHART, random_vfield(rng, 2))  # noqa: E731
+    for k in range(2, 6):
+        for _ in range(4):
+            # missing blocks, singletons included
+            full = random_kfield(rng, CHART, k, density=0.6).components
+            comps = {phi: e for phi, e in full.items() if rng.random() < 0.8}
+            mu = KField(CHART, k, comps)
+            for i, j in combinations(range(k), 2):
+                # a partner that drops, replaces, adds or keeps the components holding i and j
+                partner = dict(comps)
+                for rest in range(1 << k):
+                    phi = frozenset(x for x in range(k) if rest >> x & 1) | {i, j}
+                    r = rng.random()
+                    if r < 0.25:
+                        partner.pop(phi, None)
+                    elif r < 0.5:
+                        partner[phi] = elem()
+                    elif r < 0.6:
+                        partner[phi] = free_bracket(elem(), elem())
+                nu = KField(CHART, k, partner)
+                for a, b in ((mu, nu), (nu, mu), (mu, mu)):
+                    got, want = strong_diff(a, b, (i, j)), reference_strong_diff(a, b, (i, j))
+                    assert got == want and str(got) == str(want)
+                # a difference off the components holding i and j is the same error in both
+                bad = KField(CHART, k, {**partner, frozenset({i}): elem()})
+                for diff in (strong_diff, reference_strong_diff):
+                    with pytest.raises(FacePreconditionError) as err:
+                        diff(mu, bad, (i, j))
+                    assert err.value.subset == frozenset({i})
+
+
 # cup and compose ---------------------------------------------------------------
 
 

@@ -1,5 +1,6 @@
 """Weil elements, the k-field dictionary, and the partial cup product."""
 
+from itertools import combinations
 from random import Random
 
 import pytest
@@ -24,6 +25,7 @@ from igc import (
     weil_to_kfield,
 )
 from igc.oracle import random_kfield, random_poly, random_vfield
+from igc.weil import subset_operator_apply
 
 CHART = ChartSpec(2, 4)
 X0, X1 = Poly.var(2, 0), Poly.var(2, 1)
@@ -96,6 +98,46 @@ def test_kfield_to_weil_third_order_ordered_decompositions():
         + ap((2,), ap((1,), ap((0,), f)))
     )
     assert kfield_to_weil(nu).image(f).part({0, 1, 2}) == want
+
+
+def reference_set_partitions(items: tuple[int, ...]):
+    """All partitions of items into nonempty blocks, as tuples of frozensets."""
+    if not items:
+        yield ()
+        return
+    first, rest = items[0], items[1:]
+    for sub in reference_set_partitions(rest):
+        for idx in range(len(sub)):
+            yield sub[:idx] + (sub[idx] | {first},) + sub[idx + 1 :]
+        yield sub + (frozenset({first}),)
+
+
+def reference_subset_operator_apply(fields, phi, f: Poly) -> Poly:
+    """Every set partition of phi, skipping those with an unsupported block."""
+    total = Poly.zero(f.dim)
+    for blocks in reference_set_partitions(tuple(sorted(phi))):
+        if any(b not in fields for b in blocks):
+            continue
+        value = f
+        for b in sorted(blocks, key=sorted):
+            value = vf_apply(fields[b], value)
+        total = total + value
+    return total
+
+
+def test_subset_operator_apply_matches_the_set_partition_reference():
+    rng = Random(38)
+    for k in range(1, 6):
+        for _ in range(3):
+            # missing blocks, singletons included
+            nu = random_kfield(rng, CHART, k, density=0.6)
+            fields = {phi: nu.component_vfield(phi) for phi in nu.support() if rng.random() < 0.8}
+            f = random_poly(rng, 2)
+            for size in range(1, k + 1):
+                for phi in map(frozenset, combinations(range(k), size)):
+                    got = subset_operator_apply(fields, phi, f)
+                    want = reference_subset_operator_apply(fields, phi, f)
+                    assert got == want and str(got) == str(want)
 
 
 def test_kfield_to_weil_rejects_free_components():
