@@ -155,6 +155,10 @@ def _run_check(args: list[str], session: Session) -> CommandOutcome:
                 invert = name
         else:
             raise UsageError(f"unknown check flag {flag!r}")
+    try:  # the global --max-degree's check, refused the same way
+        ChartSpec(session.chart.dim, max_degree)
+    except DomainError as exc:
+        raise UsageError(f"error: {exc}") from None
     try:
         reports = run_suite(seed=seed, max_degree=max_degree, only=only, invert=invert)
     except ValueError as exc:

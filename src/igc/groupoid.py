@@ -55,9 +55,9 @@ class KField:
 
     __slots__ = ("chart", "arity", "components")
 
-    # largest arity: `cup` builds the index set of the first k slots, and the
-    # operations that walk all index sets cost 2^k, so a literal's arity is
-    # held to a size whose index sets are cheap to form
+    # largest arity: `cup` builds the index set of the first k slots, so a
+    # literal's arity is held to a size whose index sets are cheap to form;
+    # only the swap action still walks every index set, under MAX_ACTION_ARITY
     MAX_ARITY = 1000
 
     def __init__(self, chart: ChartSpec, arity: int, components: Mapping[Subset, FreeLRElem] | None = None):
@@ -68,7 +68,9 @@ class KField:
         clean: dict[Subset, FreeLRElem] = {}
         for phi, elem in (components or {}).items():
             phi = frozenset(phi)
-            if not phi or any(i < 0 or i >= arity for i in phi):
+            if not phi or not all(type(i) is int and 0 <= i < arity for i in phi):
+                if any(type(i) is not int for i in phi):
+                    raise DomainError(f"component index set {set(phi)} holds an index that is not an int")
                 raise DomainError(f"component index set {sorted(phi)} out of range for arity {arity}")
             if elem.chart != chart:
                 raise ChartMismatchError("component lives on a different chart")

@@ -10,7 +10,9 @@ morphism is pinned down by its values on the coordinates x_i.
 `kfield_to_weil` encodes a classical subset-indexed field as the morphism
 whose phi part applies, for every splitting of phi into disjoint blocks
 taken in decreasing subset-lex order, the corresponding composite of the
-block fields.  `weil_to_kfield` inverts this by induction on subset size.
+block fields, so it visits only disjoint unions of supported blocks.
+`weil_to_kfield` inverts this by induction on subset size over the stored
+parts and the disjoint unions of the fields found so far.
 
 The partial cup product against a factor through V_m (all pairwise
 generator products zero) is `weil_cup`: the m derivations enter multiplied
@@ -21,7 +23,6 @@ full first-block monomial e_0...e_{k-1}.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
 from typing import Callable, Mapping, Sequence
 
 from .chart_algebra import ChartSpec, Poly, VField, _accumulate, _Module, _unpack, vf_apply
@@ -42,13 +43,18 @@ class WeilElem(_Module):
 
     __slots__ = ("arity", "dim", "terms")
 
+    # most index sets the k-field dictionary forms: n disjoint blocks have 2^n - 1 unions
+    MAX_PARTS = 10_000
+
     def __init__(self, arity: int, dim: int, terms: Mapping[Subset, Poly] | None = None):
         if arity < 0:
             raise DomainError("arity must be >= 0")
         clean: dict[Subset, Poly] = {}
         for phi, p in (terms or {}).items():
             phi = frozenset(phi)
-            if any(i < 0 or i >= arity for i in phi):
+            if not all(type(i) is int and 0 <= i < arity for i in phi):
+                if any(type(i) is not int for i in phi):
+                    raise DomainError(f"generator index set {set(phi)} holds an index that is not an int")
                 raise DomainError(f"generator index in {sorted(phi)} out of range for arity {arity}")
             if p.dim != dim:
                 raise ChartMismatchError("part lives on a different chart")
@@ -174,6 +180,13 @@ def subset_operator_apply(fields: Mapping[Subset, VField], phi: Subset, f: Poly)
     return total
 
 
+def _add_union(unions: set[Subset], block: Subset):
+    """Add block and its union with every member disjoint from it."""
+    unions |= {block}.union(u | block for u in unions if not u & block)
+    if len(unions) > WeilElem.MAX_PARTS:
+        raise DomainError(f"disjoint unions of blocks exceed the budget of WeilElem.MAX_PARTS = {WeilElem.MAX_PARTS}")
+
+
 class WeilMorphism:
     """Unital multiplicative map from the chart ring into W_k over itself.
 
@@ -286,16 +299,14 @@ def kfield_to_weil(nu: KField) -> WeilMorphism:
         raise DomainError("kfield_to_weil needs a classical field")
     k, dim = nu.arity, nu.chart.dim
     fields = {phi: project_to_lie(elem) for phi, elem in nu.components.items()}
+    unions: set[Subset] = set()
+    for block in fields:
+        _add_union(unions, block)
     images = []
     for i in range(dim):
         xi = Poly.var(dim, i)
-        parts: dict[Subset, Poly] = {frozenset(): xi}
-        for size in range(1, k + 1):
-            for phi in combinations(range(k), size):
-                val = subset_operator_apply(fields, frozenset(phi), xi)
-                if not val.is_zero():
-                    parts[frozenset(phi)] = val
-        images.append(WeilElem(k, dim, parts))
+        parts = {phi: val for phi in unions if (val := subset_operator_apply(fields, phi, xi))}
+        images.append(WeilElem._make(k, dim, {frozenset(): xi, **parts}))
     return WeilMorphism(k, dim, images)
 
 
@@ -303,11 +314,12 @@ def weil_to_kfield(w: WeilMorphism, chart: ChartSpec | None = None) -> KField:
     """Recover the subset-indexed decomposition of a morphism.
 
     Components are extracted by induction on subset size, peeling composite
-    terms off the stored parts.  A morphism stored by coordinate images is
-    multiplicative by construction and has its empty parts checked when
-    built; a raw callable is first probed for multiplicativity on low-degree
-    monomial pairs, and a failing pair is raised as a NotMultiplicativeError
-    witness.
+    terms off the stored parts; a field sits only on a stored part or on a
+    disjoint union of the smaller fields found so far.  A morphism stored by
+    coordinate images is multiplicative by construction and has its empty
+    parts checked when built; a raw callable is first probed for
+    multiplicativity on low-degree monomial pairs, and a failing pair is
+    raised as a NotMultiplicativeError witness.
     """
     k, dim = w.arity, w.dim
     chart = chart or ChartSpec(dim, max_degree=max(2, k))
@@ -315,9 +327,13 @@ def weil_to_kfield(w: WeilMorphism, chart: ChartSpec | None = None) -> KField:
     if w.raw is not None:
         _probe_multiplicative(w, coord_parts)
     fields: dict[Subset, VField] = {}
-    for size in range(1, k + 1):
-        for phi_t in combinations(range(k), size):
-            phi = frozenset(phi_t)
+    unions: set[Subset] = set()
+    todo = {phi for elem in coord_parts for phi in elem.terms if phi}
+    while todo:
+        size = min(map(len, todo))
+        layer = [p for p in todo if len(p) == size]
+        todo.difference_update(layer)
+        for phi in layer:
             # phi has no field yet, so this is the sum over its partitions
             # into two or more blocks: the composite terms to peel off
             field = VField(
@@ -325,6 +341,8 @@ def weil_to_kfield(w: WeilMorphism, chart: ChartSpec | None = None) -> KField:
             )
             if not field.is_zero():
                 fields[phi] = field
+                _add_union(unions, phi)
+        todo |= {u for u in unions if len(u) > size}
     return KField.from_vfields(chart, k, fields)
 
 

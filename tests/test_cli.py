@@ -313,6 +313,17 @@ def test_run_command_check_flag_needs_a_name():
         assert r.stderr == f"igc: check flag {flag} needs a check name\n"
 
 
+@pytest.mark.parametrize("only, value", [("parse-roundtrip", "-5"), ("weil-dictionary", "0")])
+def test_check_max_degree_is_refused_as_the_global_flag_is(only, value):
+    message = f"error: max_degree must be a positive integer, got {value}"
+    with pytest.raises(UsageError) as err:
+        run_command(["check", "--only", only, "--max-degree", value], session())
+    assert str(err.value) == message
+    r = run(["--dim", "2", "check", "--only", only, "--max-degree", value])
+    assert (r.returncode, r.stdout, r.stderr) == (1, "", f"igc: {message}\n")
+    assert run(["--dim", "2", "--max-degree", value, "check", "--only", only]).stderr == r.stderr
+
+
 # subprocess-level: exact bytes and exit codes ----------------------------------
 
 

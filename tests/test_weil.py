@@ -1,5 +1,6 @@
 """Weil elements, the k-field dictionary, and the partial cup product."""
 
+import re
 from itertools import combinations
 from random import Random
 
@@ -10,6 +11,7 @@ from igc import (
     ChartSpec,
     CupFactorization,
     DomainError,
+    FreeLRElem,
     KField,
     NotMultiplicativeError,
     Poly,
@@ -24,12 +26,13 @@ from igc import (
     weil_cup,
     weil_to_kfield,
 )
+from igc import weil
 from igc.oracle import random_kfield, random_poly, random_vfield
 from igc.weil import subset_operator_apply
 
 CHART = ChartSpec(2, 4)
 X0, X1 = Poly.var(2, 0), Poly.var(2, 1)
-ONE = Poly.const(2, 1)
+ONE, ZERO = Poly.const(2, 1), Poly.zero(2)
 
 
 def one_field(v: VField, chart=CHART) -> KField:
@@ -140,8 +143,166 @@ def test_subset_operator_apply_matches_the_set_partition_reference():
                     assert got == want and str(got) == str(want)
 
 
+def reference_kfield_to_weil(nu: KField) -> WeilMorphism:
+    """The morphism form, evaluated on every index set of the arity."""
+    k, dim = nu.arity, nu.chart.dim
+    fields = {phi: nu.component_vfield(phi) for phi in nu.support()}
+    images = []
+    for i in range(dim):
+        xi = Poly.var(dim, i)
+        parts = {frozenset(): xi}
+        for size in range(1, k + 1):
+            for phi in map(frozenset, combinations(range(k), size)):
+                parts[phi] = subset_operator_apply(fields, phi, xi)
+        images.append(WeilElem(k, dim, parts))
+    return WeilMorphism(k, dim, images)
+
+
+def reference_weil_to_kfield(w: WeilMorphism, chart: ChartSpec) -> KField:
+    """The decomposition, peeling every index set of the arity in size order."""
+    k, dim = w.arity, w.dim
+    coord_parts = [w.image(Poly.var(dim, i)) for i in range(dim)]
+    fields = {}
+    for size in range(1, k + 1):
+        for phi in map(frozenset, combinations(range(k), size)):
+            composite = [subset_operator_apply(fields, phi, Poly.var(dim, i)) for i in range(dim)]
+            field = VField([coord_parts[i].part(phi) - composite[i] for i in range(dim)])
+            if not field.is_zero():
+                fields[phi] = field
+    return KField.from_vfields(chart, k, fields)
+
+
+def sparse_kfield(rng: Random, chart: ChartSpec, k: int) -> KField:
+    """A classical field on a few random index sets; singletons may be missing."""
+    comps = {}
+    for _ in range(rng.randint(1, 5)):
+        phi = frozenset(rng.sample(range(k), rng.randint(1, min(k, 3))))
+        comps[phi] = random_vfield(rng, chart.dim)
+    return KField.from_vfields(chart, k, comps)
+
+
+def assert_same(got, want):
+    assert got == want and repr(got) == repr(want)
+
+
+def assert_dictionary_matches_the_reference(w: WeilMorphism, chart: ChartSpec) -> KField:
+    nu = weil_to_kfield(w, chart)
+    assert_same(nu, reference_weil_to_kfield(w, chart))
+    assert_same(kfield_to_weil(nu), reference_kfield_to_weil(nu))
+    return nu
+
+
+def test_kfield_to_weil_matches_the_all_index_set_reference():
+    rng = Random(44)
+    for k in range(1, 9):
+        for idx in range(4):
+            chart = ChartSpec(2 + idx % 2, 4)
+            if idx % 2 or k > 5:
+                nu = sparse_kfield(rng, chart, k)
+            else:
+                dense = random_kfield(rng, chart, k, density=0.5)
+                nu = KField(chart, k, {phi: e for phi, e in dense.components.items() if rng.random() < 0.6})
+            w = kfield_to_weil(nu)
+            assert_same(w, reference_kfield_to_weil(nu))
+            assert_same(weil_to_kfield(w, chart), nu)
+            assert_same(reference_weil_to_kfield(w, chart), nu)
+
+
+def test_weil_to_kfield_matches_the_all_index_set_reference():
+    rng = Random(45)
+    for k in range(1, 5):
+        for _ in range(4):
+            images = []
+            for i in range(2):
+                subsets = {frozenset(rng.sample(range(k), rng.randint(1, k))) for _ in range(rng.randint(0, 4))}
+                images.append(WeilElem(k, 2, {frozenset(): Poly.var(2, i), **{s: random_poly(rng, 2) for s in subsets}}))
+            w = WeilMorphism(k, 2, images)
+            nu = assert_dictionary_matches_the_reference(w, CHART)
+            assert kfield_to_weil(nu) == w
+            # a raw callable takes the same route once it passes the probe
+            assert_same(weil_to_kfield(WeilMorphism.from_callable(k, 2, w.image), CHART), nu)
+
+
+def test_weil_to_kfield_finds_a_field_where_no_part_is_stored():
+    # the composite e0 then e1 sends x0 to 1, so {0,1} carries -d0 though no
+    # coordinate image stores a {0,1} part
+    w = WeilMorphism(
+        2, 2, [WeilElem(2, 2, {frozenset(): X0, frozenset({0}): X1}), WeilElem(2, 2, {frozenset(): X1, frozenset({1}): ONE})]
+    )
+    assert all(frozenset({0, 1}) not in image.terms for image in w.coord_images)
+    nu = assert_dictionary_matches_the_reference(w, CHART)
+    assert nu.component_vfield({0, 1}) == VField([-ONE, ZERO])
+    assert kfield_to_weil(nu) == w
+
+
+def test_weil_cup_outputs_match_the_all_index_set_reference():
+    rng = Random(46)
+    general = CupFactorization(2, 2, [WeilElem.generator(2, 2, 0), WeilElem(2, 2, {frozenset({0, 1}): ONE})])
+    for idx in range(6):
+        fact = general if idx % 2 else CupFactorization.canonical(2)
+        x = kfield_to_weil(sparse_kfield(rng, CHART, 1 + idx % 3))
+        out = weil_cup(x, fact, [random_vfield(rng, 2) for _ in range(fact.arity)])
+        assert kfield_to_weil(assert_dictionary_matches_the_reference(out, CHART)) == out
+
+
+@pytest.mark.parametrize("k", [30, 200])
+def test_two_block_field_visits_only_its_disjoint_unions(k, monkeypatch):
+    original = subset_operator_apply
+    calls = depth = 0
+
+    def counting(fields, phi, f):
+        # only calls from the dictionary count, not the recursion over blocks
+        nonlocal calls, depth
+        calls += depth == 0
+        depth += 1
+        try:
+            return original(fields, phi, f)
+        finally:
+            depth -= 1
+
+    monkeypatch.setattr(weil, "subset_operator_apply", counting)
+    blocks = {frozenset({0}): VField([X1, ZERO]), frozenset({1, k - 1}): VField([ZERO, X0 * X0])}
+    # {0}, {1,k-1} and {0,1,k-1}; a block {1,2} meeting {1,k-1} adds {1,2} and {0,1,2}
+    for extra, unions in (({}, 3), ({frozenset({1, 2}): VField([ONE, X1])}, 5)):
+        nu = KField.from_vfields(CHART, k, {**blocks, **extra})
+        calls = 0
+        w = kfield_to_weil(nu)
+        assert calls == CHART.dim * unions
+        calls = 0
+        assert weil_to_kfield(w, CHART) == nu
+        assert calls <= CHART.dim * unions
+
+
+def test_disjoint_unions_hit_the_parts_budget():
+    message = re.escape(f"exceed the budget of WeilElem.MAX_PARTS = {WeilElem.MAX_PARTS}")
+    singletons = {frozenset({i}): VField([ONE, ZERO]) for i in range(40)}
+    with pytest.raises(DomainError, match=message):
+        kfield_to_weil(KField.from_vfields(CHART, 40, singletons))
+    images = [WeilElem(40, 2, {frozenset(): X0, **{phi: ONE for phi in singletons}}), WeilElem(40, 2, {frozenset(): X1})]
+    with pytest.raises(DomainError, match=message):
+        weil_to_kfield(WeilMorphism(40, 2, images), CHART)
+    # n disjoint blocks have 2^n - 1 unions: 13 fit in the budget, 14 do not
+    unions = set()
+    for i in range(13):
+        weil._add_union(unions, frozenset({i}))
+    assert len(unions) == 2**13 - 1 <= WeilElem.MAX_PARTS
+    with pytest.raises(DomainError, match=message):
+        weil._add_union(unions, frozenset({13}))
+
+
+@pytest.mark.parametrize("index", [0.5, 1.0, True, False, "0"])
+def test_index_sets_must_hold_ints(index):
+    # such an index printed as `0.5: d0` or `True: d0`, which does not reparse
+    d0 = FreeLRElem.generator(CHART, 0)
+    with pytest.raises(DomainError, match="not an int"):
+        KField(CHART, 3, {frozenset({index}): d0})
+    with pytest.raises(DomainError, match="not an int"):
+        WeilElem(3, 2, {frozenset({index}): ONE})
+    assert str(KField(CHART, 3, {frozenset({1}): d0})) == "K{arity=3; 1: d0}"
+
+
 def test_kfield_to_weil_rejects_free_components():
-    from igc import FreeLRElem, free_bracket
+    from igc import free_bracket
 
     d0 = FreeLRElem.generator(CHART, 0)
     d1 = FreeLRElem.generator(CHART, 1)
