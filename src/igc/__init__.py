@@ -7,6 +7,11 @@ k-fields (weil); subset-indexed k-fields with symmetric-group actions,
 homotopies and cohomology reduction (groupoid); polyvector fields with
 wedge and Schouten bracket (polyvector); independent brute-force verifiers
 (oracle); and a parser-driven CLI (cli).
+
+`weil` and `oracle` load on first use (PEP 562): the first access to one of
+their names here, or to the submodule itself, imports it and caches the
+value in this namespace.  Among the CLI commands only `check` needs them,
+so every other one-shot command skips them.
 """
 
 from .chart_algebra import (
@@ -54,22 +59,32 @@ from .groupoid import (
     strong_diff,
     trivial_by_disjoint_pairs,
 )
-from .oracle import (
-    CheckReport,
-    oracle_bracket,
-    oracle_lyndon_count,
-    oracle_multiplicativity,
-    oracle_quotient_lowdegree,
-)
 from .parsing import ParseError, Session, parse_expression
 from .polyvector import Polyvector, degree, schouten, wedge
-from .weil import (
-    CupFactorization,
-    WeilElem,
-    WeilMorphism,
-    kfield_to_weil,
-    weil_cup,
-    weil_to_kfield,
-)
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+_DEFERRED = {
+    "oracle": (
+        "CheckReport",
+        "oracle_bracket",
+        "oracle_lyndon_count",
+        "oracle_multiplicativity",
+        "oracle_quotient_lowdegree",
+    ),
+    "weil": ("CupFactorization", "WeilElem", "WeilMorphism", "kfield_to_weil", "weil_cup", "weil_to_kfield"),
+}
+_HOME = {name: module for module, names in _DEFERRED.items() for name in (module, *names)}
+
+__all__ = [name for name in dir() if not name.startswith("_")] + list(_HOME)
+
+
+def __getattr__(name):
+    module = _HOME.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    value = import_module(f"{__name__}.{module}")
+    if name != module:
+        value = getattr(value, name)
+    globals()[name] = value
+    return value

@@ -16,12 +16,13 @@ The canonical term order used for printing is graded lexicographic on
 exponent vectors, largest first.
 
 Validation happens at the public boundary.  The public constructors (here
-`Poly(...)`, and `FreeLRElem(...)`, `WeilElem(...)`, `Polyvector(...)` and
-`LyndonWord(...)` in their modules) check and normalize whatever they are
-given.  Results that a class computes itself from canonical operands, the
-sums, products, derivatives, brackets and wedges, are canonical by
-construction and are wrapped by the private `_make` (for `Poly`, `_poly`
-and `_reduced`, which cancels the one common factor) without a second check.
+`Poly(...)`, and `FreeLRElem(...)`, `WeilElem(...)`, `Polyvector(...)`,
+`KField(...)` and `LyndonWord(...)` in their modules) check and normalize
+whatever they are given.  Results that a class computes itself from
+canonical operands, the sums, products, derivatives, brackets, wedges and
+k-field operations, are canonical by construction and are wrapped by the
+private `_make` (for `Poly`, `_poly` and `_reduced`, which cancels the one
+common factor) without a second check.
 The four free A-modules (`VField`, `FreeLRElem`, `WeilElem`, `Polyvector`)
 share their module operations through `_Module`; each keeps its own
 constructors, mismatch errors, products and printing.
@@ -31,11 +32,10 @@ from __future__ import annotations
 
 import struct
 from collections.abc import Mapping
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, reduce
 from math import gcd, lcm
-from operator import or_
+from operator import attrgetter, or_
 from typing import Collection, Iterable, Sequence
 
 from .errors import ChartMismatchError, DomainError
@@ -43,24 +43,58 @@ from .errors import ChartMismatchError, DomainError
 Exponent = tuple[int, ...]
 
 
-@dataclass(frozen=True, slots=True)
-class ChartSpec:
+class _Record:
+    """A record of the fields named in `__slots__`, at least two of them.
+
+    Equality, hash and repr are those a dataclass gives: equal records share
+    their class and field values, and the repr reads `Name(field=value, ...)`.
+    A record declared with `frozen=True` refuses assignment and sets its
+    fields through `object.__setattr__`; any other record is unhashable.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, frozen: bool = False):
+        cls._fields = attrgetter(*cls.__slots__)
+        if frozen:
+            cls.__setattr__ = cls.__delattr__ = _Record._refuse
+        else:
+            cls.__hash__ = None
+
+    def _refuse(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields(self) == other._fields(other)
+
+    def __hash__(self):
+        return hash(self._fields(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self.__slots__, self._fields(self)))
+        return f"{type(self).__name__}({fields})"
+
+
+class ChartSpec(_Record, frozen=True):
     """Chart dimension plus the cutoff of the bracket-length filtration."""
 
-    dim: int
-    max_degree: int = 4
+    __slots__ = ("dim", "max_degree")
 
     # largest chart dimension: printing unpacks a dim-long exponent tuple for
     # every term, so the cost of each value grows with it
     MAX_DIM = 1000
 
-    def __post_init__(self):
-        if not isinstance(self.dim, int) or self.dim < 1:
-            raise DomainError(f"chart dimension must be a positive integer, got {self.dim}")
-        if self.dim > self.MAX_DIM:
-            raise DomainError(f"chart dimension {self.dim} exceeds the budget of ChartSpec.MAX_DIM = {self.MAX_DIM}")
-        if not isinstance(self.max_degree, int) or self.max_degree < 1:
-            raise DomainError(f"max_degree must be a positive integer, got {self.max_degree}")
+    def __init__(self, dim: int, max_degree: int = 4):
+        if not isinstance(dim, int) or dim < 1:
+            raise DomainError(f"chart dimension must be a positive integer, got {dim}")
+        if dim > self.MAX_DIM:
+            raise DomainError(f"chart dimension {dim} exceeds the budget of ChartSpec.MAX_DIM = {self.MAX_DIM}")
+        if not isinstance(max_degree, int) or max_degree < 1:
+            raise DomainError(f"max_degree must be a positive integer, got {max_degree}")
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "max_degree", max_degree)
 
 
 class Poly:

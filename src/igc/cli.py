@@ -29,10 +29,9 @@ import argparse
 import json
 import shlex
 import sys
-from dataclasses import dataclass
 
 from . import lyndon
-from .chart_algebra import ChartSpec
+from .chart_algebra import ChartSpec, _Record
 from .errors import DomainError
 from .free_lr import free_bracket, lie_bracket_ext
 from .groupoid import act, is_trivial_homotopy, reduce_to_polyvector
@@ -52,11 +51,13 @@ class UsageError(Exception):
     pass
 
 
-@dataclass
-class CommandOutcome:
-    text: str
-    payload: object
-    code: int = 0
+class CommandOutcome(_Record):
+    __slots__ = ("text", "payload", "code")
+
+    def __init__(self, text: str, payload: object, code: int = 0):
+        self.text = text
+        self.payload = payload
+        self.code = code
 
 
 def _subset_str(phi) -> str:

@@ -25,11 +25,10 @@ would contain a longer surviving word raises DegreeOverflowError.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from . import lyndon
-from .chart_algebra import ChartSpec, Poly, VField, _accumulate, _degree1_bracket, _Module, render_combination
+from .chart_algebra import ChartSpec, Poly, VField, _accumulate, _degree1_bracket, _Module, _Record, render_combination
 from .errors import ChartMismatchError, DegreeOverflowError, DomainError
 
 Word = tuple[int, ...]
@@ -64,17 +63,17 @@ class LyndonWord(tuple):
         return f"LyndonWord{tuple.__repr__(self)}"
 
 
-@dataclass(frozen=True)
-class RelativeSpec:
+class RelativeSpec(_Record, frozen=True):
     """Chart plus the set of generator indices tangent to the fibers."""
 
-    chart: ChartSpec
-    vertical: frozenset[int] = field(default_factory=frozenset)
+    __slots__ = ("chart", "vertical")
 
-    def __post_init__(self):
-        object.__setattr__(self, "vertical", frozenset(self.vertical))
-        if any(i < 0 or i >= self.chart.dim for i in self.vertical):
+    def __init__(self, chart: ChartSpec, vertical: Iterable[int] = frozenset()):
+        vertical = frozenset(vertical)
+        if any(i < 0 or i >= chart.dim for i in vertical):
             raise DomainError("vertical index out of range for the chart")
+        object.__setattr__(self, "chart", chart)
+        object.__setattr__(self, "vertical", vertical)
 
 
 class FreeLRElem(_Module):

@@ -61,10 +61,7 @@ class KField:
     MAX_ARITY = 1000
 
     def __init__(self, chart: ChartSpec, arity: int, components: Mapping[Subset, FreeLRElem] | None = None):
-        if arity < 1:
-            raise DomainError(f"arity must be >= 1, got {arity}")
-        if arity > self.MAX_ARITY:
-            raise DomainError(f"arity {arity} exceeds the budget of KField.MAX_ARITY = {self.MAX_ARITY}")
+        _check_arity(arity)
         clean: dict[Subset, FreeLRElem] = {}
         for phi, elem in (components or {}).items():
             phi = frozenset(phi)
@@ -79,6 +76,15 @@ class KField:
         object.__setattr__(self, "chart", chart)
         object.__setattr__(self, "arity", arity)
         object.__setattr__(self, "components", clean)
+
+    @classmethod
+    def _make(cls, chart: ChartSpec, arity: int, components: dict[Subset, FreeLRElem]) -> "KField":
+        """Wrap a canonical dict: nonempty index sets below the arity, nonzero elements on the chart."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "chart", chart)
+        object.__setattr__(self, "arity", arity)
+        object.__setattr__(self, "components", components)
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("KField is immutable")
@@ -150,6 +156,13 @@ class KField:
         }
 
 
+def _check_arity(arity: int):
+    if arity < 1:
+        raise DomainError(f"arity must be >= 1, got {arity}")
+    if arity > KField.MAX_ARITY:
+        raise DomainError(f"arity {arity} exceeds the budget of KField.MAX_ARITY = {KField.MAX_ARITY}")
+
+
 def _check_compatible(mu: KField, nu: KField):
     if mu.chart != nu.chart:
         raise ChartMismatchError("fields live on different charts")
@@ -165,7 +178,7 @@ def face(nu: KField, i: int) -> KField:
     if k == 1:
         raise DomainError("a 1-field has no faces")
     comps = {_drop_slot(phi, i): elem for phi, elem in nu.components.items() if i not in phi}
-    return KField(nu.chart, k - 1, comps)
+    return KField._make(nu.chart, k - 1, comps)
 
 
 def _drop_slot(phi: Subset, i: int) -> Subset:
@@ -188,11 +201,10 @@ def add_over_face(mu: KField, nu: KField, psi) -> KField:
             raise FacePreconditionError(phi)
     comps: dict[Subset, FreeLRElem] = {}
     for phi in set(mu.components) | set(nu.components):
-        if phi <= psi:
-            comps[phi] = mu.component(phi)
-        else:
-            comps[phi] = mu.component(phi) + nu.component(phi)
-    return KField(mu.chart, k, comps)
+        elem = mu.component(phi) if phi <= psi else mu.component(phi) + nu.component(phi)
+        if not elem.is_zero():
+            comps[phi] = elem
+    return KField._make(mu.chart, k, comps)
 
 
 def strong_diff(mu: KField, nu: KField, pair: tuple[int, int]) -> KField:
@@ -217,8 +229,9 @@ def strong_diff(mu: KField, nu: KField, pair: tuple[int, int]) -> KField:
     for phi, elem in nu.components.items():
         if i in phi and j in phi:
             comps[phi - {j}] = comps.get(phi - {j}, zero) - elem
-    # KField drops the differences that vanish
-    return KField(mu.chart, k - 1, {_drop_slot(chi, j): elem for chi, elem in comps.items()})
+    # a difference may vanish
+    comps = {_drop_slot(chi, j): elem for chi, elem in comps.items() if not elem.is_zero()}
+    return KField._make(mu.chart, k - 1, comps)
 
 
 def cup(mu: KField, nu: KField) -> KField:
@@ -235,12 +248,13 @@ def cup(mu: KField, nu: KField) -> KField:
         if len(phi) >= 2:
             raise CupUndefinedError(phi)
     k, m = mu.arity, nu.arity
+    _check_arity(k + m)
     first_block = frozenset(range(k))
     comps: dict[Subset, FreeLRElem] = dict(mu.components)
     for phi, elem in nu.components.items():
         (s,) = phi
         comps[first_block | {k + s}] = elem
-    return KField(mu.chart, k + m, comps)
+    return KField._make(mu.chart, k + m, comps)
 
 
 def compose(mu: KField, nu: KField) -> KField:
@@ -248,10 +262,11 @@ def compose(mu: KField, nu: KField) -> KField:
     if mu.chart != nu.chart:
         raise ChartMismatchError("fields live on different charts")
     k = mu.arity
+    _check_arity(k + nu.arity)
     comps: dict[Subset, FreeLRElem] = dict(mu.components)
     for phi, elem in nu.components.items():
         comps[frozenset(x + k for x in phi)] = elem
-    return KField(mu.chart, k + nu.arity, comps)
+    return KField._make(mu.chart, k + nu.arity, comps)
 
 
 def _bracket_for(flavor: str) -> Callable[[FreeLRElem, FreeLRElem], FreeLRElem]:
@@ -290,7 +305,7 @@ def _act_by_transposition(nu: KField, i: int, j: int, flavor: str) -> KField:
                         elem = elem + bracket(a, b)
         if not elem.is_zero():
             comps[phi] = elem
-    return KField(nu.chart, k, comps)
+    return KField._make(nu.chart, k, comps)
 
 
 def _oriented_decompositions(phi: Subset):
@@ -431,14 +446,10 @@ def reduce_to_polyvector(nu: KField) -> Polyvector:
     dropping consecutive repeated entries.
     """
     chart = nu.chart
-    classical = KField(
-        chart,
-        nu.arity,
-        {
-            phi: FreeLRElem.from_vfield(chart, project_to_lie(elem))
-            for phi, elem in nu.components.items()
-        },
-    )
+    # the projection of a component made of long words vanishes
+    projected = ((phi, project_to_lie(elem)) for phi, elem in nu.components.items())
+    comps = {phi: FreeLRElem.from_vfield(chart, v) for phi, v in projected if not v.is_zero()}
+    classical = KField._make(chart, nu.arity, comps)
     ok, witness = is_trivial_homotopy(classical)
     if not ok:
         raise NotClosedError(witness)

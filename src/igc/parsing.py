@@ -10,11 +10,10 @@ Errors carry line and column.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any
 
-from .chart_algebra import ChartSpec, Poly
+from .chart_algebra import ChartSpec, Poly, _Record
 from .errors import DomainError
 from .free_lr import FreeLRElem, free_bracket, project_to_lie
 from .groupoid import KField, compose, cup, face, homotopy, strong_diff
@@ -28,14 +27,16 @@ class ParseError(Exception):
         super().__init__(f"{message} (line {line}, column {column})")
 
 
-@dataclass
-class Session:
+class Session(_Record):
     """Parsing/evaluation context: the chart plus named bindings."""
 
-    chart: ChartSpec
-    bindings: dict[str, Any] = field(default_factory=dict)
-    fmt: str = "text"
-    seed: int = 0
+    __slots__ = ("chart", "bindings", "fmt", "seed")
+
+    def __init__(self, chart: ChartSpec, bindings: dict[str, Any] | None = None, fmt: str = "text", seed: int = 0):
+        self.chart = chart
+        self.bindings = {} if bindings is None else bindings
+        self.fmt = fmt
+        self.seed = seed
 
 
 _IDENT = r"[A-Za-z_][A-Za-z0-9_]*"

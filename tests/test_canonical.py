@@ -20,16 +20,26 @@ from igc import (
     ChartSpec,
     DomainError,
     FreeLRElem,
+    KField,
     LyndonWord,
     Poly,
     Polyvector,
     RelativeSpec,
     VField,
     WeilElem,
+    act,
+    act_transposition,
+    add_over_face,
+    compose,
+    cup,
+    face,
     free_bracket,
+    homotopy,
     lie_bracket_ext,
     project_to_lie,
+    reduce_to_polyvector,
     schouten,
+    strong_diff,
     vf_bracket,
     wedge,
 )
@@ -53,6 +63,10 @@ weils = st.dictionaries(st.sampled_from(SUBSETS), polys, max_size=4).map(lambda 
 pvs = st.dictionaries(st.sampled_from(INDEX_TUPLES), polys, max_size=4).map(lambda t: Polyvector(DIM, t))
 vfields = st.lists(polys, min_size=DIM, max_size=DIM).map(VField)
 specs = st.sets(st.integers(0, DIM - 1)).map(lambda v: RelativeSpec(CHART, frozenset(v)))
+comp_dicts = st.dictionaries(st.sampled_from(SUBSETS[1:]), elems, max_size=4)
+kfields = comp_dicts.map(lambda t: KField(CHART, ARITY, t))
+# first-order 2-fields, the second factors `cup` accepts
+singles = st.dictionaries(st.sampled_from(SUBSETS[1:3]), elems).map(lambda t: KField(CHART, 2, t))
 
 
 def assert_canonical_poly(p: Poly):
@@ -100,6 +114,16 @@ def assert_canonical_weil(a: WeilElem):
         assert_canonical_poly(p)
     assert WeilElem(a.arity, a.dim, a.terms) == a
     assert hash(WeilElem(a.arity, a.dim, a.terms)) == hash(a)
+
+
+def assert_canonical_kfield(nu: KField):
+    assert nu.chart == CHART
+    for phi, elem in nu.components.items():
+        assert type(phi) is frozenset and phi and all(type(i) is int and 0 <= i < nu.arity for i in phi)
+        assert not elem.is_zero()
+        assert_canonical_elem(elem)
+    rebuilt = KField(nu.chart, nu.arity, nu.components)
+    assert rebuilt == nu and hash(rebuilt) == hash(nu) and str(rebuilt) == str(nu)
 
 
 def assert_canonical_pv(p: Polyvector):
@@ -176,6 +200,35 @@ def test_polyvector_results_are_canonical(p, q, c):
     for result in (p + q, p - q, -p, p * c, c * p, p - p, wedge(p, q), wedge(p, p), schouten(p, q), schouten(p, p)):
         assert_canonical_pv(result)
     assert p + q == q + p and hash(p + q) == hash(q + p)
+
+
+@settings(max_examples=150, deadline=None)
+@given(kfields, kfields, singles, comp_dicts, st.sampled_from([(0, 1), (0, 2), (1, 2)]), st.sampled_from(["free", "lie"]))
+def test_kfield_results_are_canonical(mu, nu, first_order, extra, pair, flavor):
+    i, j = pair
+    results = [face(mu, s) for s in range(ARITY)]
+    results += [cup(mu, first_order), compose(mu, nu), compose(first_order, mu)]
+    results += [act([i], mu, flavor), act_transposition(mu, i, j, flavor), homotopy(mu, i, j)]
+    # the twin agrees with mu off the sets holding both i and j, and on those
+    # it differs only where extra has an entry, so some differences vanish
+    twin = {phi: elem for phi, elem in mu.components.items() if not {i, j} <= phi}
+    twin.update((phi, extra.get(phi, mu.component(phi))) for phi in SUBSETS if {i, j} <= phi)
+    results += [strong_diff(mu, KField(CHART, ARITY, twin), pair), strong_diff(mu, mu, pair)]
+    # the partner agrees with mu inside psi and cancels it outside, except where extra has an entry
+    psi = frozenset(pair)
+    partner = {phi: elem for phi, elem in mu.components.items() if phi <= psi}
+    partner.update((phi, extra.get(phi, -mu.component(phi))) for phi in SUBSETS[1:] if not phi <= psi)
+    results += [add_over_face(mu, KField(CHART, ARITY, partner), psi), add_over_face(mu, mu, psi)]
+    for result in results:
+        assert_canonical_kfield(result)
+
+
+def test_reduce_drops_components_whose_projection_vanishes():
+    # F[d0,d1] projects to zero, which leaves the one-set support {1}: a chain
+    chart = ChartSpec(DIM, 4)
+    long_word = FreeLRElem(chart, {(0, 1): Poly.const(DIM, 1)})
+    nu = KField(chart, 2, {frozenset({0}): long_word, frozenset({1}): FreeLRElem.generator(chart, 0)})
+    assert reduce_to_polyvector(nu) == Polyvector(DIM, {(0,): Poly.const(DIM, 1)})
 
 
 def test_mixed_modules_neither_add_nor_compare_equal():

@@ -358,3 +358,17 @@ def test_chart_spec_validation():
         ChartSpec(ChartSpec.MAX_DIM + 1)
     with pytest.raises(DomainError):
         ChartSpec(2, 0)
+
+
+def test_chart_spec_is_a_hashable_value():
+    a, b = ChartSpec(2), ChartSpec(dim=2, max_degree=4)
+    assert a == b and hash(a) == hash(b) and a is not b
+    assert a != ChartSpec(2, 5) and a != ChartSpec(3) and a != (2, 4)
+    assert {a: "first", b: "second"} == {ChartSpec(2, 4): "second"}
+    assert repr(ChartSpec(2)) == "ChartSpec(dim=2, max_degree=4)"
+    for name in ("dim", "max_degree"):
+        with pytest.raises(AttributeError):
+            setattr(a, name, 3)
+        with pytest.raises(AttributeError):
+            delattr(a, name)
+    assert (a.dim, a.max_degree) == (2, 4)

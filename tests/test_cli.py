@@ -12,7 +12,7 @@ from random import Random
 import pytest
 
 from igc import ChartSpec, DomainError, FreeLRElem, KField, Poly, Polyvector, VField, cup
-from igc.cli import UsageError, main, run_command
+from igc.cli import CommandOutcome, UsageError, main, run_command
 from igc.parsing import ParseError, Session, as_kfield, parse_expression
 from igc.oracle import random_vfield
 
@@ -246,6 +246,24 @@ def test_run_command_trivial():
     assert out.payload == {"trivial": False, "witness": [0, 1, [0], [1]]}
     out2 = run_command(["trivial?", "cup(d0, x0*d1)"], session())
     assert out2.text == "true"
+
+
+def test_session_and_outcome_are_plain_records():
+    chart = ChartSpec(2)
+    first, second = Session(chart), Session(chart)
+    first.bindings["a"] = 1
+    assert second.bindings == {} and Session(chart).bindings == {}
+    assert first != second and Session(chart, {"a": 1}) == first
+    assert repr(second) == "Session(chart=ChartSpec(dim=2, max_degree=4), bindings={}, fmt='text', seed=0)"
+    second.seed = 7
+    assert second == Session(chart, seed=7)
+    with pytest.raises(TypeError):
+        hash(second)
+    outcome = CommandOutcome("d1", None)
+    assert outcome == CommandOutcome("d1", None, 0) and outcome != CommandOutcome("d1", None, 2)
+    assert repr(outcome) == "CommandOutcome(text='d1', payload=None, code=0)"
+    with pytest.raises(TypeError):
+        hash(outcome)
 
 
 def test_run_command_let_binds():
@@ -496,6 +514,23 @@ def test_one_shot_command_leaves_check_suite_and_profiler_unloaded():
     )
     r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=30)
     assert (r.stdout, r.stderr) == ("d1\n0 []\n", "")
+
+
+def imported_modules(args):
+    """Output of `python -X importtime -m igc ARGS` and the modules its import log names."""
+    r = subprocess.run([sys.executable, "-X", "importtime", "-m", "igc", *args], capture_output=True, text=True)
+    names = {line.rsplit("|", 1)[1].strip() for line in r.stderr.splitlines() if line.startswith("import time:")}
+    return r, names
+
+
+def test_one_shot_command_loads_only_what_it_runs():
+    r, names = imported_modules(["--dim", "2", "bracket", "lie", "d0", "x0*d1"])
+    assert (r.returncode, r.stdout) == (0, "d1\n")
+    assert {"igc.cli", "igc.parsing", "igc.groupoid"} <= names
+    assert not names & {"igc.oracle", "igc.weil", "igc.checks", "dataclasses", "inspect"}
+    r, names = imported_modules(["--dim", "2", "check", "--only", "parse-roundtrip"])
+    assert r.returncode == 0
+    assert {"igc.checks", "igc.oracle", "igc.weil"} <= names
 
 
 def test_cli_coefficient_budget():

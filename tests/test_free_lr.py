@@ -295,3 +295,16 @@ def test_vertical_reduce_antisymmetry_of_tree_orders():
 def test_relative_spec_validation():
     with pytest.raises(DomainError):
         RelativeSpec(CHART, frozenset({5}))
+
+
+def test_relative_spec_is_a_hashable_value():
+    spec = RelativeSpec(CHART, [1, 1])
+    assert spec.vertical == frozenset({1}) and type(spec.vertical) is frozenset
+    assert spec == RelativeSpec(CHART, frozenset({1})) and hash(spec) == hash(RelativeSpec(CHART, {1}))
+    assert RelativeSpec(CHART) == RelativeSpec(CHART, []) and RelativeSpec(CHART).vertical == frozenset()
+    assert spec != RelativeSpec(CHART) and spec != RelativeSpec(ChartSpec(CHART.dim, CHART.max_degree + 1), [1])
+    assert {spec: 1, RelativeSpec(CHART, (1,)): 2} == {spec: 2}
+    assert repr(spec) == f"RelativeSpec(chart={CHART!r}, vertical=frozenset({{1}}))"
+    with pytest.raises(AttributeError):
+        spec.vertical = frozenset()
+    assert spec.vertical == frozenset({1})

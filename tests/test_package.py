@@ -1,0 +1,48 @@
+"""The names `igc` exports, eager and deferred alike."""
+
+import pytest
+
+import igc
+
+# the exports of the package before `weil` and `oracle` loaded on first use
+EXPORTS = [
+    "ArityMismatchError", "ChartMismatchError", "ChartSpec", "CheckReport", "CupFactorization",
+    "CupUndefinedError", "DegreeOverflowError", "DomainError", "FacePreconditionError", "FreeLRElem",
+    "KField", "LyndonWord", "NotClosedError", "NotFlagReducibleError", "NotMultiplicativeError",
+    "ParseError", "Poly", "Polyvector", "RelativeSpec", "Session", "VField", "WeilElem", "WeilMorphism",
+    "act", "act_transposition", "add_over_face", "anchor_apply", "chart_algebra", "compose", "cup",
+    "degree", "errors", "face", "free_bracket", "free_lr", "groupoid", "homotopy", "is_trivial_homotopy",
+    "kfield_to_weil", "lie_bracket_ext", "lie_derivative_thin", "lyndon", "lyndon_basis", "oracle",
+    "oracle_bracket", "oracle_lyndon_count", "oracle_multiplicativity", "oracle_quotient_lowdegree",
+    "parse_expression", "parsing", "polyvector", "project_to_lie", "reduce_to_polyvector", "schouten",
+    "strong_diff", "trivial_by_disjoint_pairs", "vertical_reduce", "vf_apply", "vf_bracket",
+    "vf_pushforward", "wedge", "weil", "weil_cup", "weil_to_kfield",
+]
+
+
+def test_all_names_the_same_exports_and_each_resolves():
+    assert sorted(igc.__all__) == EXPORTS and len(EXPORTS) == 64
+    for name in EXPORTS:
+        assert getattr(igc, name) is not None
+
+
+def test_star_import_binds_every_export():
+    namespace = {}
+    exec("from igc import *", namespace)
+    assert sorted(set(namespace) - {"__builtins__"}) == EXPORTS
+
+
+def test_deferred_names_are_the_submodules_own():
+    from igc import CheckReport, WeilElem, weil
+
+    assert igc.WeilElem is igc.weil.WeilElem is WeilElem is weil.WeilElem
+    assert igc.oracle_bracket is igc.oracle.oracle_bracket
+    assert CheckReport is igc.oracle.CheckReport
+    # a resolved name is cached in the package namespace
+    value = igc.weil_cup
+    assert vars(igc)["weil_cup"] is value is igc.weil.weil_cup
+
+
+def test_unknown_name_raises_attribute_error_naming_it():
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        igc.no_such_name
