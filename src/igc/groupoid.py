@@ -15,9 +15,12 @@ sorted index sequences lexicographically.  The swap action on a field, for
 a permutation s fixing a subset phi, corrects the phi component by the sum
 of brackets [a_{phi'}, a_{phi''}] over disjoint decompositions
 phi = phi' | phi'' with phi' < phi'' and s(phi') > s(phi'').  For adjacent
-transpositions this is folded over a word; homotopies use the same formula
-instantiated directly on the transposition (i j), which is what keeps both
-flavors equal outside components containing {i, j}.
+transpositions this is folded over a word.  Homotopies and the trivial test
+take the formula on the transposition (i j) and read the difference of the
+two flavors directly, without running either action: both relabel every
+component alike, and they differ only at u = p | q for a disjoint supported
+pair p < q whose order (i j) flips, by
+D(p, q) = free_bracket(a_p, a_q) - lie_bracket_ext(a_p, a_q).
 """
 
 from __future__ import annotations
@@ -41,8 +44,10 @@ from .polyvector import Polyvector, wedge
 Subset = frozenset[int]
 
 # Largest arity the swap action takes on: one application visits all 2^k
-# index sets and their splittings, and `trivial?` runs k(k-1)/2 of them, so
-# the cost grows faster than 2^k; every arity in the checks is at most 6.
+# index sets and their splittings, so its cost grows faster than 2^k.  For
+# `trivial?`, `reduce` and `homotopy` it caps the walk over disjoint
+# supported pairs instead, at most (3^8 - 2*2^8 + 1)/2 = 3,025 of them; every
+# arity in the checks is at most 6.
 MAX_ACTION_ARITY = 8
 
 
@@ -277,6 +282,11 @@ def _bracket_for(flavor: str) -> Callable[[FreeLRElem, FreeLRElem], FreeLRElem]:
     raise DomainError(f"unknown bracket flavor {flavor!r}; use 'free' or 'lie'")
 
 
+def _check_action_arity(k: int):
+    if k > MAX_ACTION_ARITY:
+        raise DomainError(f"arity {k} exceeds the swap-action budget of {MAX_ACTION_ARITY}")
+
+
 def _all_subsets(k: int):
     for size in range(1, k + 1):
         yield from (frozenset(c) for c in combinations(range(k), size))
@@ -285,8 +295,7 @@ def _all_subsets(k: int):
 def _act_by_transposition(nu: KField, i: int, j: int, flavor: str) -> KField:
     """One application of the swap-action formula for the transposition (i j)."""
     k = nu.arity
-    if k > MAX_ACTION_ARITY:
-        raise DomainError(f"arity {k} exceeds the swap-action budget of {MAX_ACTION_ARITY}")
+    _check_action_arity(k)
     bracket = _bracket_for(flavor)
     swap = {i: j, j: i}
     comps: dict[Subset, FreeLRElem] = {}
@@ -357,31 +366,41 @@ def homotopy(nu: KField, i: int, j: int) -> KField:
 
     The two flavors only disagree on components containing both i and j, so
     the strong-difference precondition holds automatically; at arity k there
-    are k*(k-1)/2 of these maps.
+    are k*(k-1)/2 of these maps.  Components avoiding i and j are kept, and
+    the flip defects summed at u land at u - {j}, both on the face deleting j.
     """
-    if nu.arity < 2:
+    k = nu.arity
+    if k < 2:
         raise DomainError("homotopy needs arity >= 2")
-    free_side = act_transposition(nu, i, j, "free")
-    lie_side = act_transposition(nu, i, j, "lie")
-    return strong_diff(free_side, lie_side, (i, j))
+    if not 0 <= i < j < k:
+        raise DomainError(f"need 0 <= i < j < arity, got ({i}, {j}) at arity {k}")
+    _check_action_arity(k)
+    comps = {_drop_slot(phi, j): elem for phi, elem in nu.components.items() if i not in phi and j not in phi}
+    flipped = [(p, q) for p, q in _disjoint_pairs(nu) if min(p) == i and j in q]
+    for u, elem in _flip_sums(nu, flipped, {}).items():
+        comps[_drop_slot(u - {j}, j)] = elem
+    return KField._make(nu.chart, k - 1, comps)
 
 
 def is_trivial_homotopy(nu: KField) -> tuple[bool, tuple | None]:
     """Whether both swap flavors agree for every index pair.
 
-    Returns (True, None) or (False, (i, j, phi, psi)) where phi, psi is a
-    disjoint pair of component index sets whose free and classical brackets
-    already differ.
+    Returns (True, None) or (False, (i, j, phi, psi)) where (i, j) is the
+    least pair whose two swaps differ, and phi, psi is the first disjoint
+    pair of component index sets whose free and classical brackets already
+    differ.
     """
-    k = nu.arity
-    for i in range(k):
-        for j in range(i + 1, k):
-            free_side = act_transposition(nu, i, j, "free")
-            lie_side = act_transposition(nu, i, j, "lie")
-            if free_side == lie_side:
-                continue
-            witness = _bracket_witness(nu, i, j)
-            return False, witness
+    _check_action_arity(nu.arity)
+    pairs = list(_disjoint_pairs(nu))
+    flips: dict[tuple[int, int], list[tuple[Subset, Subset]]] = {}
+    for p, q in pairs:
+        for j in q:
+            flips.setdefault((min(p), j), []).append((p, q))
+    defects: dict[tuple[Subset, Subset], FreeLRElem] = {}
+    for i, j in sorted(flips):
+        if _flip_sums(nu, flips[i, j], defects):
+            witness = next(pq for pq in pairs if not _defect(nu, pq, defects).is_zero())
+            return False, (i, j, *witness)
     return True, None
 
 
@@ -394,13 +413,27 @@ def _disjoint_pairs(nu: KField):
                 yield phi, psi
 
 
-def _bracket_witness(nu: KField, i: int, j: int) -> tuple:
-    for phi, psi in _disjoint_pairs(nu):
-        a, b = nu.components[phi], nu.components[psi]
-        if free_bracket(a, b) != lie_bracket_ext(a, b):
-            return (i, j, phi, psi)
-    diff = frozenset(range(nu.arity))
-    return (i, j, diff, diff)
+def _flip_sums(nu: KField, flipped: list[tuple[Subset, Subset]], defects: dict) -> dict[Subset, FreeLRElem]:
+    """Free-flavored minus classical-flavored swap, from the pairs it flips.
+
+    Disjoint sets compare by their least elements, so the (i j) swap flips a
+    disjoint supported pair p < q exactly when i = min(p) and j is in q, and
+    each flip adds D(p, q) at p | q; every other component moves the same
+    way in both flavors.  Returns the sums that do not cancel to zero.
+    """
+    sums: dict[Subset, FreeLRElem] = {}
+    for p, q in flipped:
+        defect = _defect(nu, (p, q), defects)
+        sums[p | q] = sums[p | q] + defect if p | q in sums else defect
+    return {u: elem for u, elem in sums.items() if not elem.is_zero()}
+
+
+def _defect(nu: KField, pq: tuple[Subset, Subset], defects: dict) -> FreeLRElem:
+    """D(p, q) = free_bracket(a_p, a_q) - lie_bracket_ext(a_p, a_q), kept in `defects`."""
+    if pq not in defects:
+        a, b = nu.components[pq[0]], nu.components[pq[1]]
+        defects[pq] = free_bracket(a, b) - lie_bracket_ext(a, b)
+    return defects[pq]
 
 
 def trivial_by_disjoint_pairs(nu: KField) -> tuple[bool, tuple | None]:

@@ -354,6 +354,15 @@ def test_cli_examples_bit_exact():
     assert r.returncode == 0 and r.stdout == "false  witness: (0,1,{0},{1})\n"
 
 
+def test_cli_homotopy_sums_the_defects_at_each_union():
+    # ({0}, {1,2}) and ({0,2}, {1}) both have union {0,1,2}; their defects cancel under (0 1)
+    field = "K{arity=3; 0: d0; 1: d0; 0,2: d1; 1,2: d1}"
+    r = run(["--dim", "2", "homotopy", field, "0", "1"])
+    assert (r.returncode, r.stdout, r.stderr) == (0, "K{arity=2}\n", "")
+    r = run(["--dim", "2", "trivial?", field])
+    assert (r.returncode, r.stdout) == (0, "false  witness: (0,2,{0},{1,2})\n")
+
+
 def test_cli_json_format():
     r = run(["--dim", "2", "--format", "json", "bracket", "free", "d0", "x0*d1"])
     data = json.loads(r.stdout)

@@ -380,6 +380,110 @@ def test_trivial_characterizations_agree():
     assert trivial_by_disjoint_pairs(skew) == (False, (frozenset({0}), frozenset({1})))
 
 
+def reference_homotopy(nu: KField, i: int, j: int) -> KField:
+    """The definitional homotopy: the strong difference of both swap actions."""
+    return strong_diff(act_transposition(nu, i, j, "free"), act_transposition(nu, i, j, "lie"), (i, j))
+
+
+def reference_is_trivial(nu: KField) -> tuple[bool, tuple | None]:
+    """Both swap actions for every pair; the witness is the first disjoint
+    supported pair, in subset-lex order, whose two brackets differ."""
+    support = sorted(nu.components, key=sorted)
+    for i, j in combinations(range(nu.arity), 2):
+        if act_transposition(nu, i, j, "free") == act_transposition(nu, i, j, "lie"):
+            continue
+        for a, phi in enumerate(support):
+            for psi in support[a + 1 :]:
+                x, y = nu.components[phi], nu.components[psi]
+                if not phi & psi and free_bracket(x, y) != lie_bracket_ext(x, y):
+                    return False, (i, j, phi, psi)
+        raise AssertionError(f"the swaps ({i} {j}) differ but no bracket pair does: {nu}")
+    return True, None
+
+
+# two pairs with union {0,1,2} whose defects cancel at (0, 1) but not at (0, 2)
+CANCELLING = "K{arity=3; 0: d0; 1: d0; 0,2: d1; 1,2: d1}"
+
+
+def test_flip_defects_match_the_definitional_route():
+    rng = Random(72)
+    chart = ChartSpec(2, 6)
+    fields = [parse_expression(CANCELLING, Session(chart))]
+    for idx in range(120):
+        k = 2 + idx % 5
+        subsets = [frozenset(c) for size in range(1, k + 1) for c in combinations(range(k), size)]
+        # a small pool repeats components, so defects at one union can cancel
+        pool = [FreeLRElem.from_vfield(chart, random_vfield(rng, 2, degree=1, terms=1)) for _ in range(3)]
+        pool.append(free_bracket(pool[0], pool[1]) + pool[2])
+        comps = {}
+        if idx % 3 == 2:
+            # one element per size: the defects of mirrored pairs cancel at their union
+            by_size = [rng.choice(pool) for _ in range(k + 1)]
+            comps = {phi: by_size[len(phi)] for phi in subsets if len(phi) <= 2 and rng.random() < 0.8}
+        for _ in range(rng.randint(0, 7)):
+            comps[rng.choice(subsets)] = (
+                rng.choice(pool) if rng.random() < 0.6 else FreeLRElem.from_vfield(chart, random_vfield(rng, 2))
+            )
+        fields.append(KField(chart, k, comps))
+    verdicts = []
+    for nu in fields:
+        verdicts.append(is_trivial_homotopy(nu))
+        assert verdicts[-1] == reference_is_trivial(nu), str(nu)
+        for i, j in combinations(range(nu.arity), 2):
+            got, want = homotopy(nu, i, j), reference_homotopy(nu, i, j)
+            assert got == want and str(got) == str(want), (str(nu), i, j)
+    # both verdicts occur, and some non-trivial field's least pair is not (0, 1)
+    assert {ok for ok, _ in verdicts} == {True, False}
+    assert any(witness and witness[:2] != (0, 1) for _, witness in verdicts)
+
+
+def test_flip_defects_sum_at_each_union():
+    nu = parse_expression(CANCELLING, Session(ChartSpec(2, 6)))
+    d0, d1 = nu.components[frozenset({0})], nu.components[frozenset({0, 2})]
+    assert free_bracket(d0, d1) != lie_bracket_ext(d0, d1)
+    assert str(homotopy(nu, 0, 1)) == "K{arity=2}"
+    assert str(homotopy(nu, 0, 2)) == "K{arity=2; 0,1: F[d0,d1]; 1: d0}"
+    assert str(homotopy(nu, 1, 2)) == "K{arity=2; 0: d0}"
+    assert is_trivial_homotopy(nu) == (False, (0, 2, frozenset({0}), frozenset({1, 2})))
+
+
+def test_trivial_and_homotopy_run_no_swap_action(monkeypatch):
+    import igc.groupoid as groupoid
+
+    def no_action(*args):
+        raise AssertionError("swap action called")
+
+    calls = {"free_bracket": 0, "lie_bracket_ext": 0}
+
+    def counted(name):
+        bracket = getattr(groupoid, name)
+
+        def wrapper(a, b):
+            calls[name] += 1
+            return bracket(a, b)
+
+        return wrapper
+
+    monkeypatch.setattr(groupoid, "_act_by_transposition", no_action)
+    for name in calls:
+        monkeypatch.setattr(groupoid, name, counted(name))
+    k, chart = 8, ChartSpec(2, 4)
+    d0, x0d1 = (FreeLRElem.from_vfield(chart, v) for v in (D0V, VField([Poly.zero(2), X0])))
+    subsets = [frozenset(c) for size in range(1, k + 1) for c in combinations(range(k), size)]
+    disjoint_pairs = (3**k - 2 * 2**k + 1) // 2
+    # a trivial field has every pair walked, and each pair's brackets taken once
+    assert is_trivial_homotopy(KField(chart, k, dict.fromkeys(subsets, d0))) == (True, None)
+    assert calls == {"free_bracket": disjoint_pairs, "lie_bracket_ext": disjoint_pairs}
+    # x0*d1 at {0} gives each pair ({0}, q) a defect
+    nu = KField(chart, k, {**dict.fromkeys(subsets, d0), frozenset({0}): x0d1})
+    assert is_trivial_homotopy(nu) == (False, (0, 1, frozenset({0}), frozenset({1})))
+    assert homotopy(nu, 2, 5).arity == k - 1
+    chain = KField.from_vfields(CHART, 3, {frozenset(range(m + 1)): D0V for m in range(3)})
+    assert reduce_to_polyvector(chain) == Polyvector.from_vfield(D0V)
+    with pytest.raises(NotClosedError):
+        reduce_to_polyvector(compose(one_field(D0V), one_field(VField([Poly.zero(2), X0]))))
+
+
 # classical fields and reduction --------------------------------------------------------
 
 
