@@ -617,10 +617,11 @@ def vf_apply(v: VField, f: Poly) -> Poly:
     """Action of the derivation v on f: sum_i a_i * df/dx_i."""
     if v.dim != f.dim:
         raise ChartMismatchError("field and polynomial live on different charts")
-    out = Poly.zero(f.dim)
-    for i, a in v.terms.items():
-        out = out + a * f.derive(i)
-    return out
+    # one numerator dict over the product of the denominators, reduced once
+    vn, vd = _numerators(v.terms)
+    accs: dict[int, dict[int, int]] = {}
+    _derivation_into(accs, vn, [(0, list(f.num.items()))], 1)
+    return _product_poly(f.dim, accs.get(0, {}), vd * f.den)
 
 
 def vf_bracket(u: VField, v: VField) -> VField:

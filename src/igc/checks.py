@@ -15,6 +15,7 @@ of what broke against [].  Only folded-in oracle sub-reports touch
 
 from __future__ import annotations
 
+import time
 from itertools import combinations
 from random import Random
 
@@ -63,14 +64,16 @@ def _rng(seed: int, salt: int) -> Random:
 
 
 def _random_elem(rng: Random, chart: ChartSpec, max_len: int = 2) -> FreeLRElem:
-    """Element mixing a random degree-1 part with random longer monomials."""
-    elem = FreeLRElem.from_vfield(chart, random_vfield(rng, chart.dim))
+    """Element mixing a random degree-1 part with random longer monomials; max_len <= chart.max_degree."""
+    terms = dict(FreeLRElem.from_vfield(chart, random_vfield(rng, chart.dim)).terms)
     for length in range(2, max_len + 1):
         words = lyndon_basis(chart.dim, length)
         if words:
             w = words[rng.randrange(len(words))]
-            elem = elem + FreeLRElem(chart, {w: random_poly(rng, chart.dim)})
-    return elem
+            p = random_poly(rng, chart.dim)
+            if p:
+                terms[w] = p
+    return FreeLRElem._make(chart, terms)
 
 
 def check_weil_multiplicativity(seed: int, max_degree: int) -> CheckReport:
@@ -528,7 +531,9 @@ def run_suite(
     for name, fn in CHECKS:
         if only is not None and name != only:
             continue
+        start = time.perf_counter()
         report = fn(seed, max_degree)
+        report.seconds = time.perf_counter() - start
         if invert == name:
             if report.passed:
                 report.failures.append(("inverted", "failure", "pass"))

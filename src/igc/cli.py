@@ -14,13 +14,15 @@ Commands:
   reduce E                      cohomology class as a polyvector
   wedge P Q | schouten P Q      polyvector operations
   let NAME = EXPR               bind a name (scripts and shared sessions)
-  check [--max-degree D] [--seed S] [--only NAME] [--invert NAME]
+  check [--max-degree D] [--seed S] [--only NAME] [--invert NAME] [--timings]
 
 Exit codes: 0 ok, 1 usage or parse error, 2 violated precondition,
 3 check failures.
 
 `--profile` runs the command under cProfile and prints the functions with the
-most own time, then the sizes of the Lyndon caches, to stderr.
+most own time, then the sizes of the Lyndon caches, to stderr.  `check
+--timings` prints each check's name, wall time and case count to stderr;
+stdout stays as without it.
 """
 
 from __future__ import annotations
@@ -140,9 +142,12 @@ def _run_check(args: list[str], session: Session) -> CommandOutcome:
     seed = session.seed
     max_degree = session.chart.max_degree
     only = invert = None
+    timings = False
     it = iter(args)
     for flag in it:
-        if flag == "--max-degree":
+        if flag == "--timings":
+            timings = True
+        elif flag == "--max-degree":
             max_degree = _int_arg(next(it, ""))
         elif flag == "--seed":
             seed = _int_arg(next(it, ""))
@@ -164,6 +169,9 @@ def _run_check(args: list[str], session: Session) -> CommandOutcome:
         reports = run_suite(seed=seed, max_degree=max_degree, only=only, invert=invert)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
+    if timings:
+        for r in reports:
+            print(f"timing {r.name}: {r.seconds:.3f} s ({r.cases} cases)", file=sys.stderr)
     lines = []
     for r in reports:
         if r.passed:

@@ -293,11 +293,16 @@ def _all_subsets(k: int):
 
 
 def _act_by_transposition(nu: KField, i: int, j: int, flavor: str) -> KField:
-    """One application of the swap-action formula for the transposition (i j)."""
+    """One application of the swap-action formula for the transposition (i j).
+
+    A splitting of a fixed index set is looked up before its swapped parts
+    are formed: only a splitting into two supported parts can add a bracket.
+    """
     k = nu.arity
     _check_action_arity(k)
     bracket = _bracket_for(flavor)
     swap = {i: j, j: i}
+    get = nu.components.get
     comps: dict[Subset, FreeLRElem] = {}
     for phi in _all_subsets(k):
         image = frozenset(swap.get(x, x) for x in phi)
@@ -306,12 +311,13 @@ def _act_by_transposition(nu: KField, i: int, j: int, flavor: str) -> KField:
         else:
             elem = nu.component(phi)
             for part1, part2 in _oriented_decompositions(phi):
+                a, b = get(part1), get(part2)
+                if a is None or b is None:
+                    continue
                 if _subset_key(frozenset(swap.get(x, x) for x in part1)) > _subset_key(
                     frozenset(swap.get(x, x) for x in part2)
                 ):
-                    a, b = nu.components.get(part1), nu.components.get(part2)
-                    if a is not None and b is not None:
-                        elem = elem + bracket(a, b)
+                    elem = elem + bracket(a, b)
         if not elem.is_zero():
             comps[phi] = elem
     return KField._make(nu.chart, k, comps)

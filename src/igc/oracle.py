@@ -21,7 +21,7 @@ from itertools import combinations, product
 from random import Random
 from typing import Mapping, Sequence
 
-from .chart_algebra import ChartSpec, Poly, VField, vf_apply
+from .chart_algebra import ChartSpec, Poly, VField, _reduced, vf_apply
 from .errors import DomainError
 from .free_lr import FreeLRElem, RelativeSpec
 from .groupoid import KField
@@ -31,11 +31,17 @@ Subset = frozenset[int]
 
 @dataclass
 class CheckReport:
-    """Outcome of one verification run; empty failures means pass."""
+    """Outcome of one verification run; empty failures means pass.
+
+    `seconds` is the wall time `run_suite` measured for the run; it takes no
+    part in equality, repr or JSON, so the printed report does not change
+    from run to run.
+    """
 
     name: str
     cases: int = 0
     failures: list = field(default_factory=list)
+    seconds: float = field(default=0.0, compare=False, repr=False)
 
     @property
     def passed(self) -> bool:
@@ -69,22 +75,30 @@ class CheckReport:
 # sampling
 
 
-def random_fraction(rng: Random) -> Fraction:
-    return Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+# every sampled denominator divides lcm(1..9)
+_SAMPLE_DEN = 2520
 
 
 def random_poly(rng: Random, dim: int, degree: int = 2, terms: int = 3) -> Poly:
-    out: dict[tuple[int, ...], Fraction] = {}
+    """Sum of `terms` random monomials of degree <= degree.
+
+    Each monomial draws its degree, then its variables, then a coefficient
+    randint(-9, 9) / randint(1, 9); the sums are kept over the common
+    denominator 2520 on packed monomial keys.
+    """
+    acc: dict[int, int] = {}
     for _ in range(terms):
-        exps = [0] * dim
+        key = 0
         for _ in range(rng.randint(0, degree)):
-            exps[rng.randrange(dim)] += 1
-        out[tuple(exps)] = out.get(tuple(exps), Fraction(0)) + random_fraction(rng)
-    return Poly(dim, out)
+            key += 1 << (64 * rng.randrange(dim))
+        n = rng.randint(-9, 9)
+        acc[key] = acc.get(key, 0) + n * (_SAMPLE_DEN // rng.randint(1, 9))
+    return _reduced(dim, {k: c for k, c in acc.items() if c}, _SAMPLE_DEN)
 
 
 def random_vfield(rng: Random, dim: int, degree: int = 2, terms: int = 2) -> VField:
-    return VField([random_poly(rng, dim, degree, terms) for _ in range(dim)])
+    coeffs = [random_poly(rng, dim, degree, terms) for _ in range(dim)]
+    return VField._make(dim, {i: p for i, p in enumerate(coeffs) if p})
 
 
 def random_kfield(
@@ -102,8 +116,9 @@ def random_kfield(
             if size > 1 and rng.random() > density:
                 continue
             v = random_vfield(rng, chart.dim, degree, terms)
-            comps[frozenset(phi)] = FreeLRElem.from_vfield(chart, v)
-    return KField(chart, arity, comps)
+            if not v.is_zero():
+                comps[frozenset(phi)] = FreeLRElem.from_vfield(chart, v)
+    return KField._make(chart, arity, comps)
 
 
 # ---------------------------------------------------------------------------
@@ -173,6 +188,8 @@ def _operator_image(
 ) -> dict[Subset, Poly]:
     """Subset-indexed image of f, recomputed by brute-force block enumeration."""
     dim = f.dim
+    # the value of each ordered block chain, by the chain: the empty chain is f
+    chains: dict[tuple[Subset, ...], Poly] = {(): f}
     out: dict[Subset, Poly] = {}
     if not f.is_zero():
         out[frozenset()] = f
@@ -180,12 +197,8 @@ def _operator_image(
         for phi in combinations(range(arity), size):
             total = Poly.zero(dim)
             for blocks in _partitions(phi):
-                if any(b not in fields for b in blocks):
-                    continue
-                val = f
-                for b in sorted(blocks, key=lambda s: tuple(sorted(s))):
-                    val = vf_apply(fields[b], val)
-                total = total + val
+                if all(b in fields for b in blocks):
+                    total = total + _chain_value(chains, fields, tuple(sorted(blocks, key=min)))
             if not total.is_zero():
                 out[frozenset(phi)] = total
     if corrupt:
@@ -195,6 +208,14 @@ def _operator_image(
         if out[top].is_zero():
             del out[top]
     return out
+
+
+def _chain_value(chains: dict, fields: Mapping[Subset, VField], chain: tuple[Subset, ...]) -> Poly:
+    """X_{b_m}(...X_{b_1}(f)) for the chain (b_1, ..., b_m), each prefix taken once from the table."""
+    val = chains.get(chain)
+    if val is None:
+        val = chains[chain] = vf_apply(fields[chain[-1]], _chain_value(chains, fields, chain[:-1]))
+    return val
 
 
 def _convolve(a: dict[Subset, Poly], b: dict[Subset, Poly], dim: int) -> dict[Subset, Poly]:
@@ -249,7 +270,7 @@ def oracle_multiplicativity(
 # low-degree quotient oracle
 
 Letter = tuple[tuple[int, ...], int]  # (monomial exponents, generator index)
-WordVec = dict[tuple[int, ...], Fraction]  # tensor words over letter ids
+WordVec = dict[tuple[int, ...], int]  # tensor words over letter ids, integral coefficients
 
 
 class _QuotientModel:
@@ -278,18 +299,18 @@ class _QuotientModel:
     def _letter_degree(self, lid: int) -> int:
         return sum(self.letters[lid][0])
 
-    def _scaled_letter(self, coeff: Fraction, mono: tuple[int, ...], j: int) -> WordVec:
+    def _scaled_letter(self, coeff: int, mono: tuple[int, ...], j: int) -> WordVec:
         if coeff == 0:
             return {}
         lid = self.letter_id.get((mono, j))
         if lid is None:
             raise DomainError("monomial degree cap too small for the requested window")
-        return {(lid,): Fraction(coeff)}
+        return {(lid,): coeff}
 
     @staticmethod
-    def _add(acc: WordVec, other: WordVec, scale: Fraction = Fraction(1)):
+    def _add(acc: WordVec, other: WordVec, scale: int = 1):
         for w, c in other.items():
-            s = acc.get(w, Fraction(0)) + c * scale
+            s = acc.get(w, 0) + c * scale
             if s:
                 acc[w] = s
             else:
@@ -301,7 +322,7 @@ class _QuotientModel:
         for w1, c1 in a.items():
             for w2, c2 in b.items():
                 for word, sign in ((w1 + w2, 1), (w2 + w1, -1)):
-                    s = out.get(word, Fraction(0)) + sign * c1 * c2
+                    s = out.get(word, 0) + sign * c1 * c2
                     if s:
                         out[word] = s
                     else:
@@ -328,10 +349,10 @@ class _QuotientModel:
         out: WordVec = {}
         c1, d1 = self._derive_mono(mx, a)
         if c1:
-            self._add(out, self._scaled_letter(Fraction(c1), tuple(p + q for p, q in zip(mg, d1)), b))
+            self._add(out, self._scaled_letter(c1, tuple(p + q for p, q in zip(mg, d1)), b))
         c2, d2 = self._derive_mono(mg, b)
         if c2:
-            self._add(out, self._scaled_letter(Fraction(-c2), tuple(p + q for p, q in zip(mx, d2)), a))
+            self._add(out, self._scaled_letter(-c2, tuple(p + q for p, q in zip(mx, d2)), a))
         return out
 
     def _base_relations(self, weight: int) -> list[WordVec]:
@@ -339,7 +360,6 @@ class _QuotientModel:
         out: list[WordVec] = []
         target = weight + 2
         vertical = self.spec.vertical
-        singles = {(lid,): Fraction(1) for lid in range(len(self.letters))}
         for x in range(len(self.letters)):
             px = self._letter_degree(x)
             if px > target:
@@ -358,8 +378,8 @@ class _QuotientModel:
                             out.append(vec)
                 # vertical contraction needs no function factor
                 if q == 0 and self.letters[x][1] in vertical:
-                    vec = self._comm({(x,): Fraction(1)}, {(y,): Fraction(1)})
-                    self._add(vec, self._classical_bracket(x, y), Fraction(-1))
+                    vec = self._comm({(x,): 1}, {(y,): 1})
+                    self._add(vec, self._classical_bracket(x, y), -1)
                     if vec:
                         out.append(vec)
         return out
@@ -369,14 +389,14 @@ class _QuotientModel:
         my, jy = self.letters[y]
         fy = (tuple(a + b for a, b in zip(f, my)), jy)
         fx = (tuple(a + b for a, b in zip(f, mx)), jx)
-        vec = self._comm({(x,): Fraction(1)}, {(self.letter_id[fy],): Fraction(1)})
-        self._add(vec, self._comm({(self.letter_id[fx],): Fraction(1)}, {(y,): Fraction(1)}), Fraction(-1))
+        vec = self._comm({(x,): 1}, {(self.letter_id[fy],): 1})
+        self._add(vec, self._comm({(self.letter_id[fx],): 1}, {(y,): 1}), -1)
         cx, mono_x = self._letter_action(x, f)
         if cx:
-            self._add(vec, self._scaled_letter(Fraction(cx), tuple(a + b for a, b in zip(mono_x, my)), jy), Fraction(-1))
+            self._add(vec, self._scaled_letter(cx, tuple(a + b for a, b in zip(mono_x, my)), jy), -1)
         cy, mono_y = self._letter_action(y, f)
         if cy:
-            self._add(vec, self._scaled_letter(Fraction(cy), tuple(a + b for a, b in zip(mono_y, mx)), jx), Fraction(-1))
+            self._add(vec, self._scaled_letter(cy, tuple(a + b for a, b in zip(mono_y, mx)), jx), -1)
         return vec
 
     def _lie_spanning(self) -> list[WordVec]:
@@ -389,9 +409,9 @@ class _QuotientModel:
             for tup in product(range(len(self.letters)), repeat=length):
                 if sum(self._letter_degree(l) for l in tup) != degree_needed:
                     continue
-                vec: WordVec = {(tup[-1],): Fraction(1)}
+                vec: WordVec = {(tup[-1],): 1}
                 for lid in reversed(tup[:-1]):
-                    vec = self._comm({(lid,): Fraction(1)}, vec)
+                    vec = self._comm({(lid,): 1}, vec)
                 if vec:
                     out.append(vec)
         return out
@@ -412,35 +432,42 @@ class _QuotientModel:
                     continue
                 for vec in self._base_relations(w_base):
                     for z in zs:
-                        closed = self._comm({(z,): Fraction(1)}, vec)
+                        closed = self._comm({(z,): 1}, vec)
                         closed = {w: c for w, c in closed.items() if len(w) <= self.d}
                         if closed:
                             out.append(closed)
         return out
 
     @staticmethod
-    def _rank(vectors: list[WordVec]) -> int:
-        pivots: dict[tuple[int, ...], WordVec] = {}
+    def _rank(vectors: list[dict[tuple[int, ...], int | Fraction]]) -> int:
+        """Rank over Q by fraction-free elimination on the least word of each row.
+
+        Rows are scaled to coprime ints.  Eliminating a pivot column takes
+        p*v - c*row, a nonzero multiple of v - (c/p)*row, so the pivot columns
+        and the rank are those of elimination over Q.
+        """
+        pivots: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {}
         rank = 0
         for vec in vectors:
-            v = dict(vec)
+            v = _primitive(vec)
             while v:
                 col = min(v, key=lambda w: (len(w), w))
-                if col in pivots:
-                    c = v.pop(col)
-                    for w, pc in pivots[col].items():
-                        if w == col:
-                            continue
-                        s = v.get(w, Fraction(0)) - c * pc
+                row = pivots.get(col)
+                if row is None:
+                    pivots[col] = _primitive(v)
+                    rank += 1
+                    break
+                p, c = row[col], v.pop(col)
+                g = math.gcd(p, c)
+                p, c = p // g, c // g
+                v = {w: p * x for w, x in v.items()}
+                for w, pc in row.items():
+                    if w != col:
+                        s = v.get(w, 0) - c * pc
                         if s:
                             v[w] = s
                         else:
                             v.pop(w, None)
-                else:
-                    c = v[col]
-                    pivots[col] = {w: cv / c for w, cv in v.items()}
-                    rank += 1
-                    break
         return rank
 
     def quotient_dimension(self) -> int:
@@ -460,6 +487,14 @@ class _QuotientModel:
             elif horizontal >= 1:
                 total += coeff_dim * oracle_lyndon_count(horizontal, length)
         return total
+
+
+def _primitive(vec: Mapping[tuple[int, ...], int | Fraction]) -> dict[tuple[int, ...], int]:
+    """A positive rational multiple of vec with coprime int entries."""
+    den = math.lcm(*(c.denominator for c in vec.values()))
+    out = {w: c.numerator * (den // c.denominator) for w, c in vec.items()}
+    g = math.gcd(*out.values())
+    return {w: c // g for w, c in out.items()} if g > 1 else out
 
 
 def oracle_quotient_lowdegree(

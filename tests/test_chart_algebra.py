@@ -197,6 +197,42 @@ def test_vf_apply_examples():
     assert vf_apply(v, Poly(2, {(1, 1): 1})) == Poly(2, {(0, 2): 1, (1, 0): 1})
 
 
+def reference_vf_apply(v: VField, f: Poly) -> Poly:
+    """The per-coordinate route: sum_i a_i * df/dx_i on Poly values."""
+    out = Poly.zero(f.dim)
+    for i, a in v.terms.items():
+        out = out + a * f.derive(i)
+    return out
+
+
+def test_vf_apply_matches_the_per_coordinate_reference():
+    rng = Random(61)
+    for idx in range(300):
+        dim = 1 + idx % 3
+        v = random_vfield(rng, dim, degree=1 + idx % 3, terms=1 + idx % 4)
+        f = random_poly(rng, dim, degree=idx % 5, terms=1 + idx % 6)
+        got, want = vf_apply(v, f), reference_vf_apply(v, f)
+        assert got == want and str(got) == str(want), (str(v), str(f))
+    zero = Poly.zero(2)
+    assert vf_apply(VField.zero(2), Poly.var(2, 0)) == zero
+    assert vf_apply(VField.basis(2, 1), zero) == zero
+
+
+def test_vf_apply_product_budget():
+    x0, x1 = Poly.var(2, 0), Poly.var(2, 1)
+    # 400 and 351 terms; every term of f holds x0, so a*d0(f) forms 140,400 products
+    a = sum((x1**n for n in range(400)), Poly.zero(2))
+    f = x0 * (x0 + x1 + 1) ** 25
+    v = VField([a, Poly.zero(2)])
+    with pytest.raises(DomainError) as want:
+        reference_vf_apply(v, f)
+    with pytest.raises(DomainError, match="polynomial product exceeds the budget of 100000 term products") as got:
+        vf_apply(v, f)
+    assert str(got.value) == str(want.value)
+    # f without x1 differentiates to zero along d1: no product is formed
+    assert vf_apply(VField([Poly.zero(2), a]), (x0 + 1) ** 400).is_zero()
+
+
 def test_vf_bracket_examples():
     d0, d1 = VField.basis(2, 0), VField.basis(2, 1)
     assert vf_bracket(d0, d1).is_zero()

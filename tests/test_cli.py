@@ -637,6 +637,25 @@ def test_cli_identical_output_across_runs():
     assert r1.stdout == r2.stdout and r1.returncode == r2.returncode == 0
 
 
+def test_check_timings_go_to_stderr_and_leave_stdout_alone():
+    from igc.checks import CHECK_NAMES
+
+    base = ["--dim", "2", "--seed", "3"]
+    plain, timed = run([*base, "check"]), run([*base, "check", "--timings"])
+    assert (plain.stdout, plain.stderr, plain.returncode) == (timed.stdout, "", timed.returncode)
+    lines = timed.stderr.splitlines()
+    assert [line.split(":")[0] for line in lines] == [f"timing {name}" for name in CHECK_NAMES]
+    counts = re.findall(r"^ok (\S+) \((\d+) cases\)$", plain.stdout, re.M)
+    for line, (name, cases) in zip(lines, counts):
+        assert re.fullmatch(rf"timing {name}: \d+\.\d{{3}} s \({cases} cases\)", line), line
+    # JSON output, a failing report, and the flag before the others
+    args = [*base, "--format", "json", "check"]
+    only = ["--only", "homotopy", "--invert", "homotopy"]
+    plain, timed = run([*args, *only]), run([*args, "--timings", *only])
+    assert (plain.stdout, plain.returncode) == (timed.stdout, timed.returncode) == (plain.stdout, 3)
+    assert "seconds" not in plain.stdout and re.fullmatch(r"timing homotopy: \S+ s \(63 cases\)\n", timed.stderr)
+
+
 def test_readme_command_line_examples():
     """Every `igc ... # -> OUT` line of README's "Command line" block."""
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()

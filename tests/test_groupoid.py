@@ -401,6 +401,54 @@ def reference_is_trivial(nu: KField) -> tuple[bool, tuple | None]:
     return True, None
 
 
+def reference_act_by_transposition(nu: KField, i: int, j: int, flavor: str) -> KField:
+    """The all-subsets walk that forms both swapped parts of every splitting
+    and compares them in subset-lex order before it looks them up."""
+    bracket = free_bracket if flavor == "free" else lie_bracket_ext
+    swap = {i: j, j: i}
+    comps = {}
+    for phi in (frozenset(c) for size in range(1, nu.arity + 1) for c in combinations(range(nu.arity), size)):
+        image = frozenset(swap.get(x, x) for x in phi)
+        elem = nu.component(image)
+        if image == phi:
+            items = sorted(phi)
+            for size in range(len(items)):
+                for extra in combinations(items[1:], size):
+                    part_a = frozenset((items[0],) + extra)
+                    part_b = phi - part_a
+                    part1, part2 = (part_a, part_b) if sorted(part_a) < sorted(part_b) else (part_b, part_a)
+                    if sorted(swap.get(x, x) for x in part1) > sorted(swap.get(x, x) for x in part2):
+                        a, b = nu.components.get(part1), nu.components.get(part2)
+                        if a is not None and b is not None:
+                            elem = elem + bracket(a, b)
+        if not elem.is_zero():
+            comps[phi] = elem
+    return KField(nu.chart, nu.arity, comps)
+
+
+def test_swap_action_matches_the_subset_key_reference():
+    rng = Random(73)
+    chart = ChartSpec(2, 6)
+    fields = []
+    for idx in range(60):
+        k = 2 + idx % 5
+        subsets = [frozenset(c) for size in range(1, k + 1) for c in combinations(range(k), size)]
+        pool = [FreeLRElem.from_vfield(chart, random_vfield(rng, 2, degree=1, terms=1)) for _ in range(3)]
+        pool.append(free_bracket(pool[0], pool[1]) + pool[2])
+        if idx % 2:
+            fields.append(random_kfield(rng, chart, k, degree=1, terms=1, density=0.5))
+        else:
+            fields.append(KField(chart, k, {phi: rng.choice(pool) for phi in rng.sample(subsets, min(len(subsets), 9))}))
+    for nu in fields:
+        for flavor in ("free", "lie"):
+            for i in range(nu.arity - 1):
+                got, want = act([i], nu, flavor), reference_act_by_transposition(nu, i, i + 1, flavor)
+                assert got == want and str(got) == str(want), (str(nu), i, flavor)
+            i, j = sorted(rng.sample(range(nu.arity), 2))
+            got, want = act_transposition(nu, i, j, flavor), reference_act_by_transposition(nu, i, j, flavor)
+            assert got == want and str(got) == str(want), (str(nu), i, j, flavor)
+
+
 # two pairs with union {0,1,2} whose defects cancel at (0, 1) but not at (0, 2)
 CANCELLING = "K{arity=3; 0: d0; 1: d0; 0,2: d1; 1,2: d1}"
 

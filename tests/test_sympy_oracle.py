@@ -1,9 +1,9 @@
-"""Differential test of `Poly` arithmetic and `vf_bracket` against sympy.
+"""Differential test of `Poly` arithmetic, `vf_apply` and `vf_bracket` against sympy.
 
-sympy computes the same sums, products, derivatives, powers and brackets on
-its own polynomial type over QQ; every igc result must have exactly sympy's
-terms.  sympy is a test aid, not a dependency: without it the module is
-skipped.
+sympy computes the same sums, products, derivatives, powers, derivations
+and brackets on its own polynomial type over QQ; every igc result must have
+exactly sympy's terms.  sympy is a test aid, not a dependency: without it the
+module is skipped.
 """
 
 from fractions import Fraction
@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from igc import Poly, VField, vf_bracket
+from igc import Poly, VField, vf_apply, vf_bracket
 
 sympy = pytest.importorskip("sympy")
 
@@ -55,6 +55,15 @@ def test_poly_arithmetic_matches_sympy(f, g, c, i, n, point):
     assert_agrees(f**n, sf**n)
     value = sf.as_expr().subs({x: sympy.Rational(v.numerator, v.denominator) for x, v in zip(X, point)})
     assert f.evaluate(point) == Fraction(int(value.p), int(value.q))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(polys, min_size=DIM, max_size=DIM), polys)
+def test_vf_apply_matches_sympy(v, f):
+    sv, sf = [to_sympy(p) for p in v], to_sympy(f)
+    # v(f) = sum_i v^i d_i f
+    want = sum((sv[i] * sf.diff(X[i]) for i in range(DIM)), to_sympy(Poly.zero(DIM)))
+    assert_agrees(vf_apply(VField(v), f), want)
 
 
 @settings(max_examples=60, deadline=None)
