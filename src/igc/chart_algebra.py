@@ -20,12 +20,14 @@ Validation happens at the public boundary.  The public constructors (here
 `KField(...)` and `LyndonWord(...)` in their modules) check and normalize
 whatever they are given.  Results that a class computes itself from
 canonical operands, the sums, products, derivatives, brackets, wedges and
-k-field operations, are canonical by construction and are wrapped by the
-private `_make` (for `Poly`, `_poly` and `_reduced`, which cancels the one
-common factor) without a second check.
-The four free A-modules (`VField`, `FreeLRElem`, `WeilElem`, `Polyvector`)
-share their module operations through `_Module`; each keeps its own
-constructors, mismatch errors, products and printing.
+k-field operations, are canonical by construction and are wrapped without
+a second check by the private `_make` (for `Poly`, `_poly` and `_reduced`,
+which cancels the one common factor).  Every value type is a frozen
+`_Record`, which generates `_make` from the class's `__slots__`, gives the
+validating constructors `_set`, compares field values and refuses to set or
+delete a field.  The four free A-modules (`VField`, `FreeLRElem`,
+`WeilElem`, `Polyvector`) share their module operations through `_Module`;
+each keeps its own constructors, mismatch errors, products and printing.
 """
 
 from __future__ import annotations
@@ -46,20 +48,39 @@ Exponent = tuple[int, ...]
 class _Record:
     """A record of the fields named in `__slots__`, at least two of them.
 
-    Equality, hash and repr are those a dataclass gives: equal records share
-    their class and field values, and the repr reads `Name(field=value, ...)`.
-    A record declared with `frozen=True` refuses assignment and sets its
-    fields through `object.__setattr__`; any other record is unhashable.
+    Each record class is given, as `dataclasses` gives its methods, two
+    functions generated from its slots: `_make(*fields)`, the trusted
+    constructor, and `self._set(*fields)`, with which a validating
+    `__init__` sets its fields.  Both take the fields in `__slots__` order
+    and write them through the slot descriptors.  Equality compares the
+    class and the field values, and the repr reads `Name(field=value, ...)`.
+    A record declared with `frozen=True`, and every subclass of one, refuses
+    to set or delete a field and hashes its field values; any other record
+    is unhashable.
     """
 
     __slots__ = ()
 
     def __init_subclass__(cls, frozen: bool = False):
-        cls._fields = attrgetter(*cls.__slots__)
         if frozen:
             cls.__setattr__ = cls.__delattr__ = _Record._refuse
-        else:
+        elif cls.__setattr__ is not _Record._refuse:
             cls.__hash__ = None
+        names = cls.__slots__
+        if names:
+            # by position, so that records with as many fields share one source
+            args = ", ".join(f"f{i}" for i in range(len(names)))
+            sets = "".join(f"    _set{i}(self, f{i})\n" for i in range(len(names)))
+            scope = _define(
+                f"def _set(self, {args}):\n{sets}\n"
+                f"def _make({args}):\n    self = _new(_cls)\n{sets}    return self\n",
+                _cls=cls,
+                _new=object.__new__,
+                **{f"_set{i}": getattr(cls, name).__set__ for i, name in enumerate(names)},
+            )
+            cls._fields = attrgetter(*names)
+            cls._set = scope["_set"]
+            cls._make = staticmethod(scope["_make"])
 
     def _refuse(self, name, value=None):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -75,6 +96,17 @@ class _Record:
     def __repr__(self):
         fields = ", ".join(f"{name}={value!r}" for name, value in zip(self.__slots__, self._fields(self)))
         return f"{type(self).__name__}({fields})"
+
+
+def _define(source: str, **scope) -> dict:
+    """Run source with scope as its globals and return them; each text compiles once."""
+    exec(_compiled(source), scope)
+    return scope
+
+
+@cache
+def _compiled(source: str):
+    return compile(source, "<_Record>", "exec")
 
 
 class ChartSpec(_Record, frozen=True):
@@ -93,11 +125,10 @@ class ChartSpec(_Record, frozen=True):
             raise DomainError(f"chart dimension {dim} exceeds the budget of ChartSpec.MAX_DIM = {self.MAX_DIM}")
         if not isinstance(max_degree, int) or max_degree < 1:
             raise DomainError(f"max_degree must be a positive integer, got {max_degree}")
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "max_degree", max_degree)
+        self._set(dim, max_degree)
 
 
-class Poly:
+class Poly(_Record, frozen=True):
     """Polynomial in Q[x0..x{n-1}], stored fraction-free as num/den.
 
     `num` maps packed monomial keys to nonzero ints and `den` is a positive
@@ -136,12 +167,7 @@ class Poly:
             num = {_pack(e): c.numerator * (den // c.denominator) for e, c in clean.items()}
         except struct.error:
             raise DomainError(_EXPONENT_OVERFLOW) from None
-        _set_dim(self, dim)
-        _set_num(self, num)
-        _set_den(self, den)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Poly is immutable")
+        self._set(dim, num, den)
 
     @property
     def terms(self) -> Mapping[Exponent, Fraction]:
@@ -327,10 +353,9 @@ class Poly:
         return f"Poly({self})"
 
 
-_set_dim = Poly.dim.__set__
-_set_num = Poly.num.__set__
-_set_den = Poly.den.__set__
-_new = object.__new__
+# the trusted constructor of canonical data: nonzero int numerators, den > 0
+# sharing no factor with all of them
+_poly = Poly._make
 
 _FIELD_MASK = (1 << 64) - 1
 _EXPONENT_OVERFLOW = f"monomial exponent exceeds the budget of Poly.MAX_EXPONENT = {Poly.MAX_EXPONENT}"
@@ -399,15 +424,6 @@ def _product_poly(dim: int, acc: dict[int, int], den: int) -> Poly:
     """The Poly of a product accumulator over den: exponents checked, zero sums dropped."""
     _check_exponents(dim, acc)
     return _reduced(dim, {k: c for k, c in acc.items() if c}, den)
-
-
-def _poly(dim: int, num: dict[int, int], den: int) -> Poly:
-    """Wrap canonical data: nonzero int numerators, den > 0 sharing no factor with all of them."""
-    p = _new(Poly)
-    _set_dim(p, dim)
-    _set_num(p, num)
-    _set_den(p, den)
-    return p
 
 
 def _reduced(dim: int, num: dict[int, int], den: int) -> Poly:
@@ -490,18 +506,24 @@ def _accumulate(acc: dict, pairs: Iterable[tuple]) -> dict:
     return acc
 
 
-class _Module:
+class _Module(_Record, frozen=True):
     """Element of a free A-module: `terms` maps basis labels to nonzero Polys.
 
-    A subclass names the module it lives in by `_space()` (what two elements
-    must share to be added or equal), raises its own mismatch error in
-    `_check` and wraps a canonical dict of the same module with `_like`.
+    A subclass declares the fields that name its module first and `terms`
+    last.  From those slots it gets `_space(self)`, the module's fields
+    (what two elements must share to be added or equal), and `_like`, which
+    wraps a canonical dict of the same module; it raises its own mismatch
+    error in `_check`.
     """
 
     __slots__ = ()
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
+    def __init_subclass__(cls):
+        super().__init_subclass__()
+        space = cls.__slots__[:-1]
+        cls._space = attrgetter(*space)
+        own = "".join(f"self.{name}, " for name in space)
+        cls._like = _define(f"def _like(self, terms):\n    return _make({own}terms)\n", _make=cls._make)["_like"]
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -528,13 +550,8 @@ class _Module:
 
     __rmul__ = __mul__
 
-    def __eq__(self, other):
-        if not isinstance(other, type(self)):
-            return NotImplemented
-        return self._space() == other._space() and self.terms == other.terms
-
     def __hash__(self):
-        return hash((self._space(), frozenset(self.terms.items())))
+        return hash((self._space(self), frozenset(self.terms.items())))
 
 
 def render_combination(pairs: Iterable[tuple[Poly, str]]) -> str:
@@ -570,22 +587,7 @@ class VField(_Module):
         dim = coeffs[0].dim
         if len(coeffs) != dim or any(c.dim != dim for c in coeffs):
             raise ChartMismatchError("vector field needs exactly dim coefficients on one chart")
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "terms", {i: c for i, c in enumerate(coeffs) if c})
-
-    @classmethod
-    def _make(cls, dim: int, terms: dict[int, Poly]) -> "VField":
-        """Wrap a canonical dict: indices below dim, nonzero Polys on the chart."""
-        self = object.__new__(cls)
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "terms", terms)
-        return self
-
-    def _like(self, terms: dict[int, Poly]) -> "VField":
-        return VField._make(self.dim, terms)
-
-    def _space(self):
-        return self.dim
+        self._set(dim, {i: c for i, c in enumerate(coeffs) if c})
 
     def _check(self, other: "VField"):
         if self.dim != other.dim:

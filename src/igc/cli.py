@@ -32,9 +32,9 @@ import json
 import shlex
 import sys
 
-from . import lyndon
+from . import free_lr, lyndon
 from .chart_algebra import ChartSpec, _Record
-from .errors import DomainError
+from .errors import DomainError, witness_text
 from .free_lr import free_bracket, lie_bracket_ext
 from .groupoid import act, is_trivial_homotopy, reduce_to_polyvector
 from .parsing import (
@@ -60,10 +60,6 @@ class CommandOutcome(_Record):
         self.text = text
         self.payload = payload
         self.code = code
-
-
-def _subset_str(phi) -> str:
-    return "{" + ",".join(map(str, sorted(phi))) + "}"
 
 
 def _need(argv, n, usage):
@@ -102,9 +98,8 @@ def run_command(argv: list[str], session: Session) -> CommandOutcome:
         if ok:
             return CommandOutcome("true", {"trivial": True, "witness": None})
         i, j, phi, psi = witness
-        text = f"false  witness: ({i},{j},{_subset_str(phi)},{_subset_str(psi)})"
         payload = {"trivial": False, "witness": [i, j, sorted(phi), sorted(psi)]}
-        return CommandOutcome(text, payload)
+        return CommandOutcome(f"false  witness: {witness_text(witness)}", payload)
 
     if cmd == "bracket":
         _need(argv, 4, "bracket (free|lie) E1 E2")
@@ -230,7 +225,8 @@ def main(argv: list[str] | None = None) -> int:
         pstats.Stats(profiler, stream=sys.stderr).sort_stats("tottime").print_stats(20)
         print(
             f"lyndon caches: _EXPANSION_CACHE {len(lyndon._EXPANSION_CACHE)} entries, "
-            f"_BRACKET_CACHE {len(lyndon._BRACKET_CACHE)} entries",
+            f"_BRACKET_CACHE {len(lyndon._BRACKET_CACHE)} entries, "
+            f"free_lr._lyndon_basis {free_lr._lyndon_basis.cache_info().currsize} entries",
             file=sys.stderr,
         )
 

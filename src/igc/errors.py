@@ -59,12 +59,13 @@ class NotClosedError(DomainError):
 
     def __init__(self, witness):
         self.witness = witness
-        i, j, phi, psi = witness
-        super().__init__(
-            "field is not homotopy-trivial: "
-            f"witness ({i},{j},{{{','.join(map(str, sorted(phi)))}}},"
-            f"{{{','.join(map(str, sorted(psi)))}}})"
-        )
+        super().__init__(f"field is not homotopy-trivial: witness {witness_text(witness)}")
+
+
+def witness_text(witness) -> str:
+    """The text (i,j,{..},{..}) of a trivial-homotopy witness (i, j, phi, psi)."""
+    i, j, phi, psi = witness
+    return f"({i},{j},{{{','.join(map(str, sorted(phi)))}}},{{{','.join(map(str, sorted(psi)))}}})"
 
 
 class NotFlagReducibleError(DomainError):

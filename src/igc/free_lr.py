@@ -25,6 +25,7 @@ would contain a longer surviving word raises DegreeOverflowError.
 
 from __future__ import annotations
 
+from functools import cache
 from typing import Iterable, Mapping, Sequence
 
 from . import lyndon
@@ -72,8 +73,7 @@ class RelativeSpec(_Record, frozen=True):
         vertical = frozenset(vertical)
         if any(i < 0 or i >= chart.dim for i in vertical):
             raise DomainError("vertical index out of range for the chart")
-        object.__setattr__(self, "chart", chart)
-        object.__setattr__(self, "vertical", vertical)
+        self._set(chart, vertical)
 
 
 class FreeLRElem(_Module):
@@ -94,22 +94,7 @@ class FreeLRElem(_Module):
                 raise DomainError(f"generator index in {tuple(w)} out of range")
             if not p.is_zero():
                 clean[w] = p
-        object.__setattr__(self, "chart", chart)
-        object.__setattr__(self, "terms", clean)
-
-    @classmethod
-    def _make(cls, chart: ChartSpec, terms: dict[LyndonWord, Poly]) -> "FreeLRElem":
-        """Wrap a canonical dict: Lyndon words within the chart, nonzero Polys on it."""
-        self = object.__new__(cls)
-        object.__setattr__(self, "chart", chart)
-        object.__setattr__(self, "terms", terms)
-        return self
-
-    def _like(self, terms: dict[LyndonWord, Poly]) -> "FreeLRElem":
-        return FreeLRElem._make(self.chart, terms)
-
-    def _space(self):
-        return self.chart
+        self._set(chart, clean)
 
     def _check(self, other: "FreeLRElem"):
         if self.chart != other.chart:
@@ -157,10 +142,16 @@ class FreeLRElem(_Module):
 
 
 def lyndon_basis(n: int, d: int) -> list[LyndonWord]:
-    """All Lyndon words of length d over n generators, sorted."""
+    """All Lyndon words of length d over n generators, sorted, in a new list."""
     if n < 1 or d < 1:
         raise DomainError("alphabet size and length must be >= 1")
-    return [LyndonWord(w) for w in lyndon.lyndon_words(n, d)]
+    return list(_lyndon_basis(n, d))
+
+
+@cache
+def _lyndon_basis(n: int, d: int) -> tuple[LyndonWord, ...]:
+    """The Lyndon words of length d over n generators, found once per (n, d)."""
+    return tuple(LyndonWord._make(w) for w in lyndon.lyndon_words(n, d))
 
 
 def _drop_vertical(elem: FreeLRElem, vertical: frozenset[int]) -> FreeLRElem:

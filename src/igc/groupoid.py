@@ -28,7 +28,7 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Callable, Mapping, Sequence
 
-from .chart_algebra import ChartSpec, VField
+from .chart_algebra import ChartSpec, VField, _Record
 from .errors import (
     ArityMismatchError,
     ChartMismatchError,
@@ -55,7 +55,17 @@ def _subset_key(s: Subset) -> tuple[int, ...]:
     return tuple(sorted(s))
 
 
-class KField:
+def _index_set(phi, arity: int, what: str, nonempty: bool = False) -> Subset:
+    """phi as a frozenset of int indices below arity; a DomainError naming `what` otherwise."""
+    phi = frozenset(phi)
+    if (nonempty and not phi) or not all(type(i) is int and 0 <= i < arity for i in phi):
+        if any(type(i) is not int for i in phi):
+            raise DomainError(f"{what} index set {set(phi)} holds an index that is not an int")
+        raise DomainError(f"{what} index set {sorted(phi)} out of range for arity {arity}")
+    return phi
+
+
+class KField(_Record, frozen=True):
     """Arity-k field: map from nonempty subsets of {0..k-1} to FreeLRElem."""
 
     __slots__ = ("chart", "arity", "components")
@@ -69,30 +79,12 @@ class KField:
         _check_arity(arity)
         clean: dict[Subset, FreeLRElem] = {}
         for phi, elem in (components or {}).items():
-            phi = frozenset(phi)
-            if not phi or not all(type(i) is int and 0 <= i < arity for i in phi):
-                if any(type(i) is not int for i in phi):
-                    raise DomainError(f"component index set {set(phi)} holds an index that is not an int")
-                raise DomainError(f"component index set {sorted(phi)} out of range for arity {arity}")
+            phi = _index_set(phi, arity, "component", nonempty=True)
             if elem.chart != chart:
                 raise ChartMismatchError("component lives on a different chart")
             if not elem.is_zero():
                 clean[phi] = elem
-        object.__setattr__(self, "chart", chart)
-        object.__setattr__(self, "arity", arity)
-        object.__setattr__(self, "components", clean)
-
-    @classmethod
-    def _make(cls, chart: ChartSpec, arity: int, components: dict[Subset, FreeLRElem]) -> "KField":
-        """Wrap a canonical dict: nonempty index sets below the arity, nonzero elements on the chart."""
-        self = object.__new__(cls)
-        object.__setattr__(self, "chart", chart)
-        object.__setattr__(self, "arity", arity)
-        object.__setattr__(self, "components", components)
-        return self
-
-    def __setattr__(self, name, value):
-        raise AttributeError("KField is immutable")
+        self._set(chart, arity, clean)
 
     @classmethod
     def zero(cls, chart: ChartSpec, arity: int) -> "KField":
@@ -127,15 +119,6 @@ class KField:
         if not elem.is_classical():
             raise DomainError(f"component {sorted(frozenset(phi))} is not classical")
         return project_to_lie(elem)
-
-    def __eq__(self, other):
-        if not isinstance(other, KField):
-            return NotImplemented
-        return (
-            self.chart == other.chart
-            and self.arity == other.arity
-            and self.components == other.components
-        )
 
     def __hash__(self):
         items = tuple(sorted(self.components.items(), key=lambda t: _subset_key(t[0])))
@@ -175,6 +158,18 @@ def _check_compatible(mu: KField, nu: KField):
         raise ArityMismatchError(f"arities differ: {mu.arity} vs {nu.arity}")
 
 
+def _check_agreement(mu: KField, nu: KField, shared: Callable[[Subset], bool]):
+    """Refuse mu and nu unless they agree on every index set where `shared` holds.
+
+    Stored components are nonzero, so a set stored on one side only is a
+    disagreement; the error names the first one in subset-lex order.
+    """
+    a, b = mu.components, nu.components
+    differ = [phi for phi in a.keys() | b.keys() if shared(phi) and a.get(phi) != b.get(phi)]
+    if differ:
+        raise FacePreconditionError(min(differ, key=_subset_key))
+
+
 def face(nu: KField, i: int) -> KField:
     """Restrict to the face where slot i degenerates: keep subsets avoiding i."""
     k = nu.arity
@@ -201,9 +196,7 @@ def add_over_face(mu: KField, nu: KField, psi) -> KField:
     psi = frozenset(psi)
     if len(psi) != k - 1 or any(i < 0 or i >= k for i in psi):
         raise DomainError(f"psi must be a size-{k - 1} subset of the slot indices")
-    for phi in sorted(set(mu.components) | set(nu.components), key=_subset_key):
-        if phi <= psi and mu.component(phi) != nu.component(phi):
-            raise FacePreconditionError(phi)
+    _check_agreement(mu, nu, lambda phi: phi <= psi)
     comps: dict[Subset, FreeLRElem] = {}
     for phi in set(mu.components) | set(nu.components):
         elem = mu.component(phi) if phi <= psi else mu.component(phi) + nu.component(phi)
@@ -225,9 +218,7 @@ def strong_diff(mu: KField, nu: KField, pair: tuple[int, int]) -> KField:
     i, j = pair
     if not 0 <= i < j < k:
         raise DomainError(f"need 0 <= i < j < arity, got ({i}, {j}) at arity {k}")
-    for phi in sorted(set(mu.components) | set(nu.components), key=_subset_key):
-        if not (i in phi and j in phi) and mu.component(phi) != nu.component(phi):
-            raise FacePreconditionError(phi)
+    _check_agreement(mu, nu, lambda phi: i not in phi or j not in phi)
     comps = {phi: elem for phi, elem in mu.components.items() if i not in phi and j not in phi}
     comps.update((phi - {j}, elem) for phi, elem in mu.components.items() if i in phi and j in phi)
     zero = FreeLRElem.zero(mu.chart)

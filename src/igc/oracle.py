@@ -24,9 +24,7 @@ from typing import Mapping, Sequence
 from .chart_algebra import ChartSpec, Poly, VField, _reduced, vf_apply
 from .errors import DomainError
 from .free_lr import FreeLRElem, RelativeSpec
-from .groupoid import KField
-
-Subset = frozenset[int]
+from .groupoid import KField, Subset
 
 
 @dataclass

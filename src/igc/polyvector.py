@@ -57,22 +57,7 @@ class Polyvector(_Module):
                 raise DomainError(f"field index in {key} out of range")
             if p:
                 pairs.append((key, p if sign == 1 else -p))
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "terms", _accumulate({}, pairs))
-
-    @classmethod
-    def _make(cls, dim: int, terms: dict[IndexTuple, Poly]) -> "Polyvector":
-        """Wrap a canonical dict: increasing nonempty index tuples within dim, nonzero Polys."""
-        self = object.__new__(cls)
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "terms", terms)
-        return self
-
-    def _like(self, terms: dict[IndexTuple, Poly]) -> "Polyvector":
-        return Polyvector._make(self.dim, terms)
-
-    def _space(self):
-        return self.dim
+        self._set(dim, _accumulate({}, pairs))
 
     def _check(self, other: "Polyvector"):
         if self.dim != other.dim:

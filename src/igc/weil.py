@@ -25,7 +25,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
-from .chart_algebra import ChartSpec, Poly, VField, _accumulate, _Module, _unpack, vf_apply
+from .chart_algebra import ChartSpec, Poly, VField, _accumulate, _Module, _Record, _unpack, vf_apply
 from .errors import (
     ArityMismatchError,
     ChartMismatchError,
@@ -33,9 +33,7 @@ from .errors import (
     NotMultiplicativeError,
 )
 from .free_lr import project_to_lie
-from .groupoid import KField, _drop_slot, _subset_key
-
-Subset = frozenset[int]
+from .groupoid import KField, Subset, _drop_slot, _index_set, _subset_key
 
 
 class WeilElem(_Module):
@@ -51,33 +49,12 @@ class WeilElem(_Module):
             raise DomainError("arity must be >= 0")
         clean: dict[Subset, Poly] = {}
         for phi, p in (terms or {}).items():
-            phi = frozenset(phi)
-            if not all(type(i) is int and 0 <= i < arity for i in phi):
-                if any(type(i) is not int for i in phi):
-                    raise DomainError(f"generator index set {set(phi)} holds an index that is not an int")
-                raise DomainError(f"generator index in {sorted(phi)} out of range for arity {arity}")
+            phi = _index_set(phi, arity, "generator")
             if p.dim != dim:
                 raise ChartMismatchError("part lives on a different chart")
             if not p.is_zero():
                 clean[phi] = p
-        object.__setattr__(self, "arity", arity)
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "terms", clean)
-
-    @classmethod
-    def _make(cls, arity: int, dim: int, terms: dict[Subset, Poly]) -> "WeilElem":
-        """Wrap a canonical dict: frozensets within the arity, nonzero Polys on the chart."""
-        self = object.__new__(cls)
-        object.__setattr__(self, "arity", arity)
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "terms", terms)
-        return self
-
-    def _like(self, terms: dict[Subset, Poly]) -> "WeilElem":
-        return WeilElem._make(self.arity, self.dim, terms)
-
-    def _space(self):
-        return self.arity, self.dim
+        self._set(arity, dim, clean)
 
     def _check(self, other: "WeilElem"):
         if self.arity != other.arity:
@@ -187,7 +164,7 @@ def _add_union(unions: set[Subset], block: Subset):
         raise DomainError(f"disjoint unions of blocks exceed the budget of WeilElem.MAX_PARTS = {WeilElem.MAX_PARTS}")
 
 
-class WeilMorphism:
+class WeilMorphism(_Record, frozen=True):
     """Unital multiplicative map from the chart ring into W_k over itself.
 
     Stored by the images of the coordinates; the image of any polynomial is
@@ -213,13 +190,7 @@ class WeilMorphism:
                 raise ArityMismatchError("coordinate image in the wrong Weil algebra")
             if raw is None and w.part(frozenset()) != Poly.var(dim, i):
                 raise DomainError(f"empty part of image({'x%d' % i}) must be x{i}")
-        object.__setattr__(self, "arity", arity)
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "coord_images", coord_images)
-        object.__setattr__(self, "raw", raw)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("WeilMorphism is immutable")
+        self._set(arity, dim, coord_images, raw)
 
     @classmethod
     def from_callable(cls, arity: int, dim: int, fn: Callable[[Poly], WeilElem]) -> "WeilMorphism":
@@ -262,7 +233,7 @@ class WeilMorphism:
         return f"WeilMorphism({imgs})"
 
 
-class CupFactorization:
+class CupFactorization(_Record, frozen=True):
     """Images of the V_m generators inside W_m, all pairwise products zero."""
 
     __slots__ = ("arity", "dim", "images")
@@ -280,12 +251,7 @@ class CupFactorization:
                     raise DomainError(
                         "invalid factorization: generator images must have all pairwise products zero"
                     )
-        object.__setattr__(self, "arity", arity)
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "images", images)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CupFactorization is immutable")
+        self._set(arity, dim, images)
 
     @classmethod
     def canonical(cls, dim: int) -> "CupFactorization":

@@ -580,6 +580,7 @@ def test_cli_profile_flag():
     assert profiled.stdout == plain.stdout and plain.stderr == ""
     assert "chart_algebra.py" in profiled.stderr
     assert "lyndon caches: _EXPANSION_CACHE " in profiled.stderr
+    assert "free_lr._lyndon_basis 1 entries" in profiled.stderr
 
 
 def test_cli_dimension_flag():

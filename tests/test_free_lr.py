@@ -26,6 +26,7 @@ from igc import (
     vf_apply,
     vf_bracket,
 )
+from igc import free_lr, lyndon
 from igc.free_lr import _free_bracket_terms, _lie_bracket_terms
 from igc.lyndon import standard_factorization, tensor_expansion
 from igc.oracle import oracle_bracket, random_poly, random_vfield
@@ -70,6 +71,17 @@ def test_lyndon_counts_table():
     assert [len(lyndon_basis(2, d)) for d in range(1, 6)] == [2, 1, 2, 3, 6]
     assert [len(lyndon_basis(3, d)) for d in range(1, 5)] == [3, 3, 8, 18]
     assert lyndon_basis(1, 2) == []
+
+
+def test_lyndon_basis_is_found_once_and_returned_in_a_new_list(monkeypatch):
+    calls = []
+    monkeypatch.setattr(lyndon, "is_lyndon", lambda w: calls.append(w) or brute_lyndon(w))
+    free_lr._lyndon_basis.cache_clear()
+    first = lyndon_basis(3, 4)
+    assert len(first) == 18 and calls and all(type(w) is LyndonWord for w in first)
+    calls.clear()
+    first.append((0,))
+    assert lyndon_basis(3, 4) == first[:-1] and not calls
 
 
 def test_lyndon_word_validation():

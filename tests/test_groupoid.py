@@ -87,6 +87,27 @@ def test_add_over_face():
     assert err.value.subset == frozenset({0})
 
 
+def test_face_precondition_names_the_first_disagreement_in_subset_lex_order():
+    rng = Random(58)
+    comps = {frozenset(s): FreeLRElem.from_vfield(CHART, random_vfield(rng, 2)) for s in [(0,), (1,), (2,), (1, 2)]}
+    mu = KField(CHART, 4, comps)
+    other = lambda: FreeLRElem.from_vfield(CHART, random_vfield(rng, 2))  # noqa: E731
+    # {2} and {1,2} differ, {0,2} is stored on one side only and {1} on the other
+    partner = {**comps, frozenset({2}): other(), frozenset({1, 2}): other(), frozenset({0, 2}): other()}
+    del partner[frozenset({1})]
+    nu = KField(CHART, 4, partner)
+    for a, b in ((mu, nu), (nu, mu)):
+        with pytest.raises(FacePreconditionError) as err:
+            add_over_face(a, b, {0, 1, 2})
+        assert err.value.subset == frozenset({0, 2})
+        with pytest.raises(FacePreconditionError) as err:
+            strong_diff(a, b, (0, 3))
+        assert err.value.subset == frozenset({0, 2})
+        with pytest.raises(FacePreconditionError) as err:
+            strong_diff(a, b, (0, 2))
+        assert err.value.subset == frozenset({1})
+
+
 def test_add_over_face_arity_one_is_plain_addition():
     rng = Random(53)
     u, v = random_vfield(rng, 2), random_vfield(rng, 2)
