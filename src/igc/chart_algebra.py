@@ -16,18 +16,19 @@ The canonical term order used for printing is graded lexicographic on
 exponent vectors, largest first.
 
 Validation happens at the public boundary.  The public constructors (here
-`Poly(...)`, and `FreeLRElem(...)`, `WeilElem(...)`, `Polyvector(...)`,
-`KField(...)` and `LyndonWord(...)` in their modules) check and normalize
-whatever they are given.  Results that a class computes itself from
-canonical operands, the sums, products, derivatives, brackets, wedges and
-k-field operations, are canonical by construction and are wrapped without
-a second check by the private `_make` (for `Poly`, `_poly` and `_reduced`,
-which cancels the one common factor).  Every value type is a frozen
-`_Record`, which generates `_make` from the class's `__slots__`, gives the
-validating constructors `_set`, compares field values and refuses to set or
-delete a field.  The four free A-modules (`VField`, `FreeLRElem`,
-`WeilElem`, `Polyvector`) share their module operations through `_Module`;
-each keeps its own constructors, mismatch errors, products and printing.
+`Poly(...)`, and `FreeLRElem(...)`, `WeilElem(...)`, `WeilMorphism(...)`,
+`Polyvector(...)`, `KField(...)` and `LyndonWord(...)` in their modules)
+check and normalize whatever they are given.  Results that a class computes
+itself from canonical operands, the sums, products, derivatives, brackets,
+wedges, k-field operations and Weil morphisms, are canonical by
+construction and are wrapped without a second check by the private `_make`
+(for `Poly`, `_poly` and `_reduced`, which cancels the one common factor).
+Every value type is a frozen `_Record`, which generates `_make` from the
+class's `__slots__`, gives the validating constructors `_set`, compares and
+hashes field values and refuses to set or delete a field.  The four free
+A-modules (`VField`, `FreeLRElem`, `WeilElem`, `Polyvector`) share their
+module operations through `_Module`; each keeps its own constructors,
+mismatch errors, products and printing.
 """
 
 from __future__ import annotations
@@ -48,15 +49,15 @@ Exponent = tuple[int, ...]
 class _Record:
     """A record of the fields named in `__slots__`, at least two of them.
 
-    Each record class is given, as `dataclasses` gives its methods, two
+    Equality compares the class and the field values, and the repr reads
+    `Name(field=value, ...)`.  A record declared with `frozen=True`, and
+    every subclass of one, refuses to set or delete a field and hashes its
+    field values; it is also given, as `dataclasses` gives its methods, two
     functions generated from its slots: `_make(*fields)`, the trusted
     constructor, and `self._set(*fields)`, with which a validating
     `__init__` sets its fields.  Both take the fields in `__slots__` order
-    and write them through the slot descriptors.  Equality compares the
-    class and the field values, and the repr reads `Name(field=value, ...)`.
-    A record declared with `frozen=True`, and every subclass of one, refuses
-    to set or delete a field and hashes its field values; any other record
-    is unhashable.
+    and write them through the slot descriptors.  Any other record sets its
+    fields as plain attributes, is given neither function and is unhashable.
     """
 
     __slots__ = ()
@@ -64,10 +65,12 @@ class _Record:
     def __init_subclass__(cls, frozen: bool = False):
         if frozen:
             cls.__setattr__ = cls.__delattr__ = _Record._refuse
-        elif cls.__setattr__ is not _Record._refuse:
-            cls.__hash__ = None
         names = cls.__slots__
         if names:
+            cls._fields = attrgetter(*names)
+        if cls.__setattr__ is not _Record._refuse:
+            cls.__hash__ = None
+        elif names:
             # by position, so that records with as many fields share one source
             args = ", ".join(f"f{i}" for i in range(len(names)))
             sets = "".join(f"    _set{i}(self, f{i})\n" for i in range(len(names)))
@@ -78,7 +81,6 @@ class _Record:
                 _new=object.__new__,
                 **{f"_set{i}": getattr(cls, name).__set__ for i, name in enumerate(names)},
             )
-            cls._fields = attrgetter(*names)
             cls._set = scope["_set"]
             cls._make = staticmethod(scope["_make"])
 
@@ -527,6 +529,9 @@ class _Module(_Record, frozen=True):
 
     def is_zero(self) -> bool:
         return not self.terms
+
+    def __bool__(self):
+        return bool(self.terms)
 
     def __add__(self, other):
         if not isinstance(other, type(self)):

@@ -187,11 +187,9 @@ def check_free_lie_rinehart(seed: int, max_degree: int) -> CheckReport:
         u = _random_elem(rng, chart)
         report.compare(f"alternation #{idx}", FreeLRElem.zero(chart), free_bracket(u, u))
     for idx in range(20):
+        x, y, z = (_random_elem(rng, chart, 1) for _ in range(3))
         if idx % 2:
-            x, y, z = (_random_elem(rng, chart, 1) for _ in range(3))
             z = z + FreeLRElem(chart, {lyndon_basis(2, 2)[0]: random_poly(rng, 2)})
-        else:
-            x, y, z = (_random_elem(rng, chart, 1) for _ in range(3))
         jac = (
             free_bracket(x, free_bracket(y, z))
             + free_bracket(y, free_bracket(z, x))

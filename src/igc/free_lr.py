@@ -118,9 +118,6 @@ class FreeLRElem(_Module):
         """True when only length-1 words occur, i.e. the element is a vector field."""
         return all(len(w) == 1 for w in self.terms)
 
-    def max_length(self) -> int:
-        return max((len(w) for w in self.terms), default=0)
-
     @staticmethod
     def _word_str(word: Word) -> str:
         if len(word) == 1:

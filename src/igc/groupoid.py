@@ -28,7 +28,7 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Callable, Mapping, Sequence
 
-from .chart_algebra import ChartSpec, VField, _Record
+from .chart_algebra import ChartSpec, VField, _accumulate, _Record
 from .errors import (
     ArityMismatchError,
     ChartMismatchError,
@@ -197,12 +197,8 @@ def add_over_face(mu: KField, nu: KField, psi) -> KField:
     if len(psi) != k - 1 or any(i < 0 or i >= k for i in psi):
         raise DomainError(f"psi must be a size-{k - 1} subset of the slot indices")
     _check_agreement(mu, nu, lambda phi: phi <= psi)
-    comps: dict[Subset, FreeLRElem] = {}
-    for phi in set(mu.components) | set(nu.components):
-        elem = mu.component(phi) if phi <= psi else mu.component(phi) + nu.component(phi)
-        if not elem.is_zero():
-            comps[phi] = elem
-    return KField._make(mu.chart, k, comps)
+    outside = ((phi, elem) for phi, elem in nu.components.items() if not phi <= psi)
+    return KField._make(mu.chart, k, _accumulate(dict(mu.components), outside))
 
 
 def strong_diff(mu: KField, nu: KField, pair: tuple[int, int]) -> KField:
@@ -221,12 +217,8 @@ def strong_diff(mu: KField, nu: KField, pair: tuple[int, int]) -> KField:
     _check_agreement(mu, nu, lambda phi: i not in phi or j not in phi)
     comps = {phi: elem for phi, elem in mu.components.items() if i not in phi and j not in phi}
     comps.update((phi - {j}, elem) for phi, elem in mu.components.items() if i in phi and j in phi)
-    zero = FreeLRElem.zero(mu.chart)
-    for phi, elem in nu.components.items():
-        if i in phi and j in phi:
-            comps[phi - {j}] = comps.get(phi - {j}, zero) - elem
-    # a difference may vanish
-    comps = {_drop_slot(chi, j): elem for chi, elem in comps.items() if not elem.is_zero()}
+    _accumulate(comps, ((phi - {j}, -elem) for phi, elem in nu.components.items() if i in phi and j in phi))
+    comps = {_drop_slot(chi, j): elem for chi, elem in comps.items()}
     return KField._make(mu.chart, k - 1, comps)
 
 

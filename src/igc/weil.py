@@ -5,7 +5,10 @@ ring, so elements are maps from subsets of {0..k-1} to Poly and products
 convolve over disjoint subsets.  A point/field of the k-th iterated tangent
 bundle is the same thing as a unital multiplicative map from the chart ring
 into W_k tensor the chart ring whose empty part is the identity; such a
-morphism is pinned down by its values on the coordinates x_i.
+morphism is pinned down by its values on the coordinates x_i, and
+`WeilMorphism` stores exactly those.  A morphism given as a function on the
+chart ring enters through `WeilMorphism.from_callable`, which probes it for
+multiplicativity once and keeps its coordinate images.
 
 `kfield_to_weil` encodes a classical subset-indexed field as the morphism
 whose phi part applies, for every splitting of phi into disjoint blocks
@@ -23,6 +26,7 @@ full first-block monomial e_0...e_{k-1}.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations_with_replacement
 from typing import Callable, Mapping, Sequence
 
 from .chart_algebra import ChartSpec, Poly, VField, _accumulate, _Module, _Record, _unpack, vf_apply
@@ -168,40 +172,44 @@ class WeilMorphism(_Record, frozen=True):
     """Unital multiplicative map from the chart ring into W_k over itself.
 
     Stored by the images of the coordinates; the image of any polynomial is
-    the multiplicative extension.  A raw callable may be attached instead,
-    in which case nothing guarantees multiplicativity -- `weil_to_kfield`
-    probes for it and reports a witness on failure.
+    the multiplicative extension.  The constructor checks that the empty
+    part of image(x_i) is x_i; `from_callable` builds one from a function on
+    the chart ring after probing that function for multiplicativity.
     """
 
-    __slots__ = ("arity", "dim", "coord_images", "raw")
+    __slots__ = ("arity", "dim", "coord_images")
 
-    def __init__(
-        self,
-        arity: int,
-        dim: int,
-        coord_images: Sequence[WeilElem],
-        raw: Callable[[Poly], WeilElem] | None = None,
-    ):
-        coord_images = tuple(coord_images)
-        if len(coord_images) != dim:
-            raise DomainError("need one coordinate image per chart dimension")
+    def __init__(self, arity: int, dim: int, coord_images: Sequence[WeilElem]):
+        coord_images = _coordinate_images(arity, dim, coord_images)
         for i, w in enumerate(coord_images):
-            if w.arity != arity or w.dim != dim:
-                raise ArityMismatchError("coordinate image in the wrong Weil algebra")
-            if raw is None and w.part(frozenset()) != Poly.var(dim, i):
+            if w.part(frozenset()) != Poly.var(dim, i):
                 raise DomainError(f"empty part of image({'x%d' % i}) must be x{i}")
-        self._set(arity, dim, coord_images, raw)
+        self._set(arity, dim, coord_images)
 
     @classmethod
     def from_callable(cls, arity: int, dim: int, fn: Callable[[Poly], WeilElem]) -> "WeilMorphism":
-        images = [fn(Poly.var(dim, i)) for i in range(dim)]
-        return cls(arity, dim, images, raw=fn)
+        """The morphism sending each x_i to fn(x_i), once fn passes the probe.
+
+        The empty part of fn(x_i) must be x_i, as unitality needs, and
+        fn(f*g) = fn(f)*fn(g) must hold on monomials up to order arity+1;
+        the first failure is raised as a NotMultiplicativeError witness.
+        """
+        monos = [Poly.var(dim, i) for i in range(dim)]
+        images = _coordinate_images(arity, dim, [fn(x) for x in monos])
+        for x, elem in zip(monos, images):
+            if elem.part(frozenset()) != x:
+                raise NotMultiplicativeError(Poly.const(dim, 1), x)
+        quadratic = [monos[i] * monos[j] for i in range(dim) for j in range(i, dim)]
+        probes = list(zip(monos, images)) + [(f, fn(f)) for f in quadratic]
+        for f, image_f in probes:
+            for g, image_g in probes:
+                if f.total_degree() + g.total_degree() <= arity + 1 and fn(f * g) != image_f * image_g:
+                    raise NotMultiplicativeError(f, g)
+        return cls._make(arity, dim, images)
 
     def image(self, f: Poly) -> WeilElem:
         if f.dim != self.dim:
             raise ChartMismatchError("polynomial lives on a different chart")
-        if self.raw is not None:
-            return self.raw(f)
         out = WeilElem.zero(self.arity, self.dim)
         for key, c in f.num.items():
             term = WeilElem.scalar(self.arity, Poly.const(self.dim, Fraction(c, f.den)))
@@ -213,24 +221,21 @@ class WeilMorphism(_Record, frozen=True):
 
     def restrict(self, i: int) -> "WeilMorphism":
         """Set generator e_i to zero, landing one arity down."""
-        return WeilMorphism(
-            self.arity - 1,
-            self.dim,
-            [w.set_generator_zero(i) for w in self.coord_images],
-        )
-
-    def __eq__(self, other):
-        if not isinstance(other, WeilMorphism):
-            return NotImplemented
-        return (
-            self.arity == other.arity
-            and self.dim == other.dim
-            and self.coord_images == other.coord_images
-        )
+        return WeilMorphism._make(self.arity - 1, self.dim, tuple(w.set_generator_zero(i) for w in self.coord_images))
 
     def __repr__(self):
         imgs = ", ".join(f"x{i} -> {w}" for i, w in enumerate(self.coord_images))
         return f"WeilMorphism({imgs})"
+
+
+def _coordinate_images(arity: int, dim: int, images: Sequence[WeilElem]) -> tuple[WeilElem, ...]:
+    """images as a tuple, one per chart dimension, each in W_arity over the chart."""
+    images = tuple(images)
+    if len(images) != dim:
+        raise DomainError("need one coordinate image per chart dimension")
+    if any(w.arity != arity or w.dim != dim for w in images):
+        raise ArityMismatchError("coordinate image in the wrong Weil algebra")
+    return images
 
 
 class CupFactorization(_Record, frozen=True):
@@ -245,12 +250,10 @@ class CupFactorization(_Record, frozen=True):
         for w in images:
             if w.arity != arity or w.dim != dim:
                 raise ArityMismatchError("factorization image in the wrong Weil algebra")
-        for a in images:
-            for b in images:
-                if not (a * b).is_zero():
-                    raise DomainError(
-                        "invalid factorization: generator images must have all pairwise products zero"
-                    )
+        # W_m is commutative, so each unordered pair is tested once
+        for a, b in combinations_with_replacement(images, 2):
+            if not (a * b).is_zero():
+                raise DomainError("invalid factorization: generator images must have all pairwise products zero")
         self._set(arity, dim, images)
 
     @classmethod
@@ -273,7 +276,7 @@ def kfield_to_weil(nu: KField) -> WeilMorphism:
         xi = Poly.var(dim, i)
         parts = {phi: val for phi in unions if (val := subset_operator_apply(fields, phi, xi))}
         images.append(WeilElem._make(k, dim, {frozenset(): xi, **parts}))
-    return WeilMorphism(k, dim, images)
+    return WeilMorphism._make(k, dim, tuple(images))
 
 
 def weil_to_kfield(w: WeilMorphism, chart: ChartSpec | None = None) -> KField:
@@ -281,17 +284,13 @@ def weil_to_kfield(w: WeilMorphism, chart: ChartSpec | None = None) -> KField:
 
     Components are extracted by induction on subset size, peeling composite
     terms off the stored parts; a field sits only on a stored part or on a
-    disjoint union of the smaller fields found so far.  A morphism stored by
-    coordinate images is multiplicative by construction and has its empty
-    parts checked when built; a raw callable is first probed for
-    multiplicativity on low-degree monomial pairs, and a failing pair is
-    raised as a NotMultiplicativeError witness.
+    disjoint union of the smaller fields found so far.  A morphism is
+    multiplicative by construction and has its empty parts checked when
+    built, so the image of x_i is its stored coordinate image.
     """
     k, dim = w.arity, w.dim
     chart = chart or ChartSpec(dim, max_degree=max(2, k))
-    coord_parts = [w.image(Poly.var(dim, i)) for i in range(dim)]
-    if w.raw is not None:
-        _probe_multiplicative(w, coord_parts)
+    coord_parts = w.coord_images
     fields: dict[Subset, VField] = {}
     unions: set[Subset] = set()
     todo = {phi for elem in coord_parts for phi in elem.terms if phi}
@@ -310,24 +309,6 @@ def weil_to_kfield(w: WeilMorphism, chart: ChartSpec | None = None) -> KField:
                 _add_union(unions, phi)
         todo |= {u for u in unions if len(u) > size}
     return KField.from_vfields(chart, k, fields)
-
-
-def _probe_multiplicative(w: WeilMorphism, coord_parts: Sequence[WeilElem]):
-    """Check that the empty part of image(x_i) is x_i, as unitality needs,
-    and image(f*g) = image(f)*image(g) on monomials up to order arity+1."""
-    dim, k = w.dim, w.arity
-    for i, elem in enumerate(coord_parts):
-        if elem.part(frozenset()) != Poly.var(dim, i):
-            raise NotMultiplicativeError(Poly.const(dim, 1), Poly.var(dim, i))
-    monos = [Poly.var(dim, i) for i in range(dim)]
-    quadratic = [monos[i] * monos[j] for i in range(dim) for j in range(i, dim)]
-    probes = monos + quadratic
-    for f in probes:
-        for g in probes:
-            if f.total_degree() + g.total_degree() > k + 1:
-                continue
-            if w.image(f * g) != w.image(f) * w.image(g):
-                raise NotMultiplicativeError(f, g)
 
 
 def weil_cup(x: WeilMorphism, fact: CupFactorization, derivations: Sequence[VField]) -> WeilMorphism:
@@ -352,8 +333,8 @@ def weil_cup(x: WeilMorphism, fact: CupFactorization, derivations: Sequence[VFie
     images = []
     for i in range(x.dim):
         xi = Poly.var(x.dim, i)
-        img = x.image(xi).shift(0, total)
+        img = x.coord_images[i].shift(0, total)
         for j, beta in enumerate(derivations):
             img = img + multipliers[j] * vf_apply(beta, xi)
         images.append(img)
-    return WeilMorphism(total, x.dim, images)
+    return WeilMorphism._make(total, x.dim, tuple(images))

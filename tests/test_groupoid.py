@@ -128,6 +128,38 @@ def test_strong_diff_basic():
         strong_diff(mu, bad, (0, 1))
 
 
+def test_face_sums_build_no_zero_element(monkeypatch):
+    # both sums run over the stored components, and a sum that cancels is dropped
+    rng = Random(56)
+    elem = lambda: FreeLRElem.from_vfield(CHART, random_vfield(rng, 2))  # noqa: E731
+    cases, cancelled = [], 0
+    for k in range(2, 5):
+        mu = random_kfield(rng, CHART, k, density=0.7)
+        psi = frozenset(range(k - 1))
+        over, diff = dict(mu.components), dict(mu.components)
+        for phi, e in mu.components.items():
+            # cancel, replace or drop the components the face and the pair (0, 1) leave free
+            r = rng.random()
+            change = -e if r < 0.4 else elem() if r < 0.7 else None
+            for comps, free in ((over, not phi <= psi), (diff, {0, 1} <= phi)):
+                if free and change is None:
+                    del comps[phi]
+                elif free:
+                    comps[phi] = change
+                    cancelled += r < 0.4
+        cases.append((mu, KField(CHART, k, over), psi, KField(CHART, k, diff)))
+    assert cancelled
+    want = [(add_over_face(mu, nu, psi), strong_diff(mu, other, (0, 1))) for mu, nu, psi, other in cases]
+
+    def refuse(cls, chart):
+        raise AssertionError("a zero FreeLRElem was built")
+
+    monkeypatch.setattr(FreeLRElem, "zero", classmethod(refuse))
+    got = [(add_over_face(mu, nu, psi), strong_diff(mu, other, (0, 1))) for mu, nu, psi, other in cases]
+    assert got == want
+    assert all(not e.is_zero() for pair in got for nu in pair for e in nu.components.values())
+
+
 def test_strong_diff_pipeline_bracket():
     alpha, beta = D0V, VField([Poly.zero(2), X0])
     swapped = act([0], compose(one_field(alpha), one_field(beta)), "lie")

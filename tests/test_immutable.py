@@ -16,6 +16,9 @@ from igc import (
     WeilElem,
     kfield_to_weil,
 )
+from igc.chart_algebra import _compiled, _Record
+from igc.cli import CommandOutcome
+from igc.parsing import Session
 
 CHART = ChartSpec(2, 3)
 X0, ONE = Poly.var(2, 0), Poly.const(2, 1)
@@ -59,3 +62,22 @@ def test_cup_factorizations_compare_and_hash_by_value():
     assert a is not b and a == b and hash(a) == hash(b)
     assert a != CupFactorization.canonical(2)
     assert repr(CupFactorization.canonical(2)) == "CupFactorization(arity=1, dim=2, images=(WeilElem((1)*e0),))"
+
+
+def test_only_frozen_records_are_given_generated_constructors():
+    # the mutable records set plain attributes, so nothing is compiled for them
+    for cls in (Session, CommandOutcome):
+        assert not hasattr(cls, "_make") and not hasattr(cls, "_set")
+    slots = tuple(f"f{i}" for i in range(17))  # no other record has as many fields
+    misses = _compiled.cache_info().misses
+
+    class Mutable(_Record):
+        __slots__ = slots
+
+    assert _compiled.cache_info().misses == misses
+
+    class Frozen(_Record, frozen=True):
+        __slots__ = slots
+
+    assert _compiled.cache_info().misses == misses + 1
+    assert Frozen._make(*range(17)) == Frozen._make(*range(17)) and not hasattr(Mutable, "_make")

@@ -1,4 +1,9 @@
-"""The names `igc` exports, eager and deferred alike."""
+"""The names `igc` exports, eager and deferred alike, and no function nothing names."""
+
+import ast
+import re
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -46,3 +51,20 @@ def test_deferred_names_are_the_submodules_own():
 def test_unknown_name_raises_attribute_error_naming_it():
     with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
         igc.no_such_name
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_every_function_is_named_besides_its_definition():
+    # a def whose name occurs nowhere else in src, tests or perfbench is dead code
+    sources = [p.read_text() for d in ("src", "tests", "perfbench") for p in sorted((ROOT / d).rglob("*.py"))]
+    words = Counter(w for text in sources for w in re.findall(r"[A-Za-z_][A-Za-z0-9_]*", text))
+    defs = Counter(
+        node.name
+        for path in sorted((ROOT / "src" / "igc").glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+    )
+    assert [name for name, n in sorted(defs.items()) if words[name] <= n] == []

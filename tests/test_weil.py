@@ -380,6 +380,57 @@ def test_raw_morphism_empty_part_must_be_identity():
     assert err.value.witness == (ONE, X0)
 
 
+def test_from_callable_probes_by_itself():
+    # the probe runs where the callable enters, not when the morphism is read
+    def bad(f):
+        return WeilElem(1, 2, {frozenset(): f, frozenset({0}): f.derive(0) * f.derive(0)})
+
+    def swapped(f):
+        return WeilElem.scalar(1, Poly(2, {(b, a): c for (a, b), c in f.terms.items()}))
+
+    with pytest.raises(NotMultiplicativeError) as err:
+        WeilMorphism.from_callable(1, 2, bad)
+    assert err.value.witness == (X0, X0)
+    with pytest.raises(NotMultiplicativeError) as err:
+        WeilMorphism.from_callable(1, 2, swapped)
+    assert err.value.witness == (ONE, X0)
+    with pytest.raises(ArityMismatchError, match="wrong Weil algebra"):
+        WeilMorphism.from_callable(1, 2, lambda f: WeilElem.scalar(2, f))
+
+
+def test_from_callable_is_its_coordinate_images():
+    rng = Random(47)
+    for k in range(1, 4):
+        w = kfield_to_weil(random_kfield(rng, CHART, k))
+        calls = []
+
+        def image(f):
+            calls.append(f)
+            return w.image(f)
+
+        got = WeilMorphism.from_callable(k, 2, image)
+        # each coordinate is evaluated once, the probe products once each
+        assert calls[:2] == [X0, X1] and calls.count(X0) == calls.count(X1) == 1
+        rebuilt = WeilMorphism(k, 2, [image(X0), image(X1)])
+        assert got == rebuilt == w and hash(got) == hash(rebuilt) == hash(w)
+        assert len({got, rebuilt, w, w.restrict(0)}) == 2
+
+
+def test_internal_morphisms_equal_their_validated_rebuilds():
+    # kfield_to_weil, restrict and weil_cup skip the constructor's checks
+    rng = Random(48)
+    for idx in range(50):
+        chart = ChartSpec(2 + idx % 2, 4)
+        k = 1 + idx % 3
+        w = kfield_to_weil(random_kfield(rng, chart, k, density=0.7))
+        fact = CupFactorization.canonical(chart.dim)
+        outs = [w, w.restrict(idx % k), weil_cup(w, fact, [random_vfield(rng, chart.dim)])]
+        for out in outs:
+            rebuilt = WeilMorphism(out.arity, out.dim, list(out.coord_images))
+            assert_same(out, rebuilt)
+            assert hash(out) == hash(rebuilt) and type(out.coord_images) is tuple
+
+
 def test_face_compatibility():
     rng = Random(38)
     nu = random_kfield(rng, CHART, 3)
