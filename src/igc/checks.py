@@ -1,10 +1,14 @@
 """Verification suite behind `igc check`.
 
-Each entry recomputes one family of identities at desk scale (dimension
-<= 3, degree <= 4, exact rationals) and returns a CheckReport.  Sampling is
-deterministic per seed, so two runs with the same flags print the same
-thing.  Dimensions are fixed per check -- the suite does not depend on the
-session chart.
+Each check recomputes one family of identities at desk scale (dimension
+<= 3, degree <= 4, exact rationals).  `CHECKS` is the one table of them: a
+row names a check and fixes its salt, and `run_suite` builds the row's
+CheckReport and its `Random(seed * 1000003 + salt)` before it calls
+`check(report, rng, max_degree)`.  A salt is written in its row and never
+follows the row's position, so moving rows reseeds nothing.  Sampling is
+thus deterministic per seed, and two runs with the same flags print the
+same thing.  Dimensions are fixed per check -- the suite does not depend on
+the session chart.
 
 Every case goes through one call, `report.compare(inputs, expected, got)`,
 which counts it and, when the values differ, records both as text; a case
@@ -19,7 +23,7 @@ import time
 from itertools import combinations
 from random import Random
 
-from .chart_algebra import ChartSpec, Poly, vf_apply, vf_bracket
+from .chart_algebra import ChartSpec, Poly, VField, vf_apply, vf_bracket
 from .free_lr import (
     FreeLRElem,
     RelativeSpec,
@@ -59,10 +63,6 @@ from .polyvector import Polyvector, degree, schouten, wedge
 from .weil import kfield_to_weil, weil_to_kfield
 
 
-def _rng(seed: int, salt: int) -> Random:
-    return Random(seed * 1000003 + salt)
-
-
 def _random_elem(rng: Random, chart: ChartSpec, max_len: int = 2) -> FreeLRElem:
     """Element mixing a random degree-1 part with random longer monomials; max_len <= chart.max_degree."""
     terms = dict(FreeLRElem.from_vfield(chart, random_vfield(rng, chart.dim)).terms)
@@ -76,52 +76,45 @@ def _random_elem(rng: Random, chart: ChartSpec, max_len: int = 2) -> FreeLRElem:
     return FreeLRElem._make(chart, terms)
 
 
-def check_weil_multiplicativity(seed: int, max_degree: int) -> CheckReport:
-    report = CheckReport("weil-multiplicativity")
-    rng = _rng(seed, 1)
+def _random_2field(rng: Random, chart: ChartSpec) -> tuple[KField, VField, VField, VField]:
+    """Random fields a0, a1, a01 on 2 coordinates and the arity-2 field with them at {0}, {1}, {0,1}."""
+    a0, a1, a01 = (random_vfield(rng, 2) for _ in range(3))
+    nu = KField.from_vfields(chart, 2, {frozenset({0}): a0, frozenset({1}): a1, frozenset({0, 1}): a01})
+    return nu, a0, a1, a01
+
+
+def check_weil_multiplicativity(report: CheckReport, rng: Random, max_degree: int):
     for idx in range(100):
         chart = ChartSpec(2 + idx % 2, max_degree)
         nu = random_kfield(rng, chart, 1 + idx % 3)
         sub = oracle_multiplicativity(nu, trials=2, rng=rng)
         report.cases += sub.cases
         report.failures.extend(sub.failures)
-    return report
 
 
-def check_weil_negative_control(seed: int, max_degree: int) -> CheckReport:
-    report = CheckReport("weil-negative-control")
-    rng = _rng(seed, 2)
+def check_weil_negative_control(report: CheckReport, rng: Random, max_degree: int):
     chart = ChartSpec(2, max_degree)
     nu = random_kfield(rng, chart, 2)
     sub = oracle_multiplicativity(nu, trials=4, rng=rng, corrupt=True)
     report.cases = sub.cases
     if sub.passed:
         report.record("corrupted top part", "multiplicativity failures", "none detected")
-    return report
 
 
-def check_weil_dictionary(seed: int, max_degree: int) -> CheckReport:
-    report = CheckReport("weil-dictionary")
-    rng = _rng(seed, 3)
+def check_weil_dictionary(report: CheckReport, rng: Random, max_degree: int):
     for idx in range(100):
         chart = ChartSpec(2 + idx % 2, max_degree)
         nu = random_kfield(rng, chart, 1 + idx % 3)
         report.compare(f"field #{idx}", nu, weil_to_kfield(kfield_to_weil(nu), chart))
     chart = ChartSpec(2, max_degree)
     for idx in range(20):
-        a0, a1, a01 = (random_vfield(rng, 2) for _ in range(3))
-        nu = KField.from_vfields(
-            chart, 2, {frozenset({0}): a0, frozenset({1}): a1, frozenset({0, 1}): a01}
-        )
+        nu, a0, a1, a01 = _random_2field(rng, chart)
         f = random_poly(rng, 2)
         want = vf_apply(a01, f) + vf_apply(a1, vf_apply(a0, f))
         report.compare(f"second-order part #{idx}", want, kfield_to_weil(nu).image(f).part({0, 1}))
-    return report
 
 
-def check_action_relations(seed: int, max_degree: int) -> CheckReport:
-    report = CheckReport("action-relations")
-    rng = _rng(seed, 4)
+def check_action_relations(report: CheckReport, rng: Random, max_degree: int):
     for k in (3, 4):
         for idx in range(50):
             chart = ChartSpec(2, 8)
@@ -138,18 +131,12 @@ def check_action_relations(seed: int, max_degree: int) -> CheckReport:
                 if k >= 4 and act([0, 2], nu, flavor) != act([2, 0], nu, flavor):
                     broken.append("distant commutation")
                 report.compare(f"k={k} #{idx} flavor={flavor}", [], broken)
-    return report
 
 
-def check_action_swap_k2(seed: int, max_degree: int) -> CheckReport:
-    report = CheckReport("action-swap-k2")
-    rng = _rng(seed, 5)
+def check_action_swap_k2(report: CheckReport, rng: Random, max_degree: int):
     chart = ChartSpec(2, max_degree)
     for idx in range(50):
-        a0, a1, a01 = (random_vfield(rng, 2) for _ in range(3))
-        nu = KField.from_vfields(
-            chart, 2, {frozenset({0}): a0, frozenset({1}): a1, frozenset({0, 1}): a01}
-        )
+        nu, a0, a1, a01 = _random_2field(rng, chart)
         want = KField.from_vfields(
             chart,
             2,
@@ -160,12 +147,9 @@ def check_action_swap_k2(seed: int, max_degree: int) -> CheckReport:
             },
         )
         report.compare(f"#{idx}", want, act([0], nu, "lie"))
-    return report
 
 
-def check_strong_difference(seed: int, max_degree: int) -> CheckReport:
-    report = CheckReport("strong-difference-bracket")
-    rng = _rng(seed, 6)
+def check_strong_difference(report: CheckReport, rng: Random, max_degree: int):
     chart = ChartSpec(3, max_degree)
     for idx in range(50):
         alpha = random_vfield(rng, 3)
@@ -176,12 +160,9 @@ def check_strong_difference(seed: int, max_degree: int) -> CheckReport:
         diff = strong_diff(swapped, compose(one_b, one_a), (0, 1))
         report.compare(f"pipeline #{idx}", oracle_bracket(alpha, beta), diff.component_vfield({0}))
         report.compare(f"thin #{idx}", oracle_bracket(beta, alpha), lie_derivative_thin(beta, alpha))
-    return report
 
 
-def check_free_lie_rinehart(seed: int, max_degree: int) -> CheckReport:
-    report = CheckReport("free-lie-rinehart")
-    rng = _rng(seed, 7)
+def check_free_lie_rinehart(report: CheckReport, rng: Random, max_degree: int):
     chart = ChartSpec(2, max(4, max_degree))
     for idx in range(20):
         u = _random_elem(rng, chart)
@@ -210,12 +191,9 @@ def check_free_lie_rinehart(seed: int, max_degree: int) -> CheckReport:
             leads = {min(tensor_expansion(w)) for w in words}
             want = (oracle_lyndon_count(n, d),) * 2
             report.compare(f"count n={n} d={d}", want, (len(words), len(leads)))
-    return report
 
 
-def check_lie_extension(seed: int, max_degree: int) -> CheckReport:
-    report = CheckReport("lie-extension")
-    rng = _rng(seed, 8)
+def check_lie_extension(report: CheckReport, rng: Random, max_degree: int):
     chart = ChartSpec(2, max(4, max_degree))
     for idx in range(30):
         u = _random_elem(rng, chart, 1)
@@ -237,12 +215,9 @@ def check_lie_extension(seed: int, max_degree: int) -> CheckReport:
         want = vf_bracket(project_to_lie(u), project_to_lie(v))
         report.compare(f"projection free #{idx}", want, project_to_lie(free_bracket(u, v)))
         report.compare(f"projection lie #{idx}", want, project_to_lie(lie_bracket_ext(u, v)))
-    return report
 
 
-def check_relative_cases(seed: int, max_degree: int) -> CheckReport:
-    report = CheckReport("relative-cases")
-    rng = _rng(seed, 9)
+def check_relative_cases(report: CheckReport, rng: Random, max_degree: int):
     chart = ChartSpec(2, max(4, max_degree))
     all_vertical = RelativeSpec(chart, frozenset({0, 1}))
     for idx in range(30):
@@ -271,7 +246,6 @@ def check_relative_cases(seed: int, max_degree: int) -> CheckReport:
         sub = oracle_quotient_lowdegree(spec, d)
         report.cases += sub.cases
         report.failures.extend(sub.failures)
-    return report
 
 
 def _random_tree(rng: Random, chart: ChartSpec, depth: int):
@@ -283,15 +257,10 @@ def _random_tree(rng: Random, chart: ChartSpec, depth: int):
     return (kind, _random_tree(rng, chart, depth - 1), _random_tree(rng, chart, depth - 1))
 
 
-def check_homotopy(seed: int, max_degree: int) -> CheckReport:
-    report = CheckReport("homotopy")
-    rng = _rng(seed, 10)
+def check_homotopy(report: CheckReport, rng: Random, max_degree: int):
     chart = ChartSpec(2, max(4, max_degree))
     for idx in range(20):
-        a0, a1, a01 = (random_vfield(rng, 2) for _ in range(3))
-        nu = KField.from_vfields(
-            chart, 2, {frozenset({0}): a0, frozenset({1}): a1, frozenset({0, 1}): a01}
-        )
+        nu, a0, a1, _ = _random_2field(rng, chart)
         e0 = FreeLRElem.from_vfield(chart, a0)
         e1 = FreeLRElem.from_vfield(chart, a1)
         want = KField(chart, 1, {frozenset({0}): free_bracket(e0, e1) - lie_bracket_ext(e0, e1)})
@@ -311,7 +280,6 @@ def check_homotopy(seed: int, max_degree: int) -> CheckReport:
             # difference slots (those containing i) always project to zero;
             # the remaining slots copy plain boundary components
             report.compare(f"projection k={k} ({i},{j})", KField.zero(chart_k, k - 1), _projection_at(h, i))
-    return report
 
 
 def _off_pair(nu: KField, i: int, j: int) -> KField:
@@ -326,9 +294,7 @@ def _projection_at(nu: KField, i: int) -> KField:
     )
 
 
-def check_trivial_agreement(seed: int, max_degree: int) -> CheckReport:
-    report = CheckReport("trivial-homotopy-agreement")
-    rng = _rng(seed, 11)
+def check_trivial_agreement(report: CheckReport, rng: Random, max_degree: int):
     chart = ChartSpec(2, 8)
     for idx in range(100):
         k = 2 + idx % 3
@@ -356,12 +322,9 @@ def check_trivial_agreement(seed: int, max_degree: int) -> CheckReport:
                 nu = compose(nu, p)
         definitional = is_trivial_homotopy(nu)[0]
         report.compare(f"#{idx} style={style}", trivial_by_disjoint_pairs(nu)[0], definitional)
-    return report
 
 
-def check_cohomology(seed: int, max_degree: int) -> CheckReport:
-    report = CheckReport("cohomology-reduction")
-    rng = _rng(seed, 12)
+def check_cohomology(report: CheckReport, rng: Random, max_degree: int):
     chart = ChartSpec(3, 8)
     for k in (2, 3, 4):
         fields = [random_vfield(rng, 3, degree=1, terms=1) for _ in range(k)]
@@ -405,11 +368,7 @@ def check_cohomology(seed: int, max_degree: int) -> CheckReport:
         sp, sq, sr = (-d + 1 for d in gp)
         sign = -1 if ((sp - 1) * (sq - 1)) % 2 == 0 else 1
         report.compare(f"antisymmetry #{idx}", schouten(q, p) * sign, schouten(p, q))
-        jac = (
-            schouten(p, schouten(q, r))
-            - schouten(schouten(p, q), r)
-            - schouten(q, schouten(p, r)) * (1 if ((sp - 1) * (sq - 1)) % 2 == 0 else -1)
-        )
+        jac = schouten(p, schouten(q, r)) - schouten(schouten(p, q), r) - schouten(q, schouten(p, r)) * -sign
         report.compare(f"jacobi #{idx}", Polyvector.zero(3), jac)
         leib = schouten(p, wedge(q, r)) - wedge(schouten(p, q), r) - wedge(
             q, schouten(p, r)
@@ -420,7 +379,6 @@ def check_cohomology(seed: int, max_degree: int) -> CheckReport:
         w, s = wedge(p, q), schouten(p, q)
         got = (d - 1 if w.is_zero() else degree(w), d if s.is_zero() else degree(s))
         report.compare(f"degrees of wedge, schouten #{idx}", (d - 1, d), got)
-    return report
 
 
 def _random_monomial_pv(rng: Random, dim: int) -> Polyvector:
@@ -432,9 +390,7 @@ def _random_monomial_pv(rng: Random, dim: int) -> Polyvector:
     return Polyvector(dim, {idx: coeff})
 
 
-def check_s_invariance(seed: int, max_degree: int) -> CheckReport:
-    report = CheckReport("s-invariance")
-    rng = _rng(seed, 13)
+def check_s_invariance(report: CheckReport, rng: Random, max_degree: int):
     chart = ChartSpec(2, 8)
     for idx in range(25):
         k = 2 + idx % 2
@@ -462,12 +418,9 @@ def check_s_invariance(seed: int, max_degree: int) -> CheckReport:
         pair = KField.from_vfields(chart, 2, {frozenset({0}): beta, frozenset({1}): beta})
         lhs = act(word_k + [k], cup(mu, pair), "lie")
         report.compare(f"cup m=2 #{idx}", cup(act(word_k, mu, "lie"), pair), lhs)
-    return report
 
 
-def check_parse_roundtrip(seed: int, max_degree: int) -> CheckReport:
-    report = CheckReport("parse-roundtrip")
-    rng = _rng(seed, 14)
+def check_parse_roundtrip(report: CheckReport, rng: Random, max_degree: int):
     chart = ChartSpec(2, max(4, max_degree))
     session = Session(chart)
     for idx in range(40):
@@ -493,27 +446,26 @@ def check_parse_roundtrip(seed: int, max_degree: int) -> CheckReport:
         elif isinstance(value, KField):
             reparsed = as_kfield(reparsed, chart)
         report.compare(f"#{idx}: {text}", value, reparsed)
-    return report
 
 
 CHECKS = [
-    ("weil-multiplicativity", check_weil_multiplicativity),
-    ("weil-negative-control", check_weil_negative_control),
-    ("weil-dictionary", check_weil_dictionary),
-    ("action-relations", check_action_relations),
-    ("action-swap-k2", check_action_swap_k2),
-    ("strong-difference-bracket", check_strong_difference),
-    ("free-lie-rinehart", check_free_lie_rinehart),
-    ("lie-extension", check_lie_extension),
-    ("relative-cases", check_relative_cases),
-    ("homotopy", check_homotopy),
-    ("trivial-homotopy-agreement", check_trivial_agreement),
-    ("cohomology-reduction", check_cohomology),
-    ("s-invariance", check_s_invariance),
-    ("parse-roundtrip", check_parse_roundtrip),
+    ("weil-multiplicativity", 1, check_weil_multiplicativity),
+    ("weil-negative-control", 2, check_weil_negative_control),
+    ("weil-dictionary", 3, check_weil_dictionary),
+    ("action-relations", 4, check_action_relations),
+    ("action-swap-k2", 5, check_action_swap_k2),
+    ("strong-difference-bracket", 6, check_strong_difference),
+    ("free-lie-rinehart", 7, check_free_lie_rinehart),
+    ("lie-extension", 8, check_lie_extension),
+    ("relative-cases", 9, check_relative_cases),
+    ("homotopy", 10, check_homotopy),
+    ("trivial-homotopy-agreement", 11, check_trivial_agreement),
+    ("cohomology-reduction", 12, check_cohomology),
+    ("s-invariance", 13, check_s_invariance),
+    ("parse-roundtrip", 14, check_parse_roundtrip),
 ]
 
-CHECK_NAMES = [name for name, _ in CHECKS]
+CHECK_NAMES = [name for name, _, _ in CHECKS]
 
 
 def run_suite(
@@ -526,11 +478,12 @@ def run_suite(
         if name is not None and name not in CHECK_NAMES:
             raise ValueError(f"unknown check {name!r}; known: {', '.join(CHECK_NAMES)}")
     reports = []
-    for name, fn in CHECKS:
+    for name, salt, check in CHECKS:
         if only is not None and name != only:
             continue
+        report = CheckReport(name)
         start = time.perf_counter()
-        report = fn(seed, max_degree)
+        check(report, Random(seed * 1000003 + salt), max_degree)
         report.seconds = time.perf_counter() - start
         if invert == name:
             if report.passed:

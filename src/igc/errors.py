@@ -31,9 +31,9 @@ class DegreeOverflowError(DomainError):
 class FacePreconditionError(DomainError):
     """Two fields disagree on a component that must match."""
 
-    def __init__(self, subset, message=None):
+    def __init__(self, subset):
         self.subset = subset
-        super().__init__(message or f"fields differ on component {sorted(subset)}")
+        super().__init__(f"fields differ on component {sorted(subset)}")
 
 
 class CupUndefinedError(DomainError):

@@ -29,7 +29,9 @@ from functools import cache
 from typing import Iterable, Mapping, Sequence
 
 from . import lyndon
-from .chart_algebra import ChartSpec, Poly, VField, _accumulate, _degree1_bracket, _Module, _Record, render_combination
+from .chart_algebra import (
+    ChartSpec, Poly, VField, _accumulate, _degree1_bracket, _Module, _Record, render_combination, vf_apply
+)
 from .errors import ChartMismatchError, DegreeOverflowError, DomainError
 
 Word = tuple[int, ...]
@@ -173,11 +175,7 @@ def anchor_apply(u: FreeLRElem, f: Poly) -> Poly:
     """
     if f.dim != u.chart.dim:
         raise ChartMismatchError("polynomial lives on a different chart")
-    out = Poly.zero(f.dim)
-    for w, p in u.terms.items():
-        if len(w) == 1:
-            out = out + p * f.derive(w[0])
-    return out
+    return vf_apply(project_to_lie(u), f)
 
 
 def project_to_lie(u: FreeLRElem) -> VField:

@@ -121,8 +121,7 @@ class KField(_Record, frozen=True):
         return project_to_lie(elem)
 
     def __hash__(self):
-        items = tuple(sorted(self.components.items(), key=lambda t: _subset_key(t[0])))
-        return hash((self.chart, self.arity, items))
+        return hash((self.chart, self.arity, frozenset(self.components.items())))
 
     def __str__(self):
         parts = [f"arity={self.arity}"]

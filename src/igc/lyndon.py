@@ -59,15 +59,19 @@ def tensor_expansion(word: Word) -> dict[Word, int]:
         out = {word: 1}
     else:
         u, v = standard_factorization(word)
-        eu, ev = tensor_expansion(u), tensor_expansion(v)
-        out = {}
-        for w1, c1 in eu.items():
-            for w2, c2 in ev.items():
-                out[w1 + w2] = out.get(w1 + w2, 0) + c1 * c2
-                out[w2 + w1] = out.get(w2 + w1, 0) - c1 * c2
-        out = {w: c for w, c in out.items() if c}
+        out = _commutator(tensor_expansion(u), tensor_expansion(v))
     _EXPANSION_CACHE[word] = out
     return out
+
+
+def _commutator(e1: dict[Word, int], e2: dict[Word, int]) -> dict[Word, int]:
+    """e1*e2 - e2*e1 in the tensor algebra, without zero coefficients."""
+    out: dict[Word, int] = {}
+    for a, ca in e1.items():
+        for b, cb in e2.items():
+            out[a + b] = out.get(a + b, 0) + ca * cb
+            out[b + a] = out.get(b + a, 0) - ca * cb
+    return {w: c for w, c in out.items() if c}
 
 
 def lie_to_lyndon(tensor: dict[Word, int]) -> dict[Word, int]:
@@ -101,12 +105,6 @@ def monomial_bracket(w1: Word, w2: Word) -> dict[Word, int]:
     cached = _BRACKET_CACHE.get(key)
     if cached is not None:
         return cached
-    e1, e2 = tensor_expansion(w1), tensor_expansion(w2)
-    comm: dict[Word, int] = {}
-    for a, ca in e1.items():
-        for b, cb in e2.items():
-            comm[a + b] = comm.get(a + b, 0) + ca * cb
-            comm[b + a] = comm.get(b + a, 0) - ca * cb
-    out = lie_to_lyndon(comm)
+    out = lie_to_lyndon(_commutator(tensor_expansion(w1), tensor_expansion(w2)))
     _BRACKET_CACHE[key] = out
     return out

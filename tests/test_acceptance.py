@@ -2,32 +2,19 @@
 
 Everything is exact rational arithmetic, so every tolerance is equality.
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
-lines.  The criteria reuse the deterministic check functions behind
-`igc check` (seed 0) plus direct CLI invocations for the last one.
+lines.  The criteria run the deterministic checks behind `igc check`
+(seed 0) one at a time, as `igc check --only NAME` does, plus direct CLI
+invocations for the last one.
 """
 
+import hashlib
 import subprocess
 import sys
 
 import pytest
 
-from igc.checks import (
-    CHECK_NAMES,
-    check_action_relations,
-    check_action_swap_k2,
-    check_cohomology,
-    check_free_lie_rinehart,
-    check_homotopy,
-    check_lie_extension,
-    check_relative_cases,
-    check_s_invariance,
-    check_strong_difference,
-    check_trivial_agreement,
-    check_weil_dictionary,
-    check_weil_multiplicativity,
-    check_weil_negative_control,
-    run_suite,
-)
+from igc.checks import CHECK_NAMES, CHECKS, run_suite
+from igc.oracle import CheckReport
 
 SEED = 0
 MAX_DEGREE = 4
@@ -38,6 +25,12 @@ def _require(report):
     return report
 
 
+def _run(name):
+    """One check at SEED, run as `igc check --only NAME` runs it."""
+    (report,) = run_suite(SEED, MAX_DEGREE, only=name)
+    return report
+
+
 def _announce(number, label, reports):
     cases = sum(r.cases for r in reports)
     print(f"PASS criterion {number}: {label} ({cases} cases)")
@@ -45,60 +38,60 @@ def _announce(number, label, reports):
 
 def test_criterion_1_weil_multiplicativity():
     reports = [
-        _require(check_weil_multiplicativity(SEED, MAX_DEGREE)),
-        _require(check_weil_negative_control(SEED, MAX_DEGREE)),
+        _require(_run("weil-multiplicativity")),
+        _require(_run("weil-negative-control")),
     ]
     _announce(1, "morphism multiplicativity on 100 fields + negative control", reports)
 
 
 def test_criterion_2_decomposition_dictionary():
-    reports = [_require(check_weil_dictionary(SEED, MAX_DEGREE))]
+    reports = [_require(_run("weil-dictionary"))]
     _announce(2, "roundtrip dictionary and second-order part", reports)
 
 
 def test_criterion_3_symmetric_group_action():
     reports = [
-        _require(check_action_relations(SEED, MAX_DEGREE)),
-        _require(check_action_swap_k2(SEED, MAX_DEGREE)),
+        _require(_run("action-relations")),
+        _require(_run("action-swap-k2")),
     ]
     _announce(3, "square/braid/distant relations both flavors, k=3,4", reports)
 
 
 def test_criterion_4_strong_difference_bracket():
-    reports = [_require(check_strong_difference(SEED, MAX_DEGREE))]
+    reports = [_require(_run("strong-difference-bracket"))]
     _announce(4, "strong-difference pipeline equals the coordinate bracket", reports)
 
 
 def test_criterion_5_free_lie_rinehart():
     reports = [
-        _require(check_free_lie_rinehart(SEED, MAX_DEGREE)),
-        _require(check_lie_extension(SEED, MAX_DEGREE)),
+        _require(_run("free-lie-rinehart")),
+        _require(_run("lie-extension")),
     ]
     _announce(5, "alternation, Jacobi, defining relation, slice ranks", reports)
 
 
 def test_criterion_6_relative_special_cases():
-    reports = [_require(check_relative_cases(SEED, MAX_DEGREE))]
+    reports = [_require(_run("relative-cases"))]
     _announce(6, "vertical collapse, fully free case, quotient ranks", reports)
 
 
 def test_criterion_7_homotopy():
-    reports = [_require(check_homotopy(SEED, MAX_DEGREE))]
+    reports = [_require(_run("homotopy"))]
     _announce(7, "h2 formula, projection kill, pair counts", reports)
 
 
 def test_criterion_8_trivial_homotopy_agreement():
-    reports = [_require(check_trivial_agreement(SEED, MAX_DEGREE))]
+    reports = [_require(_run("trivial-homotopy-agreement"))]
     _announce(8, "definitional vs disjoint-pair characterization, 100 fields", reports)
 
 
 def test_criterion_9_cohomology():
-    reports = [_require(check_cohomology(SEED, MAX_DEGREE))]
+    reports = [_require(_run("cohomology-reduction"))]
     _announce(9, "cup chains to wedges, degeneracies, Schouten identities", reports)
 
 
 def test_criterion_10_s_invariance():
-    reports = [_require(check_s_invariance(SEED, MAX_DEGREE))]
+    reports = [_require(_run("s-invariance"))]
     _announce(10, "cup and compose equivariance", reports)
 
 
@@ -143,13 +136,44 @@ def test_check_case_counts(seed):
     assert {r.name: r.cases for r in reports} == CHECK_CASES
 
 
+# sha256 of every compared case of `run_suite(seed, MAX_DEGREE)`, one
+# "name|inputs|expected|got" line per case (1,288 per seed); a change that
+# resamples any check, or reorders or reseeds the table, shows here even
+# where the printed case counts stay put
+CASE_STREAM_SHA256 = {
+    0: "9951f4dfdc5ea9d5b43824564ebdba181829adc0cc8618189073e4a62f9c71d1",
+    3: "c53efb1e0be5193f62716e1df5233adc98e8a6f8a2d1ca0825fccc387b99fdc4",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(CASE_STREAM_SHA256))
+def test_check_case_stream_is_pinned(seed, monkeypatch):
+    lines = []
+    compare = CheckReport.compare
+
+    def recording(report, inputs, expected, got):
+        lines.append(f"{report.name}|{inputs}|{expected}|{got}")
+        compare(report, inputs, expected, got)
+
+    monkeypatch.setattr(CheckReport, "compare", recording)
+    run_suite(seed, MAX_DEGREE)
+    assert len(lines) == 1288
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == CASE_STREAM_SHA256[seed]
+
+
+def test_check_table_repeats_no_name_and_no_salt():
+    names = [name for name, _, _ in CHECKS]
+    salts = [salt for _, salt, _ in CHECKS]
+    assert len(set(names)) == len(names) and len(set(salts)) == len(salts)
+
+
 def test_check_failures_carry_compared_values(monkeypatch):
     import igc.checks
     from igc import ChartSpec, Session, parse_expression
 
     bracket = igc.checks.lie_bracket_ext
     monkeypatch.setattr(igc.checks, "lie_bracket_ext", lambda u, v: -bracket(u, v))
-    report = check_lie_extension(SEED, MAX_DEGREE)
+    report = _run("lie-extension")
     assert not report.passed and report.cases == CHECK_CASES["lie-extension"]
     session = Session(ChartSpec(2, MAX_DEGREE))
     for inputs, expected, got in report.failures:

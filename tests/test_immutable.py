@@ -64,6 +64,14 @@ def test_cup_factorizations_compare_and_hash_by_value():
     assert repr(CupFactorization.canonical(2)) == "CupFactorization(arity=1, dim=2, images=(WeilElem((1)*e0),))"
 
 
+def test_kfields_compare_and_hash_by_value_whatever_the_insertion_order():
+    parts = {frozenset({0}): FreeLRElem.generator(CHART, 1), frozenset({0, 1}): FreeLRElem.generator(CHART, 0)}
+    a = KField(CHART, 2, parts)
+    b = KField(CHART, 2, dict(reversed(parts.items())))
+    assert list(a.components) != list(b.components)
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+
+
 def test_only_frozen_records_are_given_generated_constructors():
     # the mutable records set plain attributes, so nothing is compiled for them
     for cls in (Session, CommandOutcome):
