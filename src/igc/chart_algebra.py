@@ -111,6 +111,26 @@ def _compiled(source: str):
     return compile(source, "<_Record>", "exec")
 
 
+def _int(x, what: str) -> int:
+    """x when it is an int and not a bool; a one-line DomainError naming `what` otherwise."""
+    if type(x) is not int:
+        raise DomainError(f"{what} {x!r} is not an int")
+    return x
+
+
+def _index(i, n: int, what: str) -> int:
+    """i when it is an index below n: an `_int` with 0 <= i < n.
+
+    This is the one rule for every index the library takes (a slot, a
+    generator, a coordinate, a letter); anything else raises a one-line
+    DomainError naming `what`.
+    """
+    if type(i) is int and 0 <= i < n:
+        return i
+    _int(i, what)
+    raise DomainError(f"{what} {i} out of range [0, {n})")
+
+
 class ChartSpec(_Record, frozen=True):
     """Chart dimension plus the cutoff of the bracket-length filtration."""
 
@@ -189,8 +209,7 @@ class Poly(_Record, frozen=True):
 
     @classmethod
     def var(cls, dim: int, i: int) -> "Poly":
-        if not 0 <= i < dim:
-            raise DomainError(f"variable index {i} out of range for dimension {dim}")
+        _index(i, dim, "variable index")
         return _poly(dim, {1 << (64 * i): 1}, 1)
 
     def is_zero(self) -> bool:
@@ -226,8 +245,7 @@ class Poly(_Record, frozen=True):
         return total / self.den
 
     def derive(self, i: int) -> "Poly":
-        if not 0 <= i < self.dim:
-            raise DomainError(f"derivation index {i} out of range for dimension {self.dim}")
+        _index(i, self.dim, "derivation index")
         # lowering exponent i is one subtraction, injective on the terms it keeps
         shift = 64 * i
         one = 1 << shift
@@ -609,8 +627,7 @@ class VField(_Module):
 
     @classmethod
     def basis(cls, dim: int, i: int) -> "VField":
-        if not 0 <= i < dim:
-            raise DomainError(f"basis index {i} out of range for dimension {dim}")
+        _index(i, dim, "basis index")
         return cls._make(dim, {i: Poly.const(dim, 1)})
 
     def __str__(self):
@@ -713,11 +730,9 @@ def vf_pushforward(v: VField, target_dim: int, embedding: Sequence[int]) -> VFie
     The image field is constant in the new coordinates: coefficient i of v is
     moved to slot embedding[i] with x_i renamed to x_{embedding[i]}.
     """
-    emb = tuple(int(e) for e in embedding)
+    emb = tuple(_index(e, target_dim, "embedding index") for e in embedding)
     if len(emb) != v.dim:
         raise DomainError("embedding must list a target index for every source coordinate")
-    if any(e < 0 or e >= target_dim for e in emb):
-        raise DomainError("embedding index out of range for the target chart")
     if any(a >= b for a, b in zip(emb, emb[1:])):
         raise DomainError("embedding must be strictly increasing")
 

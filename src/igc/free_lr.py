@@ -30,7 +30,8 @@ from typing import Iterable, Mapping, Sequence
 
 from . import lyndon
 from .chart_algebra import (
-    ChartSpec, Poly, VField, _accumulate, _degree1_bracket, _Module, _Record, render_combination, vf_apply
+    ChartSpec, Poly, VField, _accumulate, _degree1_bracket, _index, _int, _Module, _Record, render_combination,
+    vf_apply,
 )
 from .errors import ChartMismatchError, DegreeOverflowError, DomainError
 
@@ -47,7 +48,7 @@ class LyndonWord(tuple):
     __slots__ = ()
 
     def __new__(cls, letters: Sequence[int]):
-        letters = tuple(int(a) for a in letters)
+        letters = tuple(_int(a, "generator index") for a in letters)
         if not lyndon.is_lyndon(letters):
             raise DomainError(f"{letters} is not a Lyndon word")
         return tuple.__new__(cls, letters)
@@ -72,9 +73,7 @@ class RelativeSpec(_Record, frozen=True):
     __slots__ = ("chart", "vertical")
 
     def __init__(self, chart: ChartSpec, vertical: Iterable[int] = frozenset()):
-        vertical = frozenset(vertical)
-        if any(i < 0 or i >= chart.dim for i in vertical):
-            raise DomainError("vertical index out of range for the chart")
+        vertical = frozenset(_index(i, chart.dim, "vertical index") for i in vertical)
         self._set(chart, vertical)
 
 
@@ -86,14 +85,14 @@ class FreeLRElem(_Module):
     def __init__(self, chart: ChartSpec, terms: Mapping[LyndonWord, Poly] | None = None):
         clean: dict[LyndonWord, Poly] = {}
         for w, p in (terms or {}).items():
+            for a in w:
+                _index(a, chart.dim, "generator index")
             if not isinstance(w, LyndonWord):
                 w = LyndonWord(w)
             if p.dim != chart.dim:
                 raise ChartMismatchError("coefficient lives on a different chart")
             if len(w) > chart.max_degree:
                 raise DegreeOverflowError(len(w), chart.max_degree)
-            if any(a >= chart.dim for a in w):
-                raise DomainError(f"generator index in {tuple(w)} out of range")
             if not p.is_zero():
                 clean[w] = p
         self._set(chart, clean)

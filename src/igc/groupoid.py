@@ -28,7 +28,7 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Callable, Mapping, Sequence
 
-from .chart_algebra import ChartSpec, VField, _accumulate, _Record
+from .chart_algebra import ChartSpec, VField, _accumulate, _index, _int, _Record
 from .errors import (
     ArityMismatchError,
     ChartMismatchError,
@@ -56,12 +56,10 @@ def _subset_key(s: Subset) -> tuple[int, ...]:
 
 
 def _index_set(phi, arity: int, what: str, nonempty: bool = False) -> Subset:
-    """phi as a frozenset of int indices below arity; a DomainError naming `what` otherwise."""
-    phi = frozenset(phi)
-    if (nonempty and not phi) or not all(type(i) is int and 0 <= i < arity for i in phi):
-        if any(type(i) is not int for i in phi):
-            raise DomainError(f"{what} index set {set(phi)} holds an index that is not an int")
-        raise DomainError(f"{what} index set {sorted(phi)} out of range for arity {arity}")
+    """phi as a frozenset of indices below arity; a DomainError naming `what` otherwise."""
+    phi = frozenset(_index(i, arity, f"{what} index") for i in phi)
+    if nonempty and not phi:
+        raise DomainError(f"{what} index set is empty")
     return phi
 
 
@@ -144,10 +142,16 @@ class KField(_Record, frozen=True):
 
 
 def _check_arity(arity: int):
-    if arity < 1:
+    if _int(arity, "arity") < 1:
         raise DomainError(f"arity must be >= 1, got {arity}")
     if arity > KField.MAX_ARITY:
         raise DomainError(f"arity {arity} exceeds the budget of KField.MAX_ARITY = {KField.MAX_ARITY}")
+
+
+def _check_pair(i: int, j: int, k: int):
+    """Refuse (i, j) unless both are slot indices below k and i < j."""
+    if _index(i, k, "pair index") >= _index(j, k, "pair index"):
+        raise DomainError(f"need i < j, got ({i}, {j})")
 
 
 def _check_compatible(mu: KField, nu: KField):
@@ -172,8 +176,7 @@ def _check_agreement(mu: KField, nu: KField, shared: Callable[[Subset], bool]):
 def face(nu: KField, i: int) -> KField:
     """Restrict to the face where slot i degenerates: keep subsets avoiding i."""
     k = nu.arity
-    if not 0 <= i < k:
-        raise DomainError(f"face index {i} out of range for arity {k}")
+    _index(i, k, "face index")
     if k == 1:
         raise DomainError("a 1-field has no faces")
     comps = {_drop_slot(phi, i): elem for phi, elem in nu.components.items() if i not in phi}
@@ -192,8 +195,8 @@ def add_over_face(mu: KField, nu: KField, psi) -> KField:
     """
     _check_compatible(mu, nu)
     k = mu.arity
-    psi = frozenset(psi)
-    if len(psi) != k - 1 or any(i < 0 or i >= k for i in psi):
+    psi = _index_set(psi, k, "face")
+    if len(psi) != k - 1:
         raise DomainError(f"psi must be a size-{k - 1} subset of the slot indices")
     _check_agreement(mu, nu, lambda phi: phi <= psi)
     outside = ((phi, elem) for phi, elem in nu.components.items() if not phi <= psi)
@@ -211,8 +214,7 @@ def strong_diff(mu: KField, nu: KField, pair: tuple[int, int]) -> KField:
     _check_compatible(mu, nu)
     k = mu.arity
     i, j = pair
-    if not 0 <= i < j < k:
-        raise DomainError(f"need 0 <= i < j < arity, got ({i}, {j}) at arity {k}")
+    _check_pair(i, j, k)
     _check_agreement(mu, nu, lambda phi: i not in phi or j not in phi)
     comps = {phi: elem for phi, elem in mu.components.items() if i not in phi and j not in phi}
     comps.update((phi - {j}, elem) for phi, elem in mu.components.items() if i in phi and j in phi)
@@ -331,8 +333,7 @@ def act(word: Sequence[int], nu: KField, flavor: str = "free") -> KField:
     k = nu.arity
     out = nu
     for i in word:
-        if not isinstance(i, int) or not 0 <= i < k - 1:
-            raise DomainError(f"malformed word: generator index {i!r} at arity {k}")
+        _index(i, k - 1, "swap generator")
         out = _act_by_transposition(out, i, i + 1, flavor)
     return out
 
@@ -343,9 +344,7 @@ def act_transposition(nu: KField, i: int, j: int, flavor: str = "free") -> KFiel
     Unlike folding (i j) into adjacent swaps, this leaves every component not
     containing both i and j untouched up to relabeling, in both flavors.
     """
-    k = nu.arity
-    if not 0 <= i < j < k:
-        raise DomainError(f"need 0 <= i < j < arity, got ({i}, {j}) at arity {k}")
+    _check_pair(i, j, nu.arity)
     return _act_by_transposition(nu, i, j, flavor)
 
 
@@ -360,8 +359,7 @@ def homotopy(nu: KField, i: int, j: int) -> KField:
     k = nu.arity
     if k < 2:
         raise DomainError("homotopy needs arity >= 2")
-    if not 0 <= i < j < k:
-        raise DomainError(f"need 0 <= i < j < arity, got ({i}, {j}) at arity {k}")
+    _check_pair(i, j, k)
     _check_action_arity(k)
     comps = {_drop_slot(phi, j): elem for phi, elem in nu.components.items() if i not in phi and j not in phi}
     flipped = [(p, q) for p, q in _disjoint_pairs(nu) if min(p) == i and j in q]
@@ -459,34 +457,34 @@ def lie_derivative_thin(beta: VField, alpha: VField) -> VField:
 def reduce_to_polyvector(nu: KField) -> Polyvector:
     """Cohomology class of a homotopy-trivial field as a decomposable polyvector.
 
-    Projects components to classical fields and rejects fields with
-    non-trivial homotopies (NotClosedError).  The class exists when some
+    Projects components to classical fields.  The class exists when some
     relabeling moves the support into the flag chain {0} < {0,1} < ..., that
-    is, when the support is totally ordered by inclusion; otherwise
-    NotFlagReducibleError.  The components are wedged in size order after
-    dropping consecutive repeated entries.
+    is, when the support is totally ordered by inclusion; the components are
+    then wedged in size order after dropping consecutive repeated entries.
+    Otherwise the field is refused: with NotClosedError when some homotopy
+    is non-trivial, else with NotFlagReducibleError.
     """
-    chart = nu.chart
+    _check_action_arity(nu.arity)
     # the projection of a component made of long words vanishes
     projected = ((phi, project_to_lie(elem)) for phi, elem in nu.components.items())
-    comps = {phi: FreeLRElem.from_vfield(chart, v) for phi, v in projected if not v.is_zero()}
-    classical = KField._make(chart, nu.arity, comps)
-    ok, witness = is_trivial_homotopy(classical)
-    if not ok:
-        raise NotClosedError(witness)
-    # A chain support has no disjoint pair, so each swap of the action is a
-    # pure relabeling onto another chain.  A bracket correction only lands on
-    # the union of two disjoint supported sets, and a disjoint pair of least
-    # total size is never corrected, so a non-chain support stays non-chain
-    # under every word.  Reading the chain in size order is thus what a search
-    # over all relabelings would find.
-    support = sorted(classical.components, key=len)
+    fields = {phi: v for phi, v in projected if not v.is_zero()}
+    # A chain support has no disjoint pair, so every homotopy is trivial and
+    # each swap of the action is a pure relabeling onto another chain.  A
+    # bracket correction only lands on the union of two disjoint supported
+    # sets, and a disjoint pair of least total size is never corrected, so a
+    # non-chain support stays non-chain under every word.  Reading the chain
+    # in size order is thus what a search over all relabelings would find.
+    support = sorted(fields, key=len)
     if any(not small < big for small, big in zip(support, support[1:])):
+        classical = {phi: FreeLRElem.from_vfield(nu.chart, v) for phi, v in fields.items()}
+        ok, witness = is_trivial_homotopy(KField._make(nu.chart, nu.arity, classical))
+        if not ok:
+            raise NotClosedError(witness)
         raise NotFlagReducibleError("no relabeling moves the support into the flag chain")
-    out = Polyvector.zero(chart.dim)
+    out = Polyvector.zero(nu.chart.dim)
     previous = None
     for phi in support:
-        v = classical.component_vfield(phi)
+        v = fields[phi]
         if v == previous:
             continue
         out = Polyvector.from_vfield(v) if previous is None else wedge(out, Polyvector.from_vfield(v))

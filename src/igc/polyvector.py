@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import Mapping
 
-from .chart_algebra import Poly, VField, _accumulate, _Module, render_combination
+from .chart_algebra import Poly, VField, _accumulate, _index, _Module, render_combination
 from .errors import ChartMismatchError, DomainError
 
 IndexTuple = tuple[int, ...]
@@ -47,14 +47,12 @@ class Polyvector(_Module):
         for idx, p in (terms or {}).items():
             if p.dim != dim:
                 raise ChartMismatchError("coefficient lives on a different chart")
-            norm = _sort_with_sign(tuple(idx))
+            norm = _sort_with_sign(tuple(_index(i, dim, "field index") for i in idx))
             if norm is None:
                 continue
             key, sign = norm
             if not key:
                 raise DomainError("polyvector monomials have grade >= 1")
-            if any(i < 0 or i >= dim for i in key):
-                raise DomainError(f"field index in {key} out of range")
             if p:
                 pairs.append((key, p if sign == 1 else -p))
         self._set(dim, _accumulate({}, pairs))
@@ -92,9 +90,19 @@ class Polyvector(_Module):
         return {"grades": grades}
 
 
+def _check_pairs(p: Polyvector, q: Polyvector, what: str):
+    """Refuse a product of p and q that would form more than Poly.MAX_POW_PRODUCTS monomial pairs."""
+    if len(p.terms) * len(q.terms) > Poly.MAX_POW_PRODUCTS:
+        raise DomainError(
+            f"{what} of {len(p.terms)} by {len(q.terms)} monomials exceeds the budget of "
+            f"Poly.MAX_POW_PRODUCTS = {Poly.MAX_POW_PRODUCTS} monomial pairs"
+        )
+
+
 def wedge(p: Polyvector, q: Polyvector) -> Polyvector:
     """Alternating A-multilinear product; adds -1 in cohomological degree."""
     p._check(q)
+    _check_pairs(p, q, "wedge")
     pairs = []
     for i1, c1 in p.terms.items():
         for i2, c2 in q.terms.items():
@@ -117,6 +125,7 @@ def schouten(p: Polyvector, q: Polyvector) -> Polyvector:
     extended bilinearly.
     """
     p._check(q)
+    _check_pairs(p, q, "Schouten bracket")
     pairs = []
     for i1, f in p.terms.items():
         for i2, g in q.terms.items():

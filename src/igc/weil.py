@@ -29,15 +29,15 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 from typing import Callable, Mapping, Sequence
 
-from .chart_algebra import ChartSpec, Poly, VField, _accumulate, _Module, _Record, _unpack, vf_apply
+from .chart_algebra import ChartSpec, Poly, VField, _accumulate, _index, _int, _Module, _Record, _unpack, vf_apply
 from .errors import (
     ArityMismatchError,
     ChartMismatchError,
     DomainError,
     NotMultiplicativeError,
 )
-from .free_lr import project_to_lie
-from .groupoid import KField, Subset, _drop_slot, _index_set, _subset_key
+from .free_lr import FreeLRElem, project_to_lie
+from .groupoid import KField, Subset, _check_arity, _drop_slot, _index_set, _subset_key
 
 
 class WeilElem(_Module):
@@ -49,7 +49,7 @@ class WeilElem(_Module):
     MAX_PARTS = 10_000
 
     def __init__(self, arity: int, dim: int, terms: Mapping[Subset, Poly] | None = None):
-        if arity < 0:
+        if _int(arity, "arity") < 0:
             raise DomainError("arity must be >= 0")
         clean: dict[Subset, Poly] = {}
         for phi, p in (terms or {}).items():
@@ -109,8 +109,7 @@ class WeilElem(_Module):
 
     def set_generator_zero(self, i: int) -> "WeilElem":
         """Quotient by e_i = 0: drop subsets containing i and reindex the rest."""
-        if not 0 <= i < self.arity:
-            raise DomainError(f"generator index {i} out of range")
+        _index(i, self.arity, "generator index")
         terms = {_drop_slot(phi, i): p for phi, p in self.terms.items() if i not in phi}
         return WeilElem._make(self.arity - 1, self.dim, terms)
 
@@ -210,9 +209,9 @@ class WeilMorphism(_Record, frozen=True):
     def image(self, f: Poly) -> WeilElem:
         if f.dim != self.dim:
             raise ChartMismatchError("polynomial lives on a different chart")
-        out = WeilElem.zero(self.arity, self.dim)
+        out = WeilElem._make(self.arity, self.dim, {})
         for key, c in f.num.items():
-            term = WeilElem.scalar(self.arity, Poly.const(self.dim, Fraction(c, f.den)))
+            term = WeilElem._make(self.arity, self.dim, {frozenset(): Poly.const(self.dim, Fraction(c, f.den))})
             for i, e in enumerate(_unpack(key, self.dim)):
                 if e:
                     term = term * self.coord_images[i] ** e
@@ -301,14 +300,16 @@ def weil_to_kfield(w: WeilMorphism, chart: ChartSpec | None = None) -> KField:
         for phi in layer:
             # phi has no field yet, so this is the sum over its partitions
             # into two or more blocks: the composite terms to peel off
-            field = VField(
-                [coord_parts[i].part(phi) - subset_operator_apply(fields, phi, Poly.var(dim, i)) for i in range(dim)]
-            )
-            if not field.is_zero():
-                fields[phi] = field
+            field = {}
+            for i in range(dim):
+                if a := coord_parts[i].part(phi) - subset_operator_apply(fields, phi, Poly.var(dim, i)):
+                    field[i] = a
+            if field:
+                fields[phi] = VField._make(dim, field)
                 _add_union(unions, phi)
         todo |= {u for u in unions if len(u) > size}
-    return KField.from_vfields(chart, k, fields)
+    _check_arity(k)
+    return KField._make(chart, k, {phi: FreeLRElem.from_vfield(chart, v) for phi, v in fields.items()})
 
 
 def weil_cup(x: WeilMorphism, fact: CupFactorization, derivations: Sequence[VField]) -> WeilMorphism:
@@ -328,7 +329,7 @@ def weil_cup(x: WeilMorphism, fact: CupFactorization, derivations: Sequence[VFie
             raise ChartMismatchError("derivation lives on a different chart")
     k = x.arity
     total = k + m
-    first_block = WeilElem(total, x.dim, {frozenset(range(k)): Poly.const(x.dim, 1)})
+    first_block = WeilElem._make(total, x.dim, {frozenset(range(k)): Poly.const(x.dim, 1)})
     multipliers = [fact.images[j].shift(k, total) * first_block for j in range(m)]
     images = []
     for i in range(x.dim):

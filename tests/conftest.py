@@ -1,0 +1,12 @@
+"""Put the checkout's `src` first on PYTHONPATH.
+
+pytest finds `igc` through `pythonpath` in pyproject.toml; the `python -m igc`
+processes the tests launch inherit this variable, so they import the same
+sources, with or without an installed igc.
+"""
+
+import os
+from pathlib import Path
+
+_SRC = str(Path(__file__).resolve().parent.parent / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))

@@ -5,6 +5,7 @@ import re
 import shlex
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 from random import Random
@@ -395,6 +396,35 @@ def test_cli_arity_budget(command):
     assert r.stderr == f"igc: error: arity 40 exceeds the swap-action budget of {MAX_ACTION_ARITY}\n"
     r = run(["--dim", "2", command, f"K{{arity={MAX_ACTION_ARITY}; 0: d0}}"])
     assert r.returncode == 0, r.stderr
+
+
+def test_cli_wedge_and_schouten_budget():
+    # each factor is the wedge of four 16-term vectors whose coefficients are
+    # powers of 1..16, so no 4x4 minor vanishes and it has all C(16, 4) = 1,820 terms
+    vectors = [" + ".join(f"{(i + 1) ** k}*d{i}" for i in range(16)) for k in range(8)]
+    p, q = (" ^ ".join(f"({v})" for v in vectors[s : s + 4]) for s in (0, 4))
+    for command, name in (("wedge", "wedge"), ("schouten", "Schouten bracket")):
+        start = time.perf_counter()
+        r = subprocess.run(
+            [sys.executable, "-m", "igc", "--dim", "16", command, p, q], capture_output=True, text=True, timeout=30
+        )
+        assert time.perf_counter() - start < 5
+        message = (
+            f"{name} of 1820 by 1820 monomials exceeds the budget of "
+            f"Poly.MAX_POW_PRODUCTS = {Poly.MAX_POW_PRODUCTS} monomial pairs"
+        )
+        assert (r.returncode, r.stdout, r.stderr) == (2, "", f"igc: error: {message}\n")
+
+
+def test_cli_reduce_chain_and_all_equal_field():
+    # a chain support reduces; a support that is not a chain gets no class,
+    # even when all its components agree as in alpha cup alpha = alpha, since
+    # no construction at hand assigns it one
+    r = run(["--dim", "2", "reduce", "K{arity=2; 0: d0; 0,1: d0}"])
+    assert (r.returncode, r.stdout, r.stderr) == (0, "d0\n", "")
+    r = run(["--dim", "2", "reduce", "K{arity=2; 0: d0; 1: d0; 0,1: d0}"])
+    message = "no relabeling moves the support into the flag chain"
+    assert (r.returncode, r.stdout, r.stderr) == (2, "", f"igc: error: {message}\n")
 
 
 def test_cli_power_budget():

@@ -635,6 +635,22 @@ def test_reduce_not_flag_reducible():
         reduce_to_polyvector(nu)
 
 
+def test_reducing_a_chain_takes_no_bracket(monkeypatch):
+    import igc.groupoid as groupoid
+
+    def refuse(*args):
+        raise AssertionError("a chain has no disjoint pair to test or bracket")
+
+    for name in ("is_trivial_homotopy", "free_bracket", "lie_bracket_ext"):
+        monkeypatch.setattr(groupoid, name, refuse)
+    x0d1 = VField([Poly.zero(2), X0])
+    chain = KField.from_vfields(CHART, 4, {frozenset({1}): D0V, frozenset({1, 3}): x0d1, frozenset(range(4)): x0d1})
+    assert str(reduce_to_polyvector(chain)) == "x0*d0 ^ d1"
+    # a non-chain still runs the trivial test, which picks the error
+    with pytest.raises(AssertionError, match="no disjoint pair"):
+        reduce_to_polyvector(KField.from_vfields(CHART, 2, {frozenset({0}): D0V, frozenset({1}): x0d1}))
+
+
 def reference_reduce(nu: KField) -> Polyvector:
     """The k! relabeling search that reduce_to_polyvector replaced."""
     chart = nu.chart

@@ -429,6 +429,12 @@ def test_internal_morphisms_equal_their_validated_rebuilds():
             rebuilt = WeilMorphism(out.arity, out.dim, list(out.coord_images))
             assert_same(out, rebuilt)
             assert hash(out) == hash(rebuilt) and type(out.coord_images) is tuple
+            # image and weil_to_kfield skip them too
+            image = out.image(random_poly(Random(idx), chart.dim))
+            assert_same(image, WeilElem(image.arity, image.dim, dict(image.terms)))
+        for out in (w, outs[2]):
+            back = weil_to_kfield(out)
+            assert_same(back, KField(back.chart, back.arity, dict(back.components)))
 
 
 def test_face_compatibility():
