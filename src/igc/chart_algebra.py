@@ -111,10 +111,17 @@ def _compiled(source: str):
     return compile(source, "<_Record>", "exec")
 
 
-def _int(x, what: str) -> int:
-    """x when it is an int and not a bool; a one-line DomainError naming `what` otherwise."""
+def _int(x, what: str, least: int | None = None) -> int:
+    """x when it is a count: an int, not a bool, and at least `least` when given.
+
+    This is the one rule for every count the library takes (a dimension, an
+    arity, a degree cutoff, an exponent, a length) and the int test of
+    `_index`; anything else raises a one-line DomainError naming `what`.
+    """
     if type(x) is not int:
         raise DomainError(f"{what} {x!r} is not an int")
+    if least is not None and x < least:
+        raise DomainError(f"{what} must be >= {least}, got {x}")
     return x
 
 
@@ -141,13 +148,9 @@ class ChartSpec(_Record, frozen=True):
     MAX_DIM = 1000
 
     def __init__(self, dim: int, max_degree: int = 4):
-        if not isinstance(dim, int) or dim < 1:
-            raise DomainError(f"chart dimension must be a positive integer, got {dim}")
-        if dim > self.MAX_DIM:
+        if _int(dim, "chart dimension", 1) > self.MAX_DIM:
             raise DomainError(f"chart dimension {dim} exceeds the budget of ChartSpec.MAX_DIM = {self.MAX_DIM}")
-        if not isinstance(max_degree, int) or max_degree < 1:
-            raise DomainError(f"max_degree must be a positive integer, got {max_degree}")
-        self._set(dim, max_degree)
+        self._set(dim, _int(max_degree, "max_degree", 1))
 
 
 class Poly(_Record, frozen=True):
@@ -172,12 +175,11 @@ class Poly(_Record, frozen=True):
     MAX_DIGITS = 4300
 
     def __init__(self, dim: int, terms: Mapping[Exponent, Fraction | int] | None = None):
-        if dim < 1:
-            raise DomainError(f"polynomial dimension must be >= 1, got {dim}")
+        _int(dim, "polynomial dimension", 1)
         clean: dict[Exponent, int | Fraction] = {}
         for exps, coeff in (terms or {}).items():
-            exps = tuple(exps)
-            if len(exps) != dim or any(not isinstance(e, int) or e < 0 for e in exps):
+            exps = tuple(_int(e, "bad exponent tuple entry", 0) for e in exps)
+            if len(exps) != dim:
                 raise DomainError(f"bad exponent tuple {exps} for dimension {dim}")
             if not isinstance(coeff, (int, Fraction)):
                 raise DomainError(f"coefficient {coeff!r} is not an integer or a Fraction")
@@ -197,20 +199,20 @@ class Poly(_Record, frozen=True):
 
     @classmethod
     def zero(cls, dim: int) -> "Poly":
-        if dim < 1:
-            raise DomainError(f"polynomial dimension must be >= 1, got {dim}")
-        return _poly(dim, {}, 1)
+        return _poly(_int(dim, "polynomial dimension", 1), {}, 1)
 
+    # `const` and `var` are hot: valid counts pass an inline test, and `_int` only raises
     @classmethod
     def const(cls, dim: int, value) -> "Poly":
-        if (type(value) is int or type(value) is Fraction) and dim >= 1:
+        if type(dim) is int and dim >= 1 and (type(value) is int or type(value) is Fraction):
             return _poly(dim, {0: value.numerator} if value else {}, value.denominator)
-        return cls(dim, {(0,) * dim: value})
+        return cls(_int(dim, "polynomial dimension", 1), {(0,) * dim: value})
 
     @classmethod
     def var(cls, dim: int, i: int) -> "Poly":
-        _index(i, dim, "variable index")
-        return _poly(dim, {1 << (64 * i): 1}, 1)
+        if type(dim) is int and type(i) is int and 0 <= i < dim:
+            return _poly(dim, {1 << (64 * i): 1}, 1)
+        _index(i, _int(dim, "polynomial dimension", 1), "variable index")
 
     def is_zero(self) -> bool:
         return not self.num
@@ -323,8 +325,7 @@ class Poly(_Record, frozen=True):
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
-        if not isinstance(n, int) or n < 0:
-            raise DomainError("polynomial exponent must be a nonnegative integer")
+        _int(n, "polynomial exponent", 0)
         result = Poly.const(self.dim, 1)
         base = self
         while n:
@@ -627,7 +628,7 @@ class VField(_Module):
 
     @classmethod
     def basis(cls, dim: int, i: int) -> "VField":
-        _index(i, dim, "basis index")
+        _index(i, _int(dim, "chart dimension", 1), "basis index")
         return cls._make(dim, {i: Poly.const(dim, 1)})
 
     def __str__(self):
@@ -730,6 +731,7 @@ def vf_pushforward(v: VField, target_dim: int, embedding: Sequence[int]) -> VFie
     The image field is constant in the new coordinates: coefficient i of v is
     moved to slot embedding[i] with x_i renamed to x_{embedding[i]}.
     """
+    _int(target_dim, "target dimension", 1)
     emb = tuple(_index(e, target_dim, "embedding index") for e in embedding)
     if len(emb) != v.dim:
         raise DomainError("embedding must list a target index for every source coordinate")

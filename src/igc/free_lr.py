@@ -107,7 +107,8 @@ class FreeLRElem(_Module):
 
     @classmethod
     def generator(cls, chart: ChartSpec, i: int) -> "FreeLRElem":
-        return cls(chart, {LyndonWord((i,)): Poly.const(chart.dim, 1)})
+        _index(i, chart.dim, "generator index")
+        return cls._make(chart, {LyndonWord._make((i,)): Poly.const(chart.dim, 1)})
 
     @classmethod
     def from_vfield(cls, chart: ChartSpec, v: VField) -> "FreeLRElem":
@@ -141,9 +142,7 @@ class FreeLRElem(_Module):
 
 def lyndon_basis(n: int, d: int) -> list[LyndonWord]:
     """All Lyndon words of length d over n generators, sorted, in a new list."""
-    if n < 1 or d < 1:
-        raise DomainError("alphabet size and length must be >= 1")
-    return list(_lyndon_basis(n, d))
+    return list(_lyndon_basis(_int(n, "alphabet size", 1), _int(d, "word length", 1)))
 
 
 @cache

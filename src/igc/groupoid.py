@@ -97,7 +97,7 @@ class KField(_Record, frozen=True):
         )
 
     def component(self, phi) -> FreeLRElem:
-        return self.components.get(frozenset(phi), FreeLRElem.zero(self.chart))
+        return self.components.get(_index_set(phi, self.arity, "component"), FreeLRElem.zero(self.chart))
 
     def support(self) -> set[Subset]:
         return set(self.components)
@@ -142,9 +142,7 @@ class KField(_Record, frozen=True):
 
 
 def _check_arity(arity: int):
-    if _int(arity, "arity") < 1:
-        raise DomainError(f"arity must be >= 1, got {arity}")
-    if arity > KField.MAX_ARITY:
+    if _int(arity, "arity", 1) > KField.MAX_ARITY:
         raise DomainError(f"arity {arity} exceeds the budget of KField.MAX_ARITY = {KField.MAX_ARITY}")
 
 
@@ -213,7 +211,10 @@ def strong_diff(mu: KField, nu: KField, pair: tuple[int, int]) -> KField:
     """
     _check_compatible(mu, nu)
     k = mu.arity
-    i, j = pair
+    try:
+        i, j = pair
+    except (TypeError, ValueError):
+        raise DomainError(f"pair {pair!r} is not two slot indices") from None
     _check_pair(i, j, k)
     _check_agreement(mu, nu, lambda phi: i not in phi or j not in phi)
     comps = {phi: elem for phi, elem in mu.components.items() if i not in phi and j not in phi}
@@ -287,13 +288,14 @@ def _act_by_transposition(nu: KField, i: int, j: int, flavor: str) -> KField:
     bracket = _bracket_for(flavor)
     swap = {i: j, j: i}
     get = nu.components.get
+    zero = FreeLRElem.zero(nu.chart)
     comps: dict[Subset, FreeLRElem] = {}
     for phi in _all_subsets(k):
         image = frozenset(swap.get(x, x) for x in phi)
         if image != phi:
-            elem = nu.component(image)
+            elem = get(image, zero)
         else:
-            elem = nu.component(phi)
+            elem = get(phi, zero)
             for part1, part2 in _oriented_decompositions(phi):
                 a, b = get(part1), get(part2)
                 if a is None or b is None:

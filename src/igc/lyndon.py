@@ -33,9 +33,7 @@ def is_lyndon(word: Word) -> bool:
 
 
 def lyndon_words(alphabet: int, length: int) -> list[Word]:
-    """All Lyndon words of the given exact length over {0..alphabet-1}, sorted."""
-    if alphabet < 1 or length < 1:
-        raise ValueError("alphabet size and length must be >= 1")
+    """All Lyndon words of the given exact length over {0..alphabet-1}, sorted; both are >= 1."""
     if length == 1:
         return [(a,) for a in range(alphabet)]
     return [w for w in product(range(alphabet), repeat=length) if is_lyndon(w)]

@@ -21,7 +21,7 @@ from itertools import combinations, product
 from random import Random
 from typing import Mapping, Sequence
 
-from .chart_algebra import ChartSpec, Poly, VField, _reduced, vf_apply
+from .chart_algebra import ChartSpec, Poly, VField, _int, _reduced, vf_apply
 from .errors import DomainError
 from .free_lr import FreeLRElem, RelativeSpec
 from .groupoid import KField, Subset
@@ -159,8 +159,8 @@ def _mobius(n: int) -> int:
 
 def oracle_lyndon_count(n: int, d: int) -> int:
     """Necklace formula (1/d) * sum_{e | d} mu(e) * n^(d/e)."""
-    if n < 1 or d < 1:
-        raise DomainError("need n >= 1 and d >= 1")
+    _int(n, "alphabet size", 1)
+    _int(d, "word length", 1)
     total = sum(_mobius(e) * n ** (d // e) for e in range(1, d + 1) if d % e == 0)
     assert total % d == 0
     return total // d
@@ -506,7 +506,7 @@ def oracle_quotient_lowdegree(
     """
     if spec.chart.dim > 2:
         raise DomainError("quotient oracle supports chart dimension <= 2")
-    if not 1 <= d <= 3:
+    if _int(d, "filtration degree", 1) > 3:
         raise DomainError("quotient oracle supports filtration degree <= 3")
     report = CheckReport("quotient-lowdegree")
     for w in weights:

@@ -373,7 +373,7 @@ def _mul(a, b):
 def _pow(a, b, chart: ChartSpec):
     if isinstance(a, Poly) and isinstance(b, Poly):
         c = b.as_constant()
-        if c is None or c.denominator != 1 or c < 0:
+        if c is None or c.denominator != 1:
             raise DomainError("polynomial exponent must be a nonnegative integer")
         return a ** int(c)
     return wedge(as_pv(a, chart), as_pv(b, chart))

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import Mapping
 
-from .chart_algebra import Poly, VField, _accumulate, _index, _Module, render_combination
+from .chart_algebra import Poly, VField, _accumulate, _index, _int, _Module, render_combination
 from .errors import ChartMismatchError, DomainError
 
 IndexTuple = tuple[int, ...]
@@ -43,6 +43,7 @@ class Polyvector(_Module):
     __slots__ = ("dim", "terms")
 
     def __init__(self, dim: int, terms: Mapping[IndexTuple, Poly] | None = None):
+        _int(dim, "chart dimension", 1)
         pairs = []
         for idx, p in (terms or {}).items():
             if p.dim != dim:
@@ -63,7 +64,7 @@ class Polyvector(_Module):
 
     @classmethod
     def zero(cls, dim: int) -> "Polyvector":
-        return cls._make(dim, {})
+        return cls._make(_int(dim, "chart dimension", 1), {})
 
     @classmethod
     def from_vfield(cls, v: VField) -> "Polyvector":

@@ -49,8 +49,8 @@ class WeilElem(_Module):
     MAX_PARTS = 10_000
 
     def __init__(self, arity: int, dim: int, terms: Mapping[Subset, Poly] | None = None):
-        if _int(arity, "arity") < 0:
-            raise DomainError("arity must be >= 0")
+        _int(arity, "arity", 0)
+        _int(dim, "chart dimension", 1)
         clean: dict[Subset, Poly] = {}
         for phi, p in (terms or {}).items():
             phi = _index_set(phi, arity, "generator")
@@ -83,7 +83,7 @@ class WeilElem(_Module):
         return cls(arity, p.dim, {frozenset(): p})
 
     def part(self, phi) -> Poly:
-        return self.terms.get(frozenset(phi), Poly.zero(self.dim))
+        return self.terms.get(_index_set(phi, self.arity, "generator"), Poly.zero(self.dim))
 
     def __mul__(self, other):
         if not isinstance(other, WeilElem):
@@ -100,8 +100,7 @@ class WeilElem(_Module):
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
-        if not isinstance(n, int) or n < 0:
-            raise DomainError("Weil exponent must be a nonnegative integer")
+        _int(n, "Weil exponent", 0)
         result = WeilElem.unit(self.arity, self.dim)
         for _ in range(n):
             result = result * self
@@ -115,7 +114,7 @@ class WeilElem(_Module):
 
     def shift(self, offset: int, new_arity: int) -> "WeilElem":
         """Reindex every generator i to i + offset inside a larger algebra."""
-        return WeilElem(
+        return WeilElem._make(
             new_arity,
             self.dim,
             {frozenset(x + offset for x in phi): p for phi, p in self.terms.items()},
@@ -193,7 +192,7 @@ class WeilMorphism(_Record, frozen=True):
         fn(f*g) = fn(f)*fn(g) must hold on monomials up to order arity+1;
         the first failure is raised as a NotMultiplicativeError witness.
         """
-        monos = [Poly.var(dim, i) for i in range(dim)]
+        monos = [Poly.var(dim, i) for i in range(_int(dim, "chart dimension", 1))]
         images = _coordinate_images(arity, dim, [fn(x) for x in monos])
         for x, elem in zip(monos, images):
             if elem.part(frozenset()) != x:
@@ -230,7 +229,8 @@ class WeilMorphism(_Record, frozen=True):
 def _coordinate_images(arity: int, dim: int, images: Sequence[WeilElem]) -> tuple[WeilElem, ...]:
     """images as a tuple, one per chart dimension, each in W_arity over the chart."""
     images = tuple(images)
-    if len(images) != dim:
+    _int(arity, "arity", 0)
+    if len(images) != _int(dim, "chart dimension", 1):
         raise DomainError("need one coordinate image per chart dimension")
     if any(w.arity != arity or w.dim != dim for w in images):
         raise ArityMismatchError("coordinate image in the wrong Weil algebra")
@@ -244,7 +244,8 @@ class CupFactorization(_Record, frozen=True):
 
     def __init__(self, arity: int, dim: int, images: Sequence[WeilElem]):
         images = tuple(images)
-        if len(images) != arity:
+        _int(dim, "chart dimension", 1)
+        if len(images) != _int(arity, "arity", 0):
             raise DomainError("need one image per V generator")
         for w in images:
             if w.arity != arity or w.dim != dim:
@@ -289,10 +290,11 @@ def weil_to_kfield(w: WeilMorphism, chart: ChartSpec | None = None) -> KField:
     """
     k, dim = w.arity, w.dim
     chart = chart or ChartSpec(dim, max_degree=max(2, k))
-    coord_parts = w.coord_images
+    coord_parts = [elem.terms for elem in w.coord_images]
+    zero = Poly.zero(dim)
     fields: dict[Subset, VField] = {}
     unions: set[Subset] = set()
-    todo = {phi for elem in coord_parts for phi in elem.terms if phi}
+    todo = {phi for terms in coord_parts for phi in terms if phi}
     while todo:
         size = min(map(len, todo))
         layer = [p for p in todo if len(p) == size]
@@ -302,7 +304,7 @@ def weil_to_kfield(w: WeilMorphism, chart: ChartSpec | None = None) -> KField:
             # into two or more blocks: the composite terms to peel off
             field = {}
             for i in range(dim):
-                if a := coord_parts[i].part(phi) - subset_operator_apply(fields, phi, Poly.var(dim, i)):
+                if a := coord_parts[i].get(phi, zero) - subset_operator_apply(fields, phi, Poly.var(dim, i)):
                     field[i] = a
             if field:
                 fields[phi] = VField._make(dim, field)

@@ -334,7 +334,7 @@ def test_run_command_check_flag_needs_a_name():
 
 @pytest.mark.parametrize("only, value", [("parse-roundtrip", "-5"), ("weil-dictionary", "0")])
 def test_check_max_degree_is_refused_as_the_global_flag_is(only, value):
-    message = f"error: max_degree must be a positive integer, got {value}"
+    message = f"error: max_degree must be >= 1, got {value}"
     with pytest.raises(UsageError) as err:
         run_command(["check", "--only", only, "--max-degree", value], session())
     assert str(err.value) == message

@@ -1,13 +1,17 @@
-"""One index rule at every public entry point that takes an index.
+"""One index rule and one count rule at every public entry point.
 
 An index is an int that is not a bool, with 0 <= i < n; anything else is
 refused with a one-line DomainError that says "not an int" or "out of range".
+A count (a dimension, an arity, a degree cutoff, an exponent, a length) is an
+int that is not a bool, at least its floor; anything else is refused with a
+one-line DomainError that says "not an int" or "must be >= FLOOR, got VALUE".
 """
 
 import pytest
 
 from igc import (
     ChartSpec,
+    CupFactorization,
     DomainError,
     FreeLRElem,
     KField,
@@ -16,11 +20,15 @@ from igc import (
     RelativeSpec,
     VField,
     WeilElem,
+    WeilMorphism,
     act,
     act_transposition,
     add_over_face,
     face,
     homotopy,
+    lyndon_basis,
+    oracle_lyndon_count,
+    oracle_quotient_lowdegree,
     strong_diff,
     vf_pushforward,
 )
@@ -62,6 +70,44 @@ ARITIES = [
 ]
 
 
+CHART2 = ChartSpec(2, 4)
+X0_PLUS_E0 = WeilElem(1, 1, {frozenset(): Poly.var(1, 0), frozenset({0}): Poly.const(1, 1)})
+E0 = WeilElem.generator(1, 2, 0)
+
+# (name, the call on one count, its floor, a valid count, the printed value there)
+COUNTS = [
+    ("ChartSpec dim", lambda n: ChartSpec(n, 4), 1, 3, "ChartSpec(dim=3, max_degree=4)"),
+    ("ChartSpec max_degree", lambda n: ChartSpec(3, n), 1, 2, "ChartSpec(dim=3, max_degree=2)"),
+    ("Poly dim", lambda n: Poly(n, {}), 1, 2, "0"),
+    ("Poly.zero", lambda n: Poly.zero(n), 1, 2, "0"),
+    ("Poly.const", lambda n: Poly.const(n, 3), 1, 2, "3"),
+    ("Poly.var", lambda n: Poly.var(n, 0), 1, 2, "x0"),
+    ("Poly exponent", lambda e: Poly(2, {(e, 0): 1}), 0, 2, "x0^2"),
+    ("Poly.__pow__", lambda e: Poly.var(2, 0) ** e, 0, 2, "x0^2"),
+    ("WeilElem.__pow__", lambda e: WeilElem(2, 3, {frozenset(): ONE, frozenset({0}): ONE}) ** e, 0, 2,
+     "(1) + (2)*e0"),
+    ("KField arity", lambda a: KField(CHART, a, {}), 1, 2, "K{arity=2}"),
+    ("WeilElem arity", lambda a: WeilElem(a, 3, {}), 0, 2, "0"),
+    ("WeilElem dim", lambda n: WeilElem(2, n, {}), 1, 3, "0"),
+    ("WeilMorphism arity", lambda a: WeilMorphism(a, 1, [X0_PLUS_E0]), 0, 1, "WeilMorphism(x0 -> (x0) + (1)*e0)"),
+    ("WeilMorphism dim", lambda n: WeilMorphism(1, n, [X0_PLUS_E0]), 1, 1, "WeilMorphism(x0 -> (x0) + (1)*e0)"),
+    ("WeilMorphism.from_callable dim", lambda n: WeilMorphism.from_callable(1, n, lambda f: WeilElem.scalar(1, f)),
+     1, 2, "WeilMorphism(x0 -> (x0), x1 -> (x1))"),
+    ("CupFactorization arity", lambda a: CupFactorization(a, 2, [E0]).images, 0, 1, "(WeilElem((1)*e0),)"),
+    ("CupFactorization dim", lambda n: CupFactorization(1, n, [E0]).images, 1, 2, "(WeilElem((1)*e0),)"),
+    ("Polyvector", lambda n: Polyvector(n, {(0, 2): ONE}), 1, 3, "d0 ^ d2"),
+    ("Polyvector.zero", lambda n: Polyvector.zero(n), 1, 3, "0"),
+    ("VField.basis", lambda n: VField.basis(n, 0), 1, 2, "d0"),
+    ("vf_pushforward", lambda n: vf_pushforward(VField([Poly.var(1, 0)]), n, [0]), 1, 2, "x0*d0"),
+    ("lyndon_basis alphabet", lambda n: lyndon_basis(n, 3), 1, 2, "[LyndonWord(0, 0, 1), LyndonWord(0, 1, 1)]"),
+    ("lyndon_basis length", lambda d: lyndon_basis(2, d), 1, 3, "[LyndonWord(0, 0, 1), LyndonWord(0, 1, 1)]"),
+    ("oracle_lyndon_count alphabet", lambda n: oracle_lyndon_count(n, 3), 1, 2, "2"),
+    ("oracle_lyndon_count length", lambda d: oracle_lyndon_count(2, d), 1, 3, "2"),
+    ("oracle_quotient_lowdegree", lambda d: oracle_quotient_lowdegree(RelativeSpec(CHART2, ()), d, (0,)).cases, 1, 2,
+     "1"),
+]
+
+
 def assert_one_line_refusal(call, value, reason):
     with pytest.raises(DomainError, match=reason) as err:
         call(value)
@@ -82,3 +128,35 @@ def test_every_arity_is_an_int(name, call, want):
     for value in (2.5, 2.0, True, "2"):
         assert_one_line_refusal(call, value, "not an int")
     assert str(call(2)) == want
+
+
+@pytest.mark.parametrize("name, call, floor, valid, want", COUNTS, ids=[c[0] for c in COUNTS])
+def test_every_count_follows_one_rule(name, call, floor, valid, want):
+    for value in (True, 2.0, "2"):
+        assert_one_line_refusal(call, value, "not an int")
+    assert_one_line_refusal(call, floor - 1, f"must be >= {floor}, got {floor - 1}$")
+    assert str(call(valid)) == want
+
+
+K2 = KField(CHART2, 2, {frozenset({0}): FreeLRElem.generator(CHART2, 0)})
+W2 = WeilElem(2, 2, {frozenset({0}): Poly.var(2, 1)})
+LOOKUPS = [
+    ("KField.component", K2.component, "d0", "0"),
+    ("KField.component_vfield", K2.component_vfield, "d0", "0"),
+    ("WeilElem.part", W2.part, "x1", "0"),
+]
+
+
+@pytest.mark.parametrize("name, lookup, stored, missing", LOOKUPS, ids=[entry[0] for entry in LOOKUPS])
+def test_public_lookups_follow_the_index_rule(name, lookup, stored, missing):
+    for phi in ({0.0}, {True}, {"0"}):
+        assert_one_line_refusal(lookup, phi, "not an int")
+    for phi in ({7}, {-1}, {0, 2}):
+        assert_one_line_refusal(lookup, phi, "out of range")
+    assert (str(lookup({0})), str(lookup([1])), str(lookup(frozenset({0, 1})))) == (stored, missing, missing)
+
+
+def test_strong_diff_refuses_a_pair_that_is_not_two_slot_indices():
+    for pair in ((0, 1, 2), (0,), (), 5, None):
+        assert_one_line_refusal(lambda p: strong_diff(MU, MU, p), pair, "is not two slot indices")
+    assert str(strong_diff(MU, MU, [1, 2])) == "K{arity=2; 0: d0}"

@@ -68,3 +68,15 @@ def test_every_function_is_named_besides_its_definition():
         and not (node.name.startswith("__") and node.name.endswith("__"))
     )
     assert [name for name, n in sorted(defs.items()) if words[name] <= n] == []
+
+
+def test_no_count_or_index_is_tested_with_isinstance_int():
+    # isinstance(x, int) lets a bool through; counts go through `_int` and indices through `_index`
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted((ROOT / "src" / "igc").glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "isinstance"
+        and len(node.args) == 2 and isinstance(node.args[1], ast.Name) and node.args[1].id == "int"
+    ]
+    assert found == []
