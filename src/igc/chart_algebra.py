@@ -138,6 +138,19 @@ def _index(i, n: int, what: str) -> int:
     raise DomainError(f"{what} {i} out of range [0, {n})")
 
 
+def _budget(count: int, owner: type, name: str, what: str) -> int:
+    """count when it is at most the budget owner.name.
+
+    This is the one rule for every size cap the library keeps (a dimension,
+    an arity, a number of term products or of parts); a count past its
+    budget raises a one-line DomainError naming `what` and the budget.
+    """
+    limit = getattr(owner, name)
+    if count > limit:
+        raise DomainError(f"{what} {count} exceeds the budget of {owner.__name__}.{name} = {limit}")
+    return count
+
+
 class ChartSpec(_Record, frozen=True):
     """Chart dimension plus the cutoff of the bracket-length filtration."""
 
@@ -148,8 +161,7 @@ class ChartSpec(_Record, frozen=True):
     MAX_DIM = 1000
 
     def __init__(self, dim: int, max_degree: int = 4):
-        if _int(dim, "chart dimension", 1) > self.MAX_DIM:
-            raise DomainError(f"chart dimension {dim} exceeds the budget of ChartSpec.MAX_DIM = {self.MAX_DIM}")
+        dim = _budget(_int(dim, "chart dimension", 1), ChartSpec, "MAX_DIM", "chart dimension")
         self._set(dim, _int(max_degree, "max_degree", 1))
 
 
@@ -316,7 +328,7 @@ class Poly(_Record, frozen=True):
         if len(p) > 1:
             return _product_poly(self.dim, _mul_into({}, p.items(), q.items()), self.den * o.den)
         # a monomial shifts the exponents of the other factor injectively
-        _check_products(len(q))
+        _budget(len(q), Poly, "MAX_POW_PRODUCTS", _PRODUCTS)
         ((e1, c1),) = p.items()
         num = {e1 + e2: c1 * c2 for e2, c2 in q.items()}
         _check_exponents(self.dim, num)
@@ -331,10 +343,10 @@ class Poly(_Record, frozen=True):
         while n:
             base._check_power_growth(n)
             if n & 1:
-                result = result._budgeted_mul(base)
+                result = result * base
             n >>= 1
             if n:
-                base = base._budgeted_mul(base)
+                base = base * base
         return result
 
     def _check_power_growth(self, n: int):
@@ -345,13 +357,6 @@ class Poly(_Record, frozen=True):
             raise DomainError(
                 f"polynomial power exceeds the coefficient budget of Poly.MAX_DIGITS = {self.MAX_DIGITS} digits"
             )
-
-    def _budgeted_mul(self, other: "Poly") -> "Poly":
-        if len(self.num) * len(other.num) > self.MAX_POW_PRODUCTS:
-            raise DomainError(
-                f"polynomial power exceeds the budget of {self.MAX_POW_PRODUCTS} term products per multiplication"
-            )
-        return self * other
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -379,6 +384,8 @@ class Poly(_Record, frozen=True):
 _poly = Poly._make
 
 _FIELD_MASK = (1 << 64) - 1
+# the count `_budget` names when one multiplication would form too many term products
+_PRODUCTS = "term product count"
 _EXPONENT_OVERFLOW = f"monomial exponent exceeds the budget of Poly.MAX_EXPONENT = {Poly.MAX_EXPONENT}"
 # the least int with more than MAX_DIGITS digits; every int of at least
 # 2**_DIGIT_BOUND_BITS is past it too
@@ -422,17 +429,9 @@ def _check_exponents(dim: int, keys: Iterable[int]):
         raise DomainError(_EXPONENT_OVERFLOW)
 
 
-def _check_products(count: int):
-    """Refuse a multiplication of count term products past MAX_POW_PRODUCTS."""
-    if count > Poly.MAX_POW_PRODUCTS:
-        raise DomainError(
-            f"polynomial product exceeds the budget of {Poly.MAX_POW_PRODUCTS} term products per multiplication"
-        )
-
-
 def _mul_into(acc: dict[int, int], p: Collection[tuple[int, int]], q: Collection[tuple[int, int]]) -> dict[int, int]:
     """Add the product of two numerator item lists or views into acc; zero sums stay."""
-    _check_products(len(p) * len(q))
+    _budget(len(p) * len(q), Poly, "MAX_POW_PRODUCTS", _PRODUCTS)
     get = acc.get
     for k1, c1 in p:
         for k2, c2 in q:
@@ -705,7 +704,8 @@ def _derivation_into(accs: dict, f: list, g: list, sign: int):
         for j, gj in g:
             if len(fi) * len(gj) > Poly.MAX_POW_PRODUCTS:
                 # only the terms of g_j holding x_i form products
-                _check_products(len(fi) * sum(1 for kg, _ in gj if (kg >> shift) & _FIELD_MASK))
+                count = len(fi) * sum(1 for kg, _ in gj if (kg >> shift) & _FIELD_MASK)
+                _budget(count, Poly, "MAX_POW_PRODUCTS", _PRODUCTS)
             acc = accs.setdefault(j, {})
             get = acc.get
             for kg, cg in gj:

@@ -23,7 +23,7 @@ import time
 from itertools import combinations
 from random import Random
 
-from .chart_algebra import ChartSpec, Poly, VField, vf_apply, vf_bracket
+from .chart_algebra import ChartSpec, Poly, VField, _int, vf_apply, vf_bracket
 from .free_lr import (
     FreeLRElem,
     RelativeSpec,
@@ -474,6 +474,8 @@ def run_suite(
     only: str | None = None,
     invert: str | None = None,
 ) -> list[CheckReport]:
+    _int(seed, "seed")
+    _int(max_degree, "max_degree", 1)
     for name in (only, invert):
         if name is not None and name not in CHECK_NAMES:
             raise ValueError(f"unknown check {name!r}; known: {', '.join(CHECK_NAMES)}")

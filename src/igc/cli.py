@@ -33,7 +33,7 @@ import shlex
 import sys
 
 from . import free_lr, lyndon
-from .chart_algebra import ChartSpec, _Record
+from .chart_algebra import ChartSpec, _int, _Record
 from .errors import DomainError, witness_text
 from .free_lr import free_bracket, lie_bracket_ext
 from .groupoid import act, is_trivial_homotopy, reduce_to_polyvector
@@ -157,7 +157,7 @@ def _run_check(args: list[str], session: Session) -> CommandOutcome:
         else:
             raise UsageError(f"unknown check flag {flag!r}")
     try:  # the global --max-degree's check, refused the same way
-        ChartSpec(session.chart.dim, max_degree)
+        _int(max_degree, "max_degree", 1)
     except DomainError as exc:
         raise UsageError(f"error: {exc}") from None
     try:

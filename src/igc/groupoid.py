@@ -28,7 +28,7 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Callable, Mapping, Sequence
 
-from .chart_algebra import ChartSpec, VField, _accumulate, _index, _int, _Record
+from .chart_algebra import ChartSpec, VField, _accumulate, _budget, _index, _int, _Record
 from .errors import (
     ArityMismatchError,
     ChartMismatchError,
@@ -42,13 +42,6 @@ from .free_lr import FreeLRElem, free_bracket, lie_bracket_ext, project_to_lie
 from .polyvector import Polyvector, wedge
 
 Subset = frozenset[int]
-
-# Largest arity the swap action takes on: one application visits all 2^k
-# index sets and their splittings, so its cost grows faster than 2^k.  For
-# `trivial?`, `reduce` and `homotopy` it caps the walk over disjoint
-# supported pairs instead, at most (3^8 - 2*2^8 + 1)/2 = 3,025 of them; every
-# arity in the checks is at most 6.
-MAX_ACTION_ARITY = 8
 
 
 def _subset_key(s: Subset) -> tuple[int, ...]:
@@ -72,6 +65,12 @@ class KField(_Record, frozen=True):
     # literal's arity is held to a size whose index sets are cheap to form;
     # only the swap action still walks every index set, under MAX_ACTION_ARITY
     MAX_ARITY = 1000
+    # largest arity the swap action takes on: one application visits all 2^k
+    # index sets and their splittings, so its cost grows faster than 2^k.  For
+    # `trivial?`, `reduce` and `homotopy` it caps the walk over disjoint
+    # supported pairs instead, at most (3^8 - 2*2^8 + 1)/2 = 3,025 of them;
+    # every arity in the checks is at most 6
+    MAX_ACTION_ARITY = 8
 
     def __init__(self, chart: ChartSpec, arity: int, components: Mapping[Subset, FreeLRElem] | None = None):
         _check_arity(arity)
@@ -142,8 +141,7 @@ class KField(_Record, frozen=True):
 
 
 def _check_arity(arity: int):
-    if _int(arity, "arity", 1) > KField.MAX_ARITY:
-        raise DomainError(f"arity {arity} exceeds the budget of KField.MAX_ARITY = {KField.MAX_ARITY}")
+    _budget(_int(arity, "arity", 1), KField, "MAX_ARITY", "arity")
 
 
 def _check_pair(i: int, j: int, k: int):
@@ -267,11 +265,6 @@ def _bracket_for(flavor: str) -> Callable[[FreeLRElem, FreeLRElem], FreeLRElem]:
     raise DomainError(f"unknown bracket flavor {flavor!r}; use 'free' or 'lie'")
 
 
-def _check_action_arity(k: int):
-    if k > MAX_ACTION_ARITY:
-        raise DomainError(f"arity {k} exceeds the swap-action budget of {MAX_ACTION_ARITY}")
-
-
 def _all_subsets(k: int):
     for size in range(1, k + 1):
         yield from (frozenset(c) for c in combinations(range(k), size))
@@ -284,7 +277,7 @@ def _act_by_transposition(nu: KField, i: int, j: int, flavor: str) -> KField:
     are formed: only a splitting into two supported parts can add a bracket.
     """
     k = nu.arity
-    _check_action_arity(k)
+    _budget(k, KField, "MAX_ACTION_ARITY", "arity")
     bracket = _bracket_for(flavor)
     swap = {i: j, j: i}
     get = nu.components.get
@@ -310,20 +303,15 @@ def _act_by_transposition(nu: KField, i: int, j: int, flavor: str) -> KField:
 
 
 def _oriented_decompositions(phi: Subset):
-    """Unordered splittings of phi into two nonempty parts, oriented part1 < part2."""
-    items = sorted(phi)
-    first = items[0]
-    rest = items[1:]
-    for size in range(len(rest) + 1):
+    """Unordered splittings of phi into two nonempty parts, oriented part1 < part2.
+
+    part1 holds min(phi), so it comes first in subset-lex order.
+    """
+    first, *rest = sorted(phi)
+    for size in range(len(rest)):
         for extra in combinations(rest, size):
-            part_a = frozenset((first,) + extra)
-            part_b = phi - part_a
-            if not part_b:
-                continue
-            if _subset_key(part_a) < _subset_key(part_b):
-                yield part_a, part_b
-            else:
-                yield part_b, part_a
+            part_a = frozenset((first, *extra))
+            yield part_a, phi - part_a
 
 
 def act(word: Sequence[int], nu: KField, flavor: str = "free") -> KField:
@@ -362,7 +350,7 @@ def homotopy(nu: KField, i: int, j: int) -> KField:
     if k < 2:
         raise DomainError("homotopy needs arity >= 2")
     _check_pair(i, j, k)
-    _check_action_arity(k)
+    _budget(k, KField, "MAX_ACTION_ARITY", "arity")
     comps = {_drop_slot(phi, j): elem for phi, elem in nu.components.items() if i not in phi and j not in phi}
     flipped = [(p, q) for p, q in _disjoint_pairs(nu) if min(p) == i and j in q]
     for u, elem in _flip_sums(nu, flipped, {}).items():
@@ -378,7 +366,7 @@ def is_trivial_homotopy(nu: KField) -> tuple[bool, tuple | None]:
     pair of component index sets whose free and classical brackets already
     differ.
     """
-    _check_action_arity(nu.arity)
+    _budget(nu.arity, KField, "MAX_ACTION_ARITY", "arity")
     pairs = list(_disjoint_pairs(nu))
     flips: dict[tuple[int, int], list[tuple[Subset, Subset]]] = {}
     for p, q in pairs:
@@ -466,7 +454,7 @@ def reduce_to_polyvector(nu: KField) -> Polyvector:
     Otherwise the field is refused: with NotClosedError when some homotopy
     is non-trivial, else with NotFlagReducibleError.
     """
-    _check_action_arity(nu.arity)
+    _budget(nu.arity, KField, "MAX_ACTION_ARITY", "arity")
     # the projection of a component made of long words vanishes
     projected = ((phi, project_to_lie(elem)) for phi, elem in nu.components.items())
     fields = {phi: v for phi, v in projected if not v.is_zero()}

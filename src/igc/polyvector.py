@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import Mapping
 
-from .chart_algebra import Poly, VField, _accumulate, _index, _int, _Module, render_combination
+from .chart_algebra import Poly, VField, _accumulate, _budget, _index, _int, _Module, render_combination
 from .errors import ChartMismatchError, DomainError
 
 IndexTuple = tuple[int, ...]
@@ -91,19 +91,10 @@ class Polyvector(_Module):
         return {"grades": grades}
 
 
-def _check_pairs(p: Polyvector, q: Polyvector, what: str):
-    """Refuse a product of p and q that would form more than Poly.MAX_POW_PRODUCTS monomial pairs."""
-    if len(p.terms) * len(q.terms) > Poly.MAX_POW_PRODUCTS:
-        raise DomainError(
-            f"{what} of {len(p.terms)} by {len(q.terms)} monomials exceeds the budget of "
-            f"Poly.MAX_POW_PRODUCTS = {Poly.MAX_POW_PRODUCTS} monomial pairs"
-        )
-
-
 def wedge(p: Polyvector, q: Polyvector) -> Polyvector:
     """Alternating A-multilinear product; adds -1 in cohomological degree."""
     p._check(q)
-    _check_pairs(p, q, "wedge")
+    _budget(len(p.terms) * len(q.terms), Poly, "MAX_POW_PRODUCTS", "wedge monomial pair count")
     pairs = []
     for i1, c1 in p.terms.items():
         for i2, c2 in q.terms.items():
@@ -126,7 +117,7 @@ def schouten(p: Polyvector, q: Polyvector) -> Polyvector:
     extended bilinearly.
     """
     p._check(q)
-    _check_pairs(p, q, "Schouten bracket")
+    _budget(len(p.terms) * len(q.terms), Poly, "MAX_POW_PRODUCTS", "Schouten bracket monomial pair count")
     pairs = []
     for i1, f in p.terms.items():
         for i2, g in q.terms.items():

@@ -29,7 +29,7 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 from typing import Callable, Mapping, Sequence
 
-from .chart_algebra import ChartSpec, Poly, VField, _accumulate, _index, _int, _Module, _Record, _unpack, vf_apply
+from .chart_algebra import ChartSpec, Poly, VField, _accumulate, _budget, _index, _int, _Module, _Record, _unpack, vf_apply
 from .errors import (
     ArityMismatchError,
     ChartMismatchError,
@@ -162,8 +162,7 @@ def subset_operator_apply(fields: Mapping[Subset, VField], phi: Subset, f: Poly)
 def _add_union(unions: set[Subset], block: Subset):
     """Add block and its union with every member disjoint from it."""
     unions |= {block}.union(u | block for u in unions if not u & block)
-    if len(unions) > WeilElem.MAX_PARTS:
-        raise DomainError(f"disjoint unions of blocks exceed the budget of WeilElem.MAX_PARTS = {WeilElem.MAX_PARTS}")
+    _budget(len(unions), WeilElem, "MAX_PARTS", "disjoint-union count")
 
 
 class WeilMorphism(_Record, frozen=True):

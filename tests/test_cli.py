@@ -386,14 +386,14 @@ def test_cli_exit_codes():
 
 @pytest.mark.parametrize("command", ["reduce", "trivial?"])
 def test_cli_arity_budget(command):
-    from igc.groupoid import MAX_ACTION_ARITY
+    MAX_ACTION_ARITY = KField.MAX_ACTION_ARITY
 
     r = subprocess.run(
         [sys.executable, "-m", "igc", "--dim", "2", command, "K{arity=40; 0: d0}"],
         capture_output=True, text=True, timeout=10,
     )
     assert r.returncode == 2 and r.stdout == ""
-    assert r.stderr == f"igc: error: arity 40 exceeds the swap-action budget of {MAX_ACTION_ARITY}\n"
+    assert r.stderr == f"igc: error: arity 40 exceeds the budget of KField.MAX_ACTION_ARITY = {MAX_ACTION_ARITY}\n"
     r = run(["--dim", "2", command, f"K{{arity={MAX_ACTION_ARITY}; 0: d0}}"])
     assert r.returncode == 0, r.stderr
 
@@ -410,8 +410,8 @@ def test_cli_wedge_and_schouten_budget():
         )
         assert time.perf_counter() - start < 5
         message = (
-            f"{name} of 1820 by 1820 monomials exceeds the budget of "
-            f"Poly.MAX_POW_PRODUCTS = {Poly.MAX_POW_PRODUCTS} monomial pairs"
+            f"{name} monomial pair count {1820 * 1820} exceeds the budget of "
+            f"Poly.MAX_POW_PRODUCTS = {Poly.MAX_POW_PRODUCTS}"
         )
         assert (r.returncode, r.stdout, r.stderr) == (2, "", f"igc: error: {message}\n")
 
@@ -428,7 +428,8 @@ def test_cli_reduce_chain_and_all_equal_field():
 
 
 def test_cli_power_budget():
-    message = f"polynomial power exceeds the budget of {Poly.MAX_POW_PRODUCTS} term products per multiplication"
+    # (x0+x1+1)^32 has 561 terms, and squaring it is the first product past the budget
+    message = f"term product count {561 * 561} exceeds the budget of Poly.MAX_POW_PRODUCTS = {Poly.MAX_POW_PRODUCTS}"
     r = subprocess.run(
         [sys.executable, "-m", "igc", "--dim", "2", "bracket", "lie", "(x0+x1+1)^1000*d0", "d1"],
         capture_output=True, text=True, timeout=10,
@@ -450,17 +451,17 @@ def test_cli_product_budget(tmp_path):
         [sys.executable, "-m", "igc", "--dim", "3", "--script", str(script)],
         capture_output=True, text=True, timeout=10,
     )
-    message = f"polynomial product exceeds the budget of {Poly.MAX_POW_PRODUCTS} term products per multiplication"
+    message = f"term product count {{}} exceeds the budget of Poly.MAX_POW_PRODUCTS = {Poly.MAX_POW_PRODUCTS}"
     assert (r.returncode, r.stdout) == (2, "")
-    assert r.stderr == f"igc: error: {message}\nigc: script line 3 failed\n"
+    assert r.stderr == f"igc: error: {message.format(680 * 680)}\nigc: script line 3 failed\n"
     # p*p forms 14,400 products and is read as before
     s = session(3)
     assert len(parse_expression("(x0+x1+x2+1)^7*(x0+x1+x2+1)^7", s).num) == 680
-    with pytest.raises(DomainError, match=message):
+    with pytest.raises(DomainError, match=message.format(680 * 680)):
         parse_expression("(x0+x1+x2+1)^14*(x0+x1+x2+1)^14", s)
     # a one-term factor counts its products too
     big = Poly(1, {(e,): 1 for e in range(Poly.MAX_POW_PRODUCTS + 1)})
-    with pytest.raises(DomainError, match=message):
+    with pytest.raises(DomainError, match=message.format(Poly.MAX_POW_PRODUCTS + 1)):
         Poly.var(1, 0) * big
 
 
@@ -482,7 +483,9 @@ def test_cli_bracket_product_budget(command, tmp_path):
         [sys.executable, "-m", "igc", "--dim", "3", "--script", str(script)],
         capture_output=True, text=True, timeout=10,
     )
-    message = f"polynomial product exceeds the budget of {Poly.MAX_POW_PRODUCTS} term products per multiplication"
+    # the wedge multiplies c by c; the brackets multiply c by d0(c) or d1(c), 4,960 terms each
+    count = 5440 * 5440 if command == "wedge" else 5440 * 4960
+    message = f"term product count {count} exceeds the budget of Poly.MAX_POW_PRODUCTS = {Poly.MAX_POW_PRODUCTS}"
     assert (r.returncode, r.stdout) == (2, "")
     assert r.stderr == f"igc: error: {message}\nigc: script line 5 failed\n"
     # against a one-term coefficient the same commands stay far below the budget

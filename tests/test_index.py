@@ -1,11 +1,15 @@
-"""One index rule and one count rule at every public entry point.
+"""One index rule, one count rule and one budget rule at every public entry point.
 
 An index is an int that is not a bool, with 0 <= i < n; anything else is
 refused with a one-line DomainError that says "not an int" or "out of range".
 A count (a dimension, an arity, a degree cutoff, an exponent, a length) is an
 int that is not a bool, at least its floor; anything else is refused with a
 one-line DomainError that says "not an int" or "must be >= FLOOR, got VALUE".
+A count past its size cap is refused with a one-line DomainError that says
+"WHAT COUNT exceeds the budget of Owner.NAME = LIMIT".
 """
+
+from itertools import combinations
 
 import pytest
 
@@ -26,11 +30,17 @@ from igc import (
     add_over_face,
     face,
     homotopy,
+    is_trivial_homotopy,
+    kfield_to_weil,
     lyndon_basis,
     oracle_lyndon_count,
     oracle_quotient_lowdegree,
+    reduce_to_polyvector,
+    schouten,
     strong_diff,
+    vf_apply,
     vf_pushforward,
+    wedge,
 )
 
 CHART = ChartSpec(3, 4)
@@ -160,3 +170,71 @@ def test_strong_diff_refuses_a_pair_that_is_not_two_slot_indices():
     for pair in ((0, 1, 2), (0,), (), 5, None):
         assert_one_line_refusal(lambda p: strong_diff(MU, MU, p), pair, "is not two slot indices")
     assert str(strong_diff(MU, MU, [1, 2])) == "K{arity=2; 0: d0}"
+
+
+def poly_terms(n):
+    """1 + x0 + ... + x0^(n-1), a polynomial of n terms."""
+    return Poly(1, {(e,): 1 for e in range(n)})
+
+
+def product(n):
+    """A product of two polynomials of two terms or more that forms n term products."""
+    d = next(d for d in range(2, n) if n % d == 0)
+    return poly_terms(d) * poly_terms(n // d)
+
+
+def polyvector_terms(n):
+    """A polyvector of n monomials on a 5-dimensional chart."""
+    indices = [idx for grade in range(1, 6) for idx in combinations(range(5), grade)]
+    return Polyvector(5, {idx: Poly.const(5, 1) for idx in indices[:n]})
+
+
+def parts_field(count):
+    """A classical field whose blocks have exactly count disjoint unions.
+
+    m disjoint singletons have 2^m - 1; each further block meets all of them
+    and every other block, so it adds only itself.
+    """
+    m = (count + 1).bit_length() - 1
+    extra = count - (2**m - 1)
+    blocks = [frozenset({i}) for i in range(m)] + [frozenset({*range(m), m + j}) for j in range(extra)]
+    return KField.from_vfields(CHART, m + extra, {b: VField.basis(3, 0) for b in blocks})
+
+
+def one_slot_field(k):
+    return KField(CHART, k, {frozenset({0}): D0})
+
+
+X0 = Poly.var(1, 0)
+PV = polyvector_terms(1)
+# (name, the owner of the budget, its name, the limit under test, what the
+# message counts, the call on one count)
+BUDGETS = [
+    ("ChartSpec dim", ChartSpec, "MAX_DIM", 1000, "chart dimension", lambda n: ChartSpec(n, 4)),
+    ("KField arity", KField, "MAX_ARITY", 1000, "arity", lambda k: KField(CHART, k, {})),
+    ("act", KField, "MAX_ACTION_ARITY", 8, "arity", lambda k: act([0], one_slot_field(k))),
+    ("homotopy", KField, "MAX_ACTION_ARITY", 8, "arity", lambda k: homotopy(one_slot_field(k), 0, 1)),
+    ("is_trivial_homotopy", KField, "MAX_ACTION_ARITY", 8, "arity", lambda k: is_trivial_homotopy(one_slot_field(k))),
+    ("reduce_to_polyvector", KField, "MAX_ACTION_ARITY", 8, "arity",
+     lambda k: reduce_to_polyvector(one_slot_field(k))),
+    ("Poly * monomial", Poly, "MAX_POW_PRODUCTS", 15, "term product count", lambda n: X0 * poly_terms(n)),
+    ("Poly * Poly", Poly, "MAX_POW_PRODUCTS", 15, "term product count", product),
+    ("vf_apply", Poly, "MAX_POW_PRODUCTS", 15, "term product count",
+     lambda n: vf_apply(VField([Poly.const(1, 1)]), X0 * poly_terms(n))),
+    ("wedge", Poly, "MAX_POW_PRODUCTS", 15, "wedge monomial pair count", lambda n: wedge(PV, polyvector_terms(n))),
+    ("schouten", Poly, "MAX_POW_PRODUCTS", 15, "Schouten bracket monomial pair count",
+     lambda n: schouten(PV, polyvector_terms(n))),
+    ("kfield_to_weil", WeilElem, "MAX_PARTS", 7, "disjoint-union count", lambda n: kfield_to_weil(parts_field(n))),
+]
+
+
+@pytest.mark.parametrize("name, owner, budget, limit, what, call", BUDGETS, ids=[b[0] for b in BUDGETS])
+def test_every_count_budget_follows_one_rule(name, owner, budget, limit, what, call, monkeypatch):
+    if getattr(owner, budget) != limit:
+        # a lowered product or parts budget keeps the inputs small
+        monkeypatch.setattr(owner, budget, limit)
+    call(limit)
+    message = f"{what} {limit + 1} exceeds the budget of {owner.__name__}.{budget} = {limit}"
+    with pytest.raises(DomainError) as err:
+        call(limit + 1)
+    assert type(err.value) is DomainError and str(err.value) == message

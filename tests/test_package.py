@@ -1,6 +1,7 @@
 """The names `igc` exports, eager and deferred alike, and no function nothing names."""
 
 import ast
+import importlib
 import re
 from collections import Counter
 from pathlib import Path
@@ -80,3 +81,67 @@ def test_no_count_or_index_is_tested_with_isinstance_int():
         and len(node.args) == 2 and isinstance(node.args[1], ast.Name) and node.args[1].id == "int"
     ]
     assert found == []
+
+
+def src_modules():
+    return [(path.stem, ast.parse(path.read_text())) for path in sorted((ROOT / "src" / "igc").glob("*.py"))]
+
+
+def max_names(body):
+    return [
+        target.id
+        for node in body
+        if isinstance(node, ast.Assign)
+        for target in node.targets
+        if isinstance(target, ast.Name) and re.fullmatch(r"MAX_[A-Z_]+", target.id)
+    ]
+
+
+def test_every_budget_is_in_the_readme_table():
+    # each MAX_ constant is a budget, kept on a class so its messages name it
+    # Owner.NAME; its table row names it and its limit
+    budgets = {}
+    for module, tree in src_modules():
+        assert max_names(tree.body) == [], module
+        for cls in ast.walk(tree):
+            if isinstance(cls, ast.ClassDef):
+                for name in max_names(cls.body):
+                    owner = getattr(importlib.import_module(f"igc.{module}"), cls.name)
+                    budgets[f"{cls.name}.{name}"] = getattr(owner, name)
+    rows = {
+        m.group(1): m.group(2)
+        for m in re.finditer(r"^\| `(\w+\.MAX_[A-Z_]+)` \| ([^|]+) \|", (ROOT / "README.md").read_text(), re.M)
+    }
+    assert sorted(rows) == sorted(budgets)
+    for name, limit in budgets.items():
+        assert rows[name].startswith(f"{limit:,}"), name
+
+
+# the only messages that say "budget" without `_budget`: the exponent and
+# digit budgets are tested where a value is read, the nesting and literal
+# budgets are parse errors with a position
+BUDGET_MESSAGES_OUTSIDE_THE_RULE = [
+    ("chart_algebra.py", "coefficient has more digits than the budget of Poly.MAX_DIGITS = "),
+    ("chart_algebra.py", "monomial exponent exceeds the budget of Poly.MAX_EXPONENT = "),
+    ("chart_algebra.py", "polynomial power exceeds the coefficient budget of Poly.MAX_DIGITS = "),
+    ("parsing.py", " digits exceeds the budget of Poly.MAX_DIGITS = "),
+    ("parsing.py", "expression nests deeper than the parser budget of "),
+]
+
+
+def test_only_the_budget_rule_words_a_budget_message():
+    found = []
+    for module, tree in src_modules():
+        skipped = set()
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef)) and ast.get_docstring(node) is not None:
+                skipped.add(id(node.body[0].value))
+            if isinstance(node, ast.FunctionDef) and node.name == "_budget":
+                skipped.update(id(inner) for inner in ast.walk(node))
+        found += [
+            (f"{module}.py", node.value)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)
+            and "budget" in node.value and id(node) not in skipped
+        ]
+    assert sorted(found) == BUDGET_MESSAGES_OUTSIDE_THE_RULE

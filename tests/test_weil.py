@@ -274,7 +274,7 @@ def test_two_block_field_visits_only_its_disjoint_unions(k, monkeypatch):
 
 
 def test_disjoint_unions_hit_the_parts_budget():
-    message = re.escape(f"exceed the budget of WeilElem.MAX_PARTS = {WeilElem.MAX_PARTS}")
+    message = re.escape(f"exceeds the budget of WeilElem.MAX_PARTS = {WeilElem.MAX_PARTS}")
     singletons = {frozenset({i}): VField([ONE, ZERO]) for i in range(40)}
     with pytest.raises(DomainError, match=message):
         kfield_to_weil(KField.from_vfields(CHART, 40, singletons))
