@@ -651,40 +651,23 @@ def vf_apply(v: VField, f: Poly) -> Poly:
 def vf_bracket(u: VField, v: VField) -> VField:
     """Lie bracket of vector fields: [u,v]^i = u(v^i) - v(u^i)."""
     u._check(v)
-    coords, _ = _degree1_bracket(u.dim, u.terms, v.terms, False)
-    return VField._make(u.dim, coords)
+    return VField._make(u.dim, _degree1_bracket(u.dim, u.terms, v.terms))
 
 
-def _degree1_bracket(
-    dim: int, f: Mapping[int, Poly], g: Mapping[int, Poly], free: bool
-) -> tuple[dict[int, Poly], dict[tuple[int, int], Poly]]:
-    """Bracket of sum_i f[i]*d_i and sum_j g[j]*d_j, worked on numerators.
+def _degree1_bracket(dim: int, f: Mapping[int, Poly], g: Mapping[int, Poly]) -> dict[int, Poly]:
+    """Coordinate bracket of sum_i f[i]*d_i and sum_j g[j]*d_j, worked on numerators.
 
-    The coordinate part puts sum_i (f_i*d_i(g_j) - g_i*d_i(f_j)) on d_j,
-    returned by j.  With free, the free bracket's F[d_i,d_j] for i < j gets
-    f_i*g_j - f_j*g_i, returned by (i, j).  Only nonzero values are returned,
-    and zero coefficients of f and g may be left out.  Each side is brought
-    over the lcm of its denominators, so every output is one accumulated
-    numerator dict over their product, reduced once.
+    Puts sum_i (f_i*d_i(g_j) - g_i*d_i(f_j)) on d_j and returns the nonzero
+    values by j; zero coefficients of f and g may be left out.  Each side is
+    brought over the lcm of its denominators, so every output is one
+    accumulated numerator dict over their product, reduced once.
     """
     fn, fd = _numerators(f)
     gn, gd = _numerators(g)
-    den = fd * gd
-    accs: dict[int | tuple[int, int], dict[int, int]] = {}
+    accs: dict[int, dict[int, int]] = {}
     _derivation_into(accs, fn, gn, 1)
     _derivation_into(accs, gn, fn, -1)
-    coords = _nonzero_polys(dim, accs, den)
-    pairs = {}
-    if free:
-        accs = {}
-        for i, p in fn:
-            for j, q in gn:
-                if i < j:
-                    _mul_into(accs.setdefault((i, j), {}), p, q)
-                elif i > j:
-                    _mul_into(accs.setdefault((j, i), {}), [(k, -c) for k, c in p], q)
-        pairs = _nonzero_polys(dim, accs, den)
-    return coords, pairs
+    return _nonzero_polys(dim, accs, fd * gd)
 
 
 def _numerators(ps: Mapping[int, Poly]) -> tuple[list[tuple[int, list[tuple[int, int]]]], int]:

@@ -30,8 +30,8 @@ from typing import Iterable, Mapping, Sequence
 
 from . import lyndon
 from .chart_algebra import (
-    ChartSpec, Poly, VField, _accumulate, _degree1_bracket, _index, _int, _Module, _Record, render_combination,
-    vf_apply,
+    ChartSpec, Poly, VField, _accumulate, _degree1_bracket, _derivation_into, _index, _int, _Module, _mul_into,
+    _nonzero_polys, _numerators, _Record, render_combination, vf_apply,
 )
 from .errors import ChartMismatchError, DegreeOverflowError, DomainError
 
@@ -189,56 +189,42 @@ def free_bracket(u: FreeLRElem, v: FreeLRElem, spec: RelativeSpec | None = None)
     """The free Lie-Rinehart bracket of u and v, in Lyndon normal form.
 
     Expands  [f*b(w), g*b(w')] = f*g*[b(w),b(w')] + f*w(g)*b(w') - g*w'(f)*b(w)
-    with the bare monomial bracket rewritten into the Lyndon basis, then
-    reduces vertical monomials when a RelativeSpec is given.  Two degree-1
-    elements with no vertical set go to the numerator kernel
-    `_degree1_bracket` instead, which gives the same value.
+    with the bare monomial bracket rewritten into the Lyndon basis; with a
+    RelativeSpec, long words touching a vertical generator are dropped from
+    the operands and no bare bracket touching one is formed.  Every word
+    length is checked against max_degree before any product is formed.  Each
+    operand is brought over the lcm of its denominators, so every output word
+    is one numerator dict over their product, reduced once.
     """
     u._check(v)
     chart = u.chart
     vertical = spec.vertical if spec else frozenset()
     if spec and spec.chart != chart:
         raise ChartMismatchError("relative spec is for a different chart")
-    f, g = _classical_coeffs(u), _classical_coeffs(v)
-    if vertical or f is None or g is None:
-        return _free_bracket_terms(u, v, vertical)
-    # some d_i of u and d_j of v with i != j bracket to the word (i, j)
-    one_letter = len(u.terms) == 1 and u.terms.keys() == v.terms.keys()
-    if chart.max_degree < 2 and u.terms and v.terms and not one_letter:
-        raise DegreeOverflowError(2, chart.max_degree)
-    return _degree1_elem(chart, *_degree1_bracket(chart.dim, f, g, True))
-
-
-def _free_bracket_terms(u: FreeLRElem, v: FreeLRElem, vertical: frozenset[int]) -> FreeLRElem:
-    """free_bracket expanded term by term, for any words and vertical set."""
-    chart = u.chart
-    u = _drop_vertical(u, vertical)
-    v = _drop_vertical(v, vertical)
-
-    pairs: list[tuple[Word, Poly]] = []
-    for w1, f in u.terms.items():
-        for w2, g in v.terms.items():
-            # bare monomial bracket; in the relative algebra any long word
-            # containing a vertical letter is zero, so skip those wholesale
-            if not (vertical and (set(w1) | set(w2)) & vertical):
-                fg = f * g
-                for word, c in lyndon.monomial_bracket(w1, w2).items():
-                    if len(word) > chart.max_degree:
-                        raise DegreeOverflowError(len(word), chart.max_degree)
-                    pairs.append((word, fg * c))
-            # Leibniz corrections through the anchor
-            if len(w1) == 1:
-                p = f * g.derive(w1[0])
-                if p:
-                    pairs.append((w2, p))
-            if len(w2) == 1:
-                p = g * f.derive(w2[0])
-                if p:
-                    pairs.append((w1, -p))
-
+    un, ud = _numerators(_drop_vertical(u, vertical).terms)
+    vn, vd = _numerators(_drop_vertical(v, vertical).terms)
+    brackets = []
+    for w1, p in un:
+        for w2, q in vn:
+            # in the relative algebra any long word holding a vertical letter
+            # is zero, so such bare brackets are skipped wholesale
+            if vertical and (set(w1) | set(w2)) & vertical:
+                continue
+            words = lyndon.monomial_bracket(w1, w2)
+            if words:
+                if len(w1) + len(w2) > chart.max_degree:
+                    raise DegreeOverflowError(len(w1) + len(w2), chart.max_degree)
+                brackets.append((p, q, words))
+    accs: dict[Word, dict[int, int]] = {}
+    # Leibniz corrections through the anchor, then the bare brackets
+    _derivation_into(accs, [(w[0], p) for w, p in un if len(w) == 1], vn, 1)
+    _derivation_into(accs, [(w[0], q) for w, q in vn if len(w) == 1], un, -1)
+    for p, q, words in brackets:
+        for word, c in words.items():
+            _mul_into(accs.setdefault(word, {}), p if c == 1 else [(k, c * a) for k, a in p], q)
     # monomial_bracket returns Lyndon coordinates, so every word is Lyndon
-    acc = _accumulate({}, pairs)
-    return FreeLRElem._make(chart, {LyndonWord._make(w): p for w, p in acc.items()})
+    terms = _nonzero_polys(chart.dim, accs, ud * vd)
+    return FreeLRElem._make(chart, {LyndonWord._make(w): p for w, p in terms.items()})
 
 
 def lie_bracket_ext(u: FreeLRElem, v: FreeLRElem) -> FreeLRElem:
@@ -253,7 +239,7 @@ def lie_bracket_ext(u: FreeLRElem, v: FreeLRElem) -> FreeLRElem:
     f, g = _classical_coeffs(u), _classical_coeffs(v)
     if f is None or g is None:
         return _lie_bracket_terms(u, v)
-    return _degree1_elem(u.chart, *_degree1_bracket(u.chart.dim, f, g, False))
+    return _degree1_elem(u.chart, _degree1_bracket(u.chart.dim, f, g))
 
 
 def _lie_bracket_terms(u: FreeLRElem, v: FreeLRElem) -> FreeLRElem:
@@ -300,11 +286,9 @@ def _classical_coeffs(u: FreeLRElem) -> dict[int, Poly] | None:
     return coeffs
 
 
-def _degree1_elem(chart: ChartSpec, coords: dict[int, Poly], pairs: dict[tuple[int, int], Poly]) -> FreeLRElem:
-    """Wrap the outputs of `_degree1_bracket` as a FreeLRElem."""
-    terms = {LyndonWord._make((j,)): p for j, p in coords.items()}
-    terms.update((LyndonWord._make(w), p) for w, p in pairs.items())
-    return FreeLRElem._make(chart, terms)
+def _degree1_elem(chart: ChartSpec, coords: dict[int, Poly]) -> FreeLRElem:
+    """Wrap the coordinates `_degree1_bracket` returns as a FreeLRElem."""
+    return FreeLRElem._make(chart, {LyndonWord._make((j,)): p for j, p in coords.items()})
 
 
 def vertical_reduce(expr, spec: RelativeSpec) -> FreeLRElem:

@@ -10,6 +10,7 @@ invocations for the last one.
 import hashlib
 import subprocess
 import sys
+from functools import cache
 
 import pytest
 
@@ -129,10 +130,26 @@ CHECK_CASES = {
 }
 
 
+@cache
+def _recorded_suite(seed):
+    """The reports of `run_suite(seed, MAX_DEGREE)` and one "name|inputs|expected|got" line per compared case."""
+    lines = []
+    compare = CheckReport.compare
+
+    def recording(report, inputs, expected, got):
+        lines.append(f"{report.name}|{inputs}|{expected}|{got}")
+        compare(report, inputs, expected, got)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(CheckReport, "compare", recording)
+        reports = run_suite(seed, MAX_DEGREE)
+    return reports, lines
+
+
 @pytest.mark.parametrize("seed", [0, 3])
 def test_check_case_counts(seed):
     assert list(CHECK_CASES) == CHECK_NAMES
-    reports = run_suite(seed, MAX_DEGREE)
+    reports, _ = _recorded_suite(seed)
     assert {r.name: r.cases for r in reports} == CHECK_CASES
 
 
@@ -147,16 +164,8 @@ CASE_STREAM_SHA256 = {
 
 
 @pytest.mark.parametrize("seed", sorted(CASE_STREAM_SHA256))
-def test_check_case_stream_is_pinned(seed, monkeypatch):
-    lines = []
-    compare = CheckReport.compare
-
-    def recording(report, inputs, expected, got):
-        lines.append(f"{report.name}|{inputs}|{expected}|{got}")
-        compare(report, inputs, expected, got)
-
-    monkeypatch.setattr(CheckReport, "compare", recording)
-    run_suite(seed, MAX_DEGREE)
+def test_check_case_stream_is_pinned(seed):
+    _, lines = _recorded_suite(seed)
     assert len(lines) == 1288
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == CASE_STREAM_SHA256[seed]
 
@@ -178,6 +187,25 @@ def test_check_failures_carry_compared_values(monkeypatch):
     session = Session(ChartSpec(2, MAX_DEGREE))
     for inputs, expected, got in report.failures:
         assert parse_expression(expected, session) != parse_expression(got, session), inputs
+
+
+def test_action_relations_fail_when_one_letter_drops_its_corrections(monkeypatch):
+    import igc.groupoid
+    from igc import KField
+
+    swap = igc.groupoid._act_by_transposition
+
+    def relabel_one_letter(nu, i, j, flavor):
+        if i != 1:
+            return swap(nu, i, j, flavor)
+        # the letter s1 moves components to their swapped index sets and adds no bracket
+        moved = {frozenset({i: j, j: i}.get(x, x) for x in phi): e for phi, e in nu.components.items()}
+        return KField(nu.chart, nu.arity, moved)
+
+    monkeypatch.setattr(igc.groupoid, "_act_by_transposition", relabel_one_letter)
+    (report,) = run_suite(SEED, MAX_DEGREE, only="action-relations")
+    assert not report.passed and report.cases == CHECK_CASES["action-relations"]
+    assert all("braid" in got or "commutation" in got for _, _, got in report.failures)
 
 
 def _cli(*args):

@@ -497,6 +497,27 @@ def test_cli_bracket_product_budget(command, tmp_path):
     assert r.returncode == 0 and r.stderr == ""
 
 
+def test_cli_bracket_checks_word_lengths_before_any_product(tmp_path):
+    # the free bracket refuses a word past max_degree before it forms a product
+    # that would hit the product budget, and forms the Leibniz products first
+    script = tmp_path / "large.igc"
+    script.write_text(LARGE_COEFFICIENT + 'bracket free "c*d0" "c*d1"\n')
+    r = subprocess.run(
+        [sys.executable, "-m", "igc", "--dim", "3", "--max-degree", "1", "--script", str(script)],
+        capture_output=True, text=True, timeout=10,
+    )
+    assert (r.returncode, r.stdout) == (2, "")
+    assert r.stderr == "igc: error: bracket monomial of length 2 exceeds max_degree 1\nigc: script line 5 failed\n"
+    script.write_text(LARGE_COEFFICIENT + 'bracket free "c*d0 + c*F[d0,d1]" "c*d1"\n')
+    r = subprocess.run(
+        [sys.executable, "-m", "igc", "--dim", "3", "--script", str(script)],
+        capture_output=True, text=True, timeout=10,
+    )
+    message = f"term product count {5440 * 4960} exceeds the budget of Poly.MAX_POW_PRODUCTS = {Poly.MAX_POW_PRODUCTS}"
+    assert (r.returncode, r.stdout) == (2, "")
+    assert r.stderr == f"igc: error: {message}\nigc: script line 5 failed\n"
+
+
 def test_cli_kfield_arity_budget():
     message = f"exceeds the budget of KField.MAX_ARITY = {KField.MAX_ARITY}"
     r = subprocess.run(

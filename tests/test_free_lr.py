@@ -27,7 +27,7 @@ from igc import (
     vf_bracket,
 )
 from igc import free_lr, lyndon
-from igc.free_lr import _free_bracket_terms, _lie_bracket_terms
+from igc.free_lr import _lie_bracket_terms
 from igc.lyndon import standard_factorization, tensor_expansion
 from igc.oracle import oracle_bracket, random_poly, random_vfield
 
@@ -166,7 +166,68 @@ def test_free_bracket_degree_overflow_is_loud():
     assert err.value.length == 4 and err.value.limit == 3
 
 
-# the degree-1 kernel against the term-by-term expansion ----------------------
+# the numerator kernel against the term-by-term expansion -------------------
+
+
+def reference_free_bracket(u, v, vertical=frozenset()):
+    """The free bracket expanded term by term with Poly arithmetic, one gcd per product."""
+    chart = u.chart
+
+    def kept(x):
+        return {w: p for w, p in x.terms.items() if len(w) == 1 or not set(w) & vertical}
+
+    acc = {}
+
+    def add(word, p):
+        acc[word] = acc.get(word, Poly.zero(chart.dim)) + p
+
+    for w1, f in kept(u).items():
+        for w2, g in kept(v).items():
+            # bare monomial bracket; in the relative algebra any long word
+            # containing a vertical letter is zero, so skip those wholesale
+            if not (set(w1) | set(w2)) & vertical:
+                fg = f * g
+                for word, c in lyndon.monomial_bracket(w1, w2).items():
+                    if len(word) > chart.max_degree:
+                        raise DegreeOverflowError(len(word), chart.max_degree)
+                    add(word, fg * c)
+            # Leibniz corrections through the anchor
+            if len(w1) == 1:
+                add(w2, f * g.derive(w1[0]))
+            if len(w2) == 1:
+                add(w1, -(g * f.derive(w2[0])))
+    return FreeLRElem(chart, {LyndonWord(w): p for w, p in acc.items()})
+
+
+@st.composite
+def bracket_cases(draw):
+    """A chart of dimension 1-3, a vertical set, and two elements on words of length 1-3."""
+    dim = draw(st.integers(1, 3))
+    chart = ChartSpec(dim, draw(st.integers(1, 6)))
+    vertical = draw(st.sampled_from([frozenset(), frozenset({0}), frozenset(range(dim))]))
+    exps = st.tuples(*[st.integers(0, 2)] * dim)
+    coeffs = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+    polys = st.dictionaries(exps, coeffs, max_size=3).map(lambda t: Poly(dim, t))
+    words = [w for d in range(1, min(3, chart.max_degree) + 1) for w in lyndon_basis(dim, d)]
+    terms = st.dictionaries(st.sampled_from(words), polys, max_size=4)
+    return chart, vertical, FreeLRElem(chart, draw(terms)), FreeLRElem(chart, draw(terms))
+
+
+def _outcome(bracket, *args):
+    try:
+        return bracket(*args)
+    except DomainError as err:
+        return type(err), str(err)
+
+
+@settings(max_examples=400, deadline=None)
+@given(bracket_cases())
+def test_free_bracket_kernel_matches_term_by_term(case):
+    chart, vertical, u, v = case
+    got = _outcome(free_bracket, u, v, RelativeSpec(chart, vertical))
+    assert got == _outcome(reference_free_bracket, u, v, vertical)
+    if not vertical:
+        assert _outcome(free_bracket, u, v) == got
 
 
 @st.composite
@@ -181,25 +242,19 @@ def degree1_pairs(draw):
     return chart, FreeLRElem(chart, draw(letters)), FreeLRElem(chart, draw(letters))
 
 
-def _outcome(bracket, *args):
-    try:
-        return bracket(*args)
-    except DegreeOverflowError as err:
-        return ("overflow", err.length, err.limit)
-
-
 @settings(max_examples=300, deadline=None)
 @given(degree1_pairs())
 def test_degree1_kernel_matches_term_by_term(pair):
     chart, u, v = pair
-    assert _outcome(free_bracket, u, v) == _outcome(_free_bracket_terms, u, v, frozenset())
+    assert _outcome(free_bracket, u, v) == _outcome(reference_free_bracket, u, v)
     assert _outcome(free_bracket, u, v, RelativeSpec(chart)) == _outcome(free_bracket, u, v)
     assert lie_bracket_ext(u, v) == _lie_bracket_terms(u, v)
     a, b = project_to_lie(u), project_to_lie(v)
     assert vf_bracket(a, b) == VField([vf_apply(a, b.coeffs[i]) - vf_apply(b, a.coeffs[i]) for i in range(chart.dim)])
     # the free bracket overflows at max_degree 1 exactly when two distinct letters meet
     distinct = any(i != j for (i,) in u.terms for (j,) in v.terms)
-    assert (_outcome(free_bracket, u, v) == ("overflow", 2, 1)) == (chart.max_degree == 1 and distinct)
+    overflow = (DegreeOverflowError, str(DegreeOverflowError(2, 1)))
+    assert (_outcome(free_bracket, u, v) == overflow) == (chart.max_degree == 1 and distinct)
 
 
 # extended classical bracket --------------------------------------------------

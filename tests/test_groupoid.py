@@ -256,6 +256,13 @@ def test_cup_examples():
     )
 
 
+def test_cup_places_each_singleton_at_its_own_slot():
+    # the singleton {s} of the second factor lands at {0..k-1} + {k+s}
+    session = Session(CHART)
+    got = cup(parse_expression("K{arity=1; 0: d0}", session), parse_expression("K{arity=2; 0: d0; 1: x1*d1}", session))
+    assert got == parse_expression("K{arity=3; 0: d0; 0,1: d0; 0,2: x1*d1}", session)
+
+
 def test_cup_definedness():
     rng = Random(57)
     second = random_kfield(rng, CHART, 2)
