@@ -7,9 +7,11 @@ structures live here:
 * the free bracket `free_bracket` -- bilinear over constants, with the
   Leibniz corrections  [x, f*y] - [f*x, y] = x(f)*y + y(f)*x  through the
   anchor, and bare monomials multiplied in the free Lie algebra;
-* the extended classical bracket `lie_bracket_ext` -- the coordinate bracket
-  on degree-1 elements, pushed through free-bracket monomials as a
-  derivation:  [x, F[y,z]] = F[[x,y], z] + F[y, [x,z]].
+* the extended classical bracket `lie_bracket_ext` -- with u1, v1 the
+  degree-1 parts,  [u, v] = [u1, v1] + u▷v_long - v1▷u_long,  where [u1, v1]
+  is the coordinate bracket and x▷y_long sums g*D_x(b(w)) + x(g)*b(w) over
+  the long words w of y with coefficient g; D_x is the derivation of the
+  free bracket sending d_c to -dx/dx_c, D_x(F[a,b]) = F[D_x a, b] + F[a, D_x b].
 
 A `RelativeSpec` marks a subset of generators as vertical (tangent to the
 fibers of a projection).  In the relative algebra every bracket monomial of
@@ -230,65 +232,57 @@ def free_bracket(u: FreeLRElem, v: FreeLRElem, spec: RelativeSpec | None = None)
 def lie_bracket_ext(u: FreeLRElem, v: FreeLRElem) -> FreeLRElem:
     """The second Lie structure on the fully free algebra.
 
-    Degree-1 against degree-1 is the classical coordinate bracket; against a
-    free monomial F[y,z] the first argument acts as a derivation; a long
-    first argument against a degree-1 second is lowered by antisymmetry.
-    Two degree-1 elements go to the numerator kernel `_degree1_bracket`.
+    With u1 and v1 the degree-1 parts,  [u, v] = [u1, v1] + u▷v_long - v1▷u_long.
+    [u1, v1] is the classical coordinate bracket, worked by the numerator
+    kernel `_degree1_bracket`.  x▷y_long sums g*D_x(b(w)) + x(g)*b(w) over
+    the long words w of y with coefficient g, where D_x is the derivation of
+    the free bracket sending d_c to -dx/dx_c (coefficient by coefficient)
+    and x(g) is the anchor, zero for long x.  Classical operands have no long
+    words, so one pass over each operand's terms does all the work.
     """
     u._check(v)
-    f, g = _classical_coeffs(u), _classical_coeffs(v)
-    if f is None or g is None:
-        return _lie_bracket_terms(u, v)
-    return _degree1_elem(u.chart, _degree1_bracket(u.chart.dim, f, g))
+    chart = u.chart
+    f = {w[0]: p for w, p in u.terms.items() if len(w) == 1}
+    g = {w[0]: p for w, p in v.terms.items() if len(w) == 1}
+    acc = {LyndonWord._make((j,)): p for j, p in _degree1_bracket(chart.dim, f, g).items()}
+    if len(g) < len(v.terms):
+        _long_action_into(acc, u, v)
+    if len(f) < len(u.terms):
+        # D_x and the anchor are linear in x, so -v1▷u_long is (-v1)▷u_long
+        _long_action_into(acc, -FreeLRElem.from_vfield(chart, project_to_lie(v)), u)
+    return FreeLRElem._make(chart, acc)
 
 
-def _lie_bracket_terms(u: FreeLRElem, v: FreeLRElem) -> FreeLRElem:
-    """lie_bracket_ext expanded term by term, for any words."""
-    acc: dict[LyndonWord, Poly] = {}
-    for w1, f in u.terms.items():
-        for w2, g in v.terms.items():
-            _accumulate(acc, _lie_term(u.chart, f, w1, g, w2).terms.items())
-    return FreeLRElem._make(u.chart, acc)
+def _long_action_into(acc: dict, x: FreeLRElem, y: FreeLRElem):
+    """Add x▷y_long, the sum of g*D_x(b(w)) + x(g)*b(w) over the long words w of y, into acc.
 
+    D_x(b(w)) is worked with coefficient 1 through the standard factorization,
+    D_x(F[a,b]) = F[D_x a, b] + F[a, D_x b] by `free_bracket`, once per word.
+    """
+    chart = x.chart
+    one = Poly.const(chart.dim, 1)
+    derived: dict[Word, FreeLRElem] = {}
 
-def _lie_term(chart: ChartSpec, f: Poly, w1: Word, g: Poly, w2: Word) -> FreeLRElem:
-    if len(w2) >= 2:
-        # [x, g*m] = g*[x,m] + x(g)*m  with m = F[b(a), b(b)] expanded as a
-        # derivation of the free bracket
-        a, b = lyndon.standard_factorization(w2)
-        # both standard factors of a Lyndon word are Lyndon words
-        one = Poly.const(chart.dim, 1)
-        elem_a = FreeLRElem._make(chart, {LyndonWord._make(a): one})
-        elem_b = FreeLRElem._make(chart, {LyndonWord._make(b): one})
-        inner_a = _lie_term(chart, f, w1, one, a)
-        inner_b = _lie_term(chart, f, w1, one, b)
-        part = free_bracket(inner_a, elem_b) + free_bracket(elem_a, inner_b)
-        part = part * g
-        if len(w1) == 1:
-            p = f * g.derive(w1[0])
+    def derive(word: Word) -> FreeLRElem:
+        got = derived.get(word)
+        if got is None:
+            if len(word) == 1:
+                got = x._like({w: -d for w, p in x.terms.items() if (d := p.derive(word[0]))})
+            else:
+                # both standard factors of a Lyndon word are Lyndon words
+                a, b = lyndon.standard_factorization(word)
+                da, db = derive(a), derive(b)
+                got = free_bracket(da, x._like({LyndonWord._make(b): one}))
+                got += free_bracket(x._like({LyndonWord._make(a): one}), db)
+            derived[word] = got
+        return got
+
+    for w, g in y.terms.items():
+        if len(w) > 1:
+            _accumulate(acc, [(z, p * g) for z, p in derive(w).terms.items()])
+            p = anchor_apply(x, g)
             if p:
-                part = part + FreeLRElem._make(chart, {LyndonWord._make(w2): p})
-        return part
-    if len(w1) == 1:
-        # classical coordinate bracket of f*d_i and g*d_j
-        pairs = [(w2, f * g.derive(w1[0])), (w1, -(g * f.derive(w2[0])))]
-        return FreeLRElem._make(chart, _accumulate({}, [(LyndonWord._make(w), p) for w, p in pairs if p]))
-    return -_lie_term(chart, g, w2, f, w1)
-
-
-def _classical_coeffs(u: FreeLRElem) -> dict[int, Poly] | None:
-    """The coefficient of each d_i in u by i, or None when u has a longer word."""
-    coeffs = {}
-    for w, p in u.terms.items():
-        if len(w) != 1:
-            return None
-        coeffs[w[0]] = p
-    return coeffs
-
-
-def _degree1_elem(chart: ChartSpec, coords: dict[int, Poly]) -> FreeLRElem:
-    """Wrap the coordinates `_degree1_bracket` returns as a FreeLRElem."""
-    return FreeLRElem._make(chart, {LyndonWord._make((j,)): p for j, p in coords.items()})
+                _accumulate(acc, [(w, p)])
 
 
 def vertical_reduce(expr, spec: RelativeSpec) -> FreeLRElem:

@@ -125,7 +125,9 @@ class _Parser:
         # every nested subexpression is parsed by a call of sum
         self.depth += 1
         if self.depth > self.MAX_NESTING:
-            self._error(f"expression nests deeper than the parser budget of {self.MAX_NESTING} levels")
+            self._error(
+                f"expression nests deeper than the parser budget of _Parser.MAX_NESTING = {self.MAX_NESTING} levels"
+            )
         value = self.product()
         while self.text == "+" or self.text == "-":
             op = self._advance()

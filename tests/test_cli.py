@@ -212,7 +212,7 @@ def test_parse_kfield_literal_rejects_repeated_index_set():
 def test_deep_nesting_hits_the_parser_budget():
     from igc.parsing import _Parser
 
-    message = f"expression nests deeper than the parser budget of {_Parser.MAX_NESTING} levels"
+    message = f"expression nests deeper than the parser budget of _Parser.MAX_NESTING = {_Parser.MAX_NESTING} levels"
     for expr in ("(" * 400 + "d0" + ")" * 400, "F[d0," * 170 + "d1" + "]" * 170, "cup(" * 150 + "d0" + ")" * 150):
         r = run(["--dim", "2", "bracket", "lie", expr, "d0"])
         assert r.returncode == 1 and r.stdout == ""
@@ -720,7 +720,7 @@ def test_readme_command_line_examples():
         command, sep, want = line.partition("# -> ")
         if sep:
             examples.append((shlex.split(command), want))
-    assert len(examples) == 6
+    assert len(examples) == 7
     for argv, want in examples:
         assert argv[0] == "igc"
         r = run(argv[1:])

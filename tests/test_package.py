@@ -3,6 +3,10 @@
 import ast
 import importlib
 import re
+import shlex
+import subprocess
+import sys
+import time
 from collections import Counter
 from pathlib import Path
 
@@ -109,12 +113,28 @@ def test_every_budget_is_in_the_readme_table():
                     owner = getattr(importlib.import_module(f"igc.{module}"), cls.name)
                     budgets[f"{cls.name}.{name}"] = getattr(owner, name)
     rows = {
-        m.group(1): m.group(2)
-        for m in re.finditer(r"^\| `(\w+\.MAX_[A-Z_]+)` \| ([^|]+) \|", (ROOT / "README.md").read_text(), re.M)
+        m.group(1): m.groups()[1:]
+        for m in re.finditer(
+            r"^\| `(\w+\.MAX_[A-Z_]+)` \| ([^|]+) \|[^|]+\| (.+) \| (\S+) \|$", (ROOT / "README.md").read_text(), re.M
+        )
     }
     assert sorted(rows) == sorted(budgets)
     for name, limit in budgets.items():
-        assert rows[name].startswith(f"{limit:,}"), name
+        assert rows[name][0].startswith(f"{limit:,}"), name
+    # each row's CLI line ends at once with the row's exit code and a one-line
+    # message naming the budget; a library-only budget has no line to run
+    assert rows.pop("WeilElem.MAX_PARTS")[1:] == ("library only: no command reaches the dictionary", "-")
+    for name, (_, line, code) in rows.items():
+        argv = shlex.split(line.strip("`"))
+        assert argv[0] == "igc", name
+        # the nesting line builds its parentheses with bash brace expansion
+        argv = [re.sub(r"\$\(printf '(.)%\.0s' \{1\.\.(\d+)\}\)", lambda m: m[1] * int(m[2]), a) for a in argv]
+        start = time.perf_counter()
+        r = subprocess.run([sys.executable, "-m", "igc", *argv[1:]], capture_output=True, text=True, timeout=30)
+        wall = time.perf_counter() - start
+        assert (r.returncode, r.stdout) == (int(code), ""), name
+        assert r.stderr.count("\n") == 1 and name in r.stderr, (name, r.stderr)
+        assert wall < 5, (name, wall)
 
 
 # the only messages that say "budget" without `_budget`: the exponent and
@@ -125,7 +145,7 @@ BUDGET_MESSAGES_OUTSIDE_THE_RULE = [
     ("chart_algebra.py", "monomial exponent exceeds the budget of Poly.MAX_EXPONENT = "),
     ("chart_algebra.py", "polynomial power exceeds the coefficient budget of Poly.MAX_DIGITS = "),
     ("parsing.py", " digits exceeds the budget of Poly.MAX_DIGITS = "),
-    ("parsing.py", "expression nests deeper than the parser budget of "),
+    ("parsing.py", "expression nests deeper than the parser budget of _Parser.MAX_NESTING = "),
 ]
 
 
