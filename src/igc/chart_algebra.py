@@ -649,25 +649,17 @@ def vf_apply(v: VField, f: Poly) -> Poly:
 
 
 def vf_bracket(u: VField, v: VField) -> VField:
-    """Lie bracket of vector fields: [u,v]^i = u(v^i) - v(u^i)."""
-    u._check(v)
-    return VField._make(u.dim, _degree1_bracket(u.dim, u.terms, v.terms))
+    """Lie bracket of vector fields: [u,v]^j = sum_i (u_i*d_i(v_j) - v_i*d_i(u_j)).
 
-
-def _degree1_bracket(dim: int, f: Mapping[int, Poly], g: Mapping[int, Poly]) -> dict[int, Poly]:
-    """Coordinate bracket of sum_i f[i]*d_i and sum_j g[j]*d_j, worked on numerators.
-
-    Puts sum_i (f_i*d_i(g_j) - g_i*d_i(f_j)) on d_j and returns the nonzero
-    values by j; zero coefficients of f and g may be left out.  Each side is
-    brought over the lcm of its denominators, so every output is one
-    accumulated numerator dict over their product, reduced once.
+    Each coefficient is one numerator sum over the product of the sides' lcm denominators, reduced once.
     """
-    fn, fd = _numerators(f)
-    gn, gd = _numerators(g)
+    u._check(v)
+    un, ud = _numerators(u.terms)
+    vn, vd = _numerators(v.terms)
     accs: dict[int, dict[int, int]] = {}
-    _derivation_into(accs, fn, gn, 1)
-    _derivation_into(accs, gn, fn, -1)
-    return _nonzero_polys(dim, accs, fd * gd)
+    _derivation_into(accs, un, vn, 1)
+    _derivation_into(accs, vn, un, -1)
+    return VField._make(u.dim, _nonzero_polys(u.dim, accs, ud * vd))
 
 
 def _numerators(ps: Mapping[int, Poly]) -> tuple[list[tuple[int, list[tuple[int, int]]]], int]:

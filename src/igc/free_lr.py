@@ -13,6 +13,10 @@ structures live here:
   the long words w of y with coefficient g; D_x is the derivation of the
   free bracket sending d_c to -dx/dx_c, D_x(F[a,b]) = F[D_x a, b] + F[a, D_x b].
 
+Both add each output word's terms, D_x(b(w)) included, into one integer
+numerator dict (the kernels `_free_bracket_into` and `_lie_bracket_into`),
+and `_bracket` reduces each word once.
+
 A `RelativeSpec` marks a subset of generators as vertical (tangent to the
 fibers of a projection).  In the relative algebra every bracket monomial of
 length >= 2 that touches a vertical generator collapses:  [g, x] for
@@ -32,8 +36,8 @@ from typing import Iterable, Mapping, Sequence
 
 from . import lyndon
 from .chart_algebra import (
-    ChartSpec, Poly, VField, _accumulate, _degree1_bracket, _derivation_into, _index, _int, _Module, _mul_into,
-    _nonzero_polys, _numerators, _Record, render_combination, vf_apply,
+    ChartSpec, Poly, VField, _derivation_into, _index, _int, _Module, _mul_into, _nonzero_polys, _numerators, _Record,
+    render_combination, vf_apply,
 )
 from .errors import ChartMismatchError, DegreeOverflowError, DomainError
 
@@ -157,14 +161,8 @@ def _drop_vertical(elem: FreeLRElem, vertical: frozenset[int]) -> FreeLRElem:
     """Normal form in the relative algebra: kill long words touching a vertical index."""
     if not vertical:
         return elem
-    kept = {
-        w: p
-        for w, p in elem.terms.items()
-        if len(w) == 1 or not (set(w) & vertical)
-    }
-    if len(kept) == len(elem.terms):
-        return elem
-    return elem._like(kept)
+    kept = {w: p for w, p in elem.terms.items() if len(w) == 1 or not set(w) & vertical}
+    return elem if len(kept) == len(elem.terms) else elem._like(kept)
 
 
 def anchor_apply(u: FreeLRElem, f: Poly) -> Poly:
@@ -194,17 +192,27 @@ def free_bracket(u: FreeLRElem, v: FreeLRElem, spec: RelativeSpec | None = None)
     with the bare monomial bracket rewritten into the Lyndon basis; with a
     RelativeSpec, long words touching a vertical generator are dropped from
     the operands and no bare bracket touching one is formed.  Every word
-    length is checked against max_degree before any product is formed.  Each
-    operand is brought over the lcm of its denominators, so every output word
-    is one numerator dict over their product, reduced once.
+    length is checked against max_degree before any product is formed.
     """
     u._check(v)
-    chart = u.chart
     vertical = spec.vertical if spec else frozenset()
-    if spec and spec.chart != chart:
+    if spec and spec.chart != u.chart:
         raise ChartMismatchError("relative spec is for a different chart")
-    un, ud = _numerators(_drop_vertical(u, vertical).terms)
-    vn, vd = _numerators(_drop_vertical(v, vertical).terms)
+    return _bracket(_drop_vertical(u, vertical), _drop_vertical(v, vertical), _free_bracket_into, vertical)
+
+
+def _bracket(u: FreeLRElem, v: FreeLRElem, kernel, *args) -> FreeLRElem:
+    """What kernel(accs, un, vn, max_degree, *args) adds over the numerators of u and v, reduced once per word."""
+    (un, ud), (vn, vd) = _numerators(u.terms), _numerators(v.terms)
+    accs: dict[Word, dict[int, int]] = {}
+    kernel(accs, un, vn, u.chart.max_degree, *args)
+    # operand words and monomial_bracket's Lyndon coordinates: every word is Lyndon
+    terms = _nonzero_polys(u.chart.dim, accs, ud * vd)
+    return FreeLRElem._make(u.chart, {LyndonWord._make(w): p for w, p in terms.items()})
+
+
+def _free_bracket_into(accs: dict, un: list, vn: list, max_degree: int, vertical: frozenset[int] = frozenset()):
+    """Add the free bracket of two (word, numerator items) lists into accs by word; zero sums stay."""
     brackets = []
     for w1, p in un:
         for w2, q in vn:
@@ -214,75 +222,69 @@ def free_bracket(u: FreeLRElem, v: FreeLRElem, spec: RelativeSpec | None = None)
                 continue
             words = lyndon.monomial_bracket(w1, w2)
             if words:
-                if len(w1) + len(w2) > chart.max_degree:
-                    raise DegreeOverflowError(len(w1) + len(w2), chart.max_degree)
+                if len(w1) + len(w2) > max_degree:
+                    raise DegreeOverflowError(len(w1) + len(w2), max_degree)
                 brackets.append((p, q, words))
-    accs: dict[Word, dict[int, int]] = {}
     # Leibniz corrections through the anchor, then the bare brackets
     _derivation_into(accs, [(w[0], p) for w, p in un if len(w) == 1], vn, 1)
     _derivation_into(accs, [(w[0], q) for w, q in vn if len(w) == 1], un, -1)
     for p, q, words in brackets:
         for word, c in words.items():
             _mul_into(accs.setdefault(word, {}), p if c == 1 else [(k, c * a) for k, a in p], q)
-    # monomial_bracket returns Lyndon coordinates, so every word is Lyndon
-    terms = _nonzero_polys(chart.dim, accs, ud * vd)
-    return FreeLRElem._make(chart, {LyndonWord._make(w): p for w, p in terms.items()})
 
 
 def lie_bracket_ext(u: FreeLRElem, v: FreeLRElem) -> FreeLRElem:
-    """The second Lie structure on the fully free algebra.
+    """The second Lie structure,  [u, v] = [u1, v1] + u▷v_long - v1▷u_long,  u1 and v1 the degree-1 parts.
 
-    With u1 and v1 the degree-1 parts,  [u, v] = [u1, v1] + u▷v_long - v1▷u_long.
-    [u1, v1] is the classical coordinate bracket, worked by the numerator
-    kernel `_degree1_bracket`.  x▷y_long sums g*D_x(b(w)) + x(g)*b(w) over
-    the long words w of y with coefficient g, where D_x is the derivation of
-    the free bracket sending d_c to -dx/dx_c (coefficient by coefficient)
-    and x(g) is the anchor, zero for long x.  Classical operands have no long
-    words, so one pass over each operand's terms does all the work.
+    [u1, v1] is the coordinate bracket and x▷y_long is as in `_long_action_into`.
     """
     u._check(v)
-    chart = u.chart
-    f = {w[0]: p for w, p in u.terms.items() if len(w) == 1}
-    g = {w[0]: p for w, p in v.terms.items() if len(w) == 1}
-    acc = {LyndonWord._make((j,)): p for j, p in _degree1_bracket(chart.dim, f, g).items()}
-    if len(g) < len(v.terms):
-        _long_action_into(acc, u, v)
-    if len(f) < len(u.terms):
-        # D_x and the anchor are linear in x, so -v1▷u_long is (-v1)▷u_long
-        _long_action_into(acc, -FreeLRElem.from_vfield(chart, project_to_lie(v)), u)
-    return FreeLRElem._make(chart, acc)
+    return _bracket(u, v, _lie_bracket_into)
 
 
-def _long_action_into(acc: dict, x: FreeLRElem, y: FreeLRElem):
-    """Add x▷y_long, the sum of g*D_x(b(w)) + x(g)*b(w) over the long words w of y, into acc.
+def _lie_bracket_into(accs: dict, un: list, vn: list, max_degree: int, sign: int = 1):
+    """Add sign * lie_bracket_ext of two (word, numerator items) lists into accs by word; zero sums stay."""
+    u1, v1 = ([(w, p) for w, p in xn if len(w) == 1] for xn in (un, vn))
+    _derivation_into(accs, [(w[0], p) for w, p in u1], v1, sign)
+    _derivation_into(accs, [(w[0], q) for w, q in v1], u1, -sign)
+    if len(v1) < len(vn):
+        _long_action_into(accs, un, vn, max_degree, sign)
+    if len(u1) < len(un):  # D_x and the anchor are linear in x, so -v1▷u_long is (-v1)▷u_long
+        _long_action_into(accs, v1, un, max_degree, -sign)
 
-    D_x(b(w)) is worked with coefficient 1 through the standard factorization,
-    D_x(F[a,b]) = F[D_x a, b] + F[a, D_x b] by `free_bracket`, once per word.
+
+def _long_action_into(accs: dict, xn: list, yn: list, max_degree: int, sign: int):
+    """Add sign * x▷y_long, the sum of g*D_x(b(w)) + x(g)*b(w) over the long words w of y, into accs.
+
+    x and y are (word, numerator items) lists; the anchor x(g) is zero for long x.
+    D_x(d_c) = -dx/dx_c is one `_derivation_into` and D_x(F[a,b]) = F[D_x a, b] + F[a, D_x b]
+    goes through `_free_bracket_into`, once per word, both factors derived first.  A derived word
+    lists its nonzero terms as a sum of reduced elements would, so brackets meet them in that order.
     """
-    chart = x.chart
-    one = Poly.const(chart.dim, 1)
-    derived: dict[Word, FreeLRElem] = {}
+    one = [(0, 1)]
+    derived: dict[Word, list] = {}
 
-    def derive(word: Word) -> FreeLRElem:
-        got = derived.get(word)
-        if got is None:
+    def derive(word: Word) -> list:
+        if word not in derived:
+            acc: dict[Word, dict[int, int]] = {}
             if len(word) == 1:
-                got = x._like({w: -d for w, p in x.terms.items() if (d := p.derive(word[0]))})
+                _derivation_into(acc, [(word[0], one)], xn, -sign)
             else:
-                # both standard factors of a Lyndon word are Lyndon words
-                a, b = lyndon.standard_factorization(word)
+                a, b = lyndon.standard_factorization(word)  # both Lyndon words
                 da, db = derive(a), derive(b)
-                got = free_bracket(da, x._like({LyndonWord._make(b): one}))
-                got += free_bracket(x._like({LyndonWord._make(a): one}), db)
-            derived[word] = got
-        return got
+                _free_bracket_into(acc, da, [(b, one)], max_degree)
+                # a word the first bracket leaves at zero is new to the second
+                acc = {z: num for z, num in acc.items() if any(num.values())}
+                _free_bracket_into(acc, [(a, one)], db, max_degree)
+            derived[word] = [(z, t) for z, num in acc.items() if (t := [(k, c) for k, c in num.items() if c])]
+        return derived[word]
 
-    for w, g in y.terms.items():
+    x1 = [(w[0], p) for w, p in xn if len(w) == 1]
+    for w, g in yn:
         if len(w) > 1:
-            _accumulate(acc, [(z, p * g) for z, p in derive(w).terms.items()])
-            p = anchor_apply(x, g)
-            if p:
-                _accumulate(acc, [(w, p)])
+            for z, dz in derive(w):
+                _mul_into(accs.setdefault(z, {}), g, dz)
+            _derivation_into(accs, x1, [(w, g)], sign)
 
 
 def vertical_reduce(expr, spec: RelativeSpec) -> FreeLRElem:

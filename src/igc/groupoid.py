@@ -38,7 +38,8 @@ from .errors import (
     NotClosedError,
     NotFlagReducibleError,
 )
-from .free_lr import FreeLRElem, free_bracket, lie_bracket_ext, project_to_lie
+from .free_lr import FreeLRElem, _bracket, _free_bracket_into, _lie_bracket_into, free_bracket, lie_bracket_ext
+from .free_lr import project_to_lie
 from .polyvector import Polyvector, wedge
 
 Subset = frozenset[int]
@@ -405,11 +406,15 @@ def _flip_sums(nu: KField, flipped: list[tuple[Subset, Subset]], defects: dict) 
 
 
 def _defect(nu: KField, pq: tuple[Subset, Subset], defects: dict) -> FreeLRElem:
-    """D(p, q) = free_bracket(a_p, a_q) - lie_bracket_ext(a_p, a_q), kept in `defects`."""
+    """D(p, q) = free_bracket(a_p, a_q) - lie_bracket_ext(a_p, a_q), one numerator dict per word, kept in `defects`."""
     if pq not in defects:
-        a, b = nu.components[pq[0]], nu.components[pq[1]]
-        defects[pq] = free_bracket(a, b) - lie_bracket_ext(a, b)
+        defects[pq] = _bracket(nu.components[pq[0]], nu.components[pq[1]], _free_minus_lie_into)
     return defects[pq]
+
+
+def _free_minus_lie_into(accs: dict, an: list, bn: list, max_degree: int):
+    _free_bracket_into(accs, an, bn, max_degree)
+    _lie_bracket_into(accs, an, bn, max_degree, -1)
 
 
 def trivial_by_disjoint_pairs(nu: KField) -> tuple[bool, tuple | None]:

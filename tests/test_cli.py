@@ -518,6 +518,29 @@ def test_cli_bracket_checks_word_lengths_before_any_product(tmp_path):
     assert r.stderr == f"igc: error: {message}\nigc: script line 5 failed\n"
 
 
+@pytest.mark.parametrize(
+    "max_degree, u, v, length",
+    [
+        # D_x sums the terms of u over each letter before it brackets
+        (4, "1/2*x2^2*F[F[d0,d2],d1] + (-2*x0^2*x1^2*x2 - 3/2*x0*x2^2)*F[d0,d1]", "-x2^2*F[F[d0,d1],F[d0,d2]]", 5),
+        # in D_x(F[a,b]) = F[D_x a, b] + F[a, D_x b], a word whose terms cancel in
+        # the first bracket comes after that bracket's words, as in a sum of two elements
+        (
+            5,
+            "9*x0^2*x1*F[d0,F[F[d0,d1],d1]] + (5/3*x0^2*x1 - 4/3*x0*x2^2)*F[d0,d1]"
+            " + (-4*x0*x1 + 7/2*x0)*F[d0,F[d0,F[d0,d2]]] + (-3/7*x0*x1^2*x2 - 2/7)*F[d0,F[d0,d2]]"
+            " + (9/2*x0^2*x1^2*x2^2 - 2/7*x1^2*x2^2)*F[F[F[d0,d2],d2],d2]",
+            "x1^2*x2^2*F[F[d0,d2],F[d1,d2]]",
+            7,
+        ),
+    ],
+)
+def test_cli_lie_bracket_names_the_first_overflowing_derivation_bracket(max_degree, u, v, length):
+    r = run(["--dim", "3", "--max-degree", str(max_degree), "bracket", "lie", u, v])
+    message = f"bracket monomial of length {length} exceeds max_degree {max_degree}"
+    assert (r.returncode, r.stdout, r.stderr) == (2, "", f"igc: error: {message}\n")
+
+
 def test_cli_kfield_arity_budget():
     message = f"exceeds the budget of KField.MAX_ARITY = {KField.MAX_ARITY}"
     r = subprocess.run(

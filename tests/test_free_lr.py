@@ -1,5 +1,6 @@
 """Lyndon machinery and the two brackets of the free Lie-Rinehart layer."""
 
+import hashlib
 from fractions import Fraction
 from itertools import product
 from random import Random
@@ -313,6 +314,62 @@ def test_lie_bracket_ext_matches_term_by_term(case):
             # overflowing bracket first, so the length it names may move
             got, want = got[:1] if isinstance(got, tuple) else got, want[:1]
         assert got == want
+
+
+def pinned_operand(rng, chart):
+    """Up to 3 terms on words of 1-4 letters, plus one long word whenever the chart has one."""
+    words = [w for d in range(1, min(4, chart.max_degree) + 1) for w in lyndon_basis(chart.dim, d)]
+    picks = [rng.choice(words) for _ in range(rng.randint(0, 3))]
+    long_words = [w for w in words if len(w) > 1]
+    if long_words:
+        picks.append(rng.choice(long_words))
+
+    def coeff():
+        terms = {}
+        for _ in range(rng.randint(1, 3)):
+            exps = tuple(rng.randint(0, 2) for _ in range(chart.dim))
+            terms[exps] = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+        return Poly(chart.dim, terms)
+
+    return FreeLRElem(chart, {w: coeff() for w in picks})
+
+
+# sha256 of the printed value or `class: message` refusal of each of the 1,000
+# seeded pairs below, recorded before lie_bracket_ext moved onto numerators
+LIE_BRACKET_EXT_SHA256 = "3f7c38f34cd1427c8ea6944da763cd7d8bd321e755100364dfddfdbf5e1db723"
+
+
+def test_lie_bracket_ext_outputs_are_pinned():
+    rng = Random(2023)
+    lines = []
+    for _ in range(1000):
+        chart = ChartSpec(rng.randint(1, 3), rng.randint(1, 8))
+        u, v = pinned_operand(rng, chart), pinned_operand(rng, chart)
+        got = _outcome(lie_bracket_ext, u, v)
+        lines.append(f"{got[0].__name__}: {got[1]}" if isinstance(got, tuple) else str(got))
+    # about a third of the pairs overflow max_degree, at every length from 3 to 7
+    refusals = {line for line in lines if line.startswith("DegreeOverflowError: ")}
+    assert {int(line.split()[5]) for line in refusals} == set(range(3, 8))
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == LIE_BRACKET_EXT_SHA256
+
+
+def test_lie_bracket_ext_works_on_numerators(monkeypatch):
+    # long words in both operands: one reduction, and no public free bracket
+    def refuse(*args):
+        raise AssertionError("free_bracket called")
+
+    reductions = []
+    reduce = free_lr._nonzero_polys
+    monkeypatch.setattr(free_lr, "free_bracket", refuse)
+    monkeypatch.setattr(free_lr, "_nonzero_polys", lambda *args: reductions.append(1) or reduce(*args))
+    chart = ChartSpec(3, 6)
+    rng = Random(29)
+    u, v = random_elem(rng, chart, max_len=3), random_elem(rng, chart, max_len=3)
+    assert not u.is_classical() and not v.is_classical()
+    got = lie_bracket_ext(u, v)
+    assert reductions == [1]
+    monkeypatch.undo()
+    assert got == reference_lie_bracket_ext(u, v) and not got.is_classical()
 
 
 def test_lie_bracket_degree_one_is_classical():
