@@ -212,8 +212,13 @@ def _bracket(u: FreeLRElem, v: FreeLRElem, kernel, *args) -> FreeLRElem:
 
 
 def _free_bracket_into(accs: dict, un: list, vn: list, max_degree: int, vertical: frozenset[int] = frozenset()):
-    """Add the free bracket of two (word, numerator items) lists into accs by word; zero sums stay."""
+    """Add the free bracket of two (word, numerator items) lists into accs by word; zero sums stay.
+
+    Every pair is checked before any product is formed, and an overflow names
+    the longest bracket, so the message depends only on the operands' values.
+    """
     brackets = []
+    longest = 0
     for w1, p in un:
         for w2, q in vn:
             # in the relative algebra any long word holding a vertical letter
@@ -222,9 +227,10 @@ def _free_bracket_into(accs: dict, un: list, vn: list, max_degree: int, vertical
                 continue
             words = lyndon.monomial_bracket(w1, w2)
             if words:
-                if len(w1) + len(w2) > max_degree:
-                    raise DegreeOverflowError(len(w1) + len(w2), max_degree)
+                longest = max(longest, len(w1) + len(w2))
                 brackets.append((p, q, words))
+    if longest > max_degree:
+        raise DegreeOverflowError(longest, max_degree)
     # Leibniz corrections through the anchor, then the bare brackets
     _derivation_into(accs, [(w[0], p) for w, p in un if len(w) == 1], vn, 1)
     _derivation_into(accs, [(w[0], q) for w, q in vn if len(w) == 1], un, -1)

@@ -72,6 +72,10 @@ class KField(_Record, frozen=True):
     # supported pairs instead, at most (3^8 - 2*2^8 + 1)/2 = 3,025 of them;
     # every arity in the checks is at most 6
     MAX_ACTION_ARITY = 8
+    # longest word `act` takes: each letter is one swap walk, 2 to 7 ms on an
+    # 8-slot field with 4 to all 255 index sets supported, so a word at the
+    # limit ends within about 4 s
+    MAX_WORD_LENGTH = 500
 
     def __init__(self, chart: ChartSpec, arity: int, components: Mapping[Subset, FreeLRElem] | None = None):
         _check_arity(arity)
@@ -258,49 +262,39 @@ def compose(mu: KField, nu: KField) -> KField:
     return KField._make(mu.chart, k + nu.arity, comps)
 
 
-def _bracket_for(flavor: str) -> Callable[[FreeLRElem, FreeLRElem], FreeLRElem]:
-    if flavor == "free":
-        return free_bracket
-    if flavor == "lie":
-        return lie_bracket_ext
-    raise DomainError(f"unknown bracket flavor {flavor!r}; use 'free' or 'lie'")
-
-
 def _all_subsets(k: int):
     for size in range(1, k + 1):
         yield from (frozenset(c) for c in combinations(range(k), size))
 
 
-def _act_by_transposition(nu: KField, i: int, j: int, flavor: str) -> KField:
+def _act_by_transposition(nu: KField, i: int, j: int, bracket: Callable) -> KField:
     """One application of the swap-action formula for the transposition (i j).
 
-    A splitting of a fixed index set is looked up before its swapped parts
-    are formed: only a splitting into two supported parts can add a bracket.
+    The image of an index set s under (i j) is s ^ {i, j} when s holds
+    exactly one of i and j, and s itself otherwise.  A splitting of a fixed
+    index set is looked up before its swapped parts are formed: only a
+    splitting into two supported parts can add a bracket.
     """
-    k = nu.arity
-    _budget(k, KField, "MAX_ACTION_ARITY", "arity")
-    bracket = _bracket_for(flavor)
-    swap = {i: j, j: i}
+    pair = frozenset((i, j))
     get = nu.components.get
     zero = FreeLRElem.zero(nu.chart)
     comps: dict[Subset, FreeLRElem] = {}
-    for phi in _all_subsets(k):
-        image = frozenset(swap.get(x, x) for x in phi)
-        if image != phi:
-            elem = get(image, zero)
+    for phi in _all_subsets(nu.arity):
+        if (i in phi) != (j in phi):
+            elem = get(phi ^ pair, zero)
         else:
             elem = get(phi, zero)
             for part1, part2 in _oriented_decompositions(phi):
                 a, b = get(part1), get(part2)
                 if a is None or b is None:
                     continue
-                if _subset_key(frozenset(swap.get(x, x) for x in part1)) > _subset_key(
-                    frozenset(swap.get(x, x) for x in part2)
-                ):
+                image1 = part1 ^ pair if (i in part1) != (j in part1) else part1
+                image2 = part2 ^ pair if (i in part2) != (j in part2) else part2
+                if _subset_key(image1) > _subset_key(image2):
                     elem = elem + bracket(a, b)
         if not elem.is_zero():
             comps[phi] = elem
-    return KField._make(nu.chart, k, comps)
+    return KField._make(nu.chart, nu.arity, comps)
 
 
 def _oriented_decompositions(phi: Subset):
@@ -320,12 +314,15 @@ def act(word: Sequence[int], nu: KField, flavor: str = "free") -> KField:
 
     The resulting permutation action satisfies the symmetric-group relations
     exactly, so the value depends only on the permutation the word spells.
+    The whole input is checked before the first letter is applied.
     """
-    k = nu.arity
+    _budget(len(word), KField, "MAX_WORD_LENGTH", "word length")
+    for i in word:
+        _index(i, nu.arity - 1, "swap generator")
+    bracket = _action_bracket(nu, flavor)
     out = nu
     for i in word:
-        _index(i, k - 1, "swap generator")
-        out = _act_by_transposition(out, i, i + 1, flavor)
+        out = _act_by_transposition(out, i, i + 1, bracket)
     return out
 
 
@@ -336,7 +333,17 @@ def act_transposition(nu: KField, i: int, j: int, flavor: str = "free") -> KFiel
     containing both i and j untouched up to relabeling, in both flavors.
     """
     _check_pair(i, j, nu.arity)
-    return _act_by_transposition(nu, i, j, flavor)
+    return _act_by_transposition(nu, i, j, _action_bracket(nu, flavor))
+
+
+def _action_bracket(nu: KField, flavor: str) -> Callable[[FreeLRElem, FreeLRElem], FreeLRElem]:
+    """The bracket of `flavor`, once nu's arity is within the swap action's budget."""
+    _budget(nu.arity, KField, "MAX_ACTION_ARITY", "arity")
+    if flavor == "free":
+        return free_bracket
+    if flavor == "lie":
+        return lie_bracket_ext
+    raise DomainError(f"unknown bracket flavor {flavor!r}; use 'free' or 'lie'")
 
 
 def homotopy(nu: KField, i: int, j: int) -> KField:

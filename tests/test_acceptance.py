@@ -195,9 +195,9 @@ def test_action_relations_fail_when_one_letter_drops_its_corrections(monkeypatch
 
     swap = igc.groupoid._act_by_transposition
 
-    def relabel_one_letter(nu, i, j, flavor):
+    def relabel_one_letter(nu, i, j, bracket):
         if i != 1:
-            return swap(nu, i, j, flavor)
+            return swap(nu, i, j, bracket)
         # the letter s1 moves components to their swapped index sets and adds no bracket
         moved = {frozenset({i: j, j: i}.get(x, x) for x in phi): e for phi, e in nu.components.items()}
         return KField(nu.chart, nu.arity, moved)

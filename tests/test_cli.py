@@ -541,6 +541,15 @@ def test_cli_lie_bracket_names_the_first_overflowing_derivation_bracket(max_degr
     assert (r.returncode, r.stdout, r.stderr) == (2, "", f"igc: error: {message}\n")
 
 
+def test_cli_free_bracket_overflow_names_the_longest_bracket():
+    # one value written in two term orders: both lines name length 5, from
+    # [F[d0,F[d0,d1]], F[d0,d1]], not the first overflowing pair they meet
+    message = "igc: error: bracket monomial of length 5 exceeds max_degree 3\n"
+    for v in ("d0 + F[d0,d1]", "F[d0,d1] + d0"):
+        r = run(["--dim", "2", "--max-degree", "3", "bracket", "free", "F[d0,F[d0,d1]]", v])
+        assert (r.returncode, r.stdout, r.stderr) == (2, "", message), v
+
+
 def test_cli_kfield_arity_budget():
     message = f"exceeds the budget of KField.MAX_ARITY = {KField.MAX_ARITY}"
     r = subprocess.run(

@@ -5,9 +5,17 @@ CLI maps to exit 1 or 2, and every printed value reparses to the value the
 command returned (compared through its JSON form).  Integer literals run from
 one digit to past the digit budget and `^` exponents up to 2^64, so inputs
 reach the coefficient, exponent and term budgets; the grammar keeps at most
-one caret, k-fields of arity at most 4 and a bounded number of tokens.
+one caret, k-fields of arity at most 4 and a bounded number of tokens.  Each
+line runs under a wall bound of LINE_SECONDS, so a runaway line fails its test
+instead of stalling the suite (hypothesis's deadline is off, because a slow
+host would trip it on lines that end).
 """
 
+import signal
+import time
+from contextlib import contextmanager
+
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -126,18 +134,49 @@ TOKENS = ["0", "1", "7", "x0", "x1", "d0", "d1", "F", "K", "cup", "face", "arity
 soup = st.lists(st.sampled_from(TOKENS), max_size=12).filter(lambda t: t.count("^") <= 1).map("".join)
 
 
+LINE_SECONDS = 5
+
+
+class LineTimeout(Exception):
+    pass
+
+
+@contextmanager
+def wall_bound(seconds: float):
+    """Raise LineTimeout in the body once it has run for `seconds` of wall time."""
+
+    def expire(signum, frame):
+        raise LineTimeout(f"line still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 def _check_line(argv: list[str]):
     session = Session(CHART)
-    try:
-        outcome = run_command(argv, session)
-    except (UsageError, ParseError, DomainError):
-        return
-    assert outcome.code == 0
-    read = COMMANDS[argv[0]][1]
-    if read is not None:
-        value = read(parse_expression(outcome.text, session), CHART)
-        assert str(value) == outcome.text
-        assert value.to_json() == outcome.payload
+    with wall_bound(LINE_SECONDS):
+        try:
+            outcome = run_command(argv, session)
+        except (UsageError, ParseError, DomainError):
+            return
+        assert outcome.code == 0
+        read = COMMANDS[argv[0]][1]
+        if read is not None:
+            value = read(parse_expression(outcome.text, session), CHART)
+            assert str(value) == outcome.text
+            assert value.to_json() == outcome.payload
+
+
+def test_a_line_past_its_wall_bound_fails():
+    start = time.perf_counter()
+    with pytest.raises(LineTimeout), wall_bound(0.05):
+        time.sleep(2)
+    assert time.perf_counter() - start < 1
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.too_slow])

@@ -170,12 +170,27 @@ def test_free_bracket_degree_overflow_is_loud():
 
 
 def reference_free_bracket(u, v, vertical=frozenset()):
-    """The free bracket expanded term by term with Poly arithmetic, one gcd per product."""
+    """The free bracket expanded term by term with Poly arithmetic, one gcd per product.
+
+    An overflow names the longest word of any nonzero bare bracket.
+    """
     chart = u.chart
 
     def kept(x):
         return {w: p for w, p in x.terms.items() if len(w) == 1 or not set(w) & vertical}
 
+    longest = max(
+        (
+            len(word)
+            for w1 in kept(u)
+            for w2 in kept(v)
+            if not (set(w1) | set(w2)) & vertical
+            for word in lyndon.monomial_bracket(w1, w2)
+        ),
+        default=0,
+    )
+    if longest > chart.max_degree:
+        raise DegreeOverflowError(longest, chart.max_degree)
     acc = {}
 
     def add(word, p):
@@ -188,8 +203,6 @@ def reference_free_bracket(u, v, vertical=frozenset()):
             if not (set(w1) | set(w2)) & vertical:
                 fg = f * g
                 for word, c in lyndon.monomial_bracket(w1, w2).items():
-                    if len(word) > chart.max_degree:
-                        raise DegreeOverflowError(len(word), chart.max_degree)
                     add(word, fg * c)
             # Leibniz corrections through the anchor
             if len(w1) == 1:
@@ -335,8 +348,10 @@ def pinned_operand(rng, chart):
 
 
 # sha256 of the printed value or `class: message` refusal of each of the 1,000
-# seeded pairs below, recorded before lie_bracket_ext moved onto numerators
-LIE_BRACKET_EXT_SHA256 = "3f7c38f34cd1427c8ea6944da763cd7d8bd321e755100364dfddfdbf5e1db723"
+# seeded pairs below, recorded before lie_bracket_ext moved onto numerators;
+# pair 257 (1-based) then named the first overflowing bracket, length 5, and
+# now names the longest, length 6 (the kernel checks every pair first)
+LIE_BRACKET_EXT_SHA256 = "1061f82d7002ef68af7813b7b17a3af763dc8ec3ca3e01f634babca9e92a407a"
 
 
 def test_lie_bracket_ext_outputs_are_pinned():
@@ -351,6 +366,22 @@ def test_lie_bracket_ext_outputs_are_pinned():
     refusals = {line for line in lines if line.startswith("DegreeOverflowError: ")}
     assert {int(line.split()[5]) for line in refusals} == set(range(3, 8))
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == LIE_BRACKET_EXT_SHA256
+
+
+def test_free_bracket_refusal_does_not_depend_on_term_order():
+    # every pair is checked before any product, and an overflow names the
+    # longest nonzero bracket, so equal operands built in another term order
+    # refuse with the same message
+    rng = Random(5)
+    overflows = 0
+    for _ in range(500):
+        chart = ChartSpec(rng.randint(1, 3), rng.randint(1, 8))
+        u, v = pinned_operand(rng, chart), pinned_operand(rng, chart)
+        ur, vr = (FreeLRElem(chart, dict(reversed(x.terms.items()))) for x in (u, v))
+        got = _outcome(free_bracket, u, v)
+        assert _outcome(free_bracket, ur, vr) == got, (str(u), str(v))
+        overflows += isinstance(got, tuple)
+    assert overflows > 100
 
 
 def test_lie_bracket_ext_works_on_numerators(monkeypatch):

@@ -352,12 +352,35 @@ def test_act_relations_spot():
         assert act([0, 1, 0], nu, flavor) == act([1, 0, 1], nu, flavor)
 
 
-def test_act_malformed_word():
+def test_act_malformed_word(monkeypatch):
+    import igc.groupoid as groupoid
+
     nu = random_kfield(Random(62), CHART, 2)
     with pytest.raises(DomainError):
         act([1], nu, "lie")
     with pytest.raises(DomainError):
         act([0], nu, "classical")
+    # the whole input is checked before the first walk: a bad flavor with no
+    # letter to apply, a bad last letter, the arity budget and a bad flavor
+    # after valid letters are each refused with no walk run
+    walks = []
+    monkeypatch.setattr(groupoid, "_act_by_transposition", lambda *args: walks.append(args))
+    wide = KField(CHART, KField.MAX_ACTION_ARITY + 1, {frozenset({0}): FreeLRElem.generator(CHART, 0)})
+    refusals = [
+        (lambda: act([], nu, "bogus"), "unknown bracket flavor 'bogus'; use 'free' or 'lie'"),
+        (lambda: act([0, 0, 0, 1], nu, "free"), "swap generator 1 out of range [0, 1)"),
+        (lambda: act([0, 1], wide, "free"), "arity 9 exceeds the budget of KField.MAX_ACTION_ARITY = 8"),
+        (lambda: act([0, 0], nu, "classical"), "unknown bracket flavor 'classical'; use 'free' or 'lie'"),
+        (lambda: act_transposition(nu, 0, 1, "bogus"), "unknown bracket flavor 'bogus'; use 'free' or 'lie'"),
+        (lambda: act_transposition(wide, 0, 1), "arity 9 exceeds the budget of KField.MAX_ACTION_ARITY = 8"),
+    ]
+    for call, message in refusals:
+        with pytest.raises(DomainError) as err:
+            call()
+        assert str(err.value) == message
+    assert walks == []
+    act([0, 0], nu, "free")
+    assert len(walks) == 2
 
 
 # homotopies ---------------------------------------------------------------------
@@ -463,21 +486,29 @@ def reference_is_trivial(nu: KField) -> tuple[bool, tuple | None]:
 
 def reference_act_by_transposition(nu: KField, i: int, j: int, flavor: str) -> KField:
     """The all-subsets walk that forms both swapped parts of every splitting
-    and compares them in subset-lex order before it looks them up."""
+    element by element and compares them in subset-lex order before it looks
+    them up; every image it forms is checked against the rule the walk uses,
+    s ^ {i, j} when s holds exactly one of i and j, and s otherwise."""
     bracket = free_bracket if flavor == "free" else lie_bracket_ext
     swap = {i: j, j: i}
+    pair = frozenset((i, j))
+
+    def image(s):
+        out = frozenset(swap.get(x, x) for x in s)
+        assert out == (s ^ pair if len(s & pair) == 1 else s), (s, i, j)
+        return out
+
     comps = {}
     for phi in (frozenset(c) for size in range(1, nu.arity + 1) for c in combinations(range(nu.arity), size)):
-        image = frozenset(swap.get(x, x) for x in phi)
-        elem = nu.component(image)
-        if image == phi:
+        elem = nu.component(image(phi))
+        if image(phi) == phi:
             items = sorted(phi)
             for size in range(len(items)):
                 for extra in combinations(items[1:], size):
                     part_a = frozenset((items[0],) + extra)
                     part_b = phi - part_a
                     part1, part2 = (part_a, part_b) if sorted(part_a) < sorted(part_b) else (part_b, part_a)
-                    if sorted(swap.get(x, x) for x in part1) > sorted(swap.get(x, x) for x in part2):
+                    if sorted(image(part1)) > sorted(image(part2)):
                         a, b = nu.components.get(part1), nu.components.get(part2)
                         if a is not None and b is not None:
                             elem = elem + bracket(a, b)
@@ -504,9 +535,16 @@ def test_swap_action_matches_the_subset_key_reference():
             for i in range(nu.arity - 1):
                 got, want = act([i], nu, flavor), reference_act_by_transposition(nu, i, i + 1, flavor)
                 assert got == want and str(got) == str(want), (str(nu), i, flavor)
-            i, j = sorted(rng.sample(range(nu.arity), 2))
-            got, want = act_transposition(nu, i, j, flavor), reference_act_by_transposition(nu, i, j, flavor)
-            assert got == want and str(got) == str(want), (str(nu), i, j, flavor)
+            for i, j in combinations(range(nu.arity), 2):
+                got, want = act_transposition(nu, i, j, flavor), reference_act_by_transposition(nu, i, j, flavor)
+                assert got == want and str(got) == str(want), (str(nu), i, j, flavor)
+            # a word of up to four letters, folded one letter at a time
+            word = [rng.randrange(nu.arity - 1) for _ in range(rng.randint(2, 4))]
+            want = nu
+            for i in word:
+                want = reference_act_by_transposition(want, i, i + 1, flavor)
+            got = act(word, nu, flavor)
+            assert got == want and str(got) == str(want), (str(nu), word, flavor)
 
 
 # two pairs with union {0,1,2} whose defects cancel at (0, 1) but not at (0, 2)

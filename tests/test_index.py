@@ -213,6 +213,7 @@ BUDGETS = [
     ("ChartSpec dim", ChartSpec, "MAX_DIM", 1000, "chart dimension", lambda n: ChartSpec(n, 4)),
     ("KField arity", KField, "MAX_ARITY", 1000, "arity", lambda k: KField(CHART, k, {})),
     ("act", KField, "MAX_ACTION_ARITY", 8, "arity", lambda k: act([0], one_slot_field(k))),
+    ("act word length", KField, "MAX_WORD_LENGTH", 6, "word length", lambda n: act([0] * n, one_slot_field(2))),
     ("homotopy", KField, "MAX_ACTION_ARITY", 8, "arity", lambda k: homotopy(one_slot_field(k), 0, 1)),
     ("is_trivial_homotopy", KField, "MAX_ACTION_ARITY", 8, "arity", lambda k: is_trivial_homotopy(one_slot_field(k))),
     ("reduce_to_polyvector", KField, "MAX_ACTION_ARITY", 8, "arity",

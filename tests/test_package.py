@@ -127,8 +127,8 @@ def test_every_budget_is_in_the_readme_table():
     for name, (_, line, code) in rows.items():
         argv = shlex.split(line.strip("`"))
         assert argv[0] == "igc", name
-        # the nesting line builds its parentheses with bash brace expansion
-        argv = [re.sub(r"\$\(printf '(.)%\.0s' \{1\.\.(\d+)\}\)", lambda m: m[1] * int(m[2]), a) for a in argv]
+        # the nesting and word-length lines repeat a text with bash brace expansion
+        argv = [re.sub(r"\$\(printf '([^']+)%\.0s' \{1\.\.(\d+)\}\)", lambda m: m[1] * int(m[2]), a) for a in argv]
         start = time.perf_counter()
         r = subprocess.run([sys.executable, "-m", "igc", *argv[1:]], capture_output=True, text=True, timeout=30)
         wall = time.perf_counter() - start
