@@ -22,13 +22,15 @@ check and normalize whatever they are given.  Results that a class computes
 itself from canonical operands, the sums, products, derivatives, brackets,
 wedges, k-field operations and Weil morphisms, are canonical by
 construction and are wrapped without a second check by the private `_make`
-(for `Poly`, `_poly` and `_reduced`, which cancels the one common factor).
-Every value type is a frozen `_Record`, which generates `_make` from the
-class's `__slots__`, gives the validating constructors `_set`, compares and
-hashes field values and refuses to set or delete a field.  The four free
-A-modules (`VField`, `FreeLRElem`, `WeilElem`, `Polyvector`) share their
-module operations through `_Module`; each keeps its own constructors,
-mismatch errors, products and printing.
+(for `Poly`, `_poly` and `_reduced`, and for `FreeLRElem`, `free_lr`'s
+`_reduced_elem`, each of which cancels the one common factor).  Every value
+type is a frozen `_Record`, which generates `_make` from the class's
+`__slots__`, gives the validating constructors `_set`, compares and hashes
+field values and refuses to set or delete a field.  Three free A-modules
+(`VField`, `WeilElem`, `Polyvector`) store a `Poly` per basis label and share
+their module operations through `_Module`; each keeps its own constructors,
+mismatch errors, products and printing.  `FreeLRElem` is stored
+fraction-free, as `Poly` is, and keeps its own module operations.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from fractions import Fraction
 from functools import cache, reduce
 from math import gcd, lcm
 from operator import attrgetter, or_
-from typing import Collection, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .errors import ChartMismatchError, DomainError
 
@@ -326,7 +328,7 @@ class Poly(_Record, frozen=True):
         if len(q) == 1:
             p, q = q, p
         if len(p) > 1:
-            return _product_poly(self.dim, _mul_into({}, p.items(), q.items()), self.den * o.den)
+            return _product_poly(self.dim, _mul_into({}, p, q), self.den * o.den)
         # a monomial shifts the exponents of the other factor injectively
         _budget(len(q), Poly, "MAX_POW_PRODUCTS", _PRODUCTS)
         ((e1, c1),) = p.items()
@@ -369,11 +371,7 @@ class Poly(_Record, frozen=True):
         return hash((self.dim, self.den, frozenset(self.num.items())))
 
     def __str__(self):
-        dim, den = self.dim, self.den
-        # canonical order: graded lex on exponent tuples, largest first
-        terms = [(_unpack(k, dim), c) for k, c in self.num.items()]
-        terms.sort(key=lambda t: (sum(t[0]), t[0]), reverse=True)
-        return _signed_sum([_term(exps, c, den) for exps, c in terms])
+        return _poly_text(self.dim, self.num, self.den)
 
     def __repr__(self):
         return f"Poly({self})"
@@ -429,11 +427,12 @@ def _check_exponents(dim: int, keys: Iterable[int]):
         raise DomainError(_EXPONENT_OVERFLOW)
 
 
-def _mul_into(acc: dict[int, int], p: Collection[tuple[int, int]], q: Collection[tuple[int, int]]) -> dict[int, int]:
-    """Add the product of two numerator item lists or views into acc; zero sums stay."""
+def _mul_into(acc: dict[int, int], p: Mapping[int, int], q: Mapping[int, int]) -> dict[int, int]:
+    """Add the product of two numerator dicts into acc; zero sums stay."""
     _budget(len(p) * len(q), Poly, "MAX_POW_PRODUCTS", _PRODUCTS)
     get = acc.get
-    for k1, c1 in p:
+    q = q.items()
+    for k1, c1 in p.items():
         for k2, c2 in q:
             k = k1 + k2
             acc[k] = get(k, 0) + c1 * c2
@@ -475,6 +474,13 @@ def _term(exps: Exponent, n: int, den: int) -> tuple[bool, str]:
     if not mono:
         return negative, coeff
     return negative, mono if coeff == "1" else f"{coeff}*{mono}"
+
+
+def _poly_text(dim: int, num: Mapping[int, int], den: int) -> str:
+    """The text of the sum of the terms n/den*x^key, in graded lex order, largest first."""
+    terms = [(_unpack(k, dim), c) for k, c in num.items()]
+    terms.sort(key=lambda t: (sum(t[0]), t[0]), reverse=True)
+    return _signed_sum([_term(exps, c, den) for exps, c in terms])
 
 
 def _signed_sum(chunks: list[tuple[bool, str]]) -> str:
@@ -577,20 +583,22 @@ class _Module(_Record, frozen=True):
         return hash((self._space(self), frozenset(self.terms.items())))
 
 
-def render_combination(pairs: Iterable[tuple[Poly, str]]) -> str:
-    """Render sum of coeff*atom with folded signs; '0' when everything vanishes.
+def render_combination(dim: int, terms: Iterable[tuple[Mapping[int, int], int, str]]) -> str:
+    """Render the sum of (num/den)*atom over (num, den, atom) with folded signs; '0' when everything vanishes.
 
     A one-term coefficient is printed inline (`2*x0*d1`), a multi-term one is
     parenthesized (`(x0 + 1)*d1`), so every output reparses to the same value.
+    Each term's coefficient is reduced on its own (`_term`), so a coefficient
+    prints alike over any denominator.
     """
     chunks = []
-    for coeff, atom in pairs:
-        if len(coeff.num) == 1:
-            ((key, n),) = coeff.num.items()
-            negative, body = _term(_unpack(key, coeff.dim), n, coeff.den)
+    for num, den, atom in terms:
+        if len(num) == 1:
+            ((key, n),) = num.items()
+            negative, body = _term(_unpack(key, dim), n, den)
             chunks.append((negative, atom if body == "1" else f"{body}*{atom}"))
-        elif coeff.num:
-            chunks.append((False, f"({coeff})*{atom}"))
+        elif num:
+            chunks.append((False, f"({_poly_text(dim, num, den)})*{atom}"))
     return _signed_sum(chunks)
 
 
@@ -631,7 +639,7 @@ class VField(_Module):
         return cls._make(dim, {i: Poly.const(dim, 1)})
 
     def __str__(self):
-        return render_combination((self.terms[i], f"d{i}") for i in sorted(self.terms))
+        return render_combination(self.dim, ((p.num, p.den, f"d{i}") for i, p in sorted(self.terms.items())))
 
     def __repr__(self):
         return f"VField({self})"
@@ -644,7 +652,7 @@ def vf_apply(v: VField, f: Poly) -> Poly:
     # one numerator dict over the product of the denominators, reduced once
     vn, vd = _numerators(v.terms)
     accs: dict[int, dict[int, int]] = {}
-    _derivation_into(accs, vn, [(0, list(f.num.items()))], 1)
+    _derivation_into(accs, vn, [(0, f.num)], 1)
     return _product_poly(f.dim, accs.get(0, {}), vd * f.den)
 
 
@@ -662,34 +670,33 @@ def vf_bracket(u: VField, v: VField) -> VField:
     return VField._make(u.dim, _nonzero_polys(u.dim, accs, ud * vd))
 
 
-def _numerators(ps: Mapping[int, Poly]) -> tuple[list[tuple[int, list[tuple[int, int]]]], int]:
-    """(index, numerator items) of the nonzero ps over the lcm of their denominators."""
+def _numerators(ps: Mapping) -> tuple[list[tuple], int]:
+    """(key, numerator dict) of the nonzero Polys ps over the lcm of their denominators, and that lcm."""
     ps = [(i, p) for i, p in ps.items() if p.num]
     den = lcm(*[p.den for _, p in ps])
-    return [
-        (i, list(p.num.items()) if p.den == den else [(k, c * (den // p.den)) for k, c in p.num.items()]) for i, p in ps
-    ], den
+    return [(i, p.num if p.den == den else {k: c * (den // p.den) for k, c in p.num.items()}) for i, p in ps], den
 
 
 def _derivation_into(accs: dict, f: list, g: list, sign: int):
-    """Add sign * sum_i f_i*d_i(g_j) into accs[j]; f and g list (index, numerator items)."""
+    """Add sign * sum_i f_i*d_i(g_j) into accs[j]; f and g list (index, numerator dict)."""
     for i, fi in f:
         shift = 64 * i
         one = 1 << shift
+        fi_items = fi.items()
         for j, gj in g:
             if len(fi) * len(gj) > Poly.MAX_POW_PRODUCTS:
                 # only the terms of g_j holding x_i form products
-                count = len(fi) * sum(1 for kg, _ in gj if (kg >> shift) & _FIELD_MASK)
+                count = len(fi) * sum(1 for kg in gj if (kg >> shift) & _FIELD_MASK)
                 _budget(count, Poly, "MAX_POW_PRODUCTS", _PRODUCTS)
             acc = accs.setdefault(j, {})
             get = acc.get
-            for kg, cg in gj:
+            for kg, cg in gj.items():
                 e = (kg >> shift) & _FIELD_MASK
                 if e:
                     # the term cg*x^kg of g_j differentiates to cg*e*x^(kg - one)
                     kg -= one
                     cg *= sign * e
-                    for kf, cf in fi:
+                    for kf, cf in fi_items:
                         k = kf + kg
                         acc[k] = get(k, 0) + cf * cg
 

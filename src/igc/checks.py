@@ -65,15 +65,13 @@ from .weil import kfield_to_weil, weil_to_kfield
 
 def _random_elem(rng: Random, chart: ChartSpec, max_len: int = 2) -> FreeLRElem:
     """Element mixing a random degree-1 part with random longer monomials; max_len <= chart.max_degree."""
-    terms = dict(FreeLRElem.from_vfield(chart, random_vfield(rng, chart.dim)).terms)
+    terms = {(i,): p for i, p in random_vfield(rng, chart.dim).terms.items()}
     for length in range(2, max_len + 1):
         words = lyndon_basis(chart.dim, length)
         if words:
             w = words[rng.randrange(len(words))]
-            p = random_poly(rng, chart.dim)
-            if p:
-                terms[w] = p
-    return FreeLRElem._make(chart, terms)
+            terms[w] = random_poly(rng, chart.dim)
+    return FreeLRElem(chart, terms)
 
 
 def _random_2field(rng: Random, chart: ChartSpec) -> tuple[KField, VField, VField, VField]:

@@ -13,9 +13,11 @@ structures live here:
   the long words w of y with coefficient g; D_x is the derivation of the
   free bracket sending d_c to -dx/dx_c, D_x(F[a,b]) = F[D_x a, b] + F[a, D_x b].
 
-Both add each output word's terms, D_x(b(w)) included, into one integer
-numerator dict (the kernels `_free_bracket_into` and `_lie_bracket_into`),
-and `_bracket` reduces each word once.
+An element is stored as `Poly` is, fraction-free: int numerators by word and
+packed monomial key over one denominator.  Both brackets add each output
+word's terms, D_x(b(w)) included, into one integer numerator dict (the
+kernels `_free_bracket_into` and `_lie_bracket_into`, which read the
+operands' numerators as stored), and `_bracket` reduces the result once.
 
 A `RelativeSpec` marks a subset of generators as vertical (tangent to the
 fibers of a projection).  In the relative algebra every bracket monomial of
@@ -31,13 +33,17 @@ would contain a longer surviving word raises DegreeOverflowError.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import cache
+from itertools import chain
+from math import gcd
+from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 from . import lyndon
 from .chart_algebra import (
-    ChartSpec, Poly, VField, _derivation_into, _index, _int, _Module, _mul_into, _nonzero_polys, _numerators, _Record,
-    render_combination, vf_apply,
+    ChartSpec, Poly, VField, _accumulate, _check_exponents, _derivation_into, _index, _int, _mul_into, _numerators,
+    _poly_text, _Record, _reduced, render_combination, vf_apply,
 )
 from .errors import ChartMismatchError, DegreeOverflowError, DomainError
 
@@ -83,10 +89,16 @@ class RelativeSpec(_Record, frozen=True):
         self._set(chart, vertical)
 
 
-class FreeLRElem(_Module):
-    """A-combination of Lyndon bracket monomials: sum f_w * b(w)."""
+class FreeLRElem(_Record, frozen=True):
+    """A-combination of Lyndon bracket monomials: sum f_w * b(w), stored fraction-free as num/den.
 
-    __slots__ = ("chart", "terms")
+    `num` maps each word to a dict of packed monomial key -> nonzero int,
+    never empty, and `den` is a positive int sharing no factor with all of
+    them, so each value has one representation.  `terms` is the read-only
+    {LyndonWord: Poly} view of the same data.
+    """
+
+    __slots__ = ("chart", "num", "den")
 
     def __init__(self, chart: ChartSpec, terms: Mapping[LyndonWord, Poly] | None = None):
         clean: dict[LyndonWord, Poly] = {}
@@ -99,9 +111,15 @@ class FreeLRElem(_Module):
                 raise ChartMismatchError("coefficient lives on a different chart")
             if len(w) > chart.max_degree:
                 raise DegreeOverflowError(len(w), chart.max_degree)
-            if not p.is_zero():
-                clean[w] = p
-        self._set(chart, clean)
+            clean[w] = p
+        # over the lcm of the reduced denominators no prime divides every numerator
+        num, den = _numerators(clean)
+        self._set(chart, dict(num), den)
+
+    @property
+    def terms(self) -> Mapping[LyndonWord, Poly]:
+        dim, den = self.chart.dim, self.den
+        return MappingProxyType({w: _reduced(dim, n, den) for w, n in self.num.items()})
 
     def _check(self, other: "FreeLRElem"):
         if self.chart != other.chart:
@@ -109,22 +127,83 @@ class FreeLRElem(_Module):
 
     @classmethod
     def zero(cls, chart: ChartSpec) -> "FreeLRElem":
-        return cls._make(chart, {})
+        return cls._make(chart, {}, 1)
 
     @classmethod
     def generator(cls, chart: ChartSpec, i: int) -> "FreeLRElem":
         _index(i, chart.dim, "generator index")
-        return cls._make(chart, {LyndonWord._make((i,)): Poly.const(chart.dim, 1)})
+        return cls._make(chart, {LyndonWord._make((i,)): {0: 1}}, 1)
 
     @classmethod
     def from_vfield(cls, chart: ChartSpec, v: VField) -> "FreeLRElem":
         if v.dim != chart.dim:
             raise ChartMismatchError("field lives on a different chart")
-        return cls._make(chart, {LyndonWord._make((i,)): p for i, p in v.terms.items()})
+        num, den = _numerators(v.terms)
+        return cls._make(chart, {LyndonWord._make((i,)): n for i, n in num}, den)
+
+    def is_zero(self) -> bool:
+        return not self.num
+
+    def __bool__(self):
+        return bool(self.num)
 
     def is_classical(self) -> bool:
         """True when only length-1 words occur, i.e. the element is a vector field."""
-        return all(len(w) == 1 for w in self.terms)
+        return all(len(w) == 1 for w in self.num)
+
+    def __add__(self, other):
+        if not isinstance(other, FreeLRElem):
+            return NotImplemented
+        self._check(other)
+        if not other.num:
+            return self
+        if not self.num:
+            return other
+        # both sides over the lcm of the denominators, as `Poly.__add__`; that
+        # form is reduced unless some word holds terms of both sides
+        g = gcd(self.den, other.den)
+        sa, sb = other.den // g, self.den // g
+        shared = not self.num.keys().isdisjoint(other.num)
+        num = dict(self.num) if sa == 1 else {w: {k: c * sa for k, c in n.items()} for w, n in self.num.items()}
+        for w, n in other.num.items():
+            if sb != 1:
+                n = {k: c * sb for k, c in n.items()}
+            if acc := (_accumulate(dict(num[w]), n.items()) if w in num else n):
+                num[w] = acc
+            else:
+                del num[w]
+        return (_reduced_elem if shared else FreeLRElem._make)(self.chart, num, self.den * sa)
+
+    def __neg__(self):
+        return FreeLRElem._make(self.chart, {w: {k: -c for k, c in n.items()} for w, n in self.num.items()}, self.den)
+
+    def __sub__(self, other):
+        if not isinstance(other, FreeLRElem):
+            return NotImplemented
+        return self + (-other)
+
+    def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            other = Poly.const(self.chart.dim, other)
+        if not isinstance(other, Poly):
+            return NotImplemented
+        # Q[x0..x{n-1}] has no zero divisors: a product vanishes only for a zero factor
+        if not other.num or not self.num:
+            return FreeLRElem.zero(self.chart)
+        if other.dim != self.chart.dim:
+            raise ChartMismatchError("polynomials live on charts of different dimension")
+        num = {}
+        for w, n in self.num.items():
+            acc = _mul_into({}, n, other.num)
+            _check_exponents(other.dim, acc)
+            # a nonzero product: only single terms may cancel
+            num[w] = acc if all(acc.values()) else {k: c for k, c in acc.items() if c}
+        return _reduced_elem(self.chart, num, self.den * other.den)
+
+    __rmul__ = __mul__
+
+    def __hash__(self):
+        return hash((self.chart, self.den, frozenset((w, frozenset(n.items())) for w, n in self.num.items())))
 
     @staticmethod
     def _word_str(word: Word) -> str:
@@ -135,15 +214,25 @@ class FreeLRElem(_Module):
 
     def __str__(self):
         # long monomials first, then lexicographic, matching F[..] nesting depth
-        order = sorted(self.terms, key=lambda w: (-len(w), w))
-        return render_combination((self.terms[w], self._word_str(w)) for w in order)
+        order = sorted(self.num, key=lambda w: (-len(w), w))
+        return render_combination(self.chart.dim, ((self.num[w], self.den, self._word_str(w)) for w in order))
 
     def __repr__(self):
         return f"FreeLRElem({self})"
 
     def to_json(self):
-        order = sorted(self.terms, key=lambda w: (len(w), w))
-        return [{"word": list(w), "coeff": str(self.terms[w])} for w in order]
+        order = sorted(self.num, key=lambda w: (len(w), w))
+        return [{"word": list(w), "coeff": _poly_text(self.chart.dim, self.num[w], self.den)} for w in order]
+
+
+def _reduced_elem(chart: ChartSpec, num: dict, den: int) -> FreeLRElem:
+    """Wrap nonempty numerator dicts over den > 0, cancelling their one common factor."""
+    if den != 1:
+        g = gcd(den, *chain.from_iterable(n.values() for n in num.values()))
+        if g != 1:
+            num = {w: {k: c // g for k, c in n.items()} for w, n in num.items()}
+            den //= g
+    return FreeLRElem._make(chart, num, den)
 
 
 def lyndon_basis(n: int, d: int) -> list[LyndonWord]:
@@ -161,8 +250,9 @@ def _drop_vertical(elem: FreeLRElem, vertical: frozenset[int]) -> FreeLRElem:
     """Normal form in the relative algebra: kill long words touching a vertical index."""
     if not vertical:
         return elem
-    kept = {w: p for w, p in elem.terms.items() if len(w) == 1 or not set(w) & vertical}
-    return elem if len(kept) == len(elem.terms) else elem._like(kept)
+    kept = {w: n for w, n in elem.num.items() if len(w) == 1 or not set(w) & vertical}
+    # the dropped words may have held the common factor
+    return elem if len(kept) == len(elem.num) else _reduced_elem(elem.chart, kept, elem.den)
 
 
 def anchor_apply(u: FreeLRElem, f: Poly) -> Poly:
@@ -182,7 +272,8 @@ def project_to_lie(u: FreeLRElem) -> VField:
     Coordinate generators commute, so all words of length >= 2 evaluate to
     zero and the projection keeps exactly the degree-1 part.
     """
-    return VField._make(u.chart.dim, {w[0]: p for w, p in u.terms.items() if len(w) == 1})
+    dim, den = u.chart.dim, u.den
+    return VField._make(dim, {w[0]: _reduced(dim, n, den) for w, n in u.num.items() if len(w) == 1})
 
 
 def free_bracket(u: FreeLRElem, v: FreeLRElem, spec: RelativeSpec | None = None) -> FreeLRElem:
@@ -202,17 +293,26 @@ def free_bracket(u: FreeLRElem, v: FreeLRElem, spec: RelativeSpec | None = None)
 
 
 def _bracket(u: FreeLRElem, v: FreeLRElem, kernel, *args) -> FreeLRElem:
-    """What kernel(accs, un, vn, max_degree, *args) adds over the numerators of u and v, reduced once per word."""
-    (un, ud), (vn, vd) = _numerators(u.terms), _numerators(v.terms)
+    """What kernel(accs, un, vn, max_degree, *args) adds over the stored numerators of u and v.
+
+    The sums are over the product of the denominators; the result takes one
+    exponent check over every key, drops the zero sums and is reduced once.
+    """
     accs: dict[Word, dict[int, int]] = {}
-    kernel(accs, un, vn, u.chart.max_degree, *args)
-    # operand words and monomial_bracket's Lyndon coordinates: every word is Lyndon
-    terms = _nonzero_polys(u.chart.dim, accs, ud * vd)
-    return FreeLRElem._make(u.chart, {LyndonWord._make(w): p for w, p in terms.items()})
+    kernel(accs, u.num.items(), v.num.items(), u.chart.max_degree, *args)
+    _check_exponents(u.chart.dim, chain.from_iterable(accs.values()))
+    num = {}
+    for w, acc in accs.items():
+        if not all(acc.values()):
+            acc = {k: c for k, c in acc.items() if c}
+        if acc:
+            # operand words and monomial_bracket's Lyndon coordinates: every word is Lyndon
+            num[LyndonWord._make(w)] = acc
+    return _reduced_elem(u.chart, num, u.den * v.den)
 
 
-def _free_bracket_into(accs: dict, un: list, vn: list, max_degree: int, vertical: frozenset[int] = frozenset()):
-    """Add the free bracket of two (word, numerator items) lists into accs by word; zero sums stay.
+def _free_bracket_into(accs: dict, un, vn, max_degree: int, vertical: frozenset[int] = frozenset()):
+    """Add the free bracket of two (word, numerator dict) collections into accs by word; zero sums stay.
 
     Every pair is checked before any product is formed, and an overflow names
     the longest bracket, so the message depends only on the operands' values.
@@ -236,38 +336,43 @@ def _free_bracket_into(accs: dict, un: list, vn: list, max_degree: int, vertical
     _derivation_into(accs, [(w[0], q) for w, q in vn if len(w) == 1], un, -1)
     for p, q, words in brackets:
         for word, c in words.items():
-            _mul_into(accs.setdefault(word, {}), p if c == 1 else [(k, c * a) for k, a in p], q)
+            _mul_into(accs.setdefault(word, {}), p if c == 1 else {k: c * a for k, a in p.items()}, q)
 
 
 def lie_bracket_ext(u: FreeLRElem, v: FreeLRElem) -> FreeLRElem:
     """The second Lie structure,  [u, v] = [u1, v1] + u▷v_long - v1▷u_long,  u1 and v1 the degree-1 parts.
 
-    [u1, v1] is the coordinate bracket and x▷y_long is as in `_long_action_into`.
+    [u1, v1] is the coordinate bracket and x▷y_long is as in `_long_action_into`.  Every long word is
+    derived before any product is formed, and an overflow names the longest derived bracket.
     """
     u._check(v)
     return _bracket(u, v, _lie_bracket_into)
 
 
-def _lie_bracket_into(accs: dict, un: list, vn: list, max_degree: int, sign: int = 1):
-    """Add sign * lie_bracket_ext of two (word, numerator items) lists into accs by word; zero sums stay."""
+def _lie_bracket_into(accs: dict, un, vn, max_degree: int, sign: int = 1):
+    """Add sign * lie_bracket_ext of two (word, numerator dict) collections into accs by word; zero sums stay.
+
+    Every long word is derived before any product enters accs, so an overflow
+    names the longest derived bracket, whatever the operands' term order.
+    """
     u1, v1 = ([(w, p) for w, p in xn if len(w) == 1] for xn in (un, vn))
+    # D_x and the anchor are linear in x, so -v1▷u_long is (-v1)▷u_long
+    actions = [(x, y, s) for x, y, y1, s in ((un, vn, v1, sign), (v1, un, u1, -sign)) if len(y1) < len(y)]
+    derived = [_derivatives(x, y, max_degree, s) for x, y, s in actions]
     _derivation_into(accs, [(w[0], p) for w, p in u1], v1, sign)
     _derivation_into(accs, [(w[0], q) for w, q in v1], u1, -sign)
-    if len(v1) < len(vn):
-        _long_action_into(accs, un, vn, max_degree, sign)
-    if len(u1) < len(un):  # D_x and the anchor are linear in x, so -v1▷u_long is (-v1)▷u_long
-        _long_action_into(accs, v1, un, max_degree, -sign)
+    for (x, y, s), d in zip(actions, derived):
+        _long_action_into(accs, x, y, d, s)
 
 
-def _long_action_into(accs: dict, xn: list, yn: list, max_degree: int, sign: int):
-    """Add sign * x▷y_long, the sum of g*D_x(b(w)) + x(g)*b(w) over the long words w of y, into accs.
+def _derivatives(xn, yn, max_degree: int, sign: int) -> dict[Word, list]:
+    """sign * D_x(b(w)) as a (word, numerator dict) list, for each long word w of y and the words it is built of.
 
-    x and y are (word, numerator items) lists; the anchor x(g) is zero for long x.
     D_x(d_c) = -dx/dx_c is one `_derivation_into` and D_x(F[a,b]) = F[D_x a, b] + F[a, D_x b]
-    goes through `_free_bracket_into`, once per word, both factors derived first.  A derived word
-    lists its nonzero terms as a sum of reduced elements would, so brackets meet them in that order.
+    goes through `_free_bracket_into`, once per word, both factors derived first.  Every long word
+    of y is derived before an overflow is raised, and the overflow names the longest.
     """
-    one = [(0, 1)]
+    one = {0: 1}
     derived: dict[Word, list] = {}
 
     def derive(word: Word) -> list:
@@ -279,16 +384,32 @@ def _long_action_into(accs: dict, xn: list, yn: list, max_degree: int, sign: int
                 a, b = lyndon.standard_factorization(word)  # both Lyndon words
                 da, db = derive(a), derive(b)
                 _free_bracket_into(acc, da, [(b, one)], max_degree)
-                # a word the first bracket leaves at zero is new to the second
-                acc = {z: num for z, num in acc.items() if any(num.values())}
                 _free_bracket_into(acc, [(a, one)], db, max_degree)
-            derived[word] = [(z, t) for z, num in acc.items() if (t := [(k, c) for k, c in num.items() if c])]
+            derived[word] = [(z, t) for z, num in acc.items() if (t := {k: c for k, c in num.items() if c})]
         return derived[word]
 
+    longest = 0
+    for w, _ in yn:
+        if len(w) > 1:
+            try:
+                derive(w)
+            except DegreeOverflowError as err:
+                longest = max(longest, err.length)
+    if longest:
+        raise DegreeOverflowError(longest, max_degree)
+    return derived
+
+
+def _long_action_into(accs: dict, xn, yn, derived: dict, sign: int):
+    """Add sign * x▷y_long, the sum of g*D_x(b(w)) + x(g)*b(w) over the long words w of y, into accs.
+
+    x and y are (word, numerator dict) collections, and derived holds sign * D_x(b(w)) from
+    `_derivatives`; the anchor x(g) is zero for long x.
+    """
     x1 = [(w[0], p) for w, p in xn if len(w) == 1]
     for w, g in yn:
         if len(w) > 1:
-            for z, dz in derive(w):
+            for z, dz in derived[w]:
                 _mul_into(accs.setdefault(z, {}), g, dz)
             _derivation_into(accs, x1, [(w, g)], sign)
 

@@ -74,10 +74,8 @@ class Polyvector(_Module):
         return {len(idx) for idx in self.terms}
 
     def __str__(self):
-        order = sorted(self.terms, key=lambda i: (len(i), i))
-        return render_combination(
-            (self.terms[i], " ^ ".join(f"d{j}" for j in i)) for i in order
-        )
+        order = sorted(self.terms.items(), key=lambda t: (len(t[0]), t[0]))
+        return render_combination(self.dim, ((p.num, p.den, " ^ ".join(f"d{j}" for j in i)) for i, p in order))
 
     def __repr__(self):
         return f"Polyvector({self})"

@@ -43,6 +43,7 @@ from igc import (
     vf_bracket,
     wedge,
 )
+from igc.free_lr import _drop_vertical
 from igc.lyndon import is_lyndon
 
 DIM = 2
@@ -94,8 +95,18 @@ def assert_canonical_vfield(v: VField):
     assert str(VField(v.coeffs)) == str(v)
 
 
+def assert_stored_elem(u: FreeLRElem):
+    """num/den as stored: int numerators by LyndonWord, none zero and no word empty, over a reduced den."""
+    assert type(u.den) is int and u.den > 0
+    for w, n in u.num.items():
+        assert type(w) is LyndonWord and n
+        assert all(type(k) is int and type(c) is int and c != 0 for k, c in n.items())
+    assert gcd(u.den, *(c for n in u.num.values() for c in n.values())) == 1
+
+
 def assert_canonical_elem(u: FreeLRElem):
     assert u.chart == CHART
+    assert_stored_elem(u)
     for w, p in u.terms.items():
         assert type(w) is LyndonWord and type(w.letters) is tuple
         assert all(type(a) is int and 0 <= a < DIM for a in w.letters)
@@ -173,6 +184,65 @@ def test_free_lr_results_are_canonical(u, v, c, spec):
     assert_canonical_elem(free_bracket(u, v, spec))
     assert_canonical_elem(lie_bracket_ext(u, v))
     assert_canonical_elem(lie_bracket_ext(u, u))
+
+
+def reference_str(u: FreeLRElem) -> str:
+    """How an element printed when each word held its own reduced Poly."""
+    chunks = []
+    for w in sorted(u.terms, key=lambda w: (-len(w), w)):
+        p, atom = u.terms[w], FreeLRElem._word_str(w)
+        text = str(p)
+        if len(p.num) == 1:
+            body = text.lstrip("-")
+            chunks.append((text.startswith("-"), atom if body == "1" else f"{body}*{atom}"))
+        else:
+            chunks.append((False, f"({text})*{atom}"))
+    if not chunks:
+        return "0"
+    out = "".join((" - " if negative else " + ") + text for negative, text in chunks)
+    return out[3:] if out[1] == "+" else "-" + out[3:]
+
+
+def reference_json(u: FreeLRElem) -> list:
+    return [{"word": list(w), "coeff": str(u.terms[w])} for w in sorted(u.terms, key=lambda w: (len(w), w))]
+
+
+# coefficients over several denominators, so the routes below lift and cancel differently
+route_coeffs = st.builds(Fraction, st.integers(-12, 12), st.sampled_from([1, 2, 3, 4, 6, 9]))
+route_polys = st.dictionaries(exponents, route_coeffs, min_size=1, max_size=3).map(lambda t: Poly(DIM, t))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.lists(route_polys, min_size=DIM, max_size=DIM), route_polys, st.sampled_from([5, 7, 35]))
+def test_equal_elements_store_one_form_along_every_route(coeffs, f, q):
+    # one classical value a = sum_i a_i*d_i, built along several routes
+    gens = [FreeLRElem.generator(CHART, i) for i in range(DIM)]
+    routes = [
+        FreeLRElem(CHART, {(i,): p for i, p in enumerate(coeffs)}),
+        FreeLRElem.from_vfield(CHART, VField(coeffs)),
+        sum((g * p for g, p in zip(gens, coeffs)), FreeLRElem.zero(CHART)),
+        sum((p * g for g, p in reversed(list(zip(gens, coeffs)))), FreeLRElem.zero(CHART)),
+    ]
+    # a long word whose coefficient alone carries the factor q of the denominator
+    with_long = routes[0] + FreeLRElem(CHART, {(0, 1): Poly.const(DIM, Fraction(1, q))})
+    assert with_long.den % q == 0
+    routes += [
+        _drop_vertical(with_long, frozenset({1})),
+        FreeLRElem.from_vfield(CHART, project_to_lie(with_long)),
+        with_long - FreeLRElem(CHART, {(0, 1): Poly.const(DIM, Fraction(1, q))}),
+    ]
+    # [f*d_0, d_0] = -d_0(f)*d_0: a bracket result against the constructor
+    pairs = [
+        (free_bracket(gens[0] * f, gens[0]), FreeLRElem(CHART, {(0,): -f.derive(0)})),
+        (lie_bracket_ext(gens[0] * f, gens[0]), FreeLRElem(CHART, {(0,): -f.derive(0)})),
+    ]
+    pairs += [(u, routes[0]) for u in routes[1:]]
+    pairs.append((routes[2] * Fraction(1, q), FreeLRElem(CHART, {(i,): p * Fraction(1, q) for i, p in enumerate(coeffs)})))
+    for got, want in pairs:
+        assert_stored_elem(got)
+        assert (got.num, got.den) == (want.num, want.den) and got == want and hash(got) == hash(want)
+        assert dict(got.terms) == {w: Poly(DIM, p.terms) for w, p in want.terms.items()}
+        assert str(got) == reference_str(want) and got.to_json() == reference_json(want)
 
 
 @settings(max_examples=200, deadline=None)

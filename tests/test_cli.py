@@ -521,24 +521,37 @@ def test_cli_bracket_checks_word_lengths_before_any_product(tmp_path):
 @pytest.mark.parametrize(
     "max_degree, u, v, length",
     [
-        # D_x sums the terms of u over each letter before it brackets
-        (4, "1/2*x2^2*F[F[d0,d2],d1] + (-2*x0^2*x1^2*x2 - 3/2*x0*x2^2)*F[d0,d1]", "-x2^2*F[F[d0,d1],F[d0,d2]]", 5),
-        # in D_x(F[a,b]) = F[D_x a, b] + F[a, D_x b], a word whose terms cancel in
-        # the first bracket comes after that bracket's words, as in a sum of two elements
-        (
+        pytest.param(
+            4, ["1/2*x2^2*F[F[d0,d2],d1]", "(-2*x0^2*x1^2*x2 - 3/2*x0*x2^2)*F[d0,d1]"],
+            ["-x2^2*F[F[d0,d1],F[d0,d2]]"], 5, id="sum-over-letters",
+        ),
+        pytest.param(
             5,
-            "9*x0^2*x1*F[d0,F[F[d0,d1],d1]] + (5/3*x0^2*x1 - 4/3*x0*x2^2)*F[d0,d1]"
-            " + (-4*x0*x1 + 7/2*x0)*F[d0,F[d0,F[d0,d2]]] + (-3/7*x0*x1^2*x2 - 2/7)*F[d0,F[d0,d2]]"
-            " + (9/2*x0^2*x1^2*x2^2 - 2/7*x1^2*x2^2)*F[F[F[d0,d2],d2],d2]",
-            "x1^2*x2^2*F[F[d0,d2],F[d1,d2]]",
-            7,
+            [
+                "9*x0^2*x1*F[d0,F[F[d0,d1],d1]]", "(5/3*x0^2*x1 - 4/3*x0*x2^2)*F[d0,d1]",
+                "(-4*x0*x1 + 7/2*x0)*F[d0,F[d0,F[d0,d2]]]", "(-3/7*x0*x1^2*x2 - 2/7)*F[d0,F[d0,d2]]",
+                "(9/2*x0^2*x1^2*x2^2 - 2/7*x1^2*x2^2)*F[F[F[d0,d2],d2],d2]",
+            ],
+            ["x1^2*x2^2*F[F[d0,d2],F[d1,d2]]"], 7, id="cancelling-word",
+        ),
+        pytest.param(
+            5, ["2/3*x0*x1*x2^2*F[d1,F[F[d1,d2],d2]]"],
+            [
+                "(-1/3*x0^2*x1*x2 - 3/2*x0*x1*x2^2 - x1)*F[F[d0,d1],F[d0,d2]]",
+                "(-x0*x2^2 + x0*x1 - 2/3*x2^2)*F[d1,F[d1,d2]]",
+            ],
+            7, id="two-long-words",
         ),
     ],
 )
-def test_cli_lie_bracket_names_the_first_overflowing_derivation_bracket(max_degree, u, v, length):
-    r = run(["--dim", "3", "--max-degree", str(max_degree), "bracket", "lie", u, v])
-    message = f"bracket monomial of length {length} exceeds max_degree {max_degree}"
-    assert (r.returncode, r.stdout, r.stderr) == (2, "", f"igc: error: {message}\n")
+def test_cli_lie_bracket_overflow_names_the_longest_derived_bracket(max_degree, u, v, length):
+    # one value written in two term orders: every long word is derived before
+    # an overflow is raised, so both lines name the longest derived bracket
+    message = f"igc: error: bracket monomial of length {length} exceeds max_degree {max_degree}\n"
+    for terms in ((u, v), (u[::-1], v[::-1])):
+        line = [" + ".join(t) for t in terms]
+        r = run(["--dim", "3", "--max-degree", str(max_degree), "bracket", "lie", *line])
+        assert (r.returncode, r.stdout, r.stderr) == (2, "", message), line
 
 
 def test_cli_free_bracket_overflow_names_the_longest_bracket():

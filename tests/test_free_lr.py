@@ -27,7 +27,8 @@ from igc import (
     vf_apply,
     vf_bracket,
 )
-from igc import free_lr, lyndon
+from igc import free_lr, groupoid, lyndon
+from igc.chart_algebra import _nonzero_polys, _numerators
 from igc.lyndon import standard_factorization, tensor_expansion
 from igc.oracle import oracle_bracket, random_poly, random_vfield
 
@@ -251,6 +252,28 @@ def test_free_bracket_kernel_matches_term_by_term(case):
         assert _outcome(free_bracket, u, v) == got
 
 
+def reference_bracket(u, v, kernel, *args):
+    """A bracket kernel run over Poly coefficients: each operand lifted over the lcm of its
+    coefficients' denominators, and each output word reduced to its own Poly."""
+    (un, ud), (vn, vd) = _numerators(u.terms), _numerators(v.terms)
+    accs = {}
+    kernel(accs, un, vn, u.chart.max_degree, *args)
+    return FreeLRElem(u.chart, {LyndonWord(w): p for w, p in _nonzero_polys(u.chart.dim, accs, ud * vd).items()})
+
+
+@settings(max_examples=200, deadline=None)
+@given(bracket_cases())
+def test_brackets_match_the_poly_valued_reference(case):
+    # the stored numerators and the one reduction give each word's Poly route
+    chart, vertical, u, v = case
+    kept = [FreeLRElem(chart, {w: p for w, p in x.terms.items() if len(w) == 1 or not set(w) & vertical}) for x in (u, v)]
+    want = _outcome(reference_bracket, *kept, free_lr._free_bracket_into, vertical)
+    assert _outcome(free_bracket, u, v, RelativeSpec(chart, vertical)) == want
+    assert _outcome(lie_bracket_ext, u, v) == _outcome(reference_bracket, u, v, free_lr._lie_bracket_into)
+    defect = _outcome(free_lr._bracket, u, v, groupoid._free_minus_lie_into)
+    assert defect == _outcome(reference_bracket, u, v, groupoid._free_minus_lie_into)
+
+
 @st.composite
 def degree1_pairs(draw):
     """A chart of dimension 1-4 and two degree-1 elements with multi-term coefficients."""
@@ -350,8 +373,11 @@ def pinned_operand(rng, chart):
 # sha256 of the printed value or `class: message` refusal of each of the 1,000
 # seeded pairs below, recorded before lie_bracket_ext moved onto numerators;
 # pair 257 (1-based) then named the first overflowing bracket, length 5, and
-# now names the longest, length 6 (the kernel checks every pair first)
-LIE_BRACKET_EXT_SHA256 = "1061f82d7002ef68af7813b7b17a3af763dc8ec3ca3e01f634babca9e92a407a"
+# now names the longest, length 6 (the kernel checks every pair first).  Pairs
+# 50, 479 and 737 named the first long word of v whose derivation overflowed,
+# and now name the longest derived bracket over every long word of v (6 -> 7,
+# 4 -> 5 and 6 -> 7); no value and no other refusal moved
+LIE_BRACKET_EXT_SHA256 = "a9af4f915cc9bb23dbeb780141ad7a79c4a5b914f1244978eab77113c263541f"
 
 
 def test_lie_bracket_ext_outputs_are_pinned():
@@ -368,6 +394,11 @@ def test_lie_bracket_ext_outputs_are_pinned():
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == LIE_BRACKET_EXT_SHA256
 
 
+def reversed_terms(x):
+    """x built again with its terms in the reverse order."""
+    return FreeLRElem(x.chart, dict(reversed(list(x.terms.items()))))
+
+
 def test_free_bracket_refusal_does_not_depend_on_term_order():
     # every pair is checked before any product, and an overflow names the
     # longest nonzero bracket, so equal operands built in another term order
@@ -377,9 +408,23 @@ def test_free_bracket_refusal_does_not_depend_on_term_order():
     for _ in range(500):
         chart = ChartSpec(rng.randint(1, 3), rng.randint(1, 8))
         u, v = pinned_operand(rng, chart), pinned_operand(rng, chart)
-        ur, vr = (FreeLRElem(chart, dict(reversed(x.terms.items()))) for x in (u, v))
         got = _outcome(free_bracket, u, v)
-        assert _outcome(free_bracket, ur, vr) == got, (str(u), str(v))
+        assert _outcome(free_bracket, reversed_terms(u), reversed_terms(v)) == got, (str(u), str(v))
+        overflows += isinstance(got, tuple)
+    assert overflows > 100
+
+
+def test_lie_bracket_ext_refusal_does_not_depend_on_term_order():
+    # every long word is derived before an overflow is raised, and the
+    # overflow names the longest derived bracket, so equal operands built in
+    # another term order refuse with the same message
+    rng = Random(6)
+    overflows = 0
+    for _ in range(500):
+        chart = ChartSpec(rng.randint(1, 3), rng.randint(1, 8))
+        u, v = pinned_operand(rng, chart), pinned_operand(rng, chart)
+        got = _outcome(lie_bracket_ext, u, v)
+        assert _outcome(lie_bracket_ext, reversed_terms(u), reversed_terms(v)) == got, (str(u), str(v))
         overflows += isinstance(got, tuple)
     assert overflows > 100
 
@@ -390,9 +435,9 @@ def test_lie_bracket_ext_works_on_numerators(monkeypatch):
         raise AssertionError("free_bracket called")
 
     reductions = []
-    reduce = free_lr._nonzero_polys
+    reduce = free_lr._reduced_elem
     monkeypatch.setattr(free_lr, "free_bracket", refuse)
-    monkeypatch.setattr(free_lr, "_nonzero_polys", lambda *args: reductions.append(1) or reduce(*args))
+    monkeypatch.setattr(free_lr, "_reduced_elem", lambda *args: reductions.append(1) or reduce(*args))
     chart = ChartSpec(3, 6)
     rng = Random(29)
     u, v = random_elem(rng, chart, max_len=3), random_elem(rng, chart, max_len=3)

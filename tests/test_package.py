@@ -87,6 +87,20 @@ def test_no_count_or_index_is_tested_with_isinstance_int():
     assert found == []
 
 
+def test_only_free_lr_builds_a_free_lr_element_from_its_stored_form():
+    # the numerator storage of FreeLRElem is free_lr's decision: elsewhere an
+    # element is built through its public constructors or computed
+    found = [
+        f"{path.relative_to(ROOT)}:{n}"
+        for d in ("src", "tests", "perfbench")
+        for path in sorted((ROOT / d).rglob("*.py"))
+        if path not in (ROOT / "src" / "igc" / "free_lr.py", Path(__file__).resolve())
+        for n, line in enumerate(path.read_text().splitlines(), 1)
+        if "FreeLRElem._make(" in line
+    ]
+    assert found == []
+
+
 def src_modules():
     return [(path.stem, ast.parse(path.read_text())) for path in sorted((ROOT / "src" / "igc").glob("*.py"))]
 
