@@ -36,7 +36,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache
 from itertools import chain
-from math import gcd
+from math import gcd, lcm
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
@@ -46,37 +46,9 @@ from .chart_algebra import (
     _poly_text, _Record, _reduced, render_combination, vf_apply,
 )
 from .errors import ChartMismatchError, DegreeOverflowError, DomainError
+from .lyndon import LyndonWord
 
 Word = tuple[int, ...]
-
-
-class LyndonWord(tuple):
-    """An aperiodic word minimal among its rotations; basis label for monomials.
-
-    The word is its tuple of letters, so it equals, hashes and orders like
-    that tuple.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, letters: Sequence[int]):
-        letters = tuple(_int(a, "generator index") for a in letters)
-        if not lyndon.is_lyndon(letters):
-            raise DomainError(f"{letters} is not a Lyndon word")
-        return tuple.__new__(cls, letters)
-
-    @classmethod
-    def _make(cls, letters: Word) -> "LyndonWord":
-        """Wrap a tuple of ints that is already a Lyndon word."""
-        return tuple.__new__(cls, letters)
-
-    @property
-    def letters(self) -> Word:
-        """The letters as a plain tuple."""
-        return tuple(self)
-
-    def __repr__(self):
-        return f"LyndonWord{tuple.__repr__(self)}"
 
 
 class RelativeSpec(_Record, frozen=True):
@@ -289,26 +261,33 @@ def free_bracket(u: FreeLRElem, v: FreeLRElem, spec: RelativeSpec | None = None)
     vertical = spec.vertical if spec else frozenset()
     if spec and spec.chart != u.chart:
         raise ChartMismatchError("relative spec is for a different chart")
-    return _bracket(_drop_vertical(u, vertical), _drop_vertical(v, vertical), _free_bracket_into, vertical)
+    return _bracket(None, [(_drop_vertical(u, vertical), _drop_vertical(v, vertical))], _free_bracket_into, vertical)
 
 
-def _bracket(u: FreeLRElem, v: FreeLRElem, kernel, *args) -> FreeLRElem:
-    """What kernel(accs, un, vn, max_degree, *args) adds over the stored numerators of u and v.
+def _bracket(base: FreeLRElem | None, pairs: Sequence[tuple[FreeLRElem, FreeLRElem]], kernel, *args) -> FreeLRElem:
+    """base plus what kernel(accs, un, vn, max_degree, *args) adds over the stored numerators of each pair (u, v).
 
-    The sums are over the product of the denominators; the result takes one
-    exponent check over every key, drops the zero sums and is reduced once.
+    One accs sums all over L = lcm(base.den, each u.den*v.den), u's numerators scaled by L // (u.den*v.den),
+    exact as every kernel is bilinear.  The sum takes the one finish of every bracket result: one exponent
+    check over every key, zero sums included, the zero sums dropped and one reduction.
     """
-    accs: dict[Word, dict[int, int]] = {}
-    kernel(accs, u.num.items(), v.num.items(), u.chart.max_degree, *args)
-    _check_exponents(u.chart.dim, chain.from_iterable(accs.values()))
-    num = {}
-    for w, acc in accs.items():
-        if not all(acc.values()):
-            acc = {k: c for k, c in acc.items() if c}
-        if acc:
-            # operand words and monomial_bracket's Lyndon coordinates: every word is Lyndon
-            num[LyndonWord._make(w)] = acc
-    return _reduced_elem(u.chart, num, u.den * v.den)
+    chart = pairs[0][0].chart
+    den = lcm(base.den if base else 1, *(u.den * v.den for u, v in pairs))
+    accs = {w: {k: c * (den // base.den) for k, c in n.items()} for w, n in base.num.items()} if base else {}
+    for done, (u, v) in enumerate(pairs):
+        s = den // (u.den * v.den)
+        un = u.num.items() if s == 1 else [(w, {k: c * s for k, c in n.items()}) for w, n in u.num.items()]
+        try:
+            kernel(accs, un, v.num.items(), chart.max_degree, *args)
+        except DomainError:
+            # an exponent overflow of an earlier pair is refused first, as when each pair is finished alone
+            if done:
+                _bracket(None, pairs[:done], kernel, *args)
+            raise
+    _check_exponents(chart.dim, chain.from_iterable(accs.values()))
+    # operand words and monomial_bracket's coordinates are LyndonWords already
+    num = {w: a for w, acc in accs.items() if (a := acc if all(acc.values()) else {k: c for k, c in acc.items() if c})}
+    return _reduced_elem(chart, num, den)
 
 
 def _free_bracket_into(accs: dict, un, vn, max_degree: int, vertical: frozenset[int] = frozenset()):
@@ -346,7 +325,7 @@ def lie_bracket_ext(u: FreeLRElem, v: FreeLRElem) -> FreeLRElem:
     derived before any product is formed, and an overflow names the longest derived bracket.
     """
     u._check(v)
-    return _bracket(u, v, _lie_bracket_into)
+    return _bracket(None, [(u, v)], _lie_bracket_into)
 
 
 def _lie_bracket_into(accs: dict, un, vn, max_degree: int, sign: int = 1):

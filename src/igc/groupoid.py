@@ -38,8 +38,7 @@ from .errors import (
     NotClosedError,
     NotFlagReducibleError,
 )
-from .free_lr import FreeLRElem, _bracket, _free_bracket_into, _lie_bracket_into, free_bracket, lie_bracket_ext
-from .free_lr import project_to_lie
+from .free_lr import FreeLRElem, _bracket, _free_bracket_into, _lie_bracket_into, project_to_lie
 from .polyvector import Polyvector, wedge
 
 Subset = frozenset[int]
@@ -72,9 +71,9 @@ class KField(_Record, frozen=True):
     # supported pairs instead, at most (3^8 - 2*2^8 + 1)/2 = 3,025 of them;
     # every arity in the checks is at most 6
     MAX_ACTION_ARITY = 8
-    # longest word `act` takes: each letter is one swap walk, 2 to 7 ms on an
-    # 8-slot field with 4 to all 255 index sets supported, so a word at the
-    # limit ends within about 4 s
+    # longest word `act` takes: each letter is one swap walk, about 2 ms on
+    # an 8-slot field with 4 index sets supported and 16 ms with all 255 set
+    # to degree-1 fields, so a word at the limit ends within about 8 s
     MAX_WORD_LENGTH = 500
 
     def __init__(self, chart: ChartSpec, arity: int, components: Mapping[Subset, FreeLRElem] | None = None):
@@ -267,23 +266,25 @@ def _all_subsets(k: int):
         yield from (frozenset(c) for c in combinations(range(k), size))
 
 
-def _act_by_transposition(nu: KField, i: int, j: int, bracket: Callable) -> KField:
+def _act_by_transposition(nu: KField, i: int, j: int, kernel: Callable) -> KField:
     """One application of the swap-action formula for the transposition (i j).
 
     The image of an index set s under (i j) is s ^ {i, j} when s holds
     exactly one of i and j, and s itself otherwise.  A splitting of a fixed
     index set is looked up before its swapped parts are formed: only a
-    splitting into two supported parts can add a bracket.
+    splitting into two supported parts can add a bracket.  The flipped pairs
+    of a fixed index set are gathered first and summed with its component by
+    one `_bracket` call through the flavor's kernel, so it is reduced once.
     """
     pair = frozenset((i, j))
     get = nu.components.get
-    zero = FreeLRElem.zero(nu.chart)
     comps: dict[Subset, FreeLRElem] = {}
     for phi in _all_subsets(nu.arity):
         if (i in phi) != (j in phi):
-            elem = get(phi ^ pair, zero)
+            elem = get(phi ^ pair)
         else:
-            elem = get(phi, zero)
+            elem = get(phi)
+            flips = []
             for part1, part2 in _oriented_decompositions(phi):
                 a, b = get(part1), get(part2)
                 if a is None or b is None:
@@ -291,8 +292,9 @@ def _act_by_transposition(nu: KField, i: int, j: int, bracket: Callable) -> KFie
                 image1 = part1 ^ pair if (i in part1) != (j in part1) else part1
                 image2 = part2 ^ pair if (i in part2) != (j in part2) else part2
                 if _subset_key(image1) > _subset_key(image2):
-                    elem = elem + bracket(a, b)
-        if not elem.is_zero():
+                    flips.append((a, b))
+            elem = _bracket(elem, flips, kernel) if flips else elem
+        if elem:
             comps[phi] = elem
     return KField._make(nu.chart, nu.arity, comps)
 
@@ -319,10 +321,10 @@ def act(word: Sequence[int], nu: KField, flavor: str = "free") -> KField:
     _budget(len(word), KField, "MAX_WORD_LENGTH", "word length")
     for i in word:
         _index(i, nu.arity - 1, "swap generator")
-    bracket = _action_bracket(nu, flavor)
+    kernel = _action_kernel(nu, flavor)
     out = nu
     for i in word:
-        out = _act_by_transposition(out, i, i + 1, bracket)
+        out = _act_by_transposition(out, i, i + 1, kernel)
     return out
 
 
@@ -333,16 +335,16 @@ def act_transposition(nu: KField, i: int, j: int, flavor: str = "free") -> KFiel
     containing both i and j untouched up to relabeling, in both flavors.
     """
     _check_pair(i, j, nu.arity)
-    return _act_by_transposition(nu, i, j, _action_bracket(nu, flavor))
+    return _act_by_transposition(nu, i, j, _action_kernel(nu, flavor))
 
 
-def _action_bracket(nu: KField, flavor: str) -> Callable[[FreeLRElem, FreeLRElem], FreeLRElem]:
-    """The bracket of `flavor`, once nu's arity is within the swap action's budget."""
+def _action_kernel(nu: KField, flavor: str) -> Callable:
+    """The numerator kernel of `flavor`'s bracket, once nu's arity is within the swap action's budget."""
     _budget(nu.arity, KField, "MAX_ACTION_ARITY", "arity")
     if flavor == "free":
-        return free_bracket
+        return _free_bracket_into
     if flavor == "lie":
-        return lie_bracket_ext
+        return _lie_bracket_into
     raise DomainError(f"unknown bracket flavor {flavor!r}; use 'free' or 'lie'")
 
 
@@ -415,7 +417,7 @@ def _flip_sums(nu: KField, flipped: list[tuple[Subset, Subset]], defects: dict) 
 def _defect(nu: KField, pq: tuple[Subset, Subset], defects: dict) -> FreeLRElem:
     """D(p, q) = free_bracket(a_p, a_q) - lie_bracket_ext(a_p, a_q), one numerator dict per word, kept in `defects`."""
     if pq not in defects:
-        defects[pq] = _bracket(nu.components[pq[0]], nu.components[pq[1]], _free_minus_lie_into)
+        defects[pq] = _bracket(None, [(nu.components[pq[0]], nu.components[pq[1]])], _free_minus_lie_into)
     return defects[pq]
 
 

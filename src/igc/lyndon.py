@@ -14,11 +14,44 @@ coefficients stay integral (the leading coefficient of b(w) is 1).
 from __future__ import annotations
 
 from itertools import product
+from typing import Sequence
+
+from .chart_algebra import _int
+from .errors import DomainError
 
 Word = tuple[int, ...]
 
 _EXPANSION_CACHE: dict[Word, dict[Word, int]] = {}
-_BRACKET_CACHE: dict[tuple[Word, Word], dict[Word, int]] = {}
+_BRACKET_CACHE: dict[tuple[Word, Word], dict[LyndonWord, int]] = {}
+
+
+class LyndonWord(tuple):
+    """An aperiodic word minimal among its rotations; basis label for monomials.
+
+    The word is its tuple of letters, so it equals, hashes and orders like
+    that tuple.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, letters: Sequence[int]):
+        letters = tuple(_int(a, "generator index") for a in letters)
+        if not is_lyndon(letters):
+            raise DomainError(f"{letters} is not a Lyndon word")
+        return tuple.__new__(cls, letters)
+
+    @classmethod
+    def _make(cls, letters: Word) -> "LyndonWord":
+        """Wrap a tuple of ints that is already a Lyndon word."""
+        return tuple.__new__(cls, letters)
+
+    @property
+    def letters(self) -> Word:
+        """The letters as a plain tuple."""
+        return tuple(self)
+
+    def __repr__(self):
+        return f"LyndonWord{tuple.__repr__(self)}"
 
 
 def is_lyndon(word: Word) -> bool:
@@ -72,8 +105,8 @@ def _commutator(e1: dict[Word, int], e2: dict[Word, int]) -> dict[Word, int]:
     return {w: c for w, c in out.items() if c}
 
 
-def lie_to_lyndon(tensor: dict[Word, int]) -> dict[Word, int]:
-    """Lyndon coordinates of a Lie element given by its tensor-word expansion."""
+def lie_to_lyndon(tensor: dict[Word, int]) -> dict[LyndonWord, int]:
+    """Lyndon coordinates of a Lie element given by its tensor-word expansion, keyed by LyndonWord."""
     by_len: dict[int, dict[Word, int]] = {}
     for w, c in tensor.items():
         if c:
@@ -92,11 +125,11 @@ def lie_to_lyndon(tensor: dict[Word, int]) -> dict[Word, int]:
                     work[w2] = s
                 else:
                     work.pop(w2, None)
-    return {w: c for w, c in out.items() if c}
+    return {LyndonWord._make(w): c for w, c in out.items() if c}
 
 
-def monomial_bracket(w1: Word, w2: Word) -> dict[Word, int]:
-    """Bracket of two standard bracketings, as Lyndon coordinates."""
+def monomial_bracket(w1: Word, w2: Word) -> dict[LyndonWord, int]:
+    """Bracket of two standard bracketings, as Lyndon coordinates; each word is wrapped once, when cached."""
     if w1 == w2:
         return {}
     key = (w1, w2)

@@ -659,6 +659,15 @@ def test_cli_coefficient_budget():
         (["--format", "json", "reduce", chain], 2, printed),
         (["bracket", "free", "x0^9223372036854775807*d0", "x0*d1"], 2,
          f"igc: error: monomial exponent exceeds the budget of Poly.MAX_EXPONENT = {Poly.MAX_EXPONENT}\n"),
+        # the same refusals from a bracket the swap walk forms
+        (["act", "0", "free", "K{arity=2; 0: x0^9223372036854775807*d0; 1: x0*d1}"], 2,
+         f"igc: error: monomial exponent exceeds the budget of Poly.MAX_EXPONENT = {Poly.MAX_EXPONENT}\n"),
+        (["--max-degree", "1", "act", "0", "free", "K{arity=2; 0: d0; 1: d1}"], 2,
+         "igc: error: bracket monomial of length 2 exceeds max_degree 1\n"),
+        # both flips at {0,1,2} refuse; the first, ({0}, {1,2}), is the one named
+        (["--max-degree", "2", "act", "0", "free",
+          "K{arity=3; 0: x0^9223372036854775807*d0; 1,2: x0*d1; 0,2: F[d0,d1]; 1: d0}"], 2,
+         f"igc: error: monomial exponent exceeds the budget of Poly.MAX_EXPONENT = {Poly.MAX_EXPONENT}\n"),
     ]
     for args, code, stderr in cases:
         r = subprocess.run(

@@ -270,7 +270,7 @@ def test_brackets_match_the_poly_valued_reference(case):
     want = _outcome(reference_bracket, *kept, free_lr._free_bracket_into, vertical)
     assert _outcome(free_bracket, u, v, RelativeSpec(chart, vertical)) == want
     assert _outcome(lie_bracket_ext, u, v) == _outcome(reference_bracket, u, v, free_lr._lie_bracket_into)
-    defect = _outcome(free_lr._bracket, u, v, groupoid._free_minus_lie_into)
+    defect = _outcome(free_lr._bracket, None, [(u, v)], groupoid._free_minus_lie_into)
     assert defect == _outcome(reference_bracket, u, v, groupoid._free_minus_lie_into)
 
 

@@ -1,5 +1,6 @@
 """Subset-indexed fields: faces, products, actions, homotopies, reduction."""
 
+from fractions import Fraction
 from itertools import combinations, permutations
 from random import Random
 
@@ -517,10 +518,51 @@ def reference_act_by_transposition(nu: KField, i: int, j: int, flavor: str) -> K
     return KField(nu.chart, nu.arity, comps)
 
 
+PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
+
+
+def multi_flip_fields(rng: Random, chart: ChartSpec) -> list[KField]:
+    """Fields of arity 3-5 supported on every index set, over unlike denominators.
+
+    Every swap then flips two or more splittings of {0..k-1} and of other
+    fixed index sets.  The second field of each arity holds a length-2 word
+    at {0}, so that its words stay within max_degree 6 along any word of swaps.
+    """
+    fields = []
+    for k in (3, 4, 5):
+        subsets = [frozenset(c) for size in range(1, k + 1) for c in combinations(range(k), size)]
+        for long_word in (False, True):
+            comps = {}
+            for idx, phi in enumerate(subsets):
+                a = FreeLRElem.from_vfield(chart, random_vfield(rng, 2, degree=1, terms=2))
+                if long_word and phi == {0}:
+                    a = a + free_bracket(a, FreeLRElem.generator(chart, 1))
+                comps[phi] = a * Fraction(1, PRIMES[idx % len(PRIMES)])
+            fields.append(KField(chart, k, comps))
+    # the corrections the swap (0 1) adds at {0, 1, 2} cancel its component exactly
+    full = frozenset(range(3))
+    for flavor in ("free", "lie"):
+        rest = {phi: e for phi, e in fields[0].components.items() if phi != full}
+        corrections = reference_act_by_transposition(KField(chart, 3, rest), 0, 1, flavor).component(full)
+        nu = KField(chart, 3, {**rest, full: -corrections})
+        assert not corrections.is_zero() and full not in act([0], nu, flavor).components
+        fields.append(nu)
+    return fields
+
+
+def assert_rebuilds(nu: KField):
+    """Every component is what the public constructor builds from its terms, num and den alike."""
+    for elem in nu.components.values():
+        rebuilt = FreeLRElem(nu.chart, elem.terms)
+        assert (rebuilt.num, rebuilt.den) == (elem.num, elem.den) and hash(rebuilt) == hash(elem)
+    rebuilt = KField(nu.chart, nu.arity, nu.components)
+    assert rebuilt == nu and str(rebuilt) == str(nu)
+
+
 def test_swap_action_matches_the_subset_key_reference():
     rng = Random(73)
     chart = ChartSpec(2, 6)
-    fields = []
+    fields = multi_flip_fields(rng, chart)
     for idx in range(60):
         k = 2 + idx % 5
         subsets = [frozenset(c) for size in range(1, k + 1) for c in combinations(range(k), size)]
@@ -535,9 +577,11 @@ def test_swap_action_matches_the_subset_key_reference():
             for i in range(nu.arity - 1):
                 got, want = act([i], nu, flavor), reference_act_by_transposition(nu, i, i + 1, flavor)
                 assert got == want and str(got) == str(want), (str(nu), i, flavor)
+                assert_rebuilds(got)
             for i, j in combinations(range(nu.arity), 2):
                 got, want = act_transposition(nu, i, j, flavor), reference_act_by_transposition(nu, i, j, flavor)
                 assert got == want and str(got) == str(want), (str(nu), i, j, flavor)
+                assert_rebuilds(got)
             # a word of up to four letters, folded one letter at a time
             word = [rng.randrange(nu.arity - 1) for _ in range(rng.randint(2, 4))]
             want = nu
@@ -545,6 +589,28 @@ def test_swap_action_matches_the_subset_key_reference():
                 want = reference_act_by_transposition(want, i, i + 1, flavor)
             got = act(word, nu, flavor)
             assert got == want and str(got) == str(want), (str(nu), word, flavor)
+
+
+@pytest.mark.parametrize("flavor", ["free", "lie"])
+def test_swap_walk_reduces_each_corrected_component_once(monkeypatch, flavor):
+    from igc import free_lr
+
+    # under (0 1) the splittings {0} | {1,2,3} and {0,2,3} | {1} of {0,1,2,3}
+    # both flip, and so does {0} | {1}; no other fixed index set is corrected
+    rng = Random(74)
+    support = [{0}, {1}, {2}, {3}, {1, 2, 3}, {0, 2, 3}]
+    nu = KField(CHART, 4, {
+        frozenset(phi): FreeLRElem.from_vfield(CHART, random_vfield(rng, 2, degree=1, terms=2)) * Fraction(1, p)
+        for phi, p in zip(support, PRIMES)
+    })
+    reductions = []
+    reduce = free_lr._reduced_elem
+    monkeypatch.setattr(free_lr, "_reduced_elem", lambda *args: reductions.append(1) or reduce(*args))
+    got = act([0], nu, flavor)
+    monkeypatch.undo()
+    assert got == reference_act_by_transposition(nu, 0, 1, flavor)
+    assert {frozenset({0, 1}), frozenset(range(4))} <= got.support()
+    assert len(reductions) <= 2
 
 
 # two pairs with union {0,1,2} whose defects cancel at (0, 1) but not at (0, 2)
@@ -687,7 +753,7 @@ def test_reducing_a_chain_takes_no_bracket(monkeypatch):
     def refuse(*args):
         raise AssertionError("a chain has no disjoint pair to test or bracket")
 
-    for name in ("is_trivial_homotopy", "free_bracket", "lie_bracket_ext"):
+    for name in ("is_trivial_homotopy", "_bracket"):
         monkeypatch.setattr(groupoid, name, refuse)
     x0d1 = VField([Poly.zero(2), X0])
     chain = KField.from_vfields(CHART, 4, {frozenset({1}): D0V, frozenset({1, 3}): x0d1, frozenset(range(4)): x0d1})
