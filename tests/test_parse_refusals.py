@@ -1,0 +1,66 @@
+"""The parser's refusals, pinned row by row: the exact message, where it points and the exit code.
+
+Each row is one CLI line run in process through `igc.cli.main`.  A parse
+error prints "igc: parse error: MESSAGE (line L, column C)" and exits 1; a
+refusal of a value prints "igc: error: MESSAGE" and exits 2, with no
+position.  The rows hold how a term is read to its refusals: rewriting the
+reader must leave every one of them as it is.
+"""
+
+import pytest
+
+from igc.cli import main
+
+V = "(3/4*x0 - x1^2)*d0 + x1*d1"
+DEEP = "(" * 101 + "d0" + ")" * 101
+EXPONENT = "monomial exponent exceeds the budget of Poly.MAX_EXPONENT = 9223372036854775807"
+
+# (argv, message, (line, column) of a parse error or None, exit code)
+ROWS = [
+    # the five shapes of a parse error in the session-mix benchmark, inside a K literal
+    (["--dim", "2", "cup", f"K{{arity=2; 0: ({V}; 0,1: d1}}", "d0"], "expected ')', found ';'", (1, 42), 1),
+    (["--dim", "2", "cup", f"K{{arity=2; 0: {V} +; 0,1: d1}}", "d0"], "unexpected token ';'", (1, 43), 1),
+    (["--dim", "2", "cup", "K{arity=2; 0: x3*d0; 0,1: d1}", "d0"],
+     "coordinate x3 out of range for dimension 2", (1, 15), 1),
+    (["--dim", "2", "cup", "K{arity=2; 0: d0; 0,1: d5}", "d0"], "generator d5 out of range for dimension 2", (1, 24), 1),
+    (["--dim", "2", "cup", f"K{{arity=2; 0: undefined_7 + {V}; 0,1: d1}}", "d0"],
+     "unknown identifier 'undefined_7'", (1, 15), 1),
+    # a factor the monomial reader does not take, after factors it does
+    (["--dim", "2", "cup", "K{arity=2; 0: -2/3*x1*--x0^2*x4*d0}", "d0"],
+     "coordinate x4 out of range for dimension 2", (1, 30), 1),
+    (["--dim", "2", "cup", "K{arity=2; 0: 2*x0*1/0*d0}", "d0"], "division by zero", (1, 22), 1),
+    (["--dim", "2", "cup", "K{arity=2; 0: 2*x0*1/x1*d0}", "d0"], "expected an integer denominator", (1, 22), 1),
+    # the exponent, digit and nesting budgets
+    (["--dim", "2", "bracket", "lie", "x0^9223372036854775807*x0*d0", "d1"], EXPONENT, None, 2),
+    (["--dim", "2", "bracket", "lie", "x0^9223372036854775808*d0", "d1"], EXPONENT, None, 2),
+    (["--dim", "1", "bracket", "lie", "2^100000000*d0", "d0"],
+     "polynomial power exceeds the coefficient budget of Poly.MAX_DIGITS = 4300 digits", None, 2),
+    (["--dim", "1", "bracket", "lie", DEEP, "d0"],
+     "expression nests deeper than the parser budget of _Parser.MAX_NESTING = 100 levels", (1, 101), 1),
+    # malformed terms, and sums of a polynomial and a field
+    (["--dim", "2", "bracket", "lie", "1/0*x0", "d1"], "division by zero", (1, 3), 1),
+    (["--dim", "2", "bracket", "lie", "x0^-1", "d1"], "unexpected token '-'", (1, 4), 1),
+    (["--dim", "2", "bracket", "lie", "x0 + d0", "d1"], "expected a field element, got Poly(x0)", None, 2),
+    (["--dim", "2", "bracket", "lie", "x0 - 1/2 + x1*x1 + d0", "d1"],
+     "expected a field element, got Poly(x1^2 + x0 - 1/2)", None, 2),
+    (["--dim", "2", "bracket", "lie", "d0 + x0 - x1", "d1"], "expected a field element, got Poly(x0)", None, 2),
+    (["--dim", "2", "bracket", "lie", "2*3/4*x0 + x1 + K{arity=1; 0: d0}", "d1"],
+     "k-fields have no global addition; additions are face-wise", None, 2),
+]
+
+
+@pytest.mark.parametrize("argv, message, at, code", ROWS, ids=[f"row{n}" for n in range(len(ROWS))])
+def test_parser_refusal_is_pinned(argv, message, at, code, capsys):
+    assert main(argv) == code
+    out, err = capsys.readouterr()
+    assert out == ""
+    if at is None:
+        assert err == f"igc: error: {message}\n"
+    else:
+        assert err == f"igc: parse error: {message} (line {at[0]}, column {at[1]})\n"
+
+
+def test_a_zero_factor_hides_a_later_exponent_overflow(capsys):
+    # a product with a zero factor is zero before its exponents are added
+    assert main(["--dim", "2", "bracket", "lie", "0*x0^9223372036854775807*x0*d0", "d1"]) == 0
+    assert capsys.readouterr() == ("0\n", "")
