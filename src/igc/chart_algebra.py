@@ -329,12 +329,7 @@ class Poly(_Record, frozen=True):
             p, q = q, p
         if len(p) > 1:
             return _product_poly(self.dim, _mul_into({}, p, q), self.den * o.den)
-        # a monomial shifts the exponents of the other factor injectively
-        _budget(len(q), Poly, "MAX_POW_PRODUCTS", _PRODUCTS)
-        ((e1, c1),) = p.items()
-        num = {e1 + e2: c1 * c2 for e2, c2 in q.items()}
-        _check_exponents(self.dim, num)
-        return _reduced(self.dim, num, self.den * o.den)
+        return _reduced(self.dim, _shifted(self.dim, p, q), self.den * o.den)
 
     __rmul__ = __mul__
 
@@ -437,6 +432,15 @@ def _mul_into(acc: dict[int, int], p: Mapping[int, int], q: Mapping[int, int]) -
             k = k1 + k2
             acc[k] = get(k, 0) + c1 * c2
     return acc
+
+
+def _shifted(dim: int, p: Mapping[int, int], q: Mapping[int, int]) -> dict[int, int]:
+    """The product of a one-term numerator dict p and q: p's key shifts q's keys injectively."""
+    _budget(len(q), Poly, "MAX_POW_PRODUCTS", _PRODUCTS)
+    ((e1, c1),) = p.items()
+    num = {e1 + e2: c1 * c2 for e2, c2 in q.items()}
+    _check_exponents(dim, num)
+    return num
 
 
 def _product_poly(dim: int, acc: dict[int, int], den: int) -> Poly:

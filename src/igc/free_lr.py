@@ -43,7 +43,7 @@ from typing import Iterable, Mapping, Sequence
 from . import lyndon
 from .chart_algebra import (
     ChartSpec, Poly, VField, _accumulate, _check_exponents, _derivation_into, _index, _int, _mul_into, _numerators,
-    _poly_text, _Record, _reduced, render_combination, vf_apply,
+    _poly_text, _Record, _reduced, _shifted, render_combination, vf_apply,
 )
 from .errors import ChartMismatchError, DegreeOverflowError, DomainError
 from .lyndon import LyndonWord
@@ -164,6 +164,10 @@ class FreeLRElem(_Record, frozen=True):
             return FreeLRElem.zero(self.chart)
         if other.dim != self.chart.dim:
             raise ChartMismatchError("polynomials live on charts of different dimension")
+        if len(self.num) == 1 and len(n := next(iter(self.num.values()))) == 1:
+            # one word with a monomial coefficient, as d_i, shifts the keys of other
+            (w,) = self.num
+            return _reduced_elem(self.chart, {w: _shifted(other.dim, n, other.num)}, self.den * other.den)
         num = {}
         for w, n in self.num.items():
             acc = _mul_into({}, n, other.num)

@@ -5,15 +5,19 @@ and `F[a,b]` brackets), subset-indexed k-fields (`K{arity=2; 0: d0; ...}`
 literals or cup/compose/... calls) and polyvectors (`a ^ b` wedges).  The
 caret is type-dispatched: integer power on polynomials, wedge on fields.
 Errors carry line and column.
+
+A term's leading factors INT, INT/INT, xI and xI^INT are read into one packed
+monomial, and a sum's polynomial terms into one numerator dict, reduced once.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Any
 
-from .chart_algebra import ChartSpec, Poly, _Record
+from .chart_algebra import _EXPONENT_OVERFLOW, ChartSpec, Poly, _accumulate, _poly, _Record, _reduced, _top_bits
 from .errors import DomainError
 from .free_lr import FreeLRElem, free_bracket, project_to_lie
 from .groupoid import KField, compose, cup, face, homotopy, strong_diff
@@ -95,6 +99,7 @@ class _Parser:
         self.kind, self.text, _ = self.tokens[0]
         self.depth = 0
         self.session = session
+        self.dim = session.chart.dim
 
     def _advance(self) -> str:
         """Move past the current token and return its text."""
@@ -129,19 +134,64 @@ class _Parser:
                 f"expression nests deeper than the parser budget of _Parser.MAX_NESTING = {self.MAX_NESTING} levels"
             )
         value = self.product()
+        # polynomial terms wait here; a term of another type first turns them into the Poly value `_add` sees
+        polys = [("+", value)] if type(value) is Poly and value.dim == self.dim else None
         while self.text == "+" or self.text == "-":
             op = self._advance()
             rhs = self.product()
+            if polys is not None:
+                if type(rhs) is Poly and rhs.dim == self.dim:
+                    polys.append((op, rhs))
+                    continue
+                value, polys = _poly_sum(self.dim, polys), None
             value = _add(value, rhs if op == "+" else _neg(rhs), self.session.chart)
         self.depth -= 1
-        return value
+        return value if polys is None else _poly_sum(self.dim, polys)
 
     def product(self):
-        value = self.unary()
+        value = self.leading_factors()
         while self.text == "*":
             self._advance()
             value = _mul(value, self.unary())
         return value
+
+    def leading_factors(self):
+        """A product's leading run of factors INT, INT/INT, xI and xI^INT, each after any minuses, as one monomial
+        whose key is checked per factor as a product checks it, else its first factor.  A factor that may be refused
+        (INT^.., INT/0, xI past the chart, xI^INT past MAX_EXPONENT, a second ^) ends the run, read as before."""
+        tokens, dim = self.tokens, self.dim
+        if (factor := self._monomial_factor(self.pos, dim)) is None:
+            return self.unary()
+        num, den, key, pos = factor
+        while tokens[pos][1] == "*" and (factor := self._monomial_factor(pos + 1, dim)):
+            n, d, k, pos = factor
+            num, den, key = num * n, den * d, key + k
+            if num and key & _top_bits(dim):
+                raise DomainError(_EXPONENT_OVERFLOW)
+        self.pos = pos
+        self.kind, self.text, _ = tokens[pos]
+        g = gcd(num, den)
+        return _poly(dim, {key: num // g} if num else {}, den // g)
+
+    def _monomial_factor(self, at: int, dim: int) -> tuple[int, int, int, int] | None:
+        """Numerator, denominator and key of a monomial factor at token index at, and the index after it."""
+        tokens = self.tokens
+        sign = 1
+        while tokens[at][1] == "-":
+            sign, at = -sign, at + 1
+        kind, text, _ = tokens[at]
+        if kind == "int":
+            if tokens[at + 1][1] != "/":
+                return None if tokens[at + 1][1] == "^" else (sign * int(text), 1, 0, at + 1)
+            ok = tokens[at + 2][0] == "int" and tokens[at + 3][1] != "^" and (den := int(tokens[at + 2][1]))
+            return (sign * int(text), den, 0, at + 3) if ok else None
+        if kind != "ident" or not (m := _VAR_RE.match(text)) or (i := int(m[1])) >= dim:
+            return None
+        if tokens[at + 1][1] != "^":
+            return sign, 1, 1 << (64 * i), at + 1
+        # the grammar reads an exponent INT/INT or INT^.., and refuses one past MAX_EXPONENT
+        ok = tokens[at + 2][0] == "int" and tokens[at + 3][1] not in ("^", "/")
+        return (sign, 1, e << (64 * i), at + 3) if ok and (e := int(tokens[at + 2][1])) <= Poly.MAX_EXPONENT else None
 
     def unary(self):
         signs = 0
@@ -161,19 +211,17 @@ class _Parser:
         return value
 
     def atom(self):
-        dim = self.session.chart.dim
         if self.kind == "int":
             num = int(self._advance())
             if self.text == "/":
                 self._advance()
                 if self.kind != "int":
                     self._error("expected an integer denominator")
-                den = int(self.text)
-                if den == 0:
+                if not (den := int(self.text)):
                     self._error("division by zero")
                 self._advance()
-                return Poly.const(dim, Fraction(num, den))
-            return Poly.const(dim, num)
+                return Poly.const(self.dim, Fraction(num, den))
+            return Poly.const(self.dim, num)
         if self.text == "(":
             self._advance()
             value = self.sum()
@@ -186,7 +234,7 @@ class _Parser:
     def ident_atom(self):
         at = self.pos
         name = self._advance()
-        dim = self.session.chart.dim
+        dim = self.dim
         if name == "F" and self.text == "[":
             self._advance()
             lhs = as_elem(self.sum(), self.session.chart)
@@ -196,16 +244,12 @@ class _Parser:
             return free_bracket(lhs, rhs)
         if name == "K" and self.text == "{":
             return self.kfield_literal()
-        m = _VAR_RE.match(name)
-        if m:
-            i = int(m.group(1))
-            if i >= dim:
+        if m := _VAR_RE.match(name):
+            if (i := int(m.group(1))) >= dim:
                 self._error(f"coordinate x{i} out of range for dimension {dim}", at)
             return Poly.var(dim, i)
-        m = _GEN_RE.match(name)
-        if m:
-            i = int(m.group(1))
-            if i >= dim:
+        if m := _GEN_RE.match(name):
+            if (i := int(m.group(1))) >= dim:
                 self._error(f"generator d{i} out of range for dimension {dim}", at)
             return FreeLRElem.generator(self.session.chart, i)
         if self.text == "(":
@@ -342,6 +386,18 @@ def apply_operation(name: str, args: list, chart: ChartSpec, read, index):
 
 
 # type-dispatched operators ---------------------------------------------------
+
+
+def _poly_sum(dim: int, terms: list[tuple[str, Poly]]) -> Poly:
+    """The sum of the terms (op, p), op "+" or "-", over the lcm of their denominators, reduced once."""
+    if len(terms) == 1:
+        return terms[0][1]
+    den = lcm(*(p.den for _, p in terms))
+    acc: dict[int, int] = {}
+    for op, p in terms:
+        s = den // p.den if op == "+" else -(den // p.den)
+        _accumulate(acc, [(k, s * c) for k, c in p.num.items()])
+    return _reduced(dim, acc, den)
 
 
 def _neg(v):

@@ -15,7 +15,7 @@ import pytest
 from igc import ChartSpec, DomainError, FreeLRElem, KField, Poly, Polyvector, VField, cup
 from igc.cli import CommandOutcome, UsageError, main, run_command
 from igc.parsing import ParseError, Session, as_kfield, parse_expression
-from igc.oracle import random_vfield
+from igc.oracle import random_kfield, random_vfield
 
 
 def session(dim=2, max_degree=4):
@@ -69,6 +69,8 @@ def test_parse_wedge_is_type_dispatched():
     assert str(value) == "d0 ^ d1"
     scaled = parse_expression("x0*d0 ^ d1", s)
     assert scaled == Polyvector(2, {(0, 1): Poly.var(2, 0)})
+    # a polyvector plus a polyvector
+    assert str(parse_expression("d0^d1 + x0*d0^d1", s)) == "(x0 + 1)*d0 ^ d1"
 
 
 def test_parse_kfield_literal_roundtrip():
@@ -109,6 +111,54 @@ def test_print_parse_roundtrip_random():
             KField.from_vfields(s.chart, 1, {frozenset({0}): random_vfield(rng, 2)}),
         )
         assert as_kfield(parse_expression(str(field), s), s.chart) == field
+
+
+def test_a_bound_polynomial_of_another_chart_is_refused_in_a_sum():
+    # a sum adds only the polynomials of the session's chart into one numerator dict
+    s = Session(ChartSpec(2), {"p": Poly.var(3, 2)})
+    for expr in ("p + x0", "x0 - p", "x0 + 1 + p"):
+        with pytest.raises(DomainError, match="polynomials live on charts of different dimension"):
+            parse_expression(expr, s)
+
+
+def test_an_exponent_overflow_is_refused_at_the_factor_that_makes_it():
+    # two fields of 2^63 - 1 and a third factor would carry into the next
+    # variable's field if the sum were checked only at the end
+    big = f"x0^{Poly.MAX_EXPONENT}"
+    for expr in (f"{big}*{big}*x0^2", f"{big}*{big}*x0^2*d0", f"-3/4*{big}*x1*-{big}*x0*x0"):
+        with pytest.raises(DomainError, match="exceeds the budget of Poly.MAX_EXPONENT"):
+            parse_expression(expr, session())
+    assert str(parse_expression(f"{big}*x1^{Poly.MAX_EXPONENT}", session())) == f"{big}*x1^{Poly.MAX_EXPONENT}"
+
+
+def test_a_printed_literal_builds_no_polynomial_per_token(monkeypatch):
+    # each term is read into packed numerators: no Poly per literal or
+    # coordinate, no product kernel, and one reduction per parenthesized sum
+    import igc
+
+    s = session(3)
+    nu = random_kfield(Random(5), s.chart, 3, terms=3)
+    text = str(nu)
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls.append(name)
+            return fn(*args)
+
+        return wrapper
+
+    for module in (igc.chart_algebra, igc.free_lr, igc.groupoid, igc.parsing):
+        for name in ("_reduced", "_mul_into"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    for name in ("const", "var"):
+        monkeypatch.setattr(Poly, name, classmethod(counted(name, getattr(Poly, name).__func__)))
+    value = parse_expression(text, s)
+    monkeypatch.undo()
+    assert value == nu and text.count("(") >= 9
+    assert [c for c in calls if c != "_reduced"] == []
+    assert 0 < calls.count("_reduced") <= text.count("(")
 
 
 # The tokenizer that tracked lines as it scanned, before the one-scan
