@@ -160,10 +160,10 @@ class _Parser:
         whose key is checked per factor as a product checks it, else its first factor.  A factor that may be refused
         (INT^.., INT/0, xI past the chart, xI^INT past MAX_EXPONENT, a second ^) ends the run, read as before."""
         tokens, dim = self.tokens, self.dim
-        if (factor := self._monomial_factor(self.pos, dim)) is None:
+        if (factor := self._monomial_factor(self.pos)) is None:
             return self.unary()
         num, den, key, pos = factor
-        while tokens[pos][1] == "*" and (factor := self._monomial_factor(pos + 1, dim)):
+        while tokens[pos][1] == "*" and (factor := self._monomial_factor(pos + 1)):
             n, d, k, pos = factor
             num, den, key = num * n, den * d, key + k
             if num and key & _top_bits(dim):
@@ -173,7 +173,7 @@ class _Parser:
         g = gcd(num, den)
         return _poly(dim, {key: num // g} if num else {}, den // g)
 
-    def _monomial_factor(self, at: int, dim: int) -> tuple[int, int, int, int] | None:
+    def _monomial_factor(self, at: int) -> tuple[int, int, int, int] | None:
         """Numerator, denominator and key of a monomial factor at token index at, and the index after it."""
         tokens = self.tokens
         sign = 1
@@ -185,7 +185,7 @@ class _Parser:
                 return None if tokens[at + 1][1] == "^" else (sign * int(text), 1, 0, at + 1)
             ok = tokens[at + 2][0] == "int" and tokens[at + 3][1] != "^" and (den := int(tokens[at + 2][1]))
             return (sign * int(text), den, 0, at + 3) if ok else None
-        if kind != "ident" or not (m := _VAR_RE.match(text)) or (i := int(m[1])) >= dim:
+        if kind != "ident" or not (m := _VAR_RE.match(text)) or (i := int(m[1])) >= self.dim:
             return None
         if tokens[at + 1][1] != "^":
             return sign, 1, 1 << (64 * i), at + 1
