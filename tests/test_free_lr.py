@@ -394,6 +394,36 @@ def test_lie_bracket_ext_outputs_are_pinned():
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == LIE_BRACKET_EXT_SHA256
 
 
+# sha256 of the outcomes of the first 300 of the seeded pairs above under a
+# lowered Poly.MAX_POW_PRODUCTS: many pairs then end in a budget refusal, so
+# each hash pins which refusal comes first, the count it names, and its order
+# against DegreeOverflowError
+LOWERED_BUDGET_SHA256 = {
+    1: "d1371c0d155ca7d5c1e9a042b16e5f1afd764c6fbf74e21d6699c62dd754ff2c",
+    2: "9674dce4670acae6f62e229706624b0c1159ff0c238f744ba742c5127488a214",
+    3: "145c9dc9dd1529330df1ba64073ad323a599b9a52c69ee15ae86440da2681864",
+    5: "db43aa48cb14dfd3577e5f452cb7802bcfb537a154f168470e7dc5f4152c791d",
+}
+
+
+@pytest.mark.parametrize("budget", sorted(LOWERED_BUDGET_SHA256))
+def test_lie_bracket_ext_refusals_are_pinned_under_a_lowered_budget(monkeypatch, budget):
+    rng = Random(2023)
+    pairs = []
+    for _ in range(300):
+        chart = ChartSpec(rng.randint(1, 3), rng.randint(1, 8))
+        pairs.append((pinned_operand(rng, chart), pinned_operand(rng, chart)))
+    monkeypatch.setattr(Poly, "MAX_POW_PRODUCTS", budget)
+    lines = []
+    for u, v in pairs:
+        got = _outcome(lie_bracket_ext, u, v)
+        lines.append(f"{got[0].__name__}: {got[1]}" if isinstance(got, tuple) else str(got))
+    kinds = [line.split(":")[0] for line in lines if line.startswith(("DomainError: term product", "DegreeOverflowError"))]
+    # 171, 86, 51 and 28 budget refusals beside 29, 77, 100 and 101 overflows
+    assert kinds.count("DomainError") >= 28 and kinds.count("DegreeOverflowError") >= 29
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == LOWERED_BUDGET_SHA256[budget]
+
+
 def reversed_terms(x):
     """x built again with its terms in the reverse order."""
     return FreeLRElem(x.chart, dict(reversed(list(x.terms.items()))))
