@@ -14,10 +14,10 @@ structures live here:
   free bracket sending d_c to -dx/dx_c, D_x(F[a,b]) = F[D_x a, b] + F[a, D_x b].
 
 An element is stored as `Poly` is, fraction-free: int numerators by word and
-packed monomial key over one denominator.  Both brackets add each output
-word's terms, D_x(b(w)) included, into one integer numerator dict (the
-kernels `_free_bracket_into` and `_lie_bracket_into`, which read the
-operands' numerators as stored), and `_bracket` reduces the result once.
+packed monomial key over one denominator.  The kernels `_free_bracket_into`
+and `_lie_bracket_into` add each output word's terms into one integer
+numerator dict, reading the operands' numerators as stored (D_x(b(w)) is
+built by `_unit_bracket_into`), and `_bracket` reduces the result once.
 
 A `RelativeSpec` marks a subset of generators as vertical (tangent to the
 fibers of a projection).  In the relative algebra every bracket monomial of
@@ -42,8 +42,8 @@ from typing import Iterable, Mapping, Sequence
 
 from . import lyndon
 from .chart_algebra import (
-    ChartSpec, Poly, VField, _accumulate, _check_exponents, _derivation_into, _index, _int, _mul_into, _numerators,
-    _poly_text, _Record, _reduced, _shifted, render_combination, vf_apply,
+    _PRODUCTS, ChartSpec, Poly, VField, _accumulate, _budget, _check_exponents, _derivation_into, _index, _int, _mul_into,
+    _numerators, _poly_text, _Record, _reduced, _shifted, render_combination, vf_apply,
 )
 from .errors import ChartMismatchError, DegreeOverflowError, DomainError
 from .lyndon import LyndonWord
@@ -351,8 +351,8 @@ def _lie_bracket_into(accs: dict, un, vn, max_degree: int, sign: int = 1):
 def _derivatives(xn, yn, max_degree: int, sign: int) -> dict[Word, list]:
     """sign * D_x(b(w)) as a (word, numerator dict) list, for each long word w of y and the words it is built of.
 
-    D_x(d_c) = -dx/dx_c is one `_derivation_into` and D_x(F[a,b]) = F[D_x a, b] + F[a, D_x b]
-    goes through `_free_bracket_into`, once per word, both factors derived first.  Every long word
+    D_x(d_c) = -dx/dx_c is one `_derivation_into` and D_x(F[a,b]) = F[D_x a, b] - F[D_x b, a] is two
+    `_unit_bracket_into` calls, once per word, both factors derived first.  Every long word
     of y is derived before an overflow is raised, and the overflow names the longest.
     """
     one = {0: 1}
@@ -366,8 +366,8 @@ def _derivatives(xn, yn, max_degree: int, sign: int) -> dict[Word, list]:
             else:
                 a, b = lyndon.standard_factorization(word)  # both Lyndon words
                 da, db = derive(a), derive(b)
-                _free_bracket_into(acc, da, [(b, one)], max_degree)
-                _free_bracket_into(acc, [(a, one)], db, max_degree)
+                _unit_bracket_into(acc, da, b, max_degree, 1)
+                _unit_bracket_into(acc, db, a, max_degree, -1)
             derived[word] = [(z, t) for z, num in acc.items() if (t := {k: c for k, c in num.items() if c})]
         return derived[word]
 
@@ -381,6 +381,27 @@ def _derivatives(xn, yn, max_degree: int, sign: int) -> dict[Word, list]:
     if longest:
         raise DegreeOverflowError(longest, max_degree)
     return derived
+
+
+def _unit_bracket_into(acc: dict, en, b: Word, max_degree: int, sign: int):
+    """Add sign * [e, b(b)] = sign * (sum f*[b(z), b(b)] - b(f)*b(z)) over the (z, f) of en into acc, zero sums kept;
+    b(f) is df/dx_b for a letter b and 0 for a long word.  Every nonzero bracket is checked against max_degree
+    first, an overflow naming the longest, and the budgets as `_free_bracket_into` checks them for a unit operand."""
+    brackets = [(len(z), f, words) for z, f in en if (words := lyndon.monomial_bracket(z, b))]
+    if (longest := max((n for n, _, _ in brackets), default=0) + len(b)) > max_degree:
+        raise DegreeOverflowError(longest, max_degree)
+    if any(len(z) == 1 for z, _ in en):
+        acc.setdefault(b, {})  # the slot of the general kernel's zero term f*z(1)*b(b): derived words keep their order
+    if len(b) == 1:
+        _derivation_into(acc, [(b[0], {0: 1})], en, -sign)
+    for _, f, words in brackets:
+        _budget(len(f), Poly, "MAX_POW_PRODUCTS", _PRODUCTS)
+        for word, c in words.items():
+            c *= sign
+            t = acc.setdefault(word, {})
+            get = t.get
+            for k, a in f.items():
+                t[k] = get(k, 0) + c * a
 
 
 def _long_action_into(accs: dict, xn, yn, derived: dict, sign: int):

@@ -13,6 +13,7 @@ coefficients stay integral (the leading coefficient of b(w) is 1).
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import product
 from typing import Sequence
 
@@ -72,8 +73,9 @@ def lyndon_words(alphabet: int, length: int) -> list[Word]:
     return [w for w in product(range(alphabet), repeat=length) if is_lyndon(w)]
 
 
+@cache
 def standard_factorization(word: Word) -> tuple[Word, Word]:
-    """Split a Lyndon word of length >= 2 as u,v with v the least proper suffix."""
+    """Split a Lyndon word of length >= 2 as u,v with v the least proper suffix; found once per word."""
     best = 1
     for k in range(2, len(word)):
         if word[k:] < word[best:]:
@@ -106,26 +108,27 @@ def _commutator(e1: dict[Word, int], e2: dict[Word, int]) -> dict[Word, int]:
 
 
 def lie_to_lyndon(tensor: dict[Word, int]) -> dict[LyndonWord, int]:
-    """Lyndon coordinates of a Lie element given by its tensor-word expansion, keyed by LyndonWord."""
+    """Lyndon coordinates of a Lie element given by its tensor-word expansion, keyed by LyndonWord.
+
+    The least word of a Lie element of one length is the least label among its Lyndon coordinates, so each
+    step subtracts the standard bracketing of a Lyndon word, met once, and what is left is a Lie element.
+    """
     by_len: dict[int, dict[Word, int]] = {}
     for w, c in tensor.items():
         if c:
             by_len.setdefault(len(w), {})[w] = c
-    out: dict[Word, int] = {}
+    out: dict[LyndonWord, int] = {}
     for _, work in sorted(by_len.items()):
         while work:
             wmin = min(work)
-            if not is_lyndon(wmin):
-                raise ValueError(f"not a Lie element: stray word {wmin}")
-            c = work[wmin]
-            out[wmin] = out.get(wmin, 0) + c
+            c = out[LyndonWord._make(wmin)] = work[wmin]
             for w2, c2 in tensor_expansion(wmin).items():
                 s = work.get(w2, 0) - c * c2
                 if s:
                     work[w2] = s
                 else:
                     work.pop(w2, None)
-    return {LyndonWord._make(w): c for w, c in out.items() if c}
+    return out
 
 
 def monomial_bracket(w1: Word, w2: Word) -> dict[LyndonWord, int]:

@@ -1,6 +1,7 @@
 """Lyndon machinery and the two brackets of the free Lie-Rinehart layer."""
 
 import hashlib
+import sys
 from fractions import Fraction
 from itertools import product
 from random import Random
@@ -476,6 +477,35 @@ def test_lie_bracket_ext_works_on_numerators(monkeypatch):
     assert reductions == [1]
     monkeypatch.undo()
     assert got == reference_lie_bracket_ext(u, v) and not got.is_classical()
+
+
+def test_long_words_are_derived_without_the_general_kernel(monkeypatch):
+    # D_x of each internal node brackets with a bare word of coefficient 1, so
+    # `_derivatives` forms no general free bracket and no product by 1
+    calls = []
+
+    def counted(name, kernel):
+        def call(*args):
+            frame = sys._getframe(1)
+            while frame and frame.f_code is not free_lr._derivatives.__code__:
+                frame = frame.f_back
+            calls.append((name, frame is not None))
+            return kernel(*args)
+
+        return call
+
+    for name in ("_free_bracket_into", "_mul_into"):
+        monkeypatch.setattr(free_lr, name, counted(name, getattr(free_lr, name)))
+    chart = ChartSpec(2, 7)
+    x = FreeLRElem(chart, {LyndonWord((0,)): X1 * X1, LyndonWord((1,)): X0 * X1 + X0})
+    word = lyndon_basis(2, 7)[5]
+    y = FreeLRElem(chart, {word: X0 + 1})
+    got = lie_bracket_ext(x, y)
+    assert not [name for name, under in calls if under]
+    # the long action still multiplies each derived word by y's coefficient
+    assert ("_mul_into", False) in calls
+    monkeypatch.undo()
+    assert got == reference_lie_bracket_ext(x, y) and len(got.num) > 2
 
 
 def test_lie_bracket_degree_one_is_classical():
