@@ -226,6 +226,7 @@ def main(argv: list[str] | None = None) -> int:
         print(
             f"lyndon caches: _EXPANSION_CACHE {len(lyndon._EXPANSION_CACHE)} entries, "
             f"_BRACKET_CACHE {len(lyndon._BRACKET_CACHE)} entries, "
+            f"standard_factorization {lyndon.standard_factorization.cache_info().currsize} entries, "
             f"free_lr._lyndon_basis {free_lr._lyndon_basis.cache_info().currsize} entries",
             file=sys.stderr,
         )

@@ -185,7 +185,8 @@ class _Parser:
                 return None if tokens[at + 1][1] == "^" else (sign * int(text), 1, 0, at + 1)
             ok = tokens[at + 2][0] == "int" and tokens[at + 3][1] != "^" and (den := int(tokens[at + 2][1]))
             return (sign * int(text), den, 0, at + 3) if ok else None
-        if kind != "ident" or not (m := _VAR_RE.match(text)) or (i := int(m[1])) >= self.dim:
+        # int() refuses more than 4,300 digits: a longer index is left to `chart_index`
+        if kind != "ident" or not _VAR_RE.match(text) or len(text) > 21 or (i := int(text[1:])) >= self.dim:
             return None
         if tokens[at + 1][1] != "^":
             return sign, 1, 1 << (64 * i), at + 1
@@ -244,19 +245,24 @@ class _Parser:
             return free_bracket(lhs, rhs)
         if name == "K" and self.text == "{":
             return self.kfield_literal()
-        if m := _VAR_RE.match(name):
-            if (i := int(m.group(1))) >= dim:
-                self._error(f"coordinate x{i} out of range for dimension {dim}", at)
-            return Poly.var(dim, i)
-        if m := _GEN_RE.match(name):
-            if (i := int(m.group(1))) >= dim:
-                self._error(f"generator d{i} out of range for dimension {dim}", at)
-            return FreeLRElem.generator(self.session.chart, i)
+        if _VAR_RE.match(name):
+            return Poly.var(dim, self.chart_index(name, "coordinate", at))
+        if _GEN_RE.match(name):
+            return FreeLRElem.generator(self.session.chart, self.chart_index(name, "generator", at))
         if self.text == "(":
             return self.call(name, at)
         if name in self.session.bindings:
             return self.session.bindings[name]
         self._error(f"unknown identifier {name!r}", at)
+
+    def chart_index(self, name: str, what: str, at: int) -> int:
+        """The index I of the name xI or dI at token index at, refused unless below the dimension.  int() reads I
+        only when I, less leading zeros, has no more digits than the dimension: it refuses more than 4,300."""
+        digits = name[1:].lstrip("0") or "0"
+        if len(digits) <= len(str(self.dim)) and (i := int(digits)) < self.dim:
+            return i
+        shown = digits if len(digits) <= 20 else f"{digits[:20]}... ({len(digits)} digits)"
+        self._error(f"{what} {name[0]}{shown} out of range for dimension {self.dim}", at)
 
     def call(self, name: str, at: int):
         self._expect("(")

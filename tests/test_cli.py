@@ -731,6 +731,25 @@ def test_cli_coefficient_budget():
     assert (r.returncode, r.stdout) == (0, "x0^4294967296*d0\n")
 
 
+@pytest.mark.parametrize(
+    "expr, column", [("{}", 1), ("K{{arity=1; 0: {}}}", 15), ("F[d0, {}]", 7)], ids=["top", "kfield", "bracket"]
+)
+@pytest.mark.parametrize("name, what", [("x{}*d0", "coordinate"), ("d{}", "generator")], ids=["x", "d"])
+def test_an_index_past_any_chart_is_one_parse_error(expr, column, name, what, capsys):
+    # int() refuses more than 4,300 digits; the index is refused as out of
+    # range before any digit is converted, in one line naming its length
+    ones = "1" * 5000
+    assert main(["--dim", "2", "reduce", expr.format(name.format(ones))]) == 1
+    assert capsys.readouterr() == (
+        "",
+        f"igc: parse error: {what} {name[0]}{ones[:20]}... (5000 digits) out of range for dimension 2"
+        f" (line 1, column {column})\n",
+    )
+    # leading zeros are not digits of the index
+    assert main(["--dim", "2", "reduce", expr.format(name.format("0" * 5000 + "1"))]) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_cli_profile_flag():
     args = ["--dim", "2", "--seed", "3", "check", "--only", "parse-roundtrip"]
     plain, profiled = run(args), run(["--profile", *args])
@@ -738,6 +757,7 @@ def test_cli_profile_flag():
     assert profiled.stdout == plain.stdout and plain.stderr == ""
     assert "chart_algebra.py" in profiled.stderr
     assert "lyndon caches: _EXPANSION_CACHE " in profiled.stderr
+    assert "standard_factorization 1 entries" in profiled.stderr
     assert "free_lr._lyndon_basis 1 entries" in profiled.stderr
 
 
