@@ -42,8 +42,8 @@ from typing import Iterable, Mapping, Sequence
 
 from . import lyndon
 from .chart_algebra import (
-    _PRODUCTS, ChartSpec, Poly, VField, _accumulate, _budget, _check_exponents, _derivation_into, _index, _int, _mul_into,
-    _numerators, _poly_text, _Record, _reduced, _shifted, render_combination, vf_apply,
+    _PRODUCTS, ChartSpec, Poly, VField, _accumulate, _budget, _check_exponents, _derivation_into, _index, _int,
+    _mul_into, _numerators, _poly_text, _Record, _reduced, _shifted, render_combination, vf_apply,
 )
 from .errors import ChartMismatchError, DegreeOverflowError, DomainError
 from .lyndon import LyndonWord
@@ -368,7 +368,8 @@ def _derivatives(xn, yn, max_degree: int, sign: int) -> dict[Word, list]:
                 da, db = derive(a), derive(b)
                 _unit_bracket_into(acc, da, b, max_degree, 1)
                 _unit_bracket_into(acc, db, a, max_degree, -1)
-            derived[word] = [(z, t) for z, num in acc.items() if (t := {k: c for k, c in num.items() if c})]
+            derived[word] = [(z, n if all(n.values()) else {k: c for k, c in n.items() if c})
+                             for z, n in acc.items() if any(n.values())]
         return derived[word]
 
     longest = 0
@@ -387,21 +388,25 @@ def _unit_bracket_into(acc: dict, en, b: Word, max_degree: int, sign: int):
     """Add sign * [e, b(b)] = sign * (sum f*[b(z), b(b)] - b(f)*b(z)) over the (z, f) of en into acc, zero sums kept;
     b(f) is df/dx_b for a letter b and 0 for a long word.  Every nonzero bracket is checked against max_degree
     first, an overflow naming the longest, and the budgets as `_free_bracket_into` checks them for a unit operand."""
-    brackets = [(len(z), f, words) for z, f in en if (words := lyndon.monomial_bracket(z, b))]
-    if (longest := max((n for n, _, _ in brackets), default=0) + len(b)) > max_degree:
-        raise DegreeOverflowError(longest, max_degree)
+    brackets, longest = [], 0
+    for z, f in en:
+        if words := lyndon.monomial_bracket(z, b):
+            brackets.append((f, words))
+            if len(z) > longest:
+                longest = len(z)
+    if longest + len(b) > max_degree:
+        raise DegreeOverflowError(longest + len(b), max_degree)
     if any(len(z) == 1 for z, _ in en):
-        acc.setdefault(b, {})  # the slot of the general kernel's zero term f*z(1)*b(b): derived words keep their order
+        # b takes the slot of the general kernel's zero term f*z(1)*b(b), so derived words keep their order
+        acc.setdefault(b, {})
     if len(b) == 1:
         _derivation_into(acc, [(b[0], {0: 1})], en, -sign)
-    for _, f, words in brackets:
+    for f, words in brackets:
         _budget(len(f), Poly, "MAX_POW_PRODUCTS", _PRODUCTS)
         for word, c in words.items():
-            c *= sign
             t = acc.setdefault(word, {})
-            get = t.get
             for k, a in f.items():
-                t[k] = get(k, 0) + c * a
+                t[k] = t.get(k, 0) + sign * c * a
 
 
 def _long_action_into(accs: dict, xn, yn, derived: dict, sign: int):

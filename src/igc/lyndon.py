@@ -108,26 +108,22 @@ def _commutator(e1: dict[Word, int], e2: dict[Word, int]) -> dict[Word, int]:
 
 
 def lie_to_lyndon(tensor: dict[Word, int]) -> dict[LyndonWord, int]:
-    """Lyndon coordinates of a Lie element given by its tensor-word expansion, keyed by LyndonWord.
+    """Lyndon coordinates of a Lie element of one length, given by its tensor-word expansion, keyed by LyndonWord.
 
-    The least word of a Lie element of one length is the least label among its Lyndon coordinates, so each
-    step subtracts the standard bracketing of a Lyndon word, met once, and what is left is a Lie element.
+    Its least word is the least label among its Lyndon coordinates, so each step subtracts the standard
+    bracketing of a Lyndon word, met once, and what is left is a Lie element: every least word is Lyndon.
     """
-    by_len: dict[int, dict[Word, int]] = {}
-    for w, c in tensor.items():
-        if c:
-            by_len.setdefault(len(w), {})[w] = c
+    work = {w: c for w, c in tensor.items() if c}
     out: dict[LyndonWord, int] = {}
-    for _, work in sorted(by_len.items()):
-        while work:
-            wmin = min(work)
-            c = out[LyndonWord._make(wmin)] = work[wmin]
-            for w2, c2 in tensor_expansion(wmin).items():
-                s = work.get(w2, 0) - c * c2
-                if s:
-                    work[w2] = s
-                else:
-                    work.pop(w2, None)
+    while work:
+        wmin = min(work)
+        c = out[LyndonWord._make(wmin)] = work[wmin]
+        for w2, c2 in tensor_expansion(wmin).items():
+            s = work.get(w2, 0) - c * c2
+            if s:
+                work[w2] = s
+            else:
+                work.pop(w2, None)
     return out
 
 
@@ -135,10 +131,6 @@ def monomial_bracket(w1: Word, w2: Word) -> dict[LyndonWord, int]:
     """Bracket of two standard bracketings, as Lyndon coordinates; each word is wrapped once, when cached."""
     if w1 == w2:
         return {}
-    key = (w1, w2)
-    cached = _BRACKET_CACHE.get(key)
-    if cached is not None:
-        return cached
-    out = lie_to_lyndon(_commutator(tensor_expansion(w1), tensor_expansion(w2)))
-    _BRACKET_CACHE[key] = out
-    return out
+    if (cached := _BRACKET_CACHE.get((w1, w2))) is None:
+        cached = _BRACKET_CACHE[w1, w2] = lie_to_lyndon(_commutator(tensor_expansion(w1), tensor_expansion(w2)))
+    return cached

@@ -256,8 +256,7 @@ class _Parser:
         self._error(f"unknown identifier {name!r}", at)
 
     def chart_index(self, name: str, what: str, at: int) -> int:
-        """The index I of the name xI or dI at token index at, refused unless below the dimension.  int() reads I
-        only when I, less leading zeros, has no more digits than the dimension: it refuses more than 4,300."""
+        """The index of the name xI or dI at token index at, refused past the chart before int() meets 4,300 digits."""
         digits = name[1:].lstrip("0") or "0"
         if len(digits) <= len(str(self.dim)) and (i := int(digits)) < self.dim:
             return i
