@@ -1,0 +1,54 @@
+"""The refusals of the four free-module types, pinned row by row: the exception class and the exact message.
+
+Each row is one call on a `VField`, `FreeLRElem`, `WeilElem` or `Polyvector`
+that the library must refuse.  The rows hold what the public boundary of each
+type refuses: a change of how the types store their values must leave every
+one of them as it is.
+"""
+
+import pytest
+
+from igc.chart_algebra import ChartSpec, Poly, VField, vf_pushforward
+from igc.errors import ChartMismatchError, DegreeOverflowError, DomainError
+from igc.free_lr import FreeLRElem, RelativeSpec, anchor_apply, free_bracket
+from igc.lyndon import LyndonWord
+from igc.polyvector import Polyvector
+from igc.weil import WeilElem
+
+C2 = ChartSpec(2, max_degree=2)
+C3 = ChartSpec(3, max_degree=2)
+X2 = Poly.var(2, 0)
+X3 = Poly.var(3, 0)
+D0 = FreeLRElem.generator(C2, 0)
+
+# (call, exception class, message)
+ROWS = [
+    (lambda: FreeLRElem(C2, {LyndonWord((0,)): X3}), ChartMismatchError, "coefficient lives on a different chart"),
+    (lambda: FreeLRElem(C2, {LyndonWord((0, 0, 1)): X2}), DegreeOverflowError,
+     "bracket monomial of length 3 exceeds max_degree 2"),
+    (lambda: FreeLRElem.from_vfield(C2, VField.basis(3, 0)), ChartMismatchError, "field lives on a different chart"),
+    (lambda: D0 * X3, ChartMismatchError, "polynomials live on charts of different dimension"),
+    (lambda: anchor_apply(D0, X3), ChartMismatchError, "polynomial lives on a different chart"),
+    (lambda: free_bracket(D0, D0, RelativeSpec(C3)), ChartMismatchError, "relative spec is for a different chart"),
+    (lambda: VField([]), DomainError, "a vector field needs at least one coefficient"),
+    (lambda: VField([X2, X3]), ChartMismatchError, "vector field needs exactly dim coefficients on one chart"),
+    (lambda: VField([X2]), ChartMismatchError, "vector field needs exactly dim coefficients on one chart"),
+    (lambda: vf_pushforward(VField.basis(2, 0), 3, [0]), DomainError,
+     "embedding must list a target index for every source coordinate"),
+    (lambda: WeilElem(1, 2, {frozenset({0}): X3}), ChartMismatchError, "part lives on a different chart"),
+    (lambda: Polyvector(2, {(0,): X3}), ChartMismatchError, "coefficient lives on a different chart"),
+    (lambda: Polyvector(2, {(): X2}), DomainError, "polyvector monomials have grade >= 1"),
+]
+
+
+@pytest.mark.parametrize("call, error, message", ROWS, ids=[f"row{n}" for n in range(len(ROWS))])
+def test_module_refusal_is_pinned(call, error, message):
+    with pytest.raises(DomainError) as info:
+        call()
+    assert type(info.value) is error and str(info.value) == message
+
+
+def test_polyvector_drops_a_monomial_with_a_repeated_index():
+    # d0 ^ d0 = 0: the monomial is dropped, not refused, and the rest is kept
+    p = Polyvector(2, {(0, 0): X2, (1, 0): X2})
+    assert p == Polyvector(2, {(0, 1): -X2}) and Polyvector(2, {(1, 1): X2}).is_zero()
