@@ -7,30 +7,30 @@ every numerator.  A key holds the whole exponent vector in one int, the
 exponent of x_i in bits 64*i to 64*i+63, so a monomial product is one int
 addition and d/dx_i one shift-and-mask and one subtraction.  The form is
 unique, so structural equality is mathematical equality, and arithmetic works
-on ints with one gcd per result.  `VField` is a derivation sum_i a_i*d_i with
-`Poly` coefficients, stored by its nonzero ones.  All values are immutable
-after construction and all operations are pure, so everything is safe to
-share between threads.
+on ints with one gcd per result.  All values are immutable after
+construction and all operations are pure, so everything is safe to share
+between threads.
 
 The canonical term order used for printing is graded lexicographic on
 exponent vectors, largest first.
 
 Validation happens at the public boundary.  The public constructors (here
-`Poly(...)`, and `FreeLRElem(...)`, `WeilElem(...)`, `WeilMorphism(...)`,
-`Polyvector(...)`, `KField(...)` and `LyndonWord(...)` in their modules)
-check and normalize whatever they are given.  Results that a class computes
-itself from canonical operands, the sums, products, derivatives, brackets,
-wedges, k-field operations and Weil morphisms, are canonical by
-construction and are wrapped without a second check by the private `_make`
-(for `Poly`, `_poly` and `_reduced`, and for `FreeLRElem`, `free_lr`'s
-`_reduced_elem`, each of which cancels the one common factor).  Every value
-type is a frozen `_Record`, which generates `_make` from the class's
-`__slots__`, gives the validating constructors `_set`, compares and hashes
-field values and refuses to set or delete a field.  Three free A-modules
-(`VField`, `WeilElem`, `Polyvector`) store a `Poly` per basis label and share
-their module operations through `_Module`; each keeps its own constructors,
-mismatch errors, products and printing.  `FreeLRElem` is stored
-fraction-free, as `Poly` is, and keeps its own module operations.
+`Poly(...)` and `VField(...)`, and `FreeLRElem(...)`, `WeilElem(...)`,
+`WeilMorphism(...)`, `Polyvector(...)`, `KField(...)` and `LyndonWord(...)`
+in their modules) check and normalize whatever they are given.  Results that
+a class computes itself from canonical operands, the sums, products,
+derivatives, brackets, wedges, k-field operations and Weil morphisms, are
+canonical by construction and are wrapped without a second check by the
+private `_make` (for `Poly`, `_poly` and `_reduced`, each of which cancels
+the one common factor).  Every value type is a frozen `_Record`, which
+generates `_make` from the class's `__slots__`, gives the validating
+constructors `_set`, compares and hashes field values and refuses to set or
+delete a field.  The four free A-modules (`VField`, `FreeLRElem`, `WeilElem`,
+`Polyvector`) are stored as `Poly` is, fraction-free: int numerators by basis
+label and packed monomial key over one denominator.  They share their module
+operations through `_Module`, and every result of theirs takes one of two
+finishes, `_cancelled` or `_summed`; each keeps its own constructors,
+mismatch errors, products and printing.
 """
 
 from __future__ import annotations
@@ -40,7 +40,9 @@ from collections.abc import Mapping
 from fractions import Fraction
 from functools import cache, reduce
 from math import gcd, lcm
+from itertools import chain
 from operator import attrgetter, or_
+from types import MappingProxyType
 from typing import Iterable, Sequence
 
 from .errors import ChartMismatchError, DomainError
@@ -537,12 +539,16 @@ def _accumulate(acc: dict, pairs: Iterable[tuple]) -> dict:
 
 
 class _Module(_Record, frozen=True):
-    """Element of a free A-module: `terms` maps basis labels to nonzero Polys.
+    """Element of a free A-module, stored fraction-free as `Poly` is.
 
-    A subclass declares the fields that name its module first and `terms`
-    last.  From those slots it gets `_space(self)`, the module's fields
-    (what two elements must share to be added or equal), and `_like`, which
-    wraps a canonical dict of the same module; it raises its own mismatch
+    A subclass declares the fields that name its module first, then `num`
+    and `den`, and has a chart dimension `dim`.  `num` maps each basis label
+    to a never-empty dict of packed monomial key -> nonzero int, and `den` is
+    a positive int sharing no factor with all of them, so each value has one
+    representation; `terms` is the read-only {label: Poly} view of the same
+    data.  From the slots a subclass gets `_space(self)`, the module's fields
+    (what two elements must share to be added), and `_like`, which wraps
+    canonical num and den of the same module; it raises its own mismatch
     error in `_check`.
     """
 
@@ -550,41 +556,105 @@ class _Module(_Record, frozen=True):
 
     def __init_subclass__(cls):
         super().__init_subclass__()
-        space = cls.__slots__[:-1]
+        space = cls.__slots__[:-2]
         cls._space = attrgetter(*space)
         own = "".join(f"self.{name}, " for name in space)
-        cls._like = _define(f"def _like(self, terms):\n    return _make({own}terms)\n", _make=cls._make)["_like"]
+        cls._like = _define(f"def _like(self, num, den):\n    return _make({own}num, den)\n", _make=cls._make)["_like"]
+
+    @property
+    def terms(self) -> Mapping:
+        dim, den = self.dim, self.den
+        return MappingProxyType({b: _reduced(dim, n, den) for b, n in self.num.items()})
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.num
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self.num)
 
     def __add__(self, other):
         if not isinstance(other, type(self)):
             return NotImplemented
         self._check(other)
-        return self._like(_accumulate(dict(self.terms), other.terms.items()))
+        if not other.num:
+            return self
+        if not self.num:
+            return other
+        # both sides over the lcm of the denominators, as `Poly.__add__`; that
+        # form is reduced unless some label holds terms of both sides
+        g = gcd(self.den, other.den)
+        sa, sb = other.den // g, self.den // g
+        shared = not self.num.keys().isdisjoint(other.num)
+        num = dict(self.num) if sa == 1 else {b: {k: c * sa for k, c in n.items()} for b, n in self.num.items()}
+        for b, n in other.num.items():
+            if sb != 1:
+                n = {k: c * sb for k, c in n.items()}
+            if acc := (_accumulate(dict(num[b]), n.items()) if b in num else n):
+                num[b] = acc
+            else:
+                del num[b]
+        return self._like(*_cancelled(num, self.den * sa)) if shared else self._like(num, self.den * sa)
+
+    def __neg__(self):
+        return self._like({b: {k: -c for k, c in n.items()} for b, n in self.num.items()}, self.den)
 
     def __sub__(self, other):
         if not isinstance(other, type(self)):
             return NotImplemented
         return self + (-other)
 
-    def __neg__(self):
-        return self._like({b: -p for b, p in self.terms.items()})
-
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, Poly)):
-            # Q[x0..x{n-1}] has no zero divisors: a product vanishes only for other == 0
-            return self._like({b: p * other for b, p in self.terms.items()} if other else {})
-        return NotImplemented
+        if isinstance(other, (int, Fraction)):
+            other = Poly.const(self.dim, other)
+        if not isinstance(other, Poly):
+            return NotImplemented
+        # Q[x0..x{n-1}] has no zero divisors: a product vanishes only for a zero factor
+        if not other.num or not self.num:
+            return self._like({}, 1)
+        if other.dim != self.dim:
+            raise ChartMismatchError("polynomials live on charts of different dimension")
+        if len(self.num) == 1 and len(n := next(iter(self.num.values()))) == 1:
+            # one label with a monomial coefficient, as d_i, shifts the keys of other
+            (b,) = self.num
+            return self._like(*_cancelled({b: _shifted(self.dim, n, other.num)}, self.den * other.den))
+        accs = {b: _mul_into({}, n, other.num) for b, n in self.num.items()}
+        return self._like(*_summed(self.dim, accs, self.den * other.den))
 
     __rmul__ = __mul__
 
     def __hash__(self):
-        return hash((self._space(self), frozenset(self.terms.items())))
+        return hash((self._space(self), self.den, frozenset((b, frozenset(n.items())) for b, n in self.num.items())))
+
+
+def _cancelled(num: dict, den: int) -> tuple[dict, int]:
+    """Nonempty numerator dicts by label over den > 0, with their one common factor cancelled."""
+    if den != 1:
+        g = gcd(den, *chain.from_iterable(n.values() for n in num.values()))
+        if g != 1:
+            num = {b: {k: c // g for k, c in n.items()} for b, n in num.items()}
+            den //= g
+    return num, den
+
+
+def _summed(dim: int, accs: dict, den: int) -> tuple[dict, int]:
+    """The canonical num and den of product accumulators by label over den.
+
+    One exponent check over every key, zero sums included, the zero sums and
+    the empty labels dropped and one reduction.
+    """
+    _check_exponents(dim, chain.from_iterable(accs.values()))
+    num = {b: a for b, acc in accs.items() if (a := acc if all(acc.values()) else {k: c for k, c in acc.items() if c})}
+    return _cancelled(num, den)
+
+
+def _numerators(ps: Mapping) -> tuple[dict, int]:
+    """The numerator dicts of the nonzero Polys ps by label over the lcm of their denominators, and that lcm.
+
+    Over the lcm of the reduced denominators no prime divides every numerator.
+    """
+    ps = {b: p for b, p in ps.items() if p.num}
+    den = lcm(*[p.den for p in ps.values()])
+    return {b: p.num if p.den == den else {k: c * (den // p.den) for k, c in p.num.items()} for b, p in ps.items()}, den
 
 
 def render_combination(dim: int, terms: Iterable[tuple[Mapping[int, int], int, str]]) -> str:
@@ -609,11 +679,11 @@ def render_combination(dim: int, terms: Iterable[tuple[Mapping[int, int], int, s
 class VField(_Module):
     """Vector field sum_i a_i*d_i on R^n; a derivation of the chart ring.
 
-    `terms` maps an index i to its nonzero coefficient a_i, and `coeffs` is
-    the dense tuple (a_0, ..., a_{n-1}).
+    `num` holds the numerators of each nonzero coefficient a_i under i,
+    `terms` maps i to a_i, and `coeffs` is the dense tuple (a_0, ..., a_{n-1}).
     """
 
-    __slots__ = ("dim", "terms")
+    __slots__ = ("dim", "num", "den")
 
     def __init__(self, coeffs: Sequence[Poly]):
         coeffs = tuple(coeffs)
@@ -622,7 +692,7 @@ class VField(_Module):
         dim = coeffs[0].dim
         if len(coeffs) != dim or any(c.dim != dim for c in coeffs):
             raise ChartMismatchError("vector field needs exactly dim coefficients on one chart")
-        self._set(dim, {i: c for i, c in enumerate(coeffs) if c})
+        self._set(dim, *_numerators(dict(enumerate(coeffs))))
 
     def _check(self, other: "VField"):
         if self.dim != other.dim:
@@ -630,8 +700,8 @@ class VField(_Module):
 
     @property
     def coeffs(self) -> tuple[Poly, ...]:
-        zero = Poly.zero(self.dim)
-        return tuple(self.terms.get(i, zero) for i in range(self.dim))
+        zero, terms = Poly.zero(self.dim), self.terms
+        return tuple(terms.get(i, zero) for i in range(self.dim))
 
     @classmethod
     def zero(cls, dim: int) -> "VField":
@@ -640,49 +710,38 @@ class VField(_Module):
     @classmethod
     def basis(cls, dim: int, i: int) -> "VField":
         _index(i, _int(dim, "chart dimension", 1), "basis index")
-        return cls._make(dim, {i: Poly.const(dim, 1)})
+        return cls._make(dim, {i: {0: 1}}, 1)
 
     def __str__(self):
-        return render_combination(self.dim, ((p.num, p.den, f"d{i}") for i, p in sorted(self.terms.items())))
+        return render_combination(self.dim, ((self.num[i], self.den, f"d{i}") for i in sorted(self.num)))
 
     def __repr__(self):
         return f"VField({self})"
 
 
 def vf_apply(v: VField, f: Poly) -> Poly:
-    """Action of the derivation v on f: sum_i a_i * df/dx_i."""
+    """Action of the derivation v on f: sum_i a_i * df/dx_i, one numerator sum reduced once."""
     if v.dim != f.dim:
         raise ChartMismatchError("field and polynomial live on different charts")
-    # one numerator dict over the product of the denominators, reduced once
-    vn, vd = _numerators(v.terms)
     accs: dict[int, dict[int, int]] = {}
-    _derivation_into(accs, vn, [(0, f.num)], 1)
-    return _product_poly(f.dim, accs.get(0, {}), vd * f.den)
+    _derivation_into(accs, v.num.items(), [(0, f.num)], 1)
+    return _product_poly(f.dim, accs.get(0, {}), v.den * f.den)
 
 
 def vf_bracket(u: VField, v: VField) -> VField:
     """Lie bracket of vector fields: [u,v]^j = sum_i (u_i*d_i(v_j) - v_i*d_i(u_j)).
 
-    Each coefficient is one numerator sum over the product of the sides' lcm denominators, reduced once.
+    The coefficients are one numerator sum over the product of the denominators, reduced once.
     """
     u._check(v)
-    un, ud = _numerators(u.terms)
-    vn, vd = _numerators(v.terms)
     accs: dict[int, dict[int, int]] = {}
-    _derivation_into(accs, un, vn, 1)
-    _derivation_into(accs, vn, un, -1)
-    return VField._make(u.dim, _nonzero_polys(u.dim, accs, ud * vd))
+    _derivation_into(accs, u.num.items(), v.num.items(), 1)
+    _derivation_into(accs, v.num.items(), u.num.items(), -1)
+    return VField._make(u.dim, *_summed(u.dim, accs, u.den * v.den))
 
 
-def _numerators(ps: Mapping) -> tuple[list[tuple], int]:
-    """(key, numerator dict) of the nonzero Polys ps over the lcm of their denominators, and that lcm."""
-    ps = [(i, p) for i, p in ps.items() if p.num]
-    den = lcm(*[p.den for _, p in ps])
-    return [(i, p.num if p.den == den else {k: c * (den // p.den) for k, c in p.num.items()}) for i, p in ps], den
-
-
-def _derivation_into(accs: dict, f: list, g: list, sign: int):
-    """Add sign * sum_i f_i*d_i(g_j) into accs[j]; f and g list (index, numerator dict)."""
+def _derivation_into(accs: dict, f: Iterable, g: Iterable, sign: int):
+    """Add sign * sum_i f_i*d_i(g_j) into accs[j]; f and g hold (index, numerator dict) pairs."""
     for i, fi in f:
         shift = 64 * i
         one = 1 << shift
@@ -705,12 +764,6 @@ def _derivation_into(accs: dict, f: list, g: list, sign: int):
                         acc[k] = get(k, 0) + cf * cg
 
 
-def _nonzero_polys(dim: int, accs: dict, den: int) -> dict:
-    """The nonzero Polys of product accumulators over den, by the same keys."""
-    polys = ((key, _product_poly(dim, acc, den)) for key, acc in accs.items() if acc)
-    return {key: p for key, p in polys if p.num}
-
-
 def vf_pushforward(v: VField, target_dim: int, embedding: Sequence[int]) -> VField:
     """Relabel v along a strictly increasing coordinate inclusion.
 
@@ -724,14 +777,14 @@ def vf_pushforward(v: VField, target_dim: int, embedding: Sequence[int]) -> VFie
     if any(a >= b for a, b in zip(emb, emb[1:])):
         raise DomainError("embedding must be strictly increasing")
 
-    def relabel(p: Poly) -> Poly:
+    def relabel(n: dict) -> dict:
         # an injective renaming of exponents keeps the numerators canonical
         out: dict[int, int] = {}
-        for key, c in p.num.items():
+        for key, c in n.items():
             new = [0] * target_dim
-            for i, e in enumerate(_unpack(key, p.dim)):
+            for i, e in enumerate(_unpack(key, v.dim)):
                 new[emb[i]] = e
             out[_pack(new)] = c
-        return _poly(target_dim, out, p.den)
+        return out
 
-    return VField._make(target_dim, {emb[i]: relabel(a) for i, a in v.terms.items()})
+    return VField._make(target_dim, {emb[i]: relabel(n) for i, n in v.num.items()}, v.den)

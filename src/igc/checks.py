@@ -242,7 +242,7 @@ def check_relative_cases(report: CheckReport, rng: Random, max_degree: int):
         tree = _random_tree(rng, chart, depth=2)
         # the normal form is stable and its long words avoid the vertical letter 1
         reduced = vertical_reduce(tree, mixed)
-        vertical_long = [w for w in reduced.terms if len(w) >= 2 and 1 in w]
+        vertical_long = [w for w in reduced.num if len(w) >= 2 and 1 in w]
         got = (vertical_reduce(reduced, mixed), vertical_long)
         report.compare(f"normal form #{idx}", (reduced, []), got)
     for spec, d in (

@@ -13,11 +13,12 @@ structures live here:
   the long words w of y with coefficient g; D_x is the derivation of the
   free bracket sending d_c to -dx/dx_c, D_x(F[a,b]) = F[D_x a, b] + F[a, D_x b].
 
-An element is stored as `Poly` is, fraction-free: int numerators by word and
-packed monomial key over one denominator.  The kernels `_free_bracket_into`
-and `_lie_bracket_into` add each output word's terms into one integer
-numerator dict, reading the operands' numerators as stored (D_x(b(w)) is
-built by `_unit_bracket_into`), and `_bracket` reduces the result once.
+An element is a `_Module`, stored as `Poly` is, fraction-free: int
+numerators by word and packed monomial key over one denominator.  The
+kernels `_free_bracket_into` and `_lie_bracket_into` add each output word's
+terms into one integer numerator dict, reading the operands' numerators as
+stored (D_x(b(w)) is built by `_unit_bracket_into`), and `_bracket` finishes
+the result once.
 
 A `RelativeSpec` marks a subset of generators as vertical (tangent to the
 fibers of a projection).  In the relative algebra every bracket monomial of
@@ -33,17 +34,14 @@ would contain a longer surviving word raises DegreeOverflowError.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cache
-from itertools import chain
-from math import gcd, lcm
-from types import MappingProxyType
+from math import lcm
 from typing import Iterable, Mapping, Sequence
 
 from . import lyndon
 from .chart_algebra import (
-    _PRODUCTS, ChartSpec, Poly, VField, _accumulate, _budget, _check_exponents, _derivation_into, _index, _int,
-    _mul_into, _numerators, _poly_text, _Record, _reduced, _shifted, render_combination, vf_apply,
+    _FIELD_MASK, _PRODUCTS, ChartSpec, Poly, VField, _budget, _cancelled, _derivation_into, _index, _int, _Module,
+    _mul_into, _numerators, _poly_text, _Record, _summed, render_combination, vf_apply,
 )
 from .errors import ChartMismatchError, DegreeOverflowError, DomainError
 from .lyndon import LyndonWord
@@ -61,14 +59,8 @@ class RelativeSpec(_Record, frozen=True):
         self._set(chart, vertical)
 
 
-class FreeLRElem(_Record, frozen=True):
-    """A-combination of Lyndon bracket monomials: sum f_w * b(w), stored fraction-free as num/den.
-
-    `num` maps each word to a dict of packed monomial key -> nonzero int,
-    never empty, and `den` is a positive int sharing no factor with all of
-    them, so each value has one representation.  `terms` is the read-only
-    {LyndonWord: Poly} view of the same data.
-    """
+class FreeLRElem(_Module):
+    """A-combination of Lyndon bracket monomials: sum f_w * b(w), stored by word as a `_Module`."""
 
     __slots__ = ("chart", "num", "den")
 
@@ -84,14 +76,11 @@ class FreeLRElem(_Record, frozen=True):
             if len(w) > chart.max_degree:
                 raise DegreeOverflowError(len(w), chart.max_degree)
             clean[w] = p
-        # over the lcm of the reduced denominators no prime divides every numerator
-        num, den = _numerators(clean)
-        self._set(chart, dict(num), den)
+        self._set(chart, *_numerators(clean))
 
     @property
-    def terms(self) -> Mapping[LyndonWord, Poly]:
-        dim, den = self.chart.dim, self.den
-        return MappingProxyType({w: _reduced(dim, n, den) for w, n in self.num.items()})
+    def dim(self) -> int:
+        return self.chart.dim
 
     def _check(self, other: "FreeLRElem"):
         if self.chart != other.chart:
@@ -110,76 +99,11 @@ class FreeLRElem(_Record, frozen=True):
     def from_vfield(cls, chart: ChartSpec, v: VField) -> "FreeLRElem":
         if v.dim != chart.dim:
             raise ChartMismatchError("field lives on a different chart")
-        num, den = _numerators(v.terms)
-        return cls._make(chart, {LyndonWord._make((i,)): n for i, n in num}, den)
-
-    def is_zero(self) -> bool:
-        return not self.num
-
-    def __bool__(self):
-        return bool(self.num)
+        return cls._make(chart, {LyndonWord._make((i,)): n for i, n in v.num.items()}, v.den)
 
     def is_classical(self) -> bool:
         """True when only length-1 words occur, i.e. the element is a vector field."""
         return all(len(w) == 1 for w in self.num)
-
-    def __add__(self, other):
-        if not isinstance(other, FreeLRElem):
-            return NotImplemented
-        self._check(other)
-        if not other.num:
-            return self
-        if not self.num:
-            return other
-        # both sides over the lcm of the denominators, as `Poly.__add__`; that
-        # form is reduced unless some word holds terms of both sides
-        g = gcd(self.den, other.den)
-        sa, sb = other.den // g, self.den // g
-        shared = not self.num.keys().isdisjoint(other.num)
-        num = dict(self.num) if sa == 1 else {w: {k: c * sa for k, c in n.items()} for w, n in self.num.items()}
-        for w, n in other.num.items():
-            if sb != 1:
-                n = {k: c * sb for k, c in n.items()}
-            if acc := (_accumulate(dict(num[w]), n.items()) if w in num else n):
-                num[w] = acc
-            else:
-                del num[w]
-        return (_reduced_elem if shared else FreeLRElem._make)(self.chart, num, self.den * sa)
-
-    def __neg__(self):
-        return FreeLRElem._make(self.chart, {w: {k: -c for k, c in n.items()} for w, n in self.num.items()}, self.den)
-
-    def __sub__(self, other):
-        if not isinstance(other, FreeLRElem):
-            return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Poly.const(self.chart.dim, other)
-        if not isinstance(other, Poly):
-            return NotImplemented
-        # Q[x0..x{n-1}] has no zero divisors: a product vanishes only for a zero factor
-        if not other.num or not self.num:
-            return FreeLRElem.zero(self.chart)
-        if other.dim != self.chart.dim:
-            raise ChartMismatchError("polynomials live on charts of different dimension")
-        if len(self.num) == 1 and len(n := next(iter(self.num.values()))) == 1:
-            # one word with a monomial coefficient, as d_i, shifts the keys of other
-            (w,) = self.num
-            return _reduced_elem(self.chart, {w: _shifted(other.dim, n, other.num)}, self.den * other.den)
-        num = {}
-        for w, n in self.num.items():
-            acc = _mul_into({}, n, other.num)
-            _check_exponents(other.dim, acc)
-            # a nonzero product: only single terms may cancel
-            num[w] = acc if all(acc.values()) else {k: c for k, c in acc.items() if c}
-        return _reduced_elem(self.chart, num, self.den * other.den)
-
-    __rmul__ = __mul__
-
-    def __hash__(self):
-        return hash((self.chart, self.den, frozenset((w, frozenset(n.items())) for w, n in self.num.items())))
 
     @staticmethod
     def _word_str(word: Word) -> str:
@@ -201,16 +125,6 @@ class FreeLRElem(_Record, frozen=True):
         return [{"word": list(w), "coeff": _poly_text(self.chart.dim, self.num[w], self.den)} for w in order]
 
 
-def _reduced_elem(chart: ChartSpec, num: dict, den: int) -> FreeLRElem:
-    """Wrap nonempty numerator dicts over den > 0, cancelling their one common factor."""
-    if den != 1:
-        g = gcd(den, *chain.from_iterable(n.values() for n in num.values()))
-        if g != 1:
-            num = {w: {k: c // g for k, c in n.items()} for w, n in num.items()}
-            den //= g
-    return FreeLRElem._make(chart, num, den)
-
-
 def lyndon_basis(n: int, d: int) -> list[LyndonWord]:
     """All Lyndon words of length d over n generators, sorted, in a new list."""
     return list(_lyndon_basis(_int(n, "alphabet size", 1), _int(d, "word length", 1)))
@@ -228,7 +142,7 @@ def _drop_vertical(elem: FreeLRElem, vertical: frozenset[int]) -> FreeLRElem:
         return elem
     kept = {w: n for w, n in elem.num.items() if len(w) == 1 or not set(w) & vertical}
     # the dropped words may have held the common factor
-    return elem if len(kept) == len(elem.num) else _reduced_elem(elem.chart, kept, elem.den)
+    return elem if len(kept) == len(elem.num) else FreeLRElem._make(elem.chart, *_cancelled(kept, elem.den))
 
 
 def anchor_apply(u: FreeLRElem, f: Poly) -> Poly:
@@ -248,8 +162,10 @@ def project_to_lie(u: FreeLRElem) -> VField:
     Coordinate generators commute, so all words of length >= 2 evaluate to
     zero and the projection keeps exactly the degree-1 part.
     """
-    dim, den = u.chart.dim, u.den
-    return VField._make(dim, {w[0]: _reduced(dim, n, den) for w, n in u.num.items() if len(w) == 1})
+    num = {w[0]: n for w, n in u.num.items() if len(w) == 1}
+    # the dropped words may have held the common factor
+    num, den = (num, u.den) if len(num) == len(u.num) else _cancelled(num, u.den)
+    return VField._make(u.chart.dim, num, den)
 
 
 def free_bracket(u: FreeLRElem, v: FreeLRElem, spec: RelativeSpec | None = None) -> FreeLRElem:
@@ -272,8 +188,7 @@ def _bracket(base: FreeLRElem | None, pairs: Sequence[tuple[FreeLRElem, FreeLREl
     """base plus what kernel(accs, un, vn, max_degree, *args) adds over the stored numerators of each pair (u, v).
 
     One accs sums all over L = lcm(base.den, each u.den*v.den), u's numerators scaled by L // (u.den*v.den),
-    exact as every kernel is bilinear.  The sum takes the one finish of every bracket result: one exponent
-    check over every key, zero sums included, the zero sums dropped and one reduction.
+    exact as every kernel is bilinear.  The sum takes the finish `_summed`.
     """
     chart = pairs[0][0].chart
     den = lcm(base.den if base else 1, *(u.den * v.den for u, v in pairs))
@@ -288,17 +203,16 @@ def _bracket(base: FreeLRElem | None, pairs: Sequence[tuple[FreeLRElem, FreeLREl
             if done:
                 _bracket(None, pairs[:done], kernel, *args)
             raise
-    _check_exponents(chart.dim, chain.from_iterable(accs.values()))
     # operand words and monomial_bracket's coordinates are LyndonWords already
-    num = {w: a for w, acc in accs.items() if (a := acc if all(acc.values()) else {k: c for k, c in acc.items() if c})}
-    return _reduced_elem(chart, num, den)
+    return FreeLRElem._make(chart, *_summed(chart.dim, accs, den))
 
 
 def _free_bracket_into(accs: dict, un, vn, max_degree: int, vertical: frozenset[int] = frozenset()):
     """Add the free bracket of two (word, numerator dict) collections into accs by word; zero sums stay.
 
-    Every pair is checked before any product is formed, and an overflow names
-    the longest bracket, so the message depends only on the operands' values.
+    Every pair is checked before any product is formed: an overflow names the
+    longest bracket, and a product count past the budget the largest of its
+    phase, Leibniz terms first, so the message depends only on the operands' values.
     """
     brackets = []
     longest = 0
@@ -314,12 +228,21 @@ def _free_bracket_into(accs: dict, un, vn, max_degree: int, vertical: frozenset[
                 brackets.append((p, q, words))
     if longest > max_degree:
         raise DegreeOverflowError(longest, max_degree)
-    # Leibniz corrections through the anchor, then the bare brackets
-    _derivation_into(accs, [(w[0], p) for w, p in un if len(w) == 1], vn, 1)
-    _derivation_into(accs, [(w[0], q) for w, q in vn if len(w) == 1], un, -1)
-    for p, q, words in brackets:
-        for word, c in words.items():
-            _mul_into(accs.setdefault(word, {}), p if c == 1 else {k: c * a for k, a in p.items()}, q)
+    # Leibniz corrections through the anchor, then the bare brackets; a product count past the budget
+    # is refused with the largest count of its phase, as `_derivation_into` and `_mul_into` count them
+    anchors = [([(w[0], p) for w, p in un if len(w) == 1], vn, 1), ([(w[0], q) for w, q in vn if len(w) == 1], un, -1)]
+    try:
+        for xn, yn, sign in anchors:
+            _derivation_into(accs, xn, yn, sign)
+        for p, q, words in brackets:
+            for word, c in words.items():
+                _mul_into(accs.setdefault(word, {}), p if c == 1 else {k: c * a for k, a in p.items()}, q)
+    except DomainError:
+        leibniz = (len(f) * sum(1 for k in g if (k >> 64 * i) & _FIELD_MASK) for xn, yn, _ in anchors for i, f in xn
+                   for _, g in yn)
+        _budget(max(leibniz, default=0), Poly, "MAX_POW_PRODUCTS", _PRODUCTS)
+        _budget(max(len(p) * len(q) for p, q, _ in brackets), Poly, "MAX_POW_PRODUCTS", _PRODUCTS)
+        raise
 
 
 def lie_bracket_ext(u: FreeLRElem, v: FreeLRElem) -> FreeLRElem:

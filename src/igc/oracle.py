@@ -95,8 +95,7 @@ def random_poly(rng: Random, dim: int, degree: int = 2, terms: int = 3) -> Poly:
 
 
 def random_vfield(rng: Random, dim: int, degree: int = 2, terms: int = 2) -> VField:
-    coeffs = [random_poly(rng, dim, degree, terms) for _ in range(dim)]
-    return VField._make(dim, {i: p for i, p in enumerate(coeffs) if p})
+    return VField([random_poly(rng, dim, degree, terms) for _ in range(dim)])
 
 
 def random_kfield(

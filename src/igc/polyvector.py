@@ -1,9 +1,9 @@
 """Alternating multivector fields with wedge and Schouten bracket.
 
-A polyvector is stored in the coordinate basis: a map from strictly
-increasing index tuples (i1 < ... < ik) to Poly coefficients.  Expanding
-every vector-field factor over d0..d{n-1} makes the wedge A-multilinear and
-alternating by construction, so structural equality is equality.
+A polyvector is stored in the coordinate basis, as a `_Module` by strictly
+increasing index tuples (i1 < ... < ik).  Expanding every vector-field factor
+over d0..d{n-1} makes the wedge A-multilinear and alternating by
+construction, so structural equality is equality.
 
 Grading: the grade-k slice sits in cohomological degree -k+1, which makes
 the Schouten bracket degree 0 and the wedge degree -1 (so the pair is not a
@@ -15,7 +15,10 @@ from __future__ import annotations
 
 from typing import Mapping
 
-from .chart_algebra import Poly, VField, _accumulate, _budget, _index, _int, _Module, render_combination
+from .chart_algebra import (
+    Poly, VField, _accumulate, _budget, _derivation_into, _index, _int, _Module, _mul_into, _numerators, _poly_text,
+    _summed, render_combination,
+)
 from .errors import ChartMismatchError, DomainError
 
 IndexTuple = tuple[int, ...]
@@ -40,7 +43,7 @@ def _sort_with_sign(indices: tuple[int, ...]) -> tuple[IndexTuple, int] | None:
 class Polyvector(_Module):
     """Sum of wedge monomials coeff * d_{i1} ^ ... ^ d_{ik}, grades k >= 1."""
 
-    __slots__ = ("dim", "terms")
+    __slots__ = ("dim", "num", "den")
 
     def __init__(self, dim: int, terms: Mapping[IndexTuple, Poly] | None = None):
         _int(dim, "chart dimension", 1)
@@ -56,7 +59,7 @@ class Polyvector(_Module):
                 raise DomainError("polyvector monomials have grade >= 1")
             if p:
                 pairs.append((key, p if sign == 1 else -p))
-        self._set(dim, _accumulate({}, pairs))
+        self._set(dim, *_numerators(_accumulate({}, pairs)))
 
     def _check(self, other: "Polyvector"):
         if self.dim != other.dim:
@@ -64,27 +67,27 @@ class Polyvector(_Module):
 
     @classmethod
     def zero(cls, dim: int) -> "Polyvector":
-        return cls._make(_int(dim, "chart dimension", 1), {})
+        return cls._make(_int(dim, "chart dimension", 1), {}, 1)
 
     @classmethod
     def from_vfield(cls, v: VField) -> "Polyvector":
-        return cls._make(v.dim, {(i,): p for i, p in v.terms.items()})
+        return cls._make(v.dim, {(i,): n for i, n in v.num.items()}, v.den)
 
     def grades(self) -> set[int]:
-        return {len(idx) for idx in self.terms}
+        return {len(idx) for idx in self.num}
 
     def __str__(self):
-        order = sorted(self.terms.items(), key=lambda t: (len(t[0]), t[0]))
-        return render_combination(self.dim, ((p.num, p.den, " ^ ".join(f"d{j}" for j in i)) for i, p in order))
+        order = sorted(self.num, key=lambda i: (len(i), i))
+        return render_combination(self.dim, ((self.num[i], self.den, " ^ ".join(f"d{j}" for j in i)) for i in order))
 
     def __repr__(self):
         return f"Polyvector({self})"
 
     def to_json(self):
         grades: dict[str, list] = {}
-        for idx in sorted(self.terms, key=lambda i: (len(i), i)):
+        for idx in sorted(self.num, key=lambda i: (len(i), i)):
             grades.setdefault(str(len(idx)), []).append(
-                {"factors": [f"d{j}" for j in idx], "coeff": str(self.terms[idx])}
+                {"factors": [f"d{j}" for j in idx], "coeff": _poly_text(self.dim, self.num[idx], self.den)}
             )
         return {"grades": grades}
 
@@ -92,15 +95,15 @@ class Polyvector(_Module):
 def wedge(p: Polyvector, q: Polyvector) -> Polyvector:
     """Alternating A-multilinear product; adds -1 in cohomological degree."""
     p._check(q)
-    _budget(len(p.terms) * len(q.terms), Poly, "MAX_POW_PRODUCTS", "wedge monomial pair count")
-    pairs = []
-    for i1, c1 in p.terms.items():
-        for i2, c2 in q.terms.items():
+    _budget(len(p.num) * len(q.num), Poly, "MAX_POW_PRODUCTS", "wedge monomial pair count")
+    accs: dict[IndexTuple, dict[int, int]] = {}
+    for i1, c1 in p.num.items():
+        for i2, c2 in q.num.items():
             norm = _sort_with_sign(i1 + i2)
             if norm is not None:
                 key, sign = norm
-                pairs.append((key, c1 * c2 if sign == 1 else -(c1 * c2)))
-    return Polyvector._make(p.dim, _accumulate({}, pairs))
+                _mul_into(accs.setdefault(key, {}), c1 if sign == 1 else {k: -c for k, c in c1.items()}, c2)
+    return Polyvector._make(p.dim, *_summed(p.dim, accs, p.den * q.den))
 
 
 def schouten(p: Polyvector, q: Polyvector) -> Polyvector:
@@ -115,23 +118,20 @@ def schouten(p: Polyvector, q: Polyvector) -> Polyvector:
     extended bilinearly.
     """
     p._check(q)
-    _budget(len(p.terms) * len(q.terms), Poly, "MAX_POW_PRODUCTS", "Schouten bracket monomial pair count")
-    pairs = []
-    for i1, f in p.terms.items():
-        for i2, g in q.terms.items():
+    _budget(len(p.num) * len(q.num), Poly, "MAX_POW_PRODUCTS", "Schouten bracket monomial pair count")
+    accs: dict[IndexTuple, dict[int, int]] = {}
+    for i1, f in p.num.items():
+        for i2, g in q.num.items():
             # (sign, u, v, i, idx) stands for sign * u * (dv/dx_i) d_idx
             a = len(i1)
             terms = [((-1) ** (r + a - 1), f, g, i, i1[:r] + i1[r + 1 :] + i2) for r, i in enumerate(i1)]
             terms += [(-((-1) ** s), g, f, j, i1 + i2[:s] + i2[s + 1 :]) for s, j in enumerate(i2)]
             for sign, u, v, i, idx in terms:
                 norm = _sort_with_sign(idx)
-                if norm is None:
-                    continue
-                coeff = u * v.derive(i)
-                if coeff:
+                if norm is not None:
                     key, perm_sign = norm
-                    pairs.append((key, coeff if sign * perm_sign == 1 else -coeff))
-    return Polyvector._make(p.dim, _accumulate({}, pairs))
+                    _derivation_into(accs, [(i, u)], [(key, v)], sign * perm_sign)
+    return Polyvector._make(p.dim, *_summed(p.dim, accs, p.den * q.den))
 
 
 def degree(p: Polyvector) -> int:

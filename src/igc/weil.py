@@ -25,11 +25,13 @@ full first-block monomial e_0...e_{k-1}.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import combinations_with_replacement
 from typing import Callable, Mapping, Sequence
 
-from .chart_algebra import ChartSpec, Poly, VField, _accumulate, _budget, _index, _int, _Module, _Record, _unpack, vf_apply
+from .chart_algebra import (
+    ChartSpec, Poly, VField, _budget, _cancelled, _index, _int, _Module, _mul_into, _numerators, _poly_text, _Record,
+    _reduced, _summed, _unpack, vf_apply,
+)
 from .errors import (
     ArityMismatchError,
     ChartMismatchError,
@@ -41,9 +43,9 @@ from .groupoid import KField, Subset, _check_arity, _drop_slot, _index_set, _sub
 
 
 class WeilElem(_Module):
-    """Element of W_k over the chart ring: map from subsets to Poly parts."""
+    """Element of W_k over the chart ring: map from subsets to Poly parts, stored by subset as a `_Module`."""
 
-    __slots__ = ("arity", "dim", "terms")
+    __slots__ = ("arity", "dim", "num", "den")
 
     # most index sets the k-field dictionary forms: n disjoint blocks have 2^n - 1 unions
     MAX_PARTS = 10_000
@@ -58,7 +60,7 @@ class WeilElem(_Module):
                 raise ChartMismatchError("part lives on a different chart")
             if not p.is_zero():
                 clean[phi] = p
-        self._set(arity, dim, clean)
+        self._set(arity, dim, *_numerators(clean))
 
     def _check(self, other: "WeilElem"):
         if self.arity != other.arity:
@@ -83,19 +85,20 @@ class WeilElem(_Module):
         return cls(arity, p.dim, {frozenset(): p})
 
     def part(self, phi) -> Poly:
-        return self.terms.get(_index_set(phi, self.arity, "generator"), Poly.zero(self.dim))
+        n = self.num.get(_index_set(phi, self.arity, "generator"))
+        return _reduced(self.dim, n, self.den) if n else Poly.zero(self.dim)
 
     def __mul__(self, other):
         if not isinstance(other, WeilElem):
             return super().__mul__(other)
         self._check(other)
-        pairs = (
-            (phi | psi, p * q)
-            for phi, p in self.terms.items()
-            for psi, q in other.terms.items()
-            if not phi & psi
-        )
-        return WeilElem._make(self.arity, self.dim, _accumulate({}, pairs))
+        # one accumulator per disjoint union phi | psi
+        accs: dict[Subset, dict[int, int]] = {}
+        for phi, p in self.num.items():
+            for psi, q in other.num.items():
+                if not phi & psi:
+                    _mul_into(accs.setdefault(phi | psi, {}), p, q)
+        return self._like(*_summed(self.dim, accs, self.den * other.den))
 
     __rmul__ = __mul__
 
@@ -109,34 +112,33 @@ class WeilElem(_Module):
     def set_generator_zero(self, i: int) -> "WeilElem":
         """Quotient by e_i = 0: drop subsets containing i and reindex the rest."""
         _index(i, self.arity, "generator index")
-        terms = {_drop_slot(phi, i): p for phi, p in self.terms.items() if i not in phi}
-        return WeilElem._make(self.arity - 1, self.dim, terms)
+        num = {_drop_slot(phi, i): n for phi, n in self.num.items() if i not in phi}
+        # the dropped parts may have held the common factor
+        num, den = (num, self.den) if len(num) == len(self.num) else _cancelled(num, self.den)
+        return WeilElem._make(self.arity - 1, self.dim, num, den)
 
     def shift(self, offset: int, new_arity: int) -> "WeilElem":
         """Reindex every generator i to i + offset inside a larger algebra."""
-        return WeilElem._make(
-            new_arity,
-            self.dim,
-            {frozenset(x + offset for x in phi): p for phi, p in self.terms.items()},
-        )
+        num = {frozenset(x + offset for x in phi): n for phi, n in self.num.items()}
+        return WeilElem._make(new_arity, self.dim, num, self.den)
+
+    def _parts(self) -> list[tuple[Subset, str]]:
+        """(subset, text of its part) for every stored part, by size, then subset-lexicographically."""
+        order = sorted(self.num, key=lambda s: (len(s), _subset_key(s)))
+        return [(phi, _poly_text(self.dim, self.num[phi], self.den)) for phi in order]
 
     def __str__(self):
-        if not self.terms:
-            return "0"
         chunks = []
-        for phi in sorted(self.terms, key=lambda s: (len(s), _subset_key(s))):
-            mono = "".join(f"e{i}" for i in sorted(phi)) or "1"
-            chunks.append(f"({self.terms[phi]})*{mono}" if phi else f"({self.terms[phi]})")
-        return " + ".join(chunks)
+        for phi, text in self._parts():
+            mono = "".join(f"e{i}" for i in sorted(phi))
+            chunks.append(f"({text})*{mono}" if mono else f"({text})")
+        return " + ".join(chunks) or "0"
 
     def __repr__(self):
         return f"WeilElem({self})"
 
     def to_json(self):
-        return {
-            ",".join(map(str, sorted(phi))): str(p)
-            for phi, p in sorted(self.terms.items(), key=lambda t: (len(t[0]), _subset_key(t[0])))
-        }
+        return {",".join(map(str, sorted(phi))): text for phi, text in self._parts()}
 
 
 def subset_operator_apply(fields: Mapping[Subset, VField], phi: Subset, f: Poly) -> Poly:
@@ -207,9 +209,9 @@ class WeilMorphism(_Record, frozen=True):
     def image(self, f: Poly) -> WeilElem:
         if f.dim != self.dim:
             raise ChartMismatchError("polynomial lives on a different chart")
-        out = WeilElem._make(self.arity, self.dim, {})
+        out = WeilElem._make(self.arity, self.dim, {}, 1)
         for key, c in f.num.items():
-            term = WeilElem._make(self.arity, self.dim, {frozenset(): Poly.const(self.dim, Fraction(c, f.den))})
+            term = WeilElem._make(self.arity, self.dim, *_cancelled({frozenset(): {0: c}}, f.den))
             for i, e in enumerate(_unpack(key, self.dim)):
                 if e:
                     term = term * self.coord_images[i] ** e
@@ -274,7 +276,7 @@ def kfield_to_weil(nu: KField) -> WeilMorphism:
     for i in range(dim):
         xi = Poly.var(dim, i)
         parts = {phi: val for phi in unions if (val := subset_operator_apply(fields, phi, xi))}
-        images.append(WeilElem._make(k, dim, {frozenset(): xi, **parts}))
+        images.append(WeilElem._make(k, dim, *_numerators({frozenset(): xi, **parts})))
     return WeilMorphism._make(k, dim, tuple(images))
 
 
@@ -306,7 +308,7 @@ def weil_to_kfield(w: WeilMorphism, chart: ChartSpec | None = None) -> KField:
                 if a := coord_parts[i].get(phi, zero) - subset_operator_apply(fields, phi, Poly.var(dim, i)):
                     field[i] = a
             if field:
-                fields[phi] = VField._make(dim, field)
+                fields[phi] = VField._make(dim, *_numerators(field))
                 _add_union(unions, phi)
         todo |= {u for u in unions if len(u) > size}
     _check_arity(k)
@@ -330,7 +332,7 @@ def weil_cup(x: WeilMorphism, fact: CupFactorization, derivations: Sequence[VFie
             raise ChartMismatchError("derivation lives on a different chart")
     k = x.arity
     total = k + m
-    first_block = WeilElem._make(total, x.dim, {frozenset(range(k)): Poly.const(x.dim, 1)})
+    first_block = WeilElem._make(total, x.dim, {frozenset(range(k)): {0: 1}}, 1)
     multipliers = [fact.images[j].shift(k, total) * first_block for j in range(m)]
     images = []
     for i in range(x.dim):

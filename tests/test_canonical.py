@@ -8,6 +8,7 @@ what the validating public constructor would have built from the same data.
 """
 
 from fractions import Fraction
+from itertools import chain
 from math import gcd
 
 import pytest
@@ -41,10 +42,12 @@ from igc import (
     schouten,
     strong_diff,
     vf_bracket,
+    vf_pushforward,
     wedge,
 )
 from igc.free_lr import _drop_vertical
 from igc.lyndon import is_lyndon
+from test_free_lr import reference_free_bracket, reference_lie_bracket_ext
 
 DIM = 2
 CHART = ChartSpec(DIM, 4)
@@ -95,13 +98,18 @@ def assert_canonical_vfield(v: VField):
     assert str(VField(v.coeffs)) == str(v)
 
 
+def assert_stored(x):
+    """num/den of a free-module element as stored: int numerators, none zero and no label empty, over a reduced den."""
+    assert type(x.den) is int and x.den > 0
+    for n in x.num.values():
+        assert n and all(type(k) is int and type(c) is int and c != 0 for k, c in n.items())
+    assert gcd(x.den, *(c for n in x.num.values() for c in n.values())) == 1
+
+
 def assert_stored_elem(u: FreeLRElem):
-    """num/den as stored: int numerators by LyndonWord, none zero and no word empty, over a reduced den."""
-    assert type(u.den) is int and u.den > 0
-    for w, n in u.num.items():
-        assert type(w) is LyndonWord and n
-        assert all(type(k) is int and type(c) is int and c != 0 for k, c in n.items())
-    assert gcd(u.den, *(c for n in u.num.values() for c in n.values())) == 1
+    """num/den as stored, by LyndonWord."""
+    assert_stored(u)
+    assert all(type(w) is LyndonWord for w in u.num)
 
 
 def assert_canonical_elem(u: FreeLRElem):
@@ -331,3 +339,130 @@ def test_mixed_modules_neither_add_nor_compare_equal():
         x + u
     assert u != p and p != FreeLRElem(CHART, {(0,): one})
     assert x != u and u != x and x != p and p != x
+
+
+# the free-module operations worked Poly by Poly: each returns {label: Poly}, zero parts dropped
+
+
+def poly_sum(pairs) -> dict:
+    acc = {}
+    for label, p in pairs:
+        acc[label] = acc.get(label, Poly.zero(p.dim)) + p
+    return {label: p for label, p in acc.items() if p}
+
+
+def sorted_with_sign(idx):
+    """idx sorted and the sign of the sorting permutation; None when an index repeats."""
+    if len(set(idx)) < len(idx):
+        return None
+    inversions = sum(a > b for n, a in enumerate(idx) for b in idx[n + 1 :])
+    return tuple(sorted(idx)), (-1) ** inversions
+
+
+def reference_vf_bracket(u, v):
+    return poly_sum(chain(
+        ((j, a * b.derive(i)) for i, a in u.terms.items() for j, b in v.terms.items()),
+        ((j, -(b * a.derive(i))) for i, b in v.terms.items() for j, a in u.terms.items()),
+    ))
+
+
+def reference_weil_product(a, b):
+    return poly_sum((phi | psi, p * q) for phi, p in a.terms.items() for psi, q in b.terms.items() if not phi & psi)
+
+
+def reference_wedge(p, q):
+    return poly_sum(
+        (norm[0], c1 * c2 * norm[1])
+        for i1, c1 in p.terms.items()
+        for i2, c2 in q.terms.items()
+        if (norm := sorted_with_sign(i1 + i2))
+    )
+
+
+def reference_schouten(p, q):
+    def parts(i1, f, i2, g):
+        a = len(i1)
+        for r, i in enumerate(i1):
+            yield i1[:r] + i1[r + 1 :] + i2, f * g.derive(i) * (-1) ** (r + a - 1)
+        for s, j in enumerate(i2):
+            yield i1 + i2[:s] + i2[s + 1 :], -(g * f.derive(j)) * (-1) ** s
+
+    return poly_sum(
+        (norm[0], c * norm[1])
+        for i1, f in p.terms.items()
+        for i2, g in q.terms.items()
+        for idx, c in parts(i1, f, i2, g)
+        if (norm := sorted_with_sign(idx))
+    )
+
+
+def reference_pushforward(v, target_dim, emb):
+    def moved(exps):
+        new = [0] * target_dim
+        for i, e in enumerate(exps):
+            new[emb[i]] = e
+        return tuple(new)
+
+    return {emb[i]: Poly(target_dim, {moved(e): c for e, c in p.terms.items()}) for i, p in v.terms.items()}
+
+
+def module_cases(x, y, c):
+    """(result, its Poly-by-Poly terms) for the base operations on two elements of one module."""
+    tx, ty = x.terms.items(), y.terms.items()
+    return [
+        (x + y, poly_sum(chain(tx, ty))),
+        (x - y, poly_sum(chain(tx, ((b, -p) for b, p in ty)))),
+        (-x, {b: -p for b, p in tx}),
+        (x - x, {}),
+        (x * c, poly_sum((b, p * c) for b, p in tx)),
+        (c * y, poly_sum((b, p * c) for b, p in ty)),
+    ]
+
+
+# coefficients over several denominators, so results lift over an lcm and cancel
+stored_polys = st.dictionaries(exponents, route_coeffs, max_size=3).map(lambda t: Poly(DIM, t))
+stored_scalars = st.one_of(st.integers(-3, 3), route_coeffs, stored_polys)
+stored_vfields = st.lists(stored_polys, min_size=DIM, max_size=DIM).map(VField)
+stored_elems = st.dictionaries(st.sampled_from(WORDS), stored_polys, max_size=3).map(lambda t: FreeLRElem(CHART, t))
+stored_weils = st.dictionaries(st.sampled_from(SUBSETS), stored_polys, max_size=4).map(
+    lambda t: WeilElem(ARITY, DIM, t)
+)
+stored_pvs = st.dictionaries(st.sampled_from(INDEX_TUPLES), stored_polys, max_size=4).map(lambda t: Polyvector(DIM, t))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    st.tuples(stored_vfields, stored_vfields),
+    st.tuples(stored_elems, stored_elems),
+    st.tuples(stored_weils, stored_weils),
+    st.tuples(stored_pvs, stored_pvs),
+    stored_scalars,
+    specs,
+    st.integers(0, ARITY - 1),
+)
+def test_every_module_result_is_stored_canonically(vfs, lrs, ws, pv, c, spec, i):
+    # each result is num/den in the one form, and its terms are the same operation worked Poly by Poly
+    (u, v), (e, f), (a, b), (p, q) = vfs, lrs, ws, pv
+    cases = module_cases(u, v, c) + module_cases(e, f, c) + module_cases(a, b, c) + module_cases(p, q, c)
+    cases += [
+        (vf_bracket(u, v), reference_vf_bracket(u, v)),
+        (vf_bracket(u, u), {}),
+        (project_to_lie(e), {w[0]: g for w, g in e.terms.items() if len(w) == 1}),
+        (FreeLRElem.from_vfield(CHART, u), {LyndonWord((j,)): g for j, g in u.terms.items()}),
+        (Polyvector.from_vfield(u), {(j,): g for j, g in u.terms.items()}),
+        (vf_pushforward(u, 3, (0, 2)), reference_pushforward(u, 3, (0, 2))),
+        (a * b, reference_weil_product(a, b)),
+        (a * a, reference_weil_product(a, a)),
+        (a.set_generator_zero(i), {frozenset(x - (x > i) for x in phi): g for phi, g in a.terms.items() if i not in phi}),
+        (a.shift(1, ARITY + 1), {frozenset(x + 1 for x in phi): g for phi, g in a.terms.items()}),
+        (wedge(p, q), reference_wedge(p, q)),
+        (wedge(p, p), reference_wedge(p, p)),
+        (schouten(p, q), reference_schouten(p, q)),
+        (schouten(p, p), reference_schouten(p, p)),
+        (free_bracket(e, f), dict(reference_free_bracket(e, f).terms)),
+        (free_bracket(e, f, spec), dict(reference_free_bracket(e, f, spec.vertical).terms)),
+        (lie_bracket_ext(e, f), dict(reference_lie_bracket_ext(e, f).terms)),
+    ]
+    for got, want in cases:
+        assert_stored(got)
+        assert dict(got.terms) == want

@@ -28,8 +28,8 @@ from igc import (
     vf_apply,
     vf_bracket,
 )
-from igc import free_lr, groupoid, lyndon
-from igc.chart_algebra import _nonzero_polys, _numerators
+from igc import chart_algebra, free_lr, groupoid, lyndon
+from igc.chart_algebra import _numerators, _product_poly
 from igc.lyndon import standard_factorization, tensor_expansion
 from igc.oracle import oracle_bracket, random_poly, random_vfield
 
@@ -258,8 +258,8 @@ def reference_bracket(u, v, kernel, *args):
     coefficients' denominators, and each output word reduced to its own Poly."""
     (un, ud), (vn, vd) = _numerators(u.terms), _numerators(v.terms)
     accs = {}
-    kernel(accs, un, vn, u.chart.max_degree, *args)
-    return FreeLRElem(u.chart, {LyndonWord(w): p for w, p in _nonzero_polys(u.chart.dim, accs, ud * vd).items()})
+    kernel(accs, un.items(), vn.items(), u.chart.max_degree, *args)
+    return FreeLRElem(u.chart, {LyndonWord(w): _product_poly(u.chart.dim, acc, ud * vd) for w, acc in accs.items()})
 
 
 @settings(max_examples=200, deadline=None)
@@ -430,10 +430,14 @@ def reversed_terms(x):
     return FreeLRElem(x.chart, dict(reversed(list(x.terms.items()))))
 
 
-def test_free_bracket_refusal_does_not_depend_on_term_order():
-    # every pair is checked before any product, and an overflow names the
-    # longest nonzero bracket, so equal operands built in another term order
-    # refuse with the same message
+@pytest.mark.parametrize("budget", [None, 1, 2, 3, 5], ids=["default", "1", "2", "3", "5"])
+def test_free_bracket_refusal_does_not_depend_on_term_order(budget, monkeypatch):
+    # every pair is checked before any product, an overflow names the longest
+    # nonzero bracket and a product count past the budget names the largest of
+    # its phase, so equal operands built in another term order refuse with the
+    # same message
+    if budget is not None:
+        monkeypatch.setattr(Poly, "MAX_POW_PRODUCTS", budget)
     rng = Random(5)
     overflows = 0
     for _ in range(500):
@@ -466,9 +470,9 @@ def test_lie_bracket_ext_works_on_numerators(monkeypatch):
         raise AssertionError("free_bracket called")
 
     reductions = []
-    reduce = free_lr._reduced_elem
+    reduce = chart_algebra._cancelled
     monkeypatch.setattr(free_lr, "free_bracket", refuse)
-    monkeypatch.setattr(free_lr, "_reduced_elem", lambda *args: reductions.append(1) or reduce(*args))
+    monkeypatch.setattr(chart_algebra, "_cancelled", lambda *args: reductions.append(1) or reduce(*args))
     chart = ChartSpec(3, 6)
     rng = Random(29)
     u, v = random_elem(rng, chart, max_len=3), random_elem(rng, chart, max_len=3)

@@ -593,7 +593,7 @@ def test_swap_action_matches_the_subset_key_reference():
 
 @pytest.mark.parametrize("flavor", ["free", "lie"])
 def test_swap_walk_reduces_each_corrected_component_once(monkeypatch, flavor):
-    from igc import free_lr
+    from igc import chart_algebra
 
     # under (0 1) the splittings {0} | {1,2,3} and {0,2,3} | {1} of {0,1,2,3}
     # both flip, and so does {0} | {1}; no other fixed index set is corrected
@@ -604,8 +604,8 @@ def test_swap_walk_reduces_each_corrected_component_once(monkeypatch, flavor):
         for phi, p in zip(support, PRIMES)
     })
     reductions = []
-    reduce = free_lr._reduced_elem
-    monkeypatch.setattr(free_lr, "_reduced_elem", lambda *args: reductions.append(1) or reduce(*args))
+    reduce = chart_algebra._cancelled
+    monkeypatch.setattr(chart_algebra, "_cancelled", lambda *args: reductions.append(1) or reduce(*args))
     got = act([0], nu, flavor)
     monkeypatch.undo()
     assert got == reference_act_by_transposition(nu, 0, 1, flavor)
