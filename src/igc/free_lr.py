@@ -210,9 +210,9 @@ def _bracket(base: FreeLRElem | None, pairs: Sequence[tuple[FreeLRElem, FreeLREl
 def _free_bracket_into(accs: dict, un, vn, max_degree: int, vertical: frozenset[int] = frozenset()):
     """Add the free bracket of two (word, numerator dict) collections into accs by word; zero sums stay.
 
-    Every pair is checked before any product is formed: an overflow names the
-    longest bracket, and a product count past the budget the largest of its
-    phase, Leibniz terms first, so the message depends only on the operands' values.
+    Every pair's length is checked before any product is formed, and an
+    overflow names the longest bracket; a product count past the budget names
+    the largest of its phase, so each message depends only on the operands' values.
     """
     brackets = []
     longest = 0
