@@ -14,7 +14,6 @@ coefficients stay integral (the leading coefficient of b(w) is 1).
 from __future__ import annotations
 
 from functools import cache
-from itertools import product
 from typing import Sequence
 
 from .chart_algebra import _int
@@ -67,10 +66,20 @@ def is_lyndon(word: Word) -> bool:
 
 
 def lyndon_words(alphabet: int, length: int) -> list[Word]:
-    """All Lyndon words of the given exact length over {0..alphabet-1}, sorted; both are >= 1."""
-    if length == 1:
-        return [(a,) for a in range(alphabet)]
-    return [w for w in product(range(alphabet), repeat=length) if is_lyndon(w)]
+    """All Lyndon words of the given exact length over {0..alphabet-1}, sorted; both are >= 1.
+
+    Duval's generation (1988) steps through the Lyndon words of at most that length in order.
+    """
+    words, word = [], [-1]
+    while word:
+        word[-1] += 1
+        if len(word) == length:
+            words.append(tuple(word))
+        # the next one: repeat the word up to the length, drop trailing greatest letters, raise the last
+        word = [word[i % len(word)] for i in range(length)]
+        while word and word[-1] == alphabet - 1:
+            word.pop()
+    return words
 
 
 @cache

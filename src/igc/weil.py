@@ -10,12 +10,14 @@ morphism is pinned down by its values on the coordinates x_i, and
 chart ring enters through `WeilMorphism.from_callable`, which probes it for
 multiplicativity once and keeps its coordinate images.
 
-`kfield_to_weil` encodes a classical subset-indexed field as the morphism
-whose phi part applies, for every splitting of phi into disjoint blocks
-taken in decreasing subset-lex order, the corresponding composite of the
-block fields, so it visits only disjoint unions of supported blocks.
-`weil_to_kfield` inverts this by induction on subset size over the stored
-parts and the disjoint unions of the fields found so far.
+The phi part of the morphism of a classical field sums v_{B_r}(...v_{B_1}(x_i))
+over the splittings of phi into supported blocks, least index first.  Blocks
+with one least element meet, so image(x_i) = L_{k-1}(...L_0(x_i)), where
+L_m = 1 + N_m and N_m(w) sums e_B*v_B(w) over the blocks B with least element
+m; N_m^2 = 0, so L_m^{-1} = 1 - N_m.  `kfield_to_weil` applies the steps from
+L_0 up, and `weil_to_kfield` reads the fields starting at m off the parts
+starting at m and peels L_m off, from the greatest m down.  Each step is one
+`_flow`: one derivation per block and disjoint part.
 
 The partial cup product against a factor through V_m (all pairwise
 generator products zero) is `weil_cup`: the m derivations enter multiplied
@@ -26,11 +28,12 @@ full first-block monomial e_0...e_{k-1}.
 from __future__ import annotations
 
 from itertools import combinations_with_replacement
+from math import lcm
 from typing import Callable, Mapping, Sequence
 
 from .chart_algebra import (
-    ChartSpec, Poly, VField, _budget, _cancelled, _index, _int, _Module, _mul_into, _numerators, _poly_text, _Record,
-    _reduced, _summed, _unpack, vf_apply,
+    ChartSpec, Poly, VField, _accumulate, _budget, _cancelled, _derivation_into, _index, _int, _Module, _mul_into,
+    _numerators, _poly_text, _Record, _reduced, _summed, _unpack, vf_apply,
 )
 from .errors import (
     ArityMismatchError,
@@ -53,14 +56,15 @@ class WeilElem(_Module):
     def __init__(self, arity: int, dim: int, terms: Mapping[Subset, Poly] | None = None):
         _int(arity, "arity", 0)
         _int(dim, "chart dimension", 1)
-        clean: dict[Subset, Poly] = {}
+        pairs = []
         for phi, p in (terms or {}).items():
             phi = _index_set(phi, arity, "generator")
             if p.dim != dim:
                 raise ChartMismatchError("part lives on a different chart")
-            if not p.is_zero():
-                clean[phi] = p
-        self._set(arity, dim, *_numerators(clean))
+            if p:
+                pairs.append((phi, p))
+        # labels naming one index set, as (0, 1) and (1, 0), are summed
+        self._set(arity, dim, *_numerators(_accumulate({}, pairs)))
 
     def _check(self, other: "WeilElem"):
         if self.arity != other.arity:
@@ -141,30 +145,24 @@ class WeilElem(_Module):
         return {",".join(map(str, sorted(phi))): text for phi, text in self._parts()}
 
 
-def subset_operator_apply(fields: Mapping[Subset, VField], phi: Subset, f: Poly) -> Poly:
-    """Order-|phi| part of the morphism attached to a classical field.
-
-    Sums over partitions of phi into supported blocks; each partition
-    contributes the composite of its block fields applied smallest block
-    first (blocks compared subset-lexicographically).  Disjoint blocks
-    compare by their least index, so the block holding min(phi) acts first
-    and the rest of phi is partitioned after it.
-    """
-    first = min(phi)
-    total = Poly.zero(f.dim)
-    for block, v in fields.items():
-        if first in block and block <= phi:
-            value = vf_apply(v, f)
-            if value and block != phi:
-                value = subset_operator_apply(fields, phi - block, value)
-            total = total + value
-    return total
-
-
 def _add_union(unions: set[Subset], block: Subset):
     """Add block and its union with every member disjoint from it."""
     unions |= {block}.union(u | block for u in unions if not u & block)
     _budget(len(unions), WeilElem, "MAX_PARTS", "disjoint-union count")
+
+
+def _flow(w: WeilElem, blocks: Sequence[tuple[Subset, VField]], sign: int) -> WeilElem:
+    """w + sign * sum of e_B*v_B(w) over blocks (B, v_B) that share their least element.
+
+    Over the lcm of the fields' denominators: one `_derivation_into` per
+    block over the parts of w disjoint from B, and one `_summed` finish.
+    """
+    den = lcm(*[v.den for _, v in blocks])
+    accs = {phi: {key: c * den for key, c in n.items()} for phi, n in w.num.items()}
+    for block, v in blocks:
+        parts = [(phi | block, n) for phi, n in w.num.items() if not phi & block]
+        _derivation_into(accs, v.num.items(), parts, sign * (den // v.den))
+    return w._like(*_summed(w.dim, accs, w.den * den))
 
 
 class WeilMorphism(_Record, frozen=True):
@@ -264,55 +262,45 @@ class CupFactorization(_Record, frozen=True):
 
 
 def kfield_to_weil(nu: KField) -> WeilMorphism:
-    """Morphism form of a classical subset-indexed field."""
+    """Morphism form of a classical subset-indexed field: image(x_i) = L_{k-1}(...L_0(x_i))."""
     if not nu.is_classical():
         raise DomainError("kfield_to_weil needs a classical field")
     k, dim = nu.arity, nu.chart.dim
-    fields = {phi: project_to_lie(elem) for phi, elem in nu.components.items()}
     unions: set[Subset] = set()
-    for block in fields:
+    steps: dict[int, list[tuple[Subset, VField]]] = {}
+    for block, elem in nu.components.items():
         _add_union(unions, block)
-    images = []
-    for i in range(dim):
-        xi = Poly.var(dim, i)
-        parts = {phi: val for phi in unions if (val := subset_operator_apply(fields, phi, xi))}
-        images.append(WeilElem._make(k, dim, *_numerators({frozenset(): xi, **parts})))
+        steps.setdefault(min(block), []).append((block, project_to_lie(elem)))
+    images = [WeilElem.scalar(k, Poly.var(dim, i)) for i in range(dim)]
+    for m in sorted(steps):
+        images = [_flow(image, steps[m], 1) for image in images]
     return WeilMorphism._make(k, dim, tuple(images))
 
 
 def weil_to_kfield(w: WeilMorphism, chart: ChartSpec | None = None) -> KField:
-    """Recover the subset-indexed decomposition of a morphism.
+    """Recover the subset-indexed decomposition of a morphism from its coordinate images.
 
-    Components are extracted by induction on subset size, peeling composite
-    terms off the stored parts; a field sits only on a stored part or on a
-    disjoint union of the smaller fields found so far.  A morphism is
-    multiplicative by construction and has its empty parts checked when
-    built, so the image of x_i is its stored coordinate image.
+    From the greatest least element m of a stored part down, the parts whose
+    least element is m are the coefficients of the fields starting at m, and
+    L_m^{-1} = 1 - N_m peels them off with their composites.
     """
     k, dim = w.arity, w.dim
-    chart = chart or ChartSpec(dim, max_degree=max(2, k))
-    coord_parts = [elem.terms for elem in w.coord_images]
-    zero = Poly.zero(dim)
-    fields: dict[Subset, VField] = {}
-    unions: set[Subset] = set()
-    todo = {phi for terms in coord_parts for phi in terms if phi}
-    while todo:
-        size = min(map(len, todo))
-        layer = [p for p in todo if len(p) == size]
-        todo.difference_update(layer)
-        for phi in layer:
-            # phi has no field yet, so this is the sum over its partitions
-            # into two or more blocks: the composite terms to peel off
-            field = {}
-            for i in range(dim):
-                if a := coord_parts[i].get(phi, zero) - subset_operator_apply(fields, phi, Poly.var(dim, i)):
-                    field[i] = a
-            if field:
-                fields[phi] = VField._make(dim, *_numerators(field))
-                _add_union(unions, phi)
-        todo |= {u for u in unions if len(u) > size}
     _check_arity(k)
-    return KField._make(chart, k, {phi: FreeLRElem.from_vfield(chart, v) for phi, v in fields.items()})
+    chart = chart or ChartSpec(dim, max_degree=max(2, k))
+    images, found, unions = w.coord_images, [], set()
+    while least := [min(phi) for image in images for phi in image.num if phi]:
+        m = max(least)
+        coeffs: dict[Subset, dict[int, Poly]] = {}
+        for i, image in enumerate(images):
+            for phi, n in image.num.items():
+                if phi and min(phi) == m:
+                    coeffs.setdefault(phi, {})[i] = _reduced(dim, n, image.den)
+        blocks = [(phi, VField._make(dim, *_numerators(field))) for phi, field in coeffs.items()]
+        for phi, _ in blocks:
+            _add_union(unions, phi)
+        images = [_flow(image, blocks, -1) for image in images]
+        found += blocks
+    return KField._make(chart, k, {phi: FreeLRElem.from_vfield(chart, v) for phi, v in found})
 
 
 def weil_cup(x: WeilMorphism, fact: CupFactorization, derivations: Sequence[VField]) -> WeilMorphism:

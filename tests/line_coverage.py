@@ -3,13 +3,14 @@
     python tests/line_coverage.py [--only NAME.py ...] [-- PYTEST_ARGS ...]
 
 Runs pytest in this process under `sys.settrace` and prints, for each module
-of `src/igc`, the executable lines (those of its compiled code objects) that
-no test ran, as ranges.  `--only` limits the report to the named files; the
-arguments after `--` go to pytest (by default the whole `tests` directory,
-quietly).  The commands the tests run in subprocesses are not traced, so a
-line only they reach is listed too.  Tracing makes the suite about three
-times slower.  The name does not start with `test_`, so pytest does not
-collect this script, and it needs no package beyond pytest.
+of `src/igc`, the executable lines (those of its code objects, compiled
+before pytest starts) that no test ran, as ranges.  `--only` limits the
+report to the named files; the arguments after `--` go to pytest (by default
+the whole `tests` directory, quietly).  The commands the tests run in
+subprocesses are not traced, so a line only they reach is listed too.
+Tracing makes the suite about three times slower.  The name does not start
+with `test_`, so pytest does not collect this script, and it needs no package
+beyond pytest.
 """
 
 from __future__ import annotations
@@ -82,12 +83,12 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--only", nargs="+", default=None, metavar="NAME.py", help="report only these files")
     parser.add_argument("pytest_args", nargs="*", help="arguments for pytest, after --")
     opts = parser.parse_args(argv)
+    # compiled before the run, as the suite imports them, so an edit during the run cannot shift the report
+    paths = [path for path in sorted(SRC.glob("*.py")) if not opts.only or path.name in opts.only]
+    sources = {path: executable_lines(path) for path in paths}
     code, ran = run_traced(opts.pytest_args or ["-q", "-p", "no:cacheprovider", str(ROOT / "tests")])
     total = missed = 0
-    for path in sorted(SRC.glob("*.py")):
-        if opts.only and path.name not in opts.only:
-            continue
-        lines = executable_lines(path)
+    for path, lines in sources.items():
         never = sorted(lines - ran.get(str(path), set()))
         total += len(lines)
         missed += len(never)

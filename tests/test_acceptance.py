@@ -8,6 +8,7 @@ invocations for the last one.
 """
 
 import hashlib
+import re
 import subprocess
 import sys
 from functools import cache
@@ -206,6 +207,36 @@ def test_action_relations_fail_when_one_letter_drops_its_corrections(monkeypatch
     (report,) = run_suite(SEED, MAX_DEGREE, only="action-relations")
     assert not report.passed and report.cases == CHECK_CASES["action-relations"]
     assert all("braid" in got or "commutation" in got for _, _, got in report.failures)
+
+
+def test_action_relations_fail_when_a_distant_letter_does_not_commute(monkeypatch):
+    import igc.groupoid
+    from igc import KField
+
+    swap = igc.groupoid._act_by_transposition
+
+    def doubling_slot_0(nu, i, j, bracket):
+        out = swap(nu, i, j, bracket)
+        if i != 2:
+            return out
+        # s2 also doubles the component on {0}, which s0 moves: s0 s2 != s2 s0
+        return KField(out.chart, out.arity, {phi: e * 2 if phi == {0} else e for phi, e in out.components.items()})
+
+    monkeypatch.setattr(igc.groupoid, "_act_by_transposition", doubling_slot_0)
+    report = _run("action-relations")
+    assert not report.passed and report.cases == CHECK_CASES["action-relations"]
+    distant = [(inputs, expected) for inputs, expected, got in report.failures if "'distant commutation'" in got]
+    assert distant and all(re.fullmatch(r"k=4 #\d+ flavor=(free|lie)", i) and e == "[]" for i, e in distant)
+
+
+def test_weil_negative_control_fails_when_the_corruption_is_lost(monkeypatch):
+    import igc.oracle
+
+    image = igc.oracle._operator_image
+    monkeypatch.setattr(igc.oracle, "_operator_image", lambda fields, arity, f, corrupt=False: image(fields, arity, f))
+    report = _run("weil-negative-control")
+    assert report.cases == CHECK_CASES["weil-negative-control"]
+    assert report.failures == [("corrupted top part", "multiplicativity failures", "none detected")]
 
 
 def _cli(*args):

@@ -75,12 +75,19 @@ def test_lyndon_counts_table():
     assert lyndon_basis(1, 2) == []
 
 
+def test_lyndon_words_are_generated_as_the_filter_finds_them():
+    for n in range(1, 5):
+        for d in range(1, 9):
+            assert lyndon.lyndon_words(n, d) == [w for w in product(range(n), repeat=d) if brute_lyndon(w)]
+
+
 def test_lyndon_basis_is_found_once_and_returned_in_a_new_list(monkeypatch):
     calls = []
-    monkeypatch.setattr(lyndon, "is_lyndon", lambda w: calls.append(w) or brute_lyndon(w))
+    words = lyndon.lyndon_words
+    monkeypatch.setattr(lyndon, "lyndon_words", lambda n, d: calls.append((n, d)) or words(n, d))
     free_lr._lyndon_basis.cache_clear()
     first = lyndon_basis(3, 4)
-    assert len(first) == 18 and calls and all(type(w) is LyndonWord for w in first)
+    assert len(first) == 18 and calls == [(3, 4)] and all(type(w) is LyndonWord for w in first)
     calls.clear()
     first.append((0,))
     assert lyndon_basis(3, 4) == first[:-1] and not calls

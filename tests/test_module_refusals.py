@@ -3,7 +3,8 @@
 Each row is one call on a `VField`, `FreeLRElem`, `WeilElem` or `Polyvector`
 that the library must refuse.  The rows hold what the public boundary of each
 type refuses: a change of how the types store their values must leave every
-one of them as it is.
+one of them as it is.  A last table pins what the constructors keyed by index
+sets do with two keys that name one label: they sum them.
 """
 
 import pytest
@@ -52,3 +53,17 @@ def test_polyvector_drops_a_monomial_with_a_repeated_index():
     # d0 ^ d0 = 0: the monomial is dropped, not refused, and the rest is kept
     p = Polyvector(2, {(0, 0): X2, (1, 0): X2})
     assert p == Polyvector(2, {(0, 1): -X2}) and Polyvector(2, {(1, 1): X2}).is_zero()
+
+
+# (a constructor call whose dict names one label twice, the value it prints):
+# the coefficients of one label are summed, in every module keyed by an index set
+COLLISIONS = [
+    (lambda: WeilElem(2, 2, {(0, 1): X2, (1, 0): Poly.const(2, 1)}), "(x0 + 1)*e0e1"),
+    (lambda: WeilElem(2, 2, {(0, 1): X2, frozenset({1, 0}): -X2, (): X2}), "(x0)"),
+    (lambda: Polyvector(2, {(0, 1): X2, (1, 0): Poly.const(2, 1)}), "(x0 - 1)*d0 ^ d1"),
+]
+
+
+@pytest.mark.parametrize("call, text", COLLISIONS, ids=[f"collision{n}" for n in range(len(COLLISIONS))])
+def test_colliding_labels_are_summed(call, text):
+    assert str(call()) == text

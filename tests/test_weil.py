@@ -28,7 +28,6 @@ from igc import (
 )
 from igc import weil
 from igc.oracle import random_kfield, random_poly, random_vfield
-from igc.weil import subset_operator_apply
 
 CHART = ChartSpec(2, 4)
 X0, X1 = Poly.var(2, 0), Poly.var(2, 1)
@@ -128,19 +127,21 @@ def reference_subset_operator_apply(fields, phi, f: Poly) -> Poly:
     return total
 
 
-def test_subset_operator_apply_matches_the_set_partition_reference():
+def test_kfield_to_weil_parts_match_the_set_partition_reference():
     rng = Random(38)
     for k in range(1, 6):
         for _ in range(3):
             # missing blocks, singletons included
             nu = random_kfield(rng, CHART, k, density=0.6)
             fields = {phi: nu.component_vfield(phi) for phi in nu.support() if rng.random() < 0.8}
+            w = kfield_to_weil(KField.from_vfields(CHART, k, fields))
             f = random_poly(rng, 2)
-            for size in range(1, k + 1):
-                for phi in map(frozenset, combinations(range(k), size)):
-                    got = subset_operator_apply(fields, phi, f)
-                    want = reference_subset_operator_apply(fields, phi, f)
-                    assert got == want and str(got) == str(want)
+            for g, image in [(f, w.image(f)), *zip((X0, X1), w.coord_images)]:
+                for size in range(1, k + 1):
+                    for phi in map(frozenset, combinations(range(k), size)):
+                        got = image.part(phi)
+                        want = reference_subset_operator_apply(fields, phi, g)
+                        assert got == want and str(got) == str(want)
 
 
 def reference_kfield_to_weil(nu: KField) -> WeilMorphism:
@@ -153,7 +154,7 @@ def reference_kfield_to_weil(nu: KField) -> WeilMorphism:
         parts = {frozenset(): xi}
         for size in range(1, k + 1):
             for phi in map(frozenset, combinations(range(k), size)):
-                parts[phi] = subset_operator_apply(fields, phi, xi)
+                parts[phi] = reference_subset_operator_apply(fields, phi, xi)
         images.append(WeilElem(k, dim, parts))
     return WeilMorphism(k, dim, images)
 
@@ -165,7 +166,7 @@ def reference_weil_to_kfield(w: WeilMorphism, chart: ChartSpec) -> KField:
     fields = {}
     for size in range(1, k + 1):
         for phi in map(frozenset, combinations(range(k), size)):
-            composite = [subset_operator_apply(fields, phi, Poly.var(dim, i)) for i in range(dim)]
+            composite = [reference_subset_operator_apply(fields, phi, Poly.var(dim, i)) for i in range(dim)]
             field = VField([coord_parts[i].part(phi) - composite[i] for i in range(dim)])
             if not field.is_zero():
                 fields[phi] = field
@@ -247,30 +248,27 @@ def test_weil_cup_outputs_match_the_all_index_set_reference():
 
 @pytest.mark.parametrize("k", [30, 200])
 def test_two_block_field_visits_only_its_disjoint_unions(k, monkeypatch):
-    original = subset_operator_apply
-    calls = depth = 0
+    original = weil._derivation_into
+    parts = []
 
-    def counting(fields, phi, f):
-        # only calls from the dictionary count, not the recursion over blocks
-        nonlocal calls, depth
-        calls += depth == 0
-        depth += 1
-        try:
-            return original(fields, phi, f)
-        finally:
-            depth -= 1
+    def counting(accs, f, g, sign):
+        parts.extend(phi for phi, _ in g)
+        return original(accs, f, g, sign)
 
-    monkeypatch.setattr(weil, "subset_operator_apply", counting)
+    monkeypatch.setattr(weil, "_derivation_into", counting)
     blocks = {frozenset({0}): VField([X1, ZERO]), frozenset({1, k - 1}): VField([ZERO, X0 * X0])}
-    # {0}, {1,k-1} and {0,1,k-1}; a block {1,2} meeting {1,k-1} adds {1,2} and {0,1,2}
-    for extra, unions in (({}, 3), ({frozenset({1, 2}): VField([ONE, X1])}, 5)):
+    two = {frozenset({0}), frozenset({1, k - 1}), frozenset({0, 1, k - 1})}
+    # a block {1,2} meeting {1,k-1} adds {1,2} and {0,1,2}
+    three = two | {frozenset({1, 2}), frozenset({0, 1, 2})}
+    for extra, unions in (({}, two), ({frozenset({1, 2}): VField([ONE, X1])}, three)):
         nu = KField.from_vfields(CHART, k, {**blocks, **extra})
-        calls = 0
+        # each derivation lands on a disjoint union of blocks, each union here splitting one way
+        parts.clear()
         w = kfield_to_weil(nu)
-        assert calls == CHART.dim * unions
-        calls = 0
+        assert set(parts) == unions and len(parts) <= CHART.dim * len(unions)
+        parts.clear()
         assert weil_to_kfield(w, CHART) == nu
-        assert calls <= CHART.dim * unions
+        assert set(parts) <= unions and len(parts) <= CHART.dim * len(unions)
 
 
 def test_disjoint_unions_hit_the_parts_budget():
@@ -288,6 +286,42 @@ def test_disjoint_unions_hit_the_parts_budget():
     assert len(unions) == 2**13 - 1 <= WeilElem.MAX_PARTS
     with pytest.raises(DomainError, match=message):
         weil._add_union(unions, frozenset({13}))
+
+
+def singletons_and_pairs(k: int) -> KField:
+    rng = Random(49)
+    comps = {frozenset(c): random_vfield(rng, 2) for size in (1, 2) for c in combinations(range(k), size)}
+    return KField.from_vfields(CHART, k, comps)
+
+
+def test_each_dictionary_step_forms_at_most_parts_times_blocks_derivations(monkeypatch):
+    flow, derivation = weil._flow, weil._derivation_into
+    # [parts of the stepped image, blocks of the step, derivations formed]
+    steps = []
+
+    def counting_flow(w, blocks, sign):
+        steps.append([len(w.num), len(blocks), 0])
+        return flow(w, blocks, sign)
+
+    def counting_derivation(accs, f, g, sign):
+        steps[-1][2] += len(g)
+        return derivation(accs, f, g, sign)
+
+    monkeypatch.setattr(weil, "_flow", counting_flow)
+    monkeypatch.setattr(weil, "_derivation_into", counting_derivation)
+    # 10 singletons and 45 pairs: every index set of 10 slots is a disjoint union of them
+    nu = singletons_and_pairs(10)
+    w = kfield_to_weil(nu)
+    assert weil_to_kfield(w, CHART) == nu
+    # one step per coordinate and least element each way
+    assert len(steps) == 2 * CHART.dim * 10
+    assert all(0 < formed <= parts * blocks for parts, blocks, formed in steps)
+    steps.clear()
+    # 14 singletons and 91 pairs have 2^14 - 1 unions, refused before any step
+    message = re.escape(f"disjoint-union count 16383 exceeds the budget of WeilElem.MAX_PARTS = {WeilElem.MAX_PARTS}")
+    with pytest.raises(DomainError, match=message):
+        kfield_to_weil(singletons_and_pairs(14))
+    assert steps == []
 
 
 @pytest.mark.parametrize("index", [0.5, 1.0, True, False, "0"])
