@@ -142,6 +142,19 @@ def _index(i, n: int, what: str) -> int:
     raise DomainError(f"{what} {i} out of range [0, {n})")
 
 
+def _value(x, cls: type, what: str, label):
+    """x when it is a cls.
+
+    This is the one rule for every value a module constructor takes under a
+    label (a `Poly` coefficient, a `FreeLRElem` component), checked before
+    its chart is read; anything else raises a one-line DomainError naming
+    `what` and the label.
+    """
+    if isinstance(x, cls):
+        return x
+    raise DomainError(f"{what} {label} is {type(x).__name__}, not {cls.__name__}")
+
+
 def _budget(count: int, owner: type, name: str, what: str) -> int:
     """count when it is at most the budget owner.name.
 
@@ -689,6 +702,8 @@ class VField(_Module):
         coeffs = tuple(coeffs)
         if not coeffs:
             raise DomainError("a vector field needs at least one coefficient")
+        for i, c in enumerate(coeffs):
+            _value(c, Poly, "coefficient of", f"d{i}")
         dim = coeffs[0].dim
         if len(coeffs) != dim or any(c.dim != dim for c in coeffs):
             raise ChartMismatchError("vector field needs exactly dim coefficients on one chart")

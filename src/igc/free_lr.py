@@ -41,7 +41,7 @@ from typing import Iterable, Mapping, Sequence
 from . import lyndon
 from .chart_algebra import (
     _FIELD_MASK, _PRODUCTS, ChartSpec, Poly, VField, _budget, _cancelled, _derivation_into, _index, _int, _Module,
-    _mul_into, _numerators, _poly_text, _Record, _summed, render_combination, vf_apply,
+    _mul_into, _numerators, _poly_text, _Record, _summed, _value, render_combination, vf_apply,
 )
 from .errors import ChartMismatchError, DegreeOverflowError, DomainError
 from .lyndon import LyndonWord
@@ -71,7 +71,7 @@ class FreeLRElem(_Module):
                 _index(a, chart.dim, "generator index")
             if not isinstance(w, LyndonWord):
                 w = LyndonWord(w)
-            if p.dim != chart.dim:
+            if _value(p, Poly, "coefficient of word", tuple(w)).dim != chart.dim:
                 raise ChartMismatchError("coefficient lives on a different chart")
             if len(w) > chart.max_degree:
                 raise DegreeOverflowError(len(w), chart.max_degree)
@@ -94,6 +94,13 @@ class FreeLRElem(_Module):
     def generator(cls, chart: ChartSpec, i: int) -> "FreeLRElem":
         _index(i, chart.dim, "generator index")
         return cls._make(chart, {LyndonWord._make((i,)): {0: 1}}, 1)
+
+    @classmethod
+    def _scaled_generator(cls, chart: ChartSpec, i: int, p: Poly) -> "FreeLRElem":
+        """p*d_i for a Poly p of the chart and an index i in it: p's numerators under the word (i,), over p's
+        denominator, with the term product budget `Poly * d_i` checks."""
+        _budget(len(p.num), Poly, "MAX_POW_PRODUCTS", _PRODUCTS)
+        return cls._make(chart, {LyndonWord._make((i,)): p.num}, p.den) if p.num else cls.zero(chart)
 
     @classmethod
     def from_vfield(cls, chart: ChartSpec, v: VField) -> "FreeLRElem":

@@ -28,7 +28,7 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Callable, Mapping, Sequence
 
-from .chart_algebra import ChartSpec, VField, _accumulate, _budget, _index, _int, _Record
+from .chart_algebra import ChartSpec, VField, _accumulate, _budget, _index, _int, _Record, _value
 from .errors import (
     ArityMismatchError,
     ChartMismatchError,
@@ -79,9 +79,9 @@ class KField(_Record, frozen=True):
     def __init__(self, chart: ChartSpec, arity: int, components: Mapping[Subset, FreeLRElem] | None = None):
         _check_arity(arity)
         clean: dict[Subset, FreeLRElem] = {}
-        for phi, elem in (components or {}).items():
-            phi = _index_set(phi, arity, "component", nonempty=True)
-            if elem.chart != chart:
+        for label, elem in (components or {}).items():
+            phi = _index_set(label, arity, "component", nonempty=True)
+            if _value(elem, FreeLRElem, "component", label).chart != chart:
                 raise ChartMismatchError("component lives on a different chart")
             if not elem.is_zero():
                 clean[phi] = elem

@@ -418,15 +418,11 @@ class _QuotientModel:
         if self.d >= 3:
             for w_base in range(-2, self.weight + 2):
                 deg_z = self.weight - w_base + 1
-                if deg_z < 0:
-                    continue
                 zs = [
                     lid
                     for lid in range(len(self.letters))
                     if self._letter_degree(lid) == deg_z
                 ]
-                if not zs:
-                    continue
                 for vec in self._base_relations(w_base):
                     for z in zs:
                         closed = self._comm({(z,): 1}, vec)

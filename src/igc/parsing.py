@@ -8,6 +8,9 @@ Errors carry line and column.
 
 A term's leading factors INT, INT/INT, xI and xI^INT are read into one packed
 monomial, and a sum's polynomial terms into one numerator dict, reduced once.
+A polynomial of the chart times a generator dI with no ^ or * after it is read
+straight into its stored element, the polynomial's numerators under the word
+(i,); any other factor is read and multiplied as a value.
 """
 
 from __future__ import annotations
@@ -152,7 +155,10 @@ class _Parser:
         value = self.leading_factors()
         while self.text == "*":
             self._advance()
-            value = _mul(value, self.unary())
+            if type(value) is Poly and value.dim == self.dim and (i := self._lone_generator()) is not None:
+                value = FreeLRElem._scaled_generator(self.session.chart, i, value)
+            else:
+                value = _mul(value, self.unary())
         return value
 
     def leading_factors(self):
@@ -193,6 +199,19 @@ class _Parser:
         # the grammar reads an exponent INT/INT or INT^.., and refuses one past MAX_EXPONENT
         ok = tokens[at + 2][0] == "int" and tokens[at + 3][1] not in ("^", "/")
         return (sign, 1, e << (64 * i), at + 3) if ok and (e := int(tokens[at + 2][1])) <= Poly.MAX_EXPONENT else None
+
+    def _lone_generator(self) -> int | None:
+        """The index of a generator dI in the chart at the current token, moved past, when no ^ or * follows it;
+        else None, the token left for `unary` to read or refuse."""
+        tokens, at = self.tokens, self.pos
+        kind, text, _ = tokens[at]
+        # as in `_monomial_factor`, a longer index is left to `chart_index`
+        if kind != "ident" or not _GEN_RE.match(text) or len(text) > 21 or (i := int(text[1:])) >= self.dim:
+            return None
+        if tokens[at + 1][1] in ("^", "*"):
+            return None
+        self._advance()
+        return i
 
     def unary(self):
         signs = 0

@@ -17,7 +17,7 @@ from typing import Mapping
 
 from .chart_algebra import (
     Poly, VField, _accumulate, _budget, _derivation_into, _index, _int, _Module, _mul_into, _numerators, _poly_text,
-    _summed, render_combination,
+    _summed, _value, render_combination,
 )
 from .errors import ChartMismatchError, DomainError
 
@@ -49,7 +49,7 @@ class Polyvector(_Module):
         _int(dim, "chart dimension", 1)
         pairs = []
         for idx, p in (terms or {}).items():
-            if p.dim != dim:
+            if _value(p, Poly, "coefficient of blade", idx).dim != dim:
                 raise ChartMismatchError("coefficient lives on a different chart")
             norm = _sort_with_sign(tuple(_index(i, dim, "field index") for i in idx))
             if norm is None:

@@ -33,7 +33,7 @@ from typing import Callable, Mapping, Sequence
 
 from .chart_algebra import (
     ChartSpec, Poly, VField, _accumulate, _budget, _cancelled, _derivation_into, _index, _int, _Module, _mul_into,
-    _numerators, _poly_text, _Record, _reduced, _summed, _unpack, vf_apply,
+    _numerators, _poly_text, _Record, _reduced, _summed, _unpack, _value, vf_apply,
 )
 from .errors import (
     ArityMismatchError,
@@ -57,9 +57,9 @@ class WeilElem(_Module):
         _int(arity, "arity", 0)
         _int(dim, "chart dimension", 1)
         pairs = []
-        for phi, p in (terms or {}).items():
-            phi = _index_set(phi, arity, "generator")
-            if p.dim != dim:
+        for label, p in (terms or {}).items():
+            phi = _index_set(label, arity, "generator")
+            if _value(p, Poly, "part", label).dim != dim:
                 raise ChartMismatchError("part lives on a different chart")
             if p:
                 pairs.append((phi, p))

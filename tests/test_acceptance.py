@@ -3,19 +3,18 @@
 Everything is exact rational arithmetic, so every tolerance is equality.
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines.  The criteria run the deterministic checks behind `igc check`
-(seed 0) one at a time, as `igc check --only NAME` does, plus direct CLI
-invocations for the last one.
+(seed 0) one at a time, as `igc check --only NAME` does, plus CLI lines run
+in process through `igc.cli.main` for the last one.
 """
 
 import hashlib
 import re
-import subprocess
-import sys
 from functools import cache
 
 import pytest
 
 from igc.checks import CHECK_NAMES, CHECKS, run_suite
+from igc.cli import main
 from igc.oracle import CheckReport
 
 SEED = 0
@@ -239,13 +238,8 @@ def test_weil_negative_control_fails_when_the_corruption_is_lost(monkeypatch):
     assert report.failures == [("corrupted top part", "multiplicativity failures", "none detected")]
 
 
-def _cli(*args):
-    return subprocess.run(
-        [sys.executable, "-m", "igc", *args], capture_output=True, text=True
-    )
-
-
-def test_criterion_11_cli():
+def test_criterion_11_cli(capsys):
+    # each line runs in process through igc.cli.main, as `python -m igc` runs it
     examples = [
         (["--dim", "2", "bracket", "lie", "d0", "x0*d1"], "d1\n"),
         (["--dim", "2", "reduce", "cup(d0, d1)"], "d0 ^ d1\n"),
@@ -255,14 +249,17 @@ def test_criterion_11_cli():
         ),
     ]
     for args, expected in examples:
-        r = _cli(*args)
-        assert r.returncode == 0 and r.stdout == expected, (args, r.stdout, r.stderr)
+        code = main(args)
+        out, err = capsys.readouterr()
+        assert code == 0 and out == expected, (args, out, err)
 
-    full = _cli("--dim", "2", "check")
-    assert full.returncode == 0, full.stdout + full.stderr
+    code = main(["--dim", "2", "check"])
+    out, err = capsys.readouterr()
+    assert code == 0, out + err
 
     for name in CHECK_NAMES:
-        r = _cli("--dim", "2", "check", "--only", name, "--invert", name)
-        assert r.returncode == 3, (name, r.stdout)
+        code = main(["--dim", "2", "check", "--only", name, "--invert", name])
+        out, _ = capsys.readouterr()
+        assert code == 3, (name, out)
 
     print("PASS criterion 11: CLI outputs bit-exact; check exits 0, inverted checks exit 3")

@@ -116,7 +116,7 @@ def test_print_parse_roundtrip_random():
 def test_a_bound_polynomial_of_another_chart_is_refused_in_a_sum():
     # a sum adds only the polynomials of the session's chart into one numerator dict
     s = Session(ChartSpec(2), {"p": Poly.var(3, 2)})
-    for expr in ("p + x0", "x0 - p", "x0 + 1 + p"):
+    for expr in ("p + x0", "x0 - p", "x0 + 1 + p", "p*d0"):
         with pytest.raises(DomainError, match="polynomials live on charts of different dimension"):
             parse_expression(expr, s)
 
@@ -160,6 +160,28 @@ def test_a_printed_literal_builds_no_polynomial_per_token(monkeypatch):
     assert [c for c in calls if c != "_reduced"] == []
     assert 0 < calls.count("_reduced") <= text.count("(")
 
+
+def test_a_coefficient_times_a_generator_is_read_into_its_element(monkeypatch):
+    # COEF*dI builds no generator element and multiplies no element; every other shape is read as a product
+    from igc.chart_algebra import _Module
+
+    calls = []
+    generator, mul = FreeLRElem.generator.__func__, _Module.__mul__
+    monkeypatch.setattr(FreeLRElem, "generator", classmethod(lambda *a: calls.append("generator") or generator(*a)))
+    monkeypatch.setattr(_Module, "__mul__", lambda *a: calls.append("*") or mul(*a))
+    text = "K{arity=2; 0: -2/3*x0*x1*d1 + (x0 - 1)*d0; 1: 0*d1 + x1^2*x1*d0; 0,1: 3*(x0 + x1)*d1}"
+    value = parse_expression(text, session())
+    assert calls == []
+    assert str(value) == "K{arity=2; 0: (x0 - 1)*d0 - 2/3*x0*x1*d1; 0,1: (3*x0 + 3*x1)*d1; 1: x1^3*d0}"
+    declined = [
+        ("x0*d1*x0", ["generator", "*", "*"]),
+        ("-x0*-d1", ["generator", "*"]),
+        ("x0*d1^d0", ["generator", "generator", "*"]),
+    ]
+    for text, made in declined:
+        calls.clear()
+        parse_expression(text, session())
+        assert calls == made, text
 
 # The tokenizer that tracked lines as it scanned, before the one-scan
 # tokenizer that works out line and column from an offset only for an error;

@@ -1,9 +1,9 @@
 """The refusals of the four free-module types, pinned row by row: the exception class and the exact message.
 
-Each row is one call on a `VField`, `FreeLRElem`, `WeilElem` or `Polyvector`
-that the library must refuse.  The rows hold what the public boundary of each
-type refuses: a change of how the types store their values must leave every
-one of them as it is.  A last table pins what the constructors keyed by index
+Each row is one call on a `VField`, `FreeLRElem`, `WeilElem` or `Polyvector`,
+or on a `KField` of `FreeLRElem` components, that the library must refuse.
+The rows hold what the public boundary of each type refuses: a change of how
+the types store their values must leave every one of them as it is.  A last table pins what the constructors keyed by index
 sets do with two keys that name one label: they sum them.
 """
 
@@ -12,6 +12,7 @@ import pytest
 from igc.chart_algebra import ChartSpec, Poly, VField, vf_pushforward
 from igc.errors import ChartMismatchError, DegreeOverflowError, DomainError
 from igc.free_lr import FreeLRElem, RelativeSpec, anchor_apply, free_bracket
+from igc.groupoid import KField
 from igc.lyndon import LyndonWord
 from igc.polyvector import Polyvector
 from igc.weil import WeilElem
@@ -39,6 +40,12 @@ ROWS = [
     (lambda: WeilElem(1, 2, {frozenset({0}): X3}), ChartMismatchError, "part lives on a different chart"),
     (lambda: Polyvector(2, {(0,): X3}), ChartMismatchError, "coefficient lives on a different chart"),
     (lambda: Polyvector(2, {(): X2}), DomainError, "polyvector monomials have grade >= 1"),
+    # a coefficient that is not a Poly, or a component that is not a FreeLRElem, is refused by its label
+    (lambda: FreeLRElem(C2, {(0,): 3}), DomainError, "coefficient of word (0,) is int, not Poly"),
+    (lambda: VField([1, 2]), DomainError, "coefficient of d0 is int, not Poly"),
+    (lambda: Polyvector(2, {(0, 1): 1}), DomainError, "coefficient of blade (0, 1) is int, not Poly"),
+    (lambda: WeilElem(2, 2, {(0,): 1}), DomainError, "part (0,) is int, not Poly"),
+    (lambda: KField(C2, 2, {frozenset({0}): 5}), DomainError, "component frozenset({0}) is int, not FreeLRElem"),
 ]
 
 

@@ -90,6 +90,13 @@ def test_quotient_degree_three():
     assert rep.passed
 
 
+def test_quotient_at_a_weight_below_every_word():
+    # at weight -4 every bracket length up to 3 would need a negative
+    # coefficient degree, so no spanning word, relation or expected rank is left
+    rep = oracle_quotient_lowdegree(RelativeSpec(ChartSpec(2, 4), frozenset({1})), 3, weights=(-4,))
+    assert rep.passed and rep.cases == 1
+
+
 def test_quotient_expected_ranks():
     from igc.oracle import _QuotientModel
 

@@ -9,6 +9,7 @@ reader must leave every one of them as it is.
 
 import pytest
 
+from igc.chart_algebra import Poly
 from igc.cli import main
 
 V = "(3/4*x0 - x1^2)*d0 + x1*d1"
@@ -30,6 +31,9 @@ ROWS = [
      "coordinate x4 out of range for dimension 2", (1, 30), 1),
     (["--dim", "2", "cup", "K{arity=2; 0: 2*x0*1/0*d0}", "d0"], "division by zero", (1, 22), 1),
     (["--dim", "2", "cup", "K{arity=2; 0: 2*x0*1/x1*d0}", "d0"], "expected an integer denominator", (1, 22), 1),
+    # a term COEF*dI that is not read straight into its element, but as a product
+    (["--dim", "2", "bracket", "lie", "x0*d5", "d1"], "generator d5 out of range for dimension 2", (1, 4), 1),
+    (["--dim", "2", "bracket", "lie", "2*d0^2", "d1"], "expected a polyvector, got Poly(2)", None, 2),
     # the exponent, digit and nesting budgets
     (["--dim", "2", "bracket", "lie", "x0^9223372036854775807*x0*d0", "d1"], EXPONENT, None, 2),
     (["--dim", "2", "bracket", "lie", "x0^9223372036854775808*d0", "d1"], EXPONENT, None, 2),
@@ -64,3 +68,14 @@ def test_a_zero_factor_hides_a_later_exponent_overflow(capsys):
     # a product with a zero factor is zero before its exponents are added
     assert main(["--dim", "2", "bracket", "lie", "0*x0^9223372036854775807*x0*d0", "d1"]) == 0
     assert capsys.readouterr() == ("0\n", "")
+
+
+def test_a_coefficient_past_the_product_budget_is_refused(monkeypatch, capsys):
+    # COEF*dI forms one term product per term of COEF, as Poly * d_i counts them
+    monkeypatch.setattr(Poly, "MAX_POW_PRODUCTS", 2)
+    assert main(["--dim", "2", "bracket", "lie", "(x0 + x1 + 1)*d0", "d1"]) == 2
+    message = "term product count 3 exceeds the budget of Poly.MAX_POW_PRODUCTS = 2"
+    assert capsys.readouterr() == ("", f"igc: error: {message}\n")
+    # a coefficient within the budget reads as before
+    assert main(["--dim", "2", "bracket", "lie", "(x0 + 1)*d0", "d0"]) == 0
+    assert capsys.readouterr() == ("-d0\n", "")

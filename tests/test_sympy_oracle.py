@@ -182,6 +182,13 @@ element_terms = st.one_of(
             from_sympy(t[0][1]),
         )
     ),
+    # a run of factors with no parentheses before the generator, read straight into the element
+    st.tuples(products(powers), generators).map(lambda t: (f"{t[0][0]}*d{t[1]}", generator(t[1]), from_sympy(t[0][1]))),
+    generators.map(lambda i: (f"0*d{i}", generator(i), Poly.zero(DIM))),
+    # a factor after the generator: the term is read as a product
+    st.tuples(products(powers), generators, products(powers)).map(
+        lambda t: (f"{t[0][0]}*d{t[1]}*{t[2][0]}", generator(t[1]), from_sympy(t[0][1] * t[2][1]))
+    ),
     st.tuples(generators, generators, flat, st.booleans()).map(
         lambda t: (
             f"F[d{t[0]},d{t[1]}]*({t[2][0]})" if t[3] else f"({t[2][0]})*F[d{t[0]},d{t[1]}]",
