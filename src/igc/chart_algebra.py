@@ -146,9 +146,10 @@ def _value(x, cls: type, what: str, label):
     """x when it is a cls.
 
     This is the one rule for every value a module constructor takes under a
-    label (a `Poly` coefficient, a `FreeLRElem` component), checked before
-    its chart is read; anything else raises a one-line DomainError naming
-    `what` and the label.
+    label (a `Poly` coefficient, a `FreeLRElem` component) and every value
+    argument of a public function (labelled by its parameter), checked
+    before its chart is read; anything else raises a one-line DomainError
+    naming `what` and the label.
     """
     if isinstance(x, cls):
         return x

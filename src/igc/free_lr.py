@@ -184,7 +184,7 @@ def free_bracket(u: FreeLRElem, v: FreeLRElem, spec: RelativeSpec | None = None)
     the operands and no bare bracket touching one is formed.  Every word
     length is checked against max_degree before any product is formed.
     """
-    u._check(v)
+    _value(u, FreeLRElem, "free_bracket argument", "u")._check(_value(v, FreeLRElem, "free_bracket argument", "v"))
     vertical = spec.vertical if spec else frozenset()
     if spec and spec.chart != u.chart:
         raise ChartMismatchError("relative spec is for a different chart")
@@ -245,11 +245,22 @@ def _free_bracket_into(accs: dict, un, vn, max_degree: int, vertical: frozenset[
             for word, c in words.items():
                 _mul_into(accs.setdefault(word, {}), p if c == 1 else {k: c * a for k, a in p.items()}, q)
     except DomainError:
-        leibniz = (len(f) * sum(1 for k in g if (k >> 64 * i) & _FIELD_MASK) for xn, yn, _ in anchors for i, f in xn
-                   for _, g in yn)
-        _budget(max(leibniz, default=0), Poly, "MAX_POW_PRODUCTS", _PRODUCTS)
-        _budget(max(len(p) * len(q) for p, q, _ in brackets), Poly, "MAX_POW_PRODUCTS", _PRODUCTS)
+        _phase_budgets((c for xn, yn, _ in anchors for c in _derivation_counts(xn, yn)),
+                       (len(p) * len(q) for p, q, _ in brackets))
         raise
+
+
+def _phase_budgets(*phases):
+    """Refuse the first of the phases, each an iterable of term product counts, whose largest count is past
+    the budget, so the message depends on the operands' values and not on their term order."""
+    for counts in phases:
+        _budget(max(counts, default=0), Poly, "MAX_POW_PRODUCTS", _PRODUCTS)
+
+
+def _derivation_counts(f, g):
+    """The term product count of each (i, j) of `_derivation_into(accs, f, g, sign)`: only the terms of g_j
+    that hold x_i form products."""
+    return (len(fi) * sum(1 for k in gj if (k >> 64 * i) & _FIELD_MASK) for i, fi in f for _, gj in g)
 
 
 def lie_bracket_ext(u: FreeLRElem, v: FreeLRElem) -> FreeLRElem:
@@ -258,7 +269,8 @@ def lie_bracket_ext(u: FreeLRElem, v: FreeLRElem) -> FreeLRElem:
     [u1, v1] is the coordinate bracket and x▷y_long is as in `_long_action_into`.  Every long word is
     derived before any product is formed, and an overflow names the longest derived bracket.
     """
-    u._check(v)
+    what = "lie_bracket_ext argument"
+    _value(u, FreeLRElem, what, "u")._check(_value(v, FreeLRElem, what, "v"))
     return _bracket(None, [(u, v)], _lie_bracket_into)
 
 
@@ -266,33 +278,43 @@ def _lie_bracket_into(accs: dict, un, vn, max_degree: int, sign: int = 1):
     """Add sign * lie_bracket_ext of two (word, numerator dict) collections into accs by word; zero sums stay.
 
     Every long word is derived before any product enters accs, so an overflow
-    names the longest derived bracket, whatever the operands' term order.
+    names the longest derived bracket, and a product count past the budget
+    names the largest of its phase, whatever the operands' term order.
     """
     u1, v1 = ([(w, p) for w, p in xn if len(w) == 1] for xn in (un, vn))
     # D_x and the anchor are linear in x, so -v1▷u_long is (-v1)▷u_long
     actions = [(x, y, s) for x, y, y1, s in ((un, vn, v1, sign), (v1, un, u1, -sign)) if len(y1) < len(y)]
     derived = [_derivatives(x, y, max_degree, s) for x, y, s in actions]
-    _derivation_into(accs, [(w[0], p) for w, p in u1], v1, sign)
-    _derivation_into(accs, [(w[0], q) for w, q in v1], u1, -sign)
-    for (x, y, s), d in zip(actions, derived):
-        _long_action_into(accs, x, y, d, s)
+    # the coordinate bracket [u1, v1], then the long actions; a product count past the budget is refused
+    # with the largest count of its phase, as `_derivation_into` and `_mul_into` count them
+    coordinate = [([(w[0], p) for w, p in u1], v1, sign), ([(w[0], q) for w, q in v1], u1, -sign)]
+    try:
+        for f, g, s in coordinate:
+            _derivation_into(accs, f, g, s)
+        for (x, y, s), d in zip(actions, derived):
+            _long_action_into(accs, x, y, d, s)
+    except DomainError:
+        _phase_budgets((c for f, g, _ in coordinate for c in _derivation_counts(f, g)),
+                       (c for (x, y, _), d in zip(actions, derived) for c in _long_action_counts(x, y, d)))
+        raise
 
 
 def _derivatives(xn, yn, max_degree: int, sign: int) -> dict[Word, list]:
     """sign * D_x(b(w)) as a (word, numerator dict) list, for each long word w of y and the words it is built of.
 
-    D_x(d_c) = -dx/dx_c is one `_derivation_into` and D_x(F[a,b]) = F[D_x a, b] - F[D_x b, a] is two
+    D_x(d_c) = -dx/dx_c is one `_partial_into` and D_x(F[a,b]) = F[D_x a, b] - F[D_x b, a] is two
     `_unit_bracket_into` calls, once per word, both factors derived first.  Every long word
-    of y is derived before an overflow is raised, and the overflow names the longest.
+    of y is derived before an overflow is raised, and the overflow names the longest.  Each step
+    scales terms by numbers, with no product of two polynomials, so the product budget is charged
+    where `_long_action_into` multiplies a derived word by its coefficient.
     """
-    one = {0: 1}
     derived: dict[Word, list] = {}
 
     def derive(word: Word) -> list:
         if word not in derived:
             acc: dict[Word, dict[int, int]] = {}
             if len(word) == 1:
-                _derivation_into(acc, [(word[0], one)], xn, -sign)
+                _partial_into(acc, word[0], xn, -sign)
             else:
                 a, b = lyndon.standard_factorization(word)  # both Lyndon words
                 da, db = derive(a), derive(b)
@@ -317,7 +339,7 @@ def _derivatives(xn, yn, max_degree: int, sign: int) -> dict[Word, list]:
 def _unit_bracket_into(acc: dict, en, b: Word, max_degree: int, sign: int):
     """Add sign * [e, b(b)] = sign * (sum f*[b(z), b(b)] - b(f)*b(z)) over the (z, f) of en into acc, zero sums kept;
     b(f) is df/dx_b for a letter b and 0 for a long word.  Every nonzero bracket is checked against max_degree
-    first, an overflow naming the longest, and the budgets as `_free_bracket_into` checks them for a unit operand."""
+    first, an overflow naming the longest."""
     brackets, longest = [], 0
     for z, f in en:
         if words := lyndon.monomial_bracket(z, b):
@@ -330,13 +352,23 @@ def _unit_bracket_into(acc: dict, en, b: Word, max_degree: int, sign: int):
         # b takes the slot of the general kernel's zero term f*z(1)*b(b), so derived words keep their order
         acc.setdefault(b, {})
     if len(b) == 1:
-        _derivation_into(acc, [(b[0], {0: 1})], en, -sign)
+        _partial_into(acc, b[0], en, -sign)
     for f, words in brackets:
-        _budget(len(f), Poly, "MAX_POW_PRODUCTS", _PRODUCTS)
         for word, c in words.items():
             t = acc.setdefault(word, {})
             for k, a in f.items():
                 t[k] = t.get(k, 0) + sign * c * a
+
+
+def _partial_into(acc: dict, c: int, en, sign: int):
+    """Add sign * df/dx_c into acc[z] for each (z, f) of en; zero sums stay."""
+    shift = 64 * c
+    one = 1 << shift
+    for z, f in en:
+        t = acc.setdefault(z, {})
+        for k, a in f.items():
+            if e := (k >> shift) & _FIELD_MASK:
+                t[k - one] = t.get(k - one, 0) + sign * e * a
 
 
 def _long_action_into(accs: dict, xn, yn, derived: dict, sign: int):
@@ -351,6 +383,15 @@ def _long_action_into(accs: dict, xn, yn, derived: dict, sign: int):
             for z, dz in derived[w]:
                 _mul_into(accs.setdefault(z, {}), g, dz)
             _derivation_into(accs, x1, [(w, g)], sign)
+
+
+def _long_action_counts(xn, yn, derived: dict):
+    """The term product count of each product `_long_action_into(accs, xn, yn, derived, sign)` forms."""
+    x1 = [(w[0], p) for w, p in xn if len(w) == 1]
+    for w, g in yn:
+        if len(w) > 1:
+            yield from (len(g) * len(dz) for _, dz in derived[w])
+            yield from _derivation_counts(x1, [(w, g)])
 
 
 def vertical_reduce(expr, spec: RelativeSpec) -> FreeLRElem:

@@ -79,6 +79,8 @@ class KField(_Record, frozen=True):
     def __init__(self, chart: ChartSpec, arity: int, components: Mapping[Subset, FreeLRElem] | None = None):
         _check_arity(arity)
         clean: dict[Subset, FreeLRElem] = {}
+        if components is not None:
+            _value(components, Mapping, "KField", "components")
         for label, elem in (components or {}).items():
             phi = _index_set(label, arity, "component", nonempty=True)
             if _value(elem, FreeLRElem, "component", label).chart != chart:
@@ -234,7 +236,7 @@ def cup(mu: KField, nu: KField) -> KField:
     singleton {s} of the second lands at {0..k-1} + {k+s}; everything else
     is zero.
     """
-    if mu.chart != nu.chart:
+    if _value(mu, KField, "cup argument", "mu").chart != _value(nu, KField, "cup argument", "nu").chart:
         raise ChartMismatchError("fields live on different charts")
     for phi in sorted(nu.components, key=_subset_key):
         if len(phi) >= 2:
@@ -251,7 +253,7 @@ def cup(mu: KField, nu: KField) -> KField:
 
 def compose(mu: KField, nu: KField) -> KField:
     """Composition product: mu on the first block, nu shifted to the second."""
-    if mu.chart != nu.chart:
+    if _value(mu, KField, "compose argument", "mu").chart != _value(nu, KField, "compose argument", "nu").chart:
         raise ChartMismatchError("fields live on different charts")
     k = mu.arity
     _check_arity(k + nu.arity)
@@ -356,7 +358,7 @@ def homotopy(nu: KField, i: int, j: int) -> KField:
     are k*(k-1)/2 of these maps.  Components avoiding i and j are kept, and
     the flip defects summed at u land at u - {j}, both on the face deleting j.
     """
-    k = nu.arity
+    k = _value(nu, KField, "homotopy argument", "nu").arity
     if k < 2:
         raise DomainError("homotopy needs arity >= 2")
     _check_pair(i, j, k)

@@ -55,14 +55,22 @@ class LyndonWord(tuple):
 
 
 def is_lyndon(word: Word) -> bool:
-    """True when word is strictly smaller than all of its proper rotations."""
-    n = len(word)
-    if n == 0:
-        return False
-    for k in range(1, n):
-        if word >= word[k:] + word[:k]:
+    """True when word is strictly smaller than all of its proper rotations.
+
+    One left-to-right pass of Duval's factorization (1983): i is the letter the
+    next one is matched against; a larger letter makes the prefix so far a
+    Lyndon word again, and a smaller one ends the first factor before the end.
+    """
+    i = 0
+    for j in range(1, len(word)):
+        if word[i] < word[j]:
+            i = 0
+        elif word[i] == word[j]:
+            i += 1
+        else:
             return False
-    return True
+    # a match still running at the end means the word is a power of a shorter one
+    return bool(word) and i == 0
 
 
 def lyndon_words(alphabet: int, length: int) -> list[Word]:

@@ -94,7 +94,7 @@ class Polyvector(_Module):
 
 def wedge(p: Polyvector, q: Polyvector) -> Polyvector:
     """Alternating A-multilinear product; adds -1 in cohomological degree."""
-    p._check(q)
+    _value(p, Polyvector, "wedge argument", "p")._check(_value(q, Polyvector, "wedge argument", "q"))
     _budget(len(p.num) * len(q.num), Poly, "MAX_POW_PRODUCTS", "wedge monomial pair count")
     accs: dict[IndexTuple, dict[int, int]] = {}
     for i1, c1 in p.num.items():
@@ -117,7 +117,7 @@ def schouten(p: Polyvector, q: Polyvector) -> Polyvector:
 
     extended bilinearly.
     """
-    p._check(q)
+    _value(p, Polyvector, "schouten argument", "p")._check(_value(q, Polyvector, "schouten argument", "q"))
     _budget(len(p.num) * len(q.num), Poly, "MAX_POW_PRODUCTS", "Schouten bracket monomial pair count")
     accs: dict[IndexTuple, dict[int, int]] = {}
     for i1, f in p.num.items():

@@ -6,8 +6,10 @@ Runs pytest in this process under `sys.settrace` and prints, for each module
 of `src/igc`, the executable lines (those of its code objects, compiled
 before pytest starts) that no test ran, as ranges.  `--only` limits the
 report to the named files; the arguments after `--` go to pytest (by default
-the whole `tests` directory, quietly).  The commands the tests run in
-subprocesses are not traced, so a line only they reach is listed too.
+the whole `tests` directory, quietly).  The tests run their command lines in
+process, so `cli.py` is traced; only the `python` processes of the tests in
+`cli_lines.LAUNCH_TESTS` are not, so `__main__.py`, which only they run, is
+listed as never run.
 Tracing makes the suite about three times slower.  The name does not start
 with `test_`, so pytest does not collect this script, and it needs no package
 beyond pytest.

@@ -4,7 +4,7 @@ Everything is exact rational arithmetic, so every tolerance is equality.
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines.  The criteria run the deterministic checks behind `igc check`
 (seed 0) one at a time, as `igc check --only NAME` does, plus CLI lines run
-in process through `igc.cli.main` for the last one.
+in process through `cli_lines.run_igc` for the last one.
 """
 
 import hashlib
@@ -12,9 +12,9 @@ import re
 from functools import cache
 
 import pytest
+from cli_lines import run_igc
 
 from igc.checks import CHECK_NAMES, CHECKS, run_suite
-from igc.cli import main
 from igc.oracle import CheckReport
 
 SEED = 0
@@ -238,7 +238,7 @@ def test_weil_negative_control_fails_when_the_corruption_is_lost(monkeypatch):
     assert report.failures == [("corrupted top part", "multiplicativity failures", "none detected")]
 
 
-def test_criterion_11_cli(capsys):
+def test_criterion_11_cli():
     # each line runs in process through igc.cli.main, as `python -m igc` runs it
     examples = [
         (["--dim", "2", "bracket", "lie", "d0", "x0*d1"], "d1\n"),
@@ -249,17 +249,14 @@ def test_criterion_11_cli(capsys):
         ),
     ]
     for args, expected in examples:
-        code = main(args)
-        out, err = capsys.readouterr()
-        assert code == 0 and out == expected, (args, out, err)
+        r = run_igc(args)
+        assert r.returncode == 0 and r.stdout == expected, (args, r.stdout, r.stderr)
 
-    code = main(["--dim", "2", "check"])
-    out, err = capsys.readouterr()
-    assert code == 0, out + err
+    r = run_igc(["--dim", "2", "check"])
+    assert r.returncode == 0, r.stdout + r.stderr
 
     for name in CHECK_NAMES:
-        code = main(["--dim", "2", "check", "--only", name, "--invert", name])
-        out, _ = capsys.readouterr()
-        assert code == 3, (name, out)
+        r = run_igc(["--dim", "2", "check", "--only", name, "--invert", name])
+        assert r.returncode == 3, (name, r.stdout)
 
     print("PASS criterion 11: CLI outputs bit-exact; check exits 0, inverted checks exit 3")

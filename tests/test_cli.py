@@ -11,21 +11,16 @@ from pathlib import Path
 from random import Random
 
 import pytest
+from cli_lines import run_igc
 
 from igc import ChartSpec, DomainError, FreeLRElem, KField, Poly, Polyvector, VField, cup
-from igc.cli import CommandOutcome, UsageError, main, run_command
+from igc.cli import CommandOutcome, UsageError, run_command
 from igc.parsing import ParseError, Session, as_kfield, parse_expression
 from igc.oracle import random_kfield, random_vfield
 
 
 def session(dim=2, max_degree=4):
     return Session(ChartSpec(dim, max_degree))
-
-
-def run(args):
-    return subprocess.run(
-        [sys.executable, "-m", "igc", *args], capture_output=True, text=True
-    )
 
 
 # parsing ---------------------------------------------------------------------
@@ -254,7 +249,7 @@ def test_parse_zero_denominator_is_a_parse_error():
     with pytest.raises(ParseError, match="division by zero") as err:
         parse_expression("1/0*d0", session())
     assert (err.value.line, err.value.column) == (1, 3)
-    r = run(["--dim", "2", "bracket", "free", "1/0*d0", "d1"])
+    r = run_igc(["--dim", "2", "bracket", "free", "1/0*d0", "d1"])
     assert r.returncode == 1 and r.stdout == ""
     assert r.stderr == "igc: parse error: division by zero (line 1, column 3)\n"
 
@@ -265,7 +260,7 @@ def test_parse_kfield_literal_rejects_repeated_slot():
         parse_expression("K{arity=2; 0,0: d0}", s)
     with pytest.raises(ParseError, match="repeated slot index 1"):
         parse_expression("K{arity=3; 1,2,1: d0}", s)
-    r = run(["--dim", "2", "reduce", "K{arity=2; 0,0: d0}"])
+    r = run_igc(["--dim", "2", "reduce", "K{arity=2; 0,0: d0}"])
     assert r.returncode == 1 and "repeated slot index 0" in r.stderr
 
 
@@ -276,7 +271,7 @@ def test_parse_kfield_literal_rejects_repeated_index_set():
     assert (err.value.line, err.value.column) == (1, 19)
     with pytest.raises(ParseError, match="repeated index set 0,1"):
         parse_expression("K{arity=2; 0,1: d0; 1: d1; 1,0: x0*d1}", s)
-    r = run(["--dim", "2", "cup", "K{arity=1; 0: d0; 0: d1}", "d0"])
+    r = run_igc(["--dim", "2", "cup", "K{arity=1; 0: d0; 0: d1}", "d0"])
     assert r.returncode == 1 and r.stdout == ""
     assert r.stderr == "igc: parse error: repeated index set 0 (line 1, column 19)\n"
 
@@ -286,7 +281,7 @@ def test_deep_nesting_hits_the_parser_budget():
 
     message = f"expression nests deeper than the parser budget of _Parser.MAX_NESTING = {_Parser.MAX_NESTING} levels"
     for expr in ("(" * 400 + "d0" + ")" * 400, "F[d0," * 170 + "d1" + "]" * 170, "cup(" * 150 + "d0" + ")" * 150):
-        r = run(["--dim", "2", "bracket", "lie", expr, "d0"])
+        r = run_igc(["--dim", "2", "bracket", "lie", expr, "d0"])
         assert r.returncode == 1 and r.stdout == ""
         assert r.stderr.startswith(f"igc: parse error: {message} (line 1, column ")
     # below the budget the value is read as before
@@ -296,7 +291,7 @@ def test_deep_nesting_hits_the_parser_budget():
 
 def test_unary_minus_chains():
     for expr, want in (("--d0", "d0"), ("-(-(d0))", "d0"), ("-" * 990 + "d0", "d0"), ("-" * 991 + "x0*d1", "-x0*d1")):
-        r = run(["--dim", "2", "reduce", expr])
+        r = run_igc(["--dim", "2", "reduce", expr])
         assert (r.returncode, r.stdout, r.stderr) == (0, want + "\n", "")
 
 
@@ -353,6 +348,28 @@ def test_run_command_usage_errors():
         run_command(["frobnicate"], session())
     with pytest.raises(UsageError):
         run_command(["act", "zero", "lie", "d0"], session())
+    # the command line refuses an empty command before run_command sees it
+    with pytest.raises(UsageError, match="^no command given$"):
+        run_command([], session())
+
+
+# (argv after --dim 2, stderr): lines refused as usage errors, exit 1, before any value is read
+USAGE_LINES = [
+    (["let", "a"], "igc: usage: let NAME = EXPR\n"),
+    (["bracket", "both", "d0", "d1"], "igc: bracket flavor must be 'free' or 'lie'\n"),
+    (["act", "0", "both", "K{arity=2; 0: d0}"], "igc: act flavor must be 'free' or 'lie'\n"),
+    (["check", "--fast"], "igc: unknown check flag '--fast'\n"),
+    (["check", "--only", "nope"], "igc: unknown check 'nope'; known: {}\n"),
+    (["--script", "demo.igc", "reduce", "d0"], "igc: give either --script or an inline command, not both\n"),
+]
+
+
+@pytest.mark.parametrize("argv, stderr", USAGE_LINES, ids=[f"row{n}" for n in range(len(USAGE_LINES))])
+def test_cli_usage_line_is_refused(argv, stderr):
+    from igc.checks import CHECK_NAMES
+
+    r = run_igc(["--dim", "2", *argv])
+    assert (r.returncode, r.stdout, r.stderr) == (1, "", stderr.format(", ".join(CHECK_NAMES)))
 
 
 # The seven operations that are both commands and expression calls: name,
@@ -369,7 +386,7 @@ SHARED_OPERATIONS = [
 
 
 @pytest.mark.parametrize("name, signature, args", SHARED_OPERATIONS, ids=[op[0] for op in SHARED_OPERATIONS])
-def test_command_and_expression_call_agree(name, signature, args, capsys):
+def test_command_and_expression_call_agree(name, signature, args):
     out = run_command([name, *args], session())
     value = parse_expression(f"{name}({', '.join(args)})", session())
     assert out.code == 0 and out.text == str(value)
@@ -386,11 +403,11 @@ def test_command_and_expression_call_agree(name, signature, args, capsys):
     if signature.endswith(("I", "J")):
         bad = len(signature.split()) - 1
         cli_args = args[:bad] + ["x"]
-        assert main(["--dim", "2", name, *cli_args]) == 1
-        assert capsys.readouterr().err == "igc: expected an integer, got 'x'\n"
+        r = run_igc(["--dim", "2", name, *cli_args])
+        assert (r.returncode, r.stderr) == (1, "igc: expected an integer, got 'x'\n")
         expr_args = args[:bad] + ["1/2"]
-        assert main(["--dim", "2", "reduce", f"{name}({', '.join(expr_args)})"]) == 2
-        assert capsys.readouterr().err == "igc: error: expected an integer argument\n"
+        r = run_igc(["--dim", "2", "reduce", f"{name}({', '.join(expr_args)})"])
+        assert (r.returncode, r.stderr) == (2, "igc: error: expected an integer argument\n")
 
 
 def test_run_command_check_flag_needs_a_name():
@@ -399,7 +416,7 @@ def test_run_command_check_flag_needs_a_name():
             run_command(["check", flag], session())
         with pytest.raises(UsageError, match=f"{flag} needs a check name"):
             run_command(["check", "--seed", "3", flag], session())
-        r = run(["--dim", "2", "check", flag])
+        r = run_igc(["--dim", "2", "check", flag])
         assert r.returncode == 1 and r.stdout == ""
         assert r.stderr == f"igc: check flag {flag} needs a check name\n"
 
@@ -410,63 +427,60 @@ def test_check_max_degree_is_refused_as_the_global_flag_is(only, value):
     with pytest.raises(UsageError) as err:
         run_command(["check", "--only", only, "--max-degree", value], session())
     assert str(err.value) == message
-    r = run(["--dim", "2", "check", "--only", only, "--max-degree", value])
+    r = run_igc(["--dim", "2", "check", "--only", only, "--max-degree", value])
     assert (r.returncode, r.stdout, r.stderr) == (1, "", f"igc: {message}\n")
-    assert run(["--dim", "2", "--max-degree", value, "check", "--only", only]).stderr == r.stderr
+    assert run_igc(["--dim", "2", "--max-degree", value, "check", "--only", only]).stderr == r.stderr
 
 
-# subprocess-level: exact bytes and exit codes ----------------------------------
+# command lines: exact bytes and exit codes ------------------------------------
 
 
 def test_cli_examples_bit_exact():
-    r = run(["--dim", "2", "bracket", "lie", "d0", "x0*d1"])
+    r = run_igc(["--dim", "2", "bracket", "lie", "d0", "x0*d1"])
     assert r.returncode == 0 and r.stdout == "d1\n"
-    r = run(["--dim", "2", "reduce", "cup(d0, d1)"])
+    r = run_igc(["--dim", "2", "reduce", "cup(d0, d1)"])
     assert r.returncode == 0 and r.stdout == "d0 ^ d1\n"
-    r = run(["--dim", "2", "trivial?", "compose(d0, x0*d1)"])
+    r = run_igc(["--dim", "2", "trivial?", "compose(d0, x0*d1)"])
     assert r.returncode == 0 and r.stdout == "false  witness: (0,1,{0},{1})\n"
 
 
 def test_cli_homotopy_sums_the_defects_at_each_union():
     # ({0}, {1,2}) and ({0,2}, {1}) both have union {0,1,2}; their defects cancel under (0 1)
     field = "K{arity=3; 0: d0; 1: d0; 0,2: d1; 1,2: d1}"
-    r = run(["--dim", "2", "homotopy", field, "0", "1"])
+    r = run_igc(["--dim", "2", "homotopy", field, "0", "1"])
     assert (r.returncode, r.stdout, r.stderr) == (0, "K{arity=2}\n", "")
-    r = run(["--dim", "2", "trivial?", field])
+    r = run_igc(["--dim", "2", "trivial?", field])
     assert (r.returncode, r.stdout) == (0, "false  witness: (0,2,{0},{1,2})\n")
 
 
 def test_cli_json_format():
-    r = run(["--dim", "2", "--format", "json", "bracket", "free", "d0", "x0*d1"])
+    r = run_igc(["--dim", "2", "--format", "json", "bracket", "free", "d0", "x0*d1"])
     data = json.loads(r.stdout)
     assert data == [
         {"word": [1], "coeff": "1"},
         {"word": [0, 1], "coeff": "x0"},
     ]
-    r = run(["--dim", "2", "--format", "json", "cup", "d0", "d1"])
+    r = run_igc(["--dim", "2", "--format", "json", "cup", "d0", "d1"])
     data = json.loads(r.stdout)
     assert data["arity"] == 2 and data["flavor"] == "classical"
     assert data["components"]["0,1"] == [{"word": [1], "coeff": "1"}]
 
 
 def test_cli_exit_codes():
-    assert run(["--dim", "2", "bracket", "lie", "d0", "x0*)"]).returncode == 1
-    assert run(["--dim", "2", "face", "cup(d0,d1)", "7"]).returncode == 2
-    assert run(["--dim", "2"]).returncode == 1
-    assert run(["bracket", "lie", "d0", "d1"]).returncode == 1  # missing --dim
+    assert run_igc(["--dim", "2", "bracket", "lie", "d0", "x0*)"]).returncode == 1
+    assert run_igc(["--dim", "2", "face", "cup(d0,d1)", "7"]).returncode == 2
+    assert run_igc(["--dim", "2"]).returncode == 1
+    assert run_igc(["bracket", "lie", "d0", "d1"]).returncode == 1  # missing --dim
 
 
 @pytest.mark.parametrize("command", ["reduce", "trivial?"])
 def test_cli_arity_budget(command):
     MAX_ACTION_ARITY = KField.MAX_ACTION_ARITY
 
-    r = subprocess.run(
-        [sys.executable, "-m", "igc", "--dim", "2", command, "K{arity=40; 0: d0}"],
-        capture_output=True, text=True, timeout=10,
-    )
+    r = run_igc(["--dim", "2", command, "K{arity=40; 0: d0}"], seconds=10)
     assert r.returncode == 2 and r.stdout == ""
     assert r.stderr == f"igc: error: arity 40 exceeds the budget of KField.MAX_ACTION_ARITY = {MAX_ACTION_ARITY}\n"
-    r = run(["--dim", "2", command, f"K{{arity={MAX_ACTION_ARITY}; 0: d0}}"])
+    r = run_igc(["--dim", "2", command, f"K{{arity={MAX_ACTION_ARITY}; 0: d0}}"])
     assert r.returncode == 0, r.stderr
 
 
@@ -477,9 +491,7 @@ def test_cli_wedge_and_schouten_budget():
     p, q = (" ^ ".join(f"({v})" for v in vectors[s : s + 4]) for s in (0, 4))
     for command, name in (("wedge", "wedge"), ("schouten", "Schouten bracket")):
         start = time.perf_counter()
-        r = subprocess.run(
-            [sys.executable, "-m", "igc", "--dim", "16", command, p, q], capture_output=True, text=True, timeout=30
-        )
+        r = run_igc(["--dim", "16", command, p, q], seconds=30)
         assert time.perf_counter() - start < 5
         message = (
             f"{name} monomial pair count {1820 * 1820} exceeds the budget of "
@@ -492,9 +504,9 @@ def test_cli_reduce_chain_and_all_equal_field():
     # a chain support reduces; a support that is not a chain gets no class,
     # even when all its components agree as in alpha cup alpha = alpha, since
     # no construction at hand assigns it one
-    r = run(["--dim", "2", "reduce", "K{arity=2; 0: d0; 0,1: d0}"])
+    r = run_igc(["--dim", "2", "reduce", "K{arity=2; 0: d0; 0,1: d0}"])
     assert (r.returncode, r.stdout, r.stderr) == (0, "d0\n", "")
-    r = run(["--dim", "2", "reduce", "K{arity=2; 0: d0; 1: d0; 0,1: d0}"])
+    r = run_igc(["--dim", "2", "reduce", "K{arity=2; 0: d0; 1: d0; 0,1: d0}"])
     message = "no relabeling moves the support into the flag chain"
     assert (r.returncode, r.stdout, r.stderr) == (2, "", f"igc: error: {message}\n")
 
@@ -502,13 +514,10 @@ def test_cli_reduce_chain_and_all_equal_field():
 def test_cli_power_budget():
     # (x0+x1+1)^32 has 561 terms, and squaring it is the first product past the budget
     message = f"term product count {561 * 561} exceeds the budget of Poly.MAX_POW_PRODUCTS = {Poly.MAX_POW_PRODUCTS}"
-    r = subprocess.run(
-        [sys.executable, "-m", "igc", "--dim", "2", "bracket", "lie", "(x0+x1+1)^1000*d0", "d1"],
-        capture_output=True, text=True, timeout=10,
-    )
+    r = run_igc(["--dim", "2", "bracket", "lie", "(x0+x1+1)^1000*d0", "d1"], seconds=10)
     assert (r.returncode, r.stdout, r.stderr) == (2, "", f"igc: error: {message}\n")
     # one-term powers and small bases stay far below the budget
-    r = run(["--dim", "2", "bracket", "lie", "d1", "x0^1000*x1*d0"])
+    r = run_igc(["--dim", "2", "bracket", "lie", "d1", "x0^1000*x1*d0"])
     assert (r.returncode, r.stdout) == (0, "x0^1000*d0\n")
     ninth = parse_expression("(x0+x1+1)^9", session())
     assert len(ninth.terms) == 55 and ninth.terms[(1, 8)] == 9 and ninth.terms[(3, 3)] == 1680
@@ -519,10 +528,7 @@ def test_cli_product_budget(tmp_path):
     # products; q*q, 680 terms times 680, is already past the budget
     script = tmp_path / "chain.igc"
     script.write_text("let p = (x0+x1+x2+1)^7\nlet q = p*p\nlet r = q*q\nreduce r*r*d0\n")
-    r = subprocess.run(
-        [sys.executable, "-m", "igc", "--dim", "3", "--script", str(script)],
-        capture_output=True, text=True, timeout=10,
-    )
+    r = run_igc(["--dim", "3", "--script", str(script)], seconds=10)
     message = f"term product count {{}} exceeds the budget of Poly.MAX_POW_PRODUCTS = {Poly.MAX_POW_PRODUCTS}"
     assert (r.returncode, r.stdout) == (2, "")
     assert r.stderr == f"igc: error: {message.format(680 * 680)}\nigc: script line 3 failed\n"
@@ -551,10 +557,7 @@ def test_cli_bracket_product_budget(command, tmp_path):
     # each of these multiplies c by c or by a derivative of c, about 29.6M term products
     script = tmp_path / "large.igc"
     script.write_text(LARGE_COEFFICIENT + f'{command} "c*d0" "c*d1"\n')
-    r = subprocess.run(
-        [sys.executable, "-m", "igc", "--dim", "3", "--script", str(script)],
-        capture_output=True, text=True, timeout=10,
-    )
+    r = run_igc(["--dim", "3", "--script", str(script)], seconds=10)
     # the wedge multiplies c by c; the brackets multiply c by d0(c) or d1(c), 4,960 terms each
     count = 5440 * 5440 if command == "wedge" else 5440 * 4960
     message = f"term product count {count} exceeds the budget of Poly.MAX_POW_PRODUCTS = {Poly.MAX_POW_PRODUCTS}"
@@ -562,10 +565,7 @@ def test_cli_bracket_product_budget(command, tmp_path):
     assert r.stderr == f"igc: error: {message}\nigc: script line 5 failed\n"
     # against a one-term coefficient the same commands stay far below the budget
     script.write_text(LARGE_COEFFICIENT + f'{command} "x0*d0" "c*d1"\n')
-    r = subprocess.run(
-        [sys.executable, "-m", "igc", "--dim", "3", "--script", str(script)],
-        capture_output=True, text=True, timeout=10,
-    )
+    r = run_igc(["--dim", "3", "--script", str(script)], seconds=10)
     assert r.returncode == 0 and r.stderr == ""
 
 
@@ -574,17 +574,11 @@ def test_cli_bracket_checks_word_lengths_before_any_product(tmp_path):
     # that would hit the product budget, and forms the Leibniz products first
     script = tmp_path / "large.igc"
     script.write_text(LARGE_COEFFICIENT + 'bracket free "c*d0" "c*d1"\n')
-    r = subprocess.run(
-        [sys.executable, "-m", "igc", "--dim", "3", "--max-degree", "1", "--script", str(script)],
-        capture_output=True, text=True, timeout=10,
-    )
+    r = run_igc(["--dim", "3", "--max-degree", "1", "--script", str(script)], seconds=10)
     assert (r.returncode, r.stdout) == (2, "")
     assert r.stderr == "igc: error: bracket monomial of length 2 exceeds max_degree 1\nigc: script line 5 failed\n"
     script.write_text(LARGE_COEFFICIENT + 'bracket free "c*d0 + c*F[d0,d1]" "c*d1"\n')
-    r = subprocess.run(
-        [sys.executable, "-m", "igc", "--dim", "3", "--script", str(script)],
-        capture_output=True, text=True, timeout=10,
-    )
+    r = run_igc(["--dim", "3", "--script", str(script)], seconds=10)
     message = f"term product count {5440 * 4960} exceeds the budget of Poly.MAX_POW_PRODUCTS = {Poly.MAX_POW_PRODUCTS}"
     assert (r.returncode, r.stdout) == (2, "")
     assert r.stderr == f"igc: error: {message}\nigc: script line 5 failed\n"
@@ -622,7 +616,7 @@ def test_cli_lie_bracket_overflow_names_the_longest_derived_bracket(max_degree, 
     message = f"igc: error: bracket monomial of length {length} exceeds max_degree {max_degree}\n"
     for terms in ((u, v), (u[::-1], v[::-1])):
         line = [" + ".join(t) for t in terms]
-        r = run(["--dim", "3", "--max-degree", str(max_degree), "bracket", "lie", *line])
+        r = run_igc(["--dim", "3", "--max-degree", str(max_degree), "bracket", "lie", *line])
         assert (r.returncode, r.stdout, r.stderr) == (2, "", message), line
 
 
@@ -631,24 +625,21 @@ def test_cli_free_bracket_overflow_names_the_longest_bracket():
     # [F[d0,F[d0,d1]], F[d0,d1]], not the first overflowing pair they meet
     message = "igc: error: bracket monomial of length 5 exceeds max_degree 3\n"
     for v in ("d0 + F[d0,d1]", "F[d0,d1] + d0"):
-        r = run(["--dim", "2", "--max-degree", "3", "bracket", "free", "F[d0,F[d0,d1]]", v])
+        r = run_igc(["--dim", "2", "--max-degree", "3", "bracket", "free", "F[d0,F[d0,d1]]", v])
         assert (r.returncode, r.stdout, r.stderr) == (2, "", message), v
 
 
 def test_cli_kfield_arity_budget():
     message = f"exceeds the budget of KField.MAX_ARITY = {KField.MAX_ARITY}"
-    r = subprocess.run(
-        [sys.executable, "-m", "igc", "--dim", "2", "cup", "K{arity=100000000; 0: d0}", "d1"],
-        capture_output=True, text=True, timeout=10,
-    )
+    r = run_igc(["--dim", "2", "cup", "K{arity=100000000; 0: d0}", "d1"], seconds=10)
     assert (r.returncode, r.stdout) == (2, "")
     assert r.stderr == f"igc: error: arity 100000000 {message}\n"
     half = f"K{{arity={KField.MAX_ARITY // 2 + 1}; 0: d0}}"
     for command in ("cup", "compose"):
-        r = run(["--dim", "2", command, half, half])
+        r = run_igc(["--dim", "2", command, half, half])
         assert (r.returncode, r.stdout) == (2, "")
         assert r.stderr == f"igc: error: arity {2 * (KField.MAX_ARITY // 2 + 1)} {message}\n"
-    r = run(["--dim", "2", "face", f"K{{arity={KField.MAX_ARITY}; 0: d0}}", str(KField.MAX_ARITY - 1)])
+    r = run_igc(["--dim", "2", "face", f"K{{arity={KField.MAX_ARITY}; 0: d0}}", str(KField.MAX_ARITY - 1)])
     assert (r.returncode, r.stdout) == (0, f"K{{arity={KField.MAX_ARITY - 1}; 0: d0}}\n")
 
 
@@ -658,31 +649,25 @@ def test_cli_sdiff_follows_the_supports():
         ("K{arity=40; 0: d0}", "K{arity=40; 0: d0}", "K{arity=39}"),
         ("K{arity=40; 0: d0; 2: d1; 0,1: x0*d1}", "K{arity=40; 0: d0; 2: d1; 0,1: d1}", "K{arity=39; 0: (x0 - 1)*d1; 1: d1}"),
     ):
-        r = subprocess.run(
-            [sys.executable, "-m", "igc", "--dim", "2", "sdiff", mu, nu, "0", "1"],
-            capture_output=True, text=True, timeout=10,
-        )
+        r = run_igc(["--dim", "2", "sdiff", mu, nu, "0", "1"], seconds=10)
         assert (r.returncode, r.stdout, r.stderr) == (0, want + "\n", "")
 
 
 def test_cli_act_word_rejects_empty_entries():
     for word in ("0,,0", ",0,", ",", "0,"):
-        r = run(["--dim", "2", "act", word, "free", "K{arity=2; 0: d0}"])
+        r = run_igc(["--dim", "2", "act", word, "free", "K{arity=2; 0: d0}"])
         assert (r.returncode, r.stdout) == (1, "")
         assert r.stderr == f"igc: bad swap word {word!r}; use comma-separated indices\n"
     # the empty word is the identity
-    r = run(["--dim", "2", "act", "", "free", "K{arity=2; 0: d0}"])
+    r = run_igc(["--dim", "2", "act", "", "free", "K{arity=2; 0: d0}"])
     assert (r.returncode, r.stdout) == (0, "K{arity=2; 0: d0}\n")
 
 
 def test_cli_dimension_budget():
-    r = subprocess.run(
-        [sys.executable, "-m", "igc", "--dim", "100000000", "bracket", "lie", "d0", "x0*d1"],
-        capture_output=True, text=True, timeout=10,
-    )
+    r = run_igc(["--dim", "100000000", "bracket", "lie", "d0", "x0*d1"], seconds=10)
     assert (r.returncode, r.stdout) == (1, "")
     assert r.stderr == f"igc: error: chart dimension 100000000 exceeds the budget of ChartSpec.MAX_DIM = {ChartSpec.MAX_DIM}\n"
-    r = run(["--dim", str(ChartSpec.MAX_DIM), "bracket", "lie", "d0", "x0*d1"])
+    r = run_igc(["--dim", str(ChartSpec.MAX_DIM), "bracket", "lie", "d0", "x0*d1"])
     assert (r.returncode, r.stdout) == (0, "d1\n")
 
 
@@ -696,14 +681,13 @@ def test_one_shot_command_leaves_check_suite_and_profiler_unloaded():
     assert (r.stdout, r.stderr) == ("d1\n0 []\n", "")
 
 
-def imported_modules(args):
-    """Output of `python -X importtime -m igc ARGS` and the modules its import log names."""
-    r = subprocess.run([sys.executable, "-X", "importtime", "-m", "igc", *args], capture_output=True, text=True)
-    names = {line.rsplit("|", 1)[1].strip() for line in r.stderr.splitlines() if line.startswith("import time:")}
-    return r, names
-
-
 def test_one_shot_command_loads_only_what_it_runs():
+    def imported_modules(args):
+        """Output of `python -X importtime -m igc ARGS` and the modules its import log names."""
+        r = subprocess.run([sys.executable, "-X", "importtime", "-m", "igc", *args], capture_output=True, text=True)
+        names = {line.rsplit("|", 1)[1].strip() for line in r.stderr.splitlines() if line.startswith("import time:")}
+        return r, names
+
     r, names = imported_modules(["--dim", "2", "bracket", "lie", "d0", "x0*d1"])
     assert (r.returncode, r.stdout) == (0, "d1\n")
     assert {"igc.cli", "igc.parsing", "igc.groupoid"} <= names
@@ -742,14 +726,12 @@ def test_cli_coefficient_budget():
          f"igc: error: monomial exponent exceeds the budget of Poly.MAX_EXPONENT = {Poly.MAX_EXPONENT}\n"),
     ]
     for args, code, stderr in cases:
-        r = subprocess.run(
-            [sys.executable, "-m", "igc", "--dim", "2", *args], capture_output=True, text=True, timeout=10
-        )
+        r = run_igc(["--dim", "2", *args], seconds=10)
         assert (r.returncode, r.stdout, r.stderr) == (code, "", stderr), args
     # at the budget the value still prints, and so does a large exponent
-    r = run(["--dim", "2", "reduce", "2^14284*d0"])
+    r = run_igc(["--dim", "2", "reduce", "2^14284*d0"])
     assert (r.returncode, r.stdout) == (0, f"{2**14284}*d0\n")
-    r = run(["--dim", "2", "reduce", "x0^4294967296*d0"])
+    r = run_igc(["--dim", "2", "reduce", "x0^4294967296*d0"])
     assert (r.returncode, r.stdout) == (0, "x0^4294967296*d0\n")
 
 
@@ -757,24 +739,26 @@ def test_cli_coefficient_budget():
     "expr, column", [("{}", 1), ("K{{arity=1; 0: {}}}", 15), ("F[d0, {}]", 7)], ids=["top", "kfield", "bracket"]
 )
 @pytest.mark.parametrize("name, what", [("x{}*d0", "coordinate"), ("d{}", "generator")], ids=["x", "d"])
-def test_an_index_past_any_chart_is_one_parse_error(expr, column, name, what, capsys):
+def test_an_index_past_any_chart_is_one_parse_error(expr, column, name, what):
     # int() refuses more than 4,300 digits; the index is refused as out of
     # range before any digit is converted, in one line naming its length
     ones = "1" * 5000
-    assert main(["--dim", "2", "reduce", expr.format(name.format(ones))]) == 1
-    assert capsys.readouterr() == (
+    r = run_igc(["--dim", "2", "reduce", expr.format(name.format(ones))])
+    assert (r.returncode, r.stdout, r.stderr) == (
+        1,
         "",
         f"igc: parse error: {what} {name[0]}{ones[:20]}... (5000 digits) out of range for dimension 2"
         f" (line 1, column {column})\n",
     )
     # leading zeros are not digits of the index
-    assert main(["--dim", "2", "reduce", expr.format(name.format("0" * 5000 + "1"))]) == 0
-    assert capsys.readouterr().err == ""
+    r = run_igc(["--dim", "2", "reduce", expr.format(name.format("0" * 5000 + "1"))])
+    assert (r.returncode, r.stderr) == (0, "")
 
 
 def test_cli_profile_flag():
     args = ["--dim", "2", "--seed", "3", "check", "--only", "parse-roundtrip"]
-    plain, profiled = run(args), run(["--profile", *args])
+    launches = [[sys.executable, "-m", "igc", *args], [sys.executable, "-m", "igc", "--profile", *args]]
+    plain, profiled = (subprocess.run(line, capture_output=True, text=True) for line in launches)
     assert profiled.returncode == plain.returncode == 0
     assert profiled.stdout == plain.stdout and plain.stderr == ""
     assert "chart_algebra.py" in profiled.stderr
@@ -784,9 +768,9 @@ def test_cli_profile_flag():
 
 
 def test_cli_dimension_flag():
-    r = run(["--dim", "3", "bracket", "lie", "d0", "x2*d1"])
+    r = run_igc(["--dim", "3", "bracket", "lie", "d0", "x2*d1"])
     assert r.returncode == 0 and r.stdout == "0\n"
-    r = run(["--dim", "2", "bracket", "lie", "d0", "x2*d1"])
+    r = run_igc(["--dim", "2", "bracket", "lie", "d0", "x2*d1"])
     assert r.returncode == 1 and "out of range" in r.stderr
 
 
@@ -798,16 +782,16 @@ def test_cli_script(tmp_path):
         'bracket free "d0" "a"\n'
         'reduce "cup(d0, d1)"\n'
     )
-    r = run(["--dim", "2", "--script", str(script)])
+    r = run_igc(["--dim", "2", "--script", str(script)])
     assert r.returncode == 0
     assert r.stdout == "x0*F[d0,d1] + d1\nd0 ^ d1\n"
     bad = tmp_path / "bad.igc"
     bad.write_text('bracket lie "d0" "x9*d1"\n')
-    r = run(["--dim", "2", "--script", str(bad)])
+    r = run_igc(["--dim", "2", "--script", str(bad)])
     assert r.returncode == 1 and "line 1" in r.stderr
     unbalanced = tmp_path / "unbalanced.igc"
     unbalanced.write_text('let a = x0*d1\nbracket lie "d0 d1\n')
-    r = run(["--dim", "2", "--script", str(unbalanced)])
+    r = run_igc(["--dim", "2", "--script", str(unbalanced)])
     assert r.returncode == 1 and r.stdout == ""
     assert r.stderr == "igc: script line 2: No closing quotation\n"
 
@@ -815,17 +799,17 @@ def test_cli_script(tmp_path):
 def test_cli_script_not_utf8(tmp_path):
     script = tmp_path / "latin1.igc"
     script.write_bytes("let caf\u00e9 = d0\n".encode("latin-1"))
-    r = run(["--dim", "2", "--script", str(script)])
+    r = run_igc(["--dim", "2", "--script", str(script)])
     assert r.returncode == 1 and r.stdout == ""
     assert r.stderr.startswith("igc: cannot read script: 'utf-8' codec can't decode")
 
 
-def test_let_rejects_names_the_parser_never_reads(capsys):
+def test_let_rejects_names_the_parser_never_reads():
     for name in ("x0", "x7", "d1", "d12", "caf\u00e9", "2a"):
         with pytest.raises(UsageError, match=f"bad binding name {name!r}"):
             run_command(["let", name, "=", "d1"], session())
-        assert main(["--dim", "2", "let", name, "=", "d1"]) == 1
-        assert capsys.readouterr().err == f"igc: bad binding name {name!r}\n"
+        r = run_igc(["--dim", "2", "let", name, "=", "d1"])
+        assert (r.returncode, r.stderr) == (1, f"igc: bad binding name {name!r}\n")
     s = session()
     for name in ("x", "d", "x0a", "dx1", "F", "K", "cup"):
         run_command(["let", name, "=", "x0*d1"], s)
@@ -834,7 +818,8 @@ def test_let_rejects_names_the_parser_never_reads(capsys):
 
 def test_cli_identical_output_across_runs():
     args = ["--dim", "2", "--seed", "3", "check", "--only", "parse-roundtrip"]
-    r1, r2 = run(args), run(args)
+    line = [sys.executable, "-m", "igc", *args]
+    r1, r2 = (subprocess.run(line, capture_output=True, text=True) for _ in range(2))
     assert r1.stdout == r2.stdout and r1.returncode == r2.returncode == 0
 
 
@@ -842,7 +827,7 @@ def test_check_timings_go_to_stderr_and_leave_stdout_alone():
     from igc.checks import CHECK_NAMES
 
     base = ["--dim", "2", "--seed", "3"]
-    plain, timed = run([*base, "check"]), run([*base, "check", "--timings"])
+    plain, timed = run_igc([*base, "check"]), run_igc([*base, "check", "--timings"])
     assert (plain.stdout, plain.stderr, plain.returncode) == (timed.stdout, "", timed.returncode)
     lines = timed.stderr.splitlines()
     assert [line.split(":")[0] for line in lines] == [f"timing {name}" for name in CHECK_NAMES]
@@ -852,7 +837,7 @@ def test_check_timings_go_to_stderr_and_leave_stdout_alone():
     # JSON output, a failing report, and the flag before the others
     args = [*base, "--format", "json", "check"]
     only = ["--only", "homotopy", "--invert", "homotopy"]
-    plain, timed = run([*args, *only]), run([*args, "--timings", *only])
+    plain, timed = run_igc([*args, *only]), run_igc([*args, "--timings", *only])
     assert (plain.stdout, plain.returncode) == (timed.stdout, timed.returncode) == (plain.stdout, 3)
     assert "seconds" not in plain.stdout and re.fullmatch(r"timing homotopy: \S+ s \(63 cases\)\n", timed.stderr)
 
@@ -869,5 +854,5 @@ def test_readme_command_line_examples():
     assert len(examples) == 7
     for argv, want in examples:
         assert argv[0] == "igc"
-        r = run(argv[1:])
+        r = run_igc(argv[1:])
         assert (r.returncode, r.stdout) == (0, want + "\n"), argv

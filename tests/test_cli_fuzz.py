@@ -11,11 +11,10 @@ instead of stalling the suite (hypothesis's deadline is off, because a slow
 host would trip it on lines that end).
 """
 
-import signal
 import time
-from contextlib import contextmanager
 
 import pytest
+from cli_lines import LineTimeout, wall_bound
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -135,26 +134,6 @@ soup = st.lists(st.sampled_from(TOKENS), max_size=12).filter(lambda t: t.count("
 
 
 LINE_SECONDS = 5
-
-
-class LineTimeout(Exception):
-    pass
-
-
-@contextmanager
-def wall_bound(seconds: float):
-    """Raise LineTimeout in the body once it has run for `seconds` of wall time."""
-
-    def expire(signum, frame):
-        raise LineTimeout(f"line still running after {seconds} s")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
-    try:
-        yield
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
 
 
 def _check_line(argv: list[str]):

@@ -79,6 +79,8 @@ def test_lyndon_words_are_generated_as_the_filter_finds_them():
     for n in range(1, 5):
         for d in range(1, 9):
             assert lyndon.lyndon_words(n, d) == [w for w in product(range(n), repeat=d) if brute_lyndon(w)]
+            # and the one-pass test agrees with the rotations on every word
+            assert all(lyndon.is_lyndon(w) == brute_lyndon(w) for w in product(range(n), repeat=d)), (n, d)
 
 
 def test_lyndon_basis_is_found_once_and_returned_in_a_new_list(monkeypatch):
@@ -407,10 +409,10 @@ def test_lie_bracket_ext_outputs_are_pinned():
 # each hash pins which refusal comes first, the count it names, and its order
 # against DegreeOverflowError
 LOWERED_BUDGET_SHA256 = {
-    1: "d1371c0d155ca7d5c1e9a042b16e5f1afd764c6fbf74e21d6699c62dd754ff2c",
-    2: "9674dce4670acae6f62e229706624b0c1159ff0c238f744ba742c5127488a214",
-    3: "145c9dc9dd1529330df1ba64073ad323a599b9a52c69ee15ae86440da2681864",
-    5: "db43aa48cb14dfd3577e5f452cb7802bcfb537a154f168470e7dc5f4152c791d",
+    1: "7d7407b011b4636dae5d707ea3dde75845e2bca16782d5e8e78f2dcdff55526e",
+    2: "25457d1ba3a23e5e1826e9ed1765856435251a7f689415a7dbb0dd833255dfcd",
+    3: "d70d0091aac3e237e14810c1064f3900a300176bf04cd4eb5e66ea19bec0d5b1",
+    5: "240ec085c6686ae63fe5dad18d7ed14eed9ea3ff869d907e6eb56e87290ca847",
 }
 
 
@@ -427,7 +429,7 @@ def test_lie_bracket_ext_refusals_are_pinned_under_a_lowered_budget(monkeypatch,
         got = _outcome(lie_bracket_ext, u, v)
         lines.append(f"{got[0].__name__}: {got[1]}" if isinstance(got, tuple) else str(got))
     kinds = [line.split(":")[0] for line in lines if line.startswith(("DomainError: term product", "DegreeOverflowError"))]
-    # 171, 86, 51 and 28 budget refusals beside 29, 77, 100 and 101 overflows
+    # 99, 62, 50 and 28 budget refusals beside 101 overflows at each budget
     assert kinds.count("DomainError") >= 28 and kinds.count("DegreeOverflowError") >= 29
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == LOWERED_BUDGET_SHA256[budget]
 
@@ -456,10 +458,14 @@ def test_free_bracket_refusal_does_not_depend_on_term_order(budget, monkeypatch)
     assert overflows > 100
 
 
-def test_lie_bracket_ext_refusal_does_not_depend_on_term_order():
-    # every long word is derived before an overflow is raised, and the
-    # overflow names the longest derived bracket, so equal operands built in
-    # another term order refuse with the same message
+@pytest.mark.parametrize("budget", [None, 1, 2, 3, 5], ids=["default", "1", "2", "3", "5"])
+def test_lie_bracket_ext_refusal_does_not_depend_on_term_order(budget, monkeypatch):
+    # every long word is derived before an overflow is raised, the overflow
+    # names the longest derived bracket and a product count past the budget
+    # names the largest of its phase, so equal operands built in another term
+    # order refuse with the same message
+    if budget is not None:
+        monkeypatch.setattr(Poly, "MAX_POW_PRODUCTS", budget)
     rng = Random(6)
     overflows = 0
     for _ in range(500):

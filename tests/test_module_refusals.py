@@ -1,7 +1,8 @@
 """The refusals of the four free-module types, pinned row by row: the exception class and the exact message.
 
 Each row is one call on a `VField`, `FreeLRElem`, `WeilElem` or `Polyvector`,
-or on a `KField` of `FreeLRElem` components, that the library must refuse.
+or on a `KField` of `FreeLRElem` components, or one public function given a
+value of another type, that the library must refuse.
 The rows hold what the public boundary of each type refuses: a change of how
 the types store their values must leave every one of them as it is.  A last table pins what the constructors keyed by index
 sets do with two keys that name one label: they sum them.
@@ -11,10 +12,10 @@ import pytest
 
 from igc.chart_algebra import ChartSpec, Poly, VField, vf_pushforward
 from igc.errors import ChartMismatchError, DegreeOverflowError, DomainError
-from igc.free_lr import FreeLRElem, RelativeSpec, anchor_apply, free_bracket
-from igc.groupoid import KField
+from igc.free_lr import FreeLRElem, RelativeSpec, anchor_apply, free_bracket, lie_bracket_ext
+from igc.groupoid import KField, compose, cup, homotopy
 from igc.lyndon import LyndonWord
-from igc.polyvector import Polyvector
+from igc.polyvector import Polyvector, schouten, wedge
 from igc.weil import WeilElem
 
 C2 = ChartSpec(2, max_degree=2)
@@ -22,6 +23,8 @@ C3 = ChartSpec(3, max_degree=2)
 X2 = Poly.var(2, 0)
 X3 = Poly.var(3, 0)
 D0 = FreeLRElem.generator(C2, 0)
+K2 = KField(C2, 2, {frozenset({0}): D0})
+P2 = Polyvector(2, {(0, 1): X2})
 
 # (call, exception class, message)
 ROWS = [
@@ -46,6 +49,15 @@ ROWS = [
     (lambda: Polyvector(2, {(0, 1): 1}), DomainError, "coefficient of blade (0, 1) is int, not Poly"),
     (lambda: WeilElem(2, 2, {(0,): 1}), DomainError, "part (0,) is int, not Poly"),
     (lambda: KField(C2, 2, {frozenset({0}): 5}), DomainError, "component frozenset({0}) is int, not FreeLRElem"),
+    # a value argument of a public function that is not of its type is refused by its name
+    (lambda: free_bracket(D0, 3), DomainError, "free_bracket argument v is int, not FreeLRElem"),
+    (lambda: lie_bracket_ext(D0, K2), DomainError, "lie_bracket_ext argument v is KField, not FreeLRElem"),
+    (lambda: cup(K2, D0), DomainError, "cup argument nu is FreeLRElem, not KField"),
+    (lambda: compose(D0, K2), DomainError, "compose argument mu is FreeLRElem, not KField"),
+    (lambda: wedge(P2, 3), DomainError, "wedge argument q is int, not Polyvector"),
+    (lambda: schouten(3, P2), DomainError, "schouten argument p is int, not Polyvector"),
+    (lambda: homotopy(D0, 0, 1), DomainError, "homotopy argument nu is FreeLRElem, not KField"),
+    (lambda: KField(C2, 2, [frozenset({0})]), DomainError, "KField components is list, not Mapping"),
 ]
 
 

@@ -4,13 +4,12 @@ import ast
 import importlib
 import re
 import shlex
-import subprocess
-import sys
 import time
 from collections import Counter
 from pathlib import Path
 
 import pytest
+from cli_lines import LAUNCH_TESTS, run_igc
 
 import igc
 
@@ -107,6 +106,23 @@ def test_only_free_lr_builds_a_free_lr_element_from_its_stored_form():
     assert found == []
 
 
+def test_only_the_listed_tests_launch_a_process():
+    # every other command line runs in process through `cli_lines.run_igc`; a
+    # launch is any use of `subprocess` but its result record, or of `sys.executable`
+    found = set()
+    for path in sorted((ROOT / "tests").glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            owner = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else "<module>"
+            for node in ast.walk(top):
+                if isinstance(node, ast.ImportFrom) and node.module == "subprocess":
+                    found.add((path.name, owner))
+                elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                    used = (node.value.id, node.attr)
+                    if used == ("sys", "executable") or used[0] == "subprocess" and used[1] != "CompletedProcess":
+                        found.add((path.name, owner))
+    assert sorted(found) == sorted(("test_cli.py", name) for name in LAUNCH_TESTS)
+
+
 def src_modules():
     return [(path.stem, ast.parse(path.read_text())) for path in sorted((ROOT / "src" / "igc").glob("*.py"))]
 
@@ -150,7 +166,7 @@ def test_every_budget_is_in_the_readme_table():
         # the nesting and word-length lines repeat a text with bash brace expansion
         argv = [re.sub(r"\$\(printf '([^']+)%\.0s' \{1\.\.(\d+)\}\)", lambda m: m[1] * int(m[2]), a) for a in argv]
         start = time.perf_counter()
-        r = subprocess.run([sys.executable, "-m", "igc", *argv[1:]], capture_output=True, text=True, timeout=30)
+        r = run_igc(argv[1:], seconds=30)
         wall = time.perf_counter() - start
         assert (r.returncode, r.stdout) == (int(code), ""), name
         assert r.stderr.count("\n") == 1 and name in r.stderr, (name, r.stderr)

@@ -1,6 +1,6 @@
 """The parser's refusals, pinned row by row: the exact message, where it points and the exit code.
 
-Each row is one CLI line run in process through `igc.cli.main`.  A parse
+Each row is one CLI line run in process through `cli_lines.run_igc`.  A parse
 error prints "igc: parse error: MESSAGE (line L, column C)" and exits 1; a
 refusal of a value prints "igc: error: MESSAGE" and exits 2, with no
 position.  The rows hold how a term is read to its refusals: rewriting the
@@ -8,9 +8,9 @@ reader must leave every one of them as it is.
 """
 
 import pytest
+from cli_lines import run_igc
 
 from igc.chart_algebra import Poly
-from igc.cli import main
 
 V = "(3/4*x0 - x1^2)*d0 + x1*d1"
 DEEP = "(" * 101 + "d0" + ")" * 101
@@ -54,28 +54,28 @@ ROWS = [
 
 
 @pytest.mark.parametrize("argv, message, at, code", ROWS, ids=[f"row{n}" for n in range(len(ROWS))])
-def test_parser_refusal_is_pinned(argv, message, at, code, capsys):
-    assert main(argv) == code
-    out, err = capsys.readouterr()
-    assert out == ""
+def test_parser_refusal_is_pinned(argv, message, at, code):
+    r = run_igc(argv)
+    assert r.returncode == code
+    assert r.stdout == ""
     if at is None:
-        assert err == f"igc: error: {message}\n"
+        assert r.stderr == f"igc: error: {message}\n"
     else:
-        assert err == f"igc: parse error: {message} (line {at[0]}, column {at[1]})\n"
+        assert r.stderr == f"igc: parse error: {message} (line {at[0]}, column {at[1]})\n"
 
 
-def test_a_zero_factor_hides_a_later_exponent_overflow(capsys):
+def test_a_zero_factor_hides_a_later_exponent_overflow():
     # a product with a zero factor is zero before its exponents are added
-    assert main(["--dim", "2", "bracket", "lie", "0*x0^9223372036854775807*x0*d0", "d1"]) == 0
-    assert capsys.readouterr() == ("0\n", "")
+    r = run_igc(["--dim", "2", "bracket", "lie", "0*x0^9223372036854775807*x0*d0", "d1"])
+    assert (r.returncode, r.stdout, r.stderr) == (0, "0\n", "")
 
 
-def test_a_coefficient_past_the_product_budget_is_refused(monkeypatch, capsys):
+def test_a_coefficient_past_the_product_budget_is_refused(monkeypatch):
     # COEF*dI forms one term product per term of COEF, as Poly * d_i counts them
     monkeypatch.setattr(Poly, "MAX_POW_PRODUCTS", 2)
-    assert main(["--dim", "2", "bracket", "lie", "(x0 + x1 + 1)*d0", "d1"]) == 2
+    r = run_igc(["--dim", "2", "bracket", "lie", "(x0 + x1 + 1)*d0", "d1"])
     message = "term product count 3 exceeds the budget of Poly.MAX_POW_PRODUCTS = 2"
-    assert capsys.readouterr() == ("", f"igc: error: {message}\n")
+    assert (r.returncode, r.stdout, r.stderr) == (2, "", f"igc: error: {message}\n")
     # a coefficient within the budget reads as before
-    assert main(["--dim", "2", "bracket", "lie", "(x0 + 1)*d0", "d0"]) == 0
-    assert capsys.readouterr() == ("-d0\n", "")
+    r = run_igc(["--dim", "2", "bracket", "lie", "(x0 + 1)*d0", "d0"])
+    assert (r.returncode, r.stdout, r.stderr) == (0, "-d0\n", "")
