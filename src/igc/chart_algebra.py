@@ -241,7 +241,7 @@ class Poly(_Record, frozen=True):
     @classmethod
     def var(cls, dim: int, i: int) -> "Poly":
         if type(dim) is int and type(i) is int and 0 <= i < dim:
-            return _poly(dim, {1 << (64 * i): 1}, 1)
+            return _poly(dim, {_var_key(i): 1}, 1)
         _index(i, _int(dim, "polynomial dimension", 1), "variable index")
 
     def is_zero(self) -> bool:
@@ -400,6 +400,11 @@ _EXPONENT_OVERFLOW = f"monomial exponent exceeds the budget of Poly.MAX_EXPONENT
 # 2**_DIGIT_BOUND_BITS is past it too
 _DIGIT_BOUND = 10**Poly.MAX_DIGITS
 _DIGIT_BOUND_BITS = _DIGIT_BOUND.bit_length()
+
+
+def _var_key(i: int, e: int = 1) -> int:
+    """The packed key of x_i^e."""
+    return e << 64 * i
 
 
 @cache
@@ -737,7 +742,7 @@ class VField(_Module):
 
 def vf_apply(v: VField, f: Poly) -> Poly:
     """Action of the derivation v on f: sum_i a_i * df/dx_i, one numerator sum reduced once."""
-    if v.dim != f.dim:
+    if _value(v, VField, "vf_apply argument", "v").dim != _value(f, Poly, "vf_apply argument", "f").dim:
         raise ChartMismatchError("field and polynomial live on different charts")
     accs: dict[int, dict[int, int]] = {}
     _derivation_into(accs, v.num.items(), [(0, f.num)], 1)
@@ -749,7 +754,7 @@ def vf_bracket(u: VField, v: VField) -> VField:
 
     The coefficients are one numerator sum over the product of the denominators, reduced once.
     """
-    u._check(v)
+    _value(u, VField, "vf_bracket argument", "u")._check(_value(v, VField, "vf_bracket argument", "v"))
     accs: dict[int, dict[int, int]] = {}
     _derivation_into(accs, u.num.items(), v.num.items(), 1)
     _derivation_into(accs, v.num.items(), u.num.items(), -1)
@@ -764,9 +769,7 @@ def _derivation_into(accs: dict, f: Iterable, g: Iterable, sign: int):
         fi_items = fi.items()
         for j, gj in g:
             if len(fi) * len(gj) > Poly.MAX_POW_PRODUCTS:
-                # only the terms of g_j holding x_i form products
-                count = len(fi) * sum(1 for kg in gj if (kg >> shift) & _FIELD_MASK)
-                _budget(count, Poly, "MAX_POW_PRODUCTS", _PRODUCTS)
+                _budget(next(_derivation_counts([(i, fi)], [(j, gj)])), Poly, "MAX_POW_PRODUCTS", _PRODUCTS)
             acc = accs.setdefault(j, {})
             get = acc.get
             for kg, cg in gj.items():
@@ -780,12 +783,30 @@ def _derivation_into(accs: dict, f: Iterable, g: Iterable, sign: int):
                         acc[k] = get(k, 0) + cf * cg
 
 
+def _derivation_counts(f, g):
+    """The term product count of each (i, j) of `_derivation_into(accs, f, g, sign)`: only the terms of g_j
+    that hold x_i form products."""
+    return (len(fi) * sum(1 for k in gj if (k >> 64 * i) & _FIELD_MASK) for i, fi in f for _, gj in g)
+
+
+def _partial_into(acc: dict, c: int, en, sign: int):
+    """Add sign * df/dx_c into acc[z] for each (z, f) of en; zero sums stay."""
+    shift = 64 * c
+    one = 1 << shift
+    for z, f in en:
+        t = acc.setdefault(z, {})
+        for k, a in f.items():
+            if e := (k >> shift) & _FIELD_MASK:
+                t[k - one] = t.get(k - one, 0) + sign * e * a
+
+
 def vf_pushforward(v: VField, target_dim: int, embedding: Sequence[int]) -> VField:
     """Relabel v along a strictly increasing coordinate inclusion.
 
     The image field is constant in the new coordinates: coefficient i of v is
     moved to slot embedding[i] with x_i renamed to x_{embedding[i]}.
     """
+    _value(v, VField, "vf_pushforward argument", "v")
     _int(target_dim, "target dimension", 1)
     emb = tuple(_index(e, target_dim, "embedding index") for e in embedding)
     if len(emb) != v.dim:

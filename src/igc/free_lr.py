@@ -14,11 +14,17 @@ structures live here:
   free bracket sending d_c to -dx/dx_c, D_x(F[a,b]) = F[D_x a, b] + F[a, D_x b].
 
 An element is a `_Module`, stored as `Poly` is, fraction-free: int
-numerators by word and packed monomial key over one denominator.  The
-kernels `_free_bracket_into` and `_lie_bracket_into` add each output word's
-terms into one integer numerator dict, reading the operands' numerators as
-stored (D_x(b(w)) is built by `_unit_bracket_into`), and `_bracket` finishes
-the result once.
+numerators by word and packed monomial key over one denominator.  Both
+brackets are the anchor terms u1(v) - v1(u), each degree-1 part acting on
+every coefficient of the other operand, plus products of their own: the bare
+brackets f*g*[b(w), b(w')] of the free one, and g*D_x(b(w)) over the long
+words of the classical extension (D_x(b(w)) is built by `_unit_bracket_into`).
+The kernels `_free_bracket_into` and `_lie_bracket_into` list their products
+and hand them to `_anchored_into`, which adds both phases into one integer
+numerator dict per output word, reading the operands' numerators as stored,
+under one refusal rule: a product count past the budget names the largest
+count of the first phase past it, the anchor terms first.  `_bracket`
+finishes the result once.
 
 A `RelativeSpec` marks a subset of generators as vertical (tangent to the
 fibers of a projection).  In the relative algebra every bracket monomial of
@@ -40,8 +46,8 @@ from typing import Iterable, Mapping, Sequence
 
 from . import lyndon
 from .chart_algebra import (
-    _FIELD_MASK, _PRODUCTS, ChartSpec, Poly, VField, _budget, _cancelled, _derivation_into, _index, _int, _Module,
-    _mul_into, _numerators, _poly_text, _Record, _summed, _value, render_combination, vf_apply,
+    _PRODUCTS, ChartSpec, Poly, VField, _budget, _cancelled, _derivation_counts, _derivation_into, _index, _int,
+    _Module, _mul_into, _numerators, _partial_into, _poly_text, _Record, _summed, _value, render_combination, vf_apply,
 )
 from .errors import ChartMismatchError, DegreeOverflowError, DomainError
 from .lyndon import LyndonWord
@@ -158,7 +164,8 @@ def anchor_apply(u: FreeLRElem, f: Poly) -> Poly:
     Monomials act as nested commutators of the coordinate derivations, which
     commute, so only the degree-1 part contributes.
     """
-    if f.dim != u.chart.dim:
+    what = "anchor_apply argument"
+    if _value(u, FreeLRElem, what, "u").chart.dim != _value(f, Poly, what, "f").dim:
         raise ChartMismatchError("polynomial lives on a different chart")
     return vf_apply(project_to_lie(u), f)
 
@@ -169,7 +176,7 @@ def project_to_lie(u: FreeLRElem) -> VField:
     Coordinate generators commute, so all words of length >= 2 evaluate to
     zero and the projection keeps exactly the degree-1 part.
     """
-    num = {w[0]: n for w, n in u.num.items() if len(w) == 1}
+    num = {w[0]: n for w, n in _value(u, FreeLRElem, "project_to_lie argument", "u").num.items() if len(w) == 1}
     # the dropped words may have held the common factor
     num, den = (num, u.den) if len(num) == len(u.num) else _cancelled(num, u.den)
     return VField._make(u.chart.dim, num, den)
@@ -218,8 +225,8 @@ def _free_bracket_into(accs: dict, un, vn, max_degree: int, vertical: frozenset[
     """Add the free bracket of two (word, numerator dict) collections into accs by word; zero sums stay.
 
     Every pair's length is checked before any product is formed, and an
-    overflow names the longest bracket; a product count past the budget names
-    the largest of its phase, so each message depends only on the operands' values.
+    overflow names the longest bracket; the anchor terms and the bare
+    brackets f*g*[b(w), b(w')] are added by `_anchored_into`.
     """
     brackets = []
     longest = 0
@@ -235,39 +242,36 @@ def _free_bracket_into(accs: dict, un, vn, max_degree: int, vertical: frozenset[
                 brackets.append((p, q, words))
     if longest > max_degree:
         raise DegreeOverflowError(longest, max_degree)
-    # Leibniz corrections through the anchor, then the bare brackets; a product count past the budget
-    # is refused with the largest count of its phase, as `_derivation_into` and `_mul_into` count them
-    anchors = [([(w[0], p) for w, p in un if len(w) == 1], vn, 1), ([(w[0], q) for w, q in vn if len(w) == 1], un, -1)]
+    _anchored_into(accs, un, vn, 1, brackets)
+
+
+def _anchored_into(accs: dict, un, vn, sign: int, products):
+    """Add sign * (u1(v) - v1(u)), then c*p*q into accs[word] for each (p, q, words) of products and each
+    (word, c) of words; u1, v1 are the degree-1 parts, each acting through the anchor on every coefficient
+    of the other operand.  A product count past the budget is refused with the largest count of the first
+    phase past it, the anchor terms first and the products second, as `_derivation_into` and `_mul_into`
+    count them, so the message depends only on the operands' values."""
+    anchors = [([(w[0], p) for w, p in un if len(w) == 1], vn, sign),
+               ([(w[0], q) for w, q in vn if len(w) == 1], un, -sign)]
     try:
-        for xn, yn, sign in anchors:
-            _derivation_into(accs, xn, yn, sign)
-        for p, q, words in brackets:
+        for xn, yn, s in anchors:
+            _derivation_into(accs, xn, yn, s)
+        for p, q, words in products:
             for word, c in words.items():
                 _mul_into(accs.setdefault(word, {}), p if c == 1 else {k: c * a for k, a in p.items()}, q)
     except DomainError:
-        _phase_budgets((c for xn, yn, _ in anchors for c in _derivation_counts(xn, yn)),
-                       (len(p) * len(q) for p, q, _ in brackets))
+        for counts in ((c for xn, yn, _ in anchors for c in _derivation_counts(xn, yn)),
+                       (len(p) * len(q) for p, q, _ in products)):
+            _budget(max(counts, default=0), Poly, "MAX_POW_PRODUCTS", _PRODUCTS)
         raise
-
-
-def _phase_budgets(*phases):
-    """Refuse the first of the phases, each an iterable of term product counts, whose largest count is past
-    the budget, so the message depends on the operands' values and not on their term order."""
-    for counts in phases:
-        _budget(max(counts, default=0), Poly, "MAX_POW_PRODUCTS", _PRODUCTS)
-
-
-def _derivation_counts(f, g):
-    """The term product count of each (i, j) of `_derivation_into(accs, f, g, sign)`: only the terms of g_j
-    that hold x_i form products."""
-    return (len(fi) * sum(1 for k in gj if (k >> 64 * i) & _FIELD_MASK) for i, fi in f for _, gj in g)
 
 
 def lie_bracket_ext(u: FreeLRElem, v: FreeLRElem) -> FreeLRElem:
     """The second Lie structure,  [u, v] = [u1, v1] + u▷v_long - v1▷u_long,  u1 and v1 the degree-1 parts.
 
-    [u1, v1] is the coordinate bracket and x▷y_long is as in `_long_action_into`.  Every long word is
-    derived before any product is formed, and an overflow names the longest derived bracket.
+    [u1, v1] is the coordinate bracket and x▷y_long sums g*D_x(b(w)) + x(g)*b(w) over the long words w
+    of y with coefficient g.  Every long word is derived before any product is formed, and an overflow
+    names the longest derived bracket.
     """
     what = "lie_bracket_ext argument"
     _value(u, FreeLRElem, what, "u")._check(_value(v, FreeLRElem, what, "v"))
@@ -277,26 +281,18 @@ def lie_bracket_ext(u: FreeLRElem, v: FreeLRElem) -> FreeLRElem:
 def _lie_bracket_into(accs: dict, un, vn, max_degree: int, sign: int = 1):
     """Add sign * lie_bracket_ext of two (word, numerator dict) collections into accs by word; zero sums stay.
 
-    Every long word is derived before any product enters accs, so an overflow
-    names the longest derived bracket, and a product count past the budget
-    names the largest of its phase, whatever the operands' term order.
+    The anchor terms sign * (u1(v) - v1(u)) hold [u1, v1] and each x(g)*b(w), and the products are
+    g * sign * D_x(b(w)) over the long words w of v under x = u and of u under x = -v1 (D_x and the
+    anchor are linear in x).  Every long word is derived before any product enters accs, so an overflow
+    names the longest derived bracket, whatever the operands' term order.
     """
-    u1, v1 = ([(w, p) for w, p in xn if len(w) == 1] for xn in (un, vn))
-    # D_x and the anchor are linear in x, so -v1▷u_long is (-v1)▷u_long
-    actions = [(x, y, s) for x, y, y1, s in ((un, vn, v1, sign), (v1, un, u1, -sign)) if len(y1) < len(y)]
-    derived = [_derivatives(x, y, max_degree, s) for x, y, s in actions]
-    # the coordinate bracket [u1, v1], then the long actions; a product count past the budget is refused
-    # with the largest count of its phase, as `_derivation_into` and `_mul_into` count them
-    coordinate = [([(w[0], p) for w, p in u1], v1, sign), ([(w[0], q) for w, q in v1], u1, -sign)]
-    try:
-        for f, g, s in coordinate:
-            _derivation_into(accs, f, g, s)
-        for (x, y, s), d in zip(actions, derived):
-            _long_action_into(accs, x, y, d, s)
-    except DomainError:
-        _phase_budgets((c for f, g, _ in coordinate for c in _derivation_counts(f, g)),
-                       (c for (x, y, _), d in zip(actions, derived) for c in _long_action_counts(x, y, d)))
-        raise
+    products = []
+    for x, y, s in ((un, vn, sign), ([(w, q) for w, q in vn if len(w) == 1], un, -sign)):
+        long = [(w, g) for w, g in y if len(w) > 1]
+        if long:
+            derived = _derivatives(x, long, max_degree, s)
+            products += [(g, dz, {z: 1}) for w, g in long for z, dz in derived[w]]
+    _anchored_into(accs, un, vn, sign, products)
 
 
 def _derivatives(xn, yn, max_degree: int, sign: int) -> dict[Word, list]:
@@ -306,7 +302,7 @@ def _derivatives(xn, yn, max_degree: int, sign: int) -> dict[Word, list]:
     `_unit_bracket_into` calls, once per word, both factors derived first.  Every long word
     of y is derived before an overflow is raised, and the overflow names the longest.  Each step
     scales terms by numbers, with no product of two polynomials, so the product budget is charged
-    where `_long_action_into` multiplies a derived word by its coefficient.
+    where `_anchored_into` multiplies a derived word by its coefficient.
     """
     derived: dict[Word, list] = {}
 
@@ -358,40 +354,6 @@ def _unit_bracket_into(acc: dict, en, b: Word, max_degree: int, sign: int):
             t = acc.setdefault(word, {})
             for k, a in f.items():
                 t[k] = t.get(k, 0) + sign * c * a
-
-
-def _partial_into(acc: dict, c: int, en, sign: int):
-    """Add sign * df/dx_c into acc[z] for each (z, f) of en; zero sums stay."""
-    shift = 64 * c
-    one = 1 << shift
-    for z, f in en:
-        t = acc.setdefault(z, {})
-        for k, a in f.items():
-            if e := (k >> shift) & _FIELD_MASK:
-                t[k - one] = t.get(k - one, 0) + sign * e * a
-
-
-def _long_action_into(accs: dict, xn, yn, derived: dict, sign: int):
-    """Add sign * x▷y_long, the sum of g*D_x(b(w)) + x(g)*b(w) over the long words w of y, into accs.
-
-    x and y are (word, numerator dict) collections, and derived holds sign * D_x(b(w)) from
-    `_derivatives`; the anchor x(g) is zero for long x.
-    """
-    x1 = [(w[0], p) for w, p in xn if len(w) == 1]
-    for w, g in yn:
-        if len(w) > 1:
-            for z, dz in derived[w]:
-                _mul_into(accs.setdefault(z, {}), g, dz)
-            _derivation_into(accs, x1, [(w, g)], sign)
-
-
-def _long_action_counts(xn, yn, derived: dict):
-    """The term product count of each product `_long_action_into(accs, xn, yn, derived, sign)` forms."""
-    x1 = [(w[0], p) for w, p in xn if len(w) == 1]
-    for w, g in yn:
-        if len(w) > 1:
-            yield from (len(g) * len(dz) for _, dz in derived[w])
-            yield from _derivation_counts(x1, [(w, g)])
 
 
 def vertical_reduce(expr, spec: RelativeSpec) -> FreeLRElem:

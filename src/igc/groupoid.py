@@ -156,8 +156,8 @@ def _check_pair(i: int, j: int, k: int):
         raise DomainError(f"need i < j, got ({i}, {j})")
 
 
-def _check_compatible(mu: KField, nu: KField):
-    if mu.chart != nu.chart:
+def _check_compatible(mu: KField, nu: KField, what: str):
+    if _value(mu, KField, what, "mu").chart != _value(nu, KField, what, "nu").chart:
         raise ChartMismatchError("fields live on different charts")
     if mu.arity != nu.arity:
         raise ArityMismatchError(f"arities differ: {mu.arity} vs {nu.arity}")
@@ -177,7 +177,7 @@ def _check_agreement(mu: KField, nu: KField, shared: Callable[[Subset], bool]):
 
 def face(nu: KField, i: int) -> KField:
     """Restrict to the face where slot i degenerates: keep subsets avoiding i."""
-    k = nu.arity
+    k = _value(nu, KField, "face argument", "nu").arity
     _index(i, k, "face index")
     if k == 1:
         raise DomainError("a 1-field has no faces")
@@ -195,7 +195,7 @@ def add_over_face(mu: KField, nu: KField, psi) -> KField:
 
     Components inside psi must agree and are kept; all others add.
     """
-    _check_compatible(mu, nu)
+    _check_compatible(mu, nu, "add_over_face argument")
     k = mu.arity
     psi = _index_set(psi, k, "face")
     if len(psi) != k - 1:
@@ -213,7 +213,7 @@ def strong_diff(mu: KField, nu: KField, pair: tuple[int, int]) -> KField:
     difference of the (component + {j}) entries.  Both sums run over the
     supports alone.
     """
-    _check_compatible(mu, nu)
+    _check_compatible(mu, nu, "strong_diff argument")
     k = mu.arity
     try:
         i, j = pair
@@ -320,6 +320,8 @@ def act(word: Sequence[int], nu: KField, flavor: str = "free") -> KField:
     exactly, so the value depends only on the permutation the word spells.
     The whole input is checked before the first letter is applied.
     """
+    _value(word, Sequence, "act argument", "word")
+    _value(nu, KField, "act argument", "nu")
     _budget(len(word), KField, "MAX_WORD_LENGTH", "word length")
     for i in word:
         _index(i, nu.arity - 1, "swap generator")
@@ -336,7 +338,7 @@ def act_transposition(nu: KField, i: int, j: int, flavor: str = "free") -> KFiel
     Unlike folding (i j) into adjacent swaps, this leaves every component not
     containing both i and j untouched up to relabeling, in both flavors.
     """
-    _check_pair(i, j, nu.arity)
+    _check_pair(i, j, _value(nu, KField, "act_transposition argument", "nu").arity)
     return _act_by_transposition(nu, i, j, _action_kernel(nu, flavor))
 
 
@@ -378,7 +380,7 @@ def is_trivial_homotopy(nu: KField) -> tuple[bool, tuple | None]:
     pair of component index sets whose free and classical brackets already
     differ.
     """
-    _budget(nu.arity, KField, "MAX_ACTION_ARITY", "arity")
+    _budget(_value(nu, KField, "is_trivial_homotopy argument", "nu").arity, KField, "MAX_ACTION_ARITY", "arity")
     pairs = list(_disjoint_pairs(nu))
     flips: dict[tuple[int, int], list[tuple[Subset, Subset]]] = {}
     for p, q in pairs:
@@ -436,7 +438,7 @@ def trivial_by_disjoint_pairs(nu: KField) -> tuple[bool, tuple | None]:
     sum_{i<j} (a_i b_j - a_j b_i) F[d_i, d_j], whose coefficients are those
     of a ^ b; returns (True, None) or (False, (phi, psi)).
     """
-    if not nu.is_classical():
+    if not _value(nu, KField, "trivial_by_disjoint_pairs argument", "nu").is_classical():
         raise DomainError("the disjoint-pair test applies to classical fields")
     for phi, psi in _disjoint_pairs(nu):
         left = Polyvector.from_vfield(nu.component_vfield(phi))
@@ -452,7 +454,9 @@ def lie_derivative_thin(beta: VField, alpha: VField) -> VField:
     difference against alpha x beta and reads the resulting 1-field; the
     value is the classical bracket [beta, alpha].
     """
-    chart = ChartSpec(beta.dim, max_degree=2)
+    what = "lie_derivative_thin argument"
+    chart = ChartSpec(_value(beta, VField, what, "beta").dim, max_degree=2)
+    _value(alpha, VField, what, "alpha")
     one_beta = KField.from_vfields(chart, 1, {frozenset({0}): beta})
     one_alpha = KField.from_vfields(chart, 1, {frozenset({0}): alpha})
     swapped = act([0], compose(one_beta, one_alpha), "lie")
@@ -470,7 +474,7 @@ def reduce_to_polyvector(nu: KField) -> Polyvector:
     Otherwise the field is refused: with NotClosedError when some homotopy
     is non-trivial, else with NotFlagReducibleError.
     """
-    _budget(nu.arity, KField, "MAX_ACTION_ARITY", "arity")
+    _budget(_value(nu, KField, "reduce_to_polyvector argument", "nu").arity, KField, "MAX_ACTION_ARITY", "arity")
     # the projection of a component made of long words vanishes
     projected = ((phi, project_to_lie(elem)) for phi, elem in nu.components.items())
     fields = {phi: v for phi, v in projected if not v.is_zero()}

@@ -21,7 +21,7 @@ from itertools import combinations, product
 from random import Random
 from typing import Mapping, Sequence
 
-from .chart_algebra import ChartSpec, Poly, VField, _int, _reduced, vf_apply
+from .chart_algebra import ChartSpec, Poly, VField, _int, _reduced, _var_key, vf_apply
 from .errors import DomainError
 from .free_lr import FreeLRElem, RelativeSpec
 from .groupoid import KField, Subset
@@ -88,7 +88,7 @@ def random_poly(rng: Random, dim: int, degree: int = 2, terms: int = 3) -> Poly:
     for _ in range(terms):
         key = 0
         for _ in range(rng.randint(0, degree)):
-            key += 1 << (64 * rng.randrange(dim))
+            key += _var_key(rng.randrange(dim))
         n = rng.randint(-9, 9)
         acc[key] = acc.get(key, 0) + n * (_SAMPLE_DEN // rng.randint(1, 9))
     return _reduced(dim, {k: c for k, c in acc.items() if c}, _SAMPLE_DEN)

@@ -20,7 +20,9 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Any
 
-from .chart_algebra import _EXPONENT_OVERFLOW, ChartSpec, Poly, _accumulate, _poly, _Record, _reduced, _top_bits
+from .chart_algebra import (
+    _EXPONENT_OVERFLOW, ChartSpec, Poly, _accumulate, _poly, _Record, _reduced, _top_bits, _var_key,
+)
 from .errors import DomainError
 from .free_lr import FreeLRElem, free_bracket, project_to_lie
 from .groupoid import KField, compose, cup, face, homotopy, strong_diff
@@ -195,10 +197,10 @@ class _Parser:
         if kind != "ident" or not _VAR_RE.match(text) or len(text) > 21 or (i := int(text[1:])) >= self.dim:
             return None
         if tokens[at + 1][1] != "^":
-            return sign, 1, 1 << (64 * i), at + 1
+            return sign, 1, _var_key(i), at + 1
         # the grammar reads an exponent INT/INT or INT^.., and refuses one past MAX_EXPONENT
         ok = tokens[at + 2][0] == "int" and tokens[at + 3][1] not in ("^", "/")
-        return (sign, 1, e << (64 * i), at + 3) if ok and (e := int(tokens[at + 2][1])) <= Poly.MAX_EXPONENT else None
+        return (sign, 1, _var_key(i, e), at + 3) if ok and (e := int(tokens[at + 2][1])) <= Poly.MAX_EXPONENT else None
 
     def _lone_generator(self) -> int | None:
         """The index of a generator dI in the chart at the current token, moved past, when no ^ or * follows it;

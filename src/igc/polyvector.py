@@ -136,7 +136,7 @@ def schouten(p: Polyvector, q: Polyvector) -> Polyvector:
 
 def degree(p: Polyvector) -> int:
     """Cohomological degree -k+1 of a homogeneous grade-k polyvector."""
-    ks = p.grades()
+    ks = _value(p, Polyvector, "degree argument", "p").grades()
     if len(ks) != 1:
         raise DomainError("degree is defined for nonzero homogeneous polyvectors only")
     return -ks.pop() + 1

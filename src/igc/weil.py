@@ -263,7 +263,7 @@ class CupFactorization(_Record, frozen=True):
 
 def kfield_to_weil(nu: KField) -> WeilMorphism:
     """Morphism form of a classical subset-indexed field: image(x_i) = L_{k-1}(...L_0(x_i))."""
-    if not nu.is_classical():
+    if not _value(nu, KField, "kfield_to_weil argument", "nu").is_classical():
         raise DomainError("kfield_to_weil needs a classical field")
     k, dim = nu.arity, nu.chart.dim
     unions: set[Subset] = set()
@@ -284,9 +284,10 @@ def weil_to_kfield(w: WeilMorphism, chart: ChartSpec | None = None) -> KField:
     least element is m are the coefficients of the fields starting at m, and
     L_m^{-1} = 1 - N_m peels them off with their composites.
     """
-    k, dim = w.arity, w.dim
+    what = "weil_to_kfield argument"
+    k, dim = _value(w, WeilMorphism, what, "w").arity, w.dim
     _check_arity(k)
-    chart = chart or ChartSpec(dim, max_degree=max(2, k))
+    chart = ChartSpec(dim, max_degree=max(2, k)) if chart is None else _value(chart, ChartSpec, what, "chart")
     images, found, unions = w.coord_images, [], set()
     while least := [min(phi) for image in images for phi in image.num if phi]:
         m = max(least)

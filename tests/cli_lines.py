@@ -29,7 +29,6 @@ LAUNCH_TESTS = {
     "test_one_shot_command_loads_only_what_it_runs": "the modules `python -X importtime -m igc` imports, two launches",
     "test_one_shot_command_leaves_check_suite_and_profiler_unloaded": "the modules a fresh `main` call loads",
     "test_cli_identical_output_across_runs": "stdout of two fresh interpreters",
-    "test_cli_profile_flag": "the Lyndon cache sizes `--profile` prints, which earlier tests warm in process",
 }
 
 

@@ -32,6 +32,7 @@ from igc import chart_algebra, free_lr, groupoid, lyndon
 from igc.chart_algebra import _numerators, _product_poly
 from igc.lyndon import standard_factorization, tensor_expansion
 from igc.oracle import oracle_bracket, random_poly, random_vfield
+from igc.parsing import Session, parse_expression
 
 CHART = ChartSpec(2, 4)
 X0, X1 = Poly.var(2, 0), Poly.var(2, 1)
@@ -407,11 +408,14 @@ def test_lie_bracket_ext_outputs_are_pinned():
 # sha256 of the outcomes of the first 300 of the seeded pairs above under a
 # lowered Poly.MAX_POW_PRODUCTS: many pairs then end in a budget refusal, so
 # each hash pins which refusal comes first, the count it names, and its order
-# against DegreeOverflowError
+# against DegreeOverflowError.  Budgets 1, 2 and 3 were pinned again when a
+# long word's anchor terms joined the first phase, with the coordinate
+# bracket's: 8, 4 and 1 of the 300 lines then named another count, each a
+# budget refusal before and after
 LOWERED_BUDGET_SHA256 = {
-    1: "7d7407b011b4636dae5d707ea3dde75845e2bca16782d5e8e78f2dcdff55526e",
-    2: "25457d1ba3a23e5e1826e9ed1765856435251a7f689415a7dbb0dd833255dfcd",
-    3: "d70d0091aac3e237e14810c1064f3900a300176bf04cd4eb5e66ea19bec0d5b1",
+    1: "784f3b3c4e3bbf033dba59dec8d706f6e141ff3113b96eb4f314478e9d5c6dca",
+    2: "cc3b8438836952c12bb0936f0a7e866f409fea18b7ea4edd9ad84992f5148d97",
+    3: "73a618cc4f7cb8a928b494d51e5743f04421f278c24e839380ad13e13eec7956",
     5: "240ec085c6686ae63fe5dad18d7ed14eed9ea3ff869d907e6eb56e87290ca847",
 }
 
@@ -475,6 +479,20 @@ def test_lie_bracket_ext_refusal_does_not_depend_on_term_order(budget, monkeypat
         assert _outcome(lie_bracket_ext, reversed_terms(u), reversed_terms(v)) == got, (str(u), str(v))
         overflows += isinstance(got, tuple)
     assert overflows > 100
+
+
+def test_both_flavors_refuse_the_anchor_phase_first(monkeypatch):
+    # both brackets add the anchor terms u1(v) - v1(u) before their own
+    # products, and a count past the budget names the largest of that first
+    # phase: here v1 acting on the two x1-terms of the coefficient of F[d0,d2],
+    # 2 * 2 = 4 term products, beside the coordinate bracket's 2
+    session = Session(ChartSpec(3, 3))
+    u = parse_expression("x0^2*x1*x2*F[d0,d1] + (-1/2*x0^2*x1^2*x2 + x0^2*x1*x2)*F[d0,d2] + 3/2*x1*x2*d0", session)
+    v = parse_expression("(-2*x0^2*x1 - x0^2)*d1", session)
+    monkeypatch.setattr(Poly, "MAX_POW_PRODUCTS", 1)
+    refusal = (DomainError, "term product count 4 exceeds the budget of Poly.MAX_POW_PRODUCTS = 1")
+    for bracket in (free_bracket, lie_bracket_ext):
+        assert _outcome(bracket, u, v) == _outcome(bracket, v, u) == refusal
 
 
 def test_lie_bracket_ext_works_on_numerators(monkeypatch):

@@ -10,13 +10,16 @@ sets do with two keys that name one label: they sum them.
 
 import pytest
 
-from igc.chart_algebra import ChartSpec, Poly, VField, vf_pushforward
+from igc.chart_algebra import ChartSpec, Poly, VField, vf_apply, vf_bracket, vf_pushforward
 from igc.errors import ChartMismatchError, DegreeOverflowError, DomainError
-from igc.free_lr import FreeLRElem, RelativeSpec, anchor_apply, free_bracket, lie_bracket_ext
-from igc.groupoid import KField, compose, cup, homotopy
+from igc.free_lr import FreeLRElem, RelativeSpec, anchor_apply, free_bracket, lie_bracket_ext, project_to_lie
+from igc.groupoid import (
+    KField, act, act_transposition, add_over_face, compose, cup, face, homotopy, is_trivial_homotopy,
+    lie_derivative_thin, reduce_to_polyvector, strong_diff, trivial_by_disjoint_pairs,
+)
 from igc.lyndon import LyndonWord
-from igc.polyvector import Polyvector, schouten, wedge
-from igc.weil import WeilElem
+from igc.polyvector import Polyvector, degree, schouten, wedge
+from igc.weil import WeilElem, kfield_to_weil, weil_to_kfield
 
 C2 = ChartSpec(2, max_degree=2)
 C3 = ChartSpec(3, max_degree=2)
@@ -25,6 +28,7 @@ X3 = Poly.var(3, 0)
 D0 = FreeLRElem.generator(C2, 0)
 K2 = KField(C2, 2, {frozenset({0}): D0})
 P2 = Polyvector(2, {(0, 1): X2})
+V2 = VField.basis(2, 0)
 
 # (call, exception class, message)
 ROWS = [
@@ -58,6 +62,26 @@ ROWS = [
     (lambda: schouten(3, P2), DomainError, "schouten argument p is int, not Polyvector"),
     (lambda: homotopy(D0, 0, 1), DomainError, "homotopy argument nu is FreeLRElem, not KField"),
     (lambda: KField(C2, 2, [frozenset({0})]), DomainError, "KField components is list, not Mapping"),
+    (lambda: face(D0, 0), DomainError, "face argument nu is FreeLRElem, not KField"),
+    (lambda: strong_diff(K2, D0, (0, 1)), DomainError, "strong_diff argument nu is FreeLRElem, not KField"),
+    (lambda: add_over_face(D0, K2, {0}), DomainError, "add_over_face argument mu is FreeLRElem, not KField"),
+    (lambda: act([0], D0), DomainError, "act argument nu is FreeLRElem, not KField"),
+    (lambda: act(None, K2), DomainError, "act argument word is NoneType, not Sequence"),
+    (lambda: act_transposition(D0, 0, 1), DomainError, "act_transposition argument nu is FreeLRElem, not KField"),
+    (lambda: is_trivial_homotopy(D0), DomainError, "is_trivial_homotopy argument nu is FreeLRElem, not KField"),
+    (lambda: reduce_to_polyvector(D0), DomainError, "reduce_to_polyvector argument nu is FreeLRElem, not KField"),
+    (lambda: trivial_by_disjoint_pairs(3), DomainError, "trivial_by_disjoint_pairs argument nu is int, not KField"),
+    (lambda: lie_derivative_thin(V2, D0), DomainError, "lie_derivative_thin argument alpha is FreeLRElem, not VField"),
+    (lambda: anchor_apply(D0, 3), DomainError, "anchor_apply argument f is int, not Poly"),
+    (lambda: project_to_lie(3), DomainError, "project_to_lie argument u is int, not FreeLRElem"),
+    (lambda: vf_apply(3, X2), DomainError, "vf_apply argument v is int, not VField"),
+    (lambda: vf_bracket(V2, 3), DomainError, "vf_bracket argument v is int, not VField"),
+    (lambda: vf_pushforward(D0, 3, [0, 1]), DomainError, "vf_pushforward argument v is FreeLRElem, not VField"),
+    (lambda: degree(3), DomainError, "degree argument p is int, not Polyvector"),
+    (lambda: kfield_to_weil(3), DomainError, "kfield_to_weil argument nu is int, not KField"),
+    (lambda: weil_to_kfield(K2), DomainError, "weil_to_kfield argument w is KField, not WeilMorphism"),
+    (lambda: weil_to_kfield(kfield_to_weil(KField(C2, 1)), 3), DomainError,
+     "weil_to_kfield argument chart is int, not ChartSpec"),
 ]
 
 

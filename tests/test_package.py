@@ -86,6 +86,19 @@ def test_no_count_or_index_is_tested_with_isinstance_int():
     assert found == []
 
 
+def test_only_chart_algebra_reads_a_packed_key_s_fields():
+    # a monomial key packs one 64-bit exponent field per variable; the other
+    # modules build and read keys through chart_algebra's helpers
+    found = [
+        f"{path.name}:{n}"
+        for path in sorted((ROOT / "src" / "igc").glob("*.py"))
+        if path.name != "chart_algebra.py"
+        for n, line in enumerate(path.read_text().splitlines(), 1)
+        if re.search(r"_FIELD_MASK|\b64 \*", line)
+    ]
+    assert found == []
+
+
 def test_only_free_lr_builds_a_free_lr_element_from_its_stored_form():
     # the numerator storage of the free modules is the library's decision: the
     # tests, the benchmark and the oracle build an element through its public

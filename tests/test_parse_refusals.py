@@ -10,7 +10,9 @@ reader must leave every one of them as it is.
 import pytest
 from cli_lines import run_igc
 
-from igc.chart_algebra import Poly
+from igc.chart_algebra import ChartSpec, Poly
+from igc.errors import DomainError
+from igc.parsing import Session, parse_expression
 
 V = "(3/4*x0 - x1^2)*d0 + x1*d1"
 DEEP = "(" * 101 + "d0" + ")" * 101
@@ -50,6 +52,17 @@ ROWS = [
     (["--dim", "2", "bracket", "lie", "d0 + x0 - x1", "d1"], "expected a field element, got Poly(x0)", None, 2),
     (["--dim", "2", "bracket", "lie", "2*3/4*x0 + x1 + K{arity=1; 0: d0}", "d1"],
      "k-fields have no global addition; additions are face-wise", None, 2),
+    # unknown functions and malformed K literals
+    (["--dim", "2", "bracket", "lie", "foo(x0)", "d0"], "unknown function 'foo'", (1, 1), 1),
+    (["--dim", "2", "bracket", "lie", "K{x=1}", "d0"], "K literal starts with arity=<k>", (1, 3), 1),
+    (["--dim", "2", "bracket", "lie", "K{arity=x}", "d0"], "arity must be an integer", (1, 9), 1),
+    (["--dim", "2", "bracket", "lie", "K{arity=2; x: d0}", "d0"], "expected a slot index", (1, 12), 1),
+    # values of the wrong kind for their command or operator
+    (["--dim", "2", "face", "d0^d1", "0"], "expected a k-field, got Polyvector(d0 ^ d1)", None, 2),
+    (["--dim", "2", "face", "-K{arity=2; 0: d0}", "0"],
+     "k-fields have no global negation; additions are face-wise", None, 2),
+    (["--dim", "2", "bracket", "lie", "d0*d1", "d0"], "cannot multiply FreeLRElem and FreeLRElem", None, 2),
+    (["--dim", "2", "bracket", "lie", "x0^x1*d0", "d0"], "polynomial exponent must be a nonnegative integer", None, 2),
 ]
 
 
@@ -62,6 +75,13 @@ def test_parser_refusal_is_pinned(argv, message, at, code):
         assert r.stderr == f"igc: error: {message}\n"
     else:
         assert r.stderr == f"igc: parse error: {message} (line {at[0]}, column {at[1]})\n"
+
+
+def test_a_bound_int_is_refused_as_a_summand():
+    # only a library binding holds a bare int; the CLI binds parsed values
+    with pytest.raises(DomainError) as info:
+        parse_expression("n + x0", Session(ChartSpec(2), {"n": 5}))
+    assert type(info.value) is DomainError and str(info.value) == "cannot add int and Poly"
 
 
 def test_a_zero_factor_hides_a_later_exponent_overflow():
