@@ -36,14 +36,13 @@ mismatch errors, products and printing.
 from __future__ import annotations
 
 import struct
-from collections.abc import Mapping
+from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
 from functools import cache, reduce
 from math import gcd, lcm
 from itertools import chain
 from operator import attrgetter, or_
 from types import MappingProxyType
-from typing import Iterable, Sequence
 
 from .errors import ChartMismatchError, DomainError
 
@@ -207,8 +206,8 @@ class Poly(_Record, frozen=True):
     def __init__(self, dim: int, terms: Mapping[Exponent, Fraction | int] | None = None):
         _int(dim, "polynomial dimension", 1)
         clean: dict[Exponent, int | Fraction] = {}
-        for exps, coeff in (terms or {}).items():
-            exps = tuple(_int(e, "bad exponent tuple entry", 0) for e in exps)
+        for exps, coeff in ({} if terms is None else _value(terms, Mapping, "Poly", "terms")).items():
+            exps = tuple(_int(e, "bad exponent tuple entry", 0) for e in _value(exps, Iterable, "Poly exponent", exps))
             if len(exps) != dim:
                 raise DomainError(f"bad exponent tuple {exps} for dimension {dim}")
             if not isinstance(coeff, (int, Fraction)):
@@ -705,7 +704,7 @@ class VField(_Module):
     __slots__ = ("dim", "num", "den")
 
     def __init__(self, coeffs: Sequence[Poly]):
-        coeffs = tuple(coeffs)
+        coeffs = tuple(_value(coeffs, Iterable, "VField", "coeffs"))
         if not coeffs:
             raise DomainError("a vector field needs at least one coefficient")
         for i, c in enumerate(coeffs):
@@ -808,6 +807,7 @@ def vf_pushforward(v: VField, target_dim: int, embedding: Sequence[int]) -> VFie
     """
     _value(v, VField, "vf_pushforward argument", "v")
     _int(target_dim, "target dimension", 1)
+    embedding = _value(embedding, Iterable, "vf_pushforward argument", "embedding")
     emb = tuple(_index(e, target_dim, "embedding index") for e in embedding)
     if len(emb) != v.dim:
         raise DomainError("embedding must list a target index for every source coordinate")

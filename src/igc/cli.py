@@ -29,11 +29,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import shlex
 import sys
 
 from . import free_lr, lyndon
-from .chart_algebra import ChartSpec, _int, _Record
+from .chart_algebra import ChartSpec, Poly, _int, _Record
 from .errors import DomainError, witness_text
 from .free_lr import free_bracket, lie_bracket_ext
 from .groupoid import act, is_trivial_homotopy, reduce_to_polyvector
@@ -45,6 +46,7 @@ from .parsing import (
     as_elem,
     as_kfield,
     bindable,
+    long_integer,
     parse_expression,
 )
 
@@ -67,10 +69,23 @@ def _need(argv, n, usage):
         raise UsageError(f"usage: {usage}")
 
 
+# an integer as int() reads it in base 10
+_INT_TEXT_RE = re.compile(r"\s*[-+]?\d+(?:_\d+)*\s*")
+
+
+def _refuse_long_int(text: str):
+    """Refuse text when it is an integer of more digits than Poly.MAX_DIGITS, which int() does not read, by its digit
+    count, as the tokenizer refuses such a literal."""
+    digits = sum(map(str.isdecimal, text))
+    if digits > Poly.MAX_DIGITS and _INT_TEXT_RE.fullmatch(text):
+        raise UsageError(long_integer("argument", digits))
+
+
 def _int_arg(text: str) -> int:
     try:
         return int(text)
     except ValueError:
+        _refuse_long_int(text)
         raise UsageError(f"expected an integer, got {text!r}") from None
 
 
@@ -114,6 +129,8 @@ def run_command(argv: list[str], session: Session) -> CommandOutcome:
         try:
             word = [int(t) for t in args[0].split(",")] if args[0] else []
         except ValueError:
+            for entry in args[0].split(","):
+                _refuse_long_int(entry)
             raise UsageError(f"bad swap word {args[0]!r}; use comma-separated indices") from None
         if args[1] not in ("free", "lie"):
             raise UsageError("act flavor must be 'free' or 'lie'")

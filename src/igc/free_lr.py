@@ -40,9 +40,9 @@ would contain a longer surviving word raises DegreeOverflowError.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping, Sequence
 from functools import cache
 from math import lcm
-from typing import Iterable, Mapping, Sequence
 
 from . import lyndon
 from .chart_algebra import (
@@ -61,7 +61,9 @@ class RelativeSpec(_Record, frozen=True):
     __slots__ = ("chart", "vertical")
 
     def __init__(self, chart: ChartSpec, vertical: Iterable[int] = frozenset()):
-        vertical = frozenset(_index(i, chart.dim, "vertical index") for i in vertical)
+        dim = _value(chart, ChartSpec, "RelativeSpec", "chart").dim
+        vertical = _value(vertical, Iterable, "RelativeSpec", "vertical")
+        vertical = frozenset(_index(i, dim, "vertical index") for i in vertical)
         self._set(chart, vertical)
 
 
@@ -72,8 +74,9 @@ class FreeLRElem(_Module):
 
     def __init__(self, chart: ChartSpec, terms: Mapping[LyndonWord, Poly] | None = None):
         clean: dict[LyndonWord, Poly] = {}
-        for w, p in (terms or {}).items():
-            for a in w:
+        _value(chart, ChartSpec, "FreeLRElem", "chart")
+        for w, p in ({} if terms is None else _value(terms, Mapping, "FreeLRElem", "terms")).items():
+            for a in _value(w, Iterable, "word", w):
                 _index(a, chart.dim, "generator index")
             if not isinstance(w, LyndonWord):
                 w = LyndonWord(w)
@@ -192,8 +195,8 @@ def free_bracket(u: FreeLRElem, v: FreeLRElem, spec: RelativeSpec | None = None)
     length is checked against max_degree before any product is formed.
     """
     _value(u, FreeLRElem, "free_bracket argument", "u")._check(_value(v, FreeLRElem, "free_bracket argument", "v"))
-    vertical = spec.vertical if spec else frozenset()
-    if spec and spec.chart != u.chart:
+    vertical = frozenset() if spec is None else _value(spec, RelativeSpec, "free_bracket argument", "spec").vertical
+    if spec is not None and spec.chart != u.chart:
         raise ChartMismatchError("relative spec is for a different chart")
     return _bracket(None, [(_drop_vertical(u, vertical), _drop_vertical(v, vertical))], _free_bracket_into, vertical)
 
@@ -364,7 +367,7 @@ def vertical_reduce(expr, spec: RelativeSpec) -> FreeLRElem:
     The result carries length >= 2 monomials on horizontal generators only;
     applying the function twice gives the same answer.
     """
-    chart = spec.chart
+    chart = _value(spec, RelativeSpec, "vertical_reduce argument", "spec").chart
     if isinstance(expr, FreeLRElem):
         return _drop_vertical(expr, spec.vertical)
     if isinstance(expr, VField):

@@ -25,8 +25,8 @@ D(p, q) = free_bracket(a_p, a_q) - lie_bracket_ext(a_p, a_q).
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from itertools import combinations
-from typing import Callable, Mapping, Sequence
 
 from .chart_algebra import ChartSpec, VField, _accumulate, _budget, _index, _int, _Record, _value
 from .errors import (
@@ -50,7 +50,7 @@ def _subset_key(s: Subset) -> tuple[int, ...]:
 
 def _index_set(phi, arity: int, what: str, nonempty: bool = False) -> Subset:
     """phi as a frozenset of indices below arity; a DomainError naming `what` otherwise."""
-    phi = frozenset(_index(i, arity, f"{what} index") for i in phi)
+    phi = frozenset(_index(i, arity, f"{what} index") for i in _value(phi, Iterable, f"{what} index set", phi))
     if nonempty and not phi:
         raise DomainError(f"{what} index set is empty")
     return phi

@@ -13,10 +13,10 @@ coefficients stay integral (the leading coefficient of b(w) is 1).
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from functools import cache
-from typing import Sequence
 
-from .chart_algebra import _int
+from .chart_algebra import _int, _value
 from .errors import DomainError
 
 Word = tuple[int, ...]
@@ -35,7 +35,7 @@ class LyndonWord(tuple):
     __slots__ = ()
 
     def __new__(cls, letters: Sequence[int]):
-        letters = tuple(_int(a, "generator index") for a in letters)
+        letters = tuple(_int(a, "generator index") for a in _value(letters, Iterable, "LyndonWord", "letters"))
         if not is_lyndon(letters):
             raise DomainError(f"{letters} is not a Lyndon word")
         return tuple.__new__(cls, letters)

@@ -21,7 +21,7 @@ from itertools import combinations, product
 from random import Random
 from typing import Mapping, Sequence
 
-from .chart_algebra import ChartSpec, Poly, VField, _int, _reduced, _var_key, vf_apply
+from .chart_algebra import ChartSpec, Poly, VField, _int, _reduced, _value, _var_key, vf_apply
 from .errors import DomainError
 from .free_lr import FreeLRElem, RelativeSpec
 from .groupoid import KField, Subset
@@ -124,8 +124,8 @@ def random_kfield(
 
 def oracle_bracket(u: VField, v: VField) -> VField:
     """Coordinate-formula bracket [u,v]^i = u(v^i) - v(u^i), written out raw."""
-    n = u.dim
-    a, b = u.coeffs, v.coeffs
+    n = _value(u, VField, "oracle_bracket argument", "u").dim
+    a, b = u.coeffs, _value(v, VField, "oracle_bracket argument", "v").coeffs
     coeffs = []
     for i in range(n):
         acc = Poly.zero(n)
@@ -239,11 +239,12 @@ def oracle_multiplicativity(
     non-derivation term is injected into the top part, which must be caught.
     """
     report = CheckReport("multiplicativity")
-    if not nu.is_classical():
+    if not _value(nu, KField, "oracle_multiplicativity argument", "nu").is_classical():
         raise DomainError("oracle_multiplicativity needs a classical field")
     dim = nu.chart.dim
     fields = {phi: nu.component_vfield(phi) for phi in nu.support()}
-    for _ in range(trials):
+    _value(rng, Random, "oracle_multiplicativity argument", "rng")
+    for _ in range(_int(trials, "trial count", 0)):
         f = random_poly(rng, dim, degree=2)
         g = random_poly(rng, dim, degree=2)
         report.cases += 1
@@ -499,7 +500,7 @@ def oracle_quotient_lowdegree(
     length, which every relation preserves), so each slice is a finite
     exact linear-algebra problem.
     """
-    if spec.chart.dim > 2:
+    if _value(spec, RelativeSpec, "oracle_quotient_lowdegree argument", "spec").chart.dim > 2:
         raise DomainError("quotient oracle supports chart dimension <= 2")
     if _int(d, "filtration degree", 1) > 3:
         raise DomainError("quotient oracle supports filtration degree <= 3")

@@ -6,8 +6,12 @@ literals or cup/compose/... calls) and polyvectors (`a ^ b` wedges).  The
 caret is type-dispatched: integer power on polynomials, wedge on fields.
 Errors carry line and column.
 
+The tokens are the plain texts of one regex scan; a token's kind is read from
+its text, and its offset is found by a re-scan only when an error needs it.
 A term's leading factors INT, INT/INT, xI and xI^INT are read into one packed
-monomial, and a sum's polynomial terms into one numerator dict, reduced once.
+monomial, and a sum's polynomial terms into one numerator dict, reduced once;
+a term that is such a run alone is added as its numerator, denominator and
+key, with no Poly built for it.
 A polynomial of the chart times a generator dI with no ^ or * after it is read
 straight into its stored element, the polynomial's numerators under the word
 (i,); any other factor is read and multiplied as a value.
@@ -17,11 +21,12 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from itertools import islice
 from math import gcd, lcm
 from typing import Any
 
 from .chart_algebra import (
-    _EXPONENT_OVERFLOW, ChartSpec, Poly, _accumulate, _poly, _Record, _reduced, _top_bits, _var_key,
+    _EXPONENT_OVERFLOW, ChartSpec, Poly, _accumulate, _poly, _Record, _reduced, _top_bits, _value, _var_key,
 )
 from .errors import DomainError
 from .free_lr import FreeLRElem, free_bracket, project_to_lie
@@ -49,30 +54,52 @@ class Session(_Record):
 
 
 _IDENT = r"[A-Za-z_][A-Za-z0-9_]*"
+_OPS = "-+*^/()[]{},;:="
+_OP = "[" + re.escape(_OPS) + "]"
+# the token texts of a string that holds no character outside a token or whitespace and no long digit run
+_SCAN_RE = re.compile(_OP + "|" + _IDENT + r"|\d+")
+# a string of token characters and whitespace only, and the start of a digit run past the digit budget
+_PLAIN_RE = re.compile(r"[\s\dA-Za-z_" + re.escape(_OPS) + "]*")
+_LONG_RE = re.compile(r"(?<!\d)\d{%d}" % (Poly.MAX_DIGITS + 1))
 # one match per token after its leading whitespace; group 4 is any other
 # character, so only trailing whitespace is left unmatched
-_TOKEN_RE = re.compile(r"\s*(?:(\d+)|(" + _IDENT + r")|([-+*^/()\[\]{},;:=])|(\S))")
-_KINDS = (None, "int", "ident", "op")
+_TOKEN_RE = re.compile(r"\s*(?:(\d+)|(" + _IDENT + ")|(" + _OP + r")|(\S))")
 
 
-def _tokenize(src: str) -> list[tuple[str, str, int]]:
-    """(kind, text, offset) of each token, then ("eof", "", len(src))."""
-    tokens = []
-    for m in _TOKEN_RE.finditer(src):
-        group = m.lastindex
-        text = m[group]
-        start = m.start(group)
-        if group == 4:
-            raise ParseError(f"unexpected character {text!r}", *_position(src, start))
-        if group == 1 and len(text) > Poly.MAX_DIGITS:
-            # int() refuses such a literal, and no value built from it would print
-            raise ParseError(
-                f"integer literal of {len(text)} digits exceeds the budget of Poly.MAX_DIGITS = {Poly.MAX_DIGITS}",
-                *_position(src, start),
-            )
-        tokens.append((_KINDS[group], text, start))
-    tokens.append(("eof", "", len(src)))
+def _tokenize(src: str) -> list[str]:
+    """The text of each token, then "" for the end of input.
+
+    A token's kind is read from its text: an integer literal is all digits (`str.isdigit`), an
+    identifier is an ASCII identifier (`str.isidentifier`) and an operator is one character of _OPS.
+    """
+    if _PLAIN_RE.fullmatch(src) and not _LONG_RE.search(src):
+        tokens = _SCAN_RE.findall(src)
+    else:
+        # the scan that refuses a stray character or a long integer literal, at its position; an
+        # identifier may hold a long digit run, and then the tokens are those of the one-regex scan
+        tokens = []
+        for m in _TOKEN_RE.finditer(src):
+            group = m.lastindex
+            text = m[group]
+            if group == 4:
+                raise ParseError(f"unexpected character {text!r}", *_position(src, m.start(group)))
+            if group == 1 and len(text) > Poly.MAX_DIGITS:
+                # int() refuses such a literal, and no value built from it would print
+                raise ParseError(long_integer("literal", len(text)), *_position(src, m.start(group)))
+            tokens.append(text)
+    tokens.append("")
     return tokens
+
+
+def long_integer(what: str, digits: int) -> str:
+    """The refusal of an integer what of more digits than Poly.MAX_DIGITS, which int() does not read."""
+    return f"integer {what} of {digits} digits exceeds the budget of Poly.MAX_DIGITS = {Poly.MAX_DIGITS}"
+
+
+def _offset(src: str, index: int) -> int:
+    """The offset in src of the token at index of `_tokenize(src)`; len(src) for the end of input."""
+    m = next(islice(_TOKEN_RE.finditer(src), index, None), None)
+    return len(src) if m is None else m.start(m.lastindex)
 
 
 def _position(src: str, offset: int) -> tuple[int, int]:
@@ -100,8 +127,8 @@ class _Parser:
         self.src = src
         self.tokens = _tokenize(src)
         self.pos = 0
-        # kind and text of the current token, tokens[pos]
-        self.kind, self.text, _ = self.tokens[0]
+        # the text of the current token, tokens[pos]
+        self.text = self.tokens[0]
         self.depth = 0
         self.session = session
         self.dim = session.chart.dim
@@ -110,7 +137,7 @@ class _Parser:
         """Move past the current token and return its text."""
         text = self.text
         self.pos += 1
-        self.kind, self.text, _ = self.tokens[self.pos]
+        self.text = self.tokens[self.pos]
         return text
 
     def _expect(self, text: str):
@@ -120,14 +147,13 @@ class _Parser:
 
     def _error(self, message: str, at: int | None = None):
         """Raise a ParseError at token index at, by default the current token."""
-        offset = self.tokens[self.pos if at is None else at][2]
-        raise ParseError(message, *_position(self.src, offset))
+        raise ParseError(message, *_position(self.src, _offset(self.src, self.pos if at is None else at)))
 
     # grammar ---------------------------------------------------------------
 
     def parse(self):
         value = self.sum()
-        if self.kind != "eof":
+        if self.text:
             self._error(f"unexpected trailing input {self.text!r}")
         return value
 
@@ -138,23 +164,37 @@ class _Parser:
             self._error(
                 f"expression nests deeper than the parser budget of _Parser.MAX_NESTING = {self.MAX_NESTING} levels"
             )
-        value = self.product()
-        # polynomial terms wait here; a term of another type first turns them into the Poly value `_add` sees
-        polys = [("+", value)] if type(value) is Poly and value.dim == self.dim else None
-        while self.text == "+" or self.text == "-":
+        dim = self.dim
+        # polynomial terms wait here for `_poly_sum`, a whole monomial run as its (num, den, key) and any other
+        # polynomial of the chart as (sign, den, p); a term of another type first turns them into the Poly value
+        # `_add` sees, and after it the polynomial terms are added one by one too
+        polys: list | None = []
+        op = "+"
+        while True:
+            run = self._monomial_run()
+            # no ^ follows a run: the run reader leaves a factor with a ^ after it to `unary`
+            if run is not None and self.text != "*" and polys is not None:
+                polys.append(run if op == "+" else (-run[0], run[1], run[2]))
+            else:
+                rhs = self.product(run) if run is None or self.text == "*" else _run_poly(dim, run)
+                if polys is None:
+                    value = _add(value, rhs if op == "+" else _neg(rhs), self.session.chart)
+                elif type(rhs) is Poly and rhs.dim == dim:
+                    polys.append((1 if op == "+" else -1, rhs.den, rhs))
+                elif not polys:  # the first term
+                    value, polys = rhs, None
+                else:
+                    value = _add(_poly_sum(dim, polys), rhs if op == "+" else _neg(rhs), self.session.chart)
+                    polys = None
+            if self.text != "+" and self.text != "-":
+                break
             op = self._advance()
-            rhs = self.product()
-            if polys is not None:
-                if type(rhs) is Poly and rhs.dim == self.dim:
-                    polys.append((op, rhs))
-                    continue
-                value, polys = _poly_sum(self.dim, polys), None
-            value = _add(value, rhs if op == "+" else _neg(rhs), self.session.chart)
         self.depth -= 1
-        return value if polys is None else _poly_sum(self.dim, polys)
+        return value if polys is None else _poly_sum(dim, polys)
 
-    def product(self):
-        value = self.leading_factors()
+    def product(self, run: tuple[int, int, int] | None):
+        """A product whose leading monomial run, if any, is already read as run."""
+        value = self.unary() if run is None else _run_poly(self.dim, run)
         while self.text == "*":
             self._advance()
             if type(value) is Poly and value.dim == self.dim and (i := self._lone_generator()) is not None:
@@ -163,54 +203,53 @@ class _Parser:
                 value = _mul(value, self.unary())
         return value
 
-    def leading_factors(self):
-        """A product's leading run of factors INT, INT/INT, xI and xI^INT, each after any minuses, as one monomial
-        whose key is checked per factor as a product checks it, else its first factor.  A factor that may be refused
-        (INT^.., INT/0, xI past the chart, xI^INT past MAX_EXPONENT, a second ^) ends the run, read as before."""
+    def _monomial_run(self) -> tuple[int, int, int] | None:
+        """A product's leading run of factors INT, INT/INT, xI and xI^INT, each after any minuses, read as one
+        monomial's numerator, denominator and key, its key checked per factor as a product checks it; None when
+        the first factor is not one of them.  A factor that may be refused (INT^.., INT/0, xI past the chart, xI^INT
+        past MAX_EXPONENT, a second ^) ends the run, read as before."""
         tokens, dim = self.tokens, self.dim
         if (factor := self._monomial_factor(self.pos)) is None:
-            return self.unary()
+            return None
         num, den, key, pos = factor
-        while tokens[pos][1] == "*" and (factor := self._monomial_factor(pos + 1)):
+        while tokens[pos] == "*" and (factor := self._monomial_factor(pos + 1)):
             n, d, k, pos = factor
             num, den, key = num * n, den * d, key + k
             if num and key & _top_bits(dim):
                 raise DomainError(_EXPONENT_OVERFLOW)
         self.pos = pos
-        self.kind, self.text, _ = tokens[pos]
-        g = gcd(num, den)
-        return _poly(dim, {key: num // g} if num else {}, den // g)
+        self.text = tokens[pos]
+        return num, den, key
 
     def _monomial_factor(self, at: int) -> tuple[int, int, int, int] | None:
         """Numerator, denominator and key of a monomial factor at token index at, and the index after it."""
         tokens = self.tokens
         sign = 1
-        while tokens[at][1] == "-":
+        while tokens[at] == "-":
             sign, at = -sign, at + 1
-        kind, text, _ = tokens[at]
-        if kind == "int":
-            if tokens[at + 1][1] != "/":
-                return None if tokens[at + 1][1] == "^" else (sign * int(text), 1, 0, at + 1)
-            ok = tokens[at + 2][0] == "int" and tokens[at + 3][1] != "^" and (den := int(tokens[at + 2][1]))
+        text = tokens[at]
+        if text.isdigit():
+            if tokens[at + 1] != "/":
+                return None if tokens[at + 1] == "^" else (sign * int(text), 1, 0, at + 1)
+            ok = tokens[at + 2].isdigit() and tokens[at + 3] != "^" and (den := int(tokens[at + 2]))
             return (sign * int(text), den, 0, at + 3) if ok else None
         # int() refuses more than 4,300 digits: a longer index is left to `chart_index`
-        if kind != "ident" or not _VAR_RE.match(text) or len(text) > 21 or (i := int(text[1:])) >= self.dim:
+        if not _VAR_RE.match(text) or len(text) > 21 or (i := int(text[1:])) >= self.dim:
             return None
-        if tokens[at + 1][1] != "^":
+        if tokens[at + 1] != "^":
             return sign, 1, _var_key(i), at + 1
         # the grammar reads an exponent INT/INT or INT^.., and refuses one past MAX_EXPONENT
-        ok = tokens[at + 2][0] == "int" and tokens[at + 3][1] not in ("^", "/")
-        return (sign, 1, _var_key(i, e), at + 3) if ok and (e := int(tokens[at + 2][1])) <= Poly.MAX_EXPONENT else None
+        ok = tokens[at + 2].isdigit() and tokens[at + 3] not in ("^", "/")
+        return (sign, 1, _var_key(i, e), at + 3) if ok and (e := int(tokens[at + 2])) <= Poly.MAX_EXPONENT else None
 
     def _lone_generator(self) -> int | None:
         """The index of a generator dI in the chart at the current token, moved past, when no ^ or * follows it;
         else None, the token left for `unary` to read or refuse."""
-        tokens, at = self.tokens, self.pos
-        kind, text, _ = tokens[at]
+        text = self.text
         # as in `_monomial_factor`, a longer index is left to `chart_index`
-        if kind != "ident" or not _GEN_RE.match(text) or len(text) > 21 or (i := int(text[1:])) >= self.dim:
+        if not _GEN_RE.match(text) or len(text) > 21 or (i := int(text[1:])) >= self.dim:
             return None
-        if tokens[at + 1][1] in ("^", "*"):
+        if self.tokens[self.pos + 1] in ("^", "*"):
             return None
         self._advance()
         return i
@@ -233,11 +272,11 @@ class _Parser:
         return value
 
     def atom(self):
-        if self.kind == "int":
+        if self.text.isdigit():
             num = int(self._advance())
             if self.text == "/":
                 self._advance()
-                if self.kind != "int":
+                if not self.text.isdigit():
                     self._error("expected an integer denominator")
                 if not (den := int(self.text)):
                     self._error("division by zero")
@@ -249,7 +288,7 @@ class _Parser:
             value = self.sum()
             self._expect(")")
             return value
-        if self.kind == "ident":
+        if self.text.isidentifier():
             return self.ident_atom()
         self._error(f"unexpected token {self.text or 'end of input'!r}")
 
@@ -305,7 +344,7 @@ class _Parser:
             self._error("K literal starts with arity=<k>")
         self._advance()
         self._expect("=")
-        if self.kind != "int":
+        if not self.text.isdigit():
             self._error("arity must be an integer")
         k = int(self._advance())
         comps = {}
@@ -326,7 +365,7 @@ class _Parser:
         return KField(chart, k, comps)
 
     def _subset_index(self, seen: list[int]) -> int:
-        if self.kind != "int":
+        if not self.text.isdigit():
             self._error("expected a slot index")
         index = int(self.text)
         if index in seen:
@@ -414,15 +453,26 @@ def apply_operation(name: str, args: list, chart: ChartSpec, read, index):
 # type-dispatched operators ---------------------------------------------------
 
 
-def _poly_sum(dim: int, terms: list[tuple[str, Poly]]) -> Poly:
-    """The sum of the terms (op, p), op "+" or "-", over the lcm of their denominators, reduced once."""
-    if len(terms) == 1:
-        return terms[0][1]
-    den = lcm(*(p.den for _, p in terms))
+def _run_poly(dim: int, run: tuple[int, int, int]) -> Poly:
+    """The monomial num/den*x^key of a run (num, den, key)."""
+    num, den, key = run
+    g = gcd(num, den)
+    return _poly(dim, {key: num // g} if num else {}, den // g)
+
+
+def _poly_sum(dim: int, terms: list[tuple[int, int, Any]]) -> Poly:
+    """The sum of the terms, each a run (num, den, key) or a polynomial (sign, den, p) of denominator den, over the
+    lcm of their denominators, reduced once."""
+    if len(terms) == 1 and type(terms[0][2]) is Poly:
+        return terms[0][2]
+    den = lcm(*[d for _, d, _ in terms])
     acc: dict[int, int] = {}
-    for op, p in terms:
-        s = den // p.den if op == "+" else -(den // p.den)
-        _accumulate(acc, [(k, s * c) for k, c in p.num.items()])
+    for c, d, x in terms:
+        s = den // d * c
+        if type(x) is Poly:
+            _accumulate(acc, [(k, s * n) for k, n in x.num.items()])
+        elif s:
+            _accumulate(acc, ((x, s),))
     return _reduced(dim, acc, den)
 
 
@@ -465,4 +515,5 @@ def _pow(a, b, chart: ChartSpec):
 
 def parse_expression(src: str, session: Session):
     """Parse and evaluate one expression in the session's chart."""
-    return _Parser(src, session).parse()
+    _value(src, str, "parse_expression argument", "src")
+    return _Parser(src, _value(session, Session, "parse_expression argument", "session")).parse()

@@ -13,7 +13,7 @@ the shifted degree is bookkeeping only, exposed through `degree`.
 
 from __future__ import annotations
 
-from typing import Mapping
+from collections.abc import Iterable, Mapping
 
 from .chart_algebra import (
     Poly, VField, _accumulate, _budget, _derivation_into, _index, _int, _Module, _mul_into, _numerators, _poly_text,
@@ -48,10 +48,10 @@ class Polyvector(_Module):
     def __init__(self, dim: int, terms: Mapping[IndexTuple, Poly] | None = None):
         _int(dim, "chart dimension", 1)
         pairs = []
-        for idx, p in (terms or {}).items():
+        for idx, p in ({} if terms is None else _value(terms, Mapping, "Polyvector", "terms")).items():
             if _value(p, Poly, "coefficient of blade", idx).dim != dim:
                 raise ChartMismatchError("coefficient lives on a different chart")
-            norm = _sort_with_sign(tuple(_index(i, dim, "field index") for i in idx))
+            norm = _sort_with_sign(tuple(_index(i, dim, "field index") for i in _value(idx, Iterable, "blade", idx)))
             if norm is None:
                 continue
             key, sign = norm

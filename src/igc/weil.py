@@ -27,9 +27,9 @@ full first-block monomial e_0...e_{k-1}.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from itertools import combinations_with_replacement
 from math import lcm
-from typing import Callable, Mapping, Sequence
 
 from .chart_algebra import (
     ChartSpec, Poly, VField, _accumulate, _budget, _cancelled, _derivation_into, _index, _int, _Module, _mul_into,
@@ -57,7 +57,7 @@ class WeilElem(_Module):
         _int(arity, "arity", 0)
         _int(dim, "chart dimension", 1)
         pairs = []
-        for label, p in (terms or {}).items():
+        for label, p in ({} if terms is None else _value(terms, Mapping, "WeilElem", "terms")).items():
             phi = _index_set(label, arity, "generator")
             if _value(p, Poly, "part", label).dim != dim:
                 raise ChartMismatchError("part lives on a different chart")
@@ -227,11 +227,11 @@ class WeilMorphism(_Record, frozen=True):
 
 def _coordinate_images(arity: int, dim: int, images: Sequence[WeilElem]) -> tuple[WeilElem, ...]:
     """images as a tuple, one per chart dimension, each in W_arity over the chart."""
-    images = tuple(images)
+    images = tuple(_value(images, Iterable, "WeilMorphism", "coord_images"))
     _int(arity, "arity", 0)
     if len(images) != _int(dim, "chart dimension", 1):
         raise DomainError("need one coordinate image per chart dimension")
-    if any(w.arity != arity or w.dim != dim for w in images):
+    if any(_value(w, WeilElem, "image of", f"x{i}").arity != arity or w.dim != dim for i, w in enumerate(images)):
         raise ArityMismatchError("coordinate image in the wrong Weil algebra")
     return images
 
@@ -242,12 +242,12 @@ class CupFactorization(_Record, frozen=True):
     __slots__ = ("arity", "dim", "images")
 
     def __init__(self, arity: int, dim: int, images: Sequence[WeilElem]):
-        images = tuple(images)
+        images = tuple(_value(images, Iterable, "CupFactorization", "images"))
         _int(dim, "chart dimension", 1)
         if len(images) != _int(arity, "arity", 0):
             raise DomainError("need one image per V generator")
-        for w in images:
-            if w.arity != arity or w.dim != dim:
+        for j, w in enumerate(images):
+            if _value(w, WeilElem, "image of V generator", j).arity != arity or w.dim != dim:
                 raise ArityMismatchError("factorization image in the wrong Weil algebra")
         # W_m is commutative, so each unordered pair is tested once
         for a, b in combinations_with_replacement(images, 2):
@@ -311,13 +311,14 @@ def weil_cup(x: WeilMorphism, fact: CupFactorization, derivations: Sequence[VFie
     factorization image of the j-th V generator times e_0...e_{k-1} times
     derivations[j](f).
     """
-    if fact.dim != x.dim:
+    what = "weil_cup argument"
+    if _value(fact, CupFactorization, what, "fact").dim != _value(x, WeilMorphism, what, "x").dim:
         raise ChartMismatchError("factorization lives on a different chart")
     m = fact.arity
-    if len(derivations) != m:
+    if len(_value(derivations, Sequence, what, "derivations")) != m:
         raise DomainError("need one derivation per V generator")
-    for beta in derivations:
-        if beta.dim != x.dim:
+    for j, beta in enumerate(derivations):
+        if _value(beta, VField, "derivation", j).dim != x.dim:
             raise ChartMismatchError("derivation lives on a different chart")
     k = x.arity
     total = k + m

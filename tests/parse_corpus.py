@@ -109,7 +109,8 @@ def _polys(rng: Random, depth: int) -> str:
     """A polynomial sum, mostly in the chart, whose terms are runs of monomial factors and now and then more."""
     out = ""
     for n in range(rng.randint(1, 5)):
-        term = "*".join(rng.choice(["", "", "", "-", "--"]) + _poly_factor(rng, depth) for _ in range(rng.randint(1, 4)))
+        factors = [rng.choice(["", "", "", "-", "--"]) + _poly_factor(rng, depth) for _ in range(rng.randint(1, 4))]
+        term = "*".join(factors)
         out += rng.choice(["", "-"] if not n else [" + ", " - ", "+", "-", " +-", " - -"]) + term
     return out
 

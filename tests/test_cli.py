@@ -217,7 +217,7 @@ def reference_tokenize(src: str) -> list[tuple[str, str, int, int]]:
 
 
 def test_tokenizer_matches_the_line_tracking_reference():
-    from igc.parsing import _position, _tokenize
+    from igc.parsing import _offset, _position, _tokenize
 
     def outcome(tokenize, src):
         try:
@@ -226,7 +226,12 @@ def test_tokenizer_matches_the_line_tracking_reference():
             return str(exc), exc.line, exc.column
 
     def tokenize(src):
-        return [(kind, text, *_position(src, offset)) for kind, text, offset in _tokenize(src)]
+        # a token is its text: its kind is read from the text as the parser reads it, and its offset by a re-scan
+        return [
+            ("int" if text.isdigit() else "ident" if text.isidentifier() else "op" if text else "eof",
+             text, *_position(src, _offset(src, n)))
+            for n, text in enumerate(_tokenize(src))
+        ]
 
     # whitespace, ASCII and Unicode, weighted so that strings often end in it
     spaces = ["\n", "\r", "\t", "\x0b", "\x0c", "\xa0", " ", "\u2028", "\u3000", "\x1c"] * 3
@@ -661,6 +666,30 @@ def test_cli_act_word_rejects_empty_entries():
     # the empty word is the identity
     r = run_igc(["--dim", "2", "act", "", "free", "K{arity=2; 0: d0}"])
     assert (r.returncode, r.stdout) == (0, "K{arity=2; 0: d0}\n")
+
+
+LONG_INT = "1" * 5000
+# one row per kind of integer argument: a face index, a homotopy and an sdiff slot index, the check flags and an
+# entry of an act word
+LONG_INT_ROWS = [
+    ["face", "K{arity=2; 0: d0}", LONG_INT],
+    ["homotopy", "K{arity=2; 0: d0}", "0", LONG_INT],
+    ["sdiff", "K{arity=2; 0: d0}", "K{arity=2; 0: d0}", LONG_INT, "1"],
+    ["check", "--seed", LONG_INT],
+    ["check", "--max-degree", "-" + LONG_INT],
+    ["act", f"0,{LONG_INT},0", "free", "K{arity=2; 0: d0}"],
+]
+
+
+@pytest.mark.parametrize("argv", LONG_INT_ROWS, ids=["face", "homotopy", "sdiff", "seed", "max-degree", "act"])
+def test_an_integer_argument_past_the_digit_budget_is_refused_by_its_digit_count(argv):
+    # int() does not read more than 4,300 digits; such an integer is not called "not an integer"
+    r = run_igc(["--dim", "2", *argv])
+    message = f"integer argument of 5000 digits exceeds the budget of Poly.MAX_DIGITS = {Poly.MAX_DIGITS}"
+    assert (r.returncode, r.stdout, r.stderr) == (1, "", f"igc: {message}\n")
+    # a long argument that is not an integer is refused as before
+    r = run_igc(["--dim", "2", *[arg.replace(LONG_INT, LONG_INT + "x") for arg in argv]])
+    assert r.returncode == 1 and r.stderr.startswith(("igc: expected an integer, got '", "igc: bad swap word '"))
 
 
 def test_cli_dimension_budget():

@@ -8,27 +8,42 @@ the types store their values must leave every one of them as it is.  A last tabl
 sets do with two keys that name one label: they sum them.
 """
 
-import pytest
+import inspect
+from random import Random
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import igc
 from igc.chart_algebra import ChartSpec, Poly, VField, vf_apply, vf_bracket, vf_pushforward
-from igc.errors import ChartMismatchError, DegreeOverflowError, DomainError
-from igc.free_lr import FreeLRElem, RelativeSpec, anchor_apply, free_bracket, lie_bracket_ext, project_to_lie
+from igc.errors import ArityMismatchError, ChartMismatchError, DegreeOverflowError, DomainError
+from igc.free_lr import (
+    FreeLRElem, RelativeSpec, anchor_apply, free_bracket, lie_bracket_ext, project_to_lie, vertical_reduce,
+)
 from igc.groupoid import (
     KField, act, act_transposition, add_over_face, compose, cup, face, homotopy, is_trivial_homotopy,
     lie_derivative_thin, reduce_to_polyvector, strong_diff, trivial_by_disjoint_pairs,
 )
 from igc.lyndon import LyndonWord
+from igc.oracle import oracle_bracket, oracle_multiplicativity, oracle_quotient_lowdegree
+from igc.parsing import Session, parse_expression
 from igc.polyvector import Polyvector, degree, schouten, wedge
-from igc.weil import WeilElem, kfield_to_weil, weil_to_kfield
+from igc.weil import CupFactorization, WeilElem, WeilMorphism, kfield_to_weil, weil_cup, weil_to_kfield
 
 C2 = ChartSpec(2, max_degree=2)
 C3 = ChartSpec(3, max_degree=2)
 X2 = Poly.var(2, 0)
 X3 = Poly.var(3, 0)
 D0 = FreeLRElem.generator(C2, 0)
+D1 = FreeLRElem.generator(C2, 1)
 K2 = KField(C2, 2, {frozenset({0}): D0})
+K3 = KField(C3, 2, {frozenset({0}): FreeLRElem.generator(C3, 0)})
 P2 = Polyvector(2, {(0, 1): X2})
 V2 = VField.basis(2, 0)
+W2 = WeilElem(1, 2, {(): X2})
+M2 = kfield_to_weil(KField(C2, 1))
+F2 = CupFactorization.canonical(2)
 
 # (call, exception class, message)
 ROWS = [
@@ -82,6 +97,61 @@ ROWS = [
     (lambda: weil_to_kfield(K2), DomainError, "weil_to_kfield argument w is KField, not WeilMorphism"),
     (lambda: weil_to_kfield(kfield_to_weil(KField(C2, 1)), 3), DomainError,
      "weil_to_kfield argument chart is int, not ChartSpec"),
+    # the refusals of k-fields and of the Weil layer that no other test reaches
+    (lambda: KField(C2, 2, {frozenset(): D0}), DomainError, "component index set is empty"),
+    (lambda: KField(C2, 2, {frozenset({0}): FreeLRElem.generator(C3, 0)}), ChartMismatchError,
+     "component lives on a different chart"),
+    (lambda: strong_diff(K2, K3, (0, 1)), ChartMismatchError, "fields live on different charts"),
+    (lambda: add_over_face(K2, K2, {0, 1}), DomainError, "psi must be a size-1 subset of the slot indices"),
+    (lambda: cup(K2, K3), ChartMismatchError, "fields live on different charts"),
+    (lambda: compose(K2, K3), ChartMismatchError, "fields live on different charts"),
+    (lambda: trivial_by_disjoint_pairs(KField(C2, 2, {frozenset({0}): free_bracket(D0, D1)})), DomainError,
+     "the disjoint-pair test applies to classical fields"),
+    (lambda: WeilMorphism(1, 2, [WeilElem(1, 2), WeilElem(1, 2)]), DomainError, "empty part of image(x0) must be x0"),
+    (lambda: M2.image(X3), ChartMismatchError, "polynomial lives on a different chart"),
+    (lambda: WeilMorphism(1, 2, [W2]), DomainError, "need one coordinate image per chart dimension"),
+    (lambda: CupFactorization(2, 2, [W2]), DomainError, "need one image per V generator"),
+    (lambda: CupFactorization(1, 2, [WeilElem(2, 2)]), ArityMismatchError,
+     "factorization image in the wrong Weil algebra"),
+    (lambda: weil_cup(M2, CupFactorization.canonical(3), []), ChartMismatchError,
+     "factorization lives on a different chart"),
+    (lambda: weil_cup(M2, F2, []), DomainError, "need one derivation per V generator"),
+    (lambda: weil_cup(M2, F2, [VField.basis(3, 0)]), ChartMismatchError, "derivation lives on a different chart"),
+    # a container or a value of another type, refused by its name where the boundary test below found it unchecked
+    (lambda: Poly(2, [1]), DomainError, "Poly terms is list, not Mapping"),
+    (lambda: Poly(2, {0: 1}), DomainError, "Poly exponent 0 is int, not Iterable"),
+    (lambda: VField(None), DomainError, "VField coeffs is NoneType, not Iterable"),
+    (lambda: vf_pushforward(V2, 3, 0), DomainError, "vf_pushforward argument embedding is int, not Iterable"),
+    (lambda: Polyvector(2, [1]), DomainError, "Polyvector terms is list, not Mapping"),
+    (lambda: Polyvector(2, {0: X2}), DomainError, "blade 0 is int, not Iterable"),
+    (lambda: WeilElem(1, 2, [1]), DomainError, "WeilElem terms is list, not Mapping"),
+    (lambda: KField(C2, 2, {0: D0}), DomainError, "component index set 0 is int, not Iterable"),
+    (lambda: WeilMorphism(1, 2, None), DomainError, "WeilMorphism coord_images is NoneType, not Iterable"),
+    (lambda: WeilMorphism(1, 1, [3]), DomainError, "image of x0 is int, not WeilElem"),
+    (lambda: CupFactorization(1, 2, None), DomainError, "CupFactorization images is NoneType, not Iterable"),
+    (lambda: CupFactorization(1, 2, [3]), DomainError, "image of V generator 0 is int, not WeilElem"),
+    (lambda: weil_cup(M2, 3, []), DomainError, "weil_cup argument fact is int, not CupFactorization"),
+    (lambda: weil_cup(3, F2, []), DomainError, "weil_cup argument x is int, not WeilMorphism"),
+    (lambda: weil_cup(M2, F2, 3), DomainError, "weil_cup argument derivations is int, not Sequence"),
+    (lambda: weil_cup(M2, F2, [3]), DomainError, "derivation 0 is int, not VField"),
+    (lambda: RelativeSpec(3), DomainError, "RelativeSpec chart is int, not ChartSpec"),
+    (lambda: RelativeSpec(C2, 3), DomainError, "RelativeSpec vertical is int, not Iterable"),
+    (lambda: FreeLRElem(3), DomainError, "FreeLRElem chart is int, not ChartSpec"),
+    (lambda: FreeLRElem(C2, [1]), DomainError, "FreeLRElem terms is list, not Mapping"),
+    (lambda: FreeLRElem(C2, {0: X2}), DomainError, "word 0 is int, not Iterable"),
+    (lambda: free_bracket(D0, D0, 3), DomainError, "free_bracket argument spec is int, not RelativeSpec"),
+    (lambda: vertical_reduce(D0, 3), DomainError, "vertical_reduce argument spec is int, not RelativeSpec"),
+    (lambda: LyndonWord(3), DomainError, "LyndonWord letters is int, not Iterable"),
+    (lambda: oracle_bracket(3, V2), DomainError, "oracle_bracket argument u is int, not VField"),
+    (lambda: oracle_bracket(V2, 3), DomainError, "oracle_bracket argument v is int, not VField"),
+    (lambda: oracle_multiplicativity(3, 1, Random(0)), DomainError,
+     "oracle_multiplicativity argument nu is int, not KField"),
+    (lambda: oracle_multiplicativity(K2, 1, 3), DomainError, "oracle_multiplicativity argument rng is int, not Random"),
+    (lambda: oracle_multiplicativity(K2, None, Random(0)), DomainError, "trial count None is not an int"),
+    (lambda: oracle_quotient_lowdegree(3, 1), DomainError,
+     "oracle_quotient_lowdegree argument spec is int, not RelativeSpec"),
+    (lambda: parse_expression(3, Session(C2)), DomainError, "parse_expression argument src is int, not str"),
+    (lambda: parse_expression("x0", C2), DomainError, "parse_expression argument session is ChartSpec, not Session"),
 ]
 
 
@@ -110,3 +180,32 @@ COLLISIONS = [
 @pytest.mark.parametrize("call, text", COLLISIONS, ids=[f"collision{n}" for n in range(len(COLLISIONS))])
 def test_colliding_labels_are_summed(call, text):
     assert str(call()) == text
+
+
+# every callable of the package but the error types, which the library raises and does not take values into
+PUBLIC = sorted(
+    name for name, value in ((name, getattr(igc, name)) for name in igc.__all__)
+    if callable(value) and not (isinstance(value, type) and issubclass(value, BaseException))
+)
+# values of every kind the library takes, and of kinds it does not; each call draws its arguments from here
+POOL = [
+    None, 0, -1, True, 2.5, "x0", (), [0], {0: 1}, frozenset({0}), object(),
+    X2, X3, D0, K2, K3, P2, V2, C2, W2, M2, F2,
+]
+
+
+@pytest.mark.parametrize("name", PUBLIC)
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_a_public_callable_given_values_of_other_types_raises_only_the_library_s_errors(name, data):
+    # a wrong-typed argument is refused at the boundary, by `_value` or a check of its own, not by a TypeError or
+    # AttributeError from deep inside; the arguments are drawn for the callable's positional parameters
+    function = getattr(igc, name)
+    params = [p for p in inspect.signature(function).parameters.values() if p.kind is p.POSITIONAL_OR_KEYWORD]
+    least = sum(p.default is p.empty for p in params)
+    count = data.draw(st.integers(least, len(params)), label="argument count")
+    args = data.draw(st.lists(st.sampled_from(POOL), min_size=count, max_size=count), label="arguments")
+    try:
+        function(*args)
+    except DomainError:
+        pass

@@ -86,6 +86,27 @@ def test_no_count_or_index_is_tested_with_isinstance_int():
     assert found == []
 
 
+def test_only_the_value_rule_words_a_wrong_type_message():
+    # "X is T, not C" is the wording of `_value`, the one rule for a value of the wrong type: a message of that
+    # shape elsewhere, in an f-string or a plain string, is a second rule
+    inside, outside = [], []
+    for module, tree in src_modules():
+        rule = {
+            id(node) for f in ast.walk(tree) if isinstance(f, ast.FunctionDef) and f.name == "_value"
+            for node in ast.walk(f)
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.JoinedStr):
+                text = "".join(part.value if isinstance(part, ast.Constant) else "{}" for part in node.values)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                text = node.value
+            else:
+                continue
+            if re.search(r"\bis (\{\}|[A-Z]\w*), not (\{\}|[A-Z]\w*)", text):
+                (inside if id(node) in rule else outside).append(f"{module}.py:{node.lineno}")
+    assert len(inside) == 1 and outside == []
+
+
 def test_only_chart_algebra_reads_a_packed_key_s_fields():
     # a monomial key packs one 64-bit exponent field per variable; the other
     # modules build and read keys through chart_algebra's helpers
