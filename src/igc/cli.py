@@ -69,15 +69,12 @@ def _need(argv, n, usage):
         raise UsageError(f"usage: {usage}")
 
 
-# an integer as int() reads it in base 10
-_INT_TEXT_RE = re.compile(r"\s*[-+]?\d+(?:_\d+)*\s*")
-
-
 def _refuse_long_int(text: str):
     """Refuse text when it is an integer of more digits than Poly.MAX_DIGITS, which int() does not read, by its digit
     count, as the tokenizer refuses such a literal."""
     digits = sum(map(str.isdecimal, text))
-    if digits > Poly.MAX_DIGITS and _INT_TEXT_RE.fullmatch(text):
+    # an integer as int() reads it in base 10
+    if digits > Poly.MAX_DIGITS and re.fullmatch(r"\s*[-+]?\d+(?:_\d+)*\s*", text):
         raise UsageError(long_integer("argument", digits))
 
 

@@ -62,8 +62,9 @@ _SCAN_RE = re.compile(_OP + "|" + _IDENT + r"|\d+")
 _PLAIN_RE = re.compile(r"[\s\dA-Za-z_" + re.escape(_OPS) + "]*")
 _LONG_RE = re.compile(r"(?<!\d)\d{%d}" % (Poly.MAX_DIGITS + 1))
 # one match per token after its leading whitespace; group 4 is any other
-# character, so only trailing whitespace is left unmatched
-_TOKEN_RE = re.compile(r"\s*(?:(\d+)|(" + _IDENT + ")|(" + _OP + r")|(\S))")
+# character, so only trailing whitespace is left unmatched.  Only a refusal or
+# an error position needs it, so `re` compiles it on first use.
+_TOKEN = r"\s*(?:(\d+)|(" + _IDENT + ")|(" + _OP + r")|(\S))"
 
 
 def _tokenize(src: str) -> list[str]:
@@ -78,7 +79,7 @@ def _tokenize(src: str) -> list[str]:
         # the scan that refuses a stray character or a long integer literal, at its position; an
         # identifier may hold a long digit run, and then the tokens are those of the one-regex scan
         tokens = []
-        for m in _TOKEN_RE.finditer(src):
+        for m in re.finditer(_TOKEN, src):
             group = m.lastindex
             text = m[group]
             if group == 4:
@@ -98,7 +99,7 @@ def long_integer(what: str, digits: int) -> str:
 
 def _offset(src: str, index: int) -> int:
     """The offset in src of the token at index of `_tokenize(src)`; len(src) for the end of input."""
-    m = next(islice(_TOKEN_RE.finditer(src), index, None), None)
+    m = next(islice(re.finditer(_TOKEN, src), index, None), None)
     return len(src) if m is None else m.start(m.lastindex)
 
 

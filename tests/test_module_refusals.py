@@ -5,7 +5,9 @@ or on a `KField` of `FreeLRElem` components, or one public function given a
 value of another type, that the library must refuse.
 The rows hold what the public boundary of each type refuses: a change of how
 the types store their values must leave every one of them as it is.  A last table pins what the constructors keyed by index
-sets do with two keys that name one label: they sum them.
+sets do with two keys that name one label: they sum them.  A derandomized
+property test calls every public callable with values of other types and
+lets only the library's own errors through.
 """
 
 import inspect
