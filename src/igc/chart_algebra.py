@@ -14,10 +14,14 @@ between threads.
 The canonical term order used for printing is graded lexicographic on
 exponent vectors, largest first.
 
-Validation happens at the public boundary.  The public constructors (here
-`Poly(...)` and `VField(...)`, and `FreeLRElem(...)`, `WeilElem(...)`,
+Validation happens at the public boundary, and a value argument's type is
+stated once, in its annotation: every public function and constructor goes
+through `_checked`, which refuses a wrong-typed value argument through
+`_value` before the body runs.  The public constructors (here `Poly(...)`
+and `VField(...)`, and `FreeLRElem(...)`, `WeilElem(...)`,
 `WeilMorphism(...)`, `Polyvector(...)`, `KField(...)` and `LyndonWord(...)`
-in their modules) check and normalize whatever they are given.  Results that
+in their modules) then check and normalize the entries of what they are
+given, each under its own label.  Results that
 a class computes itself from canonical operands, the sums, products,
 derivatives, brackets, wedges, k-field operations and Weil morphisms, are
 canonical by construction and are wrapped without a second check by the
@@ -42,7 +46,8 @@ from functools import cache, reduce
 from math import gcd, lcm
 from itertools import chain
 from operator import attrgetter, or_
-from types import MappingProxyType
+from types import MappingProxyType, NoneType, UnionType
+from typing import Union, get_args, get_origin, get_type_hints
 
 from .errors import ChartMismatchError, DomainError
 
@@ -124,7 +129,7 @@ def _int(x, what: str, least: int | None = None) -> int:
     if type(x) is not int:
         raise DomainError(f"{what} {x!r} is not an int")
     if least is not None and x < least:
-        raise DomainError(f"{what} must be >= {least}, got {x}")
+        raise DomainError(f"{what} must be >= {least}, got {_shown(str(x))}")
     return x
 
 
@@ -138,21 +143,77 @@ def _index(i, n: int, what: str) -> int:
     if type(i) is int and 0 <= i < n:
         return i
     _int(i, what)
-    raise DomainError(f"{what} {i} out of range [0, {n})")
+    raise DomainError(f"{what} {_shown(str(i))} out of range [0, {n})")
+
+
+def _shown(number: str) -> str:
+    """The decimal text of an integer as a refusal shows it: past 20 digits, its sign and first 20 digits, "..."
+    and its digit count, so that a message stays one short line."""
+    digits = number.lstrip("-")
+    if len(digits) <= 20:
+        return number
+    return f"{number[: len(number) - len(digits) + 20]}... ({len(digits)} digits)"
 
 
 def _value(x, cls: type, what: str, label):
     """x when it is a cls.
 
     This is the one rule for every value a module constructor takes under a
-    label (a `Poly` coefficient, a `FreeLRElem` component) and every value
-    argument of a public function (labelled by its parameter), checked
-    before its chart is read; anything else raises a one-line DomainError
-    naming `what` and the label.
+    label (a `Poly` coefficient, a `FreeLRElem` component) and, through
+    `_checked`, every value argument of a public function or constructor,
+    checked before its chart is read; anything else raises a one-line
+    DomainError naming `what` and the label.
     """
     if isinstance(x, cls):
         return x
     raise DomainError(f"{what} {label} is {type(x).__name__}, not {cls.__name__}")
+
+
+def _checked(f):
+    """f behind a wrapper that refuses each value argument of the wrong type through `_value`, before f runs.
+
+    A value parameter is one annotated with a class other than int, bool and
+    tuple: counts and indices go through `_int` and `_index`, with texts of
+    their own, and a tuple is unpacked by the function.  A generic hint is
+    checked as its origin (`Iterable[int]` as `Iterable`), `T | None` also
+    accepts None, and a parameter also accepts its own default.  The checks
+    run in parameter order; a function's are labelled "<name> argument" and a
+    constructor's (`__init__` or `__new__`) by its class, so that `v` of
+    `free_bracket` is refused as "free_bracket argument v is int, not
+    FreeLRElem".  As `_Record` generates `_make`, the wrapper is generated
+    with f's own positional parameters, so a call pays one isinstance test per
+    value argument and no argument packing.
+    """
+    code = f.__code__
+    names = code.co_varnames[: code.co_argcount]
+    hints = get_type_hints(f)
+    defaults = dict(zip(reversed(names), reversed(f.__defaults__ or ())))
+    owner, _, name = f.__qualname__.rpartition(".")
+    scope = {"_f": f, "_value": _value, "_what": owner if name in ("__init__", "__new__") else f"{name} argument"}
+    checks = []
+    for i, param in enumerate(names):
+        hint = hints.get(param)
+        optional = get_origin(hint) in (Union, UnionType)
+        kinds = [get_origin(k) or k for k in (get_args(hint) if optional else (hint,)) if k is not NoneType]
+        if len(kinds) != 1 or not isinstance(kinds[0], type) or kinds[0] in (int, bool, tuple):
+            continue
+        cls = scope[f"_c{i}"] = kinds[0]
+        test = f"not isinstance({param}, _c{i})"
+        if optional:
+            test = f"{param} is not None and {test}"
+        if param in defaults and not isinstance(defaults[param], cls) and not (optional and defaults[param] is None):
+            # as a dataclass's default factory stands behind a marker default
+            scope[f"_d{i}"] = defaults[param]
+            test = f"{param} is not _d{i} and {test}"
+        checks.append(f"    if {test}:\n        _value({param}, _c{i}, _what, {param!r})\n")
+    params = ", ".join(names)
+    source = f"def _checked_call({params}):\n{''.join(checks)}    return _f({params})\n"
+    wrapper = _define(source, **scope)["_checked_call"]
+    wrapper.__defaults__ = f.__defaults__
+    for attr in ("__module__", "__name__", "__qualname__", "__doc__"):
+        setattr(wrapper, attr, getattr(f, attr))
+    wrapper.__wrapped__ = f
+    return wrapper
 
 
 def _budget(count: int, owner: type, name: str, what: str) -> int:
@@ -203,10 +264,11 @@ class Poly(_Record, frozen=True):
     # default limit on int-to-str conversion, so every accepted value prints
     MAX_DIGITS = 4300
 
+    @_checked
     def __init__(self, dim: int, terms: Mapping[Exponent, Fraction | int] | None = None):
         _int(dim, "polynomial dimension", 1)
         clean: dict[Exponent, int | Fraction] = {}
-        for exps, coeff in ({} if terms is None else _value(terms, Mapping, "Poly", "terms")).items():
+        for exps, coeff in ({} if terms is None else terms).items():
             exps = tuple(_int(e, "bad exponent tuple entry", 0) for e in _value(exps, Iterable, "Poly exponent", exps))
             if len(exps) != dim:
                 raise DomainError(f"bad exponent tuple {exps} for dimension {dim}")
@@ -703,8 +765,9 @@ class VField(_Module):
 
     __slots__ = ("dim", "num", "den")
 
-    def __init__(self, coeffs: Sequence[Poly]):
-        coeffs = tuple(_value(coeffs, Iterable, "VField", "coeffs"))
+    @_checked
+    def __init__(self, coeffs: Iterable[Poly]):
+        coeffs = tuple(coeffs)
         if not coeffs:
             raise DomainError("a vector field needs at least one coefficient")
         for i, c in enumerate(coeffs):
@@ -739,21 +802,23 @@ class VField(_Module):
         return f"VField({self})"
 
 
+@_checked
 def vf_apply(v: VField, f: Poly) -> Poly:
     """Action of the derivation v on f: sum_i a_i * df/dx_i, one numerator sum reduced once."""
-    if _value(v, VField, "vf_apply argument", "v").dim != _value(f, Poly, "vf_apply argument", "f").dim:
+    if v.dim != f.dim:
         raise ChartMismatchError("field and polynomial live on different charts")
     accs: dict[int, dict[int, int]] = {}
     _derivation_into(accs, v.num.items(), [(0, f.num)], 1)
     return _product_poly(f.dim, accs.get(0, {}), v.den * f.den)
 
 
+@_checked
 def vf_bracket(u: VField, v: VField) -> VField:
     """Lie bracket of vector fields: [u,v]^j = sum_i (u_i*d_i(v_j) - v_i*d_i(u_j)).
 
     The coefficients are one numerator sum over the product of the denominators, reduced once.
     """
-    _value(u, VField, "vf_bracket argument", "u")._check(_value(v, VField, "vf_bracket argument", "v"))
+    u._check(v)
     accs: dict[int, dict[int, int]] = {}
     _derivation_into(accs, u.num.items(), v.num.items(), 1)
     _derivation_into(accs, v.num.items(), u.num.items(), -1)
@@ -799,15 +864,14 @@ def _partial_into(acc: dict, c: int, en, sign: int):
                 t[k - one] = t.get(k - one, 0) + sign * e * a
 
 
-def vf_pushforward(v: VField, target_dim: int, embedding: Sequence[int]) -> VField:
+@_checked
+def vf_pushforward(v: VField, target_dim: int, embedding: Iterable[int]) -> VField:
     """Relabel v along a strictly increasing coordinate inclusion.
 
     The image field is constant in the new coordinates: coefficient i of v is
     moved to slot embedding[i] with x_i renamed to x_{embedding[i]}.
     """
-    _value(v, VField, "vf_pushforward argument", "v")
     _int(target_dim, "target dimension", 1)
-    embedding = _value(embedding, Iterable, "vf_pushforward argument", "embedding")
     emb = tuple(_index(e, target_dim, "embedding index") for e in embedding)
     if len(emb) != v.dim:
         raise DomainError("embedding must list a target index for every source coordinate")

@@ -86,6 +86,15 @@ def _int_arg(text: str) -> int:
         raise UsageError(f"expected an integer, got {text!r}") from None
 
 
+def _option_int(text: str) -> int:
+    """The `type` of the integer options: int(text), refused by its digit count past Poly.MAX_DIGITS."""
+    try:
+        return int(text)
+    except ValueError:
+        _refuse_long_int(text)
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+
+
 def run_command(argv: list[str], session: Session) -> CommandOutcome:
     """Execute one parsed command against the session."""
     if not argv:
@@ -206,10 +215,10 @@ def _build_parser() -> _ArgumentParser:
         prog="igc",
         description="Exact calculator for iterated tangent fields and their cohomology.",
     )
-    parser.add_argument("--dim", type=int, required=True, help="chart dimension n")
-    parser.add_argument("--max-degree", type=int, default=4, dest="max_degree",
+    parser.add_argument("--dim", type=_option_int, required=True, help="chart dimension n")
+    parser.add_argument("--max-degree", type=_option_int, default=4, dest="max_degree",
                         help="bracket-length cutoff (default 4)")
-    parser.add_argument("--seed", type=int, default=0, help="seed for check sampling")
+    parser.add_argument("--seed", type=_option_int, default=0, help="seed for check sampling")
     parser.add_argument("--format", choices=("text", "json"), default="text")
     parser.add_argument("--script", help="run commands from a file, one per line")
     parser.add_argument("--profile", action="store_true",
@@ -226,7 +235,11 @@ def _emit(outcome: CommandOutcome, fmt: str):
 
 
 def main(argv: list[str] | None = None) -> int:
-    opts = _build_parser().parse_args(argv)
+    try:
+        opts = _build_parser().parse_args(argv)
+    except UsageError as exc:
+        print(f"igc: {exc}", file=sys.stderr)
+        return 1
     if not opts.profile:
         return _run(opts)
     import cProfile

@@ -46,8 +46,9 @@ from math import lcm
 
 from . import lyndon
 from .chart_algebra import (
-    _PRODUCTS, ChartSpec, Poly, VField, _budget, _cancelled, _derivation_counts, _derivation_into, _index, _int,
-    _Module, _mul_into, _numerators, _partial_into, _poly_text, _Record, _summed, _value, render_combination, vf_apply,
+    _PRODUCTS, ChartSpec, Poly, VField, _budget, _cancelled, _checked, _derivation_counts, _derivation_into, _index,
+    _int, _Module, _mul_into, _numerators, _partial_into, _poly_text, _Record, _summed, _value, render_combination,
+    vf_apply,
 )
 from .errors import ChartMismatchError, DegreeOverflowError, DomainError
 from .lyndon import LyndonWord
@@ -60,10 +61,9 @@ class RelativeSpec(_Record, frozen=True):
 
     __slots__ = ("chart", "vertical")
 
+    @_checked
     def __init__(self, chart: ChartSpec, vertical: Iterable[int] = frozenset()):
-        dim = _value(chart, ChartSpec, "RelativeSpec", "chart").dim
-        vertical = _value(vertical, Iterable, "RelativeSpec", "vertical")
-        vertical = frozenset(_index(i, dim, "vertical index") for i in vertical)
+        vertical = frozenset(_index(i, chart.dim, "vertical index") for i in vertical)
         self._set(chart, vertical)
 
 
@@ -72,10 +72,10 @@ class FreeLRElem(_Module):
 
     __slots__ = ("chart", "num", "den")
 
+    @_checked
     def __init__(self, chart: ChartSpec, terms: Mapping[LyndonWord, Poly] | None = None):
         clean: dict[LyndonWord, Poly] = {}
-        _value(chart, ChartSpec, "FreeLRElem", "chart")
-        for w, p in ({} if terms is None else _value(terms, Mapping, "FreeLRElem", "terms")).items():
+        for w, p in ({} if terms is None else terms).items():
             for a in _value(w, Iterable, "word", w):
                 _index(a, chart.dim, "generator index")
             if not isinstance(w, LyndonWord):
@@ -161,30 +161,32 @@ def _drop_vertical(elem: FreeLRElem, vertical: frozenset[int]) -> FreeLRElem:
     return elem if len(kept) == len(elem.num) else FreeLRElem._make(elem.chart, *_cancelled(kept, elem.den))
 
 
+@_checked
 def anchor_apply(u: FreeLRElem, f: Poly) -> Poly:
     """Action of u on the chart ring through the anchor.
 
     Monomials act as nested commutators of the coordinate derivations, which
     commute, so only the degree-1 part contributes.
     """
-    what = "anchor_apply argument"
-    if _value(u, FreeLRElem, what, "u").chart.dim != _value(f, Poly, what, "f").dim:
+    if u.chart.dim != f.dim:
         raise ChartMismatchError("polynomial lives on a different chart")
     return vf_apply(project_to_lie(u), f)
 
 
+@_checked
 def project_to_lie(u: FreeLRElem) -> VField:
     """Evaluate every bracket monomial as a classical nested bracket.
 
     Coordinate generators commute, so all words of length >= 2 evaluate to
     zero and the projection keeps exactly the degree-1 part.
     """
-    num = {w[0]: n for w, n in _value(u, FreeLRElem, "project_to_lie argument", "u").num.items() if len(w) == 1}
+    num = {w[0]: n for w, n in u.num.items() if len(w) == 1}
     # the dropped words may have held the common factor
     num, den = (num, u.den) if len(num) == len(u.num) else _cancelled(num, u.den)
     return VField._make(u.chart.dim, num, den)
 
 
+@_checked
 def free_bracket(u: FreeLRElem, v: FreeLRElem, spec: RelativeSpec | None = None) -> FreeLRElem:
     """The free Lie-Rinehart bracket of u and v, in Lyndon normal form.
 
@@ -194,8 +196,8 @@ def free_bracket(u: FreeLRElem, v: FreeLRElem, spec: RelativeSpec | None = None)
     the operands and no bare bracket touching one is formed.  Every word
     length is checked against max_degree before any product is formed.
     """
-    _value(u, FreeLRElem, "free_bracket argument", "u")._check(_value(v, FreeLRElem, "free_bracket argument", "v"))
-    vertical = frozenset() if spec is None else _value(spec, RelativeSpec, "free_bracket argument", "spec").vertical
+    u._check(v)
+    vertical = frozenset() if spec is None else spec.vertical
     if spec is not None and spec.chart != u.chart:
         raise ChartMismatchError("relative spec is for a different chart")
     return _bracket(None, [(_drop_vertical(u, vertical), _drop_vertical(v, vertical))], _free_bracket_into, vertical)
@@ -269,6 +271,7 @@ def _anchored_into(accs: dict, un, vn, sign: int, products):
         raise
 
 
+@_checked
 def lie_bracket_ext(u: FreeLRElem, v: FreeLRElem) -> FreeLRElem:
     """The second Lie structure,  [u, v] = [u1, v1] + u▷v_long - v1▷u_long,  u1 and v1 the degree-1 parts.
 
@@ -276,8 +279,7 @@ def lie_bracket_ext(u: FreeLRElem, v: FreeLRElem) -> FreeLRElem:
     of y with coefficient g.  Every long word is derived before any product is formed, and an overflow
     names the longest derived bracket.
     """
-    what = "lie_bracket_ext argument"
-    _value(u, FreeLRElem, what, "u")._check(_value(v, FreeLRElem, what, "v"))
+    u._check(v)
     return _bracket(None, [(u, v)], _lie_bracket_into)
 
 
@@ -359,6 +361,7 @@ def _unit_bracket_into(acc: dict, en, b: Word, max_degree: int, sign: int):
                 t[k] = t.get(k, 0) + sign * c * a
 
 
+@_checked
 def vertical_reduce(expr, spec: RelativeSpec) -> FreeLRElem:
     """Normal form of a raw bracket expression in the relative algebra.
 
@@ -367,16 +370,13 @@ def vertical_reduce(expr, spec: RelativeSpec) -> FreeLRElem:
     The result carries length >= 2 monomials on horizontal generators only;
     applying the function twice gives the same answer.
     """
-    chart = _value(spec, RelativeSpec, "vertical_reduce argument", "spec").chart
     if isinstance(expr, FreeLRElem):
         return _drop_vertical(expr, spec.vertical)
-    if isinstance(expr, VField):
-        return FreeLRElem.from_vfield(chart, expr)
     if not isinstance(expr, tuple) or not expr:
         raise DomainError(f"unrecognized expression node: {expr!r}")
     tag = expr[0]
     if tag == "gen":
-        return FreeLRElem.generator(chart, expr[1])
+        return FreeLRElem.generator(spec.chart, expr[1])
     if tag == "scale":
         return vertical_reduce(expr[2], spec) * expr[1]
     if tag == "add":

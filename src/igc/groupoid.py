@@ -28,7 +28,7 @@ from __future__ import annotations
 from collections.abc import Callable, Iterable, Mapping, Sequence
 from itertools import combinations
 
-from .chart_algebra import ChartSpec, VField, _accumulate, _budget, _index, _int, _Record, _value
+from .chart_algebra import ChartSpec, VField, _accumulate, _budget, _checked, _index, _int, _Record, _value
 from .errors import (
     ArityMismatchError,
     ChartMismatchError,
@@ -76,11 +76,10 @@ class KField(_Record, frozen=True):
     # to degree-1 fields, so a word at the limit ends within about 8 s
     MAX_WORD_LENGTH = 500
 
+    @_checked
     def __init__(self, chart: ChartSpec, arity: int, components: Mapping[Subset, FreeLRElem] | None = None):
         _check_arity(arity)
         clean: dict[Subset, FreeLRElem] = {}
-        if components is not None:
-            _value(components, Mapping, "KField", "components")
         for label, elem in (components or {}).items():
             phi = _index_set(label, arity, "component", nonempty=True)
             if _value(elem, FreeLRElem, "component", label).chart != chart:
@@ -156,8 +155,8 @@ def _check_pair(i: int, j: int, k: int):
         raise DomainError(f"need i < j, got ({i}, {j})")
 
 
-def _check_compatible(mu: KField, nu: KField, what: str):
-    if _value(mu, KField, what, "mu").chart != _value(nu, KField, what, "nu").chart:
+def _check_compatible(mu: KField, nu: KField):
+    if mu.chart != nu.chart:
         raise ChartMismatchError("fields live on different charts")
     if mu.arity != nu.arity:
         raise ArityMismatchError(f"arities differ: {mu.arity} vs {nu.arity}")
@@ -175,9 +174,10 @@ def _check_agreement(mu: KField, nu: KField, shared: Callable[[Subset], bool]):
         raise FacePreconditionError(min(differ, key=_subset_key))
 
 
+@_checked
 def face(nu: KField, i: int) -> KField:
     """Restrict to the face where slot i degenerates: keep subsets avoiding i."""
-    k = _value(nu, KField, "face argument", "nu").arity
+    k = nu.arity
     _index(i, k, "face index")
     if k == 1:
         raise DomainError("a 1-field has no faces")
@@ -190,12 +190,13 @@ def _drop_slot(phi: Subset, i: int) -> Subset:
     return frozenset(x - (x > i) for x in phi)
 
 
+@_checked
 def add_over_face(mu: KField, nu: KField, psi) -> KField:
     """Fiberwise addition over the face psi of size k-1.
 
     Components inside psi must agree and are kept; all others add.
     """
-    _check_compatible(mu, nu, "add_over_face argument")
+    _check_compatible(mu, nu)
     k = mu.arity
     psi = _index_set(psi, k, "face")
     if len(psi) != k - 1:
@@ -205,6 +206,7 @@ def add_over_face(mu: KField, nu: KField, psi) -> KField:
     return KField._make(mu.chart, k, _accumulate(dict(mu.components), outside))
 
 
+@_checked
 def strong_diff(mu: KField, nu: KField, pair: tuple[int, int]) -> KField:
     """Strong difference of two fields agreeing outside components with both i and j.
 
@@ -213,7 +215,7 @@ def strong_diff(mu: KField, nu: KField, pair: tuple[int, int]) -> KField:
     difference of the (component + {j}) entries.  Both sums run over the
     supports alone.
     """
-    _check_compatible(mu, nu, "strong_diff argument")
+    _check_compatible(mu, nu)
     k = mu.arity
     try:
         i, j = pair
@@ -228,6 +230,7 @@ def strong_diff(mu: KField, nu: KField, pair: tuple[int, int]) -> KField:
     return KField._make(mu.chart, k - 1, comps)
 
 
+@_checked
 def cup(mu: KField, nu: KField) -> KField:
     """Partial cup product in decomposition form.
 
@@ -236,7 +239,7 @@ def cup(mu: KField, nu: KField) -> KField:
     singleton {s} of the second lands at {0..k-1} + {k+s}; everything else
     is zero.
     """
-    if _value(mu, KField, "cup argument", "mu").chart != _value(nu, KField, "cup argument", "nu").chart:
+    if mu.chart != nu.chart:
         raise ChartMismatchError("fields live on different charts")
     for phi in sorted(nu.components, key=_subset_key):
         if len(phi) >= 2:
@@ -251,9 +254,10 @@ def cup(mu: KField, nu: KField) -> KField:
     return KField._make(mu.chart, k + m, comps)
 
 
+@_checked
 def compose(mu: KField, nu: KField) -> KField:
     """Composition product: mu on the first block, nu shifted to the second."""
-    if _value(mu, KField, "compose argument", "mu").chart != _value(nu, KField, "compose argument", "nu").chart:
+    if mu.chart != nu.chart:
         raise ChartMismatchError("fields live on different charts")
     k = mu.arity
     _check_arity(k + nu.arity)
@@ -313,6 +317,7 @@ def _oriented_decompositions(phi: Subset):
             yield part_a, phi - part_a
 
 
+@_checked
 def act(word: Sequence[int], nu: KField, flavor: str = "free") -> KField:
     """Apply a word of adjacent swaps s_i = (i, i+1), first letter first.
 
@@ -320,8 +325,6 @@ def act(word: Sequence[int], nu: KField, flavor: str = "free") -> KField:
     exactly, so the value depends only on the permutation the word spells.
     The whole input is checked before the first letter is applied.
     """
-    _value(word, Sequence, "act argument", "word")
-    _value(nu, KField, "act argument", "nu")
     _budget(len(word), KField, "MAX_WORD_LENGTH", "word length")
     for i in word:
         _index(i, nu.arity - 1, "swap generator")
@@ -332,13 +335,14 @@ def act(word: Sequence[int], nu: KField, flavor: str = "free") -> KField:
     return out
 
 
+@_checked
 def act_transposition(nu: KField, i: int, j: int, flavor: str = "free") -> KField:
     """The swap-action formula taken directly on the transposition (i j).
 
     Unlike folding (i j) into adjacent swaps, this leaves every component not
     containing both i and j untouched up to relabeling, in both flavors.
     """
-    _check_pair(i, j, _value(nu, KField, "act_transposition argument", "nu").arity)
+    _check_pair(i, j, nu.arity)
     return _act_by_transposition(nu, i, j, _action_kernel(nu, flavor))
 
 
@@ -352,6 +356,7 @@ def _action_kernel(nu: KField, flavor: str) -> Callable:
     raise DomainError(f"unknown bracket flavor {flavor!r}; use 'free' or 'lie'")
 
 
+@_checked
 def homotopy(nu: KField, i: int, j: int) -> KField:
     """Strong difference of the free- and classical-flavored (i j) swaps.
 
@@ -360,7 +365,7 @@ def homotopy(nu: KField, i: int, j: int) -> KField:
     are k*(k-1)/2 of these maps.  Components avoiding i and j are kept, and
     the flip defects summed at u land at u - {j}, both on the face deleting j.
     """
-    k = _value(nu, KField, "homotopy argument", "nu").arity
+    k = nu.arity
     if k < 2:
         raise DomainError("homotopy needs arity >= 2")
     _check_pair(i, j, k)
@@ -372,6 +377,7 @@ def homotopy(nu: KField, i: int, j: int) -> KField:
     return KField._make(nu.chart, k - 1, comps)
 
 
+@_checked
 def is_trivial_homotopy(nu: KField) -> tuple[bool, tuple | None]:
     """Whether both swap flavors agree for every index pair.
 
@@ -380,7 +386,7 @@ def is_trivial_homotopy(nu: KField) -> tuple[bool, tuple | None]:
     pair of component index sets whose free and classical brackets already
     differ.
     """
-    _budget(_value(nu, KField, "is_trivial_homotopy argument", "nu").arity, KField, "MAX_ACTION_ARITY", "arity")
+    _budget(nu.arity, KField, "MAX_ACTION_ARITY", "arity")
     pairs = list(_disjoint_pairs(nu))
     flips: dict[tuple[int, int], list[tuple[Subset, Subset]]] = {}
     for p, q in pairs:
@@ -430,6 +436,7 @@ def _free_minus_lie_into(accs: dict, an: list, bn: list, max_degree: int):
     _lie_bracket_into(accs, an, bn, max_degree, -1)
 
 
+@_checked
 def trivial_by_disjoint_pairs(nu: KField) -> tuple[bool, tuple | None]:
     """Characterization for classical fields: every disjoint supported pair
     must consist of parallel components, that is, have wedge zero.
@@ -438,7 +445,7 @@ def trivial_by_disjoint_pairs(nu: KField) -> tuple[bool, tuple | None]:
     sum_{i<j} (a_i b_j - a_j b_i) F[d_i, d_j], whose coefficients are those
     of a ^ b; returns (True, None) or (False, (phi, psi)).
     """
-    if not _value(nu, KField, "trivial_by_disjoint_pairs argument", "nu").is_classical():
+    if not nu.is_classical():
         raise DomainError("the disjoint-pair test applies to classical fields")
     for phi, psi in _disjoint_pairs(nu):
         left = Polyvector.from_vfield(nu.component_vfield(phi))
@@ -447,6 +454,7 @@ def trivial_by_disjoint_pairs(nu: KField) -> tuple[bool, tuple | None]:
     return True, None
 
 
+@_checked
 def lie_derivative_thin(beta: VField, alpha: VField) -> VField:
     """Lie derivative through the composition product's thin structure.
 
@@ -454,9 +462,7 @@ def lie_derivative_thin(beta: VField, alpha: VField) -> VField:
     difference against alpha x beta and reads the resulting 1-field; the
     value is the classical bracket [beta, alpha].
     """
-    what = "lie_derivative_thin argument"
-    chart = ChartSpec(_value(beta, VField, what, "beta").dim, max_degree=2)
-    _value(alpha, VField, what, "alpha")
+    chart = ChartSpec(beta.dim, max_degree=2)
     one_beta = KField.from_vfields(chart, 1, {frozenset({0}): beta})
     one_alpha = KField.from_vfields(chart, 1, {frozenset({0}): alpha})
     swapped = act([0], compose(one_beta, one_alpha), "lie")
@@ -464,6 +470,7 @@ def lie_derivative_thin(beta: VField, alpha: VField) -> VField:
     return diff.component_vfield({0})
 
 
+@_checked
 def reduce_to_polyvector(nu: KField) -> Polyvector:
     """Cohomology class of a homotopy-trivial field as a decomposable polyvector.
 
@@ -474,7 +481,7 @@ def reduce_to_polyvector(nu: KField) -> Polyvector:
     Otherwise the field is refused: with NotClosedError when some homotopy
     is non-trivial, else with NotFlagReducibleError.
     """
-    _budget(_value(nu, KField, "reduce_to_polyvector argument", "nu").arity, KField, "MAX_ACTION_ARITY", "arity")
+    _budget(nu.arity, KField, "MAX_ACTION_ARITY", "arity")
     # the projection of a component made of long words vanishes
     projected = ((phi, project_to_lie(elem)) for phi, elem in nu.components.items())
     fields = {phi: v for phi, v in projected if not v.is_zero()}

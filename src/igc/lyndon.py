@@ -13,10 +13,10 @@ coefficients stay integral (the leading coefficient of b(w) is 1).
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable
 from functools import cache
 
-from .chart_algebra import _int, _value
+from .chart_algebra import _checked, _int
 from .errors import DomainError
 
 Word = tuple[int, ...]
@@ -34,8 +34,9 @@ class LyndonWord(tuple):
 
     __slots__ = ()
 
-    def __new__(cls, letters: Sequence[int]):
-        letters = tuple(_int(a, "generator index") for a in _value(letters, Iterable, "LyndonWord", "letters"))
+    @_checked
+    def __new__(cls, letters: Iterable[int]):
+        letters = tuple(_int(a, "generator index") for a in letters)
         if not is_lyndon(letters):
             raise DomainError(f"{letters} is not a Lyndon word")
         return tuple.__new__(cls, letters)

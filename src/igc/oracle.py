@@ -21,7 +21,7 @@ from itertools import combinations, product
 from random import Random
 from typing import Mapping, Sequence
 
-from .chart_algebra import ChartSpec, Poly, VField, _int, _reduced, _value, _var_key, vf_apply
+from .chart_algebra import ChartSpec, Poly, VField, _checked, _int, _reduced, _var_key, vf_apply
 from .errors import DomainError
 from .free_lr import FreeLRElem, RelativeSpec
 from .groupoid import KField, Subset
@@ -67,6 +67,10 @@ class CheckReport:
                 for i, e, g in self.failures
             ],
         }
+
+
+# the constructor `dataclass` generates, behind the public boundary's checks
+CheckReport.__init__ = _checked(CheckReport.__init__)
 
 
 # ---------------------------------------------------------------------------
@@ -122,10 +126,11 @@ def random_kfield(
 # bracket oracle
 
 
+@_checked
 def oracle_bracket(u: VField, v: VField) -> VField:
     """Coordinate-formula bracket [u,v]^i = u(v^i) - v(u^i), written out raw."""
-    n = _value(u, VField, "oracle_bracket argument", "u").dim
-    a, b = u.coeffs, _value(v, VField, "oracle_bracket argument", "v").coeffs
+    n = u.dim
+    a, b = u.coeffs, v.coeffs
     coeffs = []
     for i in range(n):
         acc = Poly.zero(n)
@@ -230,6 +235,7 @@ def _convolve(a: dict[Subset, Poly], b: dict[Subset, Poly], dim: int) -> dict[Su
     return out
 
 
+@_checked
 def oracle_multiplicativity(
     nu: KField, trials: int, rng: Random, corrupt: bool = False
 ) -> CheckReport:
@@ -239,11 +245,10 @@ def oracle_multiplicativity(
     non-derivation term is injected into the top part, which must be caught.
     """
     report = CheckReport("multiplicativity")
-    if not _value(nu, KField, "oracle_multiplicativity argument", "nu").is_classical():
+    if not nu.is_classical():
         raise DomainError("oracle_multiplicativity needs a classical field")
     dim = nu.chart.dim
     fields = {phi: nu.component_vfield(phi) for phi in nu.support()}
-    _value(rng, Random, "oracle_multiplicativity argument", "rng")
     for _ in range(_int(trials, "trial count", 0)):
         f = random_poly(rng, dim, degree=2)
         g = random_poly(rng, dim, degree=2)
@@ -491,6 +496,7 @@ def _primitive(vec: Mapping[tuple[int, ...], int | Fraction]) -> dict[tuple[int,
     return {w: c // g for w, c in out.items()} if g > 1 else out
 
 
+@_checked
 def oracle_quotient_lowdegree(
     spec: RelativeSpec, d: int, weights: Sequence[int] = (-1, 0, 1)
 ) -> CheckReport:
@@ -500,7 +506,7 @@ def oracle_quotient_lowdegree(
     length, which every relation preserves), so each slice is a finite
     exact linear-algebra problem.
     """
-    if _value(spec, RelativeSpec, "oracle_quotient_lowdegree argument", "spec").chart.dim > 2:
+    if spec.chart.dim > 2:
         raise DomainError("quotient oracle supports chart dimension <= 2")
     if _int(d, "filtration degree", 1) > 3:
         raise DomainError("quotient oracle supports filtration degree <= 3")

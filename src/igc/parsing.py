@@ -26,7 +26,7 @@ from math import gcd, lcm
 from typing import Any
 
 from .chart_algebra import (
-    _EXPONENT_OVERFLOW, ChartSpec, Poly, _accumulate, _poly, _Record, _reduced, _top_bits, _value, _var_key,
+    _EXPONENT_OVERFLOW, ChartSpec, Poly, _accumulate, _checked, _poly, _Record, _reduced, _shown, _top_bits, _var_key,
 )
 from .errors import DomainError
 from .free_lr import FreeLRElem, free_bracket, project_to_lie
@@ -46,6 +46,7 @@ class Session(_Record):
 
     __slots__ = ("chart", "bindings", "fmt", "seed")
 
+    @_checked
     def __init__(self, chart: ChartSpec, bindings: dict[str, Any] | None = None, fmt: str = "text", seed: int = 0):
         self.chart = chart
         self.bindings = {} if bindings is None else bindings
@@ -321,8 +322,7 @@ class _Parser:
         digits = name[1:].lstrip("0") or "0"
         if len(digits) <= len(str(self.dim)) and (i := int(digits)) < self.dim:
             return i
-        shown = digits if len(digits) <= 20 else f"{digits[:20]}... ({len(digits)} digits)"
-        self._error(f"{what} {name[0]}{shown} out of range for dimension {self.dim}", at)
+        self._error(f"{what} {name[0]}{_shown(digits)} out of range for dimension {self.dim}", at)
 
     def call(self, name: str, at: int):
         self._expect("(")
@@ -514,7 +514,7 @@ def _pow(a, b, chart: ChartSpec):
     return wedge(as_pv(a, chart), as_pv(b, chart))
 
 
+@_checked
 def parse_expression(src: str, session: Session):
     """Parse and evaluate one expression in the session's chart."""
-    _value(src, str, "parse_expression argument", "src")
-    return _Parser(src, _value(session, Session, "parse_expression argument", "session")).parse()
+    return _Parser(src, session).parse()

@@ -16,8 +16,8 @@ from __future__ import annotations
 from collections.abc import Iterable, Mapping
 
 from .chart_algebra import (
-    Poly, VField, _accumulate, _budget, _derivation_into, _index, _int, _Module, _mul_into, _numerators, _poly_text,
-    _summed, _value, render_combination,
+    Poly, VField, _accumulate, _budget, _checked, _derivation_into, _index, _int, _Module, _mul_into, _numerators,
+    _poly_text, _summed, _value, render_combination,
 )
 from .errors import ChartMismatchError, DomainError
 
@@ -45,10 +45,11 @@ class Polyvector(_Module):
 
     __slots__ = ("dim", "num", "den")
 
+    @_checked
     def __init__(self, dim: int, terms: Mapping[IndexTuple, Poly] | None = None):
         _int(dim, "chart dimension", 1)
         pairs = []
-        for idx, p in ({} if terms is None else _value(terms, Mapping, "Polyvector", "terms")).items():
+        for idx, p in ({} if terms is None else terms).items():
             if _value(p, Poly, "coefficient of blade", idx).dim != dim:
                 raise ChartMismatchError("coefficient lives on a different chart")
             norm = _sort_with_sign(tuple(_index(i, dim, "field index") for i in _value(idx, Iterable, "blade", idx)))
@@ -92,9 +93,10 @@ class Polyvector(_Module):
         return {"grades": grades}
 
 
+@_checked
 def wedge(p: Polyvector, q: Polyvector) -> Polyvector:
     """Alternating A-multilinear product; adds -1 in cohomological degree."""
-    _value(p, Polyvector, "wedge argument", "p")._check(_value(q, Polyvector, "wedge argument", "q"))
+    p._check(q)
     _budget(len(p.num) * len(q.num), Poly, "MAX_POW_PRODUCTS", "wedge monomial pair count")
     accs: dict[IndexTuple, dict[int, int]] = {}
     for i1, c1 in p.num.items():
@@ -106,6 +108,7 @@ def wedge(p: Polyvector, q: Polyvector) -> Polyvector:
     return Polyvector._make(p.dim, *_summed(p.dim, accs, p.den * q.den))
 
 
+@_checked
 def schouten(p: Polyvector, q: Polyvector) -> Polyvector:
     """Schouten bracket, grade p+q-1, cohomological degree 0.
 
@@ -117,7 +120,7 @@ def schouten(p: Polyvector, q: Polyvector) -> Polyvector:
 
     extended bilinearly.
     """
-    _value(p, Polyvector, "schouten argument", "p")._check(_value(q, Polyvector, "schouten argument", "q"))
+    p._check(q)
     _budget(len(p.num) * len(q.num), Poly, "MAX_POW_PRODUCTS", "Schouten bracket monomial pair count")
     accs: dict[IndexTuple, dict[int, int]] = {}
     for i1, f in p.num.items():
@@ -134,9 +137,10 @@ def schouten(p: Polyvector, q: Polyvector) -> Polyvector:
     return Polyvector._make(p.dim, *_summed(p.dim, accs, p.den * q.den))
 
 
+@_checked
 def degree(p: Polyvector) -> int:
     """Cohomological degree -k+1 of a homogeneous grade-k polyvector."""
-    ks = _value(p, Polyvector, "degree argument", "p").grades()
+    ks = p.grades()
     if len(ks) != 1:
         raise DomainError("degree is defined for nonzero homogeneous polyvectors only")
     return -ks.pop() + 1

@@ -32,8 +32,8 @@ from itertools import combinations_with_replacement
 from math import lcm
 
 from .chart_algebra import (
-    ChartSpec, Poly, VField, _accumulate, _budget, _cancelled, _derivation_into, _index, _int, _Module, _mul_into,
-    _numerators, _poly_text, _Record, _reduced, _summed, _unpack, _value, vf_apply,
+    ChartSpec, Poly, VField, _accumulate, _budget, _cancelled, _checked, _derivation_into, _index, _int, _Module,
+    _mul_into, _numerators, _poly_text, _Record, _reduced, _summed, _unpack, _value, vf_apply,
 )
 from .errors import (
     ArityMismatchError,
@@ -53,11 +53,12 @@ class WeilElem(_Module):
     # most index sets the k-field dictionary forms: n disjoint blocks have 2^n - 1 unions
     MAX_PARTS = 10_000
 
+    @_checked
     def __init__(self, arity: int, dim: int, terms: Mapping[Subset, Poly] | None = None):
         _int(arity, "arity", 0)
         _int(dim, "chart dimension", 1)
         pairs = []
-        for label, p in ({} if terms is None else _value(terms, Mapping, "WeilElem", "terms")).items():
+        for label, p in ({} if terms is None else terms).items():
             phi = _index_set(label, arity, "generator")
             if _value(p, Poly, "part", label).dim != dim:
                 raise ChartMismatchError("part lives on a different chart")
@@ -176,7 +177,8 @@ class WeilMorphism(_Record, frozen=True):
 
     __slots__ = ("arity", "dim", "coord_images")
 
-    def __init__(self, arity: int, dim: int, coord_images: Sequence[WeilElem]):
+    @_checked
+    def __init__(self, arity: int, dim: int, coord_images: Iterable[WeilElem]):
         coord_images = _coordinate_images(arity, dim, coord_images)
         for i, w in enumerate(coord_images):
             if w.part(frozenset()) != Poly.var(dim, i):
@@ -225,9 +227,9 @@ class WeilMorphism(_Record, frozen=True):
         return f"WeilMorphism({imgs})"
 
 
-def _coordinate_images(arity: int, dim: int, images: Sequence[WeilElem]) -> tuple[WeilElem, ...]:
+def _coordinate_images(arity: int, dim: int, images: Iterable[WeilElem]) -> tuple[WeilElem, ...]:
     """images as a tuple, one per chart dimension, each in W_arity over the chart."""
-    images = tuple(_value(images, Iterable, "WeilMorphism", "coord_images"))
+    images = tuple(images)
     _int(arity, "arity", 0)
     if len(images) != _int(dim, "chart dimension", 1):
         raise DomainError("need one coordinate image per chart dimension")
@@ -241,8 +243,9 @@ class CupFactorization(_Record, frozen=True):
 
     __slots__ = ("arity", "dim", "images")
 
-    def __init__(self, arity: int, dim: int, images: Sequence[WeilElem]):
-        images = tuple(_value(images, Iterable, "CupFactorization", "images"))
+    @_checked
+    def __init__(self, arity: int, dim: int, images: Iterable[WeilElem]):
+        images = tuple(images)
         _int(dim, "chart dimension", 1)
         if len(images) != _int(arity, "arity", 0):
             raise DomainError("need one image per V generator")
@@ -261,9 +264,10 @@ class CupFactorization(_Record, frozen=True):
         return cls(1, dim, [WeilElem.generator(1, dim, 0)])
 
 
+@_checked
 def kfield_to_weil(nu: KField) -> WeilMorphism:
     """Morphism form of a classical subset-indexed field: image(x_i) = L_{k-1}(...L_0(x_i))."""
-    if not _value(nu, KField, "kfield_to_weil argument", "nu").is_classical():
+    if not nu.is_classical():
         raise DomainError("kfield_to_weil needs a classical field")
     k, dim = nu.arity, nu.chart.dim
     unions: set[Subset] = set()
@@ -277,6 +281,7 @@ def kfield_to_weil(nu: KField) -> WeilMorphism:
     return WeilMorphism._make(k, dim, tuple(images))
 
 
+@_checked
 def weil_to_kfield(w: WeilMorphism, chart: ChartSpec | None = None) -> KField:
     """Recover the subset-indexed decomposition of a morphism from its coordinate images.
 
@@ -284,10 +289,9 @@ def weil_to_kfield(w: WeilMorphism, chart: ChartSpec | None = None) -> KField:
     least element is m are the coefficients of the fields starting at m, and
     L_m^{-1} = 1 - N_m peels them off with their composites.
     """
-    what = "weil_to_kfield argument"
-    k, dim = _value(w, WeilMorphism, what, "w").arity, w.dim
+    k, dim = w.arity, w.dim
     _check_arity(k)
-    chart = ChartSpec(dim, max_degree=max(2, k)) if chart is None else _value(chart, ChartSpec, what, "chart")
+    chart = ChartSpec(dim, max_degree=max(2, k)) if chart is None else chart
     images, found, unions = w.coord_images, [], set()
     while least := [min(phi) for image in images for phi in image.num if phi]:
         m = max(least)
@@ -304,6 +308,7 @@ def weil_to_kfield(w: WeilMorphism, chart: ChartSpec | None = None) -> KField:
     return KField._make(chart, k, {phi: FreeLRElem.from_vfield(chart, v) for phi, v in found})
 
 
+@_checked
 def weil_cup(x: WeilMorphism, fact: CupFactorization, derivations: Sequence[VField]) -> WeilMorphism:
     """Cup product of x with a factor through V_m given by m derivations.
 
@@ -311,11 +316,10 @@ def weil_cup(x: WeilMorphism, fact: CupFactorization, derivations: Sequence[VFie
     factorization image of the j-th V generator times e_0...e_{k-1} times
     derivations[j](f).
     """
-    what = "weil_cup argument"
-    if _value(fact, CupFactorization, what, "fact").dim != _value(x, WeilMorphism, what, "x").dim:
+    if fact.dim != x.dim:
         raise ChartMismatchError("factorization lives on a different chart")
     m = fact.arity
-    if len(_value(derivations, Sequence, what, "derivations")) != m:
+    if len(derivations) != m:
         raise DomainError("need one derivation per V generator")
     for j, beta in enumerate(derivations):
         if _value(beta, VField, "derivation", j).dim != x.dim:

@@ -189,6 +189,16 @@ def test_check_failures_carry_compared_values(monkeypatch):
         assert parse_expression(expected, session) != parse_expression(got, session), inputs
 
 
+def test_an_inverted_failing_check_passes(monkeypatch):
+    # `--invert` turns a failing check into a pass, as it turns a passing one into a failure
+    import igc.checks
+
+    bracket = igc.checks.lie_bracket_ext
+    monkeypatch.setattr(igc.checks, "lie_bracket_ext", lambda u, v: -bracket(u, v))
+    (report,) = run_suite(SEED, MAX_DEGREE, only="lie-extension", invert="lie-extension")
+    assert report.passed and report.cases == CHECK_CASES["lie-extension"]
+
+
 def test_action_relations_fail_when_one_letter_drops_its_corrections(monkeypatch):
     import igc.groupoid
     from igc import KField

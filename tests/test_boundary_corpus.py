@@ -9,7 +9,7 @@ it.
 
 from boundary_corpus import report, sha256
 
-DIGEST = "9a929fe64793aa5e0a9f9f6926db5ee6ab5e0242277f74e9f3f6bafa18b84c41"
+DIGEST = "75586c624a85f9c97621834dee1fa081a09be8abc2fa202cf2cfff6166032054"
 
 
 def test_boundary_corpus_outcomes_are_pinned():

@@ -386,6 +386,33 @@ def test_chart_mismatch():
         vf_apply(VField.basis(2, 0), Poly.var(3, 0))
 
 
+def test_evaluation_point_of_the_wrong_dimension_is_refused():
+    with pytest.raises(ChartMismatchError, match="^evaluation point has wrong dimension$"):
+        Poly.var(2, 0).evaluate([1])
+
+
+@pytest.mark.parametrize("operation", [
+    lambda p, v: p + "x0", lambda p, v: p - "x0", lambda p, v: "x0" - p,
+    lambda p, v: v - 3, lambda p, v: v * "x0",
+], ids=["poly-add", "poly-sub", "poly-rsub", "module-sub", "module-mul"])
+def test_an_operand_of_another_type_is_left_to_python(operation):
+    # the operators return NotImplemented, so Python raises its own TypeError
+    with pytest.raises(TypeError):
+        operation(Poly.var(2, 0), VField.basis(2, 0))
+
+
+def test_a_poly_equals_no_value_of_another_type():
+    assert Poly.var(2, 0) != "x0" and not Poly.var(2, 0) == VField.basis(2, 0)
+
+
+@pytest.mark.parametrize("key", [(1,), (1, 0, 0), (-1, 0), (Poly.MAX_EXPONENT + 1, 0)])
+def test_the_term_view_holds_no_exponent_outside_the_chart(key):
+    terms = Poly.var(2, 0).terms
+    assert key not in terms
+    with pytest.raises(KeyError):
+        terms[key]
+
+
 def test_chart_spec_validation():
     with pytest.raises(DomainError):
         ChartSpec(0)

@@ -669,6 +669,7 @@ def test_cli_act_word_rejects_empty_entries():
 
 
 LONG_INT = "1" * 5000
+LONG_INT_REFUSAL = f"integer argument of 5000 digits exceeds the budget of Poly.MAX_DIGITS = {Poly.MAX_DIGITS}"
 # one row per kind of integer argument: a face index, a homotopy and an sdiff slot index, the check flags and an
 # entry of an act word
 LONG_INT_ROWS = [
@@ -690,6 +691,32 @@ def test_an_integer_argument_past_the_digit_budget_is_refused_by_its_digit_count
     # a long argument that is not an integer is refused as before
     r = run_igc(["--dim", "2", *[arg.replace(LONG_INT, LONG_INT + "x") for arg in argv]])
     assert r.returncode == 1 and r.stderr.startswith(("igc: expected an integer, got '", "igc: bad swap word '"))
+
+
+# (argv, exit code, stderr): a global integer option past the digit budget is refused by its digit count, and an
+# integer that int() reads but a count or index refuses is shown by its first 20 digits and its digit count
+LONG_OPTION_ROWS = [
+    (["--dim", LONG_INT, "face", "d0", "0"], 1, f"igc: {LONG_INT_REFUSAL}\n"),
+    (["--dim", "2", "--max-degree", LONG_INT, "face", "d0", "0"], 1, f"igc: {LONG_INT_REFUSAL}\n"),
+    (["--dim", "2", "--seed", "-" + LONG_INT, "check"], 1, f"igc: {LONG_INT_REFUSAL}\n"),
+    (["--dim", "2", "face", "K{arity=2; 0: d0}", "1" * 4000], 2,
+     "igc: error: face index 11111111111111111111... (4000 digits) out of range [0, 2)\n"),
+    (["--dim", "-" + "1" * 4000, "face", "d0", "0"], 1,
+     "igc: error: chart dimension must be >= 1, got -11111111111111111111... (4000 digits)\n"),
+    (["--dim", "2", "check", "--max-degree", "-" + "1" * 4000], 1,
+     "igc: error: max_degree must be >= 1, got -11111111111111111111... (4000 digits)\n"),
+    # a short number is shown whole, as before
+    (["--dim", "2", "face", "K{arity=2; 0: d0}", "1" * 20], 2,
+     "igc: error: face index 11111111111111111111 out of range [0, 2)\n"),
+]
+
+
+@pytest.mark.parametrize("argv, code, stderr", LONG_OPTION_ROWS,
+                         ids=["dim", "max-degree", "seed", "face-index", "dim-count", "check-count", "short"])
+def test_a_long_integer_is_refused_in_one_short_line(argv, code, stderr):
+    r = run_igc(argv)
+    assert (r.returncode, r.stdout, r.stderr) == (code, "", stderr)
+    assert r.stderr.count("\n") == 1 and len(r.stderr.encode()) < 200
 
 
 def test_cli_dimension_budget():

@@ -641,6 +641,26 @@ def test_vertical_reduce_antisymmetry_of_tree_orders():
     assert vertical_reduce(("bracket", a, b), spec) == -vertical_reduce(("bracket", b, a), spec)
 
 
+@pytest.mark.parametrize("expr, shown", [
+    (3, "3"), ((), "()"), (VField.basis(2, 0), "VField(d0)"), (("frob", ("gen", 0)), "'frob'"),
+])
+def test_vertical_reduce_refuses_a_node_outside_its_grammar(expr, shown):
+    # a vector field is not a node: it enters as the FreeLRElem of its degree-1 words
+    with pytest.raises(DomainError) as info:
+        vertical_reduce(expr, RelativeSpec(CHART, frozenset({1})))
+    assert type(info.value) is DomainError and str(info.value) == f"unrecognized expression node: {shown}"
+
+
+def test_a_refusal_other_than_the_product_budget_passes_through_the_bracket(monkeypatch):
+    # `_anchored_into` rewords a budget refusal by the first phase past the budget; any other it raises as it came
+    def refuse(*args):
+        raise DegreeOverflowError(9, 2)
+
+    monkeypatch.setattr(free_lr, "_derivation_into", refuse)
+    with pytest.raises(DegreeOverflowError, match="^bracket monomial of length 9 exceeds max_degree 2$"):
+        free_bracket(D0, D1)
+
+
 def test_relative_spec_validation():
     with pytest.raises(DomainError):
         RelativeSpec(CHART, frozenset({5}))

@@ -154,6 +154,11 @@ ROWS = [
      "oracle_quotient_lowdegree argument spec is int, not RelativeSpec"),
     (lambda: parse_expression(3, Session(C2)), DomainError, "parse_expression argument src is int, not str"),
     (lambda: parse_expression("x0", C2), DomainError, "parse_expression argument session is ChartSpec, not Session"),
+    # a value parameter is checked from its annotation, so a constructor that stores its arguments refuses them too,
+    # and so does a function whose parameter only a later test reads
+    (lambda: KField(None, 2), DomainError, "KField chart is NoneType, not ChartSpec"),
+    (lambda: Session(3), DomainError, "Session chart is int, not ChartSpec"),
+    (lambda: act([0], K2, 3), DomainError, "act argument flavor is int, not str"),
 ]
 
 

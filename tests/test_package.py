@@ -5,6 +5,8 @@ import importlib
 import re
 import shlex
 import time
+import types
+import typing
 from collections import Counter
 from pathlib import Path
 
@@ -105,6 +107,57 @@ def test_only_the_value_rule_words_a_wrong_type_message():
             if re.search(r"\bis (\{\}|[A-Z]\w*), not (\{\}|[A-Z]\w*)", text):
                 (inside if id(node) in rule else outside).append(f"{module}.py:{node.lineno}")
     assert len(inside) == 1 and outside == []
+
+
+def test_no_value_check_retypes_its_function_or_parameter():
+    # `_checked` labels a value argument from the signature; a `_value` call labelled by a parameter of its function,
+    # or by "<function> argument" as a literal or a local, writes that label a second time
+    found = []
+    for module, tree in src_modules():
+        for f in ast.walk(tree):
+            if isinstance(f, ast.Assign) and any(isinstance(t, ast.Name) and t.id == "what" for t in f.targets):
+                if isinstance(f.value, ast.Constant) and str(f.value.value).endswith(" argument"):
+                    found.append(f"{module}.py:{f.lineno}")
+            if not isinstance(f, ast.FunctionDef):
+                continue
+            params = {a.arg for a in f.args.args + f.args.kwonlyargs}
+            for node in ast.walk(f):
+                if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "_value":
+                    what, label = node.args[2:4]
+                    if (isinstance(label, ast.Constant) and label.value in params
+                            or isinstance(what, ast.Constant) and what.value.endswith(" argument")):
+                        found.append(f"{module}.py:{node.lineno}")
+    assert found == []
+
+
+def value_parameters(function) -> list[str]:
+    """The parameters of function annotated with one class other than int, bool and tuple, or that class or None."""
+    names = []
+    for name, hint in typing.get_type_hints(function).items():
+        union = typing.get_origin(hint) in (typing.Union, types.UnionType)
+        kinds = [k for k in (typing.get_args(hint) if union else (hint,)) if k is not type(None)]
+        cls = typing.get_origin(kinds[0]) or kinds[0] if len(kinds) == 1 else None
+        if name != "return" and isinstance(cls, type) and cls not in (int, bool, tuple):
+            names.append(name)
+    return names
+
+
+def test_every_public_callable_with_a_value_parameter_goes_through_checked():
+    # a function, or the `__new__` or `__init__` a class defines, is checked from its annotations by `_checked`,
+    # whose generated wrapper is `_checked_call`; the error types take no values into the library
+    unchecked, checked = [], []
+    for name in igc.__all__:
+        value = getattr(igc, name)
+        if not callable(value) or isinstance(value, type) and issubclass(value, BaseException):
+            continue
+        if isinstance(value, type):
+            value = value.__new__ if "__new__" in vars(value) else value.__init__
+        original = getattr(value, "__wrapped__", value)
+        if value.__code__.co_name == "_checked_call":
+            checked.append(name)
+        elif value_parameters(original):
+            unchecked.append(name)
+    assert unchecked == [] and len(checked) == 42
 
 
 def test_only_chart_algebra_reads_a_packed_key_s_fields():
