@@ -15,14 +15,16 @@ The canonical term order used for printing is graded lexicographic on
 exponent vectors, largest first.
 
 Validation happens at the public boundary, and a value argument's type is
-stated once, in its annotation: every public function and constructor goes
-through `_checked`, which refuses a wrong-typed value argument through
-`_value` before the body runs.  The public constructors (here `Poly(...)`
-and `VField(...)`, and `FreeLRElem(...)`, `WeilElem(...)`,
-`WeilMorphism(...)`, `Polyvector(...)`, `KField(...)` and `LyndonWord(...)`
-in their modules) then check and normalize the entries of what they are
-given, each under its own label.  Results that
-a class computes itself from canonical operands, the sums, products,
+stated once, in its annotation: every public function, constructor and
+alternate constructor goes through `_checked`, which refuses a wrong-typed
+value argument through `_value` before the body runs.  Next to `_value`,
+`_same_chart` is the one rule for values that must share a chart, which
+every operation and constructor taking such values applies.  The public
+constructors (here `Poly(...)` and `VField(...)`, and `FreeLRElem(...)`,
+`WeilElem(...)`, `WeilMorphism(...)`, `Polyvector(...)`, `KField(...)` and
+`LyndonWord(...)` in their modules) then check and normalize the entries of
+what they are given, each under its own label.  Results that a class
+computes itself from canonical operands, the sums, products,
 derivatives, brackets, wedges, k-field operations and Weil morphisms, are
 canonical by construction and are wrapped without a second check by the
 private `_make` (for `Poly`, `_poly` and `_reduced`, each of which cancels
@@ -32,9 +34,9 @@ constructors `_set`, compares and hashes field values and refuses to set or
 delete a field.  The four free A-modules (`VField`, `FreeLRElem`, `WeilElem`,
 `Polyvector`) are stored as `Poly` is, fraction-free: int numerators by basis
 label and packed monomial key over one denominator.  They share their module
-operations through `_Module`, and every result of theirs takes one of two
-finishes, `_cancelled` or `_summed`; each keeps its own constructors,
-mismatch errors, products and printing.
+operations and their chart test, `_check`, through `_Module`, and every
+result of theirs takes one of two finishes, `_cancelled` or `_summed`; each
+keeps its own constructors, products and printing.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ from math import gcd, lcm
 from itertools import chain
 from operator import attrgetter, or_
 from types import MappingProxyType, NoneType, UnionType
-from typing import Union, get_args, get_origin, get_type_hints
+from typing import Union, get_args, get_origin
 
 from .errors import ChartMismatchError, DomainError
 
@@ -177,19 +179,23 @@ def _checked(f):
     their own, and a tuple is unpacked by the function.  A generic hint is
     checked as its origin (`Iterable[int]` as `Iterable`), `T | None` also
     accepts None, and a parameter also accepts its own default.  The checks
-    run in parameter order; a function's are labelled "<name> argument" and a
-    constructor's (`__init__` or `__new__`) by its class, so that `v` of
-    `free_bracket` is refused as "free_bracket argument v is int, not
-    FreeLRElem".  As `_Record` generates `_make`, the wrapper is generated
+    run in parameter order; a function's are labelled "<name> argument", an
+    alternate constructor's "<Class>.<name> argument" and a constructor's
+    (`__init__` or `__new__`) by its class, so that `v` of `free_bracket` is
+    refused as "free_bracket argument v is int, not FreeLRElem".  Under
+    `@classmethod` the wrapper takes `cls` as f does; only the parameters'
+    hints are read.  As `_Record` generates `_make`, the wrapper is generated
     with f's own positional parameters, so a call pays one isinstance test per
     value argument and no argument packing.
     """
     code = f.__code__
     names = code.co_varnames[: code.co_argcount]
-    hints = get_type_hints(f)
+    # the parameters' hints alone, each a string: a classmethod's return hint names its class, not yet bound
+    hints = {p: eval(h, f.__globals__) for p, h in f.__annotations__.items() if p != "return"}
     defaults = dict(zip(reversed(names), reversed(f.__defaults__ or ())))
     owner, _, name = f.__qualname__.rpartition(".")
-    scope = {"_f": f, "_value": _value, "_what": owner if name in ("__init__", "__new__") else f"{name} argument"}
+    what = owner if name in ("__init__", "__new__") else f"{f.__qualname__} argument"
+    scope = {"_f": f, "_value": _value, "_what": what}
     checks = []
     for i, param in enumerate(names):
         hint = hints.get(param)
@@ -214,6 +220,20 @@ def _checked(f):
         setattr(wrapper, attr, getattr(f, attr))
     wrapper.__wrapped__ = f
     return wrapper
+
+
+def _same_chart(got, want, what: str, label):
+    """Nothing when the charts got and want are equal: two `ChartSpec`s, or two chart dimensions.
+
+    This is the one rule for every value that must live on the chart of
+    another (an operand, a coefficient, a component, a relative spec);
+    anything else raises a one-line ChartMismatchError naming `what`, the
+    label and both charts, a `ChartSpec` as (dim, max_degree) and a dimension
+    n as R^n.
+    """
+    if got != want:
+        got, want = (f"({c.dim}, {c.max_degree})" if isinstance(c, ChartSpec) else f"R^{c}" for c in (got, want))
+        raise ChartMismatchError(f"{what} {label} lives on chart {got}, not {want}")
 
 
 def _budget(count: int, owner: type, name: str, what: str) -> int:
@@ -325,8 +345,7 @@ class Poly(_Record, frozen=True):
         return max((sum(_unpack(k, self.dim)) for k in self.num), default=0)
 
     def evaluate(self, point: Sequence[Fraction | int]) -> Fraction:
-        if len(point) != self.dim:
-            raise ChartMismatchError("evaluation point has wrong dimension")
+        _same_chart(len(point), self.dim, "Poly.evaluate argument", "point")
         pt = [Fraction(p) for p in point]
         total = Fraction(0)
         for key, c in self.num.items():
@@ -348,7 +367,7 @@ class Poly(_Record, frozen=True):
     def _lift(self, other) -> "Poly | None":
         if isinstance(other, Poly):
             if other.dim != self.dim:
-                raise ChartMismatchError("polynomials live on charts of different dimension")
+                _same_chart(other.dim, self.dim, "polynomial", "operand")
             return other
         if isinstance(other, (int, Fraction)):
             return Poly.const(self.dim, other)
@@ -628,8 +647,8 @@ class _Module(_Record, frozen=True):
     representation; `terms` is the read-only {label: Poly} view of the same
     data.  From the slots a subclass gets `_space(self)`, the module's fields
     (what two elements must share to be added), and `_like`, which wraps
-    canonical num and den of the same module; it raises its own mismatch
-    error in `_check`.
+    canonical num and den of the same module.  `_check` refuses an element of
+    another module through `_same_chart`.
     """
 
     __slots__ = ()
@@ -640,6 +659,9 @@ class _Module(_Record, frozen=True):
         cls._space = attrgetter(*space)
         own = "".join(f"self.{name}, " for name in space)
         cls._like = _define(f"def _like(self, num, den):\n    return _make({own}num, den)\n", _make=cls._make)["_like"]
+
+    def _check(self, other, what: str, label):
+        _same_chart(self._space(other), self._space(self), what, label)
 
     @property
     def terms(self) -> Mapping:
@@ -655,7 +677,8 @@ class _Module(_Record, frozen=True):
     def __add__(self, other):
         if not isinstance(other, type(self)):
             return NotImplemented
-        self._check(other)
+        if self._space(self) != self._space(other):
+            self._check(other, "sum", "operand")
         if not other.num:
             return self
         if not self.num:
@@ -692,7 +715,7 @@ class _Module(_Record, frozen=True):
         if not other.num or not self.num:
             return self._like({}, 1)
         if other.dim != self.dim:
-            raise ChartMismatchError("polynomials live on charts of different dimension")
+            _same_chart(other.dim, self.dim, "polynomial", "factor")
         if len(self.num) == 1 and len(n := next(iter(self.num.values()))) == 1:
             # one label with a monomial coefficient, as d_i, shifts the keys of other
             (b,) = self.num
@@ -770,16 +793,10 @@ class VField(_Module):
         coeffs = tuple(coeffs)
         if not coeffs:
             raise DomainError("a vector field needs at least one coefficient")
+        # one coefficient per coordinate: the field lives on R^len(coeffs)
         for i, c in enumerate(coeffs):
-            _value(c, Poly, "coefficient of", f"d{i}")
-        dim = coeffs[0].dim
-        if len(coeffs) != dim or any(c.dim != dim for c in coeffs):
-            raise ChartMismatchError("vector field needs exactly dim coefficients on one chart")
-        self._set(dim, *_numerators(dict(enumerate(coeffs))))
-
-    def _check(self, other: "VField"):
-        if self.dim != other.dim:
-            raise ChartMismatchError("values live on charts of different dimension")
+            _same_chart(_value(c, Poly, "coefficient of", f"d{i}").dim, len(coeffs), "coefficient of", f"d{i}")
+        self._set(len(coeffs), *_numerators(dict(enumerate(coeffs))))
 
     @property
     def coeffs(self) -> tuple[Poly, ...]:
@@ -805,8 +822,7 @@ class VField(_Module):
 @_checked
 def vf_apply(v: VField, f: Poly) -> Poly:
     """Action of the derivation v on f: sum_i a_i * df/dx_i, one numerator sum reduced once."""
-    if v.dim != f.dim:
-        raise ChartMismatchError("field and polynomial live on different charts")
+    _same_chart(f.dim, v.dim, "vf_apply argument", "f")
     accs: dict[int, dict[int, int]] = {}
     _derivation_into(accs, v.num.items(), [(0, f.num)], 1)
     return _product_poly(f.dim, accs.get(0, {}), v.den * f.den)
@@ -818,7 +834,7 @@ def vf_bracket(u: VField, v: VField) -> VField:
 
     The coefficients are one numerator sum over the product of the denominators, reduced once.
     """
-    u._check(v)
+    u._check(v, "vf_bracket argument", "v")
     accs: dict[int, dict[int, int]] = {}
     _derivation_into(accs, u.num.items(), v.num.items(), 1)
     _derivation_into(accs, v.num.items(), u.num.items(), -1)

@@ -81,6 +81,11 @@ def _random_2field(rng: Random, chart: ChartSpec) -> tuple[KField, VField, VFiel
     return nu, a0, a1, a01
 
 
+def _one_field(chart: ChartSpec, v: VField) -> KField:
+    """The 1-field with v at {0}."""
+    return KField.from_vfields(chart, 1, {frozenset({0}): v})
+
+
 def check_weil_multiplicativity(report: CheckReport, rng: Random, max_degree: int):
     for idx in range(100):
         chart = ChartSpec(2 + idx % 2, max_degree)
@@ -161,8 +166,8 @@ def check_strong_difference(report: CheckReport, rng: Random, max_degree: int):
     for idx in range(50):
         alpha = random_vfield(rng, 3)
         beta = random_vfield(rng, 3)
-        one_a = KField.from_vfields(chart, 1, {frozenset({0}): alpha})
-        one_b = KField.from_vfields(chart, 1, {frozenset({0}): beta})
+        one_a = _one_field(chart, alpha)
+        one_b = _one_field(chart, beta)
         swapped = act([0], compose(one_a, one_b), "lie")
         diff = strong_diff(swapped, compose(one_b, one_a), (0, 1))
         report.compare(f"pipeline #{idx}", oracle_bracket(alpha, beta), diff.component_vfield({0}))
@@ -313,20 +318,11 @@ def check_trivial_agreement(report: CheckReport, rng: Random, max_degree: int):
             nu = KField.from_vfields(
                 chart, k, {frozenset(c): alpha for s in range(1, k + 1) for c in combinations(range(k), s)}
             )
-        elif style == 2:
-            base = KField.from_vfields(chart, 1, {frozenset({0}): random_vfield(rng, 2)})
-            nu = base
-            for _ in range(k - 1):
-                extra = KField.from_vfields(chart, 1, {frozenset({0}): random_vfield(rng, 2)})
-                nu = cup(nu, extra)
         else:
-            parts = [
-                KField.from_vfields(chart, 1, {frozenset({0}): random_vfield(rng, 2)})
-                for _ in range(k)
-            ]
-            nu = parts[0]
-            for p in parts[1:]:
-                nu = compose(nu, p)
+            # a cup (style 2) or composition (style 3) product of k 1-fields, drawn first to last
+            nu = _one_field(chart, random_vfield(rng, 2))
+            for _ in range(k - 1):
+                nu = (cup if style == 2 else compose)(nu, _one_field(chart, random_vfield(rng, 2)))
         definitional = is_trivial_homotopy(nu)[0]
         report.compare(f"#{idx} style={style}", trivial_by_disjoint_pairs(nu)[0], definitional)
 
@@ -335,9 +331,9 @@ def check_cohomology(report: CheckReport, rng: Random, max_degree: int):
     chart = ChartSpec(3, 8)
     for k in (2, 3, 4):
         fields = [random_vfield(rng, 3, degree=1, terms=1) for _ in range(k)]
-        chain = KField.from_vfields(chart, 1, {frozenset({0}): fields[0]})
+        chain = _one_field(chart, fields[0])
         for v in fields[1:]:
-            chain = cup(chain, KField.from_vfields(chart, 1, {frozenset({0}): v}))
+            chain = cup(chain, _one_field(chart, v))
         # a degenerate chain entry (zero, or equal to the entry before it)
         # drops out, as in the degeneracy cases below
         want = Polyvector.zero(3)
@@ -351,7 +347,7 @@ def check_cohomology(report: CheckReport, rng: Random, max_degree: int):
         word = [rng.randrange(k - 1) for _ in range(3)]
         report.compare(f"permuted chain k={k}", want, reduce_to_polyvector(act(word, chain, "lie")))
     alpha = random_vfield(rng, 3, degree=1, terms=2)
-    one = KField.from_vfields(chart, 1, {frozenset({0}): alpha})
+    one = _one_field(chart, alpha)
     zero1 = KField.zero(chart, 1)
     want = Polyvector.from_vfield(alpha)
     for label, field in (
@@ -416,7 +412,7 @@ def check_s_invariance(report: CheckReport, rng: Random, max_degree: int):
         mu = random_kfield(rng, chart, k, degree=1, terms=1)
         word_k = [rng.randrange(k - 1) for _ in range(2)]
         beta = random_vfield(rng, 2, degree=1, terms=1)
-        one = KField.from_vfields(chart, 1, {frozenset({0}): beta})
+        one = _one_field(chart, beta)
         acted = {flavor: act(word_k, mu, flavor) for flavor in ("free", "lie")}
         for flavor in ("free", "lie"):
             lhs = act(word_k, cup(mu, one), flavor)
@@ -438,8 +434,8 @@ def check_parse_roundtrip(report: CheckReport, rng: Random, max_degree: int):
         elif kind == 1:
             value = _random_elem(rng, chart)
         elif kind == 2:
-            a = KField.from_vfields(chart, 1, {frozenset({0}): random_vfield(rng, 2)})
-            b = KField.from_vfields(chart, 1, {frozenset({0}): random_vfield(rng, 2)})
+            a = _one_field(chart, random_vfield(rng, 2))
+            b = _one_field(chart, random_vfield(rng, 2))
             value = cup(a, b) if idx % 2 else compose(a, b)
             if idx % 3 == 0:
                 value = act([0], value, "free")

@@ -47,10 +47,10 @@ from math import lcm
 from . import lyndon
 from .chart_algebra import (
     _PRODUCTS, ChartSpec, Poly, VField, _budget, _cancelled, _checked, _derivation_counts, _derivation_into, _index,
-    _int, _Module, _mul_into, _numerators, _partial_into, _poly_text, _Record, _summed, _value, render_combination,
-    vf_apply,
+    _int, _Module, _mul_into, _numerators, _partial_into, _poly_text, _Record, _same_chart, _summed, _value,
+    render_combination, vf_apply,
 )
-from .errors import ChartMismatchError, DegreeOverflowError, DomainError
+from .errors import DegreeOverflowError, DomainError
 from .lyndon import LyndonWord
 
 Word = tuple[int, ...]
@@ -80,8 +80,8 @@ class FreeLRElem(_Module):
                 _index(a, chart.dim, "generator index")
             if not isinstance(w, LyndonWord):
                 w = LyndonWord(w)
-            if _value(p, Poly, "coefficient of word", tuple(w)).dim != chart.dim:
-                raise ChartMismatchError("coefficient lives on a different chart")
+            label = tuple(w)
+            _same_chart(_value(p, Poly, "coefficient of word", label).dim, chart.dim, "coefficient of word", label)
             if len(w) > chart.max_degree:
                 raise DegreeOverflowError(len(w), chart.max_degree)
             clean[w] = p
@@ -91,15 +91,13 @@ class FreeLRElem(_Module):
     def dim(self) -> int:
         return self.chart.dim
 
-    def _check(self, other: "FreeLRElem"):
-        if self.chart != other.chart:
-            raise ChartMismatchError("elements live on different charts")
-
     @classmethod
+    @_checked
     def zero(cls, chart: ChartSpec) -> "FreeLRElem":
         return cls._make(chart, {}, 1)
 
     @classmethod
+    @_checked
     def generator(cls, chart: ChartSpec, i: int) -> "FreeLRElem":
         _index(i, chart.dim, "generator index")
         return cls._make(chart, {LyndonWord._make((i,)): {0: 1}}, 1)
@@ -112,9 +110,9 @@ class FreeLRElem(_Module):
         return cls._make(chart, {LyndonWord._make((i,)): p.num}, p.den) if p.num else cls.zero(chart)
 
     @classmethod
+    @_checked
     def from_vfield(cls, chart: ChartSpec, v: VField) -> "FreeLRElem":
-        if v.dim != chart.dim:
-            raise ChartMismatchError("field lives on a different chart")
+        _same_chart(v.dim, chart.dim, "FreeLRElem.from_vfield argument", "v")
         return cls._make(chart, {LyndonWord._make((i,)): n for i, n in v.num.items()}, v.den)
 
     def is_classical(self) -> bool:
@@ -168,8 +166,7 @@ def anchor_apply(u: FreeLRElem, f: Poly) -> Poly:
     Monomials act as nested commutators of the coordinate derivations, which
     commute, so only the degree-1 part contributes.
     """
-    if u.chart.dim != f.dim:
-        raise ChartMismatchError("polynomial lives on a different chart")
+    _same_chart(f.dim, u.chart.dim, "anchor_apply argument", "f")
     return vf_apply(project_to_lie(u), f)
 
 
@@ -196,10 +193,10 @@ def free_bracket(u: FreeLRElem, v: FreeLRElem, spec: RelativeSpec | None = None)
     the operands and no bare bracket touching one is formed.  Every word
     length is checked against max_degree before any product is formed.
     """
-    u._check(v)
+    u._check(v, "free_bracket argument", "v")
+    if spec is not None:
+        _same_chart(spec.chart, u.chart, "free_bracket argument", "spec")
     vertical = frozenset() if spec is None else spec.vertical
-    if spec is not None and spec.chart != u.chart:
-        raise ChartMismatchError("relative spec is for a different chart")
     return _bracket(None, [(_drop_vertical(u, vertical), _drop_vertical(v, vertical))], _free_bracket_into, vertical)
 
 
@@ -279,7 +276,7 @@ def lie_bracket_ext(u: FreeLRElem, v: FreeLRElem) -> FreeLRElem:
     of y with coefficient g.  Every long word is derived before any product is formed, and an overflow
     names the longest derived bracket.
     """
-    u._check(v)
+    u._check(v, "lie_bracket_ext argument", "v")
     return _bracket(None, [(u, v)], _lie_bracket_into)
 
 

@@ -28,10 +28,9 @@ from __future__ import annotations
 from collections.abc import Callable, Iterable, Mapping, Sequence
 from itertools import combinations
 
-from .chart_algebra import ChartSpec, VField, _accumulate, _budget, _checked, _index, _int, _Record, _value
+from .chart_algebra import ChartSpec, VField, _accumulate, _budget, _checked, _index, _int, _Record, _same_chart, _value
 from .errors import (
     ArityMismatchError,
-    ChartMismatchError,
     CupUndefinedError,
     DomainError,
     FacePreconditionError,
@@ -82,17 +81,18 @@ class KField(_Record, frozen=True):
         clean: dict[Subset, FreeLRElem] = {}
         for label, elem in (components or {}).items():
             phi = _index_set(label, arity, "component", nonempty=True)
-            if _value(elem, FreeLRElem, "component", label).chart != chart:
-                raise ChartMismatchError("component lives on a different chart")
+            _same_chart(_value(elem, FreeLRElem, "component", label).chart, chart, "component", label)
             if not elem.is_zero():
                 clean[phi] = elem
         self._set(chart, arity, clean)
 
     @classmethod
+    @_checked
     def zero(cls, chart: ChartSpec, arity: int) -> "KField":
         return cls(chart, arity, {})
 
     @classmethod
+    @_checked
     def from_vfields(cls, chart: ChartSpec, arity: int, components: Mapping[Subset, VField]) -> "KField":
         return cls(
             chart,
@@ -155,9 +155,8 @@ def _check_pair(i: int, j: int, k: int):
         raise DomainError(f"need i < j, got ({i}, {j})")
 
 
-def _check_compatible(mu: KField, nu: KField):
-    if mu.chart != nu.chart:
-        raise ChartMismatchError("fields live on different charts")
+def _check_compatible(mu: KField, nu: KField, what: str):
+    _same_chart(nu.chart, mu.chart, what, "nu")
     if mu.arity != nu.arity:
         raise ArityMismatchError(f"arities differ: {mu.arity} vs {nu.arity}")
 
@@ -196,7 +195,7 @@ def add_over_face(mu: KField, nu: KField, psi) -> KField:
 
     Components inside psi must agree and are kept; all others add.
     """
-    _check_compatible(mu, nu)
+    _check_compatible(mu, nu, "add_over_face argument")
     k = mu.arity
     psi = _index_set(psi, k, "face")
     if len(psi) != k - 1:
@@ -215,7 +214,7 @@ def strong_diff(mu: KField, nu: KField, pair: tuple[int, int]) -> KField:
     difference of the (component + {j}) entries.  Both sums run over the
     supports alone.
     """
-    _check_compatible(mu, nu)
+    _check_compatible(mu, nu, "strong_diff argument")
     k = mu.arity
     try:
         i, j = pair
@@ -239,8 +238,7 @@ def cup(mu: KField, nu: KField) -> KField:
     singleton {s} of the second lands at {0..k-1} + {k+s}; everything else
     is zero.
     """
-    if mu.chart != nu.chart:
-        raise ChartMismatchError("fields live on different charts")
+    _same_chart(nu.chart, mu.chart, "cup argument", "nu")
     for phi in sorted(nu.components, key=_subset_key):
         if len(phi) >= 2:
             raise CupUndefinedError(phi)
@@ -257,8 +255,7 @@ def cup(mu: KField, nu: KField) -> KField:
 @_checked
 def compose(mu: KField, nu: KField) -> KField:
     """Composition product: mu on the first block, nu shifted to the second."""
-    if mu.chart != nu.chart:
-        raise ChartMismatchError("fields live on different charts")
+    _same_chart(nu.chart, mu.chart, "compose argument", "nu")
     k = mu.arity
     _check_arity(k + nu.arity)
     comps: dict[Subset, FreeLRElem] = dict(mu.components)

@@ -391,7 +391,7 @@ def as_elem(v, chart: ChartSpec) -> FreeLRElem:
         return v
     if isinstance(v, Poly) and v.is_zero():
         return FreeLRElem.zero(chart)
-    raise DomainError(f"expected a field element, got {v!r}")
+    raise DomainError(f"expected a field element, got {type(v).__name__}")
 
 
 def as_kfield(v, chart: ChartSpec) -> KField:
@@ -400,7 +400,7 @@ def as_kfield(v, chart: ChartSpec) -> KField:
     if isinstance(v, (FreeLRElem, Poly)):
         elem = as_elem(v, chart)
         return KField(chart, 1, {frozenset({0}): elem})
-    raise DomainError(f"expected a k-field, got {v!r}")
+    raise DomainError(f"expected a k-field, got {type(v).__name__}")
 
 
 def as_pv(v, chart: ChartSpec) -> Polyvector:
@@ -412,7 +412,7 @@ def as_pv(v, chart: ChartSpec) -> Polyvector:
         if not v.is_classical():
             raise DomainError("only classical elements convert to polyvectors")
         return Polyvector.from_vfield(project_to_lie(v))
-    raise DomainError(f"expected a polyvector, got {v!r}")
+    raise DomainError(f"expected a polyvector, got {type(v).__name__}")
 
 
 # operations shared with the command line ------------------------------------

@@ -17,9 +17,9 @@ from collections.abc import Iterable, Mapping
 
 from .chart_algebra import (
     Poly, VField, _accumulate, _budget, _checked, _derivation_into, _index, _int, _Module, _mul_into, _numerators,
-    _poly_text, _summed, _value, render_combination,
+    _poly_text, _same_chart, _summed, _value, render_combination,
 )
-from .errors import ChartMismatchError, DomainError
+from .errors import DomainError
 
 IndexTuple = tuple[int, ...]
 
@@ -50,8 +50,7 @@ class Polyvector(_Module):
         _int(dim, "chart dimension", 1)
         pairs = []
         for idx, p in ({} if terms is None else terms).items():
-            if _value(p, Poly, "coefficient of blade", idx).dim != dim:
-                raise ChartMismatchError("coefficient lives on a different chart")
+            _same_chart(_value(p, Poly, "coefficient of blade", idx).dim, dim, "coefficient of blade", idx)
             norm = _sort_with_sign(tuple(_index(i, dim, "field index") for i in _value(idx, Iterable, "blade", idx)))
             if norm is None:
                 continue
@@ -62,15 +61,12 @@ class Polyvector(_Module):
                 pairs.append((key, p if sign == 1 else -p))
         self._set(dim, *_numerators(_accumulate({}, pairs)))
 
-    def _check(self, other: "Polyvector"):
-        if self.dim != other.dim:
-            raise ChartMismatchError("polyvectors live on different charts")
-
     @classmethod
     def zero(cls, dim: int) -> "Polyvector":
         return cls._make(_int(dim, "chart dimension", 1), {}, 1)
 
     @classmethod
+    @_checked
     def from_vfield(cls, v: VField) -> "Polyvector":
         return cls._make(v.dim, {(i,): n for i, n in v.num.items()}, v.den)
 
@@ -96,7 +92,7 @@ class Polyvector(_Module):
 @_checked
 def wedge(p: Polyvector, q: Polyvector) -> Polyvector:
     """Alternating A-multilinear product; adds -1 in cohomological degree."""
-    p._check(q)
+    p._check(q, "wedge argument", "q")
     _budget(len(p.num) * len(q.num), Poly, "MAX_POW_PRODUCTS", "wedge monomial pair count")
     accs: dict[IndexTuple, dict[int, int]] = {}
     for i1, c1 in p.num.items():
@@ -120,7 +116,7 @@ def schouten(p: Polyvector, q: Polyvector) -> Polyvector:
 
     extended bilinearly.
     """
-    p._check(q)
+    p._check(q, "schouten argument", "q")
     _budget(len(p.num) * len(q.num), Poly, "MAX_POW_PRODUCTS", "Schouten bracket monomial pair count")
     accs: dict[IndexTuple, dict[int, int]] = {}
     for i1, f in p.num.items():

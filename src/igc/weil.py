@@ -33,14 +33,9 @@ from math import lcm
 
 from .chart_algebra import (
     ChartSpec, Poly, VField, _accumulate, _budget, _cancelled, _checked, _derivation_into, _index, _int, _Module,
-    _mul_into, _numerators, _poly_text, _Record, _reduced, _summed, _unpack, _value, vf_apply,
+    _mul_into, _numerators, _poly_text, _Record, _reduced, _same_chart, _summed, _unpack, _value, vf_apply,
 )
-from .errors import (
-    ArityMismatchError,
-    ChartMismatchError,
-    DomainError,
-    NotMultiplicativeError,
-)
+from .errors import ArityMismatchError, DomainError, NotMultiplicativeError
 from .free_lr import FreeLRElem, project_to_lie
 from .groupoid import KField, Subset, _check_arity, _drop_slot, _index_set, _subset_key
 
@@ -60,18 +55,16 @@ class WeilElem(_Module):
         pairs = []
         for label, p in ({} if terms is None else terms).items():
             phi = _index_set(label, arity, "generator")
-            if _value(p, Poly, "part", label).dim != dim:
-                raise ChartMismatchError("part lives on a different chart")
+            _same_chart(_value(p, Poly, "part", label).dim, dim, "part", label)
             if p:
                 pairs.append((phi, p))
         # labels naming one index set, as (0, 1) and (1, 0), are summed
         self._set(arity, dim, *_numerators(_accumulate({}, pairs)))
 
-    def _check(self, other: "WeilElem"):
+    def _check(self, other, what: str, label):
         if self.arity != other.arity:
             raise ArityMismatchError(f"arities differ: {self.arity} vs {other.arity}")
-        if self.dim != other.dim:
-            raise ChartMismatchError("elements live on different charts")
+        _same_chart(other.dim, self.dim, what, label)
 
     @classmethod
     def zero(cls, arity: int, dim: int) -> "WeilElem":
@@ -86,6 +79,7 @@ class WeilElem(_Module):
         return cls(arity, dim, {frozenset({i}): Poly.const(dim, 1)})
 
     @classmethod
+    @_checked
     def scalar(cls, arity: int, p: Poly) -> "WeilElem":
         return cls(arity, p.dim, {frozenset(): p})
 
@@ -96,7 +90,8 @@ class WeilElem(_Module):
     def __mul__(self, other):
         if not isinstance(other, WeilElem):
             return super().__mul__(other)
-        self._check(other)
+        if self._space(self) != self._space(other):
+            self._check(other, "product", "factor")
         # one accumulator per disjoint union phi | psi
         accs: dict[Subset, dict[int, int]] = {}
         for phi, p in self.num.items():
@@ -186,6 +181,7 @@ class WeilMorphism(_Record, frozen=True):
         self._set(arity, dim, coord_images)
 
     @classmethod
+    @_checked
     def from_callable(cls, arity: int, dim: int, fn: Callable[[Poly], WeilElem]) -> "WeilMorphism":
         """The morphism sending each x_i to fn(x_i), once fn passes the probe.
 
@@ -207,8 +203,7 @@ class WeilMorphism(_Record, frozen=True):
         return cls._make(arity, dim, images)
 
     def image(self, f: Poly) -> WeilElem:
-        if f.dim != self.dim:
-            raise ChartMismatchError("polynomial lives on a different chart")
+        _same_chart(f.dim, self.dim, "WeilMorphism.image argument", "f")
         out = WeilElem._make(self.arity, self.dim, {}, 1)
         for key, c in f.num.items():
             term = WeilElem._make(self.arity, self.dim, *_cancelled({frozenset(): {0: c}}, f.den))
@@ -233,8 +228,10 @@ def _coordinate_images(arity: int, dim: int, images: Iterable[WeilElem]) -> tupl
     _int(arity, "arity", 0)
     if len(images) != _int(dim, "chart dimension", 1):
         raise DomainError("need one coordinate image per chart dimension")
-    if any(_value(w, WeilElem, "image of", f"x{i}").arity != arity or w.dim != dim for i, w in enumerate(images)):
-        raise ArityMismatchError("coordinate image in the wrong Weil algebra")
+    for i, w in enumerate(images):
+        if _value(w, WeilElem, "image of", f"x{i}").arity != arity:
+            raise ArityMismatchError("coordinate image in the wrong Weil algebra")
+        _same_chart(w.dim, dim, "image of", f"x{i}")
     return images
 
 
@@ -250,8 +247,9 @@ class CupFactorization(_Record, frozen=True):
         if len(images) != _int(arity, "arity", 0):
             raise DomainError("need one image per V generator")
         for j, w in enumerate(images):
-            if _value(w, WeilElem, "image of V generator", j).arity != arity or w.dim != dim:
+            if _value(w, WeilElem, "image of V generator", j).arity != arity:
                 raise ArityMismatchError("factorization image in the wrong Weil algebra")
+            _same_chart(w.dim, dim, "image of V generator", j)
         # W_m is commutative, so each unordered pair is tested once
         for a, b in combinations_with_replacement(images, 2):
             if not (a * b).is_zero():
@@ -316,14 +314,12 @@ def weil_cup(x: WeilMorphism, fact: CupFactorization, derivations: Sequence[VFie
     factorization image of the j-th V generator times e_0...e_{k-1} times
     derivations[j](f).
     """
-    if fact.dim != x.dim:
-        raise ChartMismatchError("factorization lives on a different chart")
+    _same_chart(fact.dim, x.dim, "weil_cup argument", "fact")
     m = fact.arity
     if len(derivations) != m:
         raise DomainError("need one derivation per V generator")
     for j, beta in enumerate(derivations):
-        if _value(beta, VField, "derivation", j).dim != x.dim:
-            raise ChartMismatchError("derivation lives on a different chart")
+        _same_chart(_value(beta, VField, "derivation", j).dim, x.dim, "derivation", j)
     k = x.arity
     total = k + m
     first_block = WeilElem._make(total, x.dim, {frozenset(range(k)): {0: 1}}, 1)

@@ -9,7 +9,7 @@ it.
 
 from boundary_corpus import report, sha256
 
-DIGEST = "75586c624a85f9c97621834dee1fa081a09be8abc2fa202cf2cfff6166032054"
+DIGEST = "c2d95616ad13c270298913d56570f451866719dcbd08e52d397022a32d0ee307"
 
 
 def test_boundary_corpus_outcomes_are_pinned():

@@ -387,7 +387,7 @@ def test_chart_mismatch():
 
 
 def test_evaluation_point_of_the_wrong_dimension_is_refused():
-    with pytest.raises(ChartMismatchError, match="^evaluation point has wrong dimension$"):
+    with pytest.raises(ChartMismatchError, match=r"^Poly.evaluate argument point lives on chart R\^1, not R\^2$"):
         Poly.var(2, 0).evaluate([1])
 
 

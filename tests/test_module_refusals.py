@@ -49,20 +49,24 @@ F2 = CupFactorization.canonical(2)
 
 # (call, exception class, message)
 ROWS = [
-    (lambda: FreeLRElem(C2, {LyndonWord((0,)): X3}), ChartMismatchError, "coefficient lives on a different chart"),
+    (lambda: FreeLRElem(C2, {LyndonWord((0,)): X3}), ChartMismatchError,
+     "coefficient of word (0,) lives on chart R^3, not R^2"),
     (lambda: FreeLRElem(C2, {LyndonWord((0, 0, 1)): X2}), DegreeOverflowError,
      "bracket monomial of length 3 exceeds max_degree 2"),
-    (lambda: FreeLRElem.from_vfield(C2, VField.basis(3, 0)), ChartMismatchError, "field lives on a different chart"),
-    (lambda: D0 * X3, ChartMismatchError, "polynomials live on charts of different dimension"),
-    (lambda: anchor_apply(D0, X3), ChartMismatchError, "polynomial lives on a different chart"),
-    (lambda: free_bracket(D0, D0, RelativeSpec(C3)), ChartMismatchError, "relative spec is for a different chart"),
+    (lambda: FreeLRElem.from_vfield(C2, VField.basis(3, 0)), ChartMismatchError,
+     "FreeLRElem.from_vfield argument v lives on chart R^3, not R^2"),
+    (lambda: D0 * X3, ChartMismatchError, "polynomial factor lives on chart R^3, not R^2"),
+    (lambda: anchor_apply(D0, X3), ChartMismatchError, "anchor_apply argument f lives on chart R^3, not R^2"),
+    (lambda: free_bracket(D0, D0, RelativeSpec(C3)), ChartMismatchError,
+     "free_bracket argument spec lives on chart (3, 2), not (2, 2)"),
     (lambda: VField([]), DomainError, "a vector field needs at least one coefficient"),
-    (lambda: VField([X2, X3]), ChartMismatchError, "vector field needs exactly dim coefficients on one chart"),
-    (lambda: VField([X2]), ChartMismatchError, "vector field needs exactly dim coefficients on one chart"),
+    (lambda: VField([X2, X3]), ChartMismatchError, "coefficient of d1 lives on chart R^3, not R^2"),
+    (lambda: VField([X2]), ChartMismatchError, "coefficient of d0 lives on chart R^2, not R^1"),
     (lambda: vf_pushforward(VField.basis(2, 0), 3, [0]), DomainError,
      "embedding must list a target index for every source coordinate"),
-    (lambda: WeilElem(1, 2, {frozenset({0}): X3}), ChartMismatchError, "part lives on a different chart"),
-    (lambda: Polyvector(2, {(0,): X3}), ChartMismatchError, "coefficient lives on a different chart"),
+    (lambda: WeilElem(1, 2, {frozenset({0}): X3}), ChartMismatchError,
+     "part frozenset({0}) lives on chart R^3, not R^2"),
+    (lambda: Polyvector(2, {(0,): X3}), ChartMismatchError, "coefficient of blade (0,) lives on chart R^3, not R^2"),
     (lambda: Polyvector(2, {(): X2}), DomainError, "polyvector monomials have grade >= 1"),
     # a coefficient that is not a Poly, or a component that is not a FreeLRElem, is refused by its label
     (lambda: FreeLRElem(C2, {(0,): 3}), DomainError, "coefficient of word (0,) is int, not Poly"),
@@ -102,23 +106,48 @@ ROWS = [
     # the refusals of k-fields and of the Weil layer that no other test reaches
     (lambda: KField(C2, 2, {frozenset(): D0}), DomainError, "component index set is empty"),
     (lambda: KField(C2, 2, {frozenset({0}): FreeLRElem.generator(C3, 0)}), ChartMismatchError,
-     "component lives on a different chart"),
-    (lambda: strong_diff(K2, K3, (0, 1)), ChartMismatchError, "fields live on different charts"),
+     "component frozenset({0}) lives on chart (3, 2), not (2, 2)"),
+    (lambda: strong_diff(K2, K3, (0, 1)), ChartMismatchError,
+     "strong_diff argument nu lives on chart (3, 2), not (2, 2)"),
     (lambda: add_over_face(K2, K2, {0, 1}), DomainError, "psi must be a size-1 subset of the slot indices"),
-    (lambda: cup(K2, K3), ChartMismatchError, "fields live on different charts"),
-    (lambda: compose(K2, K3), ChartMismatchError, "fields live on different charts"),
+    (lambda: cup(K2, K3), ChartMismatchError, "cup argument nu lives on chart (3, 2), not (2, 2)"),
+    (lambda: compose(K2, K3), ChartMismatchError, "compose argument nu lives on chart (3, 2), not (2, 2)"),
     (lambda: trivial_by_disjoint_pairs(KField(C2, 2, {frozenset({0}): free_bracket(D0, D1)})), DomainError,
      "the disjoint-pair test applies to classical fields"),
     (lambda: WeilMorphism(1, 2, [WeilElem(1, 2), WeilElem(1, 2)]), DomainError, "empty part of image(x0) must be x0"),
-    (lambda: M2.image(X3), ChartMismatchError, "polynomial lives on a different chart"),
+    (lambda: M2.image(X3), ChartMismatchError, "WeilMorphism.image argument f lives on chart R^3, not R^2"),
     (lambda: WeilMorphism(1, 2, [W2]), DomainError, "need one coordinate image per chart dimension"),
     (lambda: CupFactorization(2, 2, [W2]), DomainError, "need one image per V generator"),
     (lambda: CupFactorization(1, 2, [WeilElem(2, 2)]), ArityMismatchError,
      "factorization image in the wrong Weil algebra"),
     (lambda: weil_cup(M2, CupFactorization.canonical(3), []), ChartMismatchError,
-     "factorization lives on a different chart"),
+     "weil_cup argument fact lives on chart R^3, not R^2"),
     (lambda: weil_cup(M2, F2, []), DomainError, "need one derivation per V generator"),
-    (lambda: weil_cup(M2, F2, [VField.basis(3, 0)]), ChartMismatchError, "derivation lives on a different chart"),
+    (lambda: weil_cup(M2, F2, [VField.basis(3, 0)]), ChartMismatchError, "derivation 0 lives on chart R^3, not R^2"),
+    # a coordinate or factorization image of the right arity on another chart is a chart mismatch, not an arity one
+    (lambda: WeilMorphism(1, 2, [WeilElem(1, 3), WeilElem(1, 3)]), ChartMismatchError,
+     "image of x0 lives on chart R^3, not R^2"),
+    (lambda: CupFactorization(1, 2, [WeilElem(1, 3)]), ChartMismatchError,
+     "image of V generator 0 lives on chart R^3, not R^2"),
+    # every other operation that takes two values of one chart, refused by the one chart rule
+    (lambda: X2 + X3, ChartMismatchError, "polynomial operand lives on chart R^3, not R^2"),
+    (lambda: X2.evaluate([1, 2, 3]), ChartMismatchError, "Poly.evaluate argument point lives on chart R^3, not R^2"),
+    (lambda: V2 + VField.basis(3, 0), ChartMismatchError, "sum operand lives on chart R^3, not R^2"),
+    (lambda: D0 - FreeLRElem.generator(ChartSpec(2, 3), 0), ChartMismatchError,
+     "sum operand lives on chart (2, 3), not (2, 2)"),
+    (lambda: W2 * WeilElem(1, 3, {(): X3}), ChartMismatchError, "product factor lives on chart R^3, not R^2"),
+    (lambda: W2 * WeilElem(2, 2), ArityMismatchError, "arities differ: 1 vs 2"),
+    (lambda: vf_apply(V2, X3), ChartMismatchError, "vf_apply argument f lives on chart R^3, not R^2"),
+    (lambda: vf_bracket(V2, VField.basis(3, 0)), ChartMismatchError,
+     "vf_bracket argument v lives on chart R^3, not R^2"),
+    (lambda: free_bracket(D0, FreeLRElem.generator(ChartSpec(2, 3), 0)), ChartMismatchError,
+     "free_bracket argument v lives on chart (2, 3), not (2, 2)"),
+    (lambda: lie_bracket_ext(D0, FreeLRElem.generator(C3, 0)), ChartMismatchError,
+     "lie_bracket_ext argument v lives on chart (3, 2), not (2, 2)"),
+    (lambda: add_over_face(K2, K3, {0}), ChartMismatchError,
+     "add_over_face argument nu lives on chart (3, 2), not (2, 2)"),
+    (lambda: wedge(P2, Polyvector(3, {(0,): X3})), ChartMismatchError, "wedge argument q lives on chart R^3, not R^2"),
+    (lambda: schouten(P2, Polyvector(3)), ChartMismatchError, "schouten argument q lives on chart R^3, not R^2"),
     # a container or a value of another type, refused by its name where the boundary test below found it unchecked
     (lambda: Poly(2, [1]), DomainError, "Poly terms is list, not Mapping"),
     (lambda: Poly(2, {0: 1}), DomainError, "Poly exponent 0 is int, not Iterable"),
@@ -159,6 +188,16 @@ ROWS = [
     (lambda: KField(None, 2), DomainError, "KField chart is NoneType, not ChartSpec"),
     (lambda: Session(3), DomainError, "Session chart is int, not ChartSpec"),
     (lambda: act([0], K2, 3), DomainError, "act argument flavor is int, not str"),
+    # the public alternate constructors go through the same wrapper, labelled by class and name
+    (lambda: FreeLRElem.generator(3, 0), DomainError, "FreeLRElem.generator argument chart is int, not ChartSpec"),
+    (lambda: FreeLRElem.from_vfield(C2, 3), DomainError, "FreeLRElem.from_vfield argument v is int, not VField"),
+    (lambda: FreeLRElem.zero(3), DomainError, "FreeLRElem.zero argument chart is int, not ChartSpec"),
+    (lambda: Polyvector.from_vfield(3), DomainError, "Polyvector.from_vfield argument v is int, not VField"),
+    (lambda: KField.from_vfields(C2, 1, 3), DomainError, "KField.from_vfields argument components is int, not Mapping"),
+    (lambda: KField.zero(3, 1), DomainError, "KField.zero argument chart is int, not ChartSpec"),
+    (lambda: WeilElem.scalar(1, 3), DomainError, "WeilElem.scalar argument p is int, not Poly"),
+    (lambda: WeilMorphism.from_callable(1, 2, 3), DomainError,
+     "WeilMorphism.from_callable argument fn is int, not Callable"),
 ]
 
 

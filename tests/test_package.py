@@ -143,21 +143,44 @@ def value_parameters(function) -> list[str]:
 
 
 def test_every_public_callable_with_a_value_parameter_goes_through_checked():
-    # a function, or the `__new__` or `__init__` a class defines, is checked from its annotations by `_checked`,
-    # whose generated wrapper is `_checked_call`; the error types take no values into the library
-    unchecked, checked = [], []
+    # a function, the `__new__` or `__init__` a class defines, or a public classmethod of the class (an alternate
+    # constructor), is checked from its annotations by `_checked`, whose generated wrapper is `_checked_call`; the
+    # error types take no values into the library
+    callables = []
     for name in igc.__all__:
         value = getattr(igc, name)
         if not callable(value) or isinstance(value, type) and issubclass(value, BaseException):
             continue
         if isinstance(value, type):
+            callables += [
+                (f"{name}.{method}", attr.__func__) for method, attr in vars(value).items()
+                if isinstance(attr, classmethod) and not method.startswith("_")
+            ]
             value = value.__new__ if "__new__" in vars(value) else value.__init__
+        callables.append((name, value))
+    unchecked, checked = [], []
+    for name, value in callables:
         original = getattr(value, "__wrapped__", value)
         if value.__code__.co_name == "_checked_call":
             checked.append(name)
         elif value_parameters(original):
             unchecked.append(name)
-    assert unchecked == [] and len(checked) == 42
+    assert unchecked == [] and len(checked) == 50
+
+
+def test_only_the_chart_rule_raises_a_chart_mismatch():
+    # "these values share a chart" is one decision, `_same_chart`, worded once; a ChartMismatchError built
+    # anywhere else is a second rule
+    inside, outside = [], []
+    for module, tree in src_modules():
+        rule = {
+            id(node) for f in ast.walk(tree) if isinstance(f, ast.FunctionDef) and f.name == "_same_chart"
+            for node in ast.walk(f)
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "ChartMismatchError":
+                (inside if id(node) in rule else outside).append(f"{module}.py:{node.lineno}")
+    assert len(inside) == 1 and outside == []
 
 
 def test_only_chart_algebra_reads_a_packed_key_s_fields():

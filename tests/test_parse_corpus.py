@@ -8,7 +8,7 @@ one printed at the commit that pinned it.
 
 from parse_corpus import report, sha256
 
-DIGEST = "ee3f965811751529564027fdcaf80b1584105910007beeefd9415e6768eb684c"
+DIGEST = "f44956a210a2fbec663a8c6ac3d14c3b405bc9aafc2063dd81c8bb36ad87dbb1"
 
 
 def test_parse_corpus_outcomes_are_pinned():

@@ -35,7 +35,7 @@ ROWS = [
     (["--dim", "2", "cup", "K{arity=2; 0: 2*x0*1/x1*d0}", "d0"], "expected an integer denominator", (1, 22), 1),
     # a term COEF*dI that is not read straight into its element, but as a product
     (["--dim", "2", "bracket", "lie", "x0*d5", "d1"], "generator d5 out of range for dimension 2", (1, 4), 1),
-    (["--dim", "2", "bracket", "lie", "2*d0^2", "d1"], "expected a polyvector, got Poly(2)", None, 2),
+    (["--dim", "2", "bracket", "lie", "2*d0^2", "d1"], "expected a polyvector, got Poly", None, 2),
     # the exponent, digit and nesting budgets
     (["--dim", "2", "bracket", "lie", "x0^9223372036854775807*x0*d0", "d1"], EXPONENT, None, 2),
     (["--dim", "2", "bracket", "lie", "x0^9223372036854775808*d0", "d1"], EXPONENT, None, 2),
@@ -46,10 +46,10 @@ ROWS = [
     # malformed terms, and sums of a polynomial and a field
     (["--dim", "2", "bracket", "lie", "1/0*x0", "d1"], "division by zero", (1, 3), 1),
     (["--dim", "2", "bracket", "lie", "x0^-1", "d1"], "unexpected token '-'", (1, 4), 1),
-    (["--dim", "2", "bracket", "lie", "x0 + d0", "d1"], "expected a field element, got Poly(x0)", None, 2),
+    (["--dim", "2", "bracket", "lie", "x0 + d0", "d1"], "expected a field element, got Poly", None, 2),
     (["--dim", "2", "bracket", "lie", "x0 - 1/2 + x1*x1 + d0", "d1"],
-     "expected a field element, got Poly(x1^2 + x0 - 1/2)", None, 2),
-    (["--dim", "2", "bracket", "lie", "d0 + x0 - x1", "d1"], "expected a field element, got Poly(x0)", None, 2),
+     "expected a field element, got Poly", None, 2),
+    (["--dim", "2", "bracket", "lie", "d0 + x0 - x1", "d1"], "expected a field element, got Poly", None, 2),
     (["--dim", "2", "bracket", "lie", "2*3/4*x0 + x1 + K{arity=1; 0: d0}", "d1"],
      "k-fields have no global addition; additions are face-wise", None, 2),
     # unknown functions and malformed K literals
@@ -58,7 +58,7 @@ ROWS = [
     (["--dim", "2", "bracket", "lie", "K{arity=x}", "d0"], "arity must be an integer", (1, 9), 1),
     (["--dim", "2", "bracket", "lie", "K{arity=2; x: d0}", "d0"], "expected a slot index", (1, 12), 1),
     # values of the wrong kind for their command or operator
-    (["--dim", "2", "face", "d0^d1", "0"], "expected a k-field, got Polyvector(d0 ^ d1)", None, 2),
+    (["--dim", "2", "face", "d0^d1", "0"], "expected a k-field, got Polyvector", None, 2),
     (["--dim", "2", "face", "-K{arity=2; 0: d0}", "0"],
      "k-fields have no global negation; additions are face-wise", None, 2),
     (["--dim", "2", "bracket", "lie", "d0*d1", "d0"], "cannot multiply FreeLRElem and FreeLRElem", None, 2),
