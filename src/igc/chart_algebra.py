@@ -344,6 +344,7 @@ class Poly(_Record, frozen=True):
     def total_degree(self) -> int:
         return max((sum(_unpack(k, self.dim)) for k in self.num), default=0)
 
+    @_checked
     def evaluate(self, point: Sequence[Fraction | int]) -> Fraction:
         _same_chart(len(point), self.dim, "Poly.evaluate argument", "point")
         pt = [Fraction(p) for p in point]

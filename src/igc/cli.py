@@ -56,12 +56,36 @@ class UsageError(Exception):
 
 
 class CommandOutcome(_Record):
+    """What a command prints: `text` under --format text, `payload` dumped as JSON under --format json, and its
+    exit code."""
+
     __slots__ = ("text", "payload", "code")
 
     def __init__(self, text: str, payload: object, code: int = 0):
         self.text = text
         self.payload = payload
         self.code = code
+
+
+class _ValueOutcome(CommandOutcome):
+    """The outcome of a command that computes a value: `text` is str(value) and `payload` value.to_json(), each
+    rendered on its first read and kept, so that a command renders only the form that is printed."""
+
+    # no slots of its own: the record's fields stay text, payload and code, and `value` is kept in the instance dict
+
+    def __init__(self, value):
+        self.value = value
+        self.code = 0
+
+    def __getattr__(self, name):
+        # reached only while the slot `name` is unset, before its first read
+        if name == "text":
+            self.text = str(self.value)
+        elif name == "payload":
+            self.payload = self.value.to_json()
+        else:
+            raise AttributeError(name)
+        return getattr(self, name)
 
 
 def _need(argv, n, usage):
@@ -150,7 +174,7 @@ def run_command(argv: list[str], session: Session) -> CommandOutcome:
         result = apply_operation(cmd, args, chart, lambda src: parse_expression(src, session), _int_arg)
     else:
         raise UsageError(f"unknown command {cmd!r}")
-    return CommandOutcome(str(result), result.to_json())
+    return _ValueOutcome(result)
 
 
 def _run_check(args: list[str], session: Session) -> CommandOutcome:
@@ -227,13 +251,6 @@ def _build_parser() -> _ArgumentParser:
     return parser
 
 
-def _emit(outcome: CommandOutcome, fmt: str):
-    if fmt == "json":
-        print(json.dumps(outcome.payload))
-    elif outcome.text:
-        print(outcome.text)
-
-
 def main(argv: list[str] | None = None) -> int:
     try:
         opts = _build_parser().parse_args(argv)
@@ -270,6 +287,8 @@ def _run(opts: argparse.Namespace) -> int:
     def run_one(tokens: list[str]) -> int:
         try:
             outcome = run_command(tokens, session)
+            # the one form printed, rendered inside the try: a value past a budget is refused like its command
+            shown = json.dumps(outcome.payload) if session.fmt == "json" else outcome.text
         except UsageError as exc:
             print(f"igc: {exc}", file=sys.stderr)
             return 1
@@ -279,7 +298,8 @@ def _run(opts: argparse.Namespace) -> int:
         except DomainError as exc:
             print(f"igc: error: {exc}", file=sys.stderr)
             return 2
-        _emit(outcome, session.fmt)
+        if shown:
+            print(shown)
         return outcome.code
 
     if opts.script:

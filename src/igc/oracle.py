@@ -21,7 +21,7 @@ from itertools import combinations, product
 from random import Random
 from typing import Mapping, Sequence
 
-from .chart_algebra import ChartSpec, Poly, VField, _checked, _int, _reduced, _var_key, vf_apply
+from .chart_algebra import ChartSpec, Poly, VField, _checked, _int, _reduced, _same_chart, _var_key, vf_apply
 from .errors import DomainError
 from .free_lr import FreeLRElem, RelativeSpec
 from .groupoid import KField, Subset
@@ -130,6 +130,7 @@ def random_kfield(
 def oracle_bracket(u: VField, v: VField) -> VField:
     """Coordinate-formula bracket [u,v]^i = u(v^i) - v(u^i), written out raw."""
     n = u.dim
+    _same_chart(v.dim, n, "oracle_bracket argument", "v")
     a, b = u.coeffs, v.coeffs
     coeffs = []
     for i in range(n):

@@ -118,7 +118,8 @@ class WeilElem(_Module):
         return WeilElem._make(self.arity - 1, self.dim, num, den)
 
     def shift(self, offset: int, new_arity: int) -> "WeilElem":
-        """Reindex every generator i to i + offset inside a larger algebra."""
+        """Reindex every generator i to i + offset inside a larger algebra, of arity at least offset + arity."""
+        _int(new_arity, "shifted arity", _int(offset, "shift offset", 0) + self.arity)
         num = {frozenset(x + offset for x in phi): n for phi, n in self.num.items()}
         return WeilElem._make(new_arity, self.dim, num, self.den)
 
@@ -202,6 +203,7 @@ class WeilMorphism(_Record, frozen=True):
                     raise NotMultiplicativeError(f, g)
         return cls._make(arity, dim, images)
 
+    @_checked
     def image(self, f: Poly) -> WeilElem:
         _same_chart(f.dim, self.dim, "WeilMorphism.image argument", "f")
         out = WeilElem._make(self.arity, self.dim, {}, 1)

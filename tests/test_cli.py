@@ -313,6 +313,34 @@ def test_run_command_reduce():
     assert out.text == "d0 ^ d1"
 
 
+@pytest.mark.parametrize(
+    "line, cls",
+    [
+        (["bracket", "free", "d0", "x0*d1"], FreeLRElem),
+        (["act", "0", "lie", "K{arity=2; 0: d0; 1: x0*d1}"], KField),
+        (["reduce", "cup(d0, d1)"], Polyvector),
+    ],
+    ids=["bracket", "act", "reduce"],
+)
+def test_a_value_command_renders_only_the_form_read(line, cls, monkeypatch):
+    # each form is rendered on its first read; the form not read is never rendered
+    def unread(self):
+        raise AssertionError(f"{cls.__name__} rendered a form nobody read")
+
+    out = run_command(line, session())
+    text, payload = out.text, out.payload
+    with monkeypatch.context() as m:
+        m.setattr(cls, "to_json", unread)
+        assert run_command(line, session()).text == text
+        r = run_igc(["--dim", "2", *line])
+        assert (r.returncode, r.stdout, r.stderr) == (0, text + "\n", "")
+    with monkeypatch.context() as m:
+        m.setattr(cls, "__str__", unread)
+        assert run_command(line, session()).payload == payload
+        r = run_igc(["--dim", "2", "--format", "json", *line])
+        assert (r.returncode, r.stdout, r.stderr) == (0, json.dumps(payload) + "\n", "")
+
+
 def test_run_command_trivial():
     out = run_command(["trivial?", "compose(d0, x0*d1)"], session())
     assert out.text == "false  witness: (0,1,{0},{1})"
@@ -855,6 +883,23 @@ def test_cli_script(tmp_path):
     r = run_igc(["--dim", "2", "--script", str(unbalanced)])
     assert r.returncode == 1 and r.stdout == ""
     assert r.stderr == "igc: script line 2: No closing quotation\n"
+
+
+@pytest.mark.parametrize("fmt, printed", [("text", "F[d0,d1]\n"), ("json", '[{"word": [0, 1], "coeff": "1"}]\n')])
+def test_cli_script_refuses_a_value_past_the_digit_budget(fmt, printed, tmp_path):
+    # the value is rendered only when printed, and still refused there with one line, and the script stops
+    script = tmp_path / "chain.igc"
+    script.write_text(
+        "# the coefficient 2^16000 has 4,817 digits\n"
+        "bracket free d0 d1\n"
+        "reduce (2^4000*2^4000*2^4000*2^4000)*d0\n"
+        "bracket free d0 d1\n"
+    )
+    r = run_igc(["--dim", "2", "--format", fmt, "--script", str(script)])
+    assert (r.returncode, r.stdout, r.stderr) == (2, printed, (
+        f"igc: error: coefficient has more digits than the budget of Poly.MAX_DIGITS = {Poly.MAX_DIGITS}\n"
+        "igc: script line 3 failed\n"
+    ))
 
 
 def test_cli_script_not_utf8(tmp_path):

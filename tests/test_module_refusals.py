@@ -198,6 +198,14 @@ ROWS = [
     (lambda: WeilElem.scalar(1, 3), DomainError, "WeilElem.scalar argument p is int, not Poly"),
     (lambda: WeilMorphism.from_callable(1, 2, 3), DomainError,
      "WeilMorphism.from_callable argument fn is int, not Callable"),
+    # and so do the public instance methods with a value parameter
+    (lambda: M2.image(3), DomainError, "WeilMorphism.image argument f is int, not Poly"),
+    (lambda: X2.evaluate(3), DomainError, "Poly.evaluate argument point is int, not Sequence"),
+    # a shift keeps every generator inside the larger algebra
+    (lambda: WeilElem(1, 2, {(0,): X2}).shift(5, 1), DomainError, "shifted arity must be >= 6, got 1"),
+    (lambda: W2.shift(-1, 3), DomainError, "shift offset must be >= 0, got -1"),
+    (lambda: oracle_bracket(V2, VField.basis(3, 0)), ChartMismatchError,
+     "oracle_bracket argument v lives on chart R^3, not R^2"),
 ]
 
 

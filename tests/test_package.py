@@ -143,9 +143,9 @@ def value_parameters(function) -> list[str]:
 
 
 def test_every_public_callable_with_a_value_parameter_goes_through_checked():
-    # a function, the `__new__` or `__init__` a class defines, or a public classmethod of the class (an alternate
-    # constructor), is checked from its annotations by `_checked`, whose generated wrapper is `_checked_call`; the
-    # error types take no values into the library
+    # a function, the `__new__` or `__init__` a class defines, or a public classmethod (an alternate constructor) or
+    # instance method of the class, is checked from its annotations by `_checked`, whose generated wrapper is
+    # `_checked_call`; the error types take no values into the library
     callables = []
     for name in igc.__all__:
         value = getattr(igc, name)
@@ -153,8 +153,8 @@ def test_every_public_callable_with_a_value_parameter_goes_through_checked():
             continue
         if isinstance(value, type):
             callables += [
-                (f"{name}.{method}", attr.__func__) for method, attr in vars(value).items()
-                if isinstance(attr, classmethod) and not method.startswith("_")
+                (f"{name}.{method}", getattr(attr, "__func__", attr)) for method, attr in vars(value).items()
+                if isinstance(attr, (classmethod, types.FunctionType)) and not method.startswith("_")
             ]
             value = value.__new__ if "__new__" in vars(value) else value.__init__
         callables.append((name, value))
@@ -165,7 +165,7 @@ def test_every_public_callable_with_a_value_parameter_goes_through_checked():
             checked.append(name)
         elif value_parameters(original):
             unchecked.append(name)
-    assert unchecked == [] and len(checked) == 50
+    assert unchecked == [] and len(checked) == 52
 
 
 def test_only_the_chart_rule_raises_a_chart_mismatch():
