@@ -32,6 +32,7 @@ from .errors import (
     NotClosedError,
     NotFlagReducibleError,
     NotMultiplicativeError,
+    _shown,
 )
 from .free_lr import (
     FreeLRElem,
@@ -80,7 +81,7 @@ __all__ = [name for name in dir() if not name.startswith("_")] + list(_HOME)
 def __getattr__(name):
     module = _HOME.get(name)
     if module is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+        raise AttributeError(f"module {_shown(__name__)} has no attribute {_shown(name)}")
     from importlib import import_module
 
     value = import_module(f"{__name__}.{module}")

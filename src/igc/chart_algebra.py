@@ -46,12 +46,13 @@ from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
 from functools import cache, reduce
 from math import gcd, lcm
+from numbers import Rational
 from itertools import chain
 from operator import attrgetter, or_
 from types import MappingProxyType, NoneType, UnionType
 from typing import Union, get_args, get_origin
 
-from .errors import ChartMismatchError, DomainError
+from .errors import ChartMismatchError, DomainError, _shown
 
 Exponent = tuple[int, ...]
 
@@ -129,9 +130,9 @@ def _int(x, what: str, least: int | None = None) -> int:
     `_index`; anything else raises a one-line DomainError naming `what`.
     """
     if type(x) is not int:
-        raise DomainError(f"{what} {x!r} is not an int")
+        raise DomainError(f"{what} {_shown(x)} is not an int")
     if least is not None and x < least:
-        raise DomainError(f"{what} must be >= {least}, got {_shown(str(x))}")
+        raise DomainError(f"{what} must be >= {least}, got {_shown(x)}")
     return x
 
 
@@ -145,16 +146,7 @@ def _index(i, n: int, what: str) -> int:
     if type(i) is int and 0 <= i < n:
         return i
     _int(i, what)
-    raise DomainError(f"{what} {_shown(str(i))} out of range [0, {n})")
-
-
-def _shown(number: str) -> str:
-    """The decimal text of an integer as a refusal shows it: past 20 digits, its sign and first 20 digits, "..."
-    and its digit count, so that a message stays one short line."""
-    digits = number.lstrip("-")
-    if len(digits) <= 20:
-        return number
-    return f"{number[: len(number) - len(digits) + 20]}... ({len(digits)} digits)"
+    raise DomainError(f"{what} {_shown(i)} out of range [0, {n})")
 
 
 def _value(x, cls: type, what: str, label):
@@ -232,7 +224,8 @@ def _same_chart(got, want, what: str, label):
     n as R^n.
     """
     if got != want:
-        got, want = (f"({c.dim}, {c.max_degree})" if isinstance(c, ChartSpec) else f"R^{c}" for c in (got, want))
+        got, want = (f"({_shown(c.dim)}, {_shown(c.max_degree)})" if isinstance(c, ChartSpec) else f"R^{_shown(c)}"
+                     for c in (got, want))
         raise ChartMismatchError(f"{what} {label} lives on chart {got}, not {want}")
 
 
@@ -245,7 +238,7 @@ def _budget(count: int, owner: type, name: str, what: str) -> int:
     """
     limit = getattr(owner, name)
     if count > limit:
-        raise DomainError(f"{what} {count} exceeds the budget of {owner.__name__}.{name} = {limit}")
+        raise DomainError(f"{what} {_shown(count)} exceeds the budget of {owner.__name__}.{name} = {limit}")
     return count
 
 
@@ -291,9 +284,9 @@ class Poly(_Record, frozen=True):
         for exps, coeff in ({} if terms is None else terms).items():
             exps = tuple(_int(e, "bad exponent tuple entry", 0) for e in _value(exps, Iterable, "Poly exponent", exps))
             if len(exps) != dim:
-                raise DomainError(f"bad exponent tuple {exps} for dimension {dim}")
+                raise DomainError(f"bad exponent tuple {_shown(exps)} for dimension {_shown(dim)}")
             if not isinstance(coeff, (int, Fraction)):
-                raise DomainError(f"coefficient {coeff!r} is not an integer or a Fraction")
+                raise DomainError(f"coefficient {_shown(coeff)} is not an integer or a Fraction")
             if coeff:
                 clean[exps] = coeff
         # over the lcm of the reduced denominators no prime divides every numerator
@@ -347,7 +340,7 @@ class Poly(_Record, frozen=True):
     @_checked
     def evaluate(self, point: Sequence[Fraction | int]) -> Fraction:
         _same_chart(len(point), self.dim, "Poly.evaluate argument", "point")
-        pt = [Fraction(p) for p in point]
+        pt = [Fraction(_value(p, Rational, "Poly.evaluate argument point entry", i)) for i, p in enumerate(point)]
         total = Fraction(0)
         for key, c in self.num.items():
             val = Fraction(c)

@@ -24,6 +24,7 @@ from itertools import combinations
 from random import Random
 
 from .chart_algebra import ChartSpec, Poly, VField, _int, vf_apply, vf_bracket
+from .errors import _shown
 from .free_lr import (
     FreeLRElem,
     RelativeSpec,
@@ -482,7 +483,7 @@ def run_suite(
     _int(max_degree, "max_degree", 1)
     for name in (only, invert):
         if name is not None and name not in CHECK_NAMES:
-            raise ValueError(f"unknown check {name!r}; known: {', '.join(CHECK_NAMES)}")
+            raise ValueError(f"unknown check {_shown(name)}; known: {', '.join(CHECK_NAMES)}")
     reports = []
     for name, salt, check in CHECKS:
         if only is not None and name != only:

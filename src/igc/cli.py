@@ -35,7 +35,7 @@ import sys
 
 from . import free_lr, lyndon
 from .chart_algebra import ChartSpec, Poly, _int, _Record
-from .errors import DomainError, witness_text
+from .errors import DomainError, _shown, witness_text
 from .free_lr import free_bracket, lie_bracket_ext
 from .groupoid import act, is_trivial_homotopy, reduce_to_polyvector
 from .parsing import (
@@ -107,7 +107,7 @@ def _int_arg(text: str) -> int:
         return int(text)
     except ValueError:
         _refuse_long_int(text)
-        raise UsageError(f"expected an integer, got {text!r}") from None
+        raise UsageError(f"expected an integer, got {_shown(text)}") from None
 
 
 def _option_int(text: str) -> int:
@@ -116,7 +116,7 @@ def _option_int(text: str) -> int:
         return int(text)
     except ValueError:
         _refuse_long_int(text)
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        raise argparse.ArgumentTypeError(f"invalid int value: {_shown(text)}") from None
 
 
 def run_command(argv: list[str], session: Session) -> CommandOutcome:
@@ -133,7 +133,7 @@ def run_command(argv: list[str], session: Session) -> CommandOutcome:
         if len(args) < 3 or args[1] != "=":
             raise UsageError("usage: let NAME = EXPR")
         if not bindable(args[0]):
-            raise UsageError(f"bad binding name {args[0]!r}")
+            raise UsageError(f"bad binding name {_shown(args[0])}")
         session.bindings[args[0]] = parse_expression(" ".join(args[2:]), session)
         return CommandOutcome("", None)
 
@@ -161,7 +161,7 @@ def run_command(argv: list[str], session: Session) -> CommandOutcome:
         except ValueError:
             for entry in args[0].split(","):
                 _refuse_long_int(entry)
-            raise UsageError(f"bad swap word {args[0]!r}; use comma-separated indices") from None
+            raise UsageError(f"bad swap word {_shown(args[0])}; use comma-separated indices") from None
         if args[1] not in ("free", "lie"):
             raise UsageError("act flavor must be 'free' or 'lie'")
         result = act(word, as_kfield(parse_expression(args[2], session), chart), args[1])
@@ -173,7 +173,7 @@ def run_command(argv: list[str], session: Session) -> CommandOutcome:
         _need(argv, 1 + len(signature.split()), f"{cmd} {signature}")
         result = apply_operation(cmd, args, chart, lambda src: parse_expression(src, session), _int_arg)
     else:
-        raise UsageError(f"unknown command {cmd!r}")
+        raise UsageError(f"unknown command {_shown(cmd)}")
     return _ValueOutcome(result)
 
 
@@ -202,7 +202,7 @@ def _run_check(args: list[str], session: Session) -> CommandOutcome:
             else:
                 invert = name
         else:
-            raise UsageError(f"unknown check flag {flag!r}")
+            raise UsageError(f"unknown check flag {_shown(flag)}")
     try:  # the global --max-degree's check, refused the same way
         _int(max_degree, "max_degree", 1)
     except DomainError as exc:

@@ -1,8 +1,30 @@
 """Exception types for violated mathematical preconditions.
 
 Everything here derives from DomainError so the CLI can map any domain
-failure to exit code 2, distinct from parse/usage errors.
+failure to exit code 2, distinct from parse/usage errors.  `_shown` is the one
+rule by which every refusal of the package shows a value the caller gave.
 """
+
+
+def _shown(x) -> str:
+    """x as a refusal shows it: an int as its digits, anything else as its repr; an index set comes as its sorted list.
+
+    Past 40 characters (an int: 40 digits, counted from its bit length, so that one past Python's int-to-str limit
+    is shown too) it is cut to its first 20 (an int: its sign and first 20 digits), "..." and its size in digits,
+    entries of a collection or characters (of a str, its own length), so that a message stays one short line.
+    """
+    if type(x) is int:
+        # n has floor((bit_length - 1) * log10(2)) + 1 digits, or one more
+        n = abs(x)
+        size = int((n.bit_length() - 1) * 0.30102999566398120) + 1
+        size += n >= 10**size
+        return str(x) if size <= 40 else f"{'-' * (x < 0)}{n // 10 ** (size - 20)}... ({size} digits)"
+    text = repr(x)
+    if len(text) <= 40:
+        return text
+    if isinstance(x, (list, tuple, set, frozenset, dict)):
+        return f"{text[:20]}... ({len(x)} entries)"
+    return f"{text[:20]}... ({len(x) if isinstance(x, str) else len(text)} characters)"
 
 
 class DomainError(Exception):
@@ -33,7 +55,7 @@ class FacePreconditionError(DomainError):
 
     def __init__(self, subset):
         self.subset = subset
-        super().__init__(f"fields differ on component {sorted(subset)}")
+        super().__init__(f"fields differ on component {_shown(sorted(subset))}")
 
 
 class CupUndefinedError(DomainError):
@@ -41,9 +63,7 @@ class CupUndefinedError(DomainError):
 
     def __init__(self, subset):
         self.subset = subset
-        super().__init__(
-            f"cup undefined: second factor has a component at {sorted(subset)}"
-        )
+        super().__init__(f"cup undefined: second factor has a component at {_shown(sorted(subset))}")
 
 
 class NotMultiplicativeError(DomainError):

@@ -50,7 +50,7 @@ from .chart_algebra import (
     _int, _Module, _mul_into, _numerators, _partial_into, _poly_text, _Record, _same_chart, _summed, _value,
     render_combination, vf_apply,
 )
-from .errors import DegreeOverflowError, DomainError
+from .errors import DegreeOverflowError, DomainError, _shown
 from .lyndon import LyndonWord
 
 Word = tuple[int, ...]
@@ -370,7 +370,7 @@ def vertical_reduce(expr, spec: RelativeSpec) -> FreeLRElem:
     if isinstance(expr, FreeLRElem):
         return _drop_vertical(expr, spec.vertical)
     if not isinstance(expr, tuple) or not expr:
-        raise DomainError(f"unrecognized expression node: {expr!r}")
+        raise DomainError(f"unrecognized expression node: {_shown(expr)}")
     tag = expr[0]
     if tag == "gen":
         return FreeLRElem.generator(spec.chart, expr[1])
@@ -380,4 +380,4 @@ def vertical_reduce(expr, spec: RelativeSpec) -> FreeLRElem:
         return vertical_reduce(expr[1], spec) + vertical_reduce(expr[2], spec)
     if tag == "bracket":
         return free_bracket(vertical_reduce(expr[1], spec), vertical_reduce(expr[2], spec), spec)
-    raise DomainError(f"unrecognized expression node: {tag!r}")
+    raise DomainError(f"unrecognized expression node: {_shown(tag)}")

@@ -36,6 +36,7 @@ from .errors import (
     FacePreconditionError,
     NotClosedError,
     NotFlagReducibleError,
+    _shown,
 )
 from .free_lr import FreeLRElem, _bracket, _free_bracket_into, _lie_bracket_into, project_to_lie
 from .polyvector import Polyvector, wedge
@@ -119,7 +120,7 @@ class KField(_Record, frozen=True):
     def component_vfield(self, phi) -> VField:
         elem = self.component(phi)
         if not elem.is_classical():
-            raise DomainError(f"component {sorted(frozenset(phi))} is not classical")
+            raise DomainError(f"component {_shown(sorted(frozenset(phi)))} is not classical")
         return project_to_lie(elem)
 
     def __hash__(self):
@@ -219,7 +220,7 @@ def strong_diff(mu: KField, nu: KField, pair: tuple[int, int]) -> KField:
     try:
         i, j = pair
     except (TypeError, ValueError):
-        raise DomainError(f"pair {pair!r} is not two slot indices") from None
+        raise DomainError(f"pair {_shown(pair)} is not two slot indices") from None
     _check_pair(i, j, k)
     _check_agreement(mu, nu, lambda phi: i not in phi or j not in phi)
     comps = {phi: elem for phi, elem in mu.components.items() if i not in phi and j not in phi}
@@ -350,7 +351,7 @@ def _action_kernel(nu: KField, flavor: str) -> Callable:
         return _free_bracket_into
     if flavor == "lie":
         return _lie_bracket_into
-    raise DomainError(f"unknown bracket flavor {flavor!r}; use 'free' or 'lie'")
+    raise DomainError(f"unknown bracket flavor {_shown(flavor)}; use 'free' or 'lie'")
 
 
 @_checked

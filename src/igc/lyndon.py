@@ -17,7 +17,7 @@ from collections.abc import Iterable
 from functools import cache
 
 from .chart_algebra import _checked, _int
-from .errors import DomainError
+from .errors import DomainError, _shown
 
 Word = tuple[int, ...]
 
@@ -38,7 +38,7 @@ class LyndonWord(tuple):
     def __new__(cls, letters: Iterable[int]):
         letters = tuple(_int(a, "generator index") for a in letters)
         if not is_lyndon(letters):
-            raise DomainError(f"{letters} is not a Lyndon word")
+            raise DomainError(f"{_shown(letters)} is not a Lyndon word")
         return tuple.__new__(cls, letters)
 
     @classmethod

@@ -26,9 +26,9 @@ from math import gcd, lcm
 from typing import Any
 
 from .chart_algebra import (
-    _EXPONENT_OVERFLOW, ChartSpec, Poly, _accumulate, _checked, _poly, _Record, _reduced, _shown, _top_bits, _var_key,
+    _EXPONENT_OVERFLOW, ChartSpec, Poly, _accumulate, _checked, _poly, _Record, _reduced, _top_bits, _var_key,
 )
-from .errors import DomainError
+from .errors import DomainError, _shown
 from .free_lr import FreeLRElem, free_bracket, project_to_lie
 from .groupoid import KField, compose, cup, face, homotopy, strong_diff
 from .polyvector import Polyvector, wedge, schouten
@@ -84,7 +84,7 @@ def _tokenize(src: str) -> list[str]:
             group = m.lastindex
             text = m[group]
             if group == 4:
-                raise ParseError(f"unexpected character {text!r}", *_position(src, m.start(group)))
+                raise ParseError(f"unexpected character {_shown(text)}", *_position(src, m.start(group)))
             if group == 1 and len(text) > Poly.MAX_DIGITS:
                 # int() refuses such a literal, and no value built from it would print
                 raise ParseError(long_integer("literal", len(text)), *_position(src, m.start(group)))
@@ -144,7 +144,7 @@ class _Parser:
 
     def _expect(self, text: str):
         if self.text != text:
-            self._error(f"expected {text!r}, found {self.text or 'end of input'!r}")
+            self._error(f"expected {_shown(text)}, found {_shown(self.text or 'end of input')}")
         self._advance()
 
     def _error(self, message: str, at: int | None = None):
@@ -156,7 +156,7 @@ class _Parser:
     def parse(self):
         value = self.sum()
         if self.text:
-            self._error(f"unexpected trailing input {self.text!r}")
+            self._error(f"unexpected trailing input {_shown(self.text)}")
         return value
 
     def sum(self):
@@ -292,7 +292,7 @@ class _Parser:
             return value
         if self.text.isidentifier():
             return self.ident_atom()
-        self._error(f"unexpected token {self.text or 'end of input'!r}")
+        self._error(f"unexpected token {_shown(self.text or 'end of input')}")
 
     def ident_atom(self):
         at = self.pos
@@ -315,14 +315,17 @@ class _Parser:
             return self.call(name, at)
         if name in self.session.bindings:
             return self.session.bindings[name]
-        self._error(f"unknown identifier {name!r}", at)
+        self._error(f"unknown identifier {_shown(name)}", at)
 
     def chart_index(self, name: str, what: str, at: int) -> int:
-        """The index of the name xI or dI at token index at, refused past the chart before int() meets 4,300 digits."""
+        """The index of the name xI or dI at token index at, refused past the chart, and by its digit count past
+        Poly.MAX_DIGITS, which int() does not read, as an integer literal is."""
         digits = name[1:].lstrip("0") or "0"
-        if len(digits) <= len(str(self.dim)) and (i := int(digits)) < self.dim:
+        if len(digits) > Poly.MAX_DIGITS:
+            self._error(long_integer(f"{what} index", len(digits)), at)
+        if (i := int(digits)) < self.dim:
             return i
-        self._error(f"{what} {name[0]}{_shown(digits)} out of range for dimension {self.dim}", at)
+        self._error(f"{what} {name[0]}{_shown(i)} out of range for dimension {self.dim}", at)
 
     def call(self, name: str, at: int):
         self._expect("(")
@@ -332,7 +335,7 @@ class _Parser:
             args.append(self.sum())
         self._expect(")")
         if name not in OPERATIONS:
-            self._error(f"unknown function {name!r}", at)
+            self._error(f"unknown function {_shown(name)}", at)
         arity = len(OPERATIONS[name][1].split())
         if len(args) != arity:
             self._error(f"{name} expects {arity} arguments, got {len(args)}", at)
@@ -358,8 +361,7 @@ class _Parser:
                 indices.append(self._subset_index(indices))
             subset = frozenset(indices)
             if subset in comps:
-                names = ",".join(map(str, sorted(subset)))
-                self._error(f"repeated index set {names}", start)
+                self._error(f"repeated index set {_shown(sorted(subset))}", start)
             self._expect(":")
             comps[subset] = as_elem(self.sum(), chart)
         self._expect("}")
@@ -370,7 +372,7 @@ class _Parser:
             self._error("expected a slot index")
         index = int(self.text)
         if index in seen:
-            self._error(f"repeated slot index {index}")
+            self._error(f"repeated slot index {_shown(index)}")
         self._advance()
         return index
 

@@ -9,7 +9,7 @@ it.
 
 from boundary_corpus import report, sha256
 
-DIGEST = "c2d95616ad13c270298913d56570f451866719dcbd08e52d397022a32d0ee307"
+DIGEST = "5ddb6e42a7ce4bcccbdc6d6bb5a4c58c7d9847bb2f1aee5406f9526f7ae1e707"
 
 
 def test_boundary_corpus_outcomes_are_pinned():

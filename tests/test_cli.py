@@ -12,9 +12,11 @@ from random import Random
 
 import pytest
 from cli_lines import run_igc
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from igc import ChartSpec, DomainError, FreeLRElem, KField, Poly, Polyvector, VField, cup, free_lr, lyndon
-from igc.cli import CommandOutcome, UsageError, run_command
+from igc.cli import CommandOutcome, UsageError, _build_parser, run_command
 from igc.parsing import ParseError, Session, as_kfield, parse_expression
 from igc.oracle import random_kfield, random_vfield
 
@@ -271,14 +273,14 @@ def test_parse_kfield_literal_rejects_repeated_slot():
 
 def test_parse_kfield_literal_rejects_repeated_index_set():
     s = session()
-    with pytest.raises(ParseError, match="repeated index set 0") as err:
+    with pytest.raises(ParseError, match=r"repeated index set \[0\]") as err:
         parse_expression("K{arity=1; 0: d0; 0: d1}", s)
     assert (err.value.line, err.value.column) == (1, 19)
-    with pytest.raises(ParseError, match="repeated index set 0,1"):
+    with pytest.raises(ParseError, match=r"repeated index set \[0, 1\]"):
         parse_expression("K{arity=2; 0,1: d0; 1: d1; 1,0: x0*d1}", s)
     r = run_igc(["--dim", "2", "cup", "K{arity=1; 0: d0; 0: d1}", "d0"])
     assert r.returncode == 1 and r.stdout == ""
-    assert r.stderr == "igc: parse error: repeated index set 0 (line 1, column 19)\n"
+    assert r.stderr == "igc: parse error: repeated index set [0] (line 1, column 19)\n"
 
 
 def test_deep_nesting_hits_the_parser_budget():
@@ -747,6 +749,64 @@ def test_a_long_integer_is_refused_in_one_short_line(argv, code, stderr):
     assert r.stderr.count("\n") == 1 and len(r.stderr.encode()) < 200
 
 
+@pytest.mark.parametrize("option", ["--dim", "--max-degree", "--seed"])
+@pytest.mark.parametrize("value, shown", [("abc", "'abc'"), ("abc" * 1000, "'abcabcabcabcabcabca... (3000 characters)")],
+                         ids=["short", "long"])
+def test_a_non_integer_option_is_refused_after_argparse_s_usage_block(option, value, shown):
+    # argparse's own usage block stays as it is; the error line after it shows the value by the display rule
+    argv = ["--dim", value, "check"] if option == "--dim" else ["--dim", "2", option, value, "check"]
+    r = run_igc(argv)
+    error = f"igc: error: argument {option}: invalid int value: {shown}\n"
+    assert (r.returncode, r.stdout, r.stderr) == (1, "", _build_parser().format_usage() + error)
+
+
+# long pieces of an argv: integers, identifiers, unknown commands and check flags, K literals with an index set of up
+# to 999 slots, and large well-formed values where another type belongs
+LENGTHS = st.integers(41, 5000)
+SLOTS = st.integers(1, 999).map(lambda n: ",".join(map(str, range(n))))
+PIECES = st.one_of(
+    LENGTHS.map("1".__mul__),
+    LENGTHS.map(lambda n: "-" + "7" * n),
+    LENGTHS.map("a".__mul__),
+    LENGTHS.map(lambda n: "x" + "1" * n),
+    LENGTHS.map(lambda n: "--" + "x" * n),
+    LENGTHS.map(lambda n: "d0 " + "b" * n),
+    SLOTS.map("K{{arity=1000; {}: d0}}".format),
+    SLOTS.map("K{{arity=1000; {0}: d0; {0}: d1}}".format),
+    SLOTS.map("K{{arity=1000; {0},0: d0}}".format),
+    st.sampled_from(["K{arity=2; 0: (x0+x1+1)^40*d0}", "(x0+x1+1)^40", "(x0+x1+1)^30*d0 ^ d1"]),
+)
+# argv shapes after --dim, each slot filled with a piece
+SHAPES = [
+    ["2", "{}"], ["{}", "reduce", "d0"], ["2", "--max-degree", "{}", "reduce", "d0"],
+    ["2", "--seed", "{}", "reduce", "d0"], ["2", "bracket", "lie", "{}", "{}"], ["2", "bracket", "free", "{}", "d0"],
+    ["2", "act", "{}", "lie", "{}"], ["2", "face", "{}", "{}"], ["2", "sdiff", "{}", "{}", "{}", "{}"],
+    ["2", "cup", "{}", "{}"], ["2", "reduce", "{}"], ["2", "homotopy", "{}", "{}", "{}"], ["2", "trivial?", "{}"],
+    ["2", "wedge", "{}", "{}"], ["2", "let", "{}", "=", "{}"], ["2", "check", "{}"], ["2", "check", "--only", "{}"],
+    ["2", "check", "--invert", "{}"], ["2", "check", "--seed", "{}", "--only", "nope"],
+]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(shape=st.sampled_from(SHAPES), data=st.data())
+def test_every_refusal_of_a_long_argument_is_one_bounded_line(shape, data):
+    argv = ["--dim", *(data.draw(PIECES) if part == "{}" else part for part in shape)]
+    r = run_igc(argv)
+    # argparse's usage block is the one multi-line refusal, and it is left as it is
+    error = r.stderr.removeprefix(_build_parser().format_usage())
+    if r.returncode == 0:
+        assert r.stderr == ""
+    else:
+        assert r.returncode in (1, 2) and error.count("\n") == 1 and error.endswith("\n")
+    assert max(map(len, r.stderr.splitlines()), default=0) <= 400
+
+
+def test_a_value_outcome_reads_no_attribute_but_its_own():
+    outcome = run_command(["bracket", "lie", "d0", "x0*d1"], session())
+    assert getattr(outcome, "missing", None) is None
+    assert (outcome.text, outcome.payload, outcome.code) == ("d1", parse_expression("d1", session()).to_json(), 0)
+
+
 def test_cli_dimension_budget():
     r = run_igc(["--dim", "100000000", "bracket", "lie", "d0", "x0*d1"], seconds=10)
     assert (r.returncode, r.stdout) == (1, "")
@@ -824,14 +884,22 @@ def test_cli_coefficient_budget():
 )
 @pytest.mark.parametrize("name, what", [("x{}*d0", "coordinate"), ("d{}", "generator")], ids=["x", "d"])
 def test_an_index_past_any_chart_is_one_parse_error(expr, column, name, what):
-    # int() refuses more than 4,300 digits; the index is refused as out of
-    # range before any digit is converted, in one line naming its length
+    # int() refuses more than 4,300 digits; such an index is refused by its
+    # digit count, as an integer literal is, and a shorter one past the chart
+    # as out of range, in one line naming its length
     ones = "1" * 5000
     r = run_igc(["--dim", "2", "reduce", expr.format(name.format(ones))])
     assert (r.returncode, r.stdout, r.stderr) == (
         1,
         "",
-        f"igc: parse error: {what} {name[0]}{ones[:20]}... (5000 digits) out of range for dimension 2"
+        f"igc: parse error: integer {what} index of 5000 digits exceeds the budget of Poly.MAX_DIGITS = "
+        f"{Poly.MAX_DIGITS} (line 1, column {column})\n",
+    )
+    r = run_igc(["--dim", "2", "reduce", expr.format(name.format(ones[:4000]))])
+    assert (r.returncode, r.stdout, r.stderr) == (
+        1,
+        "",
+        f"igc: parse error: {what} {name[0]}{ones[:20]}... (4000 digits) out of range for dimension 2"
         f" (line 1, column {column})\n",
     )
     # leading zeros are not digits of the index

@@ -201,11 +201,31 @@ ROWS = [
     # and so do the public instance methods with a value parameter
     (lambda: M2.image(3), DomainError, "WeilMorphism.image argument f is int, not Poly"),
     (lambda: X2.evaluate(3), DomainError, "Poly.evaluate argument point is int, not Sequence"),
+    # and each entry of a point is an exact rational, an int or a Fraction, by the one value rule
+    (lambda: X2.evaluate("ab"), DomainError, "Poly.evaluate argument point entry 0 is str, not Rational"),
+    (lambda: X2.evaluate([None, 1]), DomainError, "Poly.evaluate argument point entry 0 is NoneType, not Rational"),
+    (lambda: X2.evaluate([1, 0.1]), DomainError, "Poly.evaluate argument point entry 1 is float, not Rational"),
     # a shift keeps every generator inside the larger algebra
     (lambda: WeilElem(1, 2, {(0,): X2}).shift(5, 1), DomainError, "shifted arity must be >= 6, got 1"),
     (lambda: W2.shift(-1, 3), DomainError, "shift offset must be >= 0, got -1"),
     (lambda: oracle_bracket(V2, VField.basis(3, 0)), ChartMismatchError,
      "oracle_bracket argument v lives on chart R^3, not R^2"),
+    # a value the caller gave is shown by one rule, `errors._shown`: whole up to 40 characters, past that by its
+    # first 20 characters and its size, and an int past Python's int-to-str limit too
+    (lambda: ChartSpec(10**5000), DomainError,
+     "chart dimension 10000000000000000000... (5001 digits) exceeds the budget of ChartSpec.MAX_DIM = 1000"),
+    (lambda: ChartSpec(-(10**5000)), DomainError,
+     "chart dimension must be >= 1, got -10000000000000000000... (5001 digits)"),
+    (lambda: Poly.var(2, 10**5000), DomainError,
+     "variable index 10000000000000000000... (5001 digits) out of range [0, 2)"),
+    (lambda: free_bracket(FreeLRElem.generator(ChartSpec(2, 10**5000), 0), D0), ChartMismatchError,
+     "free_bracket argument v lives on chart (2, 2), not (2, 10000000000000000000... (5001 digits))"),
+    (lambda: Poly(2, {(0,) * 5000: 1}), DomainError,
+     "bad exponent tuple (0, 0, 0, 0, 0, 0, 0... (5000 entries) for dimension 2"),
+    (lambda: Poly(2, {(0, 0): "x" * 50}), DomainError,
+     "coefficient 'xxxxxxxxxxxxxxxxxxx... (50 characters) is not an integer or a Fraction"),
+    (lambda: LyndonWord((1,) + (0,) * 100), DomainError,
+     "(1, 0, 0, 0, 0, 0, 0... (101 entries) is not a Lyndon word"),
 ]
 
 

@@ -41,6 +41,8 @@ def test_oracle_lyndon_count_values():
     assert oracle_lyndon_count(2, 3) == 2
     assert oracle_lyndon_count(1, 2) == 0
     assert oracle_lyndon_count(3, 4) == 18
+    # a squarefree composite length: mu(6) = 1, from two distinct prime factors
+    assert oracle_lyndon_count(2, 6) == 9
 
 
 def test_oracle_lyndon_count_brute_force():
@@ -51,7 +53,7 @@ def test_oracle_lyndon_count_brute_force():
         return sum(1 for w in product(range(n), repeat=d) if lyndon(w))
 
     for n in (1, 2, 3):
-        for d in range(1, 6):
+        for d in range(1, 7):
             assert oracle_lyndon_count(n, d) == brute(n, d)
 
 
@@ -64,6 +66,28 @@ def test_oracle_multiplicativity_passes_and_fails():
     assert not bad.passed
     inputs, expected, got = bad.failures[0]
     assert "differ" in got
+
+
+def test_oracle_multiplicativity_refuses_a_free_field():
+    from igc import FreeLRElem, KField, free_bracket
+
+    d0, d1 = FreeLRElem.generator(CHART, 0), FreeLRElem.generator(CHART, 1)
+    nu = KField(CHART, 1, {frozenset({0}): free_bracket(d0, d1)})
+    with pytest.raises(DomainError, match="^oracle_multiplicativity needs a classical field$"):
+        oracle_multiplicativity(nu, trials=1, rng=Random(0))
+
+
+def test_convolve_drops_a_part_that_cancels():
+    from igc import Poly
+    from igc.oracle import _convolve
+
+    x0 = Poly.var(2, 0)
+    one = Poly.const(2, 1)
+    # x0*1 at {0,1} from ({0}, {1}) and x0*-1 from ({1}, {0}) sum to zero
+    a = {frozenset({0}): x0, frozenset({1}): x0}
+    b = {frozenset({1}): one, frozenset({0}): -one}
+    assert _convolve(a, b, 2) == {}
+    assert _convolve(a, {frozenset({1}): one}, 2) == {frozenset({0, 1}): x0}
 
 
 def test_oracle_multiplicativity_deterministic():
@@ -110,6 +134,23 @@ def test_quotient_expected_ranks():
     # fully free: extra dim(A_2) * 1 Lyndon word
     model = _QuotientModel(RelativeSpec(chart, frozenset()), 2, 0)
     assert model.expected_dimension() == 7
+
+
+def test_quotient_letters_of_zero_and_past_the_degree_cap():
+    model = _QuotientModel(RelativeSpec(CHART, frozenset()), 2, 0)
+    assert model._scaled_letter(0, (0, 0), 0) == {}
+    assert model._scaled_letter(3, (0, 0), 1) == {(model.letter_id[((0, 0), 1)],): 3}
+    with pytest.raises(DomainError, match="^monomial degree cap too small for the requested window$"):
+        model._scaled_letter(1, (9, 9), 0)
+
+
+def test_quotient_mismatch_is_recorded_per_weight(monkeypatch):
+    # the negative control of the rank comparison: a prediction one too high fails every weight, naming it
+    monkeypatch.setattr(_QuotientModel, "expected_dimension", lambda self: self.quotient_dimension() + 1)
+    rep = oracle_quotient_lowdegree(RelativeSpec(CHART, frozenset({1})), 2, weights=(-1, 0))
+    assert not rep.passed and rep.cases == 2
+    assert [inputs for inputs, _, _ in rep.failures] == ["weight=-1", "weight=0"]
+    assert all(expected == got + 1 for _, expected, got in rep.failures)
 
 
 def test_quotient_guardrails():

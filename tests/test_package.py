@@ -183,6 +183,29 @@ def test_only_the_chart_rule_raises_a_chart_mismatch():
     assert len(inside) == 1 and outside == []
 
 
+def test_only_the_display_rule_quotes_input():
+    # how a refusal shows a value the caller gave is one decision, `errors._shown`, which cuts a long value to a
+    # short line; a `!r` conversion anywhere else, in the message of a `raise`, a parser `_error` or an argparse
+    # `ArgumentTypeError`, quotes the whole value however long it is.  Two are not refusals and are exempt by
+    # name: `_Record.__repr__` and the source that `_checked` generates
+    exempt, outside = [], []
+    for module, tree in src_modules():
+        defs = [(f.name, f) for f in tree.body if isinstance(f, ast.FunctionDef)] + [
+            (f"{c.name}.{f.name}", f)
+            for c in tree.body if isinstance(c, ast.ClassDef)
+            for f in c.body if isinstance(f, ast.FunctionDef)
+        ]
+        named = {
+            id(node): f"{module}.{name}"
+            for name, f in defs if name in ("_shown", "_Record.__repr__", "_checked")
+            for node in ast.walk(f)
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FormattedValue) and node.conversion == ord("r"):
+                (exempt if id(node) in named else outside).append(named.get(id(node), f"{module}.py:{node.lineno}"))
+    assert sorted(exempt) == ["chart_algebra._Record.__repr__", "chart_algebra._checked"] and outside == []
+
+
 def test_only_chart_algebra_reads_a_packed_key_s_fields():
     # a monomial key packs one 64-bit exponent field per variable; the other
     # modules build and read keys through chart_algebra's helpers

@@ -8,7 +8,7 @@ one printed at the commit that pinned it.
 
 from parse_corpus import report, sha256
 
-DIGEST = "f44956a210a2fbec663a8c6ac3d14c3b405bc9aafc2063dd81c8bb36ad87dbb1"
+DIGEST = "4d12af1768cee778c5f66c9e47eccde519cf14d6f30c16c8522d7acbd970aaee"
 
 
 def test_parse_corpus_outcomes_are_pinned():
