@@ -156,11 +156,18 @@ def _value(x, cls: type, what: str, label):
     label (a `Poly` coefficient, a `FreeLRElem` component) and, through
     `_checked`, every value argument of a public function or constructor,
     checked before its chart is read; anything else raises a one-line
-    DomainError naming `what` and the label.
+    DomainError naming `what` and the label, shown by `_label`.
     """
     if isinstance(x, cls):
         return x
-    raise DomainError(f"{what} {label} is {type(x).__name__}, not {cls.__name__}")
+    raise DomainError(f"{what} {_label(label)} is {type(x).__name__}, not {cls.__name__}")
+
+
+def _label(label) -> str:
+    """The text of a refusal's label: a str of at most 40 characters as it is, as the names the library writes (a
+    parameter, `d0`) are, and any other label, a key the caller gave (an exponent tuple, a word, an index set, a
+    long str), as `_shown` shows a value."""
+    return label if type(label) is str and len(label) <= 40 else _shown(label)
 
 
 def _checked(f):
@@ -220,13 +227,13 @@ def _same_chart(got, want, what: str, label):
     This is the one rule for every value that must live on the chart of
     another (an operand, a coefficient, a component, a relative spec);
     anything else raises a one-line ChartMismatchError naming `what`, the
-    label and both charts, a `ChartSpec` as (dim, max_degree) and a dimension
-    n as R^n.
+    label, shown by `_label`, and both charts, a `ChartSpec` as
+    (dim, max_degree) and a dimension n as R^n.
     """
     if got != want:
         got, want = (f"({_shown(c.dim)}, {_shown(c.max_degree)})" if isinstance(c, ChartSpec) else f"R^{_shown(c)}"
                      for c in (got, want))
-        raise ChartMismatchError(f"{what} {label} lives on chart {got}, not {want}")
+        raise ChartMismatchError(f"{what} {_label(label)} lives on chart {got}, not {want}")
 
 
 def _budget(count: int, owner: type, name: str, what: str) -> int:

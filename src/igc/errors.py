@@ -12,6 +12,8 @@ def _shown(x) -> str:
     Past 40 characters (an int: 40 digits, counted from its bit length, so that one past Python's int-to-str limit
     is shown too) it is cut to its first 20 (an int: its sign and first 20 digits), "..." and its size in digits,
     entries of a collection or characters (of a str, its own length), so that a message stays one short line.
+    A value whose repr raises, such as a list holding an int past that limit, is shown by its type and, for a
+    collection, its entry count, so that showing a value never raises.
     """
     if type(x) is int:
         # n has floor((bit_length - 1) * log10(2)) + 1 digits, or one more
@@ -19,10 +21,14 @@ def _shown(x) -> str:
         size = int((n.bit_length() - 1) * 0.30102999566398120) + 1
         size += n >= 10**size
         return str(x) if size <= 40 else f"{'-' * (x < 0)}{n // 10 ** (size - 20)}... ({size} digits)"
-    text = repr(x)
+    collection = isinstance(x, (list, tuple, set, frozenset, dict))
+    try:
+        text = repr(x)
+    except Exception:  # whatever the caller's value raises, the refusal still shows it
+        return f"{type(x).__name__} ({len(x)} entries)" if collection else type(x).__name__
     if len(text) <= 40:
         return text
-    if isinstance(x, (list, tuple, set, frozenset, dict)):
+    if collection:
         return f"{text[:20]}... ({len(x)} entries)"
     return f"{text[:20]}... ({len(x) if isinstance(x, str) else len(text)} characters)"
 

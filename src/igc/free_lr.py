@@ -46,9 +46,9 @@ from math import lcm
 
 from . import lyndon
 from .chart_algebra import (
-    _PRODUCTS, ChartSpec, Poly, VField, _budget, _cancelled, _checked, _derivation_counts, _derivation_into, _index,
-    _int, _Module, _mul_into, _numerators, _partial_into, _poly_text, _Record, _same_chart, _summed, _value,
-    render_combination, vf_apply,
+    _PRODUCTS, ChartSpec, Poly, VField, _accumulate, _budget, _cancelled, _checked, _derivation_counts,
+    _derivation_into, _index, _int, _Module, _mul_into, _numerators, _partial_into, _poly_text, _Record, _same_chart,
+    _summed, _value, render_combination, vf_apply,
 )
 from .errors import DegreeOverflowError, DomainError, _shown
 from .lyndon import LyndonWord
@@ -103,11 +103,25 @@ class FreeLRElem(_Module):
         return cls._make(chart, {LyndonWord._make((i,)): {0: 1}}, 1)
 
     @classmethod
-    def _scaled_generator(cls, chart: ChartSpec, i: int, p: Poly) -> "FreeLRElem":
-        """p*d_i for a Poly p of the chart and an index i in it: p's numerators under the word (i,), over p's
-        denominator, with the term product budget `Poly * d_i` checks."""
-        _budget(len(p.num), Poly, "MAX_POW_PRODUCTS", _PRODUCTS)
-        return cls._make(chart, {LyndonWord._make((i,)): p.num}, p.den) if p.num else cls.zero(chart)
+    def _generator_sum(cls, chart: ChartSpec, terms: list[tuple[int, int, Poly]]) -> "FreeLRElem":
+        """The sum of the terms sign*p*d_i, each (sign, i, p) for a sign of 1 or -1, a Poly p of the chart and an
+        index i in it: the numerators of each p under the word (i,), over the lcm of their denominators, reduced
+        once when a word repeats.  Over the lcm of the reduced denominators no prime divides every numerator, so
+        terms of distinct words need no reduction, as in `_Module.__add__`."""
+        den = lcm(*[p.den for _, _, p in terms])
+        num: dict[int, dict[int, int]] = {}
+        shared = False
+        for sign, i, p in terms:
+            s = sign * (den // p.den)
+            n = p.num if s == 1 else {k: s * c for k, c in p.num.items()}
+            if i not in num:
+                if n:
+                    num[i] = n
+            else:
+                shared = True
+                num[i] = _accumulate(dict(num[i]), n.items())
+        words = {LyndonWord._make((i,)): n for i, n in num.items() if n}
+        return cls._make(chart, *_cancelled(words, den)) if shared else cls._make(chart, words, den)
 
     @classmethod
     @_checked

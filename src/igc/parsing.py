@@ -12,9 +12,13 @@ A term's leading factors INT, INT/INT, xI and xI^INT are read into one packed
 monomial, and a sum's polynomial terms into one numerator dict, reduced once;
 a term that is such a run alone is added as its numerator, denominator and
 key, with no Poly built for it.
-A polynomial of the chart times a generator dI with no ^ or * after it is read
-straight into its stored element, the polynomial's numerators under the word
-(i,); any other factor is read and multiplied as a value.
+A polynomial of the chart times a generator dI with no ^ or * after it is a
+generator term, the polynomial's numerators under the word (i,); any other
+factor is read and multiplied as a value.  A sum's generator terms, while no
+other term comes before them, are added into one numerator dict per word,
+reduced once, with no element built per term.  A K literal is checked once,
+after its closing brace, by the checks `KField(...)` runs and in their order,
+and is wrapped with no second check.
 """
 
 from __future__ import annotations
@@ -26,11 +30,12 @@ from math import gcd, lcm
 from typing import Any
 
 from .chart_algebra import (
-    _EXPONENT_OVERFLOW, ChartSpec, Poly, _accumulate, _checked, _poly, _Record, _reduced, _top_bits, _var_key,
+    _EXPONENT_OVERFLOW, _PRODUCTS, ChartSpec, Poly, _accumulate, _budget, _checked, _poly, _Record, _reduced,
+    _same_chart, _top_bits, _var_key,
 )
 from .errors import DomainError, _shown
 from .free_lr import FreeLRElem, free_bracket, project_to_lie
-from .groupoid import KField, compose, cup, face, homotopy, strong_diff
+from .groupoid import KField, _check_arity, _index_set, compose, cup, face, homotopy, strong_diff
 from .polyvector import Polyvector, wedge, schouten
 
 
@@ -169,8 +174,11 @@ class _Parser:
         dim = self.dim
         # polynomial terms wait here for `_poly_sum`, a whole monomial run as its (num, den, key) and any other
         # polynomial of the chart as (sign, den, p); a term of another type first turns them into the Poly value
-        # `_add` sees, and after it the polynomial terms are added one by one too
+        # `_add` sees, and after it the polynomial terms are added one by one too.  Generator terms p*dI wait in
+        # gens for `FreeLRElem._generator_sum`, as (sign, i, p), while every term before them is one; any other term
+        # first turns them into their element
         polys: list | None = []
+        gens: list = []
         op = "+"
         while True:
             run = self._monomial_run()
@@ -179,30 +187,42 @@ class _Parser:
                 polys.append(run if op == "+" else (-run[0], run[1], run[2]))
             else:
                 rhs = self.product(run) if run is None or self.text == "*" else _run_poly(dim, run)
-                if polys is None:
-                    value = _add(value, rhs if op == "+" else _neg(rhs), self.session.chart)
-                elif type(rhs) is Poly and rhs.dim == dim:
-                    polys.append((1 if op == "+" else -1, rhs.den, rhs))
-                elif not polys:  # the first term
-                    value, polys = rhs, None
-                else:
-                    value = _add(_poly_sum(dim, polys), rhs if op == "+" else _neg(rhs), self.session.chart)
+                if type(rhs) is tuple and (gens or polys == []):
+                    gens.append((1 if op == "+" else -1, *rhs))
                     polys = None
+                else:
+                    if type(rhs) is tuple:
+                        rhs = FreeLRElem._generator_sum(self.session.chart, [(1, *rhs)])
+                    if gens:
+                        value, gens = FreeLRElem._generator_sum(self.session.chart, gens), []
+                    if polys is None:
+                        value = _add(value, rhs if op == "+" else _neg(rhs), self.session.chart)
+                    elif type(rhs) is Poly and rhs.dim == dim:
+                        polys.append((1 if op == "+" else -1, rhs.den, rhs))
+                    elif not polys:  # the first term
+                        value, polys = rhs, None
+                    else:
+                        value = _add(_poly_sum(dim, polys), rhs if op == "+" else _neg(rhs), self.session.chart)
+                        polys = None
             if self.text != "+" and self.text != "-":
                 break
             op = self._advance()
         self.depth -= 1
+        if gens:
+            return FreeLRElem._generator_sum(self.session.chart, gens)
         return value if polys is None else _poly_sum(dim, polys)
 
     def product(self, run: tuple[int, int, int] | None):
-        """A product whose leading monomial run, if any, is already read as run."""
+        """A product whose leading monomial run, if any, is already read as run; a polynomial p of the chart times
+        a generator dI that ends the product comes as (i, p), for `sum` to add as p's numerators under the word
+        (i,), with the term product budget `Poly * d_i` checks."""
         value = self.unary() if run is None else _run_poly(self.dim, run)
         while self.text == "*":
             self._advance()
             if type(value) is Poly and value.dim == self.dim and (i := self._lone_generator()) is not None:
-                value = FreeLRElem._scaled_generator(self.session.chart, i, value)
-            else:
-                value = _mul(value, self.unary())
+                _budget(len(value.num), Poly, "MAX_POW_PRODUCTS", _PRODUCTS)
+                return i, value
+            value = _mul(value, self.unary())
         return value
 
     def _monomial_run(self) -> tuple[int, int, int] | None:
@@ -365,7 +385,14 @@ class _Parser:
             self._expect(":")
             comps[subset] = as_elem(self.sum(), chart)
         self._expect("}")
-        return KField(chart, k, comps)
+        # the checks of `KField(chart, k, comps)`, in its order, once the whole literal has parsed
+        _check_arity(k)
+        for subset, elem in comps.items():
+            if max(subset) >= k:
+                _index_set(subset, k, "component")
+            if elem.chart is not chart:
+                _same_chart(elem.chart, chart, "component", subset)
+        return KField._make(chart, k, {subset: elem for subset, elem in comps.items() if elem.num})
 
     def _subset_index(self, seen: list[int]) -> int:
         if not self.text.isdigit():

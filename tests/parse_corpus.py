@@ -43,6 +43,11 @@ FIXED = [
     "(" * 101 + "d0" + ")" * 101, "(" * 99 + "x0" + ")" * 99, "-" * 300 + "x0*d1", "--x0 - -x1 + - -1",
     "n + x0", "a*d0 + u", "cup(mu, mu)", "face(mu, 1)", "homotopy(mu, 0, 1)", "sdiff(mu, mu, 0, 1)",
     "wedge(p, d1)", "schouten(p, a*p)", "a^2*p", "mu + mu", "-mu", "zz + 1", "x0*a*a - a^2", "p ^ d0",
+    # K literals checked after their closing brace: a slot past the arity, an arity out of range, a component that
+    # cancels, one of another type, a parse error after a bad slot, a sum of generator terms and a later refusal
+    "K{arity=2; 0,2: d0}", "K{arity=0; 0: d0}", "K{arity=1001; 0: d0}", "K{arity=1; 0: d0 - d0}",
+    "K{arity=1; 0: p}", "K{arity=1; 0: mu}", "K{arity=1; 3: d0; 0: (}",
+    "K{arity=1; 0: 1/2*d0 + (x0 - 1/3)*d1 - 1/6*d0}", "K{arity=2; 5,0: d0; 1: x0 + d1}",
 ]
 
 
@@ -126,8 +131,10 @@ def _poly_text(rng: Random, dim: int) -> str:
     return "".join(terms)
 
 
-def _kfield(rng: Random) -> str:
-    dim, k = rng.choice([2, 3]), rng.randint(1, 3)
+def kfield_literal(rng: Random, dim: int) -> str:
+    """A session-mix-shaped K literal on a chart of dimension dim: each component a sum of generator terms
+    COEF*dI and (poly)*dI and of F[d0,d1] terms."""
+    k = rng.randint(1, 3)
     parts = [f"arity={k}"]
     subsets = [[i for i in range(k) if n >> i & 1] for n in range(1, 1 << k)]
     for phi in sorted(rng.sample(subsets, rng.randint(1, len(subsets))), key=lambda s: (len(s), s)):
@@ -139,7 +146,11 @@ def _kfield(rng: Random) -> str:
             else:
                 terms.append(f"{_poly_text(rng, dim).split(' ')[0]}*{word}")
         parts.append(f"{','.join(map(str, phi))}: {' + '.join(terms)}")
-    text = "K{" + "; ".join(parts) + "}"
+    return "K{" + "; ".join(parts) + "}"
+
+
+def _kfield(rng: Random) -> str:
+    text = kfield_literal(rng, rng.choice([2, 3]))
     if rng.random() < 0.3:
         # one character dropped, doubled or replaced by another token's
         at = rng.randrange(len(text))

@@ -47,6 +47,8 @@ from igc import (
 )
 from igc.free_lr import _drop_vertical
 from igc.lyndon import is_lyndon
+from igc.parsing import Session, as_elem, parse_expression
+from parse_corpus import kfield_literal
 from test_free_lr import reference_free_bracket, reference_lie_bracket_ext
 
 DIM = 2
@@ -299,6 +301,44 @@ def test_kfield_results_are_canonical(mu, nu, first_order, extra, pair, flavor):
     results += [add_over_face(mu, KField(CHART, ARITY, partner), psi), add_over_face(mu, mu, psi)]
     for result in results:
         assert_canonical_kfield(result)
+
+
+def top_level_terms(expression: str) -> list[str]:
+    """The terms of a sum joined by " + ", outside parentheses and brackets."""
+    terms, depth, start = [], 0, 0
+    for at, char in enumerate(expression):
+        depth += (char in "([") - (char in ")]")
+        if not depth and expression.startswith(" + ", at):
+            terms.append(expression[start:at])
+            start = at + 3
+    return terms + [expression[start:]]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.randoms(use_true_random=False), st.sampled_from([2, 3]), st.sampled_from(["as drawn", "twice", "cancelled"]))
+def test_a_k_literal_is_the_field_the_public_constructor_builds(rng, dim, twist):
+    # the parser checks a K literal once and wraps it unchecked, and sums a component's generator terms by word:
+    # the field is the one `KField` builds from each component parsed alone, and each component is stored as
+    # `FreeLRElem` stores it.  The last component may be read twice, so that its terms collide and may need a
+    # reduction, or followed by each of its terms negated, so that it vanishes and is dropped
+    chart = ChartSpec(dim, 4)
+    session = Session(chart)
+    arity, *parts = kfield_literal(rng, dim)[2:-1].split("; ")
+    slots, _, expression = parts[-1].partition(": ")
+    if twist == "twice":
+        expression += " + " + expression
+    elif twist == "cancelled":
+        expression += "".join(f" - {term}" for term in top_level_terms(expression))
+    parts[-1] = f"{slots}: {expression}"
+    components = {}
+    for part in parts:
+        slots, _, expression = part.partition(": ")
+        components[frozenset(map(int, slots.split(",")))] = as_elem(parse_expression(expression, session), chart)
+    field = parse_expression("K{" + "; ".join([arity, *parts]) + "}", session)
+    assert field == KField(chart, int(arity.removeprefix("arity=")), components)
+    for elem in field.components.values():
+        assert_stored_elem(elem)
+        assert elem == FreeLRElem(chart, elem.terms) and hash(elem) == hash(FreeLRElem(chart, elem.terms))
 
 
 def test_reduce_drops_components_whose_projection_vanishes():

@@ -226,6 +226,21 @@ ROWS = [
      "coefficient 'xxxxxxxxxxxxxxxxxxx... (50 characters) is not an integer or a Fraction"),
     (lambda: LyndonWord((1,) + (0,) * 100), DomainError,
      "(1, 0, 0, 0, 0, 0, 0... (101 entries) is not a Lyndon word"),
+    # a label that is the caller's key is shown by the same rule, and so is a value whose repr raises
+    (lambda: Poly(2, {10**5000: 1}), DomainError,
+     "Poly exponent 10000000000000000000... (5001 digits) is int, not Iterable"),
+    (lambda: Polyvector(2, {10**5000: X2}), DomainError,
+     "blade 10000000000000000000... (5001 digits) is int, not Iterable"),
+    (lambda: Polyvector(2, {"0" * 5000: 1}), DomainError,
+     "coefficient of blade '0000000000000000000... (5000 characters) is int, not Poly"),
+    (lambda: Polyvector(2, {10**5000: X3}), ChartMismatchError,
+     "coefficient of blade 10000000000000000000... (5001 digits) lives on chart R^3, not R^2"),
+    (lambda: FreeLRElem(ChartSpec(2), {10**5000: X2}), DomainError,
+     "word 10000000000000000000... (5001 digits) is int, not Iterable"),
+    (lambda: KField(ChartSpec(2), 2).component(10**5000), DomainError,
+     "component index set 10000000000000000000... (5001 digits) is int, not Iterable"),
+    (lambda: Poly(2, {(0, 0): [10**5000]}), DomainError, "coefficient list (1 entries) is not an integer or a Fraction"),
+    (lambda: Poly(2, {(0, 0): range(10**5000)}), DomainError, "coefficient range is not an integer or a Fraction"),
 ]
 
 

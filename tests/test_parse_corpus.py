@@ -8,7 +8,7 @@ one printed at the commit that pinned it.
 
 from parse_corpus import report, sha256
 
-DIGEST = "4d12af1768cee778c5f66c9e47eccde519cf14d6f30c16c8522d7acbd970aaee"
+DIGEST = "affc85ebe1a3cb157f2fe635dfd746ddd0dc41c81cc097b3e489b8d32dbc5c59"
 
 
 def test_parse_corpus_outcomes_are_pinned():

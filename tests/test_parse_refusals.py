@@ -11,7 +11,8 @@ import pytest
 from cli_lines import run_igc
 
 from igc.chart_algebra import ChartSpec, Poly
-from igc.errors import DomainError
+from igc.errors import ChartMismatchError, DomainError
+from igc.groupoid import KField
 from igc.parsing import Session, parse_expression
 
 V = "(3/4*x0 - x1^2)*d0 + x1*d1"
@@ -82,6 +83,31 @@ def test_a_bound_int_is_refused_as_a_summand():
     with pytest.raises(DomainError) as info:
         parse_expression("n + x0", Session(ChartSpec(2), {"n": 5}))
     assert type(info.value) is DomainError and str(info.value) == "cannot add int and Poly"
+
+
+W = parse_expression("x0*d1", Session(ChartSpec(2, 3)))
+
+
+@pytest.mark.parametrize("src, error, message, field", [
+    # the literal's own checks run after its closing brace, in the order `KField` runs them, with its refusals
+    ("K{arity=1; 0: w}", ChartMismatchError, "component frozenset({0}) lives on chart (2, 3), not (2, 4)",
+     (1, {frozenset({0}): W})),
+    ("K{arity=1; 0: w; 3: d0}", ChartMismatchError, "component frozenset({0}) lives on chart (2, 3), not (2, 4)",
+     None),
+    ("K{arity=1; 3: w}", DomainError, "component index 3 out of range [0, 1)", (1, {frozenset({3}): W})),
+    ("K{arity=0; 3: w}", DomainError, "arity must be >= 1, got 0", (0, {frozenset({3}): W})),
+    # a sum of generator terms meets a term of another chart as the sum of two elements does
+    ("K{arity=1; 0: x0*d0 - 1/2*d1 + w}", ChartMismatchError, "sum operand lives on chart (2, 3), not (2, 4)", None),
+])
+def test_a_k_literal_refuses_a_bound_element_of_another_chart(src, error, message, field):
+    session = Session(ChartSpec(2, 4), {"w": W})
+    calls = [lambda: parse_expression(src, session)]
+    if field is not None:
+        calls.append(lambda: KField(session.chart, *field))
+    for call in calls:
+        with pytest.raises(DomainError) as info:
+            call()
+        assert type(info.value) is error and str(info.value) == message
 
 
 def test_a_zero_factor_hides_a_later_exponent_overflow():
