@@ -16,8 +16,8 @@ Commands:
   let NAME = EXPR               bind a name (scripts and shared sessions)
   check [--max-degree D] [--seed S] [--only NAME] [--invert NAME] [--timings]
 
-Exit codes: 0 ok, 1 usage or parse error, 2 violated precondition,
-3 check failures.
+Exit codes: 0 ok, 1 usage or parse error or output that cannot be written,
+2 violated precondition, 3 check failures, 130 interrupted.
 
 `--profile` runs the command under cProfile and prints the functions with the
 most own time, then the sizes of the Lyndon caches, to stderr.  `check
@@ -28,10 +28,13 @@ stdout stays as without it.
 from __future__ import annotations
 
 import argparse
+import io
 import json
+import os
 import re
 import shlex
 import sys
+from contextlib import suppress
 
 from . import free_lr, lyndon
 from .chart_algebra import ChartSpec, Poly, _int, _Record
@@ -197,6 +200,8 @@ def _run_check(args: list[str], session: Session) -> CommandOutcome:
             name = next(it, None)
             if name is None:
                 raise UsageError(f"check flag {flag} needs a check name")
+            if (only if flag == "--only" else invert) is not None:
+                raise UsageError(f"check flag {flag} given twice")
             if flag == "--only":
                 only = name
             else:
@@ -254,11 +259,25 @@ def _build_parser() -> _ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     try:
         opts = _build_parser().parse_args(argv)
+        code = _profiled(opts) if opts.profile else _run(opts)
+        sys.stdout.flush()
     except UsageError as exc:
         print(f"igc: {exc}", file=sys.stderr)
         return 1
-    if not opts.profile:
-        return _run(opts)
+    except KeyboardInterrupt:
+        print("igc: interrupted", file=sys.stderr)
+        return 130
+    except OSError as exc:  # only a write to stdout raises it here: the script is read under its own handler
+        with suppress(OSError):
+            print(f"igc: cannot write output: {exc}", file=sys.stderr)
+        # the rest goes to os.devnull, so the interpreter's last flush cannot fail again (the Python docs' SIGPIPE note)
+        with suppress(io.UnsupportedOperation):  # an in-memory stream, which holds nothing back
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return code
+
+
+def _profiled(opts: argparse.Namespace) -> int:
     import cProfile
     import pstats
 
@@ -321,7 +340,11 @@ def _run(opts: argparse.Namespace) -> int:
             except ValueError as exc:
                 print(f"igc: script line {number}: {exc}", file=sys.stderr)
                 return 1
-            code = run_one(tokens)
+            try:
+                code = run_one(tokens)
+            except KeyboardInterrupt:
+                print(f"igc: script line {number}: interrupted", file=sys.stderr)
+                return 130
             if code != 0:
                 print(f"igc: script line {number} failed", file=sys.stderr)
                 return code

@@ -103,27 +103,6 @@ class FreeLRElem(_Module):
         return cls._make(chart, {LyndonWord._make((i,)): {0: 1}}, 1)
 
     @classmethod
-    def _generator_sum(cls, chart: ChartSpec, terms: list[tuple[int, int, Poly]]) -> "FreeLRElem":
-        """The sum of the terms sign*p*d_i, each (sign, i, p) for a sign of 1 or -1, a Poly p of the chart and an
-        index i in it: the numerators of each p under the word (i,), over the lcm of their denominators, reduced
-        once when a word repeats.  Over the lcm of the reduced denominators no prime divides every numerator, so
-        terms of distinct words need no reduction, as in `_Module.__add__`."""
-        den = lcm(*[p.den for _, _, p in terms])
-        num: dict[int, dict[int, int]] = {}
-        shared = False
-        for sign, i, p in terms:
-            s = sign * (den // p.den)
-            n = p.num if s == 1 else {k: s * c for k, c in p.num.items()}
-            if i not in num:
-                if n:
-                    num[i] = n
-            else:
-                shared = True
-                num[i] = _accumulate(dict(num[i]), n.items())
-        words = {LyndonWord._make((i,)): n for i, n in num.items() if n}
-        return cls._make(chart, *_cancelled(words, den)) if shared else cls._make(chart, words, den)
-
-    @classmethod
     @_checked
     def from_vfield(cls, chart: ChartSpec, v: VField) -> "FreeLRElem":
         _same_chart(v.dim, chart.dim, "FreeLRElem.from_vfield argument", "v")
@@ -151,6 +130,17 @@ class FreeLRElem(_Module):
     def to_json(self):
         order = sorted(self.num, key=lambda w: (len(w), w))
         return [{"word": list(w), "coeff": _poly_text(self.chart.dim, self.num[w], self.den)} for w in order]
+
+
+def _generator_runs(chart: ChartSpec, runs: list[tuple[int, int, int, int]]) -> FreeLRElem:
+    """The sum of the runs num/den*x^key*d_i, each (num, den, key, i) for a monomial key and a generator index i of
+    the chart: the numerators of each word (i,) over the lcm of the denominators, reduced once."""
+    den = lcm(*[d for _, d, _, _ in runs])
+    num: dict[int, dict[int, int]] = {}
+    for n, d, key, i in runs:
+        if n:
+            _accumulate(num.setdefault(i, {}), ((key, den // d * n),))
+    return FreeLRElem._make(chart, *_cancelled({LyndonWord._make((i,)): acc for i, acc in num.items() if acc}, den))
 
 
 def lyndon_basis(n: int, d: int) -> list[LyndonWord]:

@@ -8,17 +8,15 @@ Errors carry line and column.
 
 The tokens are the plain texts of one regex scan; a token's kind is read from
 its text, and its offset is found by a re-scan only when an error needs it.
-A term's leading factors INT, INT/INT, xI and xI^INT are read into one packed
-monomial, and a sum's polynomial terms into one numerator dict, reduced once;
-a term that is such a run alone is added as its numerator, denominator and
-key, with no Poly built for it.
-A polynomial of the chart times a generator dI with no ^ or * after it is a
-generator term, the polynomial's numerators under the word (i,); any other
-factor is read and multiplied as a value.  A sum's generator terms, while no
-other term comes before them, are added into one numerator dict per word,
-reduced once, with no element built per term.  A K literal is checked once,
-after its closing brace, by the checks `KField(...)` runs and in their order,
-and is wrapped with no second check.
+A term's leading factors INT, INT/INT, xI and xI^INT are read in one loop
+into one packed monomial, a run.  A sum reads a term r*dI or (r ± r ± ...)*dI
+of runs r and a generator dI of the chart as its runs under the word (i,),
+with no nested sum and no Poly; any other shape, and any other factor, is
+read and multiplied as a value.  A sum's terms wait in one list while each is
+a polynomial of the chart or each a generator term, and are added into one
+numerator dict per label, reduced once.  A K literal is checked once, after
+its closing brace, by the checks `KField(...)` runs and in their order, and
+is wrapped with no second check.
 """
 
 from __future__ import annotations
@@ -26,15 +24,15 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from itertools import islice
-from math import gcd, lcm
+from math import lcm
 from typing import Any
 
 from .chart_algebra import (
-    _EXPONENT_OVERFLOW, _PRODUCTS, ChartSpec, Poly, _accumulate, _budget, _checked, _poly, _Record, _reduced,
+    _EXPONENT_OVERFLOW, _PRODUCTS, ChartSpec, Poly, _accumulate, _budget, _checked, _Record, _reduced,
     _same_chart, _top_bits, _var_key,
 )
 from .errors import DomainError, _shown
-from .free_lr import FreeLRElem, free_bracket, project_to_lie
+from .free_lr import FreeLRElem, _generator_runs, free_bracket, project_to_lie
 from .groupoid import KField, _check_arity, _index_set, compose, cup, face, homotopy, strong_diff
 from .polyvector import Polyvector, wedge, schouten
 
@@ -171,110 +169,136 @@ class _Parser:
             self._error(
                 f"expression nests deeper than the parser budget of _Parser.MAX_NESTING = {self.MAX_NESTING} levels"
             )
-        dim = self.dim
-        # polynomial terms wait here for `_poly_sum`, a whole monomial run as its (num, den, key) and any other
-        # polynomial of the chart as (sign, den, p); a term of another type first turns them into the Poly value
-        # `_add` sees, and after it the polynomial terms are added one by one too.  Generator terms p*dI wait in
-        # gens for `FreeLRElem._generator_sum`, as (sign, i, p), while every term before them is one; any other term
-        # first turns them into their element
-        polys: list | None = []
-        gens: list = []
+        # terms of one kind wait here for `_value_of`; one of another kind hands their sum to `_add`, as each later one
+        pending: list | None = []
         op = "+"
         while True:
-            run = self._monomial_run()
+            sign = 1 if op == "+" else -1
+            if (run := self._monomial_run(self.pos)) is not None:
+                self.pos, self.text = run[3], self.tokens[run[3]]
             # no ^ follows a run: the run reader leaves a factor with a ^ after it to `unary`
-            if run is not None and self.text != "*" and polys is not None:
-                polys.append(run if op == "+" else (-run[0], run[1], run[2]))
+            if run is not None and self.text != "*":
+                term = [(sign * run[0], run[1], run[2], None)]
+            elif (term := self._generator_term(sign, run)) is None:
+                rhs = self.product(run)
+                if type(rhs) is tuple:
+                    i, p = rhs
+                    # a zero coefficient is the zero run, which keeps the term's kind
+                    term = [(sign * n, p.den, k, i) for k, n in p.num.items()] or [(0, 1, 0, i)]
+                elif type(rhs) is Poly and rhs.dim == self.dim:
+                    term = [(sign, rhs.den, rhs, None)]
+            if term is None or pending is None or pending and (term[0][3] is None) != (pending[0][3] is None):
+                if term is not None:
+                    rhs = self._value_of(term)
+                elif op == "-":
+                    rhs = _neg(rhs)
+                if pending != []:  # the first term is the value itself
+                    rhs = _add(value if pending is None else self._value_of(pending), rhs, self.session.chart)
+                value, pending = rhs, None
             else:
-                rhs = self.product(run) if run is None or self.text == "*" else _run_poly(dim, run)
-                if type(rhs) is tuple and (gens or polys == []):
-                    gens.append((1 if op == "+" else -1, *rhs))
-                    polys = None
-                else:
-                    if type(rhs) is tuple:
-                        rhs = FreeLRElem._generator_sum(self.session.chart, [(1, *rhs)])
-                    if gens:
-                        value, gens = FreeLRElem._generator_sum(self.session.chart, gens), []
-                    if polys is None:
-                        value = _add(value, rhs if op == "+" else _neg(rhs), self.session.chart)
-                    elif type(rhs) is Poly and rhs.dim == dim:
-                        polys.append((1 if op == "+" else -1, rhs.den, rhs))
-                    elif not polys:  # the first term
-                        value, polys = rhs, None
-                    else:
-                        value = _add(_poly_sum(dim, polys), rhs if op == "+" else _neg(rhs), self.session.chart)
-                        polys = None
+                pending += term
             if self.text != "+" and self.text != "-":
                 break
             op = self._advance()
         self.depth -= 1
-        if gens:
-            return FreeLRElem._generator_sum(self.session.chart, gens)
-        return value if polys is None else _poly_sum(dim, polys)
+        return value if pending is None else self._value_of(pending)
 
-    def product(self, run: tuple[int, int, int] | None):
+    def _value_of(self, terms: list):
+        """The sum of terms that are each a polynomial of the chart, a run as (num, den, key, None) and another p as
+        (sign, p.den, p, None), or each a generator term, as its runs (num, den, key, i), reduced once."""
+        return _poly_sum(self.dim, terms) if terms[0][3] is None else _generator_runs(self.session.chart, terms)
+
+    def product(self, run: tuple[int, int, int, int] | None):
         """A product whose leading monomial run, if any, is already read as run; a polynomial p of the chart times
         a generator dI that ends the product comes as (i, p), for `sum` to add as p's numerators under the word
         (i,), with the term product budget `Poly * d_i` checks."""
-        value = self.unary() if run is None else _run_poly(self.dim, run)
+        value = self.unary() if run is None else _poly_sum(self.dim, [run])
         while self.text == "*":
             self._advance()
-            if type(value) is Poly and value.dim == self.dim and (i := self._lone_generator()) is not None:
+            if type(value) is Poly and value.dim == self.dim and (i := self._lone_generator(self.pos)) is not None:
                 _budget(len(value.num), Poly, "MAX_POW_PRODUCTS", _PRODUCTS)
+                self._advance()
                 return i, value
             value = _mul(value, self.unary())
         return value
 
-    def _monomial_run(self) -> tuple[int, int, int] | None:
-        """A product's leading run of factors INT, INT/INT, xI and xI^INT, each after any minuses, read as one
-        monomial's numerator, denominator and key, its key checked per factor as a product checks it; None when
-        the first factor is not one of them.  A factor that may be refused (INT^.., INT/0, xI past the chart, xI^INT
-        past MAX_EXPONENT, a second ^) ends the run, read as before."""
-        tokens, dim = self.tokens, self.dim
-        if (factor := self._monomial_factor(self.pos)) is None:
+    def _generator_term(self, sign: int, run: tuple[int, int, int, int] | None) -> list | None:
+        """The term r*dI, r the run already read, or else (r ± r ± ...)*dI after any minuses, for runs r and dI in
+        the chart with no ^ or * after it, as its runs (num, den, key, i), signed, moved past, under `Poly * d_i`'s
+        budget; None with nothing read on any other shape, and at the nesting budget the general reading refuses."""
+        tokens, at = self.tokens, self.pos
+        if run is not None:
+            runs = [(sign * run[0], run[1], run[2])]
+        else:
+            while tokens[at] == "-":
+                sign, at = -sign, at + 1
+            if tokens[at] != "(" or self.depth >= self.MAX_NESTING:
+                return None
+            runs, s = [], sign
+            while (run := self._monomial_run(at + 1)) is not None:  # at is the ( or the + or - before the run
+                num, den, key, at = run
+                runs.append((s * num, den, key))
+                if tokens[at] != "+" and tokens[at] != "-":
+                    break
+                s = sign if tokens[at] == "+" else -sign
+            if tokens[at] != ")":
+                return None
+            at += 1
+        if tokens[at] != "*" or (i := self._lone_generator(at + 1)) is None:
             return None
-        num, den, key, pos = factor
-        while tokens[pos] == "*" and (factor := self._monomial_factor(pos + 1)):
-            n, d, k, pos = factor
-            num, den, key = num * n, den * d, key + k
-            if num and key & _top_bits(dim):
+        term = [(num, den, key, i) for num, den, key in runs]
+        # the nonzero monomials are at most the runs, so only a term of more runs than the budget needs their count
+        if len(term) > Poly.MAX_POW_PRODUCTS:
+            _budget(len(_poly_sum(self.dim, term).num), Poly, "MAX_POW_PRODUCTS", _PRODUCTS)
+        self.pos, self.text = at + 2, tokens[at + 2]
+        return term
+
+    def _monomial_run(self, at: int) -> tuple[int, int, int, int] | None:
+        """The run of factors INT, INT/INT, xI, xI^INT at token index at, each after any minuses, as one monomial's
+        numerator, denominator and key, checked per factor, and the index after it; None if the first is not one.  A
+        factor that may be refused (INT^.., INT/0, xI past the chart or MAX_EXPONENT, a second ^) ends the run."""
+        tokens, dim, top = self.tokens, self.dim, _top_bits(self.dim)
+        num, den, key, end = 1, 1, 0, None
+        while True:
+            sign = 1
+            while tokens[at] == "-":
+                sign, at = -sign, at + 1
+            text = tokens[at]
+            if text.isdigit() and tokens[at + 1] != "^":
+                n, d = sign * int(text), 1
+                # the grammar reads a denominator INT^.. and refuses a zero one
+                if tokens[at + 1] == "/":
+                    if not (tokens[at + 2].isdigit() and tokens[at + 3] != "^" and (d := int(tokens[at + 2]))):
+                        break
+                    at += 2
+                num, den = num * n, den * d
+            # int() refuses more than 4,300 digits: a longer index is left to `chart_index`
+            elif _VAR_RE.match(text) and len(text) <= 21 and (i := int(text[1:])) < dim:
+                e = 1
+                # the grammar reads an exponent INT/INT or INT^.., and refuses one past MAX_EXPONENT
+                if tokens[at + 1] == "^":
+                    ok = tokens[at + 2].isdigit() and tokens[at + 3] not in ("^", "/")
+                    if not ok or (e := int(tokens[at + 2])) > Poly.MAX_EXPONENT:
+                        break
+                    at += 2
+                num, key = num * sign, key + _var_key(i, e)
+            else:
+                break
+            end = at = at + 1
+            if num and key & top:
                 raise DomainError(_EXPONENT_OVERFLOW)
-        self.pos = pos
-        self.text = tokens[pos]
-        return num, den, key
+            if tokens[at] != "*":
+                break
+            at += 1
+        return None if end is None else (num, den, key, end)
 
-    def _monomial_factor(self, at: int) -> tuple[int, int, int, int] | None:
-        """Numerator, denominator and key of a monomial factor at token index at, and the index after it."""
-        tokens = self.tokens
-        sign = 1
-        while tokens[at] == "-":
-            sign, at = -sign, at + 1
-        text = tokens[at]
-        if text.isdigit():
-            if tokens[at + 1] != "/":
-                return None if tokens[at + 1] == "^" else (sign * int(text), 1, 0, at + 1)
-            ok = tokens[at + 2].isdigit() and tokens[at + 3] != "^" and (den := int(tokens[at + 2]))
-            return (sign * int(text), den, 0, at + 3) if ok else None
-        # int() refuses more than 4,300 digits: a longer index is left to `chart_index`
-        if not _VAR_RE.match(text) or len(text) > 21 or (i := int(text[1:])) >= self.dim:
-            return None
-        if tokens[at + 1] != "^":
-            return sign, 1, _var_key(i), at + 1
-        # the grammar reads an exponent INT/INT or INT^.., and refuses one past MAX_EXPONENT
-        ok = tokens[at + 2].isdigit() and tokens[at + 3] not in ("^", "/")
-        return (sign, 1, _var_key(i, e), at + 3) if ok and (e := int(tokens[at + 2])) <= Poly.MAX_EXPONENT else None
-
-    def _lone_generator(self) -> int | None:
-        """The index of a generator dI in the chart at the current token, moved past, when no ^ or * follows it;
-        else None, the token left for `unary` to read or refuse."""
-        text = self.text
-        # as in `_monomial_factor`, a longer index is left to `chart_index`
+    def _lone_generator(self, at: int) -> int | None:
+        """The index of a generator dI of the chart at token index at with no ^ or * after it; else None."""
+        text = self.tokens[at]
+        # as in `_monomial_run`, a longer index is left to `chart_index`
         if not _GEN_RE.match(text) or len(text) > 21 or (i := int(text[1:])) >= self.dim:
             return None
-        if self.tokens[self.pos + 1] in ("^", "*"):
-            return None
-        self._advance()
-        return i
+        return None if self.tokens[at + 1] in ("^", "*") else i
 
     def unary(self):
         signs = 0
@@ -483,21 +507,14 @@ def apply_operation(name: str, args: list, chart: ChartSpec, read, index):
 # type-dispatched operators ---------------------------------------------------
 
 
-def _run_poly(dim: int, run: tuple[int, int, int]) -> Poly:
-    """The monomial num/den*x^key of a run (num, den, key)."""
-    num, den, key = run
-    g = gcd(num, den)
-    return _poly(dim, {key: num // g} if num else {}, den // g)
-
-
-def _poly_sum(dim: int, terms: list[tuple[int, int, Any]]) -> Poly:
-    """The sum of the terms, each a run (num, den, key) or a polynomial (sign, den, p) of denominator den, over the
-    lcm of their denominators, reduced once."""
-    if len(terms) == 1 and type(terms[0][2]) is Poly:
+def _poly_sum(dim: int, terms: list[tuple[int, int, Any, Any]]) -> Poly:
+    """The sum of the terms, each a run (num, den, key, _) or a polynomial (sign, den, p, _) of denominator den, over
+    the lcm of their denominators, reduced once."""
+    if len(terms) == 1 and type(terms[0][2]) is Poly and terms[0][0] == 1:
         return terms[0][2]
-    den = lcm(*[d for _, d, _ in terms])
+    den = lcm(*[d for _, d, _, _ in terms])
     acc: dict[int, int] = {}
-    for c, d, x in terms:
+    for c, d, x, _ in terms:
         s = den // d * c
         if type(x) is Poly:
             _accumulate(acc, [(k, s * n) for k, n in x.num.items()])

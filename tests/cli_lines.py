@@ -5,7 +5,8 @@
 `run_igc` calls `igc.cli.main(argv)` with stdout and stderr captured, turns
 an argparse `SystemExit` into the exit code, and returns what a launch of
 `python -m igc ARGV` with `capture_output=True, text=True` returns, so a test
-reads `returncode`, `stdout` and `stderr` as it would from the launch.  The
+reads `returncode`, `stdout` and `stderr` as it would from the launch.  A test
+may hand in its own stdout stream, such as one whose writes fail.  The
 line runs under `wall_bound(seconds)`, so a runaway line fails its test
 instead of stalling the suite.
 
@@ -29,6 +30,7 @@ LAUNCH_TESTS = {
     "test_one_shot_command_loads_only_what_it_runs": "the modules `python -X importtime -m igc` imports, two launches",
     "test_one_shot_command_leaves_check_suite_and_profiler_unloaded": "the modules a fresh `main` call loads",
     "test_cli_identical_output_across_runs": "stdout of two fresh interpreters",
+    "test_a_full_disk_ends_in_one_line_and_no_second_traceback": "the interpreter's own last flush of stdout",
 }
 
 
@@ -52,9 +54,10 @@ def wall_bound(seconds: float):
         signal.signal(signal.SIGALRM, previous)
 
 
-def run_igc(argv: list[str], seconds: float = 60) -> subprocess.CompletedProcess:
-    """The exit code, stdout and stderr of `igc ARGV`, run in process under a wall bound of `seconds`."""
-    out, err = io.StringIO(), io.StringIO()
+def run_igc(argv: list[str], seconds: float = 60, out: io.StringIO | None = None) -> subprocess.CompletedProcess:
+    """The exit code, stdout and stderr of `igc ARGV`, run in process under a wall bound of `seconds`; out, if
+    given, is the stream that stands for stdout."""
+    out, err = io.StringIO() if out is None else out, io.StringIO()
     with wall_bound(seconds), redirect_stdout(out), redirect_stderr(err):
         try:
             code = main(argv)

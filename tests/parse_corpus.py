@@ -48,6 +48,15 @@ FIXED = [
     "K{arity=2; 0,2: d0}", "K{arity=0; 0: d0}", "K{arity=1001; 0: d0}", "K{arity=1; 0: d0 - d0}",
     "K{arity=1; 0: p}", "K{arity=1; 0: mu}", "K{arity=1; 3: d0; 0: (}",
     "K{arity=1; 0: 1/2*d0 + (x0 - 1/3)*d1 - 1/6*d0}", "K{arity=2; 5,0: d0; 1: x0 + d1}",
+    # generator terms (r ± r ± ...)*dI and r*dI of monomial runs r: sums that cancel or mix kinds, leading minuses,
+    # and shapes read as products: a ^ or * after dI, dI past the chart, a factor that is no run, a run that
+    # overflows, a coefficient of another shape, and the nesting budget around a parenthesized coefficient
+    "(x0 + 1)*d0 - (x0 + 1)*d0", "(x0)*d0 + x0", "0 + (x0 - 1/2)*d1", "-(x0 + 1)*d0", "- -(x0 + 1)*d1",
+    "(x0 + 1)*d0^2", "(x0 + 1)*d0*x1", "(x0 + 1)*d7", "((x0 + 1))*d0", "(x0 + d1)*d0", "(x0^2)^2*d0",
+    "(1/0 + x0)*d0", "(1 - x1 + x0^9223372036854775807*x0)*d0", "x0^9223372036854775807*x0*d1",
+    "K{arity=1; 0: (x0 + 1)*d0 + 2*d0 - F[d0,d1]}", "0*d0 + x0", "2/4*x0*d1 - x0*-1/2*d1 + -(x1 - 2/4)*d0",
+    "3*(x0 + x1)*d1 + (2/6*x1)*d1", "2*(x0 - x0)*d0 + x1", "(x0 - x0)*d1 + x1", "d0 + (x0 + 1)*d1",
+    "(" * 98 + "(x0)*d0" + ")" * 98, "(" * 99 + "(x0)*d0" + ")" * 99,
 ]
 
 

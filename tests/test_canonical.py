@@ -341,6 +341,55 @@ def test_a_k_literal_is_the_field_the_public_constructor_builds(rng, dim, twist)
         assert elem == FreeLRElem(chart, elem.terms) and hash(elem) == hash(FreeLRElem(chart, elem.terms))
 
 
+def monomial_run(rng, dim: int) -> tuple[str, Poly]:
+    """The text of a run of factors INT, INT/INT (denominators 1 to 9), xI and xI^INT, some after a minus, and its
+    value built through public Poly arithmetic."""
+    texts, value = [], Poly.const(dim, 1)
+    for _ in range(rng.randint(1, 4)):
+        if rng.random() < 0.4:
+            n, d = rng.randint(0, 9), rng.randint(1, 9)
+            text, factor = (f"{n}/{d}", Poly.const(dim, Fraction(n, d))) if rng.random() < 0.7 else (str(n), n)
+        else:
+            i, e = rng.randrange(dim), rng.randint(1, 3)
+            text, factor = (f"x{i}^{e}" if e > 1 or rng.random() < 0.2 else f"x{i}"), Poly.var(dim, i) ** e
+        minus = rng.random() < 0.15
+        texts.append("-" * minus + text)
+        value = value * (-factor if minus else factor)
+    return "*".join(texts), value
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.randoms(use_true_random=False), st.sampled_from([2, 3]), st.booleans())
+def test_a_linear_sum_is_the_value_public_arithmetic_builds(rng, dim, fields):
+    # a sum of bare runs, or of terms run*dI and (r ± r ± ...)*dI, with signs, words that repeat and pairs that
+    # cancel, is read into numerators by label and reduced once: it is the value that Poly and FreeLRElem arithmetic
+    # build, stored as their public constructors store it
+    chart = ChartSpec(dim, 4)
+    texts, want = [], FreeLRElem.zero(chart) if fields else Poly.const(dim, 0)
+    for _ in range(rng.randint(1, 6)):
+        run, value = monomial_run(rng, dim)
+        if fields:
+            i = rng.randrange(dim)
+            if rng.random() < 0.6:
+                for _ in range(rng.randint(0, 2)):
+                    op, (more, more_value) = rng.choice("+-"), monomial_run(rng, dim)
+                    run, value = f"{run} {op} {more}", value + more_value if op == "+" else value - more_value
+                run = f"({run})"
+            run, value = f"{run}*d{i}", FreeLRElem.generator(chart, i) * value
+        # a term may be followed by itself, with either sign
+        for _ in range(1 + (rng.random() < 0.3)):
+            op = rng.choice("+-")
+            texts.append(("-" if op == "-" else "") + run if not texts else f" {op} {run}")
+            want = want + value if op == "+" else want - value
+    got = parse_expression("".join(texts), Session(chart))
+    assert got == want and hash(got) == hash(want)
+    if fields:
+        assert_stored_elem(got)
+        assert got == FreeLRElem(chart, got.terms) and hash(got) == hash(FreeLRElem(chart, got.terms))
+    else:
+        assert got == Poly(dim, got.terms) and hash(got) == hash(Poly(dim, got.terms))
+
+
 def test_reduce_drops_components_whose_projection_vanishes():
     # F[d0,d1] projects to zero, which leaves the one-set support {1}: a chain
     chart = ChartSpec(DIM, 4)

@@ -1,6 +1,9 @@
 """Expression parsing, printing roundtrips, and the command front end."""
 
+import errno
+import io
 import json
+import os
 import re
 import shlex
 import subprocess
@@ -130,7 +133,7 @@ def test_an_exponent_overflow_is_refused_at_the_factor_that_makes_it():
 
 def test_a_printed_literal_builds_no_polynomial_per_token(monkeypatch):
     # each term is read into packed numerators: no Poly per literal or
-    # coordinate, no product kernel, and one reduction per parenthesized sum
+    # coordinate, no product kernel, and at most one reduction per component
     import igc
 
     s = session(3)
@@ -146,7 +149,7 @@ def test_a_printed_literal_builds_no_polynomial_per_token(monkeypatch):
         return wrapper
 
     for module in (igc.chart_algebra, igc.free_lr, igc.groupoid, igc.parsing):
-        for name in ("_reduced", "_mul_into"):
+        for name in ("_reduced", "_cancelled", "_mul_into"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
     for name in ("const", "var"):
@@ -154,8 +157,8 @@ def test_a_printed_literal_builds_no_polynomial_per_token(monkeypatch):
     value = parse_expression(text, s)
     monkeypatch.undo()
     assert value == nu and text.count("(") >= 9
-    assert [c for c in calls if c != "_reduced"] == []
-    assert 0 < calls.count("_reduced") <= text.count("(")
+    assert [c for c in calls if c not in ("_reduced", "_cancelled")] == []
+    assert 0 < calls.count("_reduced") + calls.count("_cancelled") <= len(nu.components)
 
 
 def test_a_coefficient_times_a_generator_is_read_into_its_element(monkeypatch):
@@ -395,6 +398,14 @@ USAGE_LINES = [
     (["act", "0", "both", "K{arity=2; 0: d0}"], "igc: act flavor must be 'free' or 'lie'\n"),
     (["check", "--fast"], "igc: unknown check flag '--fast'\n"),
     (["check", "--only", "nope"], "igc: unknown check 'nope'; known: {}\n"),
+    (
+        ["check", "--seed", "4", "--only", "trivial-homotopy-agreement", "--only", "cohomology-reduction"],
+        "igc: check flag --only given twice\n",
+    ),
+    (
+        ["check", "--invert", "homotopy", "--only", "homotopy", "--invert", "homotopy"],
+        "igc: check flag --invert given twice\n",
+    ),
     (["--script", "demo.igc", "reduce", "d0"], "igc: give either --script or an inline command, not both\n"),
 ]
 
@@ -443,6 +454,55 @@ def test_command_and_expression_call_agree(name, signature, args):
         expr_args = args[:bad] + ["1/2"]
         r = run_igc(["--dim", "2", "reduce", f"{name}({', '.join(expr_args)})"])
         assert (r.returncode, r.stderr) == (2, "igc: error: expected an integer argument\n")
+
+
+class _FailingStdout(io.StringIO):
+    """A stdout whose every write raises error, on the file descriptor fd, or in memory when fd is None."""
+
+    def __init__(self, error: OSError, fd: int | None = None):
+        super().__init__()
+        self.error, self.fd = error, fd
+
+    def write(self, text):
+        raise self.error
+
+    def fileno(self):
+        return super().fileno() if self.fd is None else self.fd
+
+
+@pytest.mark.parametrize("error", [BrokenPipeError(errno.EPIPE, "Broken pipe"), OSError(errno.ENOSPC, "No space left")])
+def test_a_failed_write_ends_in_one_line(error, tmp_path):
+    # a reader that closed stdout, or a full disk: one stderr line and exit 1, one-shot and in a script
+    script = tmp_path / "demo.igc"
+    script.write_text("let a = x0*d1\nbracket lie a d0\n")
+    message = f"igc: cannot write output: {error}\n"
+    for argv in (["bracket", "lie", "x0*d1", "d0"], ["--script", str(script)], ["check", "--only", "homotopy"]):
+        r = run_igc(["--dim", "2", *argv], out=_FailingStdout(error))
+        assert (r.returncode, r.stdout, r.stderr) == (1, "", message)
+    # on a file descriptor, the rest of the output goes to os.devnull, so the interpreter's last flush cannot fail
+    fd = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
+    try:
+        r = run_igc(["--dim", "2", "bracket", "lie", "x0*d1", "d0"], out=_FailingStdout(error, fd))
+        os.write(fd, b"left in the buffer")
+    finally:
+        os.close(fd)
+    assert (r.returncode, r.stderr, (tmp_path / "stdout").read_bytes()) == (1, message, b"")
+
+
+def test_an_interrupt_ends_in_one_line(monkeypatch, tmp_path):
+    from igc import checks
+
+    def interrupted(**kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(checks, "run_suite", interrupted)
+    r = run_igc(["--dim", "2", "check"])
+    assert (r.returncode, r.stdout, r.stderr) == (130, "", "igc: interrupted\n")
+    # a script run names the line it was on
+    script = tmp_path / "demo.igc"
+    script.write_text("let a = x0*d1\n# a comment\ncheck --seed 2\nbracket lie a d0\n")
+    r = run_igc(["--dim", "2", "--script", str(script)])
+    assert (r.returncode, r.stdout, r.stderr) == (130, "", "igc: script line 3: interrupted\n")
 
 
 def test_run_command_check_flag_needs_a_name():
@@ -988,6 +1048,14 @@ def test_let_rejects_names_the_parser_never_reads():
     for name in ("x", "d", "x0a", "dx1", "F", "K", "cup"):
         run_command(["let", name, "=", "x0*d1"], s)
         assert run_command(["bracket", "free", "d0", name], s).text == "x0*F[d0,d1] + d1"
+
+
+@pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs a device whose every write fails for lack of space")
+def test_a_full_disk_ends_in_one_line_and_no_second_traceback():
+    with open("/dev/full", "w") as full:
+        line = [sys.executable, "-m", "igc", "--dim", "2", "bracket", "lie", "x0*d1", "d0"]
+        r = subprocess.run(line, stdout=full, stderr=subprocess.PIPE, text=True, timeout=30)
+    assert (r.returncode, r.stderr) == (1, "igc: cannot write output: [Errno 28] No space left on device\n")
 
 
 def test_cli_identical_output_across_runs():

@@ -8,7 +8,7 @@ one printed at the commit that pinned it.
 
 from parse_corpus import report, sha256
 
-DIGEST = "affc85ebe1a3cb157f2fe635dfd746ddd0dc41c81cc097b3e489b8d32dbc5c59"
+DIGEST = "af41a21b0fb33a4fd055febc99ed49501bfa17f7dbaf551640c77bc055946729"
 
 
 def test_parse_corpus_outcomes_are_pinned():

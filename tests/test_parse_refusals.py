@@ -122,6 +122,9 @@ def test_a_coefficient_past_the_product_budget_is_refused(monkeypatch):
     r = run_igc(["--dim", "2", "bracket", "lie", "(x0 + x1 + 1)*d0", "d1"])
     message = "term product count 3 exceeds the budget of Poly.MAX_POW_PRODUCTS = 2"
     assert (r.returncode, r.stdout, r.stderr) == (2, "", f"igc: error: {message}\n")
-    # a coefficient within the budget reads as before
+    # a coefficient within the budget reads as before, and so does one of more terms than the budget whose
+    # terms collide into fewer monomials
     r = run_igc(["--dim", "2", "bracket", "lie", "(x0 + 1)*d0", "d0"])
     assert (r.returncode, r.stdout, r.stderr) == (0, "-d0\n", "")
+    r = run_igc(["--dim", "2", "bracket", "lie", "(x0 + x1 - x1 + 1/2*x0)*d0", "d0"])
+    assert (r.returncode, r.stdout, r.stderr) == (0, "-3/2*d0\n", "")
