@@ -432,16 +432,7 @@ class Poly(_Record, frozen=True):
 
     def __pow__(self, n: int):
         _int(n, "polynomial exponent", 0)
-        result = Poly.const(self.dim, 1)
-        base = self
-        while n:
-            base._check_power_growth(n)
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
+        return _power(self, n, Poly._check_power_growth) if n else Poly.const(self.dim, 1)
 
     def _check_power_growth(self, n: int):
         # an int c gives c**n at least (bit_length(c) - 1)*n bits, and the
@@ -472,6 +463,20 @@ class Poly(_Record, frozen=True):
 # the trusted constructor of canonical data: nonzero int numerators, den > 0
 # sharing no factor with all of them
 _poly = Poly._make
+
+
+def _power(base, n: int, check):
+    """base^n for n >= 1 by square and multiply; check(base^(2^j), m) runs before each step, m the exponent left."""
+    result = None
+    while n:
+        check(base, n)
+        if n & 1:
+            result = base if result is None else result * base
+        n >>= 1
+        if n:
+            base = base * base
+    return result
+
 
 _FIELD_MASK = (1 << 64) - 1
 # the count `_budget` names when one multiplication would form too many term products
@@ -738,6 +743,19 @@ def _cancelled(num: dict, den: int) -> tuple[dict, int]:
             num = {b: {k: c // g for k, c in n.items()} for b, n in num.items()}
             den //= g
     return num, den
+
+
+def _runs_summed(terms: list[tuple]) -> tuple[dict, int]:
+    """The numerator dicts by label of the sum of terms (label, runs), each run (num, den, key) the monomial
+    num/den*x^key, over the lcm of their denominators, with one reduction; a label whose runs cancel keeps {}."""
+    den = lcm(*[d for _, runs in terms for _, d, _ in runs])
+    num: dict = {}
+    for label, runs in terms:
+        acc = num.setdefault(label, {})
+        for n, d, key in runs:
+            if n:
+                _accumulate(acc, ((key, den // d * n),))
+    return _cancelled(num, den)
 
 
 def _summed(dim: int, accs: dict, den: int) -> tuple[dict, int]:

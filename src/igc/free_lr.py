@@ -46,9 +46,9 @@ from math import lcm
 
 from . import lyndon
 from .chart_algebra import (
-    _PRODUCTS, ChartSpec, Poly, VField, _accumulate, _budget, _cancelled, _checked, _derivation_counts,
-    _derivation_into, _index, _int, _Module, _mul_into, _numerators, _partial_into, _poly_text, _Record, _same_chart,
-    _summed, _value, render_combination, vf_apply,
+    _PRODUCTS, ChartSpec, Poly, VField, _budget, _cancelled, _checked, _derivation_counts, _derivation_into, _index,
+    _int, _Module, _mul_into, _numerators, _partial_into, _poly_text, _Record, _runs_summed, _same_chart, _summed,
+    _value, render_combination, vf_apply,
 )
 from .errors import DegreeOverflowError, DomainError, _shown
 from .lyndon import LyndonWord
@@ -132,15 +132,10 @@ class FreeLRElem(_Module):
         return [{"word": list(w), "coeff": _poly_text(self.chart.dim, self.num[w], self.den)} for w in order]
 
 
-def _generator_runs(chart: ChartSpec, runs: list[tuple[int, int, int, int]]) -> FreeLRElem:
-    """The sum of the runs num/den*x^key*d_i, each (num, den, key, i) for a monomial key and a generator index i of
-    the chart: the numerators of each word (i,) over the lcm of the denominators, reduced once."""
-    den = lcm(*[d for _, d, _, _ in runs])
-    num: dict[int, dict[int, int]] = {}
-    for n, d, key, i in runs:
-        if n:
-            _accumulate(num.setdefault(i, {}), ((key, den // d * n),))
-    return FreeLRElem._make(chart, *_cancelled({LyndonWord._make((i,)): acc for i, acc in num.items() if acc}, den))
+def _generator_runs(chart: ChartSpec, terms: list[tuple[int, list]]) -> FreeLRElem:
+    """The sum of terms (i, runs) for generators d_i of the chart, each run (num, den, key) in num/den*x^key*d_i."""
+    num, den = _runs_summed(terms)
+    return FreeLRElem._make(chart, {LyndonWord._make((i,)): n for i, n in num.items() if n}, den)
 
 
 def lyndon_basis(n: int, d: int) -> list[LyndonWord]:

@@ -8,15 +8,17 @@ Errors carry line and column.
 
 The tokens are the plain texts of one regex scan; a token's kind is read from
 its text, and its offset is found by a re-scan only when an error needs it.
-A term's leading factors INT, INT/INT, xI and xI^INT are read in one loop
-into one packed monomial, a run.  A sum reads a term r*dI or (r ± r ± ...)*dI
-of runs r and a generator dI of the chart as its runs under the word (i,),
-with no nested sum and no Poly; any other shape, and any other factor, is
-read and multiplied as a value.  A sum's terms wait in one list while each is
-a polynomial of the chart or each a generator term, and are added into one
-numerator dict per label, reduced once.  A K literal is checked once, after
-its closing brace, by the checks `KField(...)` runs and in their order, and
-is wrapped with no second check.
+Factors INT, INT/INT, xI and xI^INT in a row are read in one loop into one
+packed monomial, a run.  Every term of a sum is read once, by `_term`: its
+leading factor flat, as a run or, after any minuses, as a parenthesized sum of
+runs (r ± r ± ...), whose nested sum goes on from its first term that is no
+run, and its further factors as values multiplied onto it.  A term that is a
+polynomial of the chart, or one times a lone generator dI of the chart, is
+kept as its label, None or i, and its runs (num, den, key); a sum's terms wait
+in one list while they are of one kind and are added into one numerator dict
+per label, reduced once.  A K literal is checked once, after its closing
+brace, by the checks `KField(...)` runs and in their order, and is wrapped
+with no second check.
 """
 
 from __future__ import annotations
@@ -24,12 +26,11 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from itertools import islice
-from math import lcm
 from typing import Any
 
 from .chart_algebra import (
-    _EXPONENT_OVERFLOW, _PRODUCTS, ChartSpec, Poly, _accumulate, _budget, _checked, _Record, _reduced,
-    _same_chart, _top_bits, _var_key,
+    _EXPONENT_OVERFLOW, _PRODUCTS, ChartSpec, Poly, _budget, _checked, _poly, _Record, _runs_summed, _same_chart,
+    _top_bits, _var_key,
 )
 from .errors import DomainError, _shown
 from .free_lr import FreeLRElem, _generator_runs, free_bracket, project_to_lie
@@ -162,96 +163,95 @@ class _Parser:
             self._error(f"unexpected trailing input {_shown(self.text)}")
         return value
 
-    def sum(self):
+    def sum(self, pending: list | None = None, sign: int = 1, run: tuple[int, int, int, int] | None = None):
+        """A sum, or the rest of one whose first terms are pending and whose next, of sign sign, starts with run."""
         # every nested subexpression is parsed by a call of sum
         self.depth += 1
         if self.depth > self.MAX_NESTING:
             self._error(
                 f"expression nests deeper than the parser budget of _Parser.MAX_NESTING = {self.MAX_NESTING} levels"
             )
-        # terms of one kind wait here for `_value_of`; one of another kind hands their sum to `_add`, as each later one
-        pending: list | None = []
-        op = "+"
+        # terms (label, runs) of one kind wait for `_value_of`; any other hands their sum to `_add`, as each later one
+        pending = pending or []
         while True:
-            sign = 1 if op == "+" else -1
-            if (run := self._monomial_run(self.pos)) is not None:
-                self.pos, self.text = run[3], self.tokens[run[3]]
-            # no ^ follows a run: the run reader leaves a factor with a ^ after it to `unary`
-            if run is not None and self.text != "*":
-                term = [(sign * run[0], run[1], run[2], None)]
-            elif (term := self._generator_term(sign, run)) is None:
-                rhs = self.product(run)
-                if type(rhs) is tuple:
-                    i, p = rhs
-                    # a zero coefficient is the zero run, which keeps the term's kind
-                    term = [(sign * n, p.den, k, i) for k, n in p.num.items()] or [(0, 1, 0, i)]
-                elif type(rhs) is Poly and rhs.dim == self.dim:
-                    term = [(sign, rhs.den, rhs, None)]
-            if term is None or pending is None or pending and (term[0][3] is None) != (pending[0][3] is None):
-                if term is not None:
-                    rhs = self._value_of(term)
-                elif op == "-":
-                    rhs = _neg(rhs)
+            term = self._term(sign, run)
+            if term[1] is None or pending is None or pending and (term[0] is None) != (pending[0][0] is None):
+                rhs = term[0] if term[1] is None else self._value_of([term])
                 if pending != []:  # the first term is the value itself
                     rhs = _add(value if pending is None else self._value_of(pending), rhs, self.session.chart)
                 value, pending = rhs, None
             else:
-                pending += term
+                pending.append(term)
             if self.text != "+" and self.text != "-":
                 break
-            op = self._advance()
+            sign, run = 1 if self._advance() == "+" else -1, None
         self.depth -= 1
         return value if pending is None else self._value_of(pending)
 
     def _value_of(self, terms: list):
-        """The sum of terms that are each a polynomial of the chart, a run as (num, den, key, None) and another p as
-        (sign, p.den, p, None), or each a generator term, as its runs (num, den, key, i), reduced once."""
-        return _poly_sum(self.dim, terms) if terms[0][3] is None else _generator_runs(self.session.chart, terms)
+        """The sum of terms (label, runs) that are each a polynomial (label None) or each a generator term."""
+        return _poly_sum(self.dim, terms) if terms[0][0] is None else _generator_runs(self.session.chart, terms)
 
-    def product(self, run: tuple[int, int, int, int] | None):
-        """A product whose leading monomial run, if any, is already read as run; a polynomial p of the chart times
-        a generator dI that ends the product comes as (i, p), for `sum` to add as p's numerators under the word
-        (i,), with the term product budget `Poly * d_i` checks."""
-        value = self.unary() if run is None else _poly_sum(self.dim, [run])
-        while self.text == "*":
-            self._advance()
-            if type(value) is Poly and value.dim == self.dim and (i := self._lone_generator(self.pos)) is not None:
-                _budget(len(value.num), Poly, "MAX_POW_PRODUCTS", _PRODUCTS)
-                self._advance()
-                return i, value
-            value = _mul(value, self.unary())
-        return value
+    def _term(self, sign: int, run: tuple[int, int, int, int] | None = None) -> tuple:
+        """A term times sign: while it is a polynomial p of the chart or p*dI for a lone generator dI of the chart,
+        its label, None or i, and its runs (num, den, key); else its value and None.
 
-    def _generator_term(self, sign: int, run: tuple[int, int, int, int] | None) -> list | None:
-        """The term r*dI, r the run already read, or else (r ± r ± ...)*dI after any minuses, for runs r and dI in
-        the chart with no ^ or * after it, as its runs (num, den, key, i), signed, moved past, under `Poly * d_i`'s
-        budget; None with nothing read on any other shape, and at the nesting budget the general reading refuses."""
-        tokens, at = self.tokens, self.pos
-        if run is not None:
-            runs = [(sign * run[0], run[1], run[2])]
+        Its leading factor is read once: flat when it is a monomial run (run, if the caller read it) or, after any
+        minuses, a parenthesized sum of runs, whose nested sum goes on from its first term that is no run.  Its
+        other factors are read as values; the product stops before a lone dI while it is a polynomial of the chart."""
+        tokens, at, minuses, value, s0 = self.tokens, self.pos, 0, None, sign
+        if run is not None or (run := self._monomial_run(at)) is not None:
+            runs, at = [(sign * run[0], run[1], run[2])], run[3]
         else:
+            runs = None
             while tokens[at] == "-":
-                sign, at = -sign, at + 1
-            if tokens[at] != "(" or self.depth >= self.MAX_NESTING:
-                return None
-            runs, s = [], sign
-            while (run := self._monomial_run(at + 1)) is not None:  # at is the ( or the + or - before the run
-                num, den, key, at = run
-                runs.append((s * num, den, key))
-                if tokens[at] != "+" and tokens[at] != "-":
-                    break
-                s = sign if tokens[at] == "+" else -sign
-            if tokens[at] != ")":
-                return None
-            at += 1
-        if tokens[at] != "*" or (i := self._lone_generator(at + 1)) is None:
-            return None
-        term = [(num, den, key, i) for num, den, key in runs]
-        # the nonzero monomials are at most the runs, so only a term of more runs than the budget needs their count
-        if len(term) > Poly.MAX_POW_PRODUCTS:
-            _budget(len(_poly_sum(self.dim, term).num), Poly, "MAX_POW_PRODUCTS", _PRODUCTS)
-        self.pos, self.text = at + 2, tokens[at + 2]
-        return term
+                minuses, at, s0 = minuses + 1, at + 1, -s0
+            # at the nesting budget the nested sum refuses the parenthesis
+            if tokens[at] == "(" and self.depth < self.MAX_NESTING:
+                runs, s = [], s0
+                while (run := self._monomial_run(at + 1)) is not None:
+                    num, den, key, at = run
+                    runs.append((s * num, den, key))
+                    if tokens[at] != "+" and tokens[at] != "-":
+                        break
+                    s = s0 if tokens[at] == "+" else -s0
+                if tokens[at] == ")":
+                    at += 1
+                else:
+                    # the nested sum goes on from the term that is no run, or that the run read last only starts
+                    if run is None:
+                        at += 1
+                    else:
+                        runs.pop()
+                    self.pos, self.text = at, tokens[at]
+                    runs = [(None, [(s0 * num, den, key) for num, den, key in runs])] if runs else []
+                    value, runs = self.sum(runs, s0 * s, run), None
+                    self._expect(")")
+                    at = self.pos
+        if runs is not None:
+            # runs is the flat factor times s0, the term's sign flipped by each minus before it
+            if tokens[at] == "*" and (i := self._lone_generator(at + 1)) is not None:
+                # the nonzero monomials are at most the runs, so only a term of more runs needs their count
+                if len(runs) > Poly.MAX_POW_PRODUCTS:
+                    _budget(len(_poly_sum(self.dim, [(None, runs)]).num), Poly, "MAX_POW_PRODUCTS", _PRODUCTS)
+                self.pos, self.text = at + 2, tokens[at + 2]
+                return i, runs
+            if tokens[at] != "*" and tokens[at] != "^":
+                self.pos, self.text = at, tokens[at]
+                return None, runs
+            value = _poly_sum(self.dim, [(None, runs)]) * s0
+        self.pos, self.text = at, tokens[at]
+        value, i = self.unary(minuses, value), None
+        while self.text == "*":
+            if type(value) is Poly and value.dim == self.dim and (i := self._lone_generator(self.pos + 1)) is not None:
+                _budget(len(value.num), Poly, "MAX_POW_PRODUCTS", _PRODUCTS)
+                self.pos, self.text = self.pos + 2, self.tokens[self.pos + 2]
+                break
+            self._advance()
+            value = _mul(value, self.unary())
+        if type(value) is Poly and value.dim == self.dim:
+            return i, [(sign * n, value.den, key) for key, n in value.num.items()]
+        return _neg(value) if sign < 0 else value, None
 
     def _monomial_run(self, at: int) -> tuple[int, int, int, int] | None:
         """The run of factors INT, INT/INT, xI, xI^INT at token index at, each after any minuses, as one monomial's
@@ -300,21 +300,18 @@ class _Parser:
             return None
         return None if self.tokens[at + 1] in ("^", "*") else i
 
-    def unary(self):
-        signs = 0
-        while self.text == "-":
-            self._advance()
-            signs += 1
-        value = self.power()
-        for _ in range(signs):
-            value = _neg(value)
-        return value
-
-    def power(self):
-        value = self.atom()
+    def unary(self, minuses: int = 0, value=None):
+        """A factor: minuses, an atom and its powers, of which the first minuses, and the atom as value, may be read."""
+        if value is None:
+            while self.text == "-":
+                self._advance()
+                minuses += 1
+            value = self.atom()
         while self.text == "^":
             self._advance()
             value = _pow(value, self.atom(), self.session.chart)
+        for _ in range(minuses):
+            value = _neg(value)
         return value
 
     def atom(self):
@@ -507,20 +504,10 @@ def apply_operation(name: str, args: list, chart: ChartSpec, read, index):
 # type-dispatched operators ---------------------------------------------------
 
 
-def _poly_sum(dim: int, terms: list[tuple[int, int, Any, Any]]) -> Poly:
-    """The sum of the terms, each a run (num, den, key, _) or a polynomial (sign, den, p, _) of denominator den, over
-    the lcm of their denominators, reduced once."""
-    if len(terms) == 1 and type(terms[0][2]) is Poly and terms[0][0] == 1:
-        return terms[0][2]
-    den = lcm(*[d for _, d, _, _ in terms])
-    acc: dict[int, int] = {}
-    for c, d, x, _ in terms:
-        s = den // d * c
-        if type(x) is Poly:
-            _accumulate(acc, [(k, s * n) for k, n in x.num.items()])
-        elif s:
-            _accumulate(acc, ((x, s),))
-    return _reduced(dim, acc, den)
+def _poly_sum(dim: int, terms: list[tuple[None, list]]) -> Poly:
+    """The sum of terms (None, runs), each run (num, den, key) the monomial num/den*x^key, reduced once."""
+    num, den = _runs_summed(terms)
+    return _poly(dim, num.get(None) or {}, den)
 
 
 def _neg(v):

@@ -33,7 +33,7 @@ from math import lcm
 
 from .chart_algebra import (
     ChartSpec, Poly, VField, _accumulate, _budget, _cancelled, _checked, _derivation_into, _index, _int, _Module,
-    _mul_into, _numerators, _poly_text, _Record, _reduced, _same_chart, _summed, _unpack, _value, vf_apply,
+    _mul_into, _numerators, _poly_text, _power, _Record, _reduced, _same_chart, _summed, _unpack, _value, vf_apply,
 )
 from .errors import ArityMismatchError, DomainError, NotMultiplicativeError
 from .free_lr import FreeLRElem, project_to_lie
@@ -103,11 +103,10 @@ class WeilElem(_Module):
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
-        _int(n, "Weil exponent", 0)
-        result = WeilElem.unit(self.arity, self.dim)
-        for _ in range(n):
-            result = result * self
-        return result
+        if not _int(n, "Weil exponent", 0):
+            return WeilElem.unit(self.arity, self.dim)
+        # the empty part of w^n is that of w to the n, held to Poly's growth budget
+        return _power(self, n, lambda w, m: w.part(())._check_power_growth(m))
 
     def set_generator_zero(self, i: int) -> "WeilElem":
         """Quotient by e_i = 0: drop subsets containing i and reindex the rest."""

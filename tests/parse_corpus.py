@@ -57,6 +57,10 @@ FIXED = [
     "K{arity=1; 0: (x0 + 1)*d0 + 2*d0 - F[d0,d1]}", "0*d0 + x0", "2/4*x0*d1 - x0*-1/2*d1 + -(x1 - 2/4)*d0",
     "3*(x0 + x1)*d1 + (2/6*x1)*d1", "2*(x0 - x0)*d0 + x1", "(x0 - x0)*d1 + x1", "d0 + (x0 + 1)*d1",
     "(" * 98 + "(x0)*d0" + ")" * 98, "(" * 99 + "(x0)*d0" + ")" * 99,
+    # a term's leading factor read once and handed on: a polynomial before a wedge, a bracket, a further factor, a
+    # power or a bound value, and a polynomial of the general reading before a lone generator
+    "(x0 + 1)*d0 ^ d1", "x1 - (x0 + 1)*d0 ^ d1", "-(x0 + 1)*F[d0,d1]", "(x0 + 1)*x1*d0", "x0*(x1 + 1)*d0",
+    "a*d0 - a*x1*d1", "(x0 + 1)^2*d0", "-(x0 + 1)^2*d1", "(x0 - x0)*x1*d0 + x1", "(x0 + 1)*mu", "-(x0)*mu",
 ]
 
 

@@ -177,11 +177,27 @@ def test_a_coefficient_times_a_generator_is_read_into_its_element(monkeypatch):
         ("x0*d1*x0", ["generator", "*", "*"]),
         ("-x0*-d1", ["generator", "*"]),
         ("x0*d1^d0", ["generator", "generator", "*"]),
+        ("(x0 + 1)*d0 ^ d1", ["generator", "generator", "*"]),
+        ("(x0 - 1/2*x1)*F[d0,d1]", ["generator", "generator", "*"]),
     ]
     for text, made in declined:
         calls.clear()
         parse_expression(text, session())
         assert calls == made, text
+
+
+def test_a_leading_factor_is_read_once(monkeypatch):
+    # a parenthesized sum of runs is read flat once and handed on as the term's leading value: one run reader call
+    # per run, plus one at the term's start and one at each bracket argument's, all of which find no run
+    from igc.parsing import _Parser
+
+    calls = []
+    run = _Parser._monomial_run
+    monkeypatch.setattr(_Parser, "_monomial_run", lambda *a: calls.append(a[1]) or run(*a))
+    for text, made in [("(x0 + 1)*d0 ^ d1", 3), ("(x0 - 1/2*x1)*F[d0,d1]", 5), ("-(x0 + 1)^2*d1", 3)]:
+        calls.clear()
+        parse_expression(text, session())
+        assert len(calls) == len(set(calls)) == made, text
 
 # The tokenizer that tracked lines as it scanned, before the one-scan
 # tokenizer that works out line and column from an offset only for an error;

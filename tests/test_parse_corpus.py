@@ -8,7 +8,7 @@ one printed at the commit that pinned it.
 
 from parse_corpus import report, sha256
 
-DIGEST = "af41a21b0fb33a4fd055febc99ed49501bfa17f7dbaf551640c77bc055946729"
+DIGEST = "e1c7769145ea7c287b23a9adf5318513324d4b8dab1ad56884fbd3ed3bddaca4"
 
 
 def test_parse_corpus_outcomes_are_pinned():

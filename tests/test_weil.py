@@ -1,6 +1,7 @@
 """Weil elements, the k-field dictionary, and the partial cup product."""
 
 import re
+import time
 from itertools import combinations
 from random import Random
 
@@ -352,6 +353,22 @@ def test_morphism_multiplicative_by_construction():
     for _ in range(5):
         f, g = random_poly(rng, 2), random_poly(rng, 2)
         assert w.image(f * g) == w.image(f) * w.image(g)
+
+
+def test_a_weil_power_squares_and_multiplies():
+    # w^e by square and multiply equals e repeated products, and its empty part is that of w to the e
+    w = kfield_to_weil(random_kfield(Random(36), CHART, 2))
+    x0 = w.coord_images[0]
+    folded = WeilElem.unit(2, 2)
+    for e in range(41):
+        assert x0**e == folded and w.image(X0**e) == folded, e
+        folded = folded * x0
+    start = time.perf_counter()
+    big = w.image(X0 ** 10**18)
+    assert time.perf_counter() - start < 2
+    assert big.part(()) == X0 ** 10**18 and big.part((0, 1))
+    with pytest.raises(DomainError, match="polynomial power exceeds the coefficient budget of Poly.MAX_DIGITS"):
+        (x0 + WeilElem.scalar(2, 3 * ONE)) ** 10**18
 
 
 def test_weil_to_kfield_one_jet_inverse():
